@@ -25,7 +25,6 @@ from .classify import (
 from .core import (
     AbortTrial,
     BudgetExceededError,
-    CapabilityError,
     GameParams,
     NatureChallenger,
     RateEstimate,
@@ -41,7 +40,6 @@ from .core import (
     run_dbd_trial,
     run_dbm_trial,
     soundness_violation,
-    trial_seeds,
     wilson_interval,
 )
 from .crypto import (

@@ -25,7 +25,7 @@ from .core import (
 )
 from .crypto import sha256
 from .drbg import HashDrbg
-from .wire import be32, pack_fields, unpack_exact
+from .wire import be32, pack_fields
 
 DEFAULT_LABEL = b"\x00"
 DRIFT_THRESHOLD_MULT = 4.0
@@ -245,10 +245,3 @@ def implication_premise(t: Transcript, epsilon: float) -> bool:
         and t.err_fx is not None
         and t.err_fx > MODEL_ERR_MARGIN_MULT * epsilon
     )
-
-
-def parse_toy_table(buf: bytes, entries: int) -> dict[bytes, bytes] | None:
-    fields = unpack_exact(buf, entries)
-    if fields is None or any(len(f) != 5 for f in fields):
-        return None
-    return {f[:4]: f[4:] for f in fields}

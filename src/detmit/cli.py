@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Literal
 
 import click
-from pydantic import BaseModel, ConfigDict, Field, ValidationError
+from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from .classify import (
     DetectorFromMitigator,
@@ -36,16 +36,20 @@ from .classify import (
     make_toy_instance,
 )
 from .core import (
+    NATURE,
     GameParams,
     NatureChallenger,
     RateEstimate,
     Transcript,
+    completeness_violation,
     run_dbd_trial,
     run_dbm_trial,
+    soundness_violation,
 )
 from .drbg import HashDrbg, derive_trial_seed
 from .sampleagents import (
     LadderTrainer,
+    NeverFlagDetector,
     ProofExtendingMitigator,
     SelfIterationAttacker,
     baseline_detectors,
@@ -62,6 +66,7 @@ from .timetask import (
 )
 
 DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
+LADDER_DETECTORS = ("never_flag", "level_threshold", "frequency", "well_formed")
 
 
 class ExperimentConfig(BaseModel):
@@ -86,6 +91,17 @@ class ExperimentConfig(BaseModel):
     instance_seed: int = 1
     master_seed: int = 2
     workers: int = Field(default=1, ge=1)
+
+    @model_validator(mode="after")
+    def _ladder_detector_exists(self) -> "ExperimentConfig":
+        if self.task == "ladder" and self.game == "detect" and (
+            self.detector not in LADDER_DETECTORS
+        ):
+            raise ValueError(
+                f"detector {self.detector!r} does not play the ladder task; "
+                f"choose one of {', '.join(LADDER_DETECTORS)}"
+            )
+        return self
 
     def params(self) -> GameParams:
         q = self.q if self.q is not None else DEFAULT_Q[self.task]
@@ -122,7 +138,7 @@ def build_parties(cfg: ExperimentConfig, instance: Any) -> tuple[Any, Any, Any]:
             else NatureChallenger()
         )
         if cfg.game == "detect":
-            defense = _chain_detector()
+            defense = NeverFlagDetector()
         else:
             defense = ChainExtendingMitigator(instance)
     else:
@@ -146,12 +162,6 @@ def build_parties(cfg: ExperimentConfig, instance: Any) -> tuple[Any, Any, Any]:
     return trainer, challenger, defense
 
 
-def _chain_detector() -> Any:
-    from .sampleagents import NeverFlagDetector
-
-    return NeverFlagDetector()
-
-
 def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     instance = build_instance(cfg)
     params = cfg.params()
@@ -173,37 +183,31 @@ def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     return instance, transcripts
 
 
-def _soundness_violation_rec(r: dict, epsilon: float) -> bool:
-    if r["aborted"] is not None or r["flag"] != 0:
-        return False
-    err = r["err_y"] if r["err_y"] is not None else r["err_fx"]
-    return err is not None and err > epsilon
-
-
 def summarize(records: list[dict], epsilon: float) -> dict:
     """Headline rates (with Wilson 95% intervals) from transcript records."""
-    done = [r for r in records if r["aborted"] is None]
-    nature = [r for r in done if r["origin"] == "nature"]
-    attack = [r for r in done if r["origin"] != "nature"]
+    trials = [Transcript.from_record(r) for r in records]
+    done = [t for t in trials if t.aborted is None]
+    nature = [t for t in done if t.origin == NATURE]
+    attack = [t for t in done if t.origin != NATURE]
 
-    def rate(rows: list[dict], pred: Any) -> dict | None:
+    def rate(rows: list[Transcript], pred: Any) -> dict | None:
         if not rows:
             return None
-        return RateEstimate.from_counts(sum(bool(pred(r)) for r in rows), len(rows)).as_dict()
+        return RateEstimate.from_counts(sum(bool(pred(t)) for t in rows), len(rows)).as_dict()
 
     aborts: dict[str, int] = {}
-    for r in records:
-        if r["aborted"] is not None:
-            aborts[r["aborted"]] = aborts.get(r["aborted"], 0) + 1
+    for t in trials:
+        if t.aborted is not None:
+            aborts[t.aborted] = aborts.get(t.aborted, 0) + 1
 
     queries = [
-        r["ledgers"][r["origin"]]["queries"]
-        for r in attack
-        if "queries" in r["ledgers"].get(r["origin"], {})
+        t.ledgers[t.origin]["queries"]
+        for t in attack
+        if "queries" in t.ledgers.get(t.origin, {})
     ]
     maxima: dict[str, dict[str, int]] = {}
-    for r in records:
-        for role, led in r["ledgers"].items():
+    for t in trials:
+        for role, led in t.ledgers.items():
             slot = maxima.setdefault(role, {"samples_used": 0, "steps_used": 0})
             for key in slot:
                 if led.get(key) is not None:
@@ -212,11 +216,11 @@ def summarize(records: list[dict], epsilon: float) -> dict:
     return {
         "trials": len(records),
         "correctness_rate": rate(
-            done, lambda r: r["err_fx"] is not None and r["err_fx"] <= epsilon
+            done, lambda t: t.err_fx is not None and t.err_fx <= epsilon
         ),
-        "completeness_violation_rate": rate(nature, lambda r: r["flag"] == 1),
+        "completeness_violation_rate": rate(nature, completeness_violation),
         "soundness_violation_rate": rate(
-            done, lambda r: _soundness_violation_rec(r, epsilon)
+            done, lambda t: soundness_violation(t, epsilon)
         ),
         "abort_rates": {k: v / len(records) for k, v in sorted(aborts.items())},
         "mean_attacker_queries": (sum(queries) / len(queries)) if queries else None,
@@ -287,7 +291,7 @@ def _load_config(path: str) -> ExperimentConfig:
 @main.command("gen-instance")
 @click.option("--task", type=click.Choice(["ladder", "chain"]), default="ladder")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--horizon", type=int, default=256, show_default=True)
+@click.option("--horizon", type=click.IntRange(min=4), default=256, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output prefix")
 @click.option("--emit-pairs", type=int, default=0, show_default=True)
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
@@ -334,14 +338,23 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         pub = json.loads(base.with_suffix(".pub.json").read_text())
     except OSError as exc:
         raise click.UsageError(f"cannot read instance files: {exc}") from exc
+    if sec.get("task") != pub.get("task"):
+        raise click.UsageError(
+            f"secret file is for task {sec.get('task')!r}, "
+            f"public file for task {pub.get('task')!r}"
+        )
     instance = _rebuild_from_secret(sec)
     restore_public_state(instance, pub)
     bad = total = 0
     with open(pairs) as fh:
-        for line in fh:
-            rec = json.loads(line)
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                x, y = bytes.fromhex(rec["x"]), bytes.fromhex(rec["y"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise click.UsageError(f"bad pair on line {lineno} of {pairs}: {exc}") from exc
             total += 1
-            if instance.h(bytes.fromhex(rec["x"]), bytes.fromhex(rec["y"])):
+            if instance.h(x, y):
                 bad += 1
     click.echo(f"{total - bad}/{total} pairs verified")
     if bad:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from .crypto import StepMeter, StepsExhausted
-from .drbg import HashDrbg, derive_trial_seed
+from .drbg import HashDrbg
 
 NATURE = "nature"
 ATTACKER = "attacker"
@@ -30,10 +30,6 @@ ATTACKER = "attacker"
 
 class BudgetExceededError(Exception):
     """A party drew past its sample allowance."""
-
-
-class CapabilityError(Exception):
-    """Secret-dependent data was requested without white-box access."""
 
 
 class AbortTrial(Exception):
@@ -249,13 +245,10 @@ class Transcript:
         obj = {name: getattr(self, name) for name in _TRANSCRIPT_FIELDS}
         return json.dumps(obj, sort_keys=False, separators=(",", ":"))
 
-
-class DbdTranscript(Transcript):
-    pass
-
-
-class DbmTranscript(Transcript):
-    pass
+    @classmethod
+    def from_record(cls, rec: dict[str, Any]) -> "Transcript":
+        """The serialized fields of one parsed `to_json` line."""
+        return cls(**{name: rec[name] for name in _TRANSCRIPT_FIELDS})
 
 
 def _priv_bytes(priv: Any) -> bytes:
@@ -272,7 +265,7 @@ def _seed_str(seed: bytes | int) -> str:
 
 
 class _TrialState:
-    """Shared plumbing for the two runners: budgets, labels, abort capture."""
+    """Per-trial plumbing: budgets, labels, abort capture."""
 
     def __init__(
         self,
@@ -328,16 +321,22 @@ class _TrialState:
         return None
 
 
-def run_dbd_trial(
+def _run_trial(
     instance: Any,
     trainer: Trainer,
     challenger: Challenger,
-    detector: Detector,
+    role: str,
+    defense: Any,
+    defend: Callable[..., tuple[int, list[bytes] | None, int | None]],
     params: GameParams,
     seed: bytes | int,
-    trial_id: int = 0,
-) -> DbdTranscript:
-    """One detection-game trial: train, challenge, detect, score."""
+    trial_id: int,
+) -> Transcript:
+    """Train, challenge, defend, score: the body both games share.
+
+    `defend(ctx, model, priv, xs)` is the one move in which the games differ;
+    it returns (flag, answers or None, inner flag or None).
+    """
     st = _TrialState(instance, params, seed, trial_id)
     flag = err_fx = err_y = inner_flag = None
     model, priv, xs, response = None, None, [], None
@@ -353,19 +352,16 @@ def run_dbd_trial(
         extra = {} if queries is None else {"queries": queries}
         st.close_ledger(challenger.origin, challenger, cctx, **extra)
         if xs is not None:
-            dctx = st.ctx_for("detector", detector)
-            flag = st.run_phase(
-                "detector", lambda: detector.detect(dctx, model, priv, xs)
-            )
-            st.close_ledger("detector", detector, dctx)
-            if flag is not None:
+            dctx = st.ctx_for(role, defense)
+            defended = st.run_phase(role, lambda: defend(dctx, model, priv, xs))
+            st.close_ledger(role, defense, dctx)
+            if defended is not None:
+                flag, response, inner_flag = defended
                 err_fx = empirical_err(instance.h, xs, [model(x) for x in xs])
-                response = getattr(detector, "last_response", None)
-                inner_flag = getattr(detector, "last_inner_flag", None)
                 if response is not None:
                     err_y = empirical_err(instance.h, xs, response)
 
-    return DbdTranscript(
+    return Transcript(
         trial_id=trial_id,
         seed=_seed_str(seed),
         origin=challenger.origin,
@@ -382,6 +378,30 @@ def run_dbd_trial(
     )
 
 
+def run_dbd_trial(
+    instance: Any,
+    trainer: Trainer,
+    challenger: Challenger,
+    detector: Detector,
+    params: GameParams,
+    seed: bytes | int,
+    trial_id: int = 0,
+) -> Transcript:
+    """One detection-game trial: train, challenge, detect, score."""
+
+    def detect(ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> tuple:
+        flag = detector.detect(ctx, model, priv, xs)
+        return (
+            flag,
+            getattr(detector, "last_response", None),
+            getattr(detector, "last_inner_flag", None),
+        )
+
+    return _run_trial(
+        instance, trainer, challenger, "detector", detector, detect, params, seed, trial_id
+    )
+
+
 def run_dbm_trial(
     instance: Any,
     trainer: Trainer,
@@ -390,46 +410,15 @@ def run_dbm_trial(
     params: GameParams,
     seed: bytes | int,
     trial_id: int = 0,
-) -> DbmTranscript:
+) -> Transcript:
     """One mitigation-game trial: train, challenge, answer+flag, score."""
-    st = _TrialState(instance, params, seed, trial_id)
-    flag = err_fx = err_y = None
-    model, priv, xs, ys = None, None, [], None
 
-    tctx = st.ctx_for("trainer", trainer)
-    trained = st.run_phase("trainer", lambda: trainer.train(tctx))
-    st.close_ledger("trainer", trainer, tctx)
-    if trained is not None:
-        model, priv = trained
-        cctx = st.ctx_for(challenger.origin, challenger)
-        xs = st.run_phase(challenger.origin, lambda: challenger.challenge(cctx, model))
-        queries = getattr(challenger, "last_query_count", None)
-        extra = {} if queries is None else {"queries": queries}
-        st.close_ledger(challenger.origin, challenger, cctx, **extra)
-        if xs is not None:
-            mctx = st.ctx_for("mitigator", mitigator)
-            answered = st.run_phase(
-                "mitigator", lambda: mitigator.mitigate(mctx, model, priv, xs)
-            )
-            st.close_ledger("mitigator", mitigator, mctx)
-            if answered is not None:
-                ys, flag = answered
-                err_y = empirical_err(instance.h, xs, ys)
-                err_fx = empirical_err(instance.h, xs, [model(x) for x in xs])
+    def mitigate(ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> tuple:
+        ys, flag = mitigator.mitigate(ctx, model, priv, xs)
+        return flag, ys, None
 
-    return DbmTranscript(
-        trial_id=trial_id,
-        seed=_seed_str(seed),
-        origin=challenger.origin,
-        flag=flag,
-        err_fx=err_fx,
-        err_y=err_y,
-        ledgers=st.ledgers,
-        aborted=st.aborted,
-        model=model,
-        private_state=_priv_bytes(priv),
-        challenge=xs or [],
-        response=ys,
+    return _run_trial(
+        instance, trainer, challenger, "mitigator", mitigator, mitigate, params, seed, trial_id
     )
 
 
@@ -494,8 +483,3 @@ class NatureChallenger:
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         return [ctx.oracle.draw_input() for _ in range(ctx.params.q)]
-
-
-def trial_seeds(master_seed: int, trials: int) -> Iterable[bytes]:
-    for index in range(trials):
-        yield derive_trial_seed(master_seed, index)

@@ -11,12 +11,12 @@ Five primitives, each behind a small, contract-shaped API:
 * identity FHE      — per-identity authenticated symmetric keys derived from a
   master secret, plus a public evaluation oracle that holds the master secret
   privately and applies registered byte-circuits under the encryption.
+* step meter        — the sequential step function (one SHA-256 application,
+  `npl_step`) behind an instrumented per-party counter with optional limits.
 * chain proofs      — incrementally-verifiable computation simulated by a
-  salted hash chain over (step index, state); update advances the canonical
-  step function itself (charging the caller's step meter) and registers the
+  salted hash chain over (step index, state); update advances the step
+  function itself (charging the caller's step meter) and registers the
   commitment; verification is a registry lookup, recomputing nothing.
-* stepped chain     — the sequential workload: one SHA-256 application per
-  step, with an instrumented per-party counter.
 
 Registries are shared mutable state and take a lock; everything random flows
 from caller-supplied :class:`~detmit.drbg.HashDrbg` streams or a locked
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -37,12 +37,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .drbg import HashDrbg
 from .wire import be64, pack_fields, unpack_exact
@@ -114,10 +109,6 @@ def sig_keygen(rng: HashDrbg) -> SigKeypair:
     sk = rng.take(32)
     priv = Ed25519PrivateKey.from_private_bytes(sk)
     vk = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    # sanity: the raw private bytes round-trip (verification key is derivable)
-    assert priv.private_bytes(
-        Encoding.Raw, PrivateFormat.Raw, NoEncryption()
-    ) == sk
     return SigKeypair(signing_key=sk, verification_key=vk)
 
 
@@ -203,10 +194,6 @@ class SnarkParams:
         with self._lock:
             for key in entries:
                 self._registry.setdefault(key, ())
-
-
-def snark_setup(rng: HashDrbg, verification_key: bytes) -> SnarkParams:
-    return SnarkParams(rng, verification_key)
 
 
 def snark_prove(
@@ -311,10 +298,6 @@ class FheSystem:
             raise ValueError("identity tags are 16 bytes")
         return IdentityKey(tag=identity, key=sha256(b"fhe-id-key:" + self._msk + identity))
 
-    def master_secret_bytes(self) -> bytes:
-        """Serialization hook; never handed to party code."""
-        return self._msk
-
     # --- encryption ---------------------------------------------------------
 
     @staticmethod
@@ -367,28 +350,8 @@ class FheSystem:
         return Ciphertext(identity_tag=ct.identity_tag, body=body)
 
 
-def fhe_setup(rng: HashDrbg) -> FheSystem:
-    return FheSystem(rng)
-
-
-def fhe_keygen(system: FheSystem, identity: bytes) -> IdentityKey:
-    return system.keygen(identity)
-
-
-def fhe_encrypt(system: FheSystem, identity: bytes, message: bytes, rng: HashDrbg) -> Ciphertext:
-    return system.encrypt(identity, message, rng)
-
-
-def fhe_decrypt(identity_key: IdentityKey, ct: Ciphertext) -> bytes | None:
-    return FheSystem.decrypt_with_key(identity_key, ct)
-
-
-def fhe_eval(system: FheSystem, handle: str, ct: Ciphertext) -> Ciphertext:
-    return system.eval(handle, ct)
-
-
 # ---------------------------------------------------------------------------
-# stepped hash chain with per-party metering
+# sequential step function with per-party metering
 # ---------------------------------------------------------------------------
 
 
@@ -436,29 +399,6 @@ class StepMeter:
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return dict(self.counts)
-
-
-@dataclass(frozen=True)
-class NplInstance:
-    seeds: tuple[bytes, ...]
-
-    @property
-    def z_digest(self) -> bytes:
-        return sha256(b"npl-batch:" + b"".join(self.seeds))
-
-    @property
-    def start_state(self) -> bytes:
-        return sha256(b"npl-start:" + self.z_digest)
-
-
-def npl_sample(rng: HashDrbg, count: int = 8) -> NplInstance:
-    return NplInstance(seeds=tuple(rng.take(32) for _ in range(count)))
-
-
-def npl_decide(instance: NplInstance, t: int, meter: StepMeter, party: str) -> int:
-    """Run the chain for t steps and output the final state's low bit."""
-    state = meter.run(party, instance.start_state, t)
-    return state[-1] & 1
 
 
 # ---------------------------------------------------------------------------

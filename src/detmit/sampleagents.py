@@ -22,8 +22,6 @@ from typing import Any, Callable
 
 from .core import ATTACKER, AbortTrial, TrialCtx
 from .crypto import (
-    EVAL_FAILED,
-    Ciphertext,
     FheSystem,
     IdentityKey,
     ProofToken,
@@ -32,7 +30,6 @@ from .crypto import (
     snark_prove,
     snark_verify,
 )
-from .drbg import HashDrbg
 from .payloads import (
     ClearPayload,
     EncPayload,
@@ -99,8 +96,6 @@ class DataModel:
             return bottom(w) if ans is None else encode_payload(ans, w)
         if isinstance(p, EncPayload) and self.circuit_handle is not None:
             out = self.instance.fhe.eval(self.circuit_handle, p.ciphertext)
-            if out == EVAL_FAILED or not isinstance(out, Ciphertext):
-                return bottom(w)
             return encode_payload(EncPayload(out, b"", b"", b""), w)
         return bottom(w)
 
@@ -232,12 +227,13 @@ class SelfIterationAttacker:
 
 
 class ProofExtendingMitigator:
-    """Answers one strip past the trainer's grid with exact-level proofs.
+    """Answers one strip past the trainer's grid through a wider DataModel.
 
     Spends 4*floor(2*sqrt(K)) fresh draws to collect floor(2*sqrt(K)) new
     tokens, proves every level in (K, K + floor(2*sqrt(K))] exactly, and
-    answers: grid proof when the grid suffices, exact strip proof when the
-    required level lands in the strip, BOTTOM beyond.  Never flags.
+    answers with a DataModel over the grid and the strip together: the
+    smallest proved level that clears the required one, BOTTOM beyond the
+    strip.  Never flags.
     """
 
     def __init__(self, instance: DataTaskInstance, level_target: int, draw_factor: int = 4):
@@ -256,7 +252,6 @@ class ProofExtendingMitigator:
         inst = self.instance
         if priv.is_dummy:
             raise AbortTrial("mitigator", "trainer produced a dummy model")
-        base = DataModel(inst, priv)
         seen = {t.to_bytes() for t in priv.tokens}
         fresh: list[SignatureToken] = []
         for _ in range(self.sample_budget):
@@ -270,40 +265,10 @@ class ProofExtendingMitigator:
 
         witness = priv.tokens + fresh[: self.strip]
         k = self.level_target
-        proofs = {
-            lvl: snark_prove(inst.snark, inst.snark.statement(lvl), witness[:lvl])
-            for lvl in range(k + 1, k + self.strip + 1)
-        }
-
-        def answer_core(p: ClearPayload) -> ClearPayload | None:
-            need = next_level(p.level)
-            if need <= base.cap:
-                return base.grid_answer(p)
-            if need <= k + self.strip:
-                return ClearPayload(p.token, need, proofs[need])
-            return None
-
-        def inner(plaintext: bytes) -> bytes:
-            p = decode_payload(plaintext)
-            ans = answer_core(p) if isinstance(p, ClearPayload) else None
-            if ans is None:
-                return bottom(inst.inner_width)
-            return encode_payload(ans, inst.inner_width)
-
-        handle = inst.fhe.register_circuit(inner)
-
-        def answer(x: bytes) -> bytes:
-            p = decode_payload(x)
-            if isinstance(p, ClearPayload):
-                ans = answer_core(p)
-                return bottom(inst.width) if ans is None else encode_payload(ans, inst.width)
-            if isinstance(p, EncPayload):
-                out = inst.fhe.eval(handle, p.ciphertext)
-                if out == EVAL_FAILED or not isinstance(out, Ciphertext):
-                    return bottom(inst.width)
-                return encode_payload(EncPayload(out, b"", b"", b""), inst.width)
-            return bottom(inst.width)
-
+        table = dict(priv.table)
+        for lvl in range(k + 1, k + self.strip + 1):
+            table[lvl] = snark_prove(inst.snark, inst.snark.statement(lvl), witness[:lvl])
+        answer = DataModel(inst, LadderPriv(table=table))
         return [answer(x) for x in xs], 0
 
 

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .crypto import (
-    Ciphertext,
     FheSystem,
     IdentityKey,
     ProofToken,
-    SignatureToken,
     SnarkParams,
     sig_keygen,
     sig_sign_zero,
@@ -40,7 +38,6 @@ from .payloads import (
     ClearPayload,
     EncPayload,
     Payload,
-    bottom,
     decode_payload,
     encode_payload,
 )
@@ -200,9 +197,6 @@ class DataTaskInstance:
         if isinstance(xp, ClearPayload):
             return self._check_clear(xp, decode_payload(y))
         return 0
-
-    def bottom_output(self) -> bytes:
-        return bottom(self.width)
 
 
 def make_data_instance(

@@ -17,6 +17,7 @@ O(sqrt(T)) queries and O(sqrt(T)) of its own steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 from typing import Any, Callable
 
@@ -89,9 +90,6 @@ class TimeTaskInstance:
         )
         return 0 if ok else 1
 
-    def bottom_output(self) -> bytes:
-        return bottom(self.width)
-
     def instance_steps(self) -> int:
         return self.meter.snapshot().get(INSTANCE_PARTY, 0)
 
@@ -119,7 +117,7 @@ class TimeModel:
         need = next_level(p.steps)
         if need > self.cap:
             return bottom(inst.width)
-        lvl = next(l for l in self.levels if l >= need)
+        lvl = self.levels[bisect_left(self.levels, need)]
         state, proof = self.table[lvl]
         return encode_payload(TimePayload(lvl, state, proof), inst.width)
 
@@ -230,10 +228,6 @@ class ChainClimbingAttacker:
 
 
 # --- ledger audits ---------------------------------------------------------------
-
-
-def step_ledger(instance: TimeTaskInstance) -> dict[str, int]:
-    return instance.meter.snapshot()
 
 
 def audit_conservation(instance: TimeTaskInstance) -> bool:

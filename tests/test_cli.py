@@ -177,3 +177,52 @@ def test_run_batch_toy_derived_detector():
     )
     _, batch = run_batch(cfg)
     assert all(t.inner_flag is not None for t in batch)
+
+
+@pytest.mark.parametrize("detector", ["toy", "derived"])
+def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, detector):
+    with pytest.raises(Exception):
+        ExperimentConfig.model_validate({**BASE, "detector": detector})
+    res = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, detector=detector))])
+    assert res.exit_code == 2
+    assert "never_flag, level_threshold, frequency, well_formed" in res.output
+
+
+def test_gen_instance_rejects_short_horizon(runner, tmp_path):
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "chain", "--horizon", "3", "--out", str(tmp_path / "i")],
+    )
+    assert res.exit_code == 2
+    assert "--horizon" in res.output
+
+
+def test_verify_pair_rejects_task_mismatch(runner, tmp_path):
+    for task in ("ladder", "chain"):
+        res = runner.invoke(
+            main,
+            ["gen-instance", "--task", task, "--seed", "4", "--out", str(tmp_path / task),
+             "--emit-pairs", "1"],
+        )
+        assert res.exit_code == 0, res.output
+    (tmp_path / "ladder.pub.json").write_text((tmp_path / "chain.pub.json").read_text())
+    res = runner.invoke(
+        main,
+        ["verify-pair", "--instance", str(tmp_path / "ladder"),
+         "--pairs", str(tmp_path / "ladder.pairs.jsonl")],
+    )
+    assert res.exit_code == 2
+    assert "task" in res.output
+
+
+def test_verify_pair_rejects_non_hex_pairs(runner, tmp_path):
+    prefix = tmp_path / "inst"
+    res = runner.invoke(
+        main, ["gen-instance", "--task", "chain", "--seed", "4", "--out", str(prefix)]
+    )
+    assert res.exit_code == 0, res.output
+    pairs = tmp_path / "bad.jsonl"
+    pairs.write_text(json.dumps({"x": "zz", "y": "00"}) + "\n")
+    res = runner.invoke(main, ["verify-pair", "--instance", str(prefix), "--pairs", str(pairs)])
+    assert res.exit_code == 2
+    assert "line 1" in res.output

@@ -190,6 +190,34 @@ def test_mitigator_defeats_the_self_iteration_attack():
     assert violations == 0
 
 
+class FixedChallenger:
+    """Hands the defense a fixed batch of inputs."""
+
+    origin = "attacker"
+    sample_budget = 0
+
+    def __init__(self, xs):
+        self.xs = xs
+
+    def challenge(self, ctx, model):
+        return self.xs
+
+
+def test_mitigator_answers_below_k_when_grid_stops_short():
+    # K=10: grid {3, 6, 9}, strip {11..16}; a level-8 input needs level 10
+    assert LadderTrainer(INST, 10).grid_levels() == [3, 6, 9]
+    rng = HashDrbg(b"mit-short-grid")
+    xs = [INST.build_clear_input(8, rng), INST.build_enc_input(8, rng)]
+    t = run_dbm_trial(
+        INST, LadderTrainer(INST, 10), FixedChallenger(xs),
+        ProofExtendingMitigator(INST, 10), PARAMS, derive_trial_seed(62, 0),
+    )
+    assert t.aborted is None
+    assert t.err_fx == 1.0  # the grid model alone cannot answer either input
+    assert t.err_y == 0.0 and t.flag == 0
+    assert decode_payload(t.response[0]).level == 11  # smallest proved level >= 10
+
+
 def test_mitigator_aborts_on_dummy_model():
     mit = ProofExtendingMitigator(INST, 16)
     trainer = LadderTrainer(INST, 100, draw_factor=1)
