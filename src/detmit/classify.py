@@ -25,9 +25,11 @@ from .core import (
 )
 from .crypto import sha256
 from .drbg import HashDrbg
-from .wire import be32, pack_fields
+from .wire import be32
 
 DEFAULT_LABEL = b"\x00"
+NATURE_POOL = 16
+ATTACK_POOL = 1 << 16
 DRIFT_THRESHOLD_MULT = 4.0
 MODEL_ERR_MARGIN_MULT = 7.0
 ANSWER_ERR_MARGIN_MULT = 3.0
@@ -40,19 +42,17 @@ def toy_label(salt: bytes, x: bytes) -> bytes:
 
 @dataclass
 class ToyClassificationInstance:
-    """Binary labels over 4-byte indices; nature uses indices [0, pool)."""
+    """Binary labels over 4-byte indices; nature uses indices [0, NATURE_POOL)."""
 
     salt: bytes
-    pool: int = 16
-    attack_pool: int = 1 << 16
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        x = be32(rng.randrange(self.pool))
+        x = be32(rng.randrange(NATURE_POOL))
         return x, toy_label(self.salt, x)
 
     def outsider_input(self, rng: HashDrbg) -> bytes:
         """A valid input outside the nature pool (support layout is public)."""
-        return be32(self.pool + rng.randrange(self.attack_pool))
+        return be32(NATURE_POOL + rng.randrange(ATTACK_POOL))
 
     def h(self, x: bytes, y: bytes) -> int:
         if len(x) != 4:
@@ -60,9 +60,9 @@ class ToyClassificationInstance:
         return 0 if y == toy_label(self.salt, x) else 1
 
 
-def make_toy_instance(seed: bytes | int, pool: int = 16) -> ToyClassificationInstance:
+def make_toy_instance(seed: bytes | int) -> ToyClassificationInstance:
     rng = HashDrbg(seed).child("toy-instance")
-    return ToyClassificationInstance(salt=rng.take(16), pool=pool)
+    return ToyClassificationInstance(salt=rng.take(16))
 
 
 @dataclass
@@ -71,16 +71,11 @@ class MemorizedTable:
 
     answers: dict[bytes, bytes] = field(default_factory=dict)
 
-    def to_bytes(self) -> bytes:
-        items = sorted(self.answers.items())
-        return pack_fields(*(x + y for x, y in items))
-
 
 class ToyTrainer:
     """Memorizes training draws; the model answers DEFAULT_LABEL elsewhere."""
 
-    def __init__(self, sample_budget: int = 96):
-        self.sample_budget = sample_budget
+    sample_budget = 96
 
     def train(self, ctx: TrialCtx) -> tuple[Callable[[bytes], bytes], MemorizedTable]:
         table: dict[bytes, bytes] = {}
@@ -93,24 +88,19 @@ class ToyTrainer:
 
 
 class ToyDetector:
-    """Flags a batch when too many inputs fall outside the memorized table."""
-
-    def __init__(self, threshold_mult: float = DRIFT_THRESHOLD_MULT):
-        self.threshold_mult = threshold_mult
+    """Flags a batch when more than 4eps of its inputs fall outside the table."""
 
     def detect(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> int:
         outsiders = sum(x not in priv.answers for x in xs) / len(xs)
-        return 1 if outsiders > self.threshold_mult * ctx.params.epsilon else 0
+        return 1 if outsiders > DRIFT_THRESHOLD_MULT * ctx.params.epsilon else 0
 
 
 class ToyMitigator:
-    """Extends the table with fresh draws, answers from it, flags on drift."""
+    """Extends the table with 64 fresh draws, answers from it, flags past 2eps drift."""
 
-    def __init__(self, sample_budget: int = 64, threshold_mult: float = 2.0):
-        self.sample_budget = sample_budget
-        self.threshold_mult = threshold_mult
+    sample_budget = 64
 
     def mitigate(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
@@ -121,7 +111,7 @@ class ToyMitigator:
             extended[x] = y
         ys = [extended.get(x, model(x)) for x in xs]
         outsiders = sum(x not in extended for x in xs) / len(xs)
-        flag = 1 if outsiders > self.threshold_mult * ctx.params.epsilon else 0
+        flag = 1 if outsiders > 2.0 * ctx.params.epsilon else 0
         return ys, flag
 
 
@@ -141,26 +131,16 @@ class LazyMitigator:
 
 
 class ToyAttacker:
-    """Crafts a batch mixing pool draws with out-of-pool inputs."""
+    """Crafts a batch of out-of-pool inputs; draws nothing from nature."""
 
     origin = ATTACKER
+    sample_budget = 16
 
-    def __init__(
-        self,
-        instance: ToyClassificationInstance,
-        outsider_fraction: float = 1.0,
-        sample_budget: int = 16,
-    ):
+    def __init__(self, instance: ToyClassificationInstance):
         self.instance = instance
-        self.outsider_fraction = outsider_fraction
-        self.sample_budget = sample_budget
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
-        q = ctx.params.q
-        n_out = round(self.outsider_fraction * q)
-        xs = [self.instance.outsider_input(ctx.rng) for _ in range(n_out)]
-        xs += [ctx.oracle.draw_input() for _ in range(q - n_out)]
-        return xs
+        return [self.instance.outsider_input(ctx.rng) for _ in range(ctx.params.q)]
 
 
 # --- the two reductions -------------------------------------------------------
@@ -206,14 +186,22 @@ class DetectorFromMitigator:
         drift = hamming(ys, [model(x) for x in xs])
         self.last_response = ys
         self.last_inner_flag = inner
-        if inner == 1 or drift > DRIFT_THRESHOLD_MULT * ctx.params.epsilon:
-            return 1
-        return 0
+        return derived_flag(inner, drift, ctx.params.epsilon)
 
 
 def derived_flag(inner_flag: int, drift: float, epsilon: float) -> int:
-    """Pure form of the derived detector's rule, for property tests."""
+    """The derived detector's rule: the inner flag, or drift above 4eps."""
     return 1 if inner_flag == 1 or drift > DRIFT_THRESHOLD_MULT * epsilon else 0
+
+
+def implication_premise(t: Transcript, epsilon: float) -> bool:
+    """True when the audit below is non-vacuous for this trial."""
+    return (
+        t.aborted is None
+        and t.flag == 0
+        and t.err_fx is not None
+        and t.err_fx > MODEL_ERR_MARGIN_MULT * epsilon
+    )
 
 
 def implication_holds(t: Transcript, epsilon: float) -> bool:
@@ -225,23 +213,10 @@ def implication_holds(t: Transcript, epsilon: float) -> bool:
     err(x, f(x)) <= err(x, y) + [y != f(x)] and the 4eps drift threshold;
     vacuously true when the premise fails or the trial aborted.
     """
-    if t.aborted is not None or t.flag is None or t.err_fx is None:
-        return True
-    if not (t.err_fx > MODEL_ERR_MARGIN_MULT * epsilon and t.flag == 0):
+    if not implication_premise(t, epsilon):
         return True
     return (
-        t.err_y is not None
-        and t.inner_flag is not None
+        t.inner_flag == 0
+        and t.err_y is not None
         and t.err_y > ANSWER_ERR_MARGIN_MULT * epsilon
-        and t.inner_flag == 0
-    )
-
-
-def implication_premise(t: Transcript, epsilon: float) -> bool:
-    """True when the audit above is non-vacuous for this trial."""
-    return (
-        t.aborted is None
-        and t.flag == 0
-        and t.err_fx is not None
-        and t.err_fx > MODEL_ERR_MARGIN_MULT * epsilon
     )

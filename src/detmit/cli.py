@@ -20,7 +20,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Literal
+from typing import Any, Callable, Literal
 
 import click
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
@@ -48,11 +48,13 @@ from .core import (
 )
 from .drbg import HashDrbg, derive_trial_seed
 from .sampleagents import (
+    FrequencyDetector,
     LadderTrainer,
+    LevelThresholdDetector,
     NeverFlagDetector,
     ProofExtendingMitigator,
     SelfIterationAttacker,
-    baseline_detectors,
+    WellFormedDetector,
 )
 from .sampletask import DataTaskInstance, make_data_instance
 from .timetask import (
@@ -66,7 +68,49 @@ from .timetask import (
 )
 
 DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
-LADDER_DETECTORS = ("never_flag", "level_threshold", "frequency", "well_formed")
+
+# Each factory takes (config, instance) and returns a fresh party.
+Factory = Callable[[Any, Any], Any]
+
+# task -> (trainer, attacker)
+PARTIES: dict[str, tuple[Factory, Factory]] = {
+    "ladder": (
+        lambda cfg, inst: LadderTrainer(inst, cfg.level_target),
+        lambda cfg, inst: SelfIterationAttacker(
+            inst, 8 if cfg.attacker_samples is None else cfg.attacker_samples
+        ),
+    ),
+    "chain": (
+        lambda cfg, inst: TimeTrainer(inst),
+        lambda cfg, inst: ChainClimbingAttacker(inst),
+    ),
+    "toy": (lambda cfg, inst: ToyTrainer(), lambda cfg, inst: ToyAttacker(inst)),
+}
+
+# (task, game) -> {defense name: factory}; the first name is the default.
+DEFENSES: dict[tuple[str, str], dict[str, Factory]] = {
+    ("ladder", "detect"): {
+        "never_flag": lambda cfg, inst: NeverFlagDetector(),
+        "level_threshold": lambda cfg, inst: LevelThresholdDetector(),
+        "frequency": lambda cfg, inst: FrequencyDetector(),
+        "well_formed": lambda cfg, inst: WellFormedDetector(inst),
+    },
+    ("ladder", "mitigate"): {
+        "extend": lambda cfg, inst: ProofExtendingMitigator(inst, cfg.level_target),
+    },
+    ("chain", "detect"): {"never_flag": lambda cfg, inst: NeverFlagDetector()},
+    ("chain", "mitigate"): {"extend": lambda cfg, inst: ChainExtendingMitigator(inst)},
+    ("toy", "detect"): {
+        "toy": lambda cfg, inst: ToyDetector(),
+        "derived": lambda cfg, inst: DetectorFromMitigator(ToyMitigator()),
+    },
+    ("toy", "mitigate"): {
+        "toy": lambda cfg, inst: ToyMitigator(),
+        "extend": lambda cfg, inst: ToyMitigator(),
+        "lazy": lambda cfg, inst: LazyMitigator(),
+        "from_detector": lambda cfg, inst: MitigatorFromDetector(ToyDetector()),
+    },
+}
 
 
 class ExperimentConfig(BaseModel):
@@ -77,10 +121,9 @@ class ExperimentConfig(BaseModel):
     task: Literal["ladder", "chain", "toy"] = "ladder"
     game: Literal["detect", "mitigate"] = "detect"
     challenger: Literal["nature", "attack"] = "nature"
-    detector: Literal[
-        "never_flag", "level_threshold", "frequency", "well_formed", "toy", "derived"
-    ] = "never_flag"
-    mitigator: Literal["extend", "toy", "lazy", "from_detector"] = "extend"
+    # None picks the first defense DEFENSES lists for (task, game)
+    detector: str | None = None
+    mitigator: str | None = None
     epsilon: float = Field(default=0.05, gt=0, lt=0.5)
     delta: float = Field(default=0.02, gt=0, lt=0.5)
     q: int | None = Field(default=None, ge=1)
@@ -93,73 +136,48 @@ class ExperimentConfig(BaseModel):
     workers: int = Field(default=1, ge=1)
 
     @model_validator(mode="after")
-    def _ladder_detector_exists(self) -> "ExperimentConfig":
-        if self.task == "ladder" and self.game == "detect" and (
-            self.detector not in LADDER_DETECTORS
-        ):
+    def _defense_plays_game(self) -> "ExperimentConfig":
+        role, unread = (
+            ("detector", "mitigator") if self.game == "detect" else ("mitigator", "detector")
+        )
+        if getattr(self, unread) is not None:
+            raise ValueError(f"{unread} is not read by {self.game} games")
+        choices = DEFENSES[self.task, self.game]
+        if self.defense() not in choices:
             raise ValueError(
-                f"detector {self.detector!r} does not play the ladder task; "
-                f"choose one of {', '.join(LADDER_DETECTORS)}"
+                f"{role} {self.defense()!r} does not play {self.task} {self.game}; "
+                f"choose one of {', '.join(choices)}"
             )
         return self
+
+    def defense(self) -> str:
+        """The configured defense's name in DEFENSES."""
+        name = self.detector if self.game == "detect" else self.mitigator
+        return name if name is not None else next(iter(DEFENSES[self.task, self.game]))
 
     def params(self) -> GameParams:
         q = self.q if self.q is not None else DEFAULT_Q[self.task]
         return GameParams(epsilon=self.epsilon, delta=self.delta, q=q)
 
 
+def _build_task(task: str, seed: int, horizon: int) -> Any:
+    if task == "ladder":
+        return make_data_instance(seed)
+    if task == "chain":
+        return make_time_instance(seed, horizon)
+    return make_toy_instance(seed)
+
+
 def build_instance(cfg: ExperimentConfig) -> Any:
-    if cfg.task == "ladder":
-        return make_data_instance(cfg.instance_seed)
-    if cfg.task == "chain":
-        return make_time_instance(cfg.instance_seed, cfg.horizon)
-    return make_toy_instance(cfg.instance_seed)
+    return _build_task(cfg.task, cfg.instance_seed, cfg.horizon)
 
 
 def build_parties(cfg: ExperimentConfig, instance: Any) -> tuple[Any, Any, Any]:
     """Returns (trainer, challenger, defense) for the configured game."""
-    if cfg.task == "ladder":
-        trainer: Any = LadderTrainer(instance, cfg.level_target)
-        if cfg.challenger == "attack":
-            challenger: Any = SelfIterationAttacker(
-                instance, cfg.attacker_samples or 8
-            )
-        else:
-            challenger = NatureChallenger()
-        if cfg.game == "detect":
-            defense: Any = baseline_detectors(instance)[cfg.detector]
-        else:
-            defense = ProofExtendingMitigator(instance, cfg.level_target)
-    elif cfg.task == "chain":
-        trainer = TimeTrainer(instance)
-        challenger = (
-            ChainClimbingAttacker(instance)
-            if cfg.challenger == "attack"
-            else NatureChallenger()
-        )
-        if cfg.game == "detect":
-            defense = NeverFlagDetector()
-        else:
-            defense = ChainExtendingMitigator(instance)
-    else:
-        trainer = ToyTrainer()
-        challenger = (
-            ToyAttacker(instance) if cfg.challenger == "attack" else NatureChallenger()
-        )
-        if cfg.game == "detect":
-            defense = (
-                DetectorFromMitigator(ToyMitigator())
-                if cfg.detector == "derived"
-                else ToyDetector()
-            )
-        else:
-            defense = {
-                "toy": ToyMitigator(),
-                "lazy": LazyMitigator(),
-                "from_detector": MitigatorFromDetector(ToyDetector()),
-                "extend": ToyMitigator(),
-            }[cfg.mitigator]
-    return trainer, challenger, defense
+    trainer, attacker = PARTIES[cfg.task]
+    challenger = attacker(cfg, instance) if cfg.challenger == "attack" else NatureChallenger()
+    defense = DEFENSES[cfg.task, cfg.game][cfg.defense()](cfg, instance)
+    return trainer(cfg, instance), challenger, defense
 
 
 def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
@@ -297,9 +315,7 @@ def _load_config(path: str) -> ExperimentConfig:
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
     """Build an instance; write <out>.pub.json, <out>.sec.json[, <out>.pairs.jsonl]."""
     cfg = {"task": task, "seed": seed, "horizon": horizon}
-    instance = (
-        make_data_instance(seed) if task == "ladder" else make_time_instance(seed, horizon)
-    )
+    instance = _build_task(task, seed, horizon)
     pairs = []
     if emit_pairs:
         rng = HashDrbg(seed).child("emit-pairs")
@@ -320,12 +336,6 @@ def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: i
         click.echo(f"wrote {pub_path}, {sec_path}")
 
 
-def _rebuild_from_secret(sec: dict) -> Any:
-    if sec["task"] == "ladder":
-        return make_data_instance(sec["seed"])
-    return make_time_instance(sec["seed"], sec["horizon"])
-
-
 @main.command("verify-pair")
 @click.option("--instance", "prefix", type=click.Path(), required=True,
               help="prefix used with gen-instance")
@@ -343,7 +353,7 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
             f"secret file is for task {sec.get('task')!r}, "
             f"public file for task {pub.get('task')!r}"
         )
-    instance = _rebuild_from_secret(sec)
+    instance = _build_task(sec["task"], sec["seed"], sec["horizon"])
     restore_public_state(instance, pub)
     bad = total = 0
     with open(pairs) as fh:

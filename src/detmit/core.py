@@ -236,7 +236,7 @@ class Transcript:
     aborted: str | None
     # in-memory only; never serialized
     model: Any = None
-    private_state: bytes = b""
+    private_state: Any = None
     challenge: list[bytes] = field(default_factory=list)
     response: list[bytes] | None = None
     inner_flag: int | None = None
@@ -249,15 +249,6 @@ class Transcript:
     def from_record(cls, rec: dict[str, Any]) -> "Transcript":
         """The serialized fields of one parsed `to_json` line."""
         return cls(**{name: rec[name] for name in _TRANSCRIPT_FIELDS})
-
-
-def _priv_bytes(priv: Any) -> bytes:
-    if priv is None:
-        return b""
-    if isinstance(priv, bytes):
-        return priv
-    to_bytes = getattr(priv, "to_bytes", None)
-    return to_bytes() if callable(to_bytes) else b""
 
 
 def _seed_str(seed: bytes | int) -> str:
@@ -280,6 +271,7 @@ class _TrialState:
         self.root = HashDrbg(seed)
         self.meter: StepMeter | None = getattr(instance, "meter", None)
         self.ledgers: dict[str, dict[str, int | None]] = {}
+        self.step_base: dict[str, int] = {}
         self.aborted: str | None = None
 
     def ctx_for(self, role: str, agent: Any) -> TrialCtx:
@@ -288,7 +280,7 @@ class _TrialState:
         if self.meter is not None:
             step_party = f"{role}#{self.trial_id}"
             step_budget = getattr(agent, "step_budget", None)
-            base = self.meter.snapshot().get(step_party, 0)
+            base = self.step_base[role] = self.meter.snapshot().get(step_party, 0)
             self.meter.set_limit(
                 step_party, None if step_budget is None else base + step_budget
             )
@@ -303,7 +295,8 @@ class _TrialState:
     def close_ledger(self, role: str, agent: Any, ctx: TrialCtx, **extra: int) -> None:
         entry = ctx.oracle.budget.snapshot()
         if ctx.step_party is not None and self.meter is not None:
-            entry["steps_used"] = self.meter.snapshot().get(ctx.step_party, 0)
+            used = self.meter.snapshot().get(ctx.step_party, 0) - self.step_base[role]
+            entry["steps_used"] = used
             entry["steps_allowed"] = getattr(agent, "step_budget", None)
         entry.update(extra)
         self.ledgers[role] = entry
@@ -371,7 +364,7 @@ def _run_trial(
         ledgers=st.ledgers,
         aborted=st.aborted,
         model=model,
-        private_state=_priv_bytes(priv),
+        private_state=priv,
         challenge=xs or [],
         response=response,
         inner_flag=inner_flag,

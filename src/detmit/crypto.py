@@ -368,8 +368,7 @@ class StepMeter:
     :class:`StepsExhausted`.
     """
 
-    def __init__(self, step_fn: Callable[[bytes], bytes] = npl_step):
-        self.step_fn = step_fn
+    def __init__(self) -> None:
         self.counts: dict[str, int] = {}
         self.limits: dict[str, int | None] = {}
         self._lock = threading.Lock()
@@ -385,7 +384,7 @@ class StepMeter:
             if limit is not None and used >= limit:
                 raise StepsExhausted(f"{party} exceeded {limit} steps")
             self.counts[party] = used + 1
-        return self.step_fn(state)
+        return npl_step(state)
 
     def run(self, party: str, state: bytes, steps: int) -> bytes:
         for _ in range(steps):

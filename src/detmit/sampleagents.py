@@ -54,11 +54,20 @@ class LadderPriv:
     table: dict[int, ProofToken] = field(default_factory=dict)
     is_dummy: bool = False
 
-    def to_bytes(self) -> bytes:
-        head = b"dummy" if self.is_dummy else b"grid:" + bytes(
-            len(self.table).to_bytes(4, "big")
-        )
-        return head + b"".join(t.to_bytes() for t in self.tokens[:4])
+
+def _fresh_tokens(
+    ctx: TrialCtx, draws: int, known: list[SignatureToken]
+) -> list[SignatureToken]:
+    """The distinct clear-draw tokens, not in `known`, among `draws` draws."""
+    seen = {t.to_bytes() for t in known}
+    fresh: list[SignatureToken] = []
+    for _ in range(draws):
+        x, _ = ctx.oracle.draw_pair()
+        p = decode_payload(x)
+        if isinstance(p, ClearPayload) and p.token.to_bytes() not in seen:
+            seen.add(p.token.to_bytes())
+            fresh.append(p.token)
+    return fresh
 
 
 class DataModel:
@@ -117,14 +126,7 @@ class LadderTrainer:
 
     def train(self, ctx: TrialCtx) -> tuple[DataModel, LadderPriv]:
         inst = self.instance
-        tokens: list[SignatureToken] = []
-        seen: set[bytes] = set()
-        for _ in range(self.sample_budget):
-            x, _ = ctx.oracle.draw_pair()
-            p = decode_payload(x)
-            if isinstance(p, ClearPayload) and p.token.to_bytes() not in seen:
-                seen.add(p.token.to_bytes())
-                tokens.append(p.token)
+        tokens = _fresh_tokens(ctx, self.sample_budget, [])
         if len(tokens) < self.level_target:
             priv = LadderPriv(tokens=tokens, is_dummy=True)
             return DataModel(inst, priv), priv
@@ -236,11 +238,11 @@ class ProofExtendingMitigator:
     strip.  Never flags.
     """
 
-    def __init__(self, instance: DataTaskInstance, level_target: int, draw_factor: int = 4):
+    def __init__(self, instance: DataTaskInstance, level_target: int):
         self.instance = instance
         self.level_target = level_target
         self.strip = 2 * isqrt(level_target)
-        self.sample_budget = draw_factor * self.strip
+        self.sample_budget = 4 * self.strip
 
     def mitigate(
         self,
@@ -252,14 +254,7 @@ class ProofExtendingMitigator:
         inst = self.instance
         if priv.is_dummy:
             raise AbortTrial("mitigator", "trainer produced a dummy model")
-        seen = {t.to_bytes() for t in priv.tokens}
-        fresh: list[SignatureToken] = []
-        for _ in range(self.sample_budget):
-            x, _ = ctx.oracle.draw_pair()
-            p = decode_payload(x)
-            if isinstance(p, ClearPayload) and p.token.to_bytes() not in seen:
-                seen.add(p.token.to_bytes())
-                fresh.append(p.token)
+        fresh = _fresh_tokens(ctx, self.sample_budget, priv.tokens)
         if len(fresh) < self.strip:
             raise AbortTrial("mitigator", "too few fresh tokens for the strip")
 

@@ -78,12 +78,13 @@ class LevelLaw:
 class DataTaskInstance:
     """Ladder distribution plus the primitives its payloads are built from."""
 
-    def __init__(self, seed: bytes | int, level_cap: int = LEVEL_CAP):
+    law = LevelLaw()
+    level_cap = LEVEL_CAP
+    # proofs must reach next_level(cap), so stock that many witness tokens
+    max_provable_level = LEVEL_CAP + isqrt(LEVEL_CAP)
+
+    def __init__(self, seed: bytes | int):
         rng = HashDrbg(seed).child("ladder-instance")
-        self.law = LevelLaw(level_cap)
-        self.level_cap = level_cap
-        # proofs must reach next_level(cap), so stock that many witness tokens
-        self.max_provable_level = level_cap + isqrt(level_cap)
         self.keypair = sig_keygen(rng.child("sig"))
         self.verification_key = self.keypair.verification_key
         self.snark = SnarkParams(rng.child("proofs"), self.verification_key)
@@ -199,10 +200,8 @@ class DataTaskInstance:
         return 0
 
 
-def make_data_instance(
-    seed: bytes | int, level_cap: int = LEVEL_CAP
-) -> DataTaskInstance:
-    return DataTaskInstance(seed, level_cap)
+def make_data_instance(seed: bytes | int) -> DataTaskInstance:
+    return DataTaskInstance(seed)
 
 
 def payload_form(buf: bytes) -> str | None:

@@ -39,6 +39,9 @@ from .sampletask import LevelLaw, next_level, _round_up
 HORIZON = 256
 INSTANCE_PARTY = "instance"
 
+# step count -> (chain state, chain proof): the trainer's snapshots
+Grid = dict[int, tuple[bytes, IvcProof]]
+
 
 class TimeTaskInstance:
     """Chain distribution: geometric step counts on a precomputed chain."""
@@ -49,7 +52,7 @@ class TimeTaskInstance:
         self.law = LevelLaw(horizon)
         # answers to cap-level inputs sit one strip past the horizon
         self.reach = horizon + isqrt(horizon)
-        self.meter = StepMeter(npl_step)
+        self.meter = StepMeter()
         self.start_state = sha256(b"chain-start:" + rng.take(32))
         self.ivc = ivc_gen(rng.child("chain-proofs"), self.meter, rng.take(32))
         states = [self.start_state]
@@ -101,7 +104,7 @@ def make_time_instance(seed: bytes | int, horizon: int = HORIZON) -> TimeTaskIns
 class TimeModel:
     """Answers from a snapshot grid; free at query time, BOTTOM past the grid."""
 
-    def __init__(self, instance: TimeTaskInstance, table: dict[int, tuple[bytes, IvcProof]]):
+    def __init__(self, instance: TimeTaskInstance, table: Grid):
         self.instance = instance
         self.table = dict(table)
         self.levels = sorted(self.table)
@@ -122,18 +125,6 @@ class TimeModel:
         return encode_payload(TimePayload(lvl, state, proof), inst.width)
 
 
-class TimePriv:
-    """Trainer private state: the snapshot grid (shared with the model)."""
-
-    def __init__(self, table: dict[int, tuple[bytes, IvcProof]]):
-        self.table = table
-
-    def to_bytes(self) -> bytes:
-        return b"grid:" + b"".join(
-            self.table[t][0] for t in sorted(self.table)
-        )
-
-
 class TimeTrainer:
     """Runs the chain for `horizon` metered steps, snapshotting every sqrt."""
 
@@ -143,19 +134,18 @@ class TimeTrainer:
         self.instance = instance
         self.step_budget = instance.horizon
 
-    def train(self, ctx: TrialCtx) -> tuple[TimeModel, TimePriv]:
+    def train(self, ctx: TrialCtx) -> tuple[TimeModel, Grid]:
         inst = self.instance
         party = ctx.step_party or "trainer"
         stride = isqrt(inst.horizon)
         state = inst.start_state
         proof = inst.ivc.base_proof(state)
-        table: dict[int, tuple[bytes, IvcProof]] = {}
+        table: Grid = {}
         for t in range(1, inst.horizon + 1):
             state, proof = ivc_update(inst.ivc, state, proof, party)
             if t % stride == 0:
                 table[t] = (state, proof)
-        priv = TimePriv(table)
-        return TimeModel(inst, table), priv
+        return TimeModel(inst, table), table
 
 
 class ChainExtendingMitigator:
@@ -164,9 +154,8 @@ class ChainExtendingMitigator:
     sample_budget = 0
     step_budget: int | None = None
 
-    def __init__(self, instance: TimeTaskInstance, step_budget: int | None = None):
+    def __init__(self, instance: TimeTaskInstance):
         self.instance = instance
-        self.step_budget = step_budget
 
     def mitigate(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]

@@ -179,13 +179,69 @@ def test_run_batch_toy_derived_detector():
     assert all(t.inner_flag is not None for t in batch)
 
 
-@pytest.mark.parametrize("detector", ["toy", "derived"])
-def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, detector):
+LADDER_DETECTORS = "never_flag, level_threshold, frequency, well_formed"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"detector": "toy"}, LADDER_DETECTORS, id="toy"),
+        pytest.param({"detector": "derived"}, LADDER_DETECTORS, id="derived"),
+        pytest.param({"detector": "nope"}, LADDER_DETECTORS, id="ladder-unknown"),
+        pytest.param({"task": "chain", "detector": "well_formed"}, "choose one of never_flag",
+                     id="chain-well_formed"),
+        pytest.param({"task": "toy", "detector": "never_flag"}, "choose one of toy, derived",
+                     id="toy-never_flag"),
+        pytest.param({"game": "mitigate", "mitigator": "lazy"}, "choose one of extend",
+                     id="ladder-mitigate-lazy"),
+        pytest.param({"task": "chain", "game": "mitigate", "mitigator": "toy"},
+                     "choose one of extend", id="chain-mitigate-toy"),
+        pytest.param({"game": "mitigate", "detector": "never_flag"},
+                     "detector is not read by mitigate games", id="detector-on-mitigate"),
+        pytest.param({"task": "toy", "mitigator": "toy"},
+                     "mitigator is not read by detect games", id="mitigator-on-detect"),
+    ],
+)
+def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, overrides, message):
+    """A defense name the configured game does not play exits 2 with the choices."""
     with pytest.raises(Exception):
-        ExperimentConfig.model_validate({**BASE, "detector": detector})
-    res = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, detector=detector))])
+        ExperimentConfig.model_validate({**BASE, **overrides})
+    res = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, **overrides))])
     assert res.exit_code == 2
-    assert "never_flag, level_threshold, frequency, well_formed" in res.output
+    assert message in " ".join(res.output.split())
+
+
+@pytest.mark.parametrize(
+    "task, game, role, name",
+    [
+        ("ladder", "detect", "detector", "never_flag"),
+        ("ladder", "mitigate", "mitigator", "extend"),
+        ("chain", "detect", "detector", "never_flag"),
+        ("chain", "mitigate", "mitigator", "extend"),
+        ("toy", "detect", "detector", "toy"),
+        ("toy", "mitigate", "mitigator", "toy"),
+        ("toy", "mitigate", "mitigator", "extend"),  # README name for the toy mitigator
+    ],
+)
+def test_default_defense_runs_as_named(runner, tmp_path, task, game, role, name):
+    """Leaving the defense out runs byte-identically to naming it."""
+    streams = []
+    for named in ({}, {role: name}):
+        cfg = write_config(tmp_path, task=task, game=game, trials=2, horizon=64, **named)
+        out = tmp_path / f"{len(streams)}.jsonl"
+        res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(out)])
+        assert res.exit_code == 0, res.output
+        streams.append(out.read_bytes())
+    assert streams[0] == streams[1]
+
+
+def test_zero_attacker_samples_is_honoured():
+    cfg = ExperimentConfig.model_validate({**BASE, "attacker_samples": 0})
+    _, batch = run_batch(cfg)
+    for t in batch:
+        assert t.aborted == "attacker"
+        assert t.ledgers["attacker"]["samples_allowed"] == 0
+        assert t.ledgers["attacker"]["samples_used"] == 0
 
 
 def test_gen_instance_rejects_short_horizon(runner, tmp_path):

@@ -148,6 +148,26 @@ def test_mitigator_cost_is_exactly_sqrt(inst):
         assert tr.err_y == 0.0
 
 
+def test_step_ledgers_count_this_trial_only():
+    """Trials reusing a trial id on one instance each report their own steps."""
+    inst = TimeTaskInstance(b"ledger", horizon=64)
+    expected_total = inst.meter.total()
+    for i in range(3):
+        t = run_dbm_trial(
+            inst, TimeTrainer(inst), NatureChallenger(), ChainExtendingMitigator(inst),
+            PARAMS, derive_trial_seed(86, i),
+        )
+        assert t.aborted is None
+        trainer, mitigator = t.ledgers["trainer"], t.ledgers["mitigator"]
+        assert trainer["steps_used"] == trainer["steps_allowed"] == 64
+        level = decode_payload(t.challenge[0]).steps
+        assert mitigator["steps_used"] == int(level**0.5)
+        expected_total += trainer["steps_used"] + mitigator["steps_used"]
+    # the meter itself keeps every step, for the conservation audit
+    assert inst.meter.total() == expected_total
+    assert audit_conservation(inst)
+
+
 def test_mitigator_refuses_forged_chains_for_free(inst):
     mit = ChainExtendingMitigator(inst)
     forged = TimePayload(9, b"s" * 32, IvcProof(9, b"c" * 32))
