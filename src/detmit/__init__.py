@@ -59,6 +59,7 @@ from .crypto import (
     sig_verify,
     snark_extract,
     snark_prove,
+    snark_prove_counts,
     snark_verify,
 )
 from .drbg import HashDrbg, derive_trial_seed

@@ -142,6 +142,8 @@ class ExperimentConfig(BaseModel):
         )
         if getattr(self, unread) is not None:
             raise ValueError(f"{unread} is not read by {self.game} games")
+        if self.attacker_samples is not None and self.task != "ladder":
+            raise ValueError("attacker_samples is read only by the ladder attacker")
         choices = DEFENSES[self.task, self.game]
         if self.defense() not in choices:
             raise ValueError(
@@ -186,12 +188,17 @@ def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
 
     def one(i: int) -> Transcript:
+        seed = derive_trial_seed(cfg.master_seed, i)
+        # A ladder trial proves, registers circuits and draws eval nonces in
+        # its own world, so worker threads share no mutable state.  Chain
+        # trials share the instance's meter and chain registry, which the
+        # audits read after the batch.
+        world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
         # Fresh party objects per trial: agents stash per-trial stats on
         # themselves, which worker threads must not share.  Construction
         # consumes no randomness, so this leaves transcripts unchanged.
-        trainer, challenger, defense = build_parties(cfg, instance)
-        seed = derive_trial_seed(cfg.master_seed, i)
-        return runner(instance, trainer, challenger, defense, params, seed, i)
+        trainer, challenger, defense = build_parties(cfg, world)
+        return runner(world, trainer, challenger, defense, params, seed, i)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -276,6 +283,13 @@ def instance_public_state(instance: Any) -> dict:
     raise click.UsageError(f"cannot serialize instance type {type(instance).__name__}")
 
 
+# task -> the keys restore_public_state reads from a public file
+PUBLIC_KEYS = {
+    "ladder": ("snark_setup", "proof_registry"),
+    "chain": ("start_state", "chain_registry"),
+}
+
+
 def restore_public_state(instance: Any, pub: dict) -> None:
     if pub["task"] == "ladder":
         if pub["snark_setup"] != instance.snark.setup_digest.hex():
@@ -346,14 +360,28 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
     try:
         sec = json.loads(base.with_suffix(".sec.json").read_text())
         pub = json.loads(base.with_suffix(".pub.json").read_text())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read instance files: {exc}") from exc
-    if sec.get("task") != pub.get("task"):
+    if not isinstance(sec, dict) or not isinstance(pub, dict):
+        raise click.UsageError("instance files must each hold a JSON object")
+    task = sec.get("task")
+    if task != pub.get("task"):
         raise click.UsageError(
-            f"secret file is for task {sec.get('task')!r}, "
-            f"public file for task {pub.get('task')!r}"
+            f"secret file is for task {task!r}, public file for task {pub.get('task')!r}"
         )
-    instance = _build_task(sec["task"], sec["seed"], sec["horizon"])
+    if not isinstance(task, str) or task not in PUBLIC_KEYS:
+        raise click.UsageError(
+            f"cannot verify task {task!r}; gen-instance writes "
+            f"{' and '.join(PUBLIC_KEYS)} instances"
+        )
+    for name, data, keys in (
+        ("secret", sec, ("seed", "horizon")),
+        ("public", pub, PUBLIC_KEYS[task]),
+    ):
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise click.UsageError(f"{name} file lacks {', '.join(missing)}")
+    instance = _build_task(task, sec["seed"], sec["horizon"])
     restore_public_state(instance, pub)
     bad = total = 0
     with open(pairs) as fh:

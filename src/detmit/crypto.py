@@ -18,18 +18,22 @@ Five primitives, each behind a small, contract-shaped API:
   function itself (charging the caller's step meter) and registers the
   commitment; verification is a registry lookup, recomputing nothing.
 
-Registries are shared mutable state and take a lock; everything random flows
-from caller-supplied :class:`~detmit.drbg.HashDrbg` streams or a locked
-instance stream, so runs are reproducible.
+The proof registry and the circuit table take no lock: a ladder trial runs in
+its own world (see :meth:`SnarkParams.fork` and :meth:`FheSystem.fork`), so
+one thread at a time drives each.  The step meter and the chain-proof
+registry are shared by every trial of a chain batch and take a lock.
+Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
+streams or a stream the object owns, so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -169,8 +173,9 @@ class ProofToken:
 class SnarkParams:
     """Registry oracle for signature-count proofs.
 
-    Proof tokens are fresh uniform 16-byte values drawn from a locked
-    instance stream, so they carry no information about the witness.
+    Proof tokens are fresh uniform 16-byte values drawn from the params' own
+    stream, so they carry no information about the witness.  One thread at a
+    time proves against one object; a trial gets its own from :meth:`fork`.
     """
 
     def __init__(self, rng: HashDrbg, verification_key: bytes):
@@ -178,22 +183,60 @@ class SnarkParams:
         self.key_digest = sha256(verification_key)
         self.setup_digest = sha256(b"snark-setup:" + rng.take(32))
         self._drbg = rng.child("proof-tokens")
-        self._lock = threading.Lock()
         # (statement digest, token) -> witness actually used
         self._registry: dict[tuple[bytes, bytes], tuple[SignatureToken, ...]] = {}
+
+    def fork(self, label: bytes) -> "SnarkParams":
+        """Same key and setup, an empty registry, proof tokens from `child(label)`."""
+        world = copy.copy(self)
+        world._drbg = self._drbg.child(label)
+        world._registry = {}
+        return world
 
     def statement(self, count: int) -> SigCountStatement:
         return SigCountStatement(count=count, key_digest=self.key_digest)
 
     # serialization of the public verification state; witnesses stay in memory
     def registry_entries(self) -> list[tuple[bytes, bytes]]:
-        with self._lock:
-            return sorted(self._registry.keys())
+        return sorted(self._registry.keys())
 
     def restore_entries(self, entries: list[tuple[bytes, bytes]]) -> None:
-        with self._lock:
-            for key in entries:
-                self._registry.setdefault(key, ())
+        for key in entries:
+            self._registry.setdefault(key, ())
+
+
+def snark_prove_counts(
+    params: SnarkParams, counts: Sequence[int], witness: Sequence[SignatureToken]
+) -> list[ProofToken]:
+    """Prove each statement "count distinct valid tokens", in the order given.
+
+    Checks each witness token at most once.  The proof for `count` is
+    registered with the first `count` pairwise-distinct valid tokens of the
+    witness, and the proofs take their tokens from the stream in order, so
+    the result equals successive :func:`snark_prove` calls.  Raises
+    :class:`WitnessError`, registering nothing, when the witness holds fewer
+    than ``max(counts)`` such tokens.
+    """
+    need = max(counts, default=0)
+    distinct: list[SignatureToken] = []
+    seen: set[SignatureToken] = set()
+    for tok in witness:
+        if len(distinct) == need:
+            break
+        if tok in seen:
+            continue
+        seen.add(tok)
+        if sig_verify(params.verification_key, tok):
+            distinct.append(tok)
+    if len(distinct) < need:
+        raise WitnessError(f"need {need} distinct valid tokens, have {len(distinct)}")
+    proofs = []
+    for count in counts:
+        digest = params.statement(count).digest()
+        token = params._drbg.take(TOKEN_LEN)
+        params._registry[(digest, token)] = tuple(distinct[:count])
+        proofs.append(ProofToken(token=token, statement_digest=digest))
+    return proofs
 
 
 def snark_prove(
@@ -208,26 +251,7 @@ def snark_prove(
     """
     if statement.key_digest != params.key_digest:
         raise WitnessError("statement bound to a different verification key")
-    distinct: list[SignatureToken] = []
-    seen: set[bytes] = set()
-    for tok in witness:
-        wire = tok.to_bytes()
-        if wire in seen:
-            continue
-        seen.add(wire)
-        if sig_verify(params.verification_key, tok):
-            distinct.append(tok)
-        if len(distinct) == statement.count:
-            break
-    if len(distinct) < statement.count:
-        raise WitnessError(
-            f"need {statement.count} distinct valid tokens, have {len(distinct)}"
-        )
-    digest = statement.digest()
-    with params._lock:
-        token = params._drbg.take(TOKEN_LEN)
-        params._registry[(digest, token)] = tuple(distinct)
-    return ProofToken(token=token, statement_digest=digest)
+    return snark_prove_counts(params, [statement.count], witness)[0]
 
 
 def snark_verify(
@@ -236,16 +260,14 @@ def snark_verify(
     digest = statement.digest()
     if proof.statement_digest != digest:
         return False
-    with params._lock:
-        return (digest, proof.token) in params._registry
+    return (digest, proof.token) in params._registry
 
 
 def snark_extract(
     params: SnarkParams, proof: ProofToken
 ) -> tuple[SignatureToken, ...] | None:
     """Test-only: recover the witness a registered proof was built from."""
-    with params._lock:
-        return params._registry.get((proof.statement_digest, proof.token))
+    return params._registry.get((proof.statement_digest, proof.token))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +302,25 @@ class FheSystem:
 
     The master secret stays on this object; parties only ever hold the
     identity keys that payloads hand them, the public `eval` entry point,
-    and the ability to encrypt under keys they hold.
+    and the ability to encrypt under keys they hold.  One thread at a time
+    registers and evaluates on one object; a trial gets its own from
+    :meth:`fork`.
     """
 
     def __init__(self, rng: HashDrbg):
         self._msk = rng.take(32)
         self._drbg = rng.child("fhe-nonces")
-        self._lock = threading.Lock()
         self._circuits: dict[str, Callable[[bytes], bytes]] = {}
         self._next_circuit = 0
         self.params_digest = sha256(b"fhe-params:" + self._msk)
+
+    def fork(self, label: bytes) -> "FheSystem":
+        """Same master secret, no circuits, eval nonces from `child(label)`."""
+        world = copy.copy(self)
+        world._drbg = self._drbg.child(label)
+        world._circuits = {}
+        world._next_circuit = 0
+        return world
 
     # --- keys ---------------------------------------------------------------
 
@@ -324,10 +355,9 @@ class FheSystem:
     # --- evaluation oracle ----------------------------------------------------
 
     def register_circuit(self, fn: Callable[[bytes], bytes]) -> str:
-        with self._lock:
-            handle = f"circuit-{self._next_circuit}"
-            self._next_circuit += 1
-            self._circuits[handle] = fn
+        handle = f"circuit-{self._next_circuit}"
+        self._next_circuit += 1
+        self._circuits[handle] = fn
         return handle
 
     def eval(self, handle: str, ct: Ciphertext) -> Ciphertext:
@@ -337,15 +367,13 @@ class FheSystem:
         under the claimed identity, so the oracle never leaks whether
         authentication succeeded through exceptions.
         """
-        with self._lock:
-            fn = self._circuits.get(handle)
+        fn = self._circuits.get(handle)
         if fn is None:
             raise KeyError(f"unknown circuit handle {handle!r}")
         idkey = self.keygen(ct.identity_tag)
         plaintext = self.decrypt_with_key(idkey, ct)
         result = EVAL_FAILED if plaintext is None else fn(plaintext)
-        with self._lock:
-            nonce = self._drbg.take(12)
+        nonce = self._drbg.take(12)
         body = nonce + AESGCM(idkey.key).encrypt(nonce, result, idkey.tag)
         return Ciphertext(identity_tag=ct.identity_tag, body=body)
 

@@ -28,6 +28,7 @@ from .crypto import (
     SignatureToken,
     sig_verify,
     snark_prove,
+    snark_prove_counts,
     snark_verify,
 )
 from .payloads import (
@@ -59,13 +60,13 @@ def _fresh_tokens(
     ctx: TrialCtx, draws: int, known: list[SignatureToken]
 ) -> list[SignatureToken]:
     """The distinct clear-draw tokens, not in `known`, among `draws` draws."""
-    seen = {t.to_bytes() for t in known}
+    seen = set(known)
     fresh: list[SignatureToken] = []
     for _ in range(draws):
         x, _ = ctx.oracle.draw_pair()
         p = decode_payload(x)
-        if isinstance(p, ClearPayload) and p.token.to_bytes() not in seen:
-            seen.add(p.token.to_bytes())
+        if isinstance(p, ClearPayload) and p.token not in seen:
+            seen.add(p.token)
             fresh.append(p.token)
     return fresh
 
@@ -131,10 +132,8 @@ class LadderTrainer:
             priv = LadderPriv(tokens=tokens, is_dummy=True)
             return DataModel(inst, priv), priv
         tokens = tokens[: self.level_target]
-        table = {
-            lvl: snark_prove(inst.snark, inst.snark.statement(lvl), tokens[:lvl])
-            for lvl in self.grid_levels()
-        }
+        levels = self.grid_levels()
+        table = dict(zip(levels, snark_prove_counts(inst.snark, levels, tokens)))
         priv = LadderPriv(tokens=tokens, table=table)
         return DataModel(inst, priv), priv
 
@@ -260,9 +259,9 @@ class ProofExtendingMitigator:
 
         witness = priv.tokens + fresh[: self.strip]
         k = self.level_target
+        levels = range(k + 1, k + self.strip + 1)
         table = dict(priv.table)
-        for lvl in range(k + 1, k + self.strip + 1):
-            table[lvl] = snark_prove(inst.snark, inst.snark.statement(lvl), witness[:lvl])
+        table.update(zip(levels, snark_prove_counts(inst.snark, levels, witness)))
         answer = DataModel(inst, LadderPriv(table=table))
         return [answer(x) for x in xs], 0
 

@@ -19,6 +19,7 @@ widths, and the level-law cap.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import isqrt
 
@@ -108,6 +109,19 @@ class DataTaskInstance:
         ct = FheSystem.encrypt_with_key(key, bytes(self.inner_width), probe_rng)
         return EncPayload(ct, key.tag, key.tag, key.key)
 
+    def world(self, trial_seed: bytes) -> "DataTaskInstance":
+        """This instance with a proof registry and circuit table of its own.
+
+        One trial runs in one world, so trials on worker threads share no
+        mutable state.  The world's proof-token and eval-nonce streams are
+        children of the instance's own streams, which parties never see, so
+        knowing the trial seed does not predict them.
+        """
+        world = copy.copy(self)
+        world.snark = self.snark.fork(trial_seed)
+        world.fhe = self.fhe.fork(trial_seed)
+        return world
+
     # -- instance-side construction (uses the witness pool / master secret) --
 
     def prove_count(self, count: int) -> ProofToken:
@@ -132,9 +146,10 @@ class DataTaskInstance:
     ) -> tuple[EncPayload, EncPayload]:
         id1 = rng.take(IDENTITY_LEN)
         id2 = rng.take(IDENTITY_LEN)
+        key1 = self.fhe.keygen(id1)
         key2 = self.fhe.keygen(id2)
-        ct_x = self.fhe.encrypt(id1, encode_payload(x, self.inner_width), rng)
-        ct_y = self.fhe.encrypt(id1, encode_payload(y, self.inner_width), rng)
+        ct_x = FheSystem.encrypt_with_key(key1, encode_payload(x, self.inner_width), rng)
+        ct_y = FheSystem.encrypt_with_key(key1, encode_payload(y, self.inner_width), rng)
         return (
             EncPayload(ct_x, id1, id2, key2.key),
             EncPayload(ct_y, b"", b"", b""),

@@ -200,6 +200,12 @@ LADDER_DETECTORS = "never_flag, level_threshold, frequency, well_formed"
                      "detector is not read by mitigate games", id="detector-on-mitigate"),
         pytest.param({"task": "toy", "mitigator": "toy"},
                      "mitigator is not read by detect games", id="mitigator-on-detect"),
+        pytest.param({"task": "chain", "attacker_samples": 3},
+                     "attacker_samples is read only by the ladder attacker",
+                     id="chain-attacker_samples"),
+        pytest.param({"task": "toy", "attacker_samples": 3},
+                     "attacker_samples is read only by the ladder attacker",
+                     id="toy-attacker_samples"),
     ],
 )
 def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, overrides, message):
@@ -244,6 +250,17 @@ def test_zero_attacker_samples_is_honoured():
         assert t.ledgers["attacker"]["samples_used"] == 0
 
 
+def test_ladder_trials_run_in_worlds_of_their_own():
+    cfg = ExperimentConfig.model_validate({**BASE, "game": "mitigate", "workers": 2})
+    instance, batch = run_batch(cfg)
+    worlds = [t.model.instance for t in batch]
+    assert len({id(w.snark) for w in worlds}) == len({id(w.fhe) for w in worlds}) == len(batch)
+    assert all(w.snark.registry_entries() for w in worlds)
+    # the batch proved nothing and registered no circuit on the instance itself
+    assert instance.snark.registry_entries() == []
+    assert instance.fhe.register_circuit(bytes) == "circuit-0"
+
+
 def test_gen_instance_rejects_short_horizon(runner, tmp_path):
     res = runner.invoke(
         main,
@@ -282,3 +299,34 @@ def test_verify_pair_rejects_non_hex_pairs(runner, tmp_path):
     res = runner.invoke(main, ["verify-pair", "--instance", str(prefix), "--pairs", str(pairs)])
     assert res.exit_code == 2
     assert "line 1" in res.output
+
+
+@pytest.mark.parametrize(
+    "sec, pub, message",
+    [
+        pytest.param({"task": "toy", "seed": 4, "horizon": 256}, {"task": "toy"},
+                     "cannot verify task 'toy'", id="toy-pair"),
+        pytest.param({"task": "chain"}, None, "secret file lacks seed, horizon",
+                     id="secret-without-seed"),
+        pytest.param(["chain", 4, 256], None, "must each hold a JSON object",
+                     id="secret-not-an-object"),
+    ],
+)
+def test_verify_pair_rejects_hand_written_instance_files(runner, tmp_path, sec, pub, message):
+    prefix = tmp_path / "inst"
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "chain", "--seed", "4", "--out", str(prefix),
+         "--emit-pairs", "1"],
+    )
+    assert res.exit_code == 0, res.output
+    prefix.with_suffix(".sec.json").write_text(json.dumps(sec))
+    if pub is not None:
+        prefix.with_suffix(".pub.json").write_text(json.dumps(pub))
+    res = runner.invoke(
+        main,
+        ["verify-pair", "--instance", str(prefix),
+         "--pairs", str(prefix.with_suffix(".pairs.jsonl"))],
+    )
+    assert res.exit_code == 2
+    assert message in res.output

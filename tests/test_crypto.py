@@ -28,6 +28,7 @@ from detmit.crypto import (
     sig_verify,
     snark_extract,
     snark_prove,
+    snark_prove_counts,
     snark_verify,
 )
 from detmit.drbg import HashDrbg
@@ -113,6 +114,30 @@ def test_insufficient_witness_rejected(snark, tokens, keypair, rng):
     bad = SignatureToken(tokens[0].nonce, b"\x00" * 64)
     with pytest.raises(WitnessError):
         snark_prove(snark, snark.statement(2), [tokens[0], bad])
+
+
+def test_prove_counts_equals_successive_single_proofs(rng, keypair, tokens):
+    bad = SignatureToken(tokens[1].nonce, b"\x00" * 64)
+    witness = [tokens[0], tokens[0], bad, *tokens[1:10]]
+    valid = tokens[:10]  # the distinct valid tokens, in witness order
+    counts = [3, 1, 7, 5]
+    batch = SnarkParams(rng.child("counts"), keypair.verification_key)
+    single = SnarkParams(rng.child("counts"), keypair.verification_key)
+    proofs = snark_prove_counts(batch, counts, witness)
+    assert proofs == [snark_prove(single, single.statement(c), witness) for c in counts]
+    for count, proof in zip(counts, proofs):
+        assert snark_verify(batch, batch.statement(count), proof)
+        assert snark_extract(batch, proof) == tuple(valid[:count])
+
+
+def test_prove_counts_short_witness_registers_nothing(rng, keypair, tokens):
+    params = SnarkParams(rng.child("short"), keypair.verification_key)
+    with pytest.raises(WitnessError):
+        snark_prove_counts(params, [2, 6], tokens[:5])
+    assert params.registry_entries() == []
+    # nor did it take from the proof-token stream
+    fresh = SnarkParams(rng.child("short"), keypair.verification_key)
+    assert snark_prove_counts(params, [2], tokens) == snark_prove_counts(fresh, [2], tokens)
 
 
 def test_random_proof_tokens_rejected(snark):
