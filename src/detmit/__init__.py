@@ -43,6 +43,7 @@ from .core import (
     wilson_interval,
 )
 from .crypto import (
+    CountProver,
     FheSystem,
     IvcKeys,
     ProofChainError,

@@ -144,6 +144,9 @@ class ExperimentConfig(BaseModel):
             raise ValueError(f"{unread} is not read by {self.game} games")
         if self.attacker_samples is not None and self.task != "ladder":
             raise ValueError("attacker_samples is read only by the ladder attacker")
+        for key, task in (("level_target", "ladder"), ("horizon", "chain")):
+            if key in self.model_fields_set and self.task != task:
+                raise ValueError(f"{key} is read only by the {task} task")
         choices = DEFENSES[self.task, self.game]
         if self.defense() not in choices:
             raise ValueError(

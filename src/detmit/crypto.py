@@ -8,6 +8,10 @@ Five primitives, each behind a small, contract-shaped API:
   tokens exist" are simulated by an oracle: proving validates the witness
   locally and registers a fresh uniform 16-byte token; verification is
   registry membership; extraction (test-only) returns the stored witness.
+  A :class:`CountProver` is bound to one witness and checks each of its
+  tokens at most once however many proofs it registers, so a ladder world
+  proving every draw's counts from the instance's witness pool checks only
+  the pool prefix its largest count needs.
 * identity FHE      — per-identity authenticated symmetric keys derived from a
   master secret, plus a public evaluation oracle that holds the master secret
   privately and applies registered byte-circuits under the encryption.
@@ -151,7 +155,12 @@ class SigCountStatement:
     key_digest: bytes
 
     def digest(self) -> bytes:
-        return sha256(b"sig-count:" + be64(self.count) + self.key_digest)
+        return _count_digest(self.count, self.key_digest)
+
+
+@lru_cache(maxsize=4096)
+def _count_digest(count: int, key_digest: bytes) -> bytes:
+    return sha256(b"sig-count:" + be64(count) + key_digest)
 
 
 @dataclass(frozen=True)
@@ -205,38 +214,69 @@ class SnarkParams:
             self._registry.setdefault(key, ())
 
 
+class CountProver:
+    """Proves "count distinct valid tokens" statements from one fixed witness.
+
+    Each witness token is checked (valid signature, not a repeat) at most
+    once in the prover's life: the checked prefix grows only as far as the
+    largest count asked for so far.  The proof for `count` is registered
+    with the first `count` pairwise-distinct valid tokens of the witness and
+    takes one token from the params' proof-token stream, so successive
+    proofs equal successive :func:`snark_prove` calls.
+    """
+
+    def __init__(self, params: SnarkParams, witness: Sequence[SignatureToken]):
+        self.params = params
+        self._witness = witness
+        self._checked = 0  # witness[:_checked] has been checked
+        self._seen: set[SignatureToken] = set()
+        self._distinct: list[SignatureToken] = []
+
+    def _extend(self, need: int) -> None:
+        distinct, seen, witness = self._distinct, self._seen, self._witness
+        vk = self.params.verification_key
+        i = self._checked
+        while len(distinct) < need and i < len(witness):
+            tok = witness[i]
+            i += 1
+            if tok not in seen:
+                seen.add(tok)
+                if sig_verify(vk, tok):
+                    distinct.append(tok)
+        self._checked = i
+        if len(distinct) < need:
+            raise WitnessError(f"need {need} distinct valid tokens, have {len(distinct)}")
+
+    def prove(self, counts: Sequence[int]) -> list[ProofToken]:
+        """One proof per count, in the order given.
+
+        Raises :class:`WitnessError`, registering nothing and taking no proof
+        token, when the witness holds fewer than ``max(counts)`` distinct
+        valid tokens.
+        """
+        need = max(counts, default=0)
+        if need > len(self._distinct):
+            self._extend(need)
+        params = self.params
+        proofs = []
+        for count in counts:
+            digest = _count_digest(count, params.key_digest)
+            token = params._drbg.take(TOKEN_LEN)
+            params._registry[(digest, token)] = tuple(self._distinct[:count])
+            proofs.append(ProofToken(token=token, statement_digest=digest))
+        return proofs
+
+
 def snark_prove_counts(
     params: SnarkParams, counts: Sequence[int], witness: Sequence[SignatureToken]
 ) -> list[ProofToken]:
     """Prove each statement "count distinct valid tokens", in the order given.
 
-    Checks each witness token at most once.  The proof for `count` is
-    registered with the first `count` pairwise-distinct valid tokens of the
-    witness, and the proofs take their tokens from the stream in order, so
-    the result equals successive :func:`snark_prove` calls.  Raises
-    :class:`WitnessError`, registering nothing, when the witness holds fewer
-    than ``max(counts)`` such tokens.
+    A one-off :class:`CountProver`: checks each witness token at most once,
+    and raises :class:`WitnessError`, registering nothing, when the witness
+    holds fewer than ``max(counts)`` distinct valid tokens.
     """
-    need = max(counts, default=0)
-    distinct: list[SignatureToken] = []
-    seen: set[SignatureToken] = set()
-    for tok in witness:
-        if len(distinct) == need:
-            break
-        if tok in seen:
-            continue
-        seen.add(tok)
-        if sig_verify(params.verification_key, tok):
-            distinct.append(tok)
-    if len(distinct) < need:
-        raise WitnessError(f"need {need} distinct valid tokens, have {len(distinct)}")
-    proofs = []
-    for count in counts:
-        digest = params.statement(count).digest()
-        token = params._drbg.take(TOKEN_LEN)
-        params._registry[(digest, token)] = tuple(distinct[:count])
-        proofs.append(ProofToken(token=token, statement_digest=digest))
-    return proofs
+    return CountProver(params, witness).prove(counts)
 
 
 def snark_prove(
@@ -297,6 +337,31 @@ class Ciphertext:
         return Ciphertext(fields[0], fields[1])
 
 
+class IdentityCipher:
+    """AES-GCM under one identity key, its cipher object built once.
+
+    The identity tag is the associated data and each ciphertext body is a
+    12-byte nonce from the caller's stream followed by the sealed plaintext.
+    """
+
+    def __init__(self, idkey: IdentityKey):
+        self.tag = idkey.tag
+        self._aead = AESGCM(idkey.key)
+
+    def encrypt(self, plaintext: bytes, rng: HashDrbg) -> Ciphertext:
+        nonce = rng.take(12)
+        body = nonce + self._aead.encrypt(nonce, plaintext, self.tag)
+        return Ciphertext(identity_tag=self.tag, body=body)
+
+    def decrypt(self, ct: Ciphertext) -> bytes | None:
+        if ct.identity_tag != self.tag or len(ct.body) < 12:
+            return None
+        try:
+            return self._aead.decrypt(ct.body[:12], ct.body[12:], self.tag)
+        except InvalidTag:
+            return None
+
+
 class FheSystem:
     """Identity-keyed authenticated encryption plus a public eval oracle.
 
@@ -331,26 +396,11 @@ class FheSystem:
 
     # --- encryption ---------------------------------------------------------
 
-    @staticmethod
-    def encrypt_with_key(idkey: IdentityKey, plaintext: bytes, rng: HashDrbg) -> Ciphertext:
-        nonce = rng.take(12)
-        ct = AESGCM(idkey.key).encrypt(nonce, plaintext, idkey.tag)
-        return Ciphertext(identity_tag=idkey.tag, body=nonce + ct)
-
-    @staticmethod
-    def decrypt_with_key(idkey: IdentityKey, ct: Ciphertext) -> bytes | None:
-        if ct.identity_tag != idkey.tag or len(ct.body) < 12:
-            return None
-        try:
-            return AESGCM(idkey.key).decrypt(ct.body[:12], ct.body[12:], idkey.tag)
-        except InvalidTag:
-            return None
-
     def encrypt(self, identity: bytes, plaintext: bytes, rng: HashDrbg) -> Ciphertext:
-        return self.encrypt_with_key(self.keygen(identity), plaintext, rng)
+        return IdentityCipher(self.keygen(identity)).encrypt(plaintext, rng)
 
     def decrypt(self, identity: bytes, ct: Ciphertext) -> bytes | None:
-        return self.decrypt_with_key(self.keygen(identity), ct)
+        return IdentityCipher(self.keygen(identity)).decrypt(ct)
 
     # --- evaluation oracle ----------------------------------------------------
 
@@ -370,12 +420,10 @@ class FheSystem:
         fn = self._circuits.get(handle)
         if fn is None:
             raise KeyError(f"unknown circuit handle {handle!r}")
-        idkey = self.keygen(ct.identity_tag)
-        plaintext = self.decrypt_with_key(idkey, ct)
+        cipher = IdentityCipher(self.keygen(ct.identity_tag))
+        plaintext = cipher.decrypt(ct)
         result = EVAL_FAILED if plaintext is None else fn(plaintext)
-        nonce = self._drbg.take(12)
-        body = nonce + AESGCM(idkey.key).encrypt(nonce, result, idkey.tag)
-        return Ciphertext(identity_tag=ct.identity_tag, body=body)
+        return cipher.encrypt(result, self._drbg)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ class HashDrbg:
         self._pos = 0
 
     def take(self, n: int) -> bytes:
-        """Return the next n bytes of the stream."""
+        """Return the next n bytes of the stream; ``b""`` when n <= 0."""
+        pos = self._pos
+        end = pos + n
+        if pos < end <= len(self._buf):
+            self._pos = end
+            return self._buf[pos:end]
         out = bytearray()
         while n > 0:
             if self._pos >= len(self._buf):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
-from .wire import be64, unpack_fields
+from .wire import be32, be64, unpack_fields
 
 TAG_CLEAR = 0x01
 TAG_ENC = 0x02
@@ -67,6 +67,12 @@ class TimePayload:
 Payload = ClearPayload | EncPayload | TimePayload
 
 
+_CLEAR_TAG = bytes([TAG_CLEAR])
+_ENC_TAG = bytes([TAG_ENC])
+_TIME_ENC_TAG = bytes([TAG_TIME_ENC])
+_LEVEL_LEN = be32(8)
+
+
 def _lp(field: bytes) -> bytes:
     return len(field).to_bytes(4, "big") + field
 
@@ -84,19 +90,31 @@ def bottom(width: int | None = None) -> bytes:
 
 
 def encode_payload(payload: Payload, width: int | None = None) -> bytes:
+    # The clear and encrypted forms are the hot ones: each is written in one
+    # join of its length-prefixed fields, nested ones flattened in place.
     if isinstance(payload, ClearPayload):
-        core = bytes([TAG_CLEAR]) + _lp(payload.token.to_bytes()) + _lp(
-            be64(payload.level)
-        ) + _lp(payload.proof.to_bytes())
+        nonce, sig = payload.token.nonce, payload.token.core
+        token, digest = payload.proof.token, payload.proof.statement_digest
+        core = b"".join((
+            _CLEAR_TAG,
+            be32(8 + len(nonce) + len(sig)), be32(len(nonce)), nonce, be32(len(sig)), sig,
+            _LEVEL_LEN, be64(payload.level),
+            be32(8 + len(token) + len(digest)), be32(len(token)), token,
+            be32(len(digest)), digest,
+        ))
+    elif isinstance(payload, EncPayload):
+        ct = payload.ciphertext
+        tag, body = ct.identity_tag, ct.body
+        id1, id2, key2 = payload.id1, payload.id2, payload.key2
+        core = b"".join((
+            _TIME_ENC_TAG if payload.time else _ENC_TAG,
+            be32(8 + len(tag) + len(body)), be32(len(tag)), tag, be32(len(body)), body,
+            be32(len(id1)), id1, be32(len(id2)), id2, be32(len(key2)), key2,
+        ))
     elif isinstance(payload, TimePayload):
         core = bytes([TAG_TIME_CLEAR]) + _lp(be64(payload.steps)) + _lp(
             payload.config
         ) + _lp(payload.proof.to_bytes())
-    elif isinstance(payload, EncPayload):
-        tag = TAG_TIME_ENC if payload.time else TAG_ENC
-        core = bytes([tag]) + _lp(payload.ciphertext.to_bytes()) + _lp(
-            payload.id1
-        ) + _lp(payload.id2) + _lp(payload.key2)
     else:  # pragma: no cover - exhaustive by type
         raise TypeError(f"not a payload: {payload!r}")
     return pad_to(core, width)

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from .core import ATTACKER, AbortTrial, TrialCtx
 from .crypto import (
-    FheSystem,
+    IdentityCipher,
     IdentityKey,
     ProofToken,
     SignatureToken,
@@ -183,7 +183,7 @@ class SelfIterationAttacker:
         if not clear_draws or len(shipped_keys) < 2:
             raise AbortTrial(ATTACKER, "unlucky draw mix")
 
-        tunnel, dress = shipped_keys[0], shipped_keys[1]
+        tunnel, dress = IdentityCipher(shipped_keys[0]), shipped_keys[1]
         replay_x, seed_payload = clear_draws[0]
         token = seed_payload.token
         proof1 = snark_prove(inst.snark, inst.snark.statement(1), [token])
@@ -191,7 +191,7 @@ class SelfIterationAttacker:
 
         def wrap(p: ClearPayload) -> bytes:
             inner = encode_payload(p, inst.inner_width)
-            ct = FheSystem.encrypt_with_key(tunnel, inner, ctx.rng)
+            ct = tunnel.encrypt(inner, ctx.rng)
             return encode_payload(
                 EncPayload(ct, tunnel.tag, dress.tag, dress.key), inst.width
             )
@@ -202,7 +202,7 @@ class SelfIterationAttacker:
             yp = decode_payload(y)
             if not isinstance(yp, EncPayload):
                 break
-            inner = FheSystem.decrypt_with_key(tunnel, yp.ciphertext)
+            inner = tunnel.decrypt(yp.ciphertext)
             if inner is None:
                 break
             cand = decode_payload(inner)

@@ -14,7 +14,6 @@ BASE = {
     "game": "detect",
     "challenger": "attack",
     "trials": 6,
-    "level_target": 16,
     "instance_seed": 9,
     "master_seed": 10,
 }
@@ -206,6 +205,14 @@ LADDER_DETECTORS = "never_flag, level_threshold, frequency, well_formed"
         pytest.param({"task": "toy", "attacker_samples": 3},
                      "attacker_samples is read only by the ladder attacker",
                      id="toy-attacker_samples"),
+        pytest.param({"task": "chain", "level_target": 16},
+                     "level_target is read only by the ladder task", id="chain-level_target"),
+        pytest.param({"task": "toy", "level_target": 16},
+                     "level_target is read only by the ladder task", id="toy-level_target"),
+        pytest.param({"horizon": 256}, "horizon is read only by the chain task",
+                     id="ladder-horizon"),
+        pytest.param({"task": "toy", "game": "mitigate", "horizon": 64},
+                     "horizon is read only by the chain task", id="toy-horizon"),
     ],
 )
 def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, overrides, message):
@@ -233,7 +240,8 @@ def test_default_defense_runs_as_named(runner, tmp_path, task, game, role, name)
     """Leaving the defense out runs byte-identically to naming it."""
     streams = []
     for named in ({}, {role: name}):
-        cfg = write_config(tmp_path, task=task, game=game, trials=2, horizon=64, **named)
+        length = {"horizon": 64} if task == "chain" else {}
+        cfg = write_config(tmp_path, task=task, game=game, trials=2, **length, **named)
         out = tmp_path / f"{len(streams)}.jsonl"
         res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(out)])
         assert res.exit_code == 0, res.output

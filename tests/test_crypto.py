@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import detmit.crypto as crypto
 from detmit.crypto import (
     EVAL_FAILED,
     Ciphertext,
+    CountProver,
     FheSystem,
+    IdentityCipher,
     IvcProof,
     ProofChainError,
     ProofToken,
@@ -140,6 +143,38 @@ def test_prove_counts_short_witness_registers_nothing(rng, keypair, tokens):
     assert snark_prove_counts(params, [2], tokens) == snark_prove_counts(fresh, [2], tokens)
 
 
+def test_count_prover_checks_each_witness_token_once(rng, keypair, tokens, monkeypatch):
+    bad = SignatureToken(tokens[1].nonce, b"\x00" * 64)
+    witness = (tokens[0], tokens[0], bad, *tokens[1:10])
+    counts = [3, 1, 7, 2, 7, 5]
+    single = SnarkParams(rng.child("once"), keypair.verification_key)
+    wants = [snark_prove(single, single.statement(c), list(witness)) for c in counts]
+
+    checked = []
+
+    def counting_verify(vk, tok):
+        checked.append(tok)
+        return sig_verify(vk, tok)
+
+    monkeypatch.setattr(crypto, "sig_verify", counting_verify)
+    prover = CountProver(SnarkParams(rng.child("once"), keypair.verification_key), witness)
+    for count, want in zip(counts, wants):
+        assert prover.prove([count]) == [want]
+        assert snark_extract(prover.params, want) == tuple(tokens[:count])
+    # the repeat of tokens[0] is never checked, nor anything past the 7th valid token
+    assert checked == [tokens[0], bad, *tokens[1:7]]
+
+
+def test_count_prover_short_witness_registers_nothing(rng, keypair, tokens):
+    params = SnarkParams(rng.child("prover-short"), keypair.verification_key)
+    prover = CountProver(params, tokens[:4])
+    with pytest.raises(WitnessError):
+        prover.prove([2, 5])
+    assert params.registry_entries() == []
+    fresh = SnarkParams(rng.child("prover-short"), keypair.verification_key)
+    assert prover.prove([2]) == snark_prove_counts(fresh, [2], tokens)
+
+
 def test_random_proof_tokens_rejected(snark):
     r = HashDrbg(b"random-proofs")
     stmt = snark.statement(2)
@@ -170,7 +205,7 @@ def test_encrypt_decrypt_roundtrip(fhe, rng):
     ct = fhe.encrypt(identity, b"hello payload", r)
     assert fhe.decrypt(identity, ct) == b"hello payload"
     key = fhe.keygen(identity)
-    assert FheSystem.decrypt_with_key(key, ct) == b"hello payload"
+    assert IdentityCipher(key).decrypt(ct) == b"hello payload"
 
 
 def test_decrypt_wrong_identity_fails(fhe, rng):
@@ -180,7 +215,7 @@ def test_decrypt_wrong_identity_fails(fhe, rng):
     assert fhe.decrypt(id_b, ct) is None
     # forged tag on a real body fails authentication
     forged = Ciphertext(id_b, ct.body)
-    assert FheSystem.decrypt_with_key(fhe.keygen(id_b), forged) is None
+    assert IdentityCipher(fhe.keygen(id_b)).decrypt(forged) is None
 
 
 def test_eval_transparency(fhe, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -44,6 +46,33 @@ def test_drbg_uniform_and_bit_ranges():
 def test_drbg_randrange_bounds(n, salt):
     rng = HashDrbg(salt)
     assert 0 <= rng.randrange(n) < n
+
+
+def _reference_stream(seed: bytes, n: int) -> bytes:
+    """The first n bytes of HashDrbg(seed), built block by block from its spec."""
+    key = hashlib.sha256(b"drbg-key:" + seed).digest()
+    blocks = (n + 31) // 32
+    return b"".join(hashlib.sha256(key + be64(i)).digest() for i in range(blocks))[:n]
+
+
+@given(
+    st.binary(max_size=8),
+    st.lists(st.integers(min_value=-40, max_value=100), max_size=40),
+)
+def test_drbg_takes_are_slices_of_one_stream(seed, sizes):
+    """Any run of take sizes reads the stream in order; sizes <= 0 read nothing."""
+    rng = HashDrbg(seed)
+    total = sum(n for n in sizes if n > 0)
+    stream = _reference_stream(seed, total + 32)
+    pos = 0
+    for n in sizes:
+        state = (rng._counter, rng._pos)
+        want = stream[pos : pos + n] if n > 0 else b""
+        assert rng.take(n) == want
+        if n <= 0:
+            assert (rng._counter, rng._pos) == state
+        pos += len(want)
+    assert rng.take(32) == stream[pos : pos + 32]
 
 
 def test_trial_seed_derivation_stable():

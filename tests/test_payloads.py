@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detmit.crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
 from detmit.drbg import HashDrbg
 from detmit.payloads import (
     BOTTOM,
+    TAG_CLEAR,
+    TAG_ENC,
+    TAG_TIME_ENC,
     ClearPayload,
     EncPayload,
     PayloadTooWide,
     TimePayload,
+    _lp,
     bottom,
     decode_payload,
     encode_payload,
+    pad_to,
 )
+from detmit.wire import be64, pack_fields
 
 R = HashDrbg(b"payload-tests")
 
@@ -109,3 +115,62 @@ def test_decode_is_total(buf):
 def test_unknown_tag():
     assert decode_payload(b"\x09" + b"\x00" * 64) is None
     assert decode_payload(b"") is None
+
+
+def reference_encoding(payload, width):
+    """The wire layout spelled out field by field with `_lp` and `pack_fields`."""
+    if isinstance(payload, ClearPayload):
+        tok, proof = payload.token, payload.proof
+        core = (
+            bytes([TAG_CLEAR])
+            + _lp(pack_fields(tok.nonce, tok.core))
+            + _lp(be64(payload.level))
+            + _lp(pack_fields(proof.token, proof.statement_digest))
+        )
+    else:
+        ct = payload.ciphertext
+        core = (
+            bytes([TAG_TIME_ENC if payload.time else TAG_ENC])
+            + _lp(pack_fields(ct.identity_tag, ct.body))
+            + _lp(payload.id1)
+            + _lp(payload.id2)
+            + _lp(payload.key2)
+        )
+    return pad_to(core, width)
+
+
+# attacker-built payloads may carry fields of any length, not just the honest ones
+field = st.binary(max_size=80)
+clear_payloads = st.builds(
+    ClearPayload,
+    token=st.builds(SignatureToken, field, field),
+    level=st.integers(min_value=0, max_value=2**64 - 1),
+    proof=st.builds(ProofToken, field, field),
+)
+enc_payloads = st.builds(
+    EncPayload,
+    ciphertext=st.builds(Ciphertext, field, field),
+    id1=field,
+    id2=field,
+    key2=field,
+    time=st.booleans(),
+)
+SAMPLE_CLEAR = ClearPayload(SignatureToken(b"n" * 16, b"s" * 64), 7, ProofToken(b"t" * 16, b"d" * 32))
+SAMPLE_ENC = EncPayload(Ciphertext(b"i" * 16, b"b" * 40), b"", b"j" * 16, b"k" * 32)
+
+
+@given(st.one_of(clear_payloads, enc_payloads), st.none() | st.integers(0, 600))
+@example(SAMPLE_CLEAR, None)  # unpadded
+@example(SAMPLE_CLEAR, 256)  # padded
+@example(SAMPLE_CLEAR, 40)  # too wide
+@example(SAMPLE_ENC, None)
+@example(SAMPLE_ENC, 256)
+@example(SAMPLE_ENC, 40)
+def test_flat_encoder_matches_reference_layout(payload, width):
+    try:
+        want = reference_encoding(payload, width)
+    except PayloadTooWide:
+        with pytest.raises(PayloadTooWide):
+            encode_payload(payload, width)
+        return
+    assert encode_payload(payload, width) == want

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from detmit.crypto import FheSystem, IdentityKey, ProofToken, sig_keygen, sig_sign_zero
+import detmit.crypto as crypto
+from detmit.crypto import (
+    IdentityCipher,
+    IdentityKey,
+    ProofToken,
+    SignatureToken,
+    WitnessError,
+    sig_sign_zero,
+    sig_verify,
+    snark_extract,
+)
 from detmit.drbg import HashDrbg
 from detmit.payloads import (
     ClearPayload,
@@ -169,8 +179,9 @@ def test_shipped_key_pair_works():
     x, y = INST.clear_pair_at(2, rng)
     ex, _ = INST.wrap_pair(x, y, rng)
     key = IdentityKey(ex.id2, ex.key2)
-    ct = FheSystem.encrypt_with_key(key, b"smuggled", rng)
-    assert FheSystem.decrypt_with_key(key, ct) == b"smuggled"
+    cipher = IdentityCipher(key)
+    ct = cipher.encrypt(b"smuggled", rng)
+    assert cipher.decrypt(ct) == b"smuggled"
     assert key == INST.fhe.keygen(ex.id2)
 
 
@@ -179,3 +190,48 @@ def test_distinct_instances_dont_cross_verify():
     rng = R.child("cross")
     x, y = INST.clear_pair_at(3, rng)
     assert other.h(encode_payload(x, other.width), encode_payload(y, other.width)) == 1
+
+
+@pytest.fixture()
+def pool_checks(monkeypatch):
+    """Every token the count provers check, in order."""
+    checked = []
+
+    def counting_verify(vk, tok):
+        checked.append(tok)
+        return sig_verify(vk, tok)
+
+    monkeypatch.setattr(crypto, "sig_verify", counting_verify)
+    return checked
+
+
+def test_world_checks_each_pool_token_at_most_once(pool_checks):
+    world = INST.world(b"once")
+    for count in (3, 1, 9, 9, 4, 12, 2):
+        proof = world.prove_count(count)
+        assert snark_extract(world.snark, proof) == INST._pool[:count]
+    assert pool_checks == list(INST._pool[:12])
+
+
+def test_worlds_check_their_own_prefix(pool_checks):
+    a, b = INST.world(b"a"), INST.world(b"b")
+    a.prove_count(7)
+    b.prove_count(4)
+    a.prove_count(5)
+    assert pool_checks == [*INST._pool[:7], *INST._pool[:4]]
+    assert a.snark.registry_entries() and b.snark.registry_entries()
+    assert set(a.snark.registry_entries()).isdisjoint(b.snark.registry_entries())
+
+
+def test_world_with_a_corrupted_pool_token_proves_nothing_short():
+    inst = make_data_instance(23)
+    pool = inst._pool
+    bad = SignatureToken(pool[3].nonce, bytes(64))
+    inst._pool = (*pool[:3], bad, *pool[4:])
+    world = inst.world(b"corrupt")
+    with pytest.raises(WitnessError):
+        world.prove_count(inst.max_provable_level)
+    assert world.snark.registry_entries() == []
+    # counts the valid tokens still cover are proved without the bad one
+    proof = world.prove_count(5)
+    assert snark_extract(world.snark, proof) == (*pool[:3], *pool[4:6])
