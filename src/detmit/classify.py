@@ -50,6 +50,9 @@ class ToyClassificationInstance:
         x = be32(rng.randrange(NATURE_POOL))
         return x, toy_label(self.salt, x)
 
+    def sample_input(self, rng: HashDrbg) -> bytes:
+        return be32(rng.randrange(NATURE_POOL))
+
     def outsider_input(self, rng: HashDrbg) -> bytes:
         """A valid input outside the nature pool (support layout is public)."""
         return be32(NATURE_POOL + rng.randrange(ATTACK_POOL))

@@ -10,8 +10,9 @@ error of the defense's answers where those exist.
 
 Party code only ever receives oracle handles (sample oracle, public
 parameters, metered step handles) — never instance secrets.  Budget
-violations and declared agent aborts end the trial and are attributed to
-the offending party in the transcript.
+violations, declared agent aborts and any other exception out of a party's
+move end the trial and are attributed to the offending party in the
+transcript.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ class ResourceBudget:
 class TaskInstance(Protocol):
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]: ...
 
+    def sample_input(self, rng: HashDrbg) -> bytes:
+        """`sample_pair(rng)[0]`, taking the same bytes from `rng`."""
+        ...
+
     def h(self, x: bytes, y: bytes) -> int: ...
 
 
@@ -92,7 +97,9 @@ class SampleOracle:
     """Metered access to the task distribution.
 
     Every draw charges exactly one sample against the budget; parties get
-    (x, y) pairs or bare inputs but never reach the instance secrets.
+    (x, y) pairs or bare inputs but never reach the instance secrets.  A
+    party that ignores y draws inputs, which moves every stream as far as a
+    pair would but skips building the answer.
     """
 
     def __init__(self, instance: TaskInstance, rng: HashDrbg, budget: ResourceBudget):
@@ -105,7 +112,8 @@ class SampleOracle:
         return self._instance.sample_pair(self._rng)
 
     def draw_input(self) -> bytes:
-        return self.draw_pair()[0]
+        self.budget.charge_sample()
+        return self._instance.sample_input(self._rng)
 
 
 @dataclass
@@ -235,6 +243,7 @@ class Transcript:
     ledgers: dict[str, dict[str, int | None]]
     aborted: str | None
     # in-memory only; never serialized
+    abort_reason: str | None = None
     model: Any = None
     private_state: Any = None
     challenge: list[bytes] = field(default_factory=list)
@@ -273,6 +282,7 @@ class _TrialState:
         self.ledgers: dict[str, dict[str, int | None]] = {}
         self.step_base: dict[str, int] = {}
         self.aborted: str | None = None
+        self.abort_reason: str | None = None
 
     def ctx_for(self, role: str, agent: Any) -> TrialCtx:
         budget = ResourceBudget(samples_allowed=getattr(agent, "sample_budget", None))
@@ -302,7 +312,12 @@ class _TrialState:
         self.ledgers[role] = entry
 
     def run_phase(self, role: str, fn: Callable[[], Any]) -> Any:
-        """Run one move; return None and record the abort if the party fails."""
+        """Run one move; return None and record the abort if the party fails.
+
+        Any other exception out of the party's code is a fault of that party
+        and aborts the trial in its name, so one faulty party cannot take
+        the batch down.
+        """
         try:
             return fn()
         except (BudgetExceededError, StepsExhausted) as exc:
@@ -311,6 +326,9 @@ class _TrialState:
         except AbortTrial as exc:
             self.aborted = exc.party
             self.abort_reason = exc.reason
+        except Exception as exc:
+            self.aborted = role
+            self.abort_reason = f"fault: {type(exc).__name__}: {exc}"
         return None
 
 
@@ -363,6 +381,7 @@ def _run_trial(
         err_y=err_y,
         ledgers=st.ledgers,
         aborted=st.aborted,
+        abort_reason=st.abort_reason,
         model=model,
         private_state=priv,
         challenge=xs or [],

@@ -52,6 +52,7 @@ from .wire import be64, pack_fields, unpack_exact
 
 NONCE_LEN = 16
 TOKEN_LEN = 16
+AEAD_NONCE_LEN = 12
 ZERO_MESSAGE = b"\x00"
 
 # Plaintext returned by the evaluation oracle when the input ciphertext does
@@ -205,6 +206,15 @@ class SnarkParams:
     def statement(self, count: int) -> SigCountStatement:
         return SigCountStatement(count=count, key_digest=self.key_digest)
 
+    def skip_proof(self) -> None:
+        """Take and drop the proof token the next proof would get.
+
+        A draw that never builds its answer calls this in place of the
+        answer's proof, so every later proof gets the token it gets when
+        the answer is built.
+        """
+        self._drbg.take(TOKEN_LEN)
+
     # serialization of the public verification state; witnesses stay in memory
     def registry_entries(self) -> list[tuple[bytes, bytes]]:
         return sorted(self._registry.keys())
@@ -340,8 +350,9 @@ class Ciphertext:
 class IdentityCipher:
     """AES-GCM under one identity key, its cipher object built once.
 
-    The identity tag is the associated data and each ciphertext body is a
-    12-byte nonce from the caller's stream followed by the sealed plaintext.
+    The identity tag is the associated data and each ciphertext body is an
+    ``AEAD_NONCE_LEN``-byte nonce from the caller's stream followed by the
+    sealed plaintext.
     """
 
     def __init__(self, idkey: IdentityKey):
@@ -349,15 +360,16 @@ class IdentityCipher:
         self._aead = AESGCM(idkey.key)
 
     def encrypt(self, plaintext: bytes, rng: HashDrbg) -> Ciphertext:
-        nonce = rng.take(12)
+        nonce = rng.take(AEAD_NONCE_LEN)
         body = nonce + self._aead.encrypt(nonce, plaintext, self.tag)
         return Ciphertext(identity_tag=self.tag, body=body)
 
     def decrypt(self, ct: Ciphertext) -> bytes | None:
-        if ct.identity_tag != self.tag or len(ct.body) < 12:
+        n = AEAD_NONCE_LEN
+        if ct.identity_tag != self.tag or len(ct.body) < n:
             return None
         try:
-            return self._aead.decrypt(ct.body[:12], ct.body[12:], self.tag)
+            return self._aead.decrypt(ct.body[:n], ct.body[n:], self.tag)
         except InvalidTag:
             return None
 

@@ -35,6 +35,7 @@ from .payloads import (
     ClearPayload,
     EncPayload,
     bottom,
+    clear_token,
     decode_payload,
     encode_payload,
 )
@@ -63,11 +64,10 @@ def _fresh_tokens(
     seen = set(known)
     fresh: list[SignatureToken] = []
     for _ in range(draws):
-        x, _ = ctx.oracle.draw_pair()
-        p = decode_payload(x)
-        if isinstance(p, ClearPayload) and p.token not in seen:
-            seen.add(p.token)
-            fresh.append(p.token)
+        token = clear_token(ctx.oracle.draw_input())
+        if token is not None and token not in seen:
+            seen.add(token)
+            fresh.append(token)
     return fresh
 
 
@@ -111,7 +111,7 @@ class DataModel:
 
 
 class LadderTrainer:
-    """Draws 4K pairs, keeps K distinct tokens, proves a sqrt(K)-spaced grid."""
+    """Draws 4K inputs, keeps K distinct tokens, proves a sqrt(K)-spaced grid."""
 
     def __init__(self, instance: DataTaskInstance, level_target: int, draw_factor: int = 4):
         if level_target < 1:
@@ -174,7 +174,7 @@ class SelfIterationAttacker:
         clear_draws: list[tuple[bytes, ClearPayload]] = []
         shipped_keys: list[IdentityKey] = []
         for _ in range(self.draws):
-            x, _ = ctx.oracle.draw_pair()
+            x = ctx.oracle.draw_input()
             p = decode_payload(x)
             if isinstance(p, ClearPayload):
                 clear_draws.append((x, p))

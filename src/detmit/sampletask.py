@@ -12,6 +12,10 @@ whose decryption key is NOT included, next to a second (identity, key) pair
 that is.  A model must answer those homomorphically; an attacker can use the
 included key pair to smuggle its own payloads through the model's circuit.
 
+Parties draw inputs only, through ``sample_input``.  It runs the draw routine
+of ``sample_pair`` and takes the same bytes, but never registers, encodes or
+seals the answer, so no party ever holds an answer proof.
+
 Everything here is harness/instance side except the public surface agents
 use: count-proof proving/verification, the homomorphic eval oracle, wire
 widths, and the level-law cap.
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .crypto import (
+    AEAD_NONCE_LEN,
     CountProver,
     FheSystem,
     IdentityCipher,
@@ -137,45 +142,68 @@ class DataTaskInstance:
         return self._prover.prove((count,))[0]
 
     def clear_pair_at(
-        self, level: int, rng: HashDrbg
-    ) -> tuple[ClearPayload, ClearPayload]:
+        self, level: int, rng: HashDrbg, answer: bool = True
+    ) -> tuple[ClearPayload, ClearPayload | None]:
+        """The clear input at `level` and, if `answer`, its answer.
+
+        The answer's proof token is taken either way.
+        """
         token = sig_sign_zero(self.keypair, rng)
         x = ClearPayload(token, level, self.prove_count(level))
+        if not answer:
+            self.snark.skip_proof()
+            return x, None
         answer_level = next_level(level)
         y = ClearPayload(token, answer_level, self.prove_count(answer_level))
         return x, y
 
     def wrap_pair(
-        self, x: ClearPayload, y: ClearPayload, rng: HashDrbg
-    ) -> tuple[EncPayload, EncPayload]:
+        self, x: ClearPayload, y: ClearPayload | None, rng: HashDrbg
+    ) -> tuple[EncPayload, EncPayload | None]:
+        """Seal `x` and, if given, `y` for a fresh identity; ship a second one.
+
+        `y`'s nonce is taken either way.
+        """
         id1 = rng.take(IDENTITY_LEN)
         id2 = rng.take(IDENTITY_LEN)
         cipher1 = IdentityCipher(self.fhe.keygen(id1))
         key2 = self.fhe.keygen(id2)
         ct_x = cipher1.encrypt(encode_payload(x, self.inner_width), rng)
+        ex = EncPayload(ct_x, id1, id2, key2.key)
+        if y is None:
+            rng.take(AEAD_NONCE_LEN)
+            return ex, None
         ct_y = cipher1.encrypt(encode_payload(y, self.inner_width), rng)
-        return (
-            EncPayload(ct_x, id1, id2, key2.key),
-            EncPayload(ct_y, b"", b"", b""),
-        )
+        return ex, EncPayload(ct_y, b"", b"", b"")
+
+    def _draw(self, rng: HashDrbg, answer: bool) -> tuple[bytes, bytes | None]:
+        """One draw from the ladder distribution: x and, if `answer`, y.
+
+        Both ways take the same bytes from `rng` and the same proof tokens,
+        so the draws and proofs after this one do not depend on `answer`.
+        """
+        x, y = self.clear_pair_at(self.law.sample(rng), rng, answer)
+        if rng.bit():
+            x, y = self.wrap_pair(x, y, rng)
+        xb = encode_payload(x, self.width)
+        return xb, None if y is None else encode_payload(y, self.width)
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        level = self.law.sample(rng)
-        x, y = self.clear_pair_at(level, rng)
-        if rng.bit():
-            ex, ey = self.wrap_pair(x, y, rng)
-            return encode_payload(ex, self.width), encode_payload(ey, self.width)
-        return encode_payload(x, self.width), encode_payload(y, self.width)
+        return self._draw(rng, answer=True)  # type: ignore[return-value]
+
+    def sample_input(self, rng: HashDrbg) -> bytes:
+        """`sample_pair(rng)[0]`, without building the answer."""
+        return self._draw(rng, answer=False)[0]
 
     # -- white-box input builders (harness-side probes) --
 
     def build_clear_input(self, level: int, rng: HashDrbg) -> bytes:
-        x, _ = self.clear_pair_at(level, rng)
+        x, _ = self.clear_pair_at(level, rng, answer=False)
         return encode_payload(x, self.width)
 
     def build_enc_input(self, level: int, rng: HashDrbg) -> bytes:
-        x, y = self.clear_pair_at(level, rng)
-        ex, _ = self.wrap_pair(x, y, rng)
+        x, _ = self.clear_pair_at(level, rng, answer=False)
+        ex, _ = self.wrap_pair(x, None, rng)
         return encode_payload(ex, self.width)
 
     # -- quality oracle --

@@ -74,6 +74,9 @@ class TimeTaskInstance:
     def build_input(self, t: int) -> bytes:
         return encode_payload(self.payload_at(t), self.width)
 
+    def sample_input(self, rng: HashDrbg) -> bytes:
+        return self.build_input(self.law.sample(rng))
+
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
         t = self.law.sample(rng)
         return self.build_input(t), self.build_input(next_level(t))

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from detmit.cli import ExperimentConfig, main, run_batch, summarize
+from detmit.sampleagents import SelfIterationAttacker
 
 BASE = {
     "task": "ladder",
@@ -256,6 +257,21 @@ def test_zero_attacker_samples_is_honoured():
         assert t.aborted == "attacker"
         assert t.ledgers["attacker"]["samples_allowed"] == 0
         assert t.ledgers["attacker"]["samples_used"] == 0
+
+
+def test_party_fault_aborts_the_trial_not_the_batch(monkeypatch):
+    def faulty(self, ctx, model):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(SelfIterationAttacker, "challenge", faulty)
+    cfg = ExperimentConfig.model_validate({**BASE, "workers": 2})
+    _, batch = run_batch(cfg)
+    assert len(batch) == cfg.trials
+    for t in batch:
+        assert t.aborted == SelfIterationAttacker.origin
+        assert t.abort_reason == "fault: IndexError: list index out of range"
+        assert t.flag is None and t.err_fx is None
+        assert "abort_reason" not in json.loads(t.to_json())
 
 
 def test_ladder_trials_run_in_worlds_of_their_own():

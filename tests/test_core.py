@@ -99,6 +99,9 @@ class EchoInstance:
         x = rng.take(1)
         return x, x
 
+    def sample_input(self, rng):
+        return rng.take(1)
+
     def h(self, x, y):
         return 0 if y == x else 1
 

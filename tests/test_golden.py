@@ -60,6 +60,24 @@ CASES: dict[str, tuple[dict, str, str]] = {
         "2f3e205984fef2440502b80fd7e9a1721c7454994f83d924237a75f18f5e5ea5",
         "1a0def0c7c1b3fc7dbc9201e6ac7051a2ebadc1d49f332beb789c7cbd0cd072b",
     ),
+    "ladder-detect-level_threshold-nature": (
+        {"task": "ladder", "game": "detect", "challenger": "nature",
+         "detector": "level_threshold", "level_target": 16, "trials": 24},
+        "6485da1e7a931c559e610574d3e0e5635c8fc26214801f60d72d05ae0b6085f2",
+        "47a8e949b8353000667b14af9f1ebc191b76e52a11c8a25a97a9027e64def639",
+    ),
+    "ladder-mitigate-nature": (
+        {"task": "ladder", "game": "mitigate", "challenger": "nature",
+         "level_target": 16, "trials": 16},
+        "e2de2b65b01855294a9722ed419121689600e2a58906c2d60a1fdc5bee926a0d",
+        "40861463d3a337f3c16731eb8c8f3f01c2b24596c23aa39c8f97f2e05ff85edf",
+    ),
+    "chain-mitigate-nature": (
+        {"task": "chain", "game": "mitigate", "challenger": "nature",
+         "horizon": 64, "trials": 12},
+        "f548a9524f2bc03344647f14df696218f5dce54bacdd44fca33e5c5565c60994",
+        "8ad97c18c46f3834c305c6af8971d97fdde3b4265d07eab1aece2a016c4752ee",
+    ),
 }
 
 
