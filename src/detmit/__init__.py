@@ -26,6 +26,7 @@ from .core import (
     AbortTrial,
     BudgetExceededError,
     GameParams,
+    HarnessFault,
     NatureChallenger,
     RateEstimate,
     ResourceBudget,
@@ -35,7 +36,6 @@ from .core import (
     completeness_violation,
     empirical_err,
     estimate_model_err,
-    evaluate_rates,
     hamming,
     run_dbd_trial,
     run_dbm_trial,
@@ -51,7 +51,6 @@ from .crypto import (
     StepMeter,
     StepsExhausted,
     WitnessError,
-    ivc_prove,
     ivc_update,
     ivc_verify,
     npl_step,

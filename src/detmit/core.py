@@ -12,7 +12,8 @@ Party code only ever receives oracle handles (sample oracle, public
 parameters, metered step handles) — never instance secrets.  Budget
 violations, declared agent aborts and any other exception out of a party's
 move end the trial and are attributed to the offending party in the
-transcript.
+transcript; an exception out of the task instance behind the sample oracle
+is a :class:`HarnessFault` and ends the batch.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ ATTACKER = "attacker"
 
 class BudgetExceededError(Exception):
     """A party drew past its sample allowance."""
+
+
+class HarnessFault(Exception):
+    """The task instance behind a sample oracle failed during a party's move.
+
+    Not the party's fault: it ends the batch instead of aborting the trial.
+    """
 
 
 class AbortTrial(Exception):
@@ -99,7 +107,9 @@ class SampleOracle:
     Every draw charges exactly one sample against the budget; parties get
     (x, y) pairs or bare inputs but never reach the instance secrets.  A
     party that ignores y draws inputs, which moves every stream as far as a
-    pair would but skips building the answer.
+    pair would but skips building the answer.  An exception out of the
+    instance is re-raised as :class:`HarnessFault`; a budget overrun is
+    charged before the instance is called, so it stays the party's.
     """
 
     def __init__(self, instance: TaskInstance, rng: HashDrbg, budget: ResourceBudget):
@@ -109,11 +119,21 @@ class SampleOracle:
 
     def draw_pair(self) -> tuple[bytes, bytes]:
         self.budget.charge_sample()
-        return self._instance.sample_pair(self._rng)
+        try:
+            return self._instance.sample_pair(self._rng)
+        except Exception as exc:
+            raise _harness_fault("sample_pair", exc) from exc
 
     def draw_input(self) -> bytes:
         self.budget.charge_sample()
-        return self._instance.sample_input(self._rng)
+        try:
+            return self._instance.sample_input(self._rng)
+        except Exception as exc:
+            raise _harness_fault("sample_input", exc) from exc
+
+
+def _harness_fault(method: str, exc: Exception) -> HarnessFault:
+    return HarnessFault(f"{method}: {type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -316,10 +336,13 @@ class _TrialState:
 
         Any other exception out of the party's code is a fault of that party
         and aborts the trial in its name, so one faulty party cannot take
-        the batch down.
+        the batch down.  A :class:`HarnessFault` is no party's fault and
+        propagates.
         """
         try:
             return fn()
+        except HarnessFault:
+            raise
         except (BudgetExceededError, StepsExhausted) as exc:
             self.aborted = role
             self.abort_reason = str(exc)
@@ -455,18 +478,6 @@ def soundness_violation(t: Transcript, epsilon: float) -> bool:
 
 
 # --- estimation ----------------------------------------------------------------
-
-
-def evaluate_rates(
-    run_trial: Callable[[int], Transcript],
-    trials: int,
-    predicate: Callable[[Transcript], bool],
-) -> RateEstimate:
-    """Monte-Carlo rate of a transcript predicate over `trials` trials."""
-    if trials < 30:
-        raise ValueError(f"need at least 30 trials for a rate estimate, got {trials}")
-    successes = sum(bool(predicate(run_trial(i))) for i in range(trials))
-    return RateEstimate.from_counts(successes, trials)
 
 
 def estimate_model_err(

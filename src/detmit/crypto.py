@@ -18,14 +18,16 @@ Five primitives, each behind a small, contract-shaped API:
 * step meter        — the sequential step function (one SHA-256 application,
   `npl_step`) behind an instrumented per-party counter with optional limits.
 * chain proofs      — incrementally-verifiable computation simulated by a
-  salted hash chain over (step index, state); update advances the step
-  function itself (charging the caller's step meter) and registers the
-  commitment; verification is a registry lookup, recomputing nothing.
+  salted hash chain over (step index, state); an update advances the step
+  function itself by a run of n steps (charging the caller's step meter) and
+  registers each step's commitment; verification is a registry lookup,
+  recomputing nothing.
 
 The proof registry and the circuit table take no lock: a ladder trial runs in
 its own world (see :meth:`SnarkParams.fork` and :meth:`FheSystem.fork`), so
 one thread at a time drives each.  The step meter and the chain-proof
-registry are shared by every trial of a chain batch and take a lock.
+registry are shared by every trial of a chain batch and take a lock, once
+per run of steps rather than once per step.
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
 streams or a stream the object owns, so runs are reproducible.
 """
@@ -445,14 +447,15 @@ class FheSystem:
 
 def npl_step(state: bytes) -> bytes:
     """One sequential step: a single SHA-256 application."""
-    return sha256(b"npl-step:" + state)
+    return hashlib.sha256(b"npl-step:" + state).digest()
 
 
 class StepMeter:
     """Instrumented step counter.
 
-    Every step execution goes through :meth:`step` and is attributed to
-    exactly one party; optional per-party limits turn overruns into
+    Every step execution is charged to exactly one party, a run of steps at
+    a time under one lock acquisition (:meth:`charge`); optional per-party
+    limits clamp the charge, and callers turn a short grant into
     :class:`StepsExhausted`.
     """
 
@@ -465,19 +468,23 @@ class StepMeter:
         with self._lock:
             self.limits[party] = limit
 
-    def step(self, party: str, state: bytes) -> bytes:
+    def charge(self, party: str, steps: int) -> int:
+        """Charge up to `steps` steps to `party`; return how many its limit grants."""
         with self._lock:
             used = self.counts.get(party, 0)
             limit = self.limits.get(party)
-            if limit is not None and used >= limit:
-                raise StepsExhausted(f"{party} exceeded {limit} steps")
-            self.counts[party] = used + 1
-        return npl_step(state)
+            granted = steps if limit is None else max(0, min(steps, limit - used))
+            if granted:
+                self.counts[party] = used + granted
+            return granted
 
-    def run(self, party: str, state: bytes, steps: int) -> bytes:
-        for _ in range(steps):
-            state = self.step(party, state)
-        return state
+    def exhausted(self, party: str) -> StepsExhausted:
+        return StepsExhausted(f"{party} exceeded {self.limits.get(party)} steps")
+
+    def step(self, party: str, state: bytes) -> bytes:
+        if not self.charge(party, 1):
+            raise self.exhausted(party)
+        return npl_step(state)
 
     def total(self) -> int:
         with self._lock:
@@ -514,8 +521,9 @@ class IvcKeys:
 
     The salt never leaves this object, and verification is pure registry
     lookup, so the only way to a verifying (t, state) pair is t genuine
-    updates from the base state — which is exactly the sequentiality this
-    simulation is meant to audit.
+    steps of updates from the base state — which is exactly the sequentiality
+    this simulation is meant to audit.  :func:`ivc_update` writes a whole
+    run's chain points under one acquisition of the registry lock.
     """
 
     def __init__(self, rng: HashDrbg, meter: StepMeter, base_tag: bytes):
@@ -553,32 +561,36 @@ def ivc_gen(rng: HashDrbg, meter: StepMeter, base_tag: bytes) -> IvcKeys:
 
 
 def ivc_update(
-    keys: IvcKeys, state: bytes, proof: IvcProof, party: str
+    keys: IvcKeys, state: bytes, proof: IvcProof, party: str, steps: int = 1
 ) -> tuple[bytes, IvcProof]:
-    """Advance the chain one step and extend the proof.
+    """Advance the chain `steps` steps and extend the proof.
 
-    The step function application is charged to `party` on the meter the
-    keys were generated with.  Raises :class:`ProofChainError` when the
-    input proof does not verify, so forged chains cannot be extended.
+    The input proof is checked once, and a forged one raises
+    :class:`ProofChainError` before anything is charged or registered.  The
+    run is charged to `party` on the keys' meter in one go; each granted step
+    registers its commitment, all under one acquisition of the keys' lock.
+    When the party's limit grants fewer than `steps`, the granted steps stay
+    registered and :class:`StepsExhausted` is raised: the state `steps`
+    single-step updates leave.  A run of 0 steps returns its input unchecked.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if steps == 0:
+        return state, proof
     if keys.lookup(proof.steps, state) != proof.commitment:
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
-    new_state = keys.meter.step(party, state)
-    commitment = keys._commit(proof.commitment, proof.steps + 1, new_state)
+    granted = keys.meter.charge(party, steps)
+    t, commitment, salt, new = proof.steps, proof.commitment, keys._salt, hashlib.sha256
     with keys._lock:
-        keys._registry[(proof.steps + 1, new_state)] = commitment
-    return new_state, IvcProof(steps=proof.steps + 1, commitment=commitment)
-
-
-def ivc_prove(
-    keys: IvcKeys, t: int, start_state: bytes, party: str
-) -> tuple[bytes, IvcProof]:
-    """Prove t steps from the start state by t chained updates."""
-    state = start_state
-    proof = keys.base_proof(start_state)
-    for _ in range(t):
-        state, proof = ivc_update(keys, state, proof, party)
-    return state, proof
+        registry = keys._registry
+        for t in range(t + 1, t + granted + 1):
+            state = npl_step(state)
+            # the bytes of keys._commit(commitment, t, state)
+            commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
+            registry[(t, state)] = commitment
+    if granted < steps:
+        raise keys.meter.exhausted(party)
+    return state, IvcProof(steps=t, commitment=commitment)
 
 
 def ivc_verify(keys: IvcKeys, steps: int, state: bytes, proof: IvcProof) -> bool:

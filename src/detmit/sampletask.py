@@ -265,15 +265,3 @@ def clear_level(buf: bytes) -> int | None:
     """Level of a clear wire payload (public structure), else None."""
     p = decode_payload(buf)
     return p.level if isinstance(p, ClearPayload) else None
-
-
-def inner_level(instance: DataTaskInstance, buf: bytes, key: IdentityKey) -> int | None:
-    """Level inside an encrypted payload, given the matching identity key."""
-    p = decode_payload(buf)
-    if not isinstance(p, EncPayload):
-        return None
-    inner = IdentityCipher(key).decrypt(p.ciphertext)
-    if inner is None:
-        return None
-    ip = decode_payload(inner)
-    return ip.level if isinstance(ip, ClearPayload) else None

@@ -7,12 +7,14 @@ chain step is a single hash application routed through a per-party meter, so
 "work" is countable and attributable; chain proofs make every claimed
 configuration checkable in O(1) without re-running the chain.
 
-The trainer pays T steps once and snapshots a sqrt(T)-spaced grid; answering
-from the grid is then free.  A mitigator instead extends each input's own
-chain, paying exactly floor(sqrt(t)) per input.  The attacker never pays for
-the ladder: it builds a step-1 payload (one metered step) and climbs the
-trainer's grid by repeated queries, reaching the grid's frontier with
-O(sqrt(T)) queries and O(sqrt(T)) of its own steps.
+The trainer pays T steps once, in runs of floor(sqrt(T)) steps, and snapshots
+the chain after each run; answering from that grid is then free.  A mitigator
+instead extends each input's own chain by one run of exactly floor(sqrt(t))
+steps.  A run is one `ivc_update` call: one proof check, one meter charge and
+one registry lock for all its steps.  The attacker never pays for the ladder:
+it builds a step-1 payload (one metered step) and climbs the trainer's grid
+by repeated queries, reaching the grid's frontier with O(sqrt(T)) queries and
+O(sqrt(T)) of its own steps.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ class TimeTaskInstance:
         )
         return 0 if ok else 1
 
-    def instance_steps(self) -> int:
-        return self.meter.snapshot().get(INSTANCE_PARTY, 0)
-
 
 def make_time_instance(seed: bytes | int, horizon: int = HORIZON) -> TimeTaskInstance:
     return TimeTaskInstance(seed, horizon)
@@ -144,10 +143,10 @@ class TimeTrainer:
         state = inst.start_state
         proof = inst.ivc.base_proof(state)
         table: Grid = {}
-        for t in range(1, inst.horizon + 1):
-            state, proof = ivc_update(inst.ivc, state, proof, party)
-            if t % stride == 0:
-                table[t] = (state, proof)
+        for _ in range(inst.horizon // stride):
+            state, proof = ivc_update(inst.ivc, state, proof, party, stride)
+            table[proof.steps] = (state, proof)
+        ivc_update(inst.ivc, state, proof, party, inst.horizon % stride)
         return TimeModel(inst, table), table
 
 
@@ -172,10 +171,10 @@ class ChainExtendingMitigator:
                 ys.append(bottom(inst.width))
                 continue
             target = next_level(p.steps)
-            state, proof = p.config, p.proof
             try:
-                for _ in range(target - p.steps):
-                    state, proof = ivc_update(inst.ivc, state, proof, party)
+                state, proof = ivc_update(
+                    inst.ivc, p.config, p.proof, party, target - p.steps
+                )
             except ProofChainError:
                 ys.append(bottom(inst.width))
                 continue

@@ -10,6 +10,7 @@ from detmit.core import (
     AbortTrial,
     BudgetExceededError,
     GameParams,
+    HarnessFault,
     NatureChallenger,
     RateEstimate,
     ResourceBudget,
@@ -17,7 +18,6 @@ from detmit.core import (
     TrialCtx,
     completeness_violation,
     empirical_err,
-    evaluate_rates,
     hamming,
     run_dbd_trial,
     run_dbm_trial,
@@ -25,6 +25,7 @@ from detmit.core import (
     wilson_interval,
 )
 from detmit.drbg import HashDrbg, derive_trial_seed
+from testkit import evaluate_rates
 
 
 def test_game_params_validation():
@@ -239,6 +240,21 @@ def test_sample_oracle_counts_exactly():
     oracle.draw_pair()
     oracle.draw_input()
     assert budget.samples_used == 2
+
+
+def test_instance_fault_fails_the_trial_instead_of_aborting_it():
+    """An instance without `sample_input` is a harness bug, not nature's abort."""
+
+    class PairOnlyInstance:
+        sample_pair = EchoInstance.sample_pair
+        h = EchoInstance.h
+
+    with pytest.raises(HarnessFault, match="sample_input: AttributeError") as info:
+        run_dbd_trial(
+            PairOnlyInstance(), EchoTrainer(), NatureChallenger(), FlagEverything(),
+            PARAMS, derive_trial_seed(0, 6),
+        )
+    assert isinstance(info.value.__cause__, AttributeError)
 
 
 def test_evaluate_rates_needs_30():

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detmit.crypto as crypto
 from detmit.crypto import (
@@ -11,6 +16,7 @@ from detmit.crypto import (
     CountProver,
     FheSystem,
     IdentityCipher,
+    IvcKeys,
     IvcProof,
     ProofChainError,
     ProofToken,
@@ -21,7 +27,6 @@ from detmit.crypto import (
     StepsExhausted,
     WitnessError,
     ivc_gen,
-    ivc_prove,
     ivc_update,
     ivc_verify,
     npl_step,
@@ -35,6 +40,7 @@ from detmit.crypto import (
     snark_verify,
 )
 from detmit.drbg import HashDrbg
+from testkit import ivc_prove, meter_run
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +260,7 @@ def test_keygen_requires_16_byte_tag(fhe):
 def test_meter_attributes_and_limits():
     meter = StepMeter()
     state = sha256(b"s0")
-    out = meter.run("alice", state, 5)
+    out = meter_run(meter, "alice", state, 5)
     ref = state
     for _ in range(5):
         ref = npl_step(ref)
@@ -308,3 +314,84 @@ def test_ivc_update_charges_exactly_one_step(rng):
     state, proof = ivc_update(keys, start, proof, "p")
     assert meter.total() == 1
     assert ivc_verify(keys, 1, state, proof)
+
+
+# --- runs of chain steps ---------------------------------------------------------------
+
+
+def _chain_at(start_steps: int) -> tuple[IvcKeys, bytes, IvcProof]:
+    """Fresh keys and meter, plus a genuine proof `start_steps` steps in."""
+    keys = ivc_gen(HashDrbg(b"ivc-runs"), StepMeter(), b"base")
+    state, proof = ivc_prove(keys, start_steps, sha256(b"run-start"), "setup")
+    return keys, state, proof
+
+
+def _after(keys, run) -> tuple:
+    try:
+        out, exhausted = run(), False
+    except StepsExhausted:
+        out, exhausted = None, True
+    return out, exhausted, keys.meter.snapshot(), keys.registry_entries()
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 40), n=st.integers(0, 300), data=st.data())
+def test_ivc_run_equals_single_steps(start, n, data):
+    limit = data.draw(st.none() | st.integers(0, n + 5), label="limit")
+    (ka, sa, pa), (kb, sb, pb) = _chain_at(start), _chain_at(start)
+    ka.meter.set_limit("p", limit)
+    kb.meter.set_limit("p", limit)
+
+    def one_by_one():
+        state, proof = sb, pb
+        for _ in range(n):
+            state, proof = ivc_update(kb, state, proof, "p")
+        return state, proof
+
+    run = _after(ka, lambda: ivc_update(ka, sa, pa, "p", n))
+    assert run == _after(kb, one_by_one)
+    granted = n if limit is None else min(n, limit)
+    assert run[1] == (granted < n)
+    assert run[2].get("p", 0) == granted
+    assert sum(t > start for t, _, _ in run[3]) == granted
+
+
+def test_ivc_run_from_forged_proof_charges_and_registers_nothing():
+    keys, state, _ = _chain_at(3)
+    entries = keys.registry_entries()
+    forged = IvcProof(3, sha256(b"forged"))
+    with pytest.raises(ProofChainError):
+        ivc_update(keys, state, forged, "p", 50)
+    assert "p" not in keys.meter.snapshot()
+    assert keys.registry_entries() == entries
+    # a run of 0 steps checks nothing and hands its input back
+    assert ivc_update(keys, state, forged, "p", 0) == (state, forged)
+
+
+def test_concurrent_runs_lose_no_charge_or_chain_point():
+    """Threads charging one party on one meter and registry, switching every µs.
+
+    A charge that read and wrote the count outside the meter's lock loses
+    updates here in most runs.
+    """
+    keys, start_state, start_proof = _chain_at(0)
+    threads_n, runs, steps = 8, 1500, 2
+
+    def worker() -> None:
+        for _ in range(runs):
+            ivc_update(keys, start_state, start_proof, "shared", steps)
+            keys.meter.step("shared", start_state)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert keys.meter.snapshot() == {"shared": threads_n * runs * (steps + 1)}
+    assert [t for t, _, _ in keys.registry_entries()] == list(range(steps + 1))

@@ -110,3 +110,13 @@ def test_ladder_mitigate_pin_holds_with_two_workers(tmp_path):
 def test_ladder_mitigate_pin_holds_with_four_workers(tmp_path):
     config, transcripts, summary = CASES["ladder-mitigate"]
     assert run_digests(tmp_path, {**config, "workers": 4}) == (transcripts, summary)
+
+
+def test_chain_mitigate_pin_holds_with_two_workers(tmp_path):
+    config, transcripts, summary = CASES["chain-mitigate"]
+    assert run_digests(tmp_path, {**config, "workers": 2}) == (transcripts, summary)
+
+
+def test_chain_mitigate_pin_holds_with_four_workers(tmp_path):
+    config, transcripts, summary = CASES["chain-mitigate"]
+    assert run_digests(tmp_path, {**config, "workers": 4}) == (transcripts, summary)

@@ -27,11 +27,11 @@ from detmit.sampletask import (
     DataTaskInstance,
     LevelLaw,
     clear_level,
-    inner_level,
     make_data_instance,
     next_level,
     payload_form,
 )
+from testkit import inner_level
 
 INST = make_data_instance(21)
 R = HashDrbg(b"ladder-tests")
@@ -163,7 +163,7 @@ def test_build_inputs_and_levels():
     assert payload_form(eb) == "enc"
     p = decode_payload(eb)
     key1 = INST.fhe.keygen(p.id1)
-    assert inner_level(INST, eb, key1) == 10
+    assert inner_level(eb, key1) == 10
 
 
 def test_prove_count_range():

@@ -21,6 +21,7 @@ from detmit.timetask import (
     audit_sequential_reach,
     make_time_instance,
 )
+from testkit import instance_steps
 
 PARAMS = GameParams(q=1)
 
@@ -32,7 +33,7 @@ def inst():
 
 def test_instance_precomputes_exactly_reach_steps(inst):
     assert inst.reach == 272
-    assert inst.instance_steps() == 272
+    assert instance_steps(inst) == 272
     p = inst.payload_at(10)
     assert ivc_verify(inst.ivc, 10, p.config, p.proof)
     # canonical chain check

@@ -1,0 +1,60 @@
+"""Helpers only the tests use, kept out of the `detmit` package."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from detmit.core import RateEstimate, Transcript
+from detmit.crypto import (
+    IdentityCipher,
+    IdentityKey,
+    IvcKeys,
+    IvcProof,
+    StepMeter,
+    ivc_update,
+)
+from detmit.payloads import ClearPayload, EncPayload, decode_payload
+from detmit.timetask import INSTANCE_PARTY, TimeTaskInstance
+
+
+def meter_run(meter: StepMeter, party: str, state: bytes, steps: int) -> bytes:
+    """`steps` metered step-function applications, one `StepMeter.step` each."""
+    for _ in range(steps):
+        state = meter.step(party, state)
+    return state
+
+
+def ivc_prove(
+    keys: IvcKeys, t: int, start_state: bytes, party: str
+) -> tuple[bytes, IvcProof]:
+    """Prove t steps from the start state in one run of updates."""
+    return ivc_update(keys, start_state, keys.base_proof(start_state), party, t)
+
+
+def instance_steps(inst: TimeTaskInstance) -> int:
+    """Steps the instance charged itself to precompute its canonical chain."""
+    return inst.meter.snapshot().get(INSTANCE_PARTY, 0)
+
+
+def inner_level(buf: bytes, key: IdentityKey) -> int | None:
+    """Level inside an encrypted ladder payload, given the matching identity key."""
+    p = decode_payload(buf)
+    if not isinstance(p, EncPayload):
+        return None
+    inner = IdentityCipher(key).decrypt(p.ciphertext)
+    if inner is None:
+        return None
+    ip = decode_payload(inner)
+    return ip.level if isinstance(ip, ClearPayload) else None
+
+
+def evaluate_rates(
+    run_trial: Callable[[int], Transcript],
+    trials: int,
+    predicate: Callable[[Transcript], bool],
+) -> RateEstimate:
+    """Monte-Carlo rate of a transcript predicate over `trials` trials."""
+    if trials < 30:
+        raise ValueError(f"need at least 30 trials for a rate estimate, got {trials}")
+    successes = sum(bool(predicate(run_trial(i))) for i in range(trials))
+    return RateEstimate.from_counts(successes, trials)
