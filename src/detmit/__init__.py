@@ -59,7 +59,6 @@ from .crypto import (
     sig_verify,
     snark_extract,
     snark_prove,
-    snark_prove_counts,
     snark_verify,
 )
 from .drbg import HashDrbg, derive_trial_seed
@@ -77,7 +76,6 @@ from .sampleagents import (
     LadderTrainer,
     ProofExtendingMitigator,
     SelfIterationAttacker,
-    baseline_detectors,
 )
 from .sampletask import (
     DataTaskInstance,

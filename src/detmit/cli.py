@@ -125,7 +125,6 @@ class ExperimentConfig(BaseModel):
     detector: str | None = None
     mitigator: str | None = None
     epsilon: float = Field(default=0.05, gt=0, lt=0.5)
-    delta: float = Field(default=0.02, gt=0, lt=0.5)
     q: int | None = Field(default=None, ge=1)
     trials: int = Field(default=64, ge=1)
     level_target: int = Field(default=16, ge=1)
@@ -162,7 +161,7 @@ class ExperimentConfig(BaseModel):
 
     def params(self) -> GameParams:
         q = self.q if self.q is not None else DEFAULT_Q[self.task]
-        return GameParams(epsilon=self.epsilon, delta=self.delta, q=q)
+        return GameParams(epsilon=self.epsilon, q=q)
 
 
 def _build_task(task: str, seed: int, horizon: int) -> Any:
@@ -433,8 +432,20 @@ def cmd_run(config_path: str, transcripts: str | None, summary_path: str | None)
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
 def cmd_report(transcripts: str, epsilon: float) -> None:
     """Summarize an existing transcript stream."""
+    records = []
     with open(transcripts) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                Transcript.from_record(rec)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise click.UsageError(
+                    f"bad transcript on line {lineno} of {transcripts}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            records.append(rec)
     if not records:
         raise click.UsageError("transcript stream is empty")
     click.echo(json.dumps(summarize(records, epsilon), indent=2))

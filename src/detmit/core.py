@@ -52,17 +52,14 @@ class AbortTrial(Exception):
 
 @dataclass
 class GameParams:
-    """Game-level constants: error tolerance, confidence, batch size."""
+    """Game-level constants: error tolerance and batch size."""
 
     epsilon: float = 0.05
-    delta: float = 0.02
     q: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-        if not 0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
 
@@ -70,9 +67,7 @@ class GameParams:
 @dataclass
 class ResourceBudget:
     samples_allowed: int | None = None
-    steps_allowed: int | None = None
     samples_used: int = 0
-    steps_used: int = 0
 
     def charge_sample(self) -> None:
         if self.samples_allowed is not None and self.samples_used >= self.samples_allowed:
@@ -85,8 +80,9 @@ class ResourceBudget:
         return {
             "samples_used": self.samples_used,
             "samples_allowed": self.samples_allowed,
-            "steps_used": self.steps_used,
-            "steps_allowed": self.steps_allowed,
+            # filled in by close_ledger for parties that run metered steps
+            "steps_used": 0,
+            "steps_allowed": None,
         }
 
 

@@ -54,6 +54,7 @@ from .wire import be64, pack_fields, unpack_exact
 
 NONCE_LEN = 16
 TOKEN_LEN = 16
+IDENTITY_LEN = 16
 AEAD_NONCE_LEN = 12
 ZERO_MESSAGE = b"\x00"
 
@@ -279,18 +280,6 @@ class CountProver:
         return proofs
 
 
-def snark_prove_counts(
-    params: SnarkParams, counts: Sequence[int], witness: Sequence[SignatureToken]
-) -> list[ProofToken]:
-    """Prove each statement "count distinct valid tokens", in the order given.
-
-    A one-off :class:`CountProver`: checks each witness token at most once,
-    and raises :class:`WitnessError`, registering nothing, when the witness
-    holds fewer than ``max(counts)`` distinct valid tokens.
-    """
-    return CountProver(params, witness).prove(counts)
-
-
 def snark_prove(
     params: SnarkParams,
     statement: SigCountStatement,
@@ -303,7 +292,7 @@ def snark_prove(
     """
     if statement.key_digest != params.key_digest:
         raise WitnessError("statement bound to a different verification key")
-    return snark_prove_counts(params, [statement.count], witness)[0]
+    return CountProver(params, witness).prove([statement.count])[0]
 
 
 def snark_verify(
@@ -344,7 +333,7 @@ class Ciphertext:
     @staticmethod
     def from_bytes(buf: bytes) -> "Ciphertext | None":
         fields = unpack_exact(buf, 2)
-        if fields is None or len(fields[0]) != NONCE_LEN:
+        if fields is None or len(fields[0]) != IDENTITY_LEN:
             return None
         return Ciphertext(fields[0], fields[1])
 
@@ -404,17 +393,9 @@ class FheSystem:
     # --- keys ---------------------------------------------------------------
 
     def keygen(self, identity: bytes) -> IdentityKey:
-        if len(identity) != NONCE_LEN:
-            raise ValueError("identity tags are 16 bytes")
+        if len(identity) != IDENTITY_LEN:
+            raise ValueError(f"identity tags are {IDENTITY_LEN} bytes")
         return IdentityKey(tag=identity, key=sha256(b"fhe-id-key:" + self._msk + identity))
-
-    # --- encryption ---------------------------------------------------------
-
-    def encrypt(self, identity: bytes, plaintext: bytes, rng: HashDrbg) -> Ciphertext:
-        return IdentityCipher(self.keygen(identity)).encrypt(plaintext, rng)
-
-    def decrypt(self, identity: bytes, ct: Ciphertext) -> bytes | None:
-        return IdentityCipher(self.keygen(identity)).decrypt(ct)
 
     # --- evaluation oracle ----------------------------------------------------
 
@@ -554,10 +535,6 @@ class IvcKeys:
         with self._lock:
             for t, s, c in entries:
                 self._registry[(t, s)] = c
-
-
-def ivc_gen(rng: HashDrbg, meter: StepMeter, base_tag: bytes) -> IvcKeys:
-    return IvcKeys(rng, meter, base_tag)
 
 
 def ivc_update(

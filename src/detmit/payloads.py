@@ -13,7 +13,6 @@ Forms:
 * ``0x02`` encrypted container    — ciphertext, id1, id2, key2 (ids/key may
   be empty in answer position)
 * ``0x03`` clear chain payload    — step count, configuration, chain proof
-* ``0x04`` encrypted container for chain payloads
 
 The reserved "no answer" marker :data:`BOTTOM` begins with tag ``0x00`` and
 therefore never decodes; models emit it (padded) when they cannot answer.
@@ -23,17 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
+from .crypto import IDENTITY_LEN, Ciphertext, IvcProof, ProofToken, SignatureToken
 from .wire import be32, be64, unpack_fields
 
 TAG_CLEAR = 0x01
 TAG_ENC = 0x02
 TAG_TIME_CLEAR = 0x03
-TAG_TIME_ENC = 0x04
 
 BOTTOM = b"\x00bottom"
 
-IDENTITY_LEN = 16
 IDENTITY_KEY_LEN = 32
 
 
@@ -54,7 +51,6 @@ class EncPayload:
     id1: bytes
     id2: bytes
     key2: bytes
-    time: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ Payload = ClearPayload | EncPayload | TimePayload
 
 _CLEAR_TAG = bytes([TAG_CLEAR])
 _ENC_TAG = bytes([TAG_ENC])
-_TIME_ENC_TAG = bytes([TAG_TIME_ENC])
 _LEVEL_LEN = be32(8)
 
 
@@ -107,7 +102,7 @@ def encode_payload(payload: Payload, width: int | None = None) -> bytes:
         tag, body = ct.identity_tag, ct.body
         id1, id2, key2 = payload.id1, payload.id2, payload.key2
         core = b"".join((
-            _TIME_ENC_TAG if payload.time else _ENC_TAG,
+            _ENC_TAG,
             be32(8 + len(tag) + len(body)), be32(len(tag)), tag, be32(len(body)), body,
             be32(len(id1)), id1, be32(len(id2)), id2, be32(len(key2)), key2,
         ))
@@ -169,7 +164,7 @@ def decode_payload(buf: bytes) -> Payload | None:
         if proof is None or steps < 1:
             return None
         return TimePayload(steps=steps, config=config_b, proof=proof)
-    if tag in (TAG_ENC, TAG_TIME_ENC):
+    if tag == TAG_ENC:
         parsed = unpack_fields(buf[1:], 4)
         if parsed is None:
             return None
@@ -183,7 +178,5 @@ def decode_payload(buf: bytes) -> Payload | None:
         ct = Ciphertext.from_bytes(ct_b)
         if ct is None:
             return None
-        return EncPayload(
-            ciphertext=ct, id1=id1, id2=id2, key2=key2, time=(tag == TAG_TIME_ENC)
-        )
+        return EncPayload(ciphertext=ct, id1=id1, id2=id2, key2=key2)
     return None

@@ -22,13 +22,14 @@ from typing import Any, Callable
 
 from .core import ATTACKER, AbortTrial, TrialCtx
 from .crypto import (
+    IDENTITY_LEN,
+    CountProver,
     IdentityCipher,
     IdentityKey,
     ProofToken,
     SignatureToken,
     sig_verify,
     snark_prove,
-    snark_prove_counts,
     snark_verify,
 )
 from .payloads import (
@@ -40,7 +41,6 @@ from .payloads import (
     encode_payload,
 )
 from .sampletask import (
-    IDENTITY_LEN,
     DataTaskInstance,
     clear_level,
     next_level,
@@ -133,7 +133,7 @@ class LadderTrainer:
             return DataModel(inst, priv), priv
         tokens = tokens[: self.level_target]
         levels = self.grid_levels()
-        table = dict(zip(levels, snark_prove_counts(inst.snark, levels, tokens)))
+        table = dict(zip(levels, CountProver(inst.snark, tokens).prove(levels)))
         priv = LadderPriv(tokens=tokens, table=table)
         return DataModel(inst, priv), priv
 
@@ -261,7 +261,7 @@ class ProofExtendingMitigator:
         k = self.level_target
         levels = range(k + 1, k + self.strip + 1)
         table = dict(priv.table)
-        table.update(zip(levels, snark_prove_counts(inst.snark, levels, witness)))
+        table.update(zip(levels, CountProver(inst.snark, witness).prove(levels)))
         answer = DataModel(inst, LadderPriv(table=table))
         return [answer(x) for x in xs], 0
 
@@ -319,12 +319,3 @@ class WellFormedDetector:
                 if not ok:
                     return 1
         return 0
-
-
-def baseline_detectors(instance: DataTaskInstance) -> dict[str, Any]:
-    return {
-        "never_flag": NeverFlagDetector(),
-        "level_threshold": LevelThresholdDetector(),
-        "frequency": FrequencyDetector(),
-        "well_formed": WellFormedDetector(instance),
-    }

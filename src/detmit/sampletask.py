@@ -29,6 +29,7 @@ from math import isqrt
 
 from .crypto import (
     AEAD_NONCE_LEN,
+    IDENTITY_LEN,
     CountProver,
     FheSystem,
     IdentityCipher,
@@ -51,7 +52,6 @@ from .payloads import (
 )
 
 LEVEL_CAP = 512
-IDENTITY_LEN = 16
 
 
 def next_level(k: int) -> int:
@@ -106,7 +106,6 @@ class DataTaskInstance:
         self._prover = CountProver(self.snark, self._pool)
         self.inner_width = _round_up(len(encode_payload(self._probe_clear())))
         self.width = _round_up(len(encode_payload(self._probe_enc())))
-        self.meter = None  # no step metering in this task
 
     def _probe_clear(self) -> ClearPayload:
         filler = ProofToken(bytes(16), bytes(32))
@@ -208,43 +207,40 @@ class DataTaskInstance:
 
     # -- quality oracle --
 
-    def _check_clear(self, x: ClearPayload, yp: Payload | None) -> int:
-        if not isinstance(yp, ClearPayload):
-            return 1
+    def h(self, x: bytes, y: bytes) -> int:
+        """Quality oracle: 1 iff y is a wrong answer to a genuine x.
+
+        The input is checked first: one that does not decode, decrypt, carry
+        a valid signature or prove its level is forged, and scores 0 with
+        any answer, since no answer to it exists.
+        """
+        xp, cipher = decode_payload(x), None
+        if isinstance(xp, EncPayload):
+            if len(xp.id1) != IDENTITY_LEN:
+                return 0
+            cipher = IdentityCipher(self.fhe.keygen(xp.id1))
+            xp = _unseal(cipher, xp)
+        if not (
+            isinstance(xp, ClearPayload)
+            and sig_verify(self.verification_key, xp.token)
+            and snark_verify(self.snark, self.snark.statement(xp.level), xp.proof)
+        ):
+            return 0
+        yp = decode_payload(y)
+        if cipher is not None:
+            yp = _unseal(cipher, yp) if isinstance(yp, EncPayload) else None
         ok = (
-            yp.token == x.token
-            and sig_verify(self.verification_key, x.token)
-            and yp.level >= next_level(x.level)
-            and snark_verify(self.snark, self.snark.statement(x.level), x.proof)
+            isinstance(yp, ClearPayload)
+            and yp.token == xp.token
+            and yp.level >= next_level(xp.level)
             and snark_verify(self.snark, self.snark.statement(yp.level), yp.proof)
         )
         return 0 if ok else 1
 
-    def h(self, x: bytes, y: bytes) -> int:
-        """Quality oracle: 1 iff y is a wrong answer to an answerable x."""
-        xp = decode_payload(x)
-        if xp is None:
-            return 0
-        if isinstance(xp, EncPayload):
-            if len(xp.id1) != IDENTITY_LEN:
-                return 0
-            cipher1 = IdentityCipher(self.fhe.keygen(xp.id1))
-            inner_x = cipher1.decrypt(xp.ciphertext)
-            if inner_x is None:
-                return 0
-            yp = decode_payload(y)
-            if not isinstance(yp, EncPayload):
-                return 1
-            inner_y = cipher1.decrypt(yp.ciphertext)
-            if inner_y is None:
-                return 1
-            xi = decode_payload(inner_x)
-            if not isinstance(xi, ClearPayload):
-                return 0
-            return self._check_clear(xi, decode_payload(inner_y))
-        if isinstance(xp, ClearPayload):
-            return self._check_clear(xp, decode_payload(y))
-        return 0
+
+def _unseal(cipher: IdentityCipher, p: EncPayload) -> Payload | None:
+    inner = cipher.decrypt(p.ciphertext)
+    return None if inner is None else decode_payload(inner)
 
 
 def make_data_instance(seed: bytes | int) -> DataTaskInstance:

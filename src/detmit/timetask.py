@@ -25,10 +25,10 @@ from typing import Any, Callable
 
 from .core import ATTACKER, TrialCtx
 from .crypto import (
+    IvcKeys,
     IvcProof,
     ProofChainError,
     StepMeter,
-    ivc_gen,
     ivc_update,
     ivc_verify,
     npl_step,
@@ -56,7 +56,7 @@ class TimeTaskInstance:
         self.reach = horizon + isqrt(horizon)
         self.meter = StepMeter()
         self.start_state = sha256(b"chain-start:" + rng.take(32))
-        self.ivc = ivc_gen(rng.child("chain-proofs"), self.meter, rng.take(32))
+        self.ivc = IvcKeys(rng.child("chain-proofs"), self.meter, rng.take(32))
         states = [self.start_state]
         proofs = [self.ivc.base_proof(self.start_state)]
         for _ in range(self.reach):

@@ -37,6 +37,7 @@ from detmit.core import (
 )
 from detmit.crypto import (
     FheSystem,
+    IdentityCipher,
     ProofToken,
     SnarkParams,
     TOKEN_LEN,
@@ -54,7 +55,6 @@ from detmit.sampleagents import (
     NeverFlagDetector,
     ProofExtendingMitigator,
     SelfIterationAttacker,
-    baseline_detectors,
 )
 from detmit.sampletask import DataTaskInstance, LevelLaw, payload_form
 from detmit.timetask import (
@@ -65,6 +65,7 @@ from detmit.timetask import (
     audit_conservation,
     audit_sequential_reach,
 )
+from testkit import ladder_detectors
 
 EPS, DELTA = 0.05, 0.02
 
@@ -92,7 +93,7 @@ class _FixedChallenger:
 
 
 def test_toy_reduction_bounds_and_flag_transport():
-    params = GameParams(epsilon=EPS, delta=DELTA, q=32)
+    params = GameParams(epsilon=EPS, q=32)
     inst = make_toy_instance(101)
     trainer = ToyTrainer()
     nature = NatureChallenger()
@@ -163,7 +164,7 @@ def test_toy_reduction_bounds_and_flag_transport():
 
 def test_ladder_trained_model_correctness():
     inst = DataTaskInstance(seed=202)
-    params = GameParams(epsilon=EPS, delta=DELTA, q=1)
+    params = GameParams(epsilon=EPS, q=1)
     t = run_dbd_trial(
         inst, LadderTrainer(inst, 64), NatureChallenger(), NeverFlagDetector(),
         params, derive_trial_seed(2002, 0), 0,
@@ -196,7 +197,7 @@ def test_ladder_trained_model_correctness():
 
 
 def test_ladder_attack_beats_baseline_detectors():
-    params = GameParams(epsilon=EPS, delta=DELTA, q=1)
+    params = GameParams(epsilon=EPS, q=1)
     M = 200
     details = []
     for K in (16, 400):
@@ -224,7 +225,7 @@ def test_ladder_attack_beats_baseline_detectors():
 
         # All four detectors are scored on the same stored challenges.
         rates = {}
-        for name, det in baseline_detectors(inst).items():
+        for name, det in ladder_detectors(inst).items():
             viol = sum(
                 t.err_fx > EPS and det.detect(None, t.model, t.private_state, t.challenge) == 0
                 for t, _, _ in done
@@ -247,7 +248,7 @@ def test_ladder_attack_beats_baseline_detectors():
 
 def test_ladder_mitigation_restores_soundness():
     K = 400
-    params = GameParams(epsilon=EPS, delta=DELTA, q=1)
+    params = GameParams(epsilon=EPS, q=1)
     inst = DataTaskInstance(seed=404)
     trainer = LadderTrainer(inst, K)
     atk = SelfIterationAttacker(inst, sample_budget=10, draws=8)
@@ -326,8 +327,9 @@ def test_crypto_contract_rates():
     handle = fhe.register_circuit(fn)
     for _ in range(100):
         identity, pt = rng.take(16), rng.take(48)
-        out = fhe.eval(handle, fhe.encrypt(identity, pt, rng))
-        assert fhe.decrypt(identity, out) == fn(pt)
+        cipher = IdentityCipher(fhe.keygen(identity))
+        out = fhe.eval(handle, cipher.encrypt(pt, rng))
+        assert cipher.decrypt(out) == fn(pt)
 
     cheated = 0
     for i in range(1000):
@@ -390,7 +392,7 @@ def test_level_law_and_mixture():
 
 def test_chain_metering_and_audits():
     T = 256
-    params = GameParams(epsilon=EPS, delta=DELTA, q=1)
+    params = GameParams(epsilon=EPS, q=1)
     inst = TimeTaskInstance(seed=707)
     trainer = TimeTrainer(inst)
     atk = ChainClimbingAttacker(inst)

@@ -28,7 +28,7 @@ from detmit.core import (
 )
 from detmit.drbg import derive_trial_seed
 
-PARAMS = GameParams(epsilon=0.05, delta=0.02, q=32)
+PARAMS = GameParams(epsilon=0.05, q=32)
 INST = make_toy_instance(11)
 
 

@@ -50,6 +50,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig.model_validate({**BASE, "trials": 0})
     with pytest.raises(Exception):
         ExperimentConfig.model_validate({**BASE, "leval_target": 16})  # typo
+    with pytest.raises(Exception):
+        ExperimentConfig.model_validate({**BASE, "delta": 0.02})  # no reader
 
 
 def test_run_writes_transcripts_and_summary(runner, tmp_path):
@@ -73,9 +75,10 @@ def test_run_writes_transcripts_and_summary(runner, tmp_path):
 
 def test_run_bad_config_exits_2(runner, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**BASE, "epsilon": 3}))
-    res = runner.invoke(main, ["run", "--config", str(path)])
-    assert res.exit_code == 2
+    for bad in ({"epsilon": 3}, {"delta": 0.02}):
+        path.write_text(json.dumps({**BASE, **bad}))
+        res = runner.invoke(main, ["run", "--config", str(path)])
+        assert res.exit_code == 2, bad
 
 
 def test_run_deterministic_across_invocations(runner, tmp_path):
@@ -154,6 +157,27 @@ def test_report_matches_run_summary(runner, tmp_path):
     res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
     assert res.exit_code == 0
     assert json.loads(res.output) == json.loads(s_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["{not json", "[1,2]", "MISSING_LEDGERS"],
+    ids=["non-json", "array", "no-ledgers"],
+)
+def test_report_rejects_a_malformed_line(runner, tmp_path, bad_line):
+    cfg = write_config(tmp_path, trials=2)
+    t_path = tmp_path / "t.jsonl"
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path)])
+    assert res.exit_code == 0, res.output
+    good = t_path.read_text().splitlines()
+    if bad_line == "MISSING_LEDGERS":
+        rec = json.loads(good[0])
+        del rec["ledgers"]
+        bad_line = json.dumps(rec)
+    t_path.write_text("\n".join([good[0], bad_line, good[1]]) + "\n")
+    res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
+    assert res.exit_code == 2, res.output
+    assert "line 2" in res.output
 
 
 def test_summarize_handles_aborts():

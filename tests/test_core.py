@@ -29,11 +29,9 @@ from testkit import evaluate_rates
 
 
 def test_game_params_validation():
-    GameParams(epsilon=0.05, delta=0.02, q=32)
+    GameParams(epsilon=0.05, q=32)
     with pytest.raises(ValueError):
         GameParams(epsilon=0.5)
-    with pytest.raises(ValueError):
-        GameParams(delta=0.0)
     with pytest.raises(ValueError):
         GameParams(q=0)
 
@@ -150,7 +148,7 @@ class EchoMitigator:
         return [model(x) for x in xs], 0
 
 
-PARAMS = GameParams(epsilon=0.05, delta=0.02, q=4)
+PARAMS = GameParams(epsilon=0.05, q=4)
 
 
 def test_dbd_trial_records_everything():

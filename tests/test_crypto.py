@@ -26,7 +26,6 @@ from detmit.crypto import (
     StepMeter,
     StepsExhausted,
     WitnessError,
-    ivc_gen,
     ivc_update,
     ivc_verify,
     npl_step,
@@ -36,7 +35,6 @@ from detmit.crypto import (
     sig_verify,
     snark_extract,
     snark_prove,
-    snark_prove_counts,
     snark_verify,
 )
 from detmit.drbg import HashDrbg
@@ -132,7 +130,7 @@ def test_prove_counts_equals_successive_single_proofs(rng, keypair, tokens):
     counts = [3, 1, 7, 5]
     batch = SnarkParams(rng.child("counts"), keypair.verification_key)
     single = SnarkParams(rng.child("counts"), keypair.verification_key)
-    proofs = snark_prove_counts(batch, counts, witness)
+    proofs = CountProver(batch, witness).prove(counts)
     assert proofs == [snark_prove(single, single.statement(c), witness) for c in counts]
     for count, proof in zip(counts, proofs):
         assert snark_verify(batch, batch.statement(count), proof)
@@ -142,11 +140,11 @@ def test_prove_counts_equals_successive_single_proofs(rng, keypair, tokens):
 def test_prove_counts_short_witness_registers_nothing(rng, keypair, tokens):
     params = SnarkParams(rng.child("short"), keypair.verification_key)
     with pytest.raises(WitnessError):
-        snark_prove_counts(params, [2, 6], tokens[:5])
+        CountProver(params, tokens[:5]).prove([2, 6])
     assert params.registry_entries() == []
     # nor did it take from the proof-token stream
     fresh = SnarkParams(rng.child("short"), keypair.verification_key)
-    assert snark_prove_counts(params, [2], tokens) == snark_prove_counts(fresh, [2], tokens)
+    assert CountProver(params, tokens).prove([2]) == CountProver(fresh, tokens).prove([2])
 
 
 def test_count_prover_checks_each_witness_token_once(rng, keypair, tokens, monkeypatch):
@@ -178,7 +176,7 @@ def test_count_prover_short_witness_registers_nothing(rng, keypair, tokens):
         prover.prove([2, 5])
     assert params.registry_entries() == []
     fresh = SnarkParams(rng.child("prover-short"), keypair.verification_key)
-    assert prover.prove([2]) == snark_prove_counts(fresh, [2], tokens)
+    assert prover.prove([2]) == CountProver(fresh, tokens).prove([2])
 
 
 def test_random_proof_tokens_rejected(snark):
@@ -208,17 +206,17 @@ def fhe(rng):
 def test_encrypt_decrypt_roundtrip(fhe, rng):
     r = rng.child("enc")
     identity = r.take(16)
-    ct = fhe.encrypt(identity, b"hello payload", r)
-    assert fhe.decrypt(identity, ct) == b"hello payload"
-    key = fhe.keygen(identity)
-    assert IdentityCipher(key).decrypt(ct) == b"hello payload"
+    ct = IdentityCipher(fhe.keygen(identity)).encrypt(b"hello payload", r)
+    assert ct.identity_tag == identity
+    # identity keys are derived, so a cipher built afresh opens it
+    assert IdentityCipher(fhe.keygen(identity)).decrypt(ct) == b"hello payload"
 
 
 def test_decrypt_wrong_identity_fails(fhe, rng):
     r = rng.child("enc2")
     id_a, id_b = r.take(16), r.take(16)
-    ct = fhe.encrypt(id_a, b"secret", r)
-    assert fhe.decrypt(id_b, ct) is None
+    ct = IdentityCipher(fhe.keygen(id_a)).encrypt(b"secret", r)
+    assert IdentityCipher(fhe.keygen(id_b)).decrypt(ct) is None
     # forged tag on a real body fails authentication
     forged = Ciphertext(id_b, ct.body)
     assert IdentityCipher(fhe.keygen(id_b)).decrypt(forged) is None
@@ -228,9 +226,9 @@ def test_eval_transparency(fhe, rng):
     handle = fhe.register_circuit(lambda pt: pt[::-1])
     r = rng.child("eval")
     identity = r.take(16)
-    ct = fhe.encrypt(identity, b"abcdef", r)
-    out = fhe.eval(handle, ct)
-    assert fhe.decrypt(identity, out) == b"fedcba"
+    cipher = IdentityCipher(fhe.keygen(identity))
+    out = fhe.eval(handle, cipher.encrypt(b"abcdef", r))
+    assert cipher.decrypt(out) == b"fedcba"
 
 
 def test_eval_bad_ciphertext_yields_failure_marker(fhe, rng):
@@ -239,12 +237,12 @@ def test_eval_bad_ciphertext_yields_failure_marker(fhe, rng):
     identity = r.take(16)
     garbage = Ciphertext(identity, r.take(40))
     out = fhe.eval(handle, garbage)
-    assert fhe.decrypt(identity, out) == EVAL_FAILED
+    assert IdentityCipher(fhe.keygen(identity)).decrypt(out) == EVAL_FAILED
 
 
 def test_eval_unknown_handle(fhe, rng):
     r = rng.child("eval3")
-    ct = fhe.encrypt(r.take(16), b"x", r)
+    ct = IdentityCipher(fhe.keygen(r.take(16))).encrypt(b"x", r)
     with pytest.raises(KeyError):
         fhe.eval("circuit-999999", ct)
 
@@ -279,7 +277,7 @@ def test_meter_attributes_and_limits():
 
 def test_ivc_prove_verify(rng):
     meter = StepMeter()
-    keys = ivc_gen(rng.child("ivc"), meter, b"base")
+    keys = IvcKeys(rng.child("ivc"), meter, b"base")
     start = sha256(b"start")
     state, proof = ivc_prove(keys, 10, start, "prover")
     assert proof.steps == 10
@@ -294,7 +292,7 @@ def test_ivc_prove_verify(rng):
 
 def test_ivc_rejects_forgeries(rng):
     meter = StepMeter()
-    keys = ivc_gen(rng.child("ivc2"), meter, b"base")
+    keys = IvcKeys(rng.child("ivc2"), meter, b"base")
     start = sha256(b"start2")
     state, proof = ivc_prove(keys, 4, start, "p")
     assert not ivc_verify(keys, 5, state, proof)  # wrong step count
@@ -307,7 +305,7 @@ def test_ivc_rejects_forgeries(rng):
 
 def test_ivc_update_charges_exactly_one_step(rng):
     meter = StepMeter()
-    keys = ivc_gen(rng.child("ivc3"), meter, b"base")
+    keys = IvcKeys(rng.child("ivc3"), meter, b"base")
     start = sha256(b"start3")
     proof = keys.base_proof(start)
     assert meter.total() == 0
@@ -321,7 +319,7 @@ def test_ivc_update_charges_exactly_one_step(rng):
 
 def _chain_at(start_steps: int) -> tuple[IvcKeys, bytes, IvcProof]:
     """Fresh keys and meter, plus a genuine proof `start_steps` steps in."""
-    keys = ivc_gen(HashDrbg(b"ivc-runs"), StepMeter(), b"base")
+    keys = IvcKeys(HashDrbg(b"ivc-runs"), StepMeter(), b"base")
     state, proof = ivc_prove(keys, start_steps, sha256(b"run-start"), "setup")
     return keys, state, proof
 

@@ -12,7 +12,6 @@ from detmit.payloads import (
     BOTTOM,
     TAG_CLEAR,
     TAG_ENC,
-    TAG_TIME_ENC,
     ClearPayload,
     EncPayload,
     PayloadTooWide,
@@ -24,6 +23,8 @@ from detmit.payloads import (
     encode_payload,
     pad_to,
 )
+from detmit.sampletask import make_data_instance
+from detmit.timetask import make_time_instance
 from detmit.wire import be32, be64, pack_fields
 
 R = HashDrbg(b"payload-tests")
@@ -37,11 +38,11 @@ def clear_payload(level=7):
     )
 
 
-def enc_payload(time=False, empty_answer=False):
+def enc_payload(empty_answer=False):
     ct = Ciphertext(R.take(16), R.take(50))
     if empty_answer:
-        return EncPayload(ct, b"", b"", b"", time=time)
-    return EncPayload(ct, R.take(16), R.take(16), R.take(32), time=time)
+        return EncPayload(ct, b"", b"", b"")
+    return EncPayload(ct, R.take(16), R.take(16), R.take(32))
 
 
 def time_payload(steps=9):
@@ -55,11 +56,10 @@ def time_payload(steps=9):
         clear_payload(level=1),
         enc_payload(),
         enc_payload(empty_answer=True),
-        enc_payload(time=True),
         time_payload(),
         time_payload(steps=1),
     ],
-    ids=["clear", "clear-l1", "enc", "enc-answer", "enc-time", "time", "time-s1"],
+    ids=["clear", "clear-l1", "enc", "enc-answer", "time", "time-s1"],
 )
 def test_roundtrip_unpadded_and_padded(payload):
     raw = encode_payload(payload)
@@ -118,6 +118,24 @@ def test_unknown_tag():
     assert decode_payload(b"") is None
 
 
+def test_retired_chain_enc_tag_decodes_to_nothing_and_scores_zero():
+    # 0x04 once tagged an encrypted chain payload; it is now an unknown tag
+    ladder, chain = make_data_instance(31), make_time_instance(31, horizon=16)
+    rng = R.child("tag-04")
+    x, y = ladder.clear_pair_at(3, rng)
+    ex, ey = ladder.wrap_pair(x, y, rng)
+    exb, eyb = encode_payload(ex, ladder.width), encode_payload(ey, ladder.width)
+    assert ladder.h(exb, encode_payload(y, ladder.width)) == 1  # a wrong answer to the genuine input
+    retagged = bytes([0x04]) + exb[1:]
+    assert decode_payload(retagged) is None
+    assert decode_payload(bytes([0x04]) + encode_payload(enc_payload())[1:]) is None
+    for answer in (eyb, bytes([0x04]) + eyb[1:], bottom(ladder.width)):
+        assert ladder.h(retagged, answer) == 0
+    cx, cy = chain.sample_pair(HashDrbg(b"chain-04"))
+    assert chain.h(retagged, cy) == 0
+    assert chain.h(bytes([0x04]) + cx[1:], cy) == 0
+
+
 def reference_encoding(payload, width):
     """The wire layout spelled out field by field with `_lp` and `pack_fields`."""
     if isinstance(payload, ClearPayload):
@@ -131,7 +149,7 @@ def reference_encoding(payload, width):
     else:
         ct = payload.ciphertext
         core = (
-            bytes([TAG_TIME_ENC if payload.time else TAG_ENC])
+            bytes([TAG_ENC])
             + _lp(pack_fields(ct.identity_tag, ct.body))
             + _lp(payload.id1)
             + _lp(payload.id2)
@@ -154,7 +172,6 @@ enc_payloads = st.builds(
     id1=field,
     id2=field,
     key2=field,
-    time=st.booleans(),
 )
 SAMPLE_CLEAR = ClearPayload(SignatureToken(b"n" * 16, b"s" * 64), 7, ProofToken(b"t" * 16, b"d" * 32))
 SAMPLE_ENC = EncPayload(Ciphertext(b"i" * 16, b"b" * 40), b"", b"j" * 16, b"k" * 32)

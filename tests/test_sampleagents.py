@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from detmit.core import (
+    ATTACKER,
+    AbortTrial,
     GameParams,
     NatureChallenger,
     ResourceBudget,
@@ -27,9 +29,9 @@ from detmit.sampleagents import (
     ProofExtendingMitigator,
     SelfIterationAttacker,
     WellFormedDetector,
-    baseline_detectors,
 )
 from detmit.sampletask import make_data_instance, next_level
+from testkit import ladder_detectors
 
 INST = make_data_instance(31)
 PARAMS = GameParams(q=1)
@@ -268,7 +270,7 @@ def test_well_formed_detector():
 
 
 def test_baseline_detectors_complete_on_nature():
-    dets = baseline_detectors(INST)
+    dets = ladder_detectors(INST)
     assert set(dets) == {"never_flag", "level_threshold", "frequency", "well_formed"}
     trainer = LadderTrainer(INST, 16)
     for i in range(10):
@@ -277,3 +279,32 @@ def test_baseline_detectors_complete_on_nature():
             derive_trial_seed(70, i), i,
         )
         assert t.flag == 0
+
+
+class ReplayForger:
+    """Zero-query forger: a clear draw replayed at level + 1 with its old proof."""
+
+    origin = ATTACKER
+    sample_budget = 8
+
+    def challenge(self, ctx, model):
+        for _ in range(self.sample_budget):
+            p = decode_payload(ctx.oracle.draw_input())
+            if isinstance(p, ClearPayload):
+                forged = ClearPayload(p.token, p.level + 1, p.proof)
+                return [encode_payload(forged, INST.width)] * ctx.params.q
+        raise AbortTrial(ATTACKER, "no clear draw")
+
+
+def test_mitigation_sound_against_a_replay_forger():
+    trainer, mitigator = LadderTrainer(INST, 16), ProofExtendingMitigator(INST, 16)
+    done = []
+    for i in range(12):
+        t = run_dbm_trial(
+            INST, trainer, ReplayForger(), mitigator, PARAMS, derive_trial_seed(71, i), i
+        )
+        if t.aborted is None:
+            done.append(t)
+            assert not soundness_violation(t, PARAMS.epsilon)
+            assert t.err_y == 0.0
+    assert len(done) >= 8

@@ -125,14 +125,14 @@ def test_h_statement_binding():
     assert INST.h(encode_payload(x, INST.width), encode_payload(inflated, INST.width)) == 1
 
 
-def test_h_crypto_invalid_input_scores_one():
-    # parseable input whose own proof fails: treated as unanswerable, and any
-    # answer — even an honestly-built one — scores 1
+def test_h_crypto_invalid_input_scores_zero():
+    # parseable input whose own proof fails: forged, so no answer to it is
+    # wrong — not even one built honestly for the level it claims
     rng = R.child("invalid")
     x, y = INST.clear_pair_at(4, rng)
     bad_x = ClearPayload(x.token, 6, x.proof)  # proof is for level 4, not 6
     assert (
-        INST.h(encode_payload(bad_x, INST.width), encode_payload(y, INST.width)) == 1
+        INST.h(encode_payload(bad_x, INST.width), encode_payload(y, INST.width)) == 0
     )
 
 
@@ -145,7 +145,8 @@ def test_h_encrypted_edges():
     assert INST.h(exb, encode_payload(y, INST.width)) == 1
     # answer under the wrong identity fails to decrypt: scores 1
     other_id = rng.take(16)
-    ct = INST.fhe.encrypt(other_id, encode_payload(y, INST.inner_width), rng)
+    cipher = IdentityCipher(INST.fhe.keygen(other_id))
+    ct = cipher.encrypt(encode_payload(y, INST.inner_width), rng)
     wrong = EncPayload(ct, b"", b"", b"")
     assert INST.h(exb, encode_payload(wrong, INST.width)) == 1
     # undecryptable x: defense is off the hook
@@ -186,10 +187,42 @@ def test_shipped_key_pair_works():
 
 
 def test_distinct_instances_dont_cross_verify():
+    # another instance's input is forged here, so even its own answer scores 0
     other = make_data_instance(22)
     rng = R.child("cross")
     x, y = INST.clear_pair_at(3, rng)
-    assert other.h(encode_payload(x, other.width), encode_payload(y, other.width)) == 1
+    assert INST.h(encode_payload(x, INST.width), encode_payload(y, INST.width)) == 0
+    assert other.h(encode_payload(x, other.width), encode_payload(y, other.width)) == 0
+    # and its answers do not verify for an input of this instance
+    x2, _ = other.clear_pair_at(3, rng)
+    answer = ClearPayload(x.token, y.level, x2.proof)
+    assert INST.h(encode_payload(x, INST.width), encode_payload(answer, INST.width)) == 1
+
+
+@pytest.mark.parametrize("sealed", [False, True], ids=["clear", "sealed"])
+def test_replayed_draw_at_a_higher_level_scores_zero(sealed):
+    # a zero-query forger: one clear draw replayed at level + 1 with its old
+    # proof, in the clear or sealed under the key an encrypted draw ships
+    world = INST.world(b"forger")
+    rng = R.child("forger")
+    x, _ = world.clear_pair_at(5, rng, answer=False)
+    forged = ClearPayload(x.token, x.level + 1, x.proof)
+    _, y = world.clear_pair_at(forged.level, rng)  # a proof at the level forged needs
+    answer = ClearPayload(x.token, y.level, y.proof)
+    shipped, _ = world.wrap_pair(*world.clear_pair_at(2, rng, answer=False), rng)
+    cipher = IdentityCipher(IdentityKey(shipped.id2, shipped.key2))
+
+    def wire(p):
+        if sealed:
+            ct = cipher.encrypt(encode_payload(p, world.inner_width), rng)
+            p = EncPayload(ct, shipped.id2, b"", b"")
+        return encode_payload(p, world.width)
+
+    for yb in (bottom(world.width), b"junk", wire(answer)):
+        assert world.h(wire(forged), yb) == 0
+    # the draw at its own level is genuine: refusing it is wrong, answering right
+    assert world.h(wire(x), bottom(world.width)) == 1
+    assert world.h(wire(x), wire(answer)) == 0
 
 
 @pytest.fixture()

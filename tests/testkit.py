@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
+from detmit.cli import DEFENSES, ExperimentConfig
 from detmit.core import RateEstimate, Transcript
 from detmit.crypto import (
     IdentityCipher,
@@ -14,6 +15,7 @@ from detmit.crypto import (
     ivc_update,
 )
 from detmit.payloads import ClearPayload, EncPayload, decode_payload
+from detmit.sampletask import DataTaskInstance
 from detmit.timetask import INSTANCE_PARTY, TimeTaskInstance
 
 
@@ -46,6 +48,14 @@ def inner_level(buf: bytes, key: IdentityKey) -> int | None:
         return None
     ip = decode_payload(inner)
     return ip.level if isinstance(ip, ClearPayload) else None
+
+
+def ladder_detectors(instance: DataTaskInstance) -> dict[str, Any]:
+    """The ladder detectors by name, each built as `detmit run` builds it."""
+    return {
+        name: make(ExperimentConfig(detector=name), instance)
+        for name, make in DEFENSES["ladder", "detect"].items()
+    }
 
 
 def evaluate_rates(
