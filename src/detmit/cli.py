@@ -192,9 +192,9 @@ def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     def one(i: int) -> Transcript:
         seed = derive_trial_seed(cfg.master_seed, i)
         # A ladder trial proves, registers circuits and draws eval nonces in
-        # its own world, so worker threads share no mutable state.  Chain
-        # trials share the instance's meter and chain registry, which the
-        # audits read after the batch.
+        # its own world, so worker threads share no mutable state.  Each
+        # party move meters its own steps; chain trials share only the
+        # instance's chain registry, which the audits read after the batch.
         world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
         # Fresh party objects per trial: agents stash per-trial stats on
         # themselves, which worker threads must not share.  Construction

@@ -9,7 +9,7 @@ empirical error of the model's own answers on the batch and ``err_y`` the
 error of the defense's answers where those exist.
 
 Party code only ever receives oracle handles (sample oracle, public
-parameters, metered step handles) — never instance secrets.  Budget
+parameters, a step meter for the move) — never instance secrets.  Budget
 violations, declared agent aborts and any other exception out of a party's
 move end the trial and are attributed to the offending party in the
 transcript; an exception out of the task instance behind the sample oracle
@@ -77,13 +77,7 @@ class ResourceBudget:
         self.samples_used += 1
 
     def snapshot(self) -> dict[str, int | None]:
-        return {
-            "samples_used": self.samples_used,
-            "samples_allowed": self.samples_allowed,
-            # filled in by close_ledger for parties that run metered steps
-            "steps_used": 0,
-            "steps_allowed": None,
-        }
+        return {"samples_used": self.samples_used, "samples_allowed": self.samples_allowed}
 
 
 @runtime_checkable
@@ -139,7 +133,7 @@ class TrialCtx:
     oracle: SampleOracle
     rng: HashDrbg
     params: GameParams
-    step_party: str | None = None
+    meter: StepMeter = field(default_factory=StepMeter)
 
 
 # --- agent protocols ---------------------------------------------------------
@@ -236,16 +230,24 @@ class RateEstimate:
 
 # --- transcripts ---------------------------------------------------------------
 
-_TRANSCRIPT_FIELDS = (
-    "trial_id",
-    "seed",
-    "origin",
-    "flag",
-    "err_fx",
-    "err_y",
-    "ledgers",
-    "aborted",
-)
+_NULL = type(None)
+
+# serialized field -> the JSON value types it may hold
+_TRANSCRIPT_FIELDS: dict[str, tuple[type, ...]] = {
+    "trial_id": (int,),
+    "seed": (str,),
+    "origin": (str,),
+    "flag": (int, _NULL),
+    "err_fx": (float, int, _NULL),
+    "err_y": (float, int, _NULL),
+    "ledgers": (dict,),
+    "aborted": (str, _NULL),
+}
+
+
+def _check_type(name: str, value: Any, types: tuple[type, ...]) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{name} has type {type(value).__name__}")
 
 
 @dataclass
@@ -272,8 +274,19 @@ class Transcript:
 
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "Transcript":
-        """The serialized fields of one parsed `to_json` line."""
-        return cls(**{name: rec[name] for name in _TRANSCRIPT_FIELDS})
+        """The serialized fields of one parsed `to_json` line.
+
+        Raises KeyError for a missing field and TypeError for a value of the
+        wrong JSON type, ledger entries included.
+        """
+        fields = {name: rec[name] for name in _TRANSCRIPT_FIELDS}
+        for name, types in _TRANSCRIPT_FIELDS.items():
+            _check_type(name, fields[name], types)
+        for role, ledger in fields["ledgers"].items():
+            _check_type(f"ledgers[{role!r}]", ledger, (dict,))
+            for key, value in ledger.items():
+                _check_type(f"ledgers[{role!r}][{key!r}]", value, (int, _NULL))
+        return cls(**fields)
 
 
 def _seed_str(seed: bytes | int) -> str:
@@ -281,51 +294,32 @@ def _seed_str(seed: bytes | int) -> str:
 
 
 class _TrialState:
-    """Per-trial plumbing: budgets, labels, abort capture."""
+    """Per-trial plumbing: budgets, ledgers, abort capture."""
 
-    def __init__(
-        self,
-        instance: Any,
-        params: GameParams,
-        seed: bytes | int,
-        trial_id: int,
-    ):
+    def __init__(self, instance: Any, params: GameParams, seed: bytes | int):
         self.instance = instance
         self.params = params
-        self.trial_id = trial_id
         self.root = HashDrbg(seed)
-        self.meter: StepMeter | None = getattr(instance, "meter", None)
         self.ledgers: dict[str, dict[str, int | None]] = {}
-        self.step_base: dict[str, int] = {}
         self.aborted: str | None = None
         self.abort_reason: str | None = None
 
     def ctx_for(self, role: str, agent: Any) -> TrialCtx:
         budget = ResourceBudget(samples_allowed=getattr(agent, "sample_budget", None))
-        step_party = None
-        if self.meter is not None:
-            step_party = f"{role}#{self.trial_id}"
-            step_budget = getattr(agent, "step_budget", None)
-            base = self.step_base[role] = self.meter.snapshot().get(step_party, 0)
-            self.meter.set_limit(
-                step_party, None if step_budget is None else base + step_budget
-            )
-        ctx = TrialCtx(
+        return TrialCtx(
             oracle=SampleOracle(self.instance, self.root.child(role), budget),
             rng=self.root.child(role + "-local"),
             params=self.params,
-            step_party=step_party,
+            meter=StepMeter(getattr(agent, "step_budget", None)),
         )
-        return ctx
 
-    def close_ledger(self, role: str, agent: Any, ctx: TrialCtx, **extra: int) -> None:
-        entry = ctx.oracle.budget.snapshot()
-        if ctx.step_party is not None and self.meter is not None:
-            used = self.meter.snapshot().get(ctx.step_party, 0) - self.step_base[role]
-            entry["steps_used"] = used
-            entry["steps_allowed"] = getattr(agent, "step_budget", None)
-        entry.update(extra)
-        self.ledgers[role] = entry
+    def close_ledger(self, role: str, ctx: TrialCtx, **extra: int) -> None:
+        self.ledgers[role] = {
+            **ctx.oracle.budget.snapshot(),
+            "steps_used": ctx.meter.used,
+            "steps_allowed": ctx.meter.limit,
+            **extra,
+        }
 
     def run_phase(self, role: str, fn: Callable[[], Any]) -> Any:
         """Run one move; return None and record the abort if the party fails.
@@ -367,24 +361,24 @@ def _run_trial(
     `defend(ctx, model, priv, xs)` is the one move in which the games differ;
     it returns (flag, answers or None, inner flag or None).
     """
-    st = _TrialState(instance, params, seed, trial_id)
+    st = _TrialState(instance, params, seed)
     flag = err_fx = err_y = inner_flag = None
     model, priv, xs, response = None, None, [], None
 
     tctx = st.ctx_for("trainer", trainer)
     trained = st.run_phase("trainer", lambda: trainer.train(tctx))
-    st.close_ledger("trainer", trainer, tctx)
+    st.close_ledger("trainer", tctx)
     if trained is not None:
         model, priv = trained
         cctx = st.ctx_for(challenger.origin, challenger)
         xs = st.run_phase(challenger.origin, lambda: challenger.challenge(cctx, model))
         queries = getattr(challenger, "last_query_count", None)
         extra = {} if queries is None else {"queries": queries}
-        st.close_ledger(challenger.origin, challenger, cctx, **extra)
+        st.close_ledger(challenger.origin, cctx, **extra)
         if xs is not None:
             dctx = st.ctx_for(role, defense)
             defended = st.run_phase(role, lambda: defend(dctx, model, priv, xs))
-            st.close_ledger(role, defense, dctx)
+            st.close_ledger(role, dctx)
             if defended is not None:
                 flag, response, inner_flag = defended
                 err_fx = empirical_err(instance.h, xs, [model(x) for x in xs])

@@ -16,7 +16,7 @@ Five primitives, each behind a small, contract-shaped API:
   master secret, plus a public evaluation oracle that holds the master secret
   privately and applies registered byte-circuits under the encryption.
 * step meter        — the sequential step function (one SHA-256 application,
-  `npl_step`) behind an instrumented per-party counter with optional limits.
+  `npl_step`) behind one party move's step allowance.
 * chain proofs      — incrementally-verifiable computation simulated by a
   salted hash chain over (step index, state); an update advances the step
   function itself by a run of n steps (charging the caller's step meter) and
@@ -25,9 +25,10 @@ Five primitives, each behind a small, contract-shaped API:
 
 The proof registry and the circuit table take no lock: a ladder trial runs in
 its own world (see :meth:`SnarkParams.fork` and :meth:`FheSystem.fork`), so
-one thread at a time drives each.  The step meter and the chain-proof
-registry are shared by every trial of a chain batch and take a lock, once
-per run of steps rather than once per step.
+one thread at a time drives each.  A step meter belongs to one party move
+and takes no lock either.  The chain-proof registry is shared by every trial
+of a chain batch and takes a lock, once per run of steps rather than once
+per step.
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
 streams or a stream the object owns, so runs are reproducible.
 """
@@ -422,7 +423,7 @@ class FheSystem:
 
 
 # ---------------------------------------------------------------------------
-# sequential step function with per-party metering
+# sequential step function with per-move metering
 # ---------------------------------------------------------------------------
 
 
@@ -432,48 +433,31 @@ def npl_step(state: bytes) -> bytes:
 
 
 class StepMeter:
-    """Instrumented step counter.
+    """One party move's step allowance, as its sample budget is for draws.
 
-    Every step execution is charged to exactly one party, a run of steps at
-    a time under one lock acquisition (:meth:`charge`); optional per-party
-    limits clamp the charge, and callers turn a short grant into
-    :class:`StepsExhausted`.
+    :meth:`charge` grants a run of steps up to the limit left; callers turn
+    a short grant into :class:`StepsExhausted`.  A meter belongs to one move
+    on one thread and takes no lock.
     """
 
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-        self.limits: dict[str, int | None] = {}
-        self._lock = threading.Lock()
+    def __init__(self, limit: int | None = None) -> None:
+        self.limit = limit
+        self.used = 0
 
-    def set_limit(self, party: str, limit: int | None) -> None:
-        with self._lock:
-            self.limits[party] = limit
+    def charge(self, steps: int) -> int:
+        """Charge up to `steps` steps; return how many the limit grants."""
+        limit = self.limit
+        granted = steps if limit is None else max(0, min(steps, limit - self.used))
+        self.used += granted
+        return granted
 
-    def charge(self, party: str, steps: int) -> int:
-        """Charge up to `steps` steps to `party`; return how many its limit grants."""
-        with self._lock:
-            used = self.counts.get(party, 0)
-            limit = self.limits.get(party)
-            granted = steps if limit is None else max(0, min(steps, limit - used))
-            if granted:
-                self.counts[party] = used + granted
-            return granted
+    def exhausted(self) -> StepsExhausted:
+        return StepsExhausted(f"step budget {self.limit} exhausted")
 
-    def exhausted(self, party: str) -> StepsExhausted:
-        return StepsExhausted(f"{party} exceeded {self.limits.get(party)} steps")
-
-    def step(self, party: str, state: bytes) -> bytes:
-        if not self.charge(party, 1):
-            raise self.exhausted(party)
+    def step(self, state: bytes) -> bytes:
+        if not self.charge(1):
+            raise self.exhausted()
         return npl_step(state)
-
-    def total(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +488,13 @@ class IvcKeys:
     lookup, so the only way to a verifying (t, state) pair is t genuine
     steps of updates from the base state — which is exactly the sequentiality
     this simulation is meant to audit.  :func:`ivc_update` writes a whole
-    run's chain points under one acquisition of the registry lock.
+    run's chain points, and adds its steps to `steps_run`, under one
+    acquisition of the registry lock.
     """
 
-    def __init__(self, rng: HashDrbg, meter: StepMeter, base_tag: bytes):
-        self.meter = meter
+    def __init__(self, rng: HashDrbg, base_tag: bytes):
         self.base_tag = base_tag
+        self.steps_run = 0  # steps every update so far has been granted
         self._salt = rng.take(32)
         self._lock = threading.Lock()
         self._registry: dict[tuple[int, bytes], bytes] = {}
@@ -538,17 +523,18 @@ class IvcKeys:
 
 
 def ivc_update(
-    keys: IvcKeys, state: bytes, proof: IvcProof, party: str, steps: int = 1
+    keys: IvcKeys, state: bytes, proof: IvcProof, meter: StepMeter, steps: int = 1
 ) -> tuple[bytes, IvcProof]:
     """Advance the chain `steps` steps and extend the proof.
 
     The input proof is checked once, and a forged one raises
     :class:`ProofChainError` before anything is charged or registered.  The
-    run is charged to `party` on the keys' meter in one go; each granted step
-    registers its commitment, all under one acquisition of the keys' lock.
-    When the party's limit grants fewer than `steps`, the granted steps stay
-    registered and :class:`StepsExhausted` is raised: the state `steps`
-    single-step updates leave.  A run of 0 steps returns its input unchecked.
+    run is charged to `meter` in one go; each granted step registers its
+    commitment and counts in `keys.steps_run`, all under one acquisition of
+    the keys' lock.  When the meter grants fewer than `steps`, the granted
+    steps stay registered and :class:`StepsExhausted` is raised: the state
+    `steps` single-step updates leave.  A run of 0 steps returns its input
+    unchecked.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -556,9 +542,10 @@ def ivc_update(
         return state, proof
     if keys.lookup(proof.steps, state) != proof.commitment:
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
-    granted = keys.meter.charge(party, steps)
+    granted = meter.charge(steps)
     t, commitment, salt, new = proof.steps, proof.commitment, keys._salt, hashlib.sha256
     with keys._lock:
+        keys.steps_run += granted
         registry = keys._registry
         for t in range(t + 1, t + granted + 1):
             state = npl_step(state)
@@ -566,7 +553,7 @@ def ivc_update(
             commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
             registry[(t, state)] = commitment
     if granted < steps:
-        raise keys.meter.exhausted(party)
+        raise meter.exhausted()
     return state, IvcProof(steps=t, commitment=commitment)
 
 

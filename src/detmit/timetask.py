@@ -3,9 +3,10 @@
 An input carries a step count t, the chain configuration after t sequential
 steps from a public start state, and a chain proof.  A correct answer
 presents a verified configuration at step t + floor(sqrt(t)) or later.  The
-chain step is a single hash application routed through a per-party meter, so
-"work" is countable and attributable; chain proofs make every claimed
-configuration checkable in O(1) without re-running the chain.
+chain step is a single hash application charged to the step meter of the
+party move that runs it, so "work" is countable and attributable; chain
+proofs make every claimed configuration checkable in O(1) without re-running
+the chain.
 
 The trainer pays T steps once, in runs of floor(sqrt(T)) steps, and snapshots
 the chain after each run; answering from that grid is then free.  A mitigator
@@ -39,7 +40,6 @@ from .payloads import TimePayload, bottom, decode_payload, encode_payload
 from .sampletask import LevelLaw, next_level, _round_up
 
 HORIZON = 256
-INSTANCE_PARTY = "instance"
 
 # step count -> (chain state, chain proof): the trainer's snapshots
 Grid = dict[int, tuple[bytes, IvcProof]]
@@ -54,13 +54,13 @@ class TimeTaskInstance:
         self.law = LevelLaw(horizon)
         # answers to cap-level inputs sit one strip past the horizon
         self.reach = horizon + isqrt(horizon)
-        self.meter = StepMeter()
         self.start_state = sha256(b"chain-start:" + rng.take(32))
-        self.ivc = IvcKeys(rng.child("chain-proofs"), self.meter, rng.take(32))
+        self.ivc = IvcKeys(rng.child("chain-proofs"), rng.take(32))
         states = [self.start_state]
         proofs = [self.ivc.base_proof(self.start_state)]
+        meter = StepMeter()
         for _ in range(self.reach):
-            s, p = ivc_update(self.ivc, states[-1], proofs[-1], INSTANCE_PARTY)
+            s, p = ivc_update(self.ivc, states[-1], proofs[-1], meter)
             states.append(s)
             proofs.append(p)
         self._states = states
@@ -138,20 +138,23 @@ class TimeTrainer:
 
     def train(self, ctx: TrialCtx) -> tuple[TimeModel, Grid]:
         inst = self.instance
-        party = ctx.step_party or "trainer"
         stride = isqrt(inst.horizon)
         state = inst.start_state
         proof = inst.ivc.base_proof(state)
         table: Grid = {}
         for _ in range(inst.horizon // stride):
-            state, proof = ivc_update(inst.ivc, state, proof, party, stride)
+            state, proof = ivc_update(inst.ivc, state, proof, ctx.meter, stride)
             table[proof.steps] = (state, proof)
-        ivc_update(inst.ivc, state, proof, party, inst.horizon % stride)
+        ivc_update(inst.ivc, state, proof, ctx.meter, inst.horizon % stride)
         return TimeModel(inst, table), table
 
 
 class ChainExtendingMitigator:
-    """Extends each input's own chain by exactly floor(sqrt(t)) metered steps."""
+    """Extends each input's own chain by exactly floor(sqrt(t)) metered steps.
+
+    An input whose proof is not for its own step count, or does not verify,
+    gets BOTTOM at no step cost.
+    """
 
     sample_budget = 0
     step_budget: int | None = None
@@ -163,17 +166,16 @@ class ChainExtendingMitigator:
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> tuple[list[bytes], int]:
         inst = self.instance
-        party = ctx.step_party or "mitigator"
         ys: list[bytes] = []
         for x in xs:
             p = decode_payload(x)
-            if not isinstance(p, TimePayload):
+            if not isinstance(p, TimePayload) or p.proof.steps != p.steps:
                 ys.append(bottom(inst.width))
                 continue
             target = next_level(p.steps)
             try:
                 state, proof = ivc_update(
-                    inst.ivc, p.config, p.proof, party, target - p.steps
+                    inst.ivc, p.config, p.proof, ctx.meter, target - p.steps
                 )
             except ProofChainError:
                 ys.append(bottom(inst.width))
@@ -198,10 +200,9 @@ class ChainClimbingAttacker:
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = self.instance
-        party = ctx.step_party or ATTACKER
         self.last_query_count = 0
         base = inst.ivc.base_proof(inst.start_state)
-        state, proof = ivc_update(inst.ivc, inst.start_state, base, party)
+        state, proof = ivc_update(inst.ivc, inst.start_state, base, ctx.meter)
         cur = TimePayload(1, state, proof)
         while True:
             y = model(encode_payload(cur, inst.width))
@@ -225,12 +226,12 @@ def audit_conservation(instance: TimeTaskInstance) -> bool:
     """No chain state exists without a metered step behind it.
 
     Distinct registered chain points (beyond the base) can never exceed the
-    meter's total, because registration only happens inside an update that
-    just charged a step.
+    steps the chain's updates were granted, because registration only
+    happens inside an update, for a step its meter just granted.
     """
     entries = instance.ivc.registry_entries()
     beyond_base = sum(t > 0 for t, _, _ in entries)
-    return beyond_base <= instance.meter.total()
+    return beyond_base <= instance.ivc.steps_run
 
 
 def audit_sequential_reach(instance: TimeTaskInstance) -> bool:

@@ -411,7 +411,6 @@ def test_chain_metering_and_audits():
     # a forged proof costs nothing because verification precedes stepping.
     costs = []
     for level in (1, 9, 100, 255):
-        # trial ids must be fresh: meter labels are per role-and-trial
         t = run_dbm_trial(
             inst, trainer, _FixedChallenger([inst.build_input(level)]),
             mitigator, params, derive_trial_seed(7008, level), 1000 + level,

@@ -161,8 +161,25 @@ def test_report_matches_run_summary(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["{not json", "[1,2]", "MISSING_LEDGERS"],
-    ids=["non-json", "array", "no-ledgers"],
+    [
+        "{not json",
+        "[1,2]",
+        {"ledgers": None},
+        {"ledgers": 5},
+        {"ledgers": {"trainer": 5}},
+        {"ledgers": {"trainer": {"steps_used": "7"}}},
+        {"aborted": ["x"]},
+        {"err_fx": "a"},
+        {"origin": 3},
+        {"flag": "1"},
+        {"flag": True},
+        {"trial_id": 0.5},
+    ],
+    ids=[
+        "non-json", "array", "no-ledgers", "ledgers-int", "ledger-int",
+        "ledger-value-str", "aborted-list", "err_fx-str", "origin-int", "flag-str",
+        "flag-bool", "trial_id-float",
+    ],
 )
 def test_report_rejects_a_malformed_line(runner, tmp_path, bad_line):
     cfg = write_config(tmp_path, trials=2)
@@ -170,9 +187,14 @@ def test_report_rejects_a_malformed_line(runner, tmp_path, bad_line):
     res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path)])
     assert res.exit_code == 0, res.output
     good = t_path.read_text().splitlines()
-    if bad_line == "MISSING_LEDGERS":
+    if isinstance(bad_line, dict):
+        # one good record with fields replaced; a None value drops the field
         rec = json.loads(good[0])
-        del rec["ledgers"]
+        for name, value in bad_line.items():
+            if value is None:
+                del rec[name]
+            else:
+                rec[name] = value
         bad_line = json.dumps(rec)
     t_path.write_text("\n".join([good[0], bad_line, good[1]]) + "\n")
     res = runner.invoke(main, ["report", "--transcripts", str(t_path)])

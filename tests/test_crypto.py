@@ -258,18 +258,22 @@ def test_keygen_requires_16_byte_tag(fhe):
 def test_meter_attributes_and_limits():
     meter = StepMeter()
     state = sha256(b"s0")
-    out = meter_run(meter, "alice", state, 5)
+    out = meter_run(meter, state, 5)
     ref = state
     for _ in range(5):
         ref = npl_step(ref)
     assert out == ref
-    meter.set_limit("bob", 2)
-    meter.step("bob", state)
-    meter.step("bob", state)
-    with pytest.raises(StepsExhausted):
-        meter.step("bob", state)
-    assert meter.snapshot() == {"alice": 5, "bob": 2}
-    assert meter.total() == 7
+    assert (meter.used, meter.limit) == (5, None)
+    bob = StepMeter(2)
+    bob.step(state)
+    bob.step(state)
+    with pytest.raises(StepsExhausted, match="step budget 2 exhausted"):
+        bob.step(state)
+    assert bob.used == 2
+    assert bob.charge(3) == 0 and bob.used == 2
+    # a run is granted up to the limit left
+    carol = StepMeter(4)
+    assert carol.charge(3) == 3 and carol.charge(3) == 1 and carol.used == 4
 
 
 # --- chain proofs ---------------------------------------------------------------------
@@ -277,40 +281,40 @@ def test_meter_attributes_and_limits():
 
 def test_ivc_prove_verify(rng):
     meter = StepMeter()
-    keys = IvcKeys(rng.child("ivc"), meter, b"base")
+    keys = IvcKeys(rng.child("ivc"), b"base")
     start = sha256(b"start")
-    state, proof = ivc_prove(keys, 10, start, "prover")
+    state, proof = ivc_prove(keys, 10, start, meter)
     assert proof.steps == 10
     assert ivc_verify(keys, 10, state, proof)
     ref = start
     for _ in range(10):
         ref = npl_step(ref)
     assert state == ref
-    assert meter.snapshot()["prover"] == 10
+    assert meter.used == 10
+    assert keys.steps_run == 10
     assert IvcProof.from_bytes(proof.to_bytes()) == proof
 
 
 def test_ivc_rejects_forgeries(rng):
-    meter = StepMeter()
-    keys = IvcKeys(rng.child("ivc2"), meter, b"base")
+    keys = IvcKeys(rng.child("ivc2"), b"base")
     start = sha256(b"start2")
-    state, proof = ivc_prove(keys, 4, start, "p")
+    state, proof = ivc_prove(keys, 4, start)
     assert not ivc_verify(keys, 5, state, proof)  # wrong step count
     assert not ivc_verify(keys, 4, sha256(b"other"), proof)  # wrong state
     fake = IvcProof(4, sha256(b"fake"))
     assert not ivc_verify(keys, 4, state, fake)  # wrong commitment
     with pytest.raises(ProofChainError):
-        ivc_update(keys, state, fake, "p")  # cannot extend a forged chain
+        ivc_update(keys, state, fake, StepMeter())  # cannot extend a forged chain
 
 
 def test_ivc_update_charges_exactly_one_step(rng):
     meter = StepMeter()
-    keys = IvcKeys(rng.child("ivc3"), meter, b"base")
+    keys = IvcKeys(rng.child("ivc3"), b"base")
     start = sha256(b"start3")
     proof = keys.base_proof(start)
-    assert meter.total() == 0
-    state, proof = ivc_update(keys, start, proof, "p")
-    assert meter.total() == 1
+    assert meter.used == keys.steps_run == 0
+    state, proof = ivc_update(keys, start, proof, meter)
+    assert meter.used == keys.steps_run == 1
     assert ivc_verify(keys, 1, state, proof)
 
 
@@ -318,18 +322,18 @@ def test_ivc_update_charges_exactly_one_step(rng):
 
 
 def _chain_at(start_steps: int) -> tuple[IvcKeys, bytes, IvcProof]:
-    """Fresh keys and meter, plus a genuine proof `start_steps` steps in."""
-    keys = IvcKeys(HashDrbg(b"ivc-runs"), StepMeter(), b"base")
-    state, proof = ivc_prove(keys, start_steps, sha256(b"run-start"), "setup")
+    """Fresh keys, plus a genuine proof `start_steps` steps in."""
+    keys = IvcKeys(HashDrbg(b"ivc-runs"), b"base")
+    state, proof = ivc_prove(keys, start_steps, sha256(b"run-start"))
     return keys, state, proof
 
 
-def _after(keys, run) -> tuple:
+def _after(keys, meter, run) -> tuple:
     try:
         out, exhausted = run(), False
     except StepsExhausted:
         out, exhausted = None, True
-    return out, exhausted, keys.meter.snapshot(), keys.registry_entries()
+    return out, exhausted, meter.used, keys.steps_run, keys.registry_entries()
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,53 +341,56 @@ def _after(keys, run) -> tuple:
 def test_ivc_run_equals_single_steps(start, n, data):
     limit = data.draw(st.none() | st.integers(0, n + 5), label="limit")
     (ka, sa, pa), (kb, sb, pb) = _chain_at(start), _chain_at(start)
-    ka.meter.set_limit("p", limit)
-    kb.meter.set_limit("p", limit)
+    ma, mb = StepMeter(limit), StepMeter(limit)
 
     def one_by_one():
         state, proof = sb, pb
         for _ in range(n):
-            state, proof = ivc_update(kb, state, proof, "p")
+            state, proof = ivc_update(kb, state, proof, mb)
         return state, proof
 
-    run = _after(ka, lambda: ivc_update(ka, sa, pa, "p", n))
-    assert run == _after(kb, one_by_one)
+    run = _after(ka, ma, lambda: ivc_update(ka, sa, pa, ma, n))
+    assert run == _after(kb, mb, one_by_one)
     granted = n if limit is None else min(n, limit)
     assert run[1] == (granted < n)
-    assert run[2].get("p", 0) == granted
-    assert sum(t > start for t, _, _ in run[3]) == granted
+    assert run[2] == granted
+    assert run[3] == start + granted
+    assert sum(t > start for t, _, _ in run[4]) == granted
 
 
 def test_ivc_run_from_forged_proof_charges_and_registers_nothing():
     keys, state, _ = _chain_at(3)
     entries = keys.registry_entries()
     forged = IvcProof(3, sha256(b"forged"))
+    meter = StepMeter()
     with pytest.raises(ProofChainError):
-        ivc_update(keys, state, forged, "p", 50)
-    assert "p" not in keys.meter.snapshot()
+        ivc_update(keys, state, forged, meter, 50)
+    assert meter.used == 0 and keys.steps_run == 3
     assert keys.registry_entries() == entries
     # a run of 0 steps checks nothing and hands its input back
-    assert ivc_update(keys, state, forged, "p", 0) == (state, forged)
+    assert ivc_update(keys, state, forged, meter, 0) == (state, forged)
 
 
 def test_concurrent_runs_lose_no_charge_or_chain_point():
-    """Threads charging one party on one meter and registry, switching every µs.
+    """Threads running updates on one registry, each with its own meter,
+    switching every µs.
 
-    A charge that read and wrote the count outside the meter's lock loses
-    updates here in most runs.
+    A count of granted steps that was read and written outside the
+    registry's lock loses updates here in most runs.
     """
     keys, start_state, start_proof = _chain_at(0)
     threads_n, runs, steps = 8, 1500, 2
+    meters = [StepMeter() for _ in range(threads_n)]
 
-    def worker() -> None:
+    def worker(meter: StepMeter) -> None:
         for _ in range(runs):
-            ivc_update(keys, start_state, start_proof, "shared", steps)
-            keys.meter.step("shared", start_state)
+            ivc_update(keys, start_state, start_proof, meter, steps)
+            meter.step(start_state)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        threads = [threading.Thread(target=worker, args=(m,)) for m in meters]
         for th in threads:
             th.start()
         for th in threads:
@@ -391,5 +398,6 @@ def test_concurrent_runs_lose_no_charge_or_chain_point():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert keys.meter.snapshot() == {"shared": threads_n * runs * (steps + 1)}
+    assert [m.used for m in meters] == [runs * (steps + 1)] * threads_n
+    assert keys.steps_run == threads_n * runs * steps
     assert [t for t, _, _ in keys.registry_entries()] == list(range(steps + 1))

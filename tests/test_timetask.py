@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from detmit.core import (
@@ -9,7 +11,7 @@ from detmit.core import (
     NatureChallenger,
     run_dbm_trial,
 )
-from detmit.crypto import IvcProof, StepsExhausted, ivc_verify, npl_step
+from detmit.crypto import IvcProof, StepMeter, ivc_verify, npl_step
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.payloads import TimePayload, bottom, decode_payload, encode_payload
 from detmit.timetask import (
@@ -21,7 +23,6 @@ from detmit.timetask import (
     audit_sequential_reach,
     make_time_instance,
 )
-from testkit import instance_steps
 
 PARAMS = GameParams(q=1)
 
@@ -33,7 +34,7 @@ def inst():
 
 def test_instance_precomputes_exactly_reach_steps(inst):
     assert inst.reach == 272
-    assert instance_steps(inst) == 272
+    assert inst.ivc.steps_run == 272  # no trial has run on the fixture yet
     p = inst.payload_at(10)
     assert ivc_verify(inst.ivc, 10, p.config, p.proof)
     # canonical chain check
@@ -126,22 +127,23 @@ def test_attack_defeats_the_grid_model(inst):
     assert t.err_fx == 1.0 and t.flag == 0
 
 
+class _Fixed:
+    origin = "attacker"
+    sample_budget = 0
+
+    def __init__(self, xb: bytes):
+        self.xb = xb
+
+    def challenge(self, ctx, model):
+        return [self.xb]
+
+
 def test_mitigator_cost_is_exactly_sqrt(inst):
     trainer = TimeTrainer(inst)
     mit = ChainExtendingMitigator(inst)
     for i, t_level in enumerate((1, 4, 100, 256)):
-        class Fixed:
-            origin = "attacker"
-            sample_budget = 0
-
-            def __init__(self, xb):
-                self.xb = xb
-
-            def challenge(self, ctx, model):
-                return [self.xb]
-
         tr = run_dbm_trial(
-            inst, trainer, Fixed(inst.build_input(t_level)), mit,
+            inst, trainer, _Fixed(inst.build_input(t_level)), mit,
             PARAMS, derive_trial_seed(82, i), i,
         )
         expect = int(t_level**0.5)
@@ -152,7 +154,7 @@ def test_mitigator_cost_is_exactly_sqrt(inst):
 def test_step_ledgers_count_this_trial_only():
     """Trials reusing a trial id on one instance each report their own steps."""
     inst = TimeTaskInstance(b"ledger", horizon=64)
-    expected_total = inst.meter.total()
+    expected_total = inst.ivc.steps_run
     for i in range(3):
         t = run_dbm_trial(
             inst, TimeTrainer(inst), NatureChallenger(), ChainExtendingMitigator(inst),
@@ -164,8 +166,8 @@ def test_step_ledgers_count_this_trial_only():
         level = decode_payload(t.challenge[0]).steps
         assert mitigator["steps_used"] == int(level**0.5)
         expected_total += trainer["steps_used"] + mitigator["steps_used"]
-    # the meter itself keeps every step, for the conservation audit
-    assert inst.meter.total() == expected_total
+    # the registry counts every granted step, for the conservation audit
+    assert inst.ivc.steps_run == expected_total
     assert audit_conservation(inst)
 
 
@@ -174,13 +176,63 @@ def test_mitigator_refuses_forged_chains_for_free(inst):
     forged = TimePayload(9, b"s" * 32, IvcProof(9, b"c" * 32))
     xb = encode_payload(forged, inst.width)
 
-    class Ctx:
-        step_party = "forgery-check"
-
-    before = inst.meter.snapshot().get("forgery-check", 0)
-    ys, flag = mit.mitigate(Ctx(), lambda x: x, None, [xb])
+    ctx = SimpleNamespace(meter=StepMeter())
+    ys, flag = mit.mitigate(ctx, lambda x: x, None, [xb])
     assert decode_payload(ys[0]) is None and flag == 0
-    assert inst.meter.snapshot().get("forgery-check", 0) == before  # zero steps
+    assert ctx.meter.used == 0  # zero steps
+
+
+@pytest.mark.parametrize("claimed", [100, 10**4])
+def test_mitigator_refuses_relabeled_chains_for_free(inst, claimed):
+    """A genuine step-9 proof shipped under another step count costs nothing.
+
+    The proof verifies for step 9 only, so h scores the input 0 (forged); the
+    mitigator must not run isqrt(claimed) steps on it.
+    """
+    genuine = inst.payload_at(9)
+    relabeled = TimePayload(claimed, genuine.config, genuine.proof)
+    xb = encode_payload(relabeled, inst.width)
+    assert inst.h(xb, bottom(inst.width)) == 0
+    entries = inst.ivc.registry_entries()
+    ctx = SimpleNamespace(meter=StepMeter())
+    ys, flag = ChainExtendingMitigator(inst).mitigate(ctx, lambda x: x, None, [xb])
+    assert ys == [bottom(inst.width)] and flag == 0
+    assert ctx.meter.used == 0
+    assert inst.ivc.registry_entries() == entries
+
+
+def test_trainer_runs_out_of_steps_mid_run():
+    """The trainer's 7th run of 8 steps is granted 2 of them, then it aborts."""
+    inst = TimeTaskInstance(b"short-trainer", horizon=64)
+    trainer = TimeTrainer(inst)
+    trainer.step_budget = 50
+    for _ in range(2):  # the same trial id twice: each move has its own limit
+        t = run_dbm_trial(
+            inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
+            PARAMS, derive_trial_seed(87, 0), 0,
+        )
+        assert t.aborted == "trainer"
+        assert t.abort_reason == "step budget 50 exhausted"
+        ledger = t.ledgers["trainer"]
+        assert ledger["steps_used"] == ledger["steps_allowed"] == 50
+        assert list(t.ledgers) == ["trainer"]
+    assert audit_conservation(inst) and audit_sequential_reach(inst)
+
+
+def test_mitigator_runs_out_of_steps_mid_run(inst):
+    """A level-36 input needs a run of 6 steps; a budget of 2 grants 2."""
+    mit = ChainExtendingMitigator(inst)
+    mit.step_budget = 2
+    t = run_dbm_trial(
+        inst, TimeTrainer(inst), _Fixed(inst.build_input(36)), mit,
+        PARAMS, derive_trial_seed(88, 0), 0,
+    )
+    assert t.aborted == "mitigator"
+    assert t.abort_reason == "step budget 2 exhausted"
+    ledger = t.ledgers["mitigator"]
+    assert ledger["steps_used"] == ledger["steps_allowed"] == 2
+    assert t.err_y is None and t.response is None
+    assert audit_conservation(inst) and audit_sequential_reach(inst)
 
 
 def test_step_budget_enforced(inst):

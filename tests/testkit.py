@@ -16,26 +16,21 @@ from detmit.crypto import (
 )
 from detmit.payloads import ClearPayload, EncPayload, decode_payload
 from detmit.sampletask import DataTaskInstance
-from detmit.timetask import INSTANCE_PARTY, TimeTaskInstance
 
 
-def meter_run(meter: StepMeter, party: str, state: bytes, steps: int) -> bytes:
+def meter_run(meter: StepMeter, state: bytes, steps: int) -> bytes:
     """`steps` metered step-function applications, one `StepMeter.step` each."""
     for _ in range(steps):
-        state = meter.step(party, state)
+        state = meter.step(state)
     return state
 
 
 def ivc_prove(
-    keys: IvcKeys, t: int, start_state: bytes, party: str
+    keys: IvcKeys, t: int, start_state: bytes, meter: StepMeter | None = None
 ) -> tuple[bytes, IvcProof]:
     """Prove t steps from the start state in one run of updates."""
-    return ivc_update(keys, start_state, keys.base_proof(start_state), party, t)
-
-
-def instance_steps(inst: TimeTaskInstance) -> int:
-    """Steps the instance charged itself to precompute its canonical chain."""
-    return inst.meter.snapshot().get(INSTANCE_PARTY, 0)
+    meter = StepMeter() if meter is None else meter
+    return ivc_update(keys, start_state, keys.base_proof(start_state), meter, t)
 
 
 def inner_level(buf: bytes, key: IdentityKey) -> int | None:
