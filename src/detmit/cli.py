@@ -285,26 +285,53 @@ def instance_public_state(instance: Any) -> dict:
     raise click.UsageError(f"cannot serialize instance type {type(instance).__name__}")
 
 
-# task -> the keys restore_public_state reads from a public file
+# task -> the keys a public file must hold: the anchor digest
+# restore_public_state checks, then the registry public_registry reads
 PUBLIC_KEYS = {
     "ladder": ("snark_setup", "proof_registry"),
     "chain": ("start_state", "chain_registry"),
 }
 
 
-def restore_public_state(instance: Any, pub: dict) -> None:
+def public_registry(task: str, pub: dict) -> list[tuple]:
+    """The public file's registry entries, their hex fields read as bytes.
+
+    A ladder entry is `[hex, hex]` and a chain entry `[int, hex, hex]`;
+    anything else is a usage error.
+    """
+    key, ints = PUBLIC_KEYS[task][1], int(task == "chain")
+    bad = click.UsageError(
+        f"public file's {key} must list {'[int, hex, hex]' if ints else '[hex, hex]'} entries"
+    )
+    rows = pub[key]
+    if not isinstance(rows, list):
+        raise bad
+    entries = []
+    for row in rows:
+        if not (
+            isinstance(row, list)
+            and len(row) == ints + 2
+            and all(type(v) is int for v in row[:ints])
+            and all(isinstance(v, str) for v in row[ints:])
+        ):
+            raise bad
+        try:
+            entries.append((*row[:ints], *map(bytes.fromhex, row[ints:])))
+        except ValueError:
+            raise bad from None
+    return entries
+
+
+def restore_public_state(instance: Any, pub: dict, entries: list[tuple]) -> None:
+    """Check the public file's anchor digest; register the `public_registry` entries."""
     if pub["task"] == "ladder":
         if pub["snark_setup"] != instance.snark.setup_digest.hex():
             raise click.UsageError("public file does not match this instance seed")
-        instance.snark.restore_entries(
-            [(bytes.fromhex(d), bytes.fromhex(t)) for d, t in pub["proof_registry"]]
-        )
+        instance.snark.restore_entries(entries)
     else:
         if pub["start_state"] != instance.start_state.hex():
             raise click.UsageError("public file does not match this instance seed")
-        instance.ivc.restore_entries(
-            [(t, bytes.fromhex(s), bytes.fromhex(c)) for t, s, c in pub["chain_registry"]]
-        )
+        instance.ivc.restore_entries(entries)
 
 
 # --- commands ----------------------------------------------------------------------
@@ -383,8 +410,12 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         missing = [key for key in keys if key not in data]
         if missing:
             raise click.UsageError(f"{name} file lacks {', '.join(missing)}")
-    instance = _build_task(task, sec["seed"], sec["horizon"])
-    restore_public_state(instance, pub)
+    seed, horizon = sec["seed"], sec["horizon"]
+    if type(seed) is not int or type(horizon) is not int or horizon < 4:
+        raise click.UsageError("secret file needs an int seed and an int horizon >= 4")
+    entries = public_registry(task, pub)
+    instance = _build_task(task, seed, horizon)
+    restore_public_state(instance, pub, entries)
     bad = total = 0
     with open(pairs) as fh:
         for lineno, line in enumerate(fh, 1):

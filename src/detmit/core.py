@@ -12,15 +12,18 @@ Party code only ever receives oracle handles (sample oracle, public
 parameters, a step meter for the move) — never instance secrets.  Budget
 violations, declared agent aborts and any other exception out of a party's
 move end the trial and are attributed to the offending party in the
-transcript; an exception out of the task instance behind the sample oracle
-is a :class:`HarnessFault` and ends the batch.
+transcript, and so does a malformed output: a batch that is not a list of q
+byte strings, answers that are not one byte string per input, a flag other
+than 0 or 1, or a model that fails while it is scored (the trainer's fault).
+An exception out of the task instance behind the sample oracle is a
+:class:`HarnessFault` and ends the batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from .crypto import StepMeter, StepsExhausted
@@ -219,13 +222,7 @@ class RateEstimate:
         return RateEstimate(successes, trials, point, low, high)
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "point": self.point,
-            "low": self.low,
-            "high": self.high,
-        }
+        return asdict(self)
 
 
 # --- transcripts ---------------------------------------------------------------
@@ -262,8 +259,6 @@ class Transcript:
     aborted: str | None
     # in-memory only; never serialized
     abort_reason: str | None = None
-    model: Any = None
-    private_state: Any = None
     challenge: list[bytes] = field(default_factory=list)
     response: list[bytes] | None = None
     inner_flag: int | None = None
@@ -345,6 +340,25 @@ class _TrialState:
         return None
 
 
+def _byte_list(value: Any, n: int, what: str) -> list[bytes]:
+    """`value`, if it is a list of `n` byte strings; else a TypeError."""
+    if not (
+        isinstance(value, list) and len(value) == n and all(isinstance(v, bytes) for v in value)
+    ):
+        raise TypeError(f"{what} is not a list of {n} bytes")
+    return value
+
+
+def _defense(out: tuple, xs: list[bytes]) -> tuple:
+    """A defense move's (flag, answers or None, inner flag), checked."""
+    flag, answers, _ = out
+    if type(flag) is not int or flag not in (0, 1):
+        raise ValueError(f"flag {flag!r} is not 0 or 1")
+    if answers is not None:
+        _byte_list(answers, len(xs), "answers")
+    return out
+
+
 def _run_trial(
     instance: Any,
     trainer: Trainer,
@@ -363,7 +377,7 @@ def _run_trial(
     """
     st = _TrialState(instance, params, seed)
     flag = err_fx = err_y = inner_flag = None
-    model, priv, xs, response = None, None, [], None
+    xs, response = [], None
 
     tctx = st.ctx_for("trainer", trainer)
     trained = st.run_phase("trainer", lambda: trainer.train(tctx))
@@ -371,19 +385,28 @@ def _run_trial(
     if trained is not None:
         model, priv = trained
         cctx = st.ctx_for(challenger.origin, challenger)
-        xs = st.run_phase(challenger.origin, lambda: challenger.challenge(cctx, model))
+        xs = st.run_phase(
+            challenger.origin,
+            lambda: _byte_list(challenger.challenge(cctx, model), params.q, "batch"),
+        )
         queries = getattr(challenger, "last_query_count", None)
         extra = {} if queries is None else {"queries": queries}
         st.close_ledger(challenger.origin, cctx, **extra)
         if xs is not None:
             dctx = st.ctx_for(role, defense)
-            defended = st.run_phase(role, lambda: defend(dctx, model, priv, xs))
+            defended = st.run_phase(role, lambda: _defense(defend(dctx, model, priv, xs), xs))
             st.close_ledger(role, dctx)
             if defended is not None:
-                flag, response, inner_flag = defended
-                err_fx = empirical_err(instance.h, xs, [model(x) for x in xs])
-                if response is not None:
-                    err_y = empirical_err(instance.h, xs, response)
+                # the model is the trainer's code, so a fault while scoring it is too
+                fxs = st.run_phase(
+                    "trainer",
+                    lambda: _byte_list([model(x) for x in xs], len(xs), "model answers"),
+                )
+                if fxs is not None:
+                    flag, response, inner_flag = defended
+                    err_fx = empirical_err(instance.h, xs, fxs)
+                    if response is not None:
+                        err_y = empirical_err(instance.h, xs, response)
 
     return Transcript(
         trial_id=trial_id,
@@ -395,8 +418,6 @@ def _run_trial(
         ledgers=st.ledgers,
         aborted=st.aborted,
         abort_reason=st.abort_reason,
-        model=model,
-        private_state=priv,
         challenge=xs or [],
         response=response,
         inner_flag=inner_flag,

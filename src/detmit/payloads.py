@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import IDENTITY_LEN, Ciphertext, IvcProof, ProofToken, SignatureToken
-from .wire import be32, be64, unpack_fields
+from .wire import be32, be64, pack_fields, unpack_fields
 
 TAG_CLEAR = 0x01
 TAG_ENC = 0x02
@@ -68,10 +68,6 @@ _ENC_TAG = bytes([TAG_ENC])
 _LEVEL_LEN = be32(8)
 
 
-def _lp(field: bytes) -> bytes:
-    return len(field).to_bytes(4, "big") + field
-
-
 def pad_to(core: bytes, width: int | None) -> bytes:
     if width is None:
         return core
@@ -107,9 +103,9 @@ def encode_payload(payload: Payload, width: int | None = None) -> bytes:
             be32(len(id1)), id1, be32(len(id2)), id2, be32(len(key2)), key2,
         ))
     elif isinstance(payload, TimePayload):
-        core = bytes([TAG_TIME_CLEAR]) + _lp(be64(payload.steps)) + _lp(
-            payload.config
-        ) + _lp(payload.proof.to_bytes())
+        core = bytes([TAG_TIME_CLEAR]) + pack_fields(
+            be64(payload.steps), payload.config, payload.proof.to_bytes()
+        )
     else:  # pragma: no cover - exhaustive by type
         raise TypeError(f"not a payload: {payload!r}")
     return pad_to(core, width)

@@ -9,13 +9,13 @@ nature draws.  The mitigator spends ~2*sqrt(K) extra draws to push exact
 proofs one strip past the trainer's grid, which is enough to answer
 everything the bounded attacker can reach.
 
-All agents touch only the instance's public surface: proof proving and
-verification, the homomorphic eval oracle, and wire widths.
+All agents touch only the instance's public surface: proof proving, the
+input and answer checks that the quality oracle uses, the homomorphic eval
+oracle, and wire widths.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isqrt, sqrt
 from typing import Any, Callable
@@ -28,13 +28,12 @@ from .crypto import (
     IdentityKey,
     ProofToken,
     SignatureToken,
-    sig_verify,
     snark_prove,
-    snark_verify,
 )
 from .payloads import (
     ClearPayload,
     EncPayload,
+    Payload,
     bottom,
     clear_token,
     decode_payload,
@@ -43,8 +42,11 @@ from .payloads import (
 from .sampletask import (
     DataTaskInstance,
     clear_level,
+    grid_level,
+    grid_levels,
     next_level,
     payload_form,
+    unseal,
 )
 
 
@@ -71,43 +73,45 @@ def _fresh_tokens(
     return fresh
 
 
+def _grid_answer(
+    levels: list[int], table: dict[int, ProofToken], p: Payload | None, width: int
+) -> bytes:
+    """`p`'s token with the smallest grid proof that clears its required level.
+
+    BOTTOM for any other payload and past the grid; `width` pads the answer.
+    """
+    if isinstance(p, ClearPayload):
+        lvl = grid_level(levels, next_level(p.level))
+        if lvl is not None:
+            return encode_payload(ClearPayload(p.token, lvl, table[lvl]), width)
+    return bottom(width)
+
+
 class DataModel:
     """Answers ladder inputs from a fixed proof grid; BOTTOM past its cap."""
 
     def __init__(self, instance: DataTaskInstance, priv: LadderPriv):
         self.instance = instance
-        self.table = dict(priv.table)
+        self.table = {} if priv.is_dummy else dict(priv.table)
         self.levels = sorted(self.table)
         self.cap = self.levels[-1] if self.levels else 0
-        self.is_dummy = priv.is_dummy or not self.levels
-        self.circuit_handle = (
-            None if self.is_dummy else instance.fhe.register_circuit(self._inner)
+        self.is_dummy = not self.levels
+        # The circuit holds the grid and the inner width, never the model:
+        # the world's circuit table would otherwise reach the world again
+        # through `self.instance`, a cycle, and a world must be freed by
+        # reference counting as soon as its trial returns.
+        levels, table, inner_width = self.levels, self.table, instance.inner_width
+        self.circuit_handle = None if self.is_dummy else instance.fhe.register_circuit(
+            lambda pt: _grid_answer(levels, table, decode_payload(pt), inner_width)
         )
-
-    def grid_answer(self, p: ClearPayload) -> ClearPayload | None:
-        need = next_level(p.level)
-        if self.is_dummy or need > self.cap:
-            return None
-        lvl = self.levels[bisect_left(self.levels, need)]
-        return ClearPayload(p.token, lvl, self.table[lvl])
-
-    def _inner(self, plaintext: bytes) -> bytes:
-        p = decode_payload(plaintext)
-        ans = self.grid_answer(p) if isinstance(p, ClearPayload) else None
-        if ans is None:
-            return bottom(self.instance.inner_width)
-        return encode_payload(ans, self.instance.inner_width)
 
     def __call__(self, x: bytes) -> bytes:
         w = self.instance.width
         p = decode_payload(x)
-        if isinstance(p, ClearPayload):
-            ans = self.grid_answer(p)
-            return bottom(w) if ans is None else encode_payload(ans, w)
         if isinstance(p, EncPayload) and self.circuit_handle is not None:
             out = self.instance.fhe.eval(self.circuit_handle, p.ciphertext)
             return encode_payload(EncPayload(out, b"", b"", b""), w)
-        return bottom(w)
+        return _grid_answer(self.levels, self.table, p, w)
 
 
 class LadderTrainer:
@@ -120,11 +124,6 @@ class LadderTrainer:
         self.level_target = level_target
         self.sample_budget = draw_factor * level_target
 
-    def grid_levels(self) -> list[int]:
-        k = self.level_target
-        s = isqrt(k)
-        return [j * s for j in range(1, k // s + 1)]
-
     def train(self, ctx: TrialCtx) -> tuple[DataModel, LadderPriv]:
         inst = self.instance
         tokens = _fresh_tokens(ctx, self.sample_budget, [])
@@ -132,7 +131,7 @@ class LadderTrainer:
             priv = LadderPriv(tokens=tokens, is_dummy=True)
             return DataModel(inst, priv), priv
         tokens = tokens[: self.level_target]
-        levels = self.grid_levels()
+        levels = grid_levels(self.level_target)
         table = dict(zip(levels, CountProver(inst.snark, tokens).prove(levels)))
         priv = LadderPriv(tokens=tokens, table=table)
         return DataModel(inst, priv), priv
@@ -199,21 +198,8 @@ class SelfIterationAttacker:
         while True:
             y = model(wrap(cur))
             self.last_query_count += 1
-            yp = decode_payload(y)
-            if not isinstance(yp, EncPayload):
-                break
-            inner = tunnel.decrypt(yp.ciphertext)
-            if inner is None:
-                break
-            cand = decode_payload(inner)
-            if (
-                not isinstance(cand, ClearPayload)
-                or cand.token != token
-                or cand.level < next_level(cur.level)
-                or not snark_verify(
-                    inst.snark, inst.snark.statement(cand.level), cand.proof
-                )
-            ):
+            cand = unseal(tunnel, decode_payload(y))
+            if not inst.answers(cur, cand):
                 break
             cur = cand
 
@@ -310,12 +296,6 @@ class WellFormedDetector:
         inst = self.instance
         for x in xs:
             p = decode_payload(x)
-            if p is None:
+            if p is None or (isinstance(p, ClearPayload) and not inst.genuine(p)):
                 return 1
-            if isinstance(p, ClearPayload):
-                ok = sig_verify(inst.verification_key, p.token) and snark_verify(
-                    inst.snark, inst.snark.statement(p.level), p.proof
-                )
-                if not ok:
-                    return 1
         return 0

@@ -17,13 +17,14 @@ of ``sample_pair`` and takes the same bytes, but never registers, encodes or
 seals the answer, so no party ever holds an answer proof.
 
 Everything here is harness/instance side except the public surface agents
-use: count-proof proving/verification, the homomorphic eval oracle, wire
-widths, and the level-law cap.
+use: count-proof proving, the input and answer checks that ``h`` is built
+from, the homomorphic eval oracle, wire widths, the level-law cap and the grid.
 """
 
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 
@@ -57,6 +58,18 @@ LEVEL_CAP = 512
 def next_level(k: int) -> int:
     """The level a correct answer must reach for a level-k input."""
     return k + isqrt(k)
+
+
+def grid_levels(k: int) -> list[int]:
+    """Every floor(sqrt(k))-th level up to k: the levels a trainer covers."""
+    s = isqrt(k)
+    return [j * s for j in range(1, k // s + 1)]
+
+
+def grid_level(levels: list[int], need: int) -> int | None:
+    """The smallest of the sorted `levels` at or above `need`; None past the top."""
+    i = bisect_left(levels, need)
+    return levels[i] if i < len(levels) else None
 
 
 def _round_up(n: int, block: int = 32) -> int:
@@ -205,7 +218,25 @@ class DataTaskInstance:
         ex, _ = self.wrap_pair(x, None, rng)
         return encode_payload(ex, self.width)
 
-    # -- quality oracle --
+    # -- public checks and the quality oracle --
+
+    def genuine(self, p: Payload | None) -> bool:
+        """`p` is a clear input with a valid token and a proof of its own level."""
+        return (
+            isinstance(p, ClearPayload)
+            and sig_verify(self.verification_key, p.token)
+            and snark_verify(self.snark, self.snark.statement(p.level), p.proof)
+        )
+
+    def answers(self, xp: Payload | None, yp: Payload | None) -> bool:
+        """`yp` echoes `xp`'s token with a verifying proof at `next_level` or above."""
+        return (
+            isinstance(xp, ClearPayload)
+            and isinstance(yp, ClearPayload)
+            and yp.token == xp.token
+            and yp.level >= next_level(xp.level)
+            and snark_verify(self.snark, self.snark.statement(yp.level), yp.proof)
+        )
 
     def h(self, x: bytes, y: bytes) -> int:
         """Quality oracle: 1 iff y is a wrong answer to a genuine x.
@@ -219,26 +250,19 @@ class DataTaskInstance:
             if len(xp.id1) != IDENTITY_LEN:
                 return 0
             cipher = IdentityCipher(self.fhe.keygen(xp.id1))
-            xp = _unseal(cipher, xp)
-        if not (
-            isinstance(xp, ClearPayload)
-            and sig_verify(self.verification_key, xp.token)
-            and snark_verify(self.snark, self.snark.statement(xp.level), xp.proof)
-        ):
+            xp = unseal(cipher, xp)
+        if not self.genuine(xp):
             return 0
         yp = decode_payload(y)
         if cipher is not None:
-            yp = _unseal(cipher, yp) if isinstance(yp, EncPayload) else None
-        ok = (
-            isinstance(yp, ClearPayload)
-            and yp.token == xp.token
-            and yp.level >= next_level(xp.level)
-            and snark_verify(self.snark, self.snark.statement(yp.level), yp.proof)
-        )
-        return 0 if ok else 1
+            yp = unseal(cipher, yp)
+        return 0 if self.answers(xp, yp) else 1
 
 
-def _unseal(cipher: IdentityCipher, p: EncPayload) -> Payload | None:
+def unseal(cipher: IdentityCipher, p: Payload | None) -> Payload | None:
+    """What container `p` seals under `cipher`; None if it is none or fails to open."""
+    if not isinstance(p, EncPayload):
+        return None
     inner = cipher.decrypt(p.ciphertext)
     return None if inner is None else decode_payload(inner)
 

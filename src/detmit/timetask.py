@@ -20,7 +20,6 @@ O(sqrt(T)) of its own steps.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import isqrt
 from typing import Any, Callable
 
@@ -28,7 +27,6 @@ from .core import ATTACKER, TrialCtx
 from .crypto import (
     IvcKeys,
     IvcProof,
-    ProofChainError,
     StepMeter,
     ivc_update,
     ivc_verify,
@@ -36,8 +34,8 @@ from .crypto import (
     sha256,
 )
 from .drbg import HashDrbg
-from .payloads import TimePayload, bottom, decode_payload, encode_payload
-from .sampletask import LevelLaw, next_level, _round_up
+from .payloads import Payload, TimePayload, bottom, decode_payload, encode_payload
+from .sampletask import LevelLaw, _round_up, grid_level, grid_levels, next_level
 
 HORIZON = 256
 
@@ -83,20 +81,25 @@ class TimeTaskInstance:
         t = self.law.sample(rng)
         return self.build_input(t), self.build_input(next_level(t))
 
+    def genuine(self, p: Payload | None) -> bool:
+        """`p` is a chain input whose proof verifies at its own step count."""
+        return isinstance(p, TimePayload) and ivc_verify(self.ivc, p.steps, p.config, p.proof)
+
+    def answers(self, xp: Payload | None, yp: Payload | None) -> bool:
+        """`yp` is a verifying chain payload at `next_level(xp.steps)` or later."""
+        return (
+            isinstance(xp, TimePayload)
+            and isinstance(yp, TimePayload)
+            and yp.steps >= next_level(xp.steps)
+            and ivc_verify(self.ivc, yp.steps, yp.config, yp.proof)
+        )
+
     def h(self, x: bytes, y: bytes) -> int:
         """1 iff y fails to verifiably extend an answerable chain input x."""
         xp = decode_payload(x)
-        if not isinstance(xp, TimePayload):
+        if not self.genuine(xp):
             return 0
-        if not ivc_verify(self.ivc, xp.steps, xp.config, xp.proof):
-            return 0
-        yp = decode_payload(y)
-        if not isinstance(yp, TimePayload):
-            return 1
-        ok = yp.steps >= next_level(xp.steps) and ivc_verify(
-            self.ivc, yp.steps, yp.config, yp.proof
-        )
-        return 0 if ok else 1
+        return 0 if self.answers(xp, decode_payload(y)) else 1
 
 
 def make_time_instance(seed: bytes | int, horizon: int = HORIZON) -> TimeTaskInstance:
@@ -115,14 +118,9 @@ class TimeModel:
     def __call__(self, x: bytes) -> bytes:
         inst = self.instance
         p = decode_payload(x)
-        if not isinstance(p, TimePayload):
+        lvl = grid_level(self.levels, next_level(p.steps)) if inst.genuine(p) else None
+        if lvl is None:
             return bottom(inst.width)
-        if not ivc_verify(inst.ivc, p.steps, p.config, p.proof):
-            return bottom(inst.width)
-        need = next_level(p.steps)
-        if need > self.cap:
-            return bottom(inst.width)
-        lvl = self.levels[bisect_left(self.levels, need)]
         state, proof = self.table[lvl]
         return encode_payload(TimePayload(lvl, state, proof), inst.width)
 
@@ -138,14 +136,13 @@ class TimeTrainer:
 
     def train(self, ctx: TrialCtx) -> tuple[TimeModel, Grid]:
         inst = self.instance
-        stride = isqrt(inst.horizon)
         state = inst.start_state
         proof = inst.ivc.base_proof(state)
         table: Grid = {}
-        for _ in range(inst.horizon // stride):
-            state, proof = ivc_update(inst.ivc, state, proof, ctx.meter, stride)
-            table[proof.steps] = (state, proof)
-        ivc_update(inst.ivc, state, proof, ctx.meter, inst.horizon % stride)
+        for level in grid_levels(inst.horizon):
+            state, proof = ivc_update(inst.ivc, state, proof, ctx.meter, level - proof.steps)
+            table[level] = (state, proof)
+        ivc_update(inst.ivc, state, proof, ctx.meter, inst.horizon - proof.steps)
         return TimeModel(inst, table), table
 
 
@@ -169,17 +166,11 @@ class ChainExtendingMitigator:
         ys: list[bytes] = []
         for x in xs:
             p = decode_payload(x)
-            if not isinstance(p, TimePayload) or p.proof.steps != p.steps:
+            if not inst.genuine(p):
                 ys.append(bottom(inst.width))
                 continue
             target = next_level(p.steps)
-            try:
-                state, proof = ivc_update(
-                    inst.ivc, p.config, p.proof, ctx.meter, target - p.steps
-                )
-            except ProofChainError:
-                ys.append(bottom(inst.width))
-                continue
+            state, proof = ivc_update(inst.ivc, p.config, p.proof, ctx.meter, target - p.steps)
             ys.append(encode_payload(TimePayload(target, state, proof), inst.width))
         return ys, 0
 
@@ -208,11 +199,7 @@ class ChainClimbingAttacker:
             y = model(encode_payload(cur, inst.width))
             self.last_query_count += 1
             yp = decode_payload(y)
-            if (
-                not isinstance(yp, TimePayload)
-                or yp.steps < next_level(cur.steps)
-                or not ivc_verify(inst.ivc, yp.steps, yp.config, yp.proof)
-            ):
+            if not inst.answers(cur, yp):
                 break
             cur = yp
         self.last_level = cur.steps

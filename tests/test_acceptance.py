@@ -65,7 +65,7 @@ from detmit.timetask import (
     audit_conservation,
     audit_sequential_reach,
 )
-from testkit import ladder_detectors
+from testkit import KeepTrained, ladder_detectors
 
 EPS, DELTA = 0.05, 0.02
 
@@ -165,12 +165,13 @@ def test_toy_reduction_bounds_and_flag_transport():
 def test_ladder_trained_model_correctness():
     inst = DataTaskInstance(seed=202)
     params = GameParams(epsilon=EPS, q=1)
+    trainer = KeepTrained(LadderTrainer(inst, 64))
     t = run_dbd_trial(
-        inst, LadderTrainer(inst, 64), NatureChallenger(), NeverFlagDetector(),
+        inst, trainer, NatureChallenger(), NeverFlagDetector(),
         params, derive_trial_seed(2002, 0), 0,
     )
     assert t.aborted is None
-    model = t.model
+    model = trainer.model
 
     est = estimate_model_err(inst, model, 10_000, seed=2003)
     assert est.successes == 0
@@ -202,7 +203,7 @@ def test_ladder_attack_beats_baseline_detectors():
     details = []
     for K in (16, 400):
         inst = DataTaskInstance(seed=300 + K)
-        trainer = LadderTrainer(inst, K)
+        trainer = KeepTrained(LadderTrainer(inst, K))
         atk = SelfIterationAttacker(inst, 8)
         rows = []
         for i in range(M):
@@ -210,29 +211,30 @@ def test_ladder_attack_beats_baseline_detectors():
                 inst, trainer, atk, NeverFlagDetector(), params,
                 derive_trial_seed(3000 + K, i), i,
             )
-            rows.append((t, atk.last_level, atk.last_output_encrypted))
+            rows.append((t, atk.last_level, atk.last_output_encrypted,
+                         trainer.model, trainer.priv))
         done = [r for r in rows if r[0].aborted is None]
         assert len(done) >= 0.9 * M
 
         query_bound = 3 * isqrt(K) + 2
-        for t, _, _ in done:
+        for t, *_ in done:
             assert t.ledgers["attacker"]["queries"] <= query_bound
             assert t.ledgers["attacker"]["samples_used"] <= 8
 
         enc_branch = [r for r in done if r[2]]
-        at_frontier = sum(level == K for _, level, _ in enc_branch)
+        at_frontier = sum(r[1] == K for r in enc_branch)
         assert at_frontier >= 0.95 * len(enc_branch)
 
         # All four detectors are scored on the same stored challenges.
         rates = {}
         for name, det in ladder_detectors(inst).items():
             viol = sum(
-                t.err_fx > EPS and det.detect(None, t.model, t.private_state, t.challenge) == 0
-                for t, _, _ in done
+                t.err_fx > EPS and det.detect(None, model, priv, t.challenge) == 0
+                for t, _, _, model, priv in done
             )
             rates[name] = viol / len(done)
             assert rates[name] >= 0.35, f"K={K} detector {name}"
-        max_q = max(t.ledgers["attacker"]["queries"] for t, _, _ in done)
+        max_q = max(r[0].ledgers["attacker"]["queries"] for r in done)
         details.append(
             f"K={K}: {len(done)}/{M} run, queries <= {max_q} (bound {query_bound}), "
             f"frontier {at_frontier}/{len(enc_branch)}, "

@@ -27,6 +27,7 @@ from detmit.core import (
     run_dbm_trial,
 )
 from detmit.drbg import derive_trial_seed
+from testkit import KeepTrained
 
 PARAMS = GameParams(epsilon=0.05, q=32)
 INST = make_toy_instance(11)
@@ -42,12 +43,13 @@ def test_labels_deterministic_and_binary():
 
 
 def test_trained_model_accurate_on_pool():
+    trainer = KeepTrained(ToyTrainer())
     t = run_dbd_trial(
-        INST, ToyTrainer(), NatureChallenger(), ToyDetector(),
+        INST, trainer, NatureChallenger(), ToyDetector(),
         PARAMS, derive_trial_seed(3, 0),
     )
     assert t.aborted is None and t.flag == 0
-    est = estimate_model_err(INST, t.model, 400, seed=5)
+    est = estimate_model_err(INST, trainer.model, 400, seed=5)
     assert est.point <= PARAMS.epsilon
 
 

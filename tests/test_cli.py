@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
 from detmit.cli import ExperimentConfig, main, run_batch, summarize
 from detmit.sampleagents import SelfIterationAttacker
+from detmit.sampletask import DataTaskInstance
 
 BASE = {
     "task": "ladder",
@@ -320,15 +323,46 @@ def test_party_fault_aborts_the_trial_not_the_batch(monkeypatch):
         assert "abort_reason" not in json.loads(t.to_json())
 
 
-def test_ladder_trials_run_in_worlds_of_their_own():
+def _capture_worlds(monkeypatch, store):
+    """Hand every world a ladder batch builds to `store` on its way out."""
+    world = DataTaskInstance.world
+
+    def capture(self, seed):
+        w = world(self, seed)
+        store(w)
+        return w
+
+    monkeypatch.setattr(DataTaskInstance, "world", capture)
+
+
+def test_ladder_trials_run_in_worlds_of_their_own(monkeypatch):
+    worlds = []
+    _capture_worlds(monkeypatch, worlds.append)
     cfg = ExperimentConfig.model_validate({**BASE, "game": "mitigate", "workers": 2})
     instance, batch = run_batch(cfg)
-    worlds = [t.model.instance for t in batch]
     assert len({id(w.snark) for w in worlds}) == len({id(w.fhe) for w in worlds}) == len(batch)
     assert all(w.snark.registry_entries() for w in worlds)
     # the batch proved nothing and registered no circuit on the instance itself
     assert instance.snark.registry_entries() == []
     assert instance.fhe.register_circuit(bytes) == "circuit-0"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_ladder_batch_keeps_no_world_alive(monkeypatch, workers):
+    """Each world is freed by reference counting once its trial returns."""
+    refs = []
+    _capture_worlds(monkeypatch, lambda w: refs.append(weakref.ref(w)))
+    cfg = ExperimentConfig.model_validate(
+        {**BASE, "game": "mitigate", "level_target": 100, "workers": workers}
+    )
+    gc.disable()
+    try:
+        _, batch = run_batch(cfg)
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(refs) == len(batch) == cfg.trials
+    assert alive == 0
 
 
 def test_gen_instance_rejects_short_horizon(runner, tmp_path):
@@ -380,19 +414,40 @@ def test_verify_pair_rejects_non_hex_pairs(runner, tmp_path):
                      id="secret-without-seed"),
         pytest.param(["chain", 4, 256], None, "must each hold a JSON object",
                      id="secret-not-an-object"),
+        *(
+            pytest.param({"task": "chain", "seed": 4, "horizon": 256, key: value}, None,
+                         "secret file needs an int seed and an int horizon >= 4",
+                         id=f"secret-{key}-{value!r}")
+            for key, value in (("seed", [3]), ("seed", 3.5), ("seed", True),
+                               ("horizon", "16"), ("horizon", 3), ("horizon", None))
+        ),
+        *(
+            pytest.param({"task": task, "seed": 4, "horizon": 256}, {"task": task, key: value},
+                         f"public file's {key} must list {shape} entries",
+                         id=f"{key}-{value!r}")
+            for task, key, shape in (
+                ("ladder", "proof_registry", "[hex, hex]"),
+                ("chain", "chain_registry", "[int, hex, hex]"),
+            )
+            for value in (5, [[1]], [[1, "zz", "00"]], [["zz", "00"]], [["1", "aa", "bb"]],
+                          [[True, "aa", "bb"]], {"1": "aa"})
+        ),
     ],
 )
 def test_verify_pair_rejects_hand_written_instance_files(runner, tmp_path, sec, pub, message):
+    """`pub`, when given, overrides fields of a public file gen-instance wrote."""
     prefix = tmp_path / "inst"
+    task = "ladder" if pub is not None and pub["task"] == "ladder" else "chain"
     res = runner.invoke(
         main,
-        ["gen-instance", "--task", "chain", "--seed", "4", "--out", str(prefix),
+        ["gen-instance", "--task", task, "--seed", "4", "--out", str(prefix),
          "--emit-pairs", "1"],
     )
     assert res.exit_code == 0, res.output
     prefix.with_suffix(".sec.json").write_text(json.dumps(sec))
     if pub is not None:
-        prefix.with_suffix(".pub.json").write_text(json.dumps(pub))
+        pub_path = prefix.with_suffix(".pub.json")
+        pub_path.write_text(json.dumps({**json.loads(pub_path.read_text()), **pub}))
     res = runner.invoke(
         main,
         ["verify-pair", "--instance", str(prefix),

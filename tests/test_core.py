@@ -151,9 +151,16 @@ class EchoMitigator:
 PARAMS = GameParams(epsilon=0.05, q=4)
 
 
+class FlagOnTrainerPriv:
+    """Flags iff it is handed the private state EchoTrainer returns."""
+
+    def detect(self, ctx, model, priv, xs):
+        return int(priv == b"priv-bytes")
+
+
 def test_dbd_trial_records_everything():
     t = run_dbd_trial(
-        EchoInstance(), EchoTrainer(), NatureChallenger(), FlagEverything(),
+        EchoInstance(), EchoTrainer(), NatureChallenger(), FlagOnTrainerPriv(),
         PARAMS, derive_trial_seed(0, 0), trial_id=7,
     )
     assert t.trial_id == 7
@@ -162,7 +169,6 @@ def test_dbd_trial_records_everything():
     assert t.ledgers["trainer"]["samples_used"] == 4
     assert t.ledgers["nature"]["samples_used"] == 4  # q draws
     assert len(t.challenge) == 4
-    assert t.private_state == b"priv-bytes"
     assert completeness_violation(t)
     assert not soundness_violation(t, 0.05)
 
@@ -238,6 +244,96 @@ def test_sample_oracle_counts_exactly():
     oracle.draw_pair()
     oracle.draw_input()
     assert budget.samples_used == 2
+
+
+class FixedBatch:
+    origin = "attacker"
+    sample_budget = 0
+
+    def __init__(self, xs):
+        self.xs = xs
+
+    def challenge(self, ctx, model):
+        return self.xs
+
+
+class FixedAnswers:
+    sample_budget = 0
+
+    def __init__(self, ys):
+        self.ys = ys
+
+    def mitigate(self, ctx, model, priv, xs):
+        return self.ys, 0
+
+
+class FixedFlag:
+    def __init__(self, flag):
+        self.flag = flag
+
+    def detect(self, ctx, model, priv, xs):
+        return self.flag
+
+
+class ShareDetector:
+    """Flags on the share of inputs outside the model's range, as ToyDetector does."""
+
+    def detect(self, ctx, model, priv, xs):
+        return int(sum(x == b"\xff" for x in xs) / len(xs) > 0.5)
+
+
+class ModelTrainer:
+    sample_budget = 0
+
+    def __init__(self, model):
+        self.model = model
+
+    def train(self, ctx):
+        return self.model, b""
+
+
+def _model_down(x):
+    raise RuntimeError("model down")
+
+
+BATCH_4 = "fault: TypeError: batch is not a list of 4 bytes"
+ANSWERS_4 = "fault: TypeError: answers is not a list of 4 bytes"
+
+
+@pytest.mark.parametrize(
+    "trainer, challenger, defense, party, reason",
+    [
+        pytest.param(EchoTrainer(), FixedBatch([]), ShareDetector(), "attacker", BATCH_4,
+                     id="empty-batch-detect"),
+        pytest.param(EchoTrainer(), FixedBatch([]), EchoMitigator(), "attacker", BATCH_4,
+                     id="empty-batch-mitigate"),
+        pytest.param(EchoTrainer(), FixedBatch([None] * 4), EchoMitigator(), "attacker",
+                     BATCH_4, id="none-in-batch"),
+        pytest.param(EchoTrainer(), FixedBatch([b"a"] * 3), FlagEverything(), "attacker",
+                     BATCH_4, id="short-batch"),
+        pytest.param(EchoTrainer(), NatureChallenger(), FixedAnswers([]), "mitigator",
+                     ANSWERS_4, id="no-answers"),
+        pytest.param(EchoTrainer(), NatureChallenger(), FixedAnswers([None] * 4), "mitigator",
+                     ANSWERS_4, id="none-answers"),
+        pytest.param(EchoTrainer(), NatureChallenger(), FixedFlag(7), "detector",
+                     "fault: ValueError: flag 7 is not 0 or 1", id="flag-7"),
+        pytest.param(EchoTrainer(), NatureChallenger(), FixedFlag(True), "detector",
+                     "fault: ValueError: flag True is not 0 or 1", id="flag-bool"),
+        pytest.param(ModelTrainer(_model_down), NatureChallenger(), FlagEverything(),
+                     "trainer", "fault: RuntimeError: model down", id="model-raises"),
+        pytest.param(ModelTrainer(lambda x: None), NatureChallenger(), FlagEverything(),
+                     "trainer", "fault: TypeError: model answers is not a list of 4 bytes",
+                     id="model-returns-none"),
+    ],
+)
+def test_malformed_party_output_aborts_that_partys_trial(
+    trainer, challenger, defense, party, reason
+):
+    run = run_dbm_trial if hasattr(defense, "mitigate") else run_dbd_trial
+    t = run(EchoInstance(), trainer, challenger, defense, PARAMS, derive_trial_seed(0, 8), 8)
+    assert (t.aborted, t.abort_reason) == (party, reason)
+    assert t.flag is None and t.err_fx is None and t.err_y is None
+    assert json.loads(t.to_json())["aborted"] == party
 
 
 def test_instance_fault_fails_the_trial_instead_of_aborting_it():

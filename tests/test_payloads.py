@@ -16,7 +16,6 @@ from detmit.payloads import (
     EncPayload,
     PayloadTooWide,
     TimePayload,
-    _lp,
     bottom,
     clear_token,
     decode_payload,
@@ -134,6 +133,11 @@ def test_retired_chain_enc_tag_decodes_to_nothing_and_scores_zero():
     cx, cy = chain.sample_pair(HashDrbg(b"chain-04"))
     assert chain.h(retagged, cy) == 0
     assert chain.h(bytes([0x04]) + cx[1:], cy) == 0
+
+
+def _lp(field: bytes) -> bytes:
+    """One length-prefixed field, written out apart from `pack_fields`."""
+    return len(field).to_bytes(4, "big") + field
 
 
 def reference_encoding(payload, width):

@@ -30,7 +30,7 @@ from detmit.sampleagents import (
     SelfIterationAttacker,
     WellFormedDetector,
 )
-from detmit.sampletask import make_data_instance, next_level
+from detmit.sampletask import grid_levels, make_data_instance, next_level
 from testkit import ladder_detectors
 
 INST = make_data_instance(31)
@@ -49,11 +49,11 @@ def train(level_target, seed=0):
 
 
 def test_grid_levels_frozen():
-    assert LadderTrainer(INST, 16).grid_levels() == [4, 8, 12, 16]
-    assert LadderTrainer(INST, 64).grid_levels() == [8, 16, 24, 32, 40, 48, 56, 64]
-    assert LadderTrainer(INST, 2).grid_levels() == [1, 2]
+    assert grid_levels(16) == [4, 8, 12, 16]
+    assert grid_levels(64) == [8, 16, 24, 32, 40, 48, 56, 64]
+    assert grid_levels(2) == [1, 2]
     # non-square targets still cover the whole range below the target
-    assert LadderTrainer(INST, 10).grid_levels() == [3, 6, 9]
+    assert grid_levels(10) == [3, 6, 9]
 
 
 def test_trainer_builds_grid_model():
@@ -207,12 +207,12 @@ class FixedChallenger:
 
 def test_mitigator_answers_below_k_when_grid_stops_short():
     # K=10: grid {3, 6, 9}, strip {11..16}; a level-8 input needs level 10
-    assert LadderTrainer(INST, 10).grid_levels() == [3, 6, 9]
+    assert grid_levels(10) == [3, 6, 9]
     rng = HashDrbg(b"mit-short-grid")
     xs = [INST.build_clear_input(8, rng), INST.build_enc_input(8, rng)]
     t = run_dbm_trial(
         INST, LadderTrainer(INST, 10), FixedChallenger(xs),
-        ProofExtendingMitigator(INST, 10), PARAMS, derive_trial_seed(62, 0),
+        ProofExtendingMitigator(INST, 10), GameParams(q=len(xs)), derive_trial_seed(62, 0),
     )
     assert t.aborted is None
     assert t.err_fx == 1.0  # the grid model alone cannot answer either input

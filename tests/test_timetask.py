@@ -23,6 +23,7 @@ from detmit.timetask import (
     audit_sequential_reach,
     make_time_instance,
 )
+from testkit import KeepTrained
 
 PARAMS = GameParams(q=1)
 
@@ -67,7 +68,7 @@ def test_h_rules(inst):
 
 
 def test_trainer_pays_horizon_and_snapshots_grid(inst):
-    trainer = TimeTrainer(inst)
+    trainer = KeepTrained(TimeTrainer(inst))
     t = run_dbm_trial(
         inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
         PARAMS, derive_trial_seed(80, 0), 0,
@@ -75,18 +76,18 @@ def test_trainer_pays_horizon_and_snapshots_grid(inst):
     assert t.aborted is None
     assert t.ledgers["trainer"]["steps_used"] == 256
     assert t.ledgers["trainer"]["samples_used"] == 0
-    model = t.model
+    model = trainer.model
     assert model.levels == [16 * j for j in range(1, 17)]
     assert model.cap == 256
 
 
 def test_model_answers_from_grid(inst):
-    trainer = TimeTrainer(inst)
+    trainer = KeepTrained(TimeTrainer(inst))
     t = run_dbm_trial(
         inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
         PARAMS, derive_trial_seed(80, 1), 0,
     )
-    model = t.model
+    model = trainer.model
     x = inst.build_input(9)  # needs 12 -> grid answers 16
     yp = decode_payload(model(x))
     assert yp.steps == 16

@@ -1,7 +1,10 @@
 """Totality: oracles, models and defenses take any bytes without raising.
 
-The targets are both tasks' `h`, `DataModel`, `TimeModel`, both mitigators
-and the four ladder detectors.  Inputs are honest payloads of both tasks,
+The targets are both tasks' `h`, `genuine` and `answers`, `DataModel`,
+`TimeModel`, both mitigators and the four ladder detectors.  Each `h` must
+also equal its two public checks: 1 iff the input is genuine and the answer
+does not answer it (on the ladder, for inputs that are not sealed, which
+`h` decrypts first).  Inputs are honest payloads of both tasks,
 mutated byte by byte or field by field, and arbitrary bytes; every input
 goes to both tasks' targets.  The
 chain mitigator must also charge no step to an input that fails
@@ -31,6 +34,7 @@ from detmit.crypto import (
 from detmit.drbg import HashDrbg
 from detmit.payloads import (
     ClearPayload,
+    EncPayload,
     TimePayload,
     bottom,
     decode_payload,
@@ -145,6 +149,16 @@ def _batch(data: st.DataObject) -> list[bytes]:
     return [_input(data) for _ in range(data.draw(st.integers(1, 4), label="q"))]
 
 
+def _checks_are_bools(instance, x: bytes, y: bytes) -> tuple:
+    """Decode `x` and `y`; both public checks give a bool on either order."""
+    xp, yp = decode_payload(x), decode_payload(y)
+    for p in (xp, yp):
+        assert type(instance.genuine(p)) is bool
+    for a, b in ((xp, yp), (yp, xp), (xp, xp)):
+        assert type(instance.answers(a, b)) is bool
+    return xp, yp
+
+
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -157,6 +171,9 @@ def test_ladder_oracle_model_and_defenses_are_total(data):
     for x, y in zip(xs, ys):
         assert LADDER.h(x, y) in (0, 1)
         assert isinstance(LADDER_MODEL(x), bytes)
+        xp, yp = _checks_are_bools(LADDER, x, y)
+        if not isinstance(xp, EncPayload):
+            assert LADDER.h(x, y) == int(LADDER.genuine(xp) and not LADDER.answers(xp, yp))
     ctx = _ctx(LADDER, None, b"detect")
     for detector in DETECTORS:
         assert detector.detect(ctx, LADDER_MODEL, LADDER_PRIV, xs) in (0, 1)
@@ -175,6 +192,8 @@ def test_chain_oracle_model_and_mitigator_are_total(data):
     for x, y in zip(xs, ys):
         assert CHAIN.h(x, y) in (0, 1)
         assert isinstance(CHAIN_MODEL(x), bytes)
+        xp, yp = _checks_are_bools(CHAIN, x, y)
+        assert CHAIN.h(x, y) == int(CHAIN.genuine(xp) and not CHAIN.answers(xp, yp))
         ctx = _ctx(CHAIN, mitigator, b"mitigate")
         answers, flag = mitigator.mitigate(ctx, CHAIN_MODEL, CHAIN_PRIV, [x])
         assert flag == 0 and len(answers) == 1

@@ -45,6 +45,26 @@ def inner_level(buf: bytes, key: IdentityKey) -> int | None:
     return ip.level if isinstance(ip, ClearPayload) else None
 
 
+class KeepTrained:
+    """A trainer that keeps what its last `train` returned.
+
+    Transcripts do not hold the model or the private state, so tests that
+    read them after a trial wrap the trainer in this.
+    """
+
+    def __init__(self, trainer: Any):
+        self.trainer = trainer
+        self.sample_budget = trainer.sample_budget
+        self.step_budget = getattr(trainer, "step_budget", None)
+        self.model: Any = None
+        self.priv: Any = None
+
+    def train(self, ctx: Any) -> tuple[Any, Any]:
+        self.model = self.priv = None
+        self.model, self.priv = self.trainer.train(ctx)
+        return self.model, self.priv
+
+
 def ladder_detectors(instance: DataTaskInstance) -> dict[str, Any]:
     """The ladder detectors by name, each built as `detmit run` builds it."""
     return {
