@@ -228,9 +228,7 @@ def summarize(records: list[dict], epsilon: float) -> dict:
             aborts[t.aborted] = aborts.get(t.aborted, 0) + 1
 
     queries = [
-        t.ledgers[t.origin]["queries"]
-        for t in attack
-        if "queries" in t.ledgers.get(t.origin, {})
+        q for t in attack if (q := t.ledgers.get(t.origin, {}).get("queries")) is not None
     ]
     maxima: dict[str, dict[str, int]] = {}
     for t in trials:
@@ -265,7 +263,7 @@ def instance_public_state(instance: Any) -> dict:
             "level_cap": instance.level_cap,
             "width": instance.width,
             "inner_width": instance.inner_width,
-            "verification_key": instance.verification_key.hex(),
+            "verification_key": instance.snark.key_digest.hex(),
             "snark_setup": instance.snark.setup_digest.hex(),
             "fhe_params": instance.fhe.params_digest.hex(),
             "proof_registry": [
@@ -354,7 +352,7 @@ def _load_config(path: str) -> ExperimentConfig:
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--horizon", type=click.IntRange(min=4), default=256, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output prefix")
-@click.option("--emit-pairs", type=int, default=0, show_default=True)
+@click.option("--emit-pairs", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
     """Build an instance; write <out>.pub.json, <out>.sec.json[, <out>.pairs.jsonl]."""
     cfg = {"task": task, "seed": seed, "horizon": horizon}

@@ -2,8 +2,10 @@
 
 Five primitives, each behind a small, contract-shaped API:
 
-* signature tokens  — Ed25519 over a fixed zero message plus a fresh 16-byte
-  nonce; real unforgeability, deterministic verification.
+* signature tokens  — simulated by a MAC oracle: a token's core is
+  HMAC-SHA512 under the signing key of a fixed zero message plus a fresh
+  16-byte nonce.  The verification key holds the MAC key privately and shows
+  only a digest, so a party without the key must guess a 64-byte MAC.
 * proof registry    — succinct proofs of "k pairwise-distinct valid signature
   tokens exist" are simulated by an oracle: proving validates the witness
   locally and registers a fresh uniform 16-byte token; verification is
@@ -37,18 +39,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import hmac
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .drbg import HashDrbg
 from .wire import be64, pack_fields, unpack_exact
@@ -87,9 +85,17 @@ def sha256(data: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
+class VerificationKey:
+    """Checks tokens under a MAC key it never shows; public only as `digest`."""
+
+    digest: bytes
+    _mac_key: bytes = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class SigKeypair:
     signing_key: bytes
-    verification_key: bytes
+    verification_key: VerificationKey
 
 
 @dataclass(frozen=True)
@@ -108,43 +114,26 @@ class SignatureToken:
         return SignatureToken(fields[0], fields[1])
 
 
-@lru_cache(maxsize=64)
-def _private_key(sk: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(sk)
-
-
-@lru_cache(maxsize=256)
-def _public_key(vk: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(vk)
+def _mac(key: bytes, nonce: bytes) -> bytes:
+    return hmac.digest(key, ZERO_MESSAGE + nonce, "sha512")
 
 
 def sig_keygen(rng: HashDrbg) -> SigKeypair:
     sk = rng.take(32)
-    priv = Ed25519PrivateKey.from_private_bytes(sk)
-    vk = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    vk = VerificationKey(digest=sha256(b"sig-vk:" + sk), _mac_key=sk)
     return SigKeypair(signing_key=sk, verification_key=vk)
 
 
 def sig_sign_zero(keypair: SigKeypair, rng: HashDrbg) -> SignatureToken:
     """Sign the fixed zero message bound to a fresh nonce."""
     nonce = rng.take(NONCE_LEN)
-    core = _private_key(keypair.signing_key).sign(ZERO_MESSAGE + nonce)
-    return SignatureToken(nonce=nonce, core=core)
+    return SignatureToken(nonce=nonce, core=_mac(keypair.signing_key, nonce))
 
 
-@lru_cache(maxsize=1 << 15)
-def _verify_cached(vk: bytes, nonce: bytes, core: bytes) -> bool:
-    try:
-        _public_key(vk).verify(core, ZERO_MESSAGE + nonce)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
-
-
-def sig_verify(verification_key: bytes, token: SignatureToken) -> bool:
+def sig_verify(verification_key: VerificationKey, token: SignatureToken) -> bool:
     if len(token.nonce) != NONCE_LEN:
         return False
-    return _verify_cached(verification_key, token.nonce, token.core)
+    return hmac.compare_digest(token.core, _mac(verification_key._mac_key, token.nonce))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +181,9 @@ class SnarkParams:
     time proves against one object; a trial gets its own from :meth:`fork`.
     """
 
-    def __init__(self, rng: HashDrbg, verification_key: bytes):
+    def __init__(self, rng: HashDrbg, verification_key: VerificationKey):
         self.verification_key = verification_key
-        self.key_digest = sha256(verification_key)
+        self.key_digest = verification_key.digest
         self.setup_digest = sha256(b"snark-setup:" + rng.take(32))
         self._drbg = rng.child("proof-tokens")
         # (statement digest, token) -> witness actually used

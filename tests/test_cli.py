@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 
 from detmit.cli import ExperimentConfig, main, run_batch, summarize
 from detmit.sampleagents import SelfIterationAttacker
-from detmit.sampletask import DataTaskInstance
+from detmit.sampletask import DataTaskInstance, make_data_instance
 
 BASE = {
     "task": "ladder",
@@ -132,6 +133,29 @@ def test_gen_and_verify_roundtrip(runner, tmp_path):
     assert "8/8" in res.output
 
 
+def test_public_file_binds_the_count_statements_key(runner, tmp_path):
+    prefix = tmp_path / "inst"
+    res = runner.invoke(
+        main, ["gen-instance", "--task", "ladder", "--seed", "4", "--out", str(prefix)]
+    )
+    assert res.exit_code == 0, res.output
+    pub = json.loads(prefix.with_suffix(".pub.json").read_text())
+    instance = make_data_instance(4)
+    assert pub["verification_key"] == instance.snark.key_digest.hex()
+    assert instance.snark.statement(3).key_digest == instance.verification_key.digest
+
+
+def test_gen_instance_rejects_a_negative_pair_count(runner, tmp_path):
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "chain", "--horizon", "16", "--out", str(tmp_path / "i"),
+         "--emit-pairs", "-2"],
+    )
+    assert res.exit_code == 2
+    assert "--emit-pairs" in res.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_detects_tampering(runner, tmp_path):
     prefix = tmp_path / "inst"
     runner.invoke(
@@ -160,6 +184,25 @@ def test_report_matches_run_summary(runner, tmp_path):
     res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
     assert res.exit_code == 0
     assert json.loads(res.output) == json.loads(s_path.read_text())
+
+
+def test_report_reads_null_attacker_queries(runner, tmp_path):
+    cfg = write_config(tmp_path, trials=2)
+    t_path = tmp_path / "t.jsonl"
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path)])
+    assert res.exit_code == 0, res.output
+    records = [json.loads(line) for line in t_path.read_text().splitlines()]
+    nulled = 0
+    for rec in records:
+        ledger = rec["ledgers"].get(rec["origin"], {})
+        if "queries" in ledger:
+            ledger["queries"] = None
+            nulled += 1
+    assert nulled
+    t_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["mean_attacker_queries"] is None
 
 
 @pytest.mark.parametrize(
@@ -363,6 +406,24 @@ def test_a_ladder_batch_keeps_no_world_alive(monkeypatch, workers):
         gc.enable()
     assert len(refs) == len(batch) == cfg.trials
     assert alive == 0
+
+
+def test_a_ladder_batch_leaves_no_memory_behind():
+    """Nothing process-wide, such as a cache of checked tokens, outlives a batch."""
+    cfg = ExperimentConfig.model_validate(
+        {**BASE, "game": "mitigate", "level_target": 64, "trials": 8,
+         "instance_seed": 97, "master_seed": 98}
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_batch(cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.05 * 2**20
 
 
 def test_gen_instance_rejects_short_horizon(runner, tmp_path):

@@ -76,8 +76,15 @@ def test_mutated_tokens_rejected(rng, keypair):
     )
     assert not sig_verify(keypair.verification_key, flipped_nonce)
     assert not sig_verify(keypair.verification_key, flipped_core)
+    assert not sig_verify(keypair.verification_key, SignatureToken(tok.nonce, tok.core[:-1]))
     other = sig_keygen(rng.child("kp2"))
     assert not sig_verify(other.verification_key, tok)
+
+
+def test_verification_key_shows_only_its_digest(keypair):
+    vk = keypair.verification_key
+    assert len(vk.digest) == 32
+    assert repr(vk) == f"VerificationKey(digest={vk.digest!r})"
 
 
 def test_bad_nonce_length_rejected(keypair):
