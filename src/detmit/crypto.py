@@ -5,7 +5,8 @@ Five primitives, each behind a small, contract-shaped API:
 * signature tokens  — simulated by a MAC oracle: a token's core is
   HMAC-SHA512 under the signing key of a fixed zero message plus a fresh
   16-byte nonce.  The verification key holds the MAC key privately and shows
-  only a digest, so a party without the key must guess a 64-byte MAC.
+  only a digest, so a party without the key must guess a 64-byte MAC.  Its
+  HMAC pad states are hashed once per key, kept private and only copied.
 * proof registry    — succinct proofs of "k pairwise-distinct valid signature
   tokens exist" are simulated by an oracle: proving validates the witness
   locally and registers a fresh uniform 16-byte token; verification is
@@ -16,7 +17,8 @@ Five primitives, each behind a small, contract-shaped API:
   the pool prefix its largest count needs.
 * identity FHE      — per-identity authenticated symmetric keys derived from a
   master secret, plus a public evaluation oracle that holds the master secret
-  privately and applies registered byte-circuits under the encryption.
+  privately and applies registered byte-circuits under the encryption.  Key
+  derivation copies a private SHA-256 prefix state built once per system.
 * step meter        — the sequential step function (one SHA-256 application,
   `npl_step`) behind one party move's step allowance.
 * chain proofs      — incrementally-verifiable computation simulated by a
@@ -90,6 +92,21 @@ class VerificationKey:
 
     digest: bytes
     _mac_key: bytes = field(repr=False, compare=False)
+    _inner: hashlib._Hash = field(init=False, repr=False, compare=False)
+    _outer: hashlib._Hash = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # RFC 2104: a key longer than the 128-byte block is hashed first
+        key = self._mac_key
+        key = (hashlib.sha512(key).digest() if len(key) > 128 else key).ljust(128, b"\x00")
+        object.__setattr__(self, "_inner", hashlib.sha512(bytes(b ^ 0x36 for b in key)))
+        object.__setattr__(self, "_outer", hashlib.sha512(bytes(b ^ 0x5C for b in key)))
+
+    def _mac(self, message: bytes) -> bytes:
+        inner, outer = self._inner.copy(), self._outer.copy()
+        inner.update(message)
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 @dataclass(frozen=True)
@@ -114,10 +131,6 @@ class SignatureToken:
         return SignatureToken(fields[0], fields[1])
 
 
-def _mac(key: bytes, nonce: bytes) -> bytes:
-    return hmac.digest(key, ZERO_MESSAGE + nonce, "sha512")
-
-
 def sig_keygen(rng: HashDrbg) -> SigKeypair:
     sk = rng.take(32)
     vk = VerificationKey(digest=sha256(b"sig-vk:" + sk), _mac_key=sk)
@@ -127,13 +140,13 @@ def sig_keygen(rng: HashDrbg) -> SigKeypair:
 def sig_sign_zero(keypair: SigKeypair, rng: HashDrbg) -> SignatureToken:
     """Sign the fixed zero message bound to a fresh nonce."""
     nonce = rng.take(NONCE_LEN)
-    return SignatureToken(nonce=nonce, core=_mac(keypair.signing_key, nonce))
+    return SignatureToken(nonce, keypair.verification_key._mac(ZERO_MESSAGE + nonce))
 
 
 def sig_verify(verification_key: VerificationKey, token: SignatureToken) -> bool:
     if len(token.nonce) != NONCE_LEN:
         return False
-    return hmac.compare_digest(token.core, _mac(verification_key._mac_key, token.nonce))
+    return hmac.compare_digest(token.core, verification_key._mac(ZERO_MESSAGE + token.nonce))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +384,7 @@ class FheSystem:
         self._circuits: dict[str, Callable[[bytes], bytes]] = {}
         self._next_circuit = 0
         self.params_digest = sha256(b"fhe-params:" + self._msk)
+        self._id_key_prefix = hashlib.sha256(b"fhe-id-key:" + self._msk)  # only copied
 
     def fork(self, label: bytes) -> "FheSystem":
         """Same master secret, no circuits, eval nonces from `child(label)`."""
@@ -385,7 +399,9 @@ class FheSystem:
     def keygen(self, identity: bytes) -> IdentityKey:
         if len(identity) != IDENTITY_LEN:
             raise ValueError(f"identity tags are {IDENTITY_LEN} bytes")
-        return IdentityKey(tag=identity, key=sha256(b"fhe-id-key:" + self._msk + identity))
+        h = self._id_key_prefix.copy()
+        h.update(identity)
+        return IdentityKey(tag=identity, key=h.digest())
 
     # --- evaluation oracle ----------------------------------------------------
 
@@ -434,7 +450,12 @@ class StepMeter:
         self.used = 0
 
     def charge(self, steps: int) -> int:
-        """Charge up to `steps` steps; return how many the limit grants."""
+        """Charge up to `steps` steps; return how many the limit grants.
+
+        A negative run raises ``ValueError``: a move cannot lower its ledger.
+        """
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         limit = self.limit
         granted = steps if limit is None else max(0, min(steps, limit - self.used))
         self.used += granted

@@ -3,7 +3,9 @@
 Everything random in the simulator flows through :class:`HashDrbg`, a
 counter-mode SHA-256 generator.  Python's stdlib RNGs would work, but a hash
 DRBG gives bit-exact streams across platforms and interpreter versions, which
-the transcript-determinism contract depends on.
+the transcript-determinism contract depends on.  A take past the buffered
+block appends exactly the whole blocks it needs, in counter order, so how a
+stream is cut into takes never changes its bytes.
 """
 
 from __future__ import annotations
@@ -37,18 +39,17 @@ class HashDrbg:
         if pos < end <= len(self._buf):
             self._pos = end
             return self._buf[pos:end]
-        out = bytearray()
-        while n > 0:
-            if self._pos >= len(self._buf):
-                block = self._key + self._counter.to_bytes(8, "big")
-                self._buf = hashlib.sha256(block).digest()
-                self._pos = 0
-                self._counter += 1
-            chunk = self._buf[self._pos : self._pos + n]
-            out += chunk
-            self._pos += len(chunk)
-            n -= len(chunk)
-        return bytes(out)
+        if n <= 0:
+            return b""
+        out = self._buf[pos:]
+        need, key, counter = n - len(out), self._key, self._counter  # need > 0
+        block = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+        while need > 32:  # whole blocks, in counter order, then the part of one
+            out += block
+            need, counter = need - 32, counter + 1
+            block = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+        self._counter, self._buf, self._pos = counter + 1, block, need
+        return out + block[:need]
 
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")

@@ -24,17 +24,15 @@ def pack_fields(*fields: bytes) -> bytes:
 def unpack_fields(buf: bytes, count: int) -> tuple[list[bytes], bytes] | None:
     """Read exactly `count` length-prefixed fields; returns (fields, rest)."""
     fields: list[bytes] = []
-    pos = 0
+    end, size = 0, len(buf)
     for _ in range(count):
-        if pos + 4 > len(buf):
+        start = end + 4
+        # a short length prefix leaves start > size, so one check covers both
+        end = start + int.from_bytes(buf[end:start], "big")
+        if end > size:
             return None
-        n = int.from_bytes(buf[pos : pos + 4], "big")
-        pos += 4
-        if pos + n > len(buf):
-            return None
-        fields.append(buf[pos : pos + n])
-        pos += n
-    return fields, buf[pos:]
+        fields.append(buf[start:end])
+    return fields, buf[end:]
 
 
 def unpack_exact(buf: bytes, count: int) -> list[bytes] | None:

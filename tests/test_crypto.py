@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hmac
 import sys
 import threading
 
@@ -16,6 +17,7 @@ from detmit.crypto import (
     CountProver,
     FheSystem,
     IdentityCipher,
+    IdentityKey,
     IvcKeys,
     IvcProof,
     ProofChainError,
@@ -25,7 +27,9 @@ from detmit.crypto import (
     SnarkParams,
     StepMeter,
     StepsExhausted,
+    VerificationKey,
     WitnessError,
+    ZERO_MESSAGE,
     ivc_update,
     ivc_verify,
     npl_step,
@@ -85,6 +89,55 @@ def test_verification_key_shows_only_its_digest(keypair):
     vk = keypair.verification_key
     assert len(vk.digest) == 32
     assert repr(vk) == f"VerificationKey(digest={vk.digest!r})"
+
+
+class _Fixed:
+    """A stand-in stream that hands out one given byte string."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def take(self, n: int) -> bytes:
+        assert n == len(self.data)
+        return self.data
+
+
+@given(st.binary(min_size=32, max_size=32), st.binary(min_size=16, max_size=16))
+def test_token_core_is_hmac_sha512_of_zero_message_and_nonce(sk, nonce):
+    keypair = sig_keygen(_Fixed(sk))
+    tok = sig_sign_zero(keypair, _Fixed(nonce))
+    assert tok == SignatureToken(nonce, hmac.digest(sk, ZERO_MESSAGE + nonce, "sha512"))
+    assert sig_verify(keypair.verification_key, tok)
+
+
+@pytest.mark.parametrize(
+    "key, data, mac",
+    [
+        pytest.param(
+            b"\x0b" * 20, b"Hi There",
+            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde"
+            "daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854",
+            id="case-1",
+        ),
+        pytest.param(
+            b"Jefe", b"what do ya want for nothing?",
+            "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554"
+            "9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737",
+            id="case-2",
+        ),
+        pytest.param(
+            b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "80b24263c7c1a3ebb71493c1dd7be8b49b46d1f41b4aeec1121b013783f8f352"
+            "6b56d037e05f2598bd0fd2215d6a1e5295e64f73f63f0aec8b915a985d786598",
+            id="case-6-long-key",
+        ),
+    ],
+)
+def test_pad_state_mac_passes_rfc4231(key, data, mac):
+    vk = VerificationKey(digest=sha256(key), _mac_key=key)
+    assert vk._mac(data).hex() == mac
+    # the pad states are only copied, so a second MAC is the same
+    assert vk._mac(data).hex() == mac
 
 
 def test_bad_nonce_length_rejected(keypair):
@@ -254,6 +307,14 @@ def test_eval_unknown_handle(fhe, rng):
         fhe.eval("circuit-999999", ct)
 
 
+def test_identity_keys_are_sha256_of_master_secret_and_tag(fhe, rng):
+    r = rng.child("idkeys")
+    world = fhe.fork(b"world")
+    for identity in (r.take(16), r.take(16), bytes(16)):
+        key = sha256(b"fhe-id-key:" + fhe._msk + identity)
+        assert fhe.keygen(identity) == world.keygen(identity) == IdentityKey(identity, key)
+
+
 def test_keygen_requires_16_byte_tag(fhe):
     with pytest.raises(ValueError):
         fhe.keygen(b"short")
@@ -281,6 +342,15 @@ def test_meter_attributes_and_limits():
     # a run is granted up to the limit left
     carol = StepMeter(4)
     assert carol.charge(3) == 3 and carol.charge(3) == 1 and carol.used == 4
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_meter_refuses_a_negative_charge(limit):
+    meter = StepMeter(limit)
+    meter.charge(5)
+    with pytest.raises(ValueError, match="steps must be >= 0, got -10"):
+        meter.charge(-10)
+    assert meter.used == 5
 
 
 # --- chain proofs ---------------------------------------------------------------------

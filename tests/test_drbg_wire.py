@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detmit.drbg import HashDrbg, derive_trial_seed
@@ -57,22 +57,37 @@ def _reference_stream(seed: bytes, n: int) -> bytes:
 
 @given(
     st.binary(max_size=8),
-    st.lists(st.integers(min_value=-40, max_value=100), max_size=40),
+    st.lists(
+        st.tuples(st.integers(min_value=-40, max_value=200), st.booleans()), max_size=40
+    ),
 )
-def test_drbg_takes_are_slices_of_one_stream(seed, sizes):
-    """Any run of take sizes reads the stream in order; sizes <= 0 read nothing."""
+@example(b"", [(5, False), (200, False), (3, True), (0, False), (129, True), (33, False)])
+def test_drbg_takes_are_slices_of_one_stream(seed, takes):
+    """Any run of take sizes reads the stream in order; sizes <= 0 read nothing.
+
+    A take of up to 200 bytes spans up to 8 blocks.  Takes from a child
+    stream, made partway through, are interleaved and move neither stream.
+    """
     rng = HashDrbg(seed)
-    total = sum(n for n in sizes if n > 0)
-    stream = _reference_stream(seed, total + 32)
-    pos = 0
-    for n in sizes:
-        state = (rng._counter, rng._pos)
-        want = stream[pos : pos + n] if n > 0 else b""
-        assert rng.take(n) == want
+    key = hashlib.sha256(b"drbg-key:" + seed).digest()
+    total = sum(n for n, _ in takes if n > 0) + 32
+    streams = {
+        False: _reference_stream(seed, total),
+        True: _reference_stream(key + b"/child/c", total),
+    }
+    pos = {False: 0, True: 0}
+    child = None
+    for n, from_child in takes:
+        if from_child and child is None:
+            child = rng.child("c")
+        gen = child if from_child else rng
+        state = (gen._counter, gen._pos)
+        want = streams[from_child][pos[from_child] : pos[from_child] + n] if n > 0 else b""
+        assert gen.take(n) == want
         if n <= 0:
-            assert (rng._counter, rng._pos) == state
-        pos += len(want)
-    assert rng.take(32) == stream[pos : pos + 32]
+            assert (gen._counter, gen._pos) == state
+        pos[from_child] += len(want)
+    assert rng.take(32) == streams[False][pos[False] : pos[False] + 32]
 
 
 def test_trial_seed_derivation_stable():
@@ -99,6 +114,45 @@ def test_unpack_fields_returns_rest(fields, rest):
     buf = pack_fields(*fields) + rest
     parsed = unpack_fields(buf, len(fields))
     assert parsed == (fields, rest)
+
+
+def _reference_unpack(buf: bytes, count: int) -> tuple[list[bytes], bytes] | None:
+    """Field by field, each bound checked on its own."""
+    fields, pos = [], 0
+    for _ in range(count):
+        if pos + 4 > len(buf):
+            return None
+        n = int.from_bytes(buf[pos : pos + 4], "big")
+        pos += 4
+        if pos + n > len(buf):
+            return None
+        fields.append(buf[pos : pos + n])
+        pos += n
+    return fields, buf[pos:]
+
+
+def _framed(fields: list[bytes], cut: int, junk: bytes, extra: int) -> tuple[bytes, int]:
+    """Framed fields, `cut` bytes short, then junk; a count near the field count."""
+    buf = pack_fields(*fields)
+    return buf[: max(0, len(buf) - cut)] + junk, min(5, max(0, len(fields) + extra))
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.tuples(st.binary(max_size=64), st.integers(min_value=0, max_value=5)),
+        st.builds(
+            _framed,
+            st.lists(st.binary(max_size=12), max_size=5),
+            st.integers(min_value=0, max_value=4),
+            st.binary(max_size=6),
+            st.integers(min_value=-1, max_value=1),
+        ),
+    )
+)
+def test_unpack_fields_matches_a_reference_decoder(case):
+    buf, count = case
+    assert unpack_fields(buf, count) == _reference_unpack(buf, count)
 
 
 def test_unpack_malformed_is_none():

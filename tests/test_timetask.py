@@ -115,6 +115,27 @@ def test_attack_numbers_frozen(inst):
     assert t.ledgers["mitigator"]["steps_used"] == 16
 
 
+class _RefundingMitigator(ChainExtendingMitigator):
+    """Tries to hand itself a step back before doing the honest work."""
+
+    def mitigate(self, ctx, model, priv, xs):
+        ctx.meter.charge(-1)
+        return super().mitigate(ctx, model, priv, xs)
+
+
+def test_a_negative_step_charge_aborts_the_party_that_made_it(inst):
+    mit = _RefundingMitigator(inst)
+    assert mit.step_budget is None  # no limit clamps the charge
+    t = run_dbm_trial(
+        inst, TimeTrainer(inst), ChainClimbingAttacker(inst), mit,
+        PARAMS, derive_trial_seed(81, 0), 0,
+    )
+    assert t.aborted == "mitigator"
+    assert t.abort_reason == "fault: ValueError: steps must be >= 0, got -1"
+    assert t.err_y is None and t.flag is None
+    assert all(ledger["steps_used"] >= 0 for ledger in t.ledgers.values())
+
+
 def test_attack_defeats_the_grid_model(inst):
     """Against a detection-style defense the frontier payload is a violation."""
     from detmit.sampleagents import NeverFlagDetector
