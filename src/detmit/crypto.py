@@ -3,9 +3,10 @@
 Five primitives, each behind a small, contract-shaped API:
 
 * signature tokens  — simulated by a MAC oracle: a token's core is
-  HMAC-SHA512 under the signing key of a fixed zero message plus a fresh
-  16-byte nonce.  The verification key holds the MAC key privately and shows
-  only a digest, so a party without the key must guess a 64-byte MAC.  Its
+  HMAC-SHA512 under a secret MAC key of a fixed zero message plus a fresh
+  16-byte nonce.  One :class:`VerificationKey` holds the MAC key privately,
+  signs and verifies in-process and shows only a digest, so a party without
+  the key object must guess a 64-byte MAC.  Its
   HMAC pad states are hashed once per key, kept private and only copied.
 * proof registry    — succinct proofs of "k pairwise-distinct valid signature
   tokens exist" are simulated by an oracle: proving validates the witness
@@ -110,12 +111,6 @@ class VerificationKey:
 
 
 @dataclass(frozen=True)
-class SigKeypair:
-    signing_key: bytes
-    verification_key: VerificationKey
-
-
-@dataclass(frozen=True)
 class SignatureToken:
     nonce: bytes
     core: bytes
@@ -131,16 +126,16 @@ class SignatureToken:
         return SignatureToken(fields[0], fields[1])
 
 
-def sig_keygen(rng: HashDrbg) -> SigKeypair:
+def sig_keygen(rng: HashDrbg) -> VerificationKey:
+    """A fresh key: it signs in-process and shows parties only its digest."""
     sk = rng.take(32)
-    vk = VerificationKey(digest=sha256(b"sig-vk:" + sk), _mac_key=sk)
-    return SigKeypair(signing_key=sk, verification_key=vk)
+    return VerificationKey(digest=sha256(b"sig-vk:" + sk), _mac_key=sk)
 
 
-def sig_sign_zero(keypair: SigKeypair, rng: HashDrbg) -> SignatureToken:
+def sig_sign_zero(key: VerificationKey, rng: HashDrbg) -> SignatureToken:
     """Sign the fixed zero message bound to a fresh nonce."""
     nonce = rng.take(NONCE_LEN)
-    return SignatureToken(nonce, keypair.verification_key._mac(ZERO_MESSAGE + nonce))
+    return SignatureToken(nonce, key._mac(ZERO_MESSAGE + nonce))
 
 
 def sig_verify(verification_key: VerificationKey, token: SignatureToken) -> bool:
@@ -354,7 +349,10 @@ class IdentityCipher:
         self._aead = AESGCM(idkey.key)
 
     def encrypt(self, plaintext: bytes, rng: HashDrbg) -> Ciphertext:
-        nonce = rng.take(AEAD_NONCE_LEN)
+        return self.seal(plaintext, rng.take(AEAD_NONCE_LEN))
+
+    def seal(self, plaintext: bytes, nonce: bytes) -> Ciphertext:
+        """`encrypt` with a nonce the caller has already taken."""
         body = nonce + self._aead.encrypt(nonce, plaintext, self.tag)
         return Ciphertext(identity_tag=self.tag, body=body)
 

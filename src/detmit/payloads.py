@@ -115,22 +115,6 @@ def _zero_padding(rest: bytes) -> bool:
     return rest.count(0) == len(rest)
 
 
-def clear_token(buf: bytes) -> SignatureToken | None:
-    """The token of a clear ladder payload, without decoding the rest.
-
-    Reads only the tag and the first field, so on any buffer that
-    :func:`decode_payload` takes for a ``ClearPayload`` it returns that
-    payload's token; on every other tag it returns ``None``.  Total on
-    arbitrary bytes.
-    """
-    if len(buf) < 5 or buf[0] != TAG_CLEAR:
-        return None
-    end = 5 + int.from_bytes(buf[1:5], "big")
-    if end > len(buf):
-        return None
-    return SignatureToken.from_bytes(buf[5:end])
-
-
 def decode_payload(buf: bytes) -> Payload | None:
     if len(buf) < 1:
         return None

@@ -35,7 +35,6 @@ from .payloads import (
     EncPayload,
     Payload,
     bottom,
-    clear_token,
     decode_payload,
     encode_payload,
 )
@@ -66,7 +65,7 @@ def _fresh_tokens(
     seen = set(known)
     fresh: list[SignatureToken] = []
     for _ in range(draws):
-        token = clear_token(ctx.oracle.draw_input())
+        token = ctx.oracle.draw_token()
         if token is not None and token not in seen:
             seen.add(token)
             fresh.append(token)

@@ -12,9 +12,11 @@ whose decryption key is NOT included, next to a second (identity, key) pair
 that is.  A model must answer those homomorphically; an attacker can use the
 included key pair to smuggle its own payloads through the model's circuit.
 
-Parties draw inputs only, through ``sample_input``.  It runs the draw routine
-of ``sample_pair`` and takes the same bytes, but never registers, encodes or
-seals the answer, so no party ever holds an answer proof.
+A draw has three views, all run by one routine that takes the same bytes
+from every stream: ``sample_pair`` builds x and y; ``sample_input`` builds x
+alone, so no party ever holds an answer proof; ``sample_token`` builds
+nothing and returns the token of a clear draw (None for a sealed one), for
+parties that only collect tokens.
 
 Everything here is harness/instance side except the public surface agents
 use: count-proof proving, the input and answer checks that ``h`` is built
@@ -36,6 +38,7 @@ from .crypto import (
     IdentityCipher,
     IdentityKey,
     ProofToken,
+    SignatureToken,
     SnarkParams,
     sig_keygen,
     sig_sign_zero,
@@ -72,6 +75,10 @@ def grid_level(levels: list[int], need: int) -> int | None:
     return levels[i] if i < len(levels) else None
 
 
+# how many of a draw's (x, y) each view of it builds
+_BUILT = {"token": 0, "input": 1, "pair": 2}
+
+
 def _round_up(n: int, block: int = 32) -> int:
     return ((n + block - 1) // block) * block
 
@@ -106,13 +113,12 @@ class DataTaskInstance:
 
     def __init__(self, seed: bytes | int):
         rng = HashDrbg(seed).child("ladder-instance")
-        self.keypair = sig_keygen(rng.child("sig"))
-        self.verification_key = self.keypair.verification_key
+        self.verification_key = sig_keygen(rng.child("sig"))
         self.snark = SnarkParams(rng.child("proofs"), self.verification_key)
         self.fhe = FheSystem(rng.child("fhe"))
         pool_rng = rng.child("witness-pool")
         self._pool = tuple(
-            sig_sign_zero(self.keypair, pool_rng)
+            sig_sign_zero(self.verification_key, pool_rng)
             for _ in range(self.max_provable_level)
         )
         # checks pool tokens lazily, only as far as the counts proved need
@@ -153,70 +159,81 @@ class DataTaskInstance:
             raise ValueError(f"count {count} outside provable range")
         return self._prover.prove((count,))[0]
 
-    def clear_pair_at(
-        self, level: int, rng: HashDrbg, answer: bool = True
-    ) -> tuple[ClearPayload, ClearPayload | None]:
-        """The clear input at `level` and, if `answer`, its answer.
+    def _draw(
+        self, rng: HashDrbg, view: str, level: int | None = None, sealed: bool | None = None
+    ) -> tuple[SignatureToken | None, list[Payload]]:
+        """One draw from the ladder distribution, built as far as `view` asks.
 
-        The answer's proof token is taken either way.
+        A draw takes, in order, from `rng`: the level bits, the token nonce,
+        the sealing bit, and on a sealed draw id1, id2 and the seal nonces
+        of x and y; from the proof-token stream: x's proof token, then y's.
+        Every view takes all of them, so the draws and proofs after this one
+        do not depend on the view.  What it builds:
+
+        * ``"pair"``  — x and y, proved, and sealed for id1 on a sealed draw;
+        * ``"input"`` — x alone; y's proof token is skipped;
+        * ``"token"`` — nothing: no proof, no key, no seal, no encoding.
+
+        Returns the token a reader of the clear x sees (None on a sealed
+        draw) and the payloads built.  `level` and `sealed` fix the level
+        and the sealing bit instead of drawing them (white-box builders).
         """
-        token = sig_sign_zero(self.keypair, rng)
-        x = ClearPayload(token, level, self.prove_count(level))
-        if not answer:
+        built = _BUILT[view]
+        if level is None:
+            level = self.law.sample(rng)
+        token = sig_sign_zero(self.verification_key, rng)
+        levels = (level, next_level(level))
+        payloads: list[Payload] = [
+            ClearPayload(token, n, self.prove_count(n)) for n in levels[:built]
+        ]
+        for _ in levels[built:]:
             self.snark.skip_proof()
-            return x, None
-        answer_level = next_level(level)
-        y = ClearPayload(token, answer_level, self.prove_count(answer_level))
-        return x, y
-
-    def wrap_pair(
-        self, x: ClearPayload, y: ClearPayload | None, rng: HashDrbg
-    ) -> tuple[EncPayload, EncPayload | None]:
-        """Seal `x` and, if given, `y` for a fresh identity; ship a second one.
-
-        `y`'s nonce is taken either way.
-        """
-        id1 = rng.take(IDENTITY_LEN)
-        id2 = rng.take(IDENTITY_LEN)
-        cipher1 = IdentityCipher(self.fhe.keygen(id1))
-        key2 = self.fhe.keygen(id2)
-        ct_x = cipher1.encrypt(encode_payload(x, self.inner_width), rng)
-        ex = EncPayload(ct_x, id1, id2, key2.key)
-        if y is None:
-            rng.take(AEAD_NONCE_LEN)
-            return ex, None
-        ct_y = cipher1.encrypt(encode_payload(y, self.inner_width), rng)
-        return ex, EncPayload(ct_y, b"", b"", b"")
-
-    def _draw(self, rng: HashDrbg, answer: bool) -> tuple[bytes, bytes | None]:
-        """One draw from the ladder distribution: x and, if `answer`, y.
-
-        Both ways take the same bytes from `rng` and the same proof tokens,
-        so the draws and proofs after this one do not depend on `answer`.
-        """
-        x, y = self.clear_pair_at(self.law.sample(rng), rng, answer)
-        if rng.bit():
-            x, y = self.wrap_pair(x, y, rng)
-        xb = encode_payload(x, self.width)
-        return xb, None if y is None else encode_payload(y, self.width)
+        if sealed is None:
+            sealed = bool(rng.bit())
+        if not sealed:
+            return token, payloads
+        id1, id2 = rng.take(IDENTITY_LEN), rng.take(IDENTITY_LEN)
+        nonces = rng.take(AEAD_NONCE_LEN), rng.take(AEAD_NONCE_LEN)
+        if not payloads:
+            return None, payloads
+        cipher = IdentityCipher(self.fhe.keygen(id1))
+        cts = [
+            cipher.seal(encode_payload(p, self.inner_width), nonce)
+            for p, nonce in zip(payloads, nonces)
+        ]
+        ex = EncPayload(cts[0], id1, id2, self.fhe.keygen(id2).key)
+        return None, [ex] + [EncPayload(ct, b"", b"", b"") for ct in cts[1:]]
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        return self._draw(rng, answer=True)  # type: ignore[return-value]
+        x, y = self._draw(rng, "pair")[1]
+        return encode_payload(x, self.width), encode_payload(y, self.width)
 
     def sample_input(self, rng: HashDrbg) -> bytes:
         """`sample_pair(rng)[0]`, without building the answer."""
-        return self._draw(rng, answer=False)[0]
+        return encode_payload(self._draw(rng, "input")[1][0], self.width)
 
-    # -- white-box input builders (harness-side probes) --
+    def sample_token(self, rng: HashDrbg) -> SignatureToken | None:
+        """The token of a clear `sample_input(rng)`, None for a sealed one.
+
+        Builds nothing: the draw's proofs stay unregistered.
+        """
+        return self._draw(rng, "token")[0]
+
+    # -- white-box builders (harness-side probes) --
+
+    def clear_pair_at(
+        self, level: int, rng: HashDrbg, answer: bool = True
+    ) -> tuple[ClearPayload, ClearPayload | None]:
+        """The clear input at `level` and, if `answer`, its answer."""
+        payloads = self._draw(rng, "pair" if answer else "input", level, sealed=False)[1]
+        return payloads[0], payloads[1] if answer else None  # type: ignore[return-value]
 
     def build_clear_input(self, level: int, rng: HashDrbg) -> bytes:
-        x, _ = self.clear_pair_at(level, rng, answer=False)
-        return encode_payload(x, self.width)
+        return encode_payload(self.clear_pair_at(level, rng, answer=False)[0], self.width)
 
     def build_enc_input(self, level: int, rng: HashDrbg) -> bytes:
-        x, _ = self.clear_pair_at(level, rng, answer=False)
-        ex, _ = self.wrap_pair(x, None, rng)
-        return encode_payload(ex, self.width)
+        x = self._draw(rng, "input", level, sealed=True)[1][0]
+        return encode_payload(x, self.width)
 
     # -- public checks and the quality oracle --
 

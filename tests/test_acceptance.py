@@ -299,19 +299,19 @@ def test_ladder_mitigation_restores_soundness():
 
 def test_crypto_contract_rates():
     rng = HashDrbg(505)
-    kp = sig_keygen(rng.child("kp"))
+    key = sig_keygen(rng.child("kp"))
 
-    tokens = [sig_sign_zero(kp, rng) for _ in range(1000)]
-    assert all(sig_verify(kp.verification_key, t) for t in tokens)
+    tokens = [sig_sign_zero(key, rng) for _ in range(1000)]
+    assert all(sig_verify(key, t) for t in tokens)
 
     forged_ok = 0
     for tok in tokens:
         raw = bytearray(tok.core)
         raw[rng.randrange(len(raw))] ^= 1 + rng.randrange(255)
-        forged_ok += sig_verify(kp.verification_key, type(tok)(tok.nonce, bytes(raw)))
+        forged_ok += sig_verify(key, type(tok)(tok.nonce, bytes(raw)))
     assert forged_ok == 0
 
-    snark = SnarkParams(rng.child("snark"), kp.verification_key)
+    snark = SnarkParams(rng.child("snark"), key)
     guessed_ok = 0
     for i in range(10_000):
         stmt = snark.statement(1 + i % 20)
@@ -320,7 +320,7 @@ def test_crypto_contract_rates():
     assert guessed_ok == 0
 
     for s in range(1, 101):
-        witness = [sig_sign_zero(kp, rng) for _ in range(s)]
+        witness = [sig_sign_zero(key, rng) for _ in range(s)]
         proof = snark_prove(snark, snark.statement(s), witness)
         assert snark_extract(snark, proof) == tuple(witness)
 
@@ -338,9 +338,9 @@ def test_crypto_contract_rates():
         s = 1 + i % 20
         stmt = snark.statement(s)
         if i % 2 == 0 or s == 1:
-            witness = [sig_sign_zero(kp, rng) for _ in range(s - 1)]
+            witness = [sig_sign_zero(key, rng) for _ in range(s - 1)]
         else:
-            witness = [sig_sign_zero(kp, rng) for _ in range(s - 1)]
+            witness = [sig_sign_zero(key, rng) for _ in range(s - 1)]
             witness.append(witness[0])  # right count, duplicated entry
         try:
             snark_prove(snark, stmt, witness)

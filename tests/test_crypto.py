@@ -51,42 +51,41 @@ def rng():
 
 
 @pytest.fixture(scope="module")
-def keypair(rng):
+def vk(rng):
     return sig_keygen(rng.child("kp"))
 
 
 # --- signatures -----------------------------------------------------------------
 
 
-def test_sign_verify_roundtrip(rng, keypair):
-    tok = sig_sign_zero(keypair, rng.child("t1"))
-    assert sig_verify(keypair.verification_key, tok)
+def test_sign_verify_roundtrip(rng, vk):
+    tok = sig_sign_zero(vk, rng.child("t1"))
+    assert sig_verify(vk, tok)
     assert SignatureToken.from_bytes(tok.to_bytes()) == tok
 
 
-def test_tokens_are_distinct(rng, keypair):
+def test_tokens_are_distinct(rng, vk):
     r = rng.child("distinct")
-    toks = {sig_sign_zero(keypair, r).to_bytes() for _ in range(64)}
+    toks = {sig_sign_zero(vk, r).to_bytes() for _ in range(64)}
     assert len(toks) == 64
 
 
-def test_mutated_tokens_rejected(rng, keypair):
-    tok = sig_sign_zero(keypair, rng.child("t2"))
+def test_mutated_tokens_rejected(rng, vk):
+    tok = sig_sign_zero(vk, rng.child("t2"))
     flipped_nonce = SignatureToken(
         bytes([tok.nonce[0] ^ 1]) + tok.nonce[1:], tok.core
     )
     flipped_core = SignatureToken(
         tok.nonce, bytes([tok.core[0] ^ 1]) + tok.core[1:]
     )
-    assert not sig_verify(keypair.verification_key, flipped_nonce)
-    assert not sig_verify(keypair.verification_key, flipped_core)
-    assert not sig_verify(keypair.verification_key, SignatureToken(tok.nonce, tok.core[:-1]))
+    assert not sig_verify(vk, flipped_nonce)
+    assert not sig_verify(vk, flipped_core)
+    assert not sig_verify(vk, SignatureToken(tok.nonce, tok.core[:-1]))
     other = sig_keygen(rng.child("kp2"))
-    assert not sig_verify(other.verification_key, tok)
+    assert not sig_verify(other, tok)
 
 
-def test_verification_key_shows_only_its_digest(keypair):
-    vk = keypair.verification_key
+def test_verification_key_shows_only_its_digest(vk):
     assert len(vk.digest) == 32
     assert repr(vk) == f"VerificationKey(digest={vk.digest!r})"
 
@@ -104,10 +103,10 @@ class _Fixed:
 
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=16, max_size=16))
 def test_token_core_is_hmac_sha512_of_zero_message_and_nonce(sk, nonce):
-    keypair = sig_keygen(_Fixed(sk))
-    tok = sig_sign_zero(keypair, _Fixed(nonce))
+    vk = sig_keygen(_Fixed(sk))
+    tok = sig_sign_zero(vk, _Fixed(nonce))
     assert tok == SignatureToken(nonce, hmac.digest(sk, ZERO_MESSAGE + nonce, "sha512"))
-    assert sig_verify(keypair.verification_key, tok)
+    assert sig_verify(vk, tok)
 
 
 @pytest.mark.parametrize(
@@ -140,22 +139,22 @@ def test_pad_state_mac_passes_rfc4231(key, data, mac):
     assert vk._mac(data).hex() == mac
 
 
-def test_bad_nonce_length_rejected(keypair):
-    assert not sig_verify(keypair.verification_key, SignatureToken(b"short", b"x" * 64))
+def test_bad_nonce_length_rejected(vk):
+    assert not sig_verify(vk, SignatureToken(b"short", b"x" * 64))
 
 
 # --- count proofs ----------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def snark(rng, keypair):
-    return SnarkParams(rng.child("snark"), keypair.verification_key)
+def snark(rng, vk):
+    return SnarkParams(rng.child("snark"), vk)
 
 
 @pytest.fixture(scope="module")
-def tokens(rng, keypair):
+def tokens(rng, vk):
     r = rng.child("pool")
-    return [sig_sign_zero(keypair, r) for _ in range(24)]
+    return [sig_sign_zero(vk, r) for _ in range(24)]
 
 
 def test_prove_verify_extract(snark, tokens):
@@ -171,7 +170,7 @@ def test_proof_bound_to_statement(snark, tokens):
     assert not snark_verify(snark, snark.statement(4), proof)
 
 
-def test_insufficient_witness_rejected(snark, tokens, keypair, rng):
+def test_insufficient_witness_rejected(snark, tokens, vk, rng):
     with pytest.raises(WitnessError):
         snark_prove(snark, snark.statement(5), tokens[:4])
     # duplicates don't count twice
@@ -183,13 +182,13 @@ def test_insufficient_witness_rejected(snark, tokens, keypair, rng):
         snark_prove(snark, snark.statement(2), [tokens[0], bad])
 
 
-def test_prove_counts_equals_successive_single_proofs(rng, keypair, tokens):
+def test_prove_counts_equals_successive_single_proofs(rng, vk, tokens):
     bad = SignatureToken(tokens[1].nonce, b"\x00" * 64)
     witness = [tokens[0], tokens[0], bad, *tokens[1:10]]
     valid = tokens[:10]  # the distinct valid tokens, in witness order
     counts = [3, 1, 7, 5]
-    batch = SnarkParams(rng.child("counts"), keypair.verification_key)
-    single = SnarkParams(rng.child("counts"), keypair.verification_key)
+    batch = SnarkParams(rng.child("counts"), vk)
+    single = SnarkParams(rng.child("counts"), vk)
     proofs = CountProver(batch, witness).prove(counts)
     assert proofs == [snark_prove(single, single.statement(c), witness) for c in counts]
     for count, proof in zip(counts, proofs):
@@ -197,21 +196,21 @@ def test_prove_counts_equals_successive_single_proofs(rng, keypair, tokens):
         assert snark_extract(batch, proof) == tuple(valid[:count])
 
 
-def test_prove_counts_short_witness_registers_nothing(rng, keypair, tokens):
-    params = SnarkParams(rng.child("short"), keypair.verification_key)
+def test_prove_counts_short_witness_registers_nothing(rng, vk, tokens):
+    params = SnarkParams(rng.child("short"), vk)
     with pytest.raises(WitnessError):
         CountProver(params, tokens[:5]).prove([2, 6])
     assert params.registry_entries() == []
     # nor did it take from the proof-token stream
-    fresh = SnarkParams(rng.child("short"), keypair.verification_key)
+    fresh = SnarkParams(rng.child("short"), vk)
     assert CountProver(params, tokens).prove([2]) == CountProver(fresh, tokens).prove([2])
 
 
-def test_count_prover_checks_each_witness_token_once(rng, keypair, tokens, monkeypatch):
+def test_count_prover_checks_each_witness_token_once(rng, vk, tokens, monkeypatch):
     bad = SignatureToken(tokens[1].nonce, b"\x00" * 64)
     witness = (tokens[0], tokens[0], bad, *tokens[1:10])
     counts = [3, 1, 7, 2, 7, 5]
-    single = SnarkParams(rng.child("once"), keypair.verification_key)
+    single = SnarkParams(rng.child("once"), vk)
     wants = [snark_prove(single, single.statement(c), list(witness)) for c in counts]
 
     checked = []
@@ -221,7 +220,7 @@ def test_count_prover_checks_each_witness_token_once(rng, keypair, tokens, monke
         return sig_verify(vk, tok)
 
     monkeypatch.setattr(crypto, "sig_verify", counting_verify)
-    prover = CountProver(SnarkParams(rng.child("once"), keypair.verification_key), witness)
+    prover = CountProver(SnarkParams(rng.child("once"), vk), witness)
     for count, want in zip(counts, wants):
         assert prover.prove([count]) == [want]
         assert snark_extract(prover.params, want) == tuple(tokens[:count])
@@ -229,13 +228,13 @@ def test_count_prover_checks_each_witness_token_once(rng, keypair, tokens, monke
     assert checked == [tokens[0], bad, *tokens[1:7]]
 
 
-def test_count_prover_short_witness_registers_nothing(rng, keypair, tokens):
-    params = SnarkParams(rng.child("prover-short"), keypair.verification_key)
+def test_count_prover_short_witness_registers_nothing(rng, vk, tokens):
+    params = SnarkParams(rng.child("prover-short"), vk)
     prover = CountProver(params, tokens[:4])
     with pytest.raises(WitnessError):
         prover.prove([2, 5])
     assert params.registry_entries() == []
-    fresh = SnarkParams(rng.child("prover-short"), keypair.verification_key)
+    fresh = SnarkParams(rng.child("prover-short"), vk)
     assert prover.prove([2]) == CountProver(fresh, tokens).prove([2])
 
 

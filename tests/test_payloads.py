@@ -17,14 +17,14 @@ from detmit.payloads import (
     PayloadTooWide,
     TimePayload,
     bottom,
-    clear_token,
     decode_payload,
     encode_payload,
     pad_to,
 )
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
-from detmit.wire import be32, be64, pack_fields
+from detmit.wire import be64, pack_fields
+from testkit import seal_pair
 
 R = HashDrbg(b"payload-tests")
 
@@ -122,7 +122,7 @@ def test_retired_chain_enc_tag_decodes_to_nothing_and_scores_zero():
     ladder, chain = make_data_instance(31), make_time_instance(31, horizon=16)
     rng = R.child("tag-04")
     x, y = ladder.clear_pair_at(3, rng)
-    ex, ey = ladder.wrap_pair(x, y, rng)
+    ex, ey = seal_pair(ladder, x, y, rng)
     exb, eyb = encode_payload(ex, ladder.width), encode_payload(ey, ladder.width)
     assert ladder.h(exb, encode_payload(y, ladder.width)) == 1  # a wrong answer to the genuine input
     retagged = bytes([0x04]) + exb[1:]
@@ -196,58 +196,3 @@ def test_flat_encoder_matches_reference_layout(payload, width):
             encode_payload(payload, width)
         return
     assert encode_payload(payload, width) == want
-
-
-# clear payloads `decode_payload` accepts: any signature, the honest field widths
-decodable_clear = st.builds(
-    ClearPayload,
-    token=st.builds(SignatureToken, st.binary(min_size=16, max_size=16), field),
-    level=st.integers(min_value=1, max_value=2**64 - 1),
-    proof=st.builds(
-        ProofToken, st.binary(min_size=16, max_size=16), st.binary(min_size=32, max_size=32)
-    ),
-)
-time_payloads = st.builds(
-    TimePayload,
-    steps=st.integers(1, 2**64 - 1),
-    config=field,
-    proof=st.builds(IvcProof, st.integers(0, 2**64 - 1), field),
-)
-padding = st.integers(0, 300)
-
-
-def padded(payload, pad: int) -> bytes:
-    core = encode_payload(payload)
-    return pad_to(core, len(core) + pad)
-
-
-@given(decodable_clear, padding)
-@example(SAMPLE_CLEAR, 0)
-def test_clear_token_reads_the_token_of_every_clear_payload(payload, pad):
-    buf = padded(payload, pad)
-    assert clear_token(buf) == decode_payload(buf).token == payload.token
-
-
-@given(st.one_of(enc_payloads, time_payloads), padding)
-@example(SAMPLE_ENC, 0)
-def test_clear_token_is_none_on_other_forms(payload, pad):
-    assert clear_token(padded(payload, pad)) is None
-    assert clear_token(pad_to(BOTTOM, len(BOTTOM) + pad)) is None
-
-
-def test_clear_token_rejects_a_truncated_first_field():
-    token_b = SAMPLE_CLEAR.token.to_bytes()
-    assert clear_token(bytes([TAG_CLEAR]) + be32(len(token_b)) + token_b) == SAMPLE_CLEAR.token
-    assert clear_token(bytes([TAG_CLEAR]) + be32(len(token_b) + 1) + token_b) is None
-
-
-@given(st.binary(max_size=300))
-@example(bytes([TAG_CLEAR]))
-@example(bytes([TAG_CLEAR]) + be32(2**32 - 1))
-@example(bytes([TAG_CLEAR]) + pack_fields(pack_fields(b"short-nonce", b"sig")))
-def test_clear_token_is_total(buf):
-    token = clear_token(buf)
-    assert token is None or isinstance(token, SignatureToken)
-    p = decode_payload(buf)
-    if isinstance(p, ClearPayload):
-        assert token == p.token

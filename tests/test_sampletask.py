@@ -31,7 +31,7 @@ from detmit.sampletask import (
     next_level,
     payload_form,
 )
-from testkit import inner_level
+from testkit import inner_level, seal_pair
 
 INST = make_data_instance(21)
 R = HashDrbg(b"ladder-tests")
@@ -88,7 +88,7 @@ def test_clear_pair_is_correct_answer():
 def test_enc_pair_is_correct_answer():
     rng = R.child("enc")
     x, y = INST.clear_pair_at(3, rng)
-    ex, ey = INST.wrap_pair(x, y, rng)
+    ex, ey = seal_pair(INST, x, y, rng)
     assert ex.id1 and ex.id2 and ex.key2
     assert ey.id1 == b"" and ey.id2 == b"" and ey.key2 == b""
     assert INST.h(encode_payload(ex, INST.width), encode_payload(ey, INST.width)) == 0
@@ -109,7 +109,7 @@ def test_h_wrong_answers_score_one():
     low = ClearPayload(x.token, x.level, x.proof)
     assert INST.h(xb, encode_payload(low, INST.width)) == 1
     # right level, wrong token
-    other = sig_sign_zero(INST.keypair, rng)
+    other = sig_sign_zero(INST.verification_key, rng)
     swapped = ClearPayload(other, y.level, y.proof)
     assert INST.h(xb, encode_payload(swapped, INST.width)) == 1
     # unregistered proof
@@ -139,7 +139,7 @@ def test_h_crypto_invalid_input_scores_zero():
 def test_h_encrypted_edges():
     rng = R.child("edges")
     x, y = INST.clear_pair_at(2, rng)
-    ex, ey = INST.wrap_pair(x, y, rng)
+    ex, ey = seal_pair(INST, x, y, rng)
     exb = encode_payload(ex, INST.width)
     # clear answer to an encrypted input leaks nothing useful: scores 1
     assert INST.h(exb, encode_payload(y, INST.width)) == 1
@@ -178,7 +178,7 @@ def test_shipped_key_pair_works():
     # the (id2, key2) pair inside an encrypted draw really decrypts for id2
     rng = R.child("shipped")
     x, y = INST.clear_pair_at(2, rng)
-    ex, _ = INST.wrap_pair(x, y, rng)
+    ex, _ = seal_pair(INST, x, y, rng)
     key = IdentityKey(ex.id2, ex.key2)
     cipher = IdentityCipher(key)
     ct = cipher.encrypt(b"smuggled", rng)
@@ -209,7 +209,7 @@ def test_replayed_draw_at_a_higher_level_scores_zero(sealed):
     forged = ClearPayload(x.token, x.level + 1, x.proof)
     _, y = world.clear_pair_at(forged.level, rng)  # a proof at the level forged needs
     answer = ClearPayload(x.token, y.level, y.proof)
-    shipped, _ = world.wrap_pair(*world.clear_pair_at(2, rng, answer=False), rng)
+    shipped = decode_payload(world.build_enc_input(2, rng))
     cipher = IdentityCipher(IdentityKey(shipped.id2, shipped.key2))
 
     def wire(p):

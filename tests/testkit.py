@@ -7,6 +7,7 @@ from typing import Any, Callable
 from detmit.cli import DEFENSES, ExperimentConfig
 from detmit.core import RateEstimate, Transcript
 from detmit.crypto import (
+    IDENTITY_LEN,
     IdentityCipher,
     IdentityKey,
     IvcKeys,
@@ -14,7 +15,8 @@ from detmit.crypto import (
     StepMeter,
     ivc_update,
 )
-from detmit.payloads import ClearPayload, EncPayload, decode_payload
+from detmit.drbg import HashDrbg
+from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
 from detmit.sampletask import DataTaskInstance
 
 
@@ -43,6 +45,21 @@ def inner_level(buf: bytes, key: IdentityKey) -> int | None:
         return None
     ip = decode_payload(inner)
     return ip.level if isinstance(ip, ClearPayload) else None
+
+
+def seal_pair(
+    instance: DataTaskInstance, x: ClearPayload, y: ClearPayload, rng: HashDrbg
+) -> tuple[EncPayload, EncPayload]:
+    """`x` and `y` sealed as a sealed draw seals them, written out apart from it.
+
+    Takes id1, id2 and the two seal nonces from `rng` in the draw's order.
+    """
+    id1, id2 = rng.take(IDENTITY_LEN), rng.take(IDENTITY_LEN)
+    cipher = IdentityCipher(instance.fhe.keygen(id1))
+    ct_x = cipher.encrypt(encode_payload(x, instance.inner_width), rng)
+    ct_y = cipher.encrypt(encode_payload(y, instance.inner_width), rng)
+    key2 = instance.fhe.keygen(id2).key
+    return EncPayload(ct_x, id1, id2, key2), EncPayload(ct_y, b"", b"", b"")
 
 
 class KeepTrained:
