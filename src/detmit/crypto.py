@@ -26,14 +26,17 @@ Five primitives, each behind a small, contract-shaped API:
   salted hash chain over (step index, state); an update advances the step
   function itself by a run of n steps (charging the caller's step meter) and
   registers each step's commitment; verification is a registry lookup,
-  recomputing nothing.
+  recomputing nothing.  The keys remember the chain rooted at their first
+  base proof as they hash it, so a run along that known chain reads its
+  points back instead of hashing them again.
 
 The proof registry and the circuit table take no lock: a ladder trial runs in
 its own world (see :meth:`SnarkParams.fork` and :meth:`FheSystem.fork`), so
 one thread at a time drives each.  A step meter belongs to one party move
 and takes no lock either.  The chain-proof registry is shared by every trial
-of a chain batch and takes a lock, once per run of steps rather than once
-per step.
+of a chain batch: its writes take a lock, once per run of steps rather than
+once per step, and its reads (one ``dict.get``, atomic under the interpreter
+lock) take none.
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
 streams or a stream the object owns, so runs are reproducible.
 """
@@ -497,7 +500,16 @@ class IvcKeys:
     steps of updates from the base state — which is exactly the sequentiality
     this simulation is meant to audit.  :func:`ivc_update` writes a whole
     run's chain points, and adds its steps to `steps_run`, under one
-    acquisition of the registry lock.
+    acquisition of the registry lock; :meth:`lookup` reads without it.
+
+    The keys also keep the **known chain**: the (state, commitment) of each
+    step t = 0, 1, 2, ... of the chain rooted at the first base proof, in
+    order.  It is append-only and only the hashing loop of
+    :func:`ivc_update` extends it, when a run starting on it passes its tip.
+    Every known point was registered when it was hashed, so a run along the
+    known chain reads its points from it and registers nothing new.  A
+    restored registry entry that contradicts a known point cuts the known
+    chain back to before that point.
     """
 
     def __init__(self, rng: HashDrbg, base_tag: bytes):
@@ -506,19 +518,39 @@ class IvcKeys:
         self._salt = rng.take(32)
         self._lock = threading.Lock()
         self._registry: dict[tuple[int, bytes], bytes] = {}
+        self._known: list[tuple[bytes, bytes]] = []  # step t -> (state, commitment)
 
     def _commit(self, prev: bytes, steps: int, state: bytes) -> bytes:
         return sha256(self._salt + prev + be64(steps) + state)
 
     def base_proof(self, start_state: bytes) -> IvcProof:
+        """The step-0 proof for `start_state`; the first one roots the known chain."""
         commitment = self._commit(self.base_tag, 0, start_state)
         with self._lock:
             self._registry[(0, start_state)] = commitment
+            if not self._known:
+                self._known.append((start_state, commitment))
         return IvcProof(steps=0, commitment=commitment)
 
     def lookup(self, steps: int, state: bytes) -> bytes | None:
+        # one dict.get on an (int, bytes) key runs no Python code, so it is
+        # atomic under the interpreter lock and needs no registry lock
+        return self._registry.get((steps, state))
+
+    def known_point(self, t: int) -> tuple[bytes, bytes]:
+        """(state, commitment) at step `t` of the known chain; IndexError past its tip."""
+        if t < 0:
+            raise IndexError(f"step count {t} < 0")
+        return self._known[t]
+
+    def known_length(self) -> int:
+        """Points on the known chain: its tip's step count plus one, 0 before rooting."""
+        return len(self._known)
+
+    def points_past_base(self) -> int:
+        """Registered chain points with a step count above 0."""
         with self._lock:
-            return self._registry.get((steps, state))
+            return sum(1 for t, _ in self._registry if t)
 
     def registry_entries(self) -> list[tuple[int, bytes, bytes]]:
         with self._lock:
@@ -526,8 +558,11 @@ class IvcKeys:
 
     def restore_entries(self, entries: list[tuple[int, bytes, bytes]]) -> None:
         with self._lock:
+            known = self._known
             for t, s, c in entries:
                 self._registry[(t, s)] = c
+                if 0 <= t < len(known) and known[t][0] == s and known[t][1] != c:
+                    del known[t:]
 
 
 def ivc_update(
@@ -543,6 +578,11 @@ def ivc_update(
     steps stay registered and :class:`StepsExhausted` is raised: the state
     `steps` single-step updates leave.  A run of 0 steps returns its input
     unchecked.
+
+    A run that starts on the keys' known chain takes the points up to the
+    chain's tip from it, already registered, and hashes only the steps past
+    the tip, appending them; the charge, `steps_run`, the registry and the
+    returned proof are those of hashing every step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -552,14 +592,22 @@ def ivc_update(
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
     granted = meter.charge(steps)
     t, commitment, salt, new = proof.steps, proof.commitment, keys._salt, hashlib.sha256
+    end = t + granted
     with keys._lock:
         keys.steps_run += granted
+        known = keys._known
+        on_known = t < len(known) and known[t] == (state, commitment)
+        if on_known:
+            t = min(end, len(known) - 1)
+            state, commitment = known[t]
         registry = keys._registry
-        for t in range(t + 1, t + granted + 1):
+        for t in range(t + 1, end + 1):
             state = npl_step(state)
             # the bytes of keys._commit(commitment, t, state)
             commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
             registry[(t, state)] = commitment
+            if on_known:  # past the tip: t == len(known)
+                known.append((state, commitment))
     if granted < steps:
         raise meter.exhausted()
     return state, IvcProof(steps=t, commitment=commitment)

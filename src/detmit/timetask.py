@@ -16,6 +16,15 @@ one registry lock for all its steps.  The attacker never pays for the ladder:
 it builds a step-1 payload (one metered step) and climbs the trainer's grid
 by repeated queries, reaching the grid's frontier with O(sqrt(T)) queries and
 O(sqrt(T)) of its own steps.
+
+The instance builds its chain, out to `reach`, with one run from the start
+state, and that run roots the chain keys' known chain (see
+:class:`~detmit.crypto.IvcKeys`); `payload_at` reads from it.  Every honest
+run in a trial lies on that chain, so `ivc_update` serves it from the known
+points: the same proof check, the same meter charge, the same registry and
+the same `steps_run` as hashing each step, with only steps past the known tip
+hashed.  Neither audit reads the known chain: `audit_sequential_reach`
+recomputes the chain with `npl_step`, an independent check of it.
 """
 
 from __future__ import annotations
@@ -54,22 +63,15 @@ class TimeTaskInstance:
         self.reach = horizon + isqrt(horizon)
         self.start_state = sha256(b"chain-start:" + rng.take(32))
         self.ivc = IvcKeys(rng.child("chain-proofs"), rng.take(32))
-        states = [self.start_state]
-        proofs = [self.ivc.base_proof(self.start_state)]
-        meter = StepMeter()
-        for _ in range(self.reach):
-            s, p = ivc_update(self.ivc, states[-1], proofs[-1], meter)
-            states.append(s)
-            proofs.append(p)
-        self._states = states
-        self._proofs = proofs
-        probe = TimePayload(self.reach, states[-1], proofs[-1])
-        self.width = _round_up(len(encode_payload(probe)))
+        base = self.ivc.base_proof(self.start_state)  # roots the known chain
+        ivc_update(self.ivc, self.start_state, base, StepMeter(), self.reach)
+        self.width = _round_up(len(encode_payload(self.payload_at(self.reach))))
 
     def payload_at(self, t: int) -> TimePayload:
         if not 0 <= t <= self.reach:
             raise ValueError(f"step count {t} outside precomputed chain")
-        return TimePayload(t, self._states[t], self._proofs[t])
+        state, commitment = self.ivc.known_point(t)
+        return TimePayload(t, state, IvcProof(t, commitment))
 
     def build_input(self, t: int) -> bytes:
         return encode_payload(self.payload_at(t), self.width)
@@ -216,9 +218,7 @@ def audit_conservation(instance: TimeTaskInstance) -> bool:
     steps the chain's updates were granted, because registration only
     happens inside an update, for a step its meter just granted.
     """
-    entries = instance.ivc.registry_entries()
-    beyond_base = sum(t > 0 for t, _, _ in entries)
-    return beyond_base <= instance.ivc.steps_run
+    return instance.ivc.points_past_base() <= instance.ivc.steps_run
 
 
 def audit_sequential_reach(instance: TimeTaskInstance) -> bool:

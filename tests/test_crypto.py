@@ -448,25 +448,40 @@ def test_ivc_run_from_forged_proof_charges_and_registers_nothing():
 
 
 def test_concurrent_runs_lose_no_charge_or_chain_point():
-    """Threads running updates on one registry, each with its own meter,
-    switching every µs.
+    """Threads running updates and verifications on one registry, each with
+    its own meter, switching every µs.
 
-    A count of granted steps that was read and written outside the
-    registry's lock loses updates here in most runs.
+    Each thread runs the shared chain (served from the known chain after the
+    first run) and extends a chain of its own off it, so registry inserts,
+    and the dict resizes they bring, race the lock-free lookups of the
+    other threads' verifications.  A count of granted steps that was read
+    and written outside the registry's lock loses updates here in most runs.
     """
     keys, start_state, start_proof = _chain_at(0)
     threads_n, runs, steps = 8, 1500, 2
     meters = [StepMeter() for _ in range(threads_n)]
+    shared: list[tuple[bytes, IvcProof]] = []
+    unverified: list[tuple[int, int]] = []
 
-    def worker(meter: StepMeter) -> None:
+    def worker(i: int, meter: StepMeter) -> None:
+        own = sha256(b"thread-start:%d" % i)
+        state, proof = own, keys.base_proof(own)
         for _ in range(runs):
-            ivc_update(keys, start_state, start_proof, meter, steps)
+            end, end_proof = ivc_update(keys, start_state, start_proof, meter, steps)
+            state, proof = ivc_update(keys, state, proof, meter, steps)
             meter.step(start_state)
+            if not (
+                ivc_verify(keys, steps, end, end_proof)
+                and ivc_verify(keys, proof.steps, state, proof)
+                and ivc_verify(keys, 0, own, keys.base_proof(own))
+            ):
+                unverified.append((i, proof.steps))
+        shared.append((end, end_proof))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(m,)) for m in meters]
+        threads = [threading.Thread(target=worker, args=im) for im in enumerate(meters)]
         for th in threads:
             th.start()
         for th in threads:
@@ -474,6 +489,153 @@ def test_concurrent_runs_lose_no_charge_or_chain_point():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert [m.used for m in meters] == [runs * (steps + 1)] * threads_n
-    assert keys.steps_run == threads_n * runs * steps
-    assert [t for t, _, _ in keys.registry_entries()] == list(range(steps + 1))
+    assert unverified == []
+    assert [m.used for m in meters] == [runs * (2 * steps + 1)] * threads_n
+    assert keys.steps_run == threads_n * runs * 2 * steps
+    assert len(set(shared)) == 1 and keys.known_length() == steps + 1
+    entries = keys.registry_entries()
+    # the shared chain's steps + 1 points, and each thread's base plus its runs' points
+    assert len(entries) == steps + 1 + threads_n * (1 + runs * steps)
+    assert sorted(t for t, _, _ in entries) == sorted(
+        list(range(steps + 1)) + list(range(runs * steps + 1)) * threads_n
+    )
+
+
+# --- the known chain against a written-out reference --------------------------------
+
+ROOT = sha256(b"run-start")
+OTHER = sha256(b"other-start")
+
+
+def _written_out_chain(keys: IvcKeys, start: bytes, n: int) -> list[tuple[bytes, bytes]]:
+    """(state, commitment) at steps 0..n from `start`: one npl_step and one commitment each."""
+    state, commitment = start, keys._commit(keys.base_tag, 0, start)
+    chain = [(state, commitment)]
+    for t in range(1, n + 1):
+        state = npl_step(state)
+        commitment = keys._commit(commitment, t, state)
+        chain.append((state, commitment))
+    return chain
+
+
+def _reference_run(keys, state, proof, limit, n, on_known) -> tuple:
+    """What `ivc_update(keys, state, proof, StepMeter(limit), n)` must leave, worked
+    out step by step from the registry before the run: (result or exception type,
+    meter.used, steps_run, registry entries, known chain length).
+
+    Only the length rule reads the known chain: a run that starts on it (`on_known`)
+    extends it to the run's last point, and any other run leaves it alone.
+    """
+    registry = {(t, s): c for t, s, c in keys.registry_entries()}
+    steps_run, length = keys.steps_run, keys.known_length()
+
+    def outcome(out, granted):
+        entries = sorted((t, s, c) for (t, s), c in registry.items())
+        return out, granted, steps_run + granted, entries, length
+
+    if n == 0:
+        return outcome((state, proof), 0)
+    if registry.get((proof.steps, state)) != proof.commitment:
+        return outcome(ProofChainError, 0)
+    granted = n if limit is None else min(n, limit)
+    t, commitment = proof.steps, proof.commitment
+    for _ in range(granted):
+        t += 1
+        state = npl_step(state)
+        commitment = keys._commit(commitment, t, state)
+        registry[(t, state)] = commitment
+    if on_known:
+        length = max(length, t + 1)
+    return outcome(StepsExhausted if granted < n else (state, IvcProof(t, commitment)), granted)
+
+
+def _actual_run(keys, state, proof, limit, n) -> tuple:
+    meter = StepMeter(limit)
+    try:
+        out = ivc_update(keys, state, proof, meter, n)
+    except (StepsExhausted, ProofChainError) as exc:
+        out = type(exc)
+    return out, meter.used, keys.steps_run, keys.registry_entries(), keys.known_length()
+
+
+def _check_run(tip, far, chain, t0, n, limit=None, tamper=None) -> None:
+    """A run of `n` steps from step `t0` equals the written-out reference.
+
+    The keys know the canonical chain from ROOT out to step `tip` and have
+    canonical points out to `tip + far` registered (restored, so not known).
+    `chain` picks the start: the canonical point at `t0`, the same point under a
+    forged commitment, or step `t0` of a chain from OTHER, whose base proof
+    comes after ROOT's and so roots nothing.  `tamper` restores a wrong
+    commitment for the canonical point at that step before the run.
+    """
+    keys = IvcKeys(HashDrbg(b"ivc-reference"), b"base")
+    canon = _written_out_chain(keys, ROOT, tip + far + n)
+    keys.restore_entries([(t, s, c) for t, (s, c) in enumerate(canon[: tip + far + 1])])
+    assert ivc_update(keys, ROOT, keys.base_proof(ROOT), StepMeter(), tip) == (
+        canon[tip][0], IvcProof(tip, canon[tip][1])
+    )
+    if chain == "other":
+        other = _written_out_chain(keys, OTHER, t0)
+        ivc_update(keys, OTHER, keys.base_proof(OTHER), StepMeter(), t0)
+        state, commitment = other[t0]
+    else:
+        state, commitment = canon[t0]
+        if chain == "forged":
+            commitment = sha256(b"forged")
+    if tamper is not None:
+        keys.restore_entries([(tamper, canon[tamper][0], sha256(b"tampered"))])
+    length = tip + 1 if tamper is None or tamper > tip else tamper
+    assert keys.known_length() == length
+    assert [keys.known_point(t) for t in range(length)] == canon[:length]
+
+    proof = IvcProof(t0, commitment)
+    on_known = chain == "canonical" and t0 < length
+    expected = _reference_run(keys, state, proof, limit, n, on_known)
+    assert _actual_run(keys, state, proof, limit, n) == expected
+    length = keys.known_length()
+    assert [keys.known_point(t) for t in range(length)] == canon[:length]
+    with pytest.raises(IndexError):
+        keys.known_point(length)
+
+
+@pytest.mark.parametrize(
+    "chain, t0, n, limit, tamper",
+    [
+        ("canonical", 3, 4, None, None),  # before the tip, ends before it
+        ("canonical", 7, 9, None, None),  # crosses the tip
+        ("canonical", 10, 5, None, None),  # at the tip
+        ("canonical", 13, 5, None, None),  # past the tip, on restored points
+        ("canonical", 16, 6, None, None),  # at the last registered point
+        ("canonical", 0, 25, None, None),  # the whole known chain and past it
+        ("canonical", 8, 9, 4, None),  # cut short by the meter after crossing the tip
+        ("canonical", 2, 9, 3, None),  # cut short before the tip
+        ("canonical", 10, 3, 0, None),  # granted nothing
+        ("other", 0, 8, None, None),  # another start's base proof
+        ("other", 4, 8, None, None),  # a few steps into another start's chain
+        ("other", 4, 8, 5, None),
+        ("forged", 5, 3, None, None),
+        ("forged", 5, 0, None, None),  # a run of 0 steps checks nothing
+        ("canonical", 2, 6, None, 4),  # crosses a tampered known point
+        ("canonical", 5, 3, None, 5),  # starts on it
+        ("canonical", 6, 3, None, 5),  # starts just past it
+        ("canonical", 3, 2, None, 0),  # the root itself tampered
+        ("canonical", 9, 6, None, 12),  # tampered past the tip
+    ],
+)
+def test_ivc_run_equals_written_out_reference(chain, t0, n, limit, tamper):
+    _check_run(10, 6, chain, t0, n, limit, tamper)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tip=st.integers(0, 20),
+    far=st.integers(0, 12),
+    chain=st.sampled_from(["canonical", "other", "forged"]),
+    n=st.integers(0, 40),
+    data=st.data(),
+)
+def test_ivc_runs_equal_written_out_reference(tip, far, chain, n, data):
+    t0 = data.draw(st.integers(0, tip + far), label="t0")
+    limit = data.draw(st.none() | st.integers(0, n + 5), label="limit")
+    tamper = data.draw(st.none() | st.integers(0, tip + far), label="tamper")
+    _check_run(tip, far, chain, t0, n, limit, tamper)

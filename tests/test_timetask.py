@@ -11,7 +11,7 @@ from detmit.core import (
     NatureChallenger,
     run_dbm_trial,
 )
-from detmit.crypto import IvcProof, StepMeter, ivc_verify, npl_step
+from detmit.crypto import IvcProof, StepMeter, ivc_verify, npl_step, sha256
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.payloads import TimePayload, bottom, decode_payload, encode_payload
 from detmit.timetask import (
@@ -43,6 +43,69 @@ def test_instance_precomputes_exactly_reach_steps(inst):
     for _ in range(10):
         s = npl_step(s)
     assert p.config == s
+
+
+def test_instance_chain_equals_written_out_steps(inst):
+    """The one-run build registers what `reach` single steps did, and
+    `payload_at` reads the same points back from the known chain."""
+    keys = inst.ivc
+    state, commitment = inst.start_state, keys._commit(keys.base_tag, 0, inst.start_state)
+    expected = [(0, state, commitment)]
+    for t in range(1, inst.reach + 1):
+        state = npl_step(state)
+        commitment = keys._commit(commitment, t, state)
+        expected.append((t, state, commitment))
+    assert keys.registry_entries() == sorted(expected)
+    assert keys.known_length() == inst.reach + 1
+    assert [inst.payload_at(t) for t in range(inst.reach + 1)] == [
+        TimePayload(t, s, IvcProof(t, c)) for t, s, c in expected
+    ]
+    for t in (-1, inst.reach + 1):
+        with pytest.raises(ValueError, match="outside precomputed chain"):
+            inst.payload_at(t)
+
+
+def test_honest_trials_run_along_the_known_chain(inst):
+    """Every honest run lies on the instance's chain: trials charge and count
+    their steps but register no new point and leave the known chain as built."""
+    entries = inst.ivc.registry_entries()
+    for i in range(3):
+        t = run_dbm_trial(
+            inst, TimeTrainer(inst), ChainClimbingAttacker(inst),
+            ChainExtendingMitigator(inst), PARAMS, derive_trial_seed(89, i), i,
+        )
+        assert t.aborted is None and t.ledgers["trainer"]["steps_used"] == 256
+    assert inst.ivc.steps_run == 272 + 3 * (256 + 1 + 16)
+    assert inst.ivc.registry_entries() == entries
+    assert inst.ivc.known_length() == inst.reach + 1
+
+
+def test_audits_catch_registry_points_without_work():
+    inst = TimeTaskInstance(b"audit-forgery", horizon=16)
+    assert audit_conservation(inst) and audit_sequential_reach(inst)
+    # the next canonical point, registered with no step behind it
+    beyond = npl_step(inst.payload_at(inst.reach).config)
+    inst.ivc.restore_entries([(inst.reach + 1, beyond, b"c" * 32)])
+    assert not audit_conservation(inst)
+    assert audit_sequential_reach(inst)
+
+    inst = TimeTaskInstance(b"audit-forgery", horizon=16)
+    inst.ivc.restore_entries([(3, sha256(b"off-chain"), b"c" * 32)])
+    assert not audit_conservation(inst)
+    assert not audit_sequential_reach(inst)
+
+
+def test_sequential_reach_audit_does_not_read_the_known_chain(monkeypatch):
+    """The audit recomputes the chain itself: a known chain that vouches for a
+    forged point, or no known chain at all, changes no verdict."""
+    inst = TimeTaskInstance(b"audit-known", horizon=16)
+    forged = (3, sha256(b"off-chain"), b"c" * 32)
+    inst.ivc.restore_entries([forged])
+    known = [inst.ivc.known_point(t) for t in range(inst.ivc.known_length())]
+    known[3] = forged[1:]
+    for fake in (known, []):
+        monkeypatch.setattr(inst.ivc, "_known", fake)
+        assert not audit_sequential_reach(inst)
 
 
 def test_sample_pairs_verify(inst):
