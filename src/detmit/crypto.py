@@ -135,9 +135,8 @@ def sig_keygen(rng: HashDrbg) -> VerificationKey:
     return VerificationKey(digest=sha256(b"sig-vk:" + sk), _mac_key=sk)
 
 
-def sig_sign_zero(key: VerificationKey, rng: HashDrbg) -> SignatureToken:
-    """Sign the fixed zero message bound to a fresh nonce."""
-    nonce = rng.take(NONCE_LEN)
+def sig_sign_zero(key: VerificationKey, nonce: bytes) -> SignatureToken:
+    """Sign the fixed zero message bound to `nonce`, fresh from the caller's stream."""
     return SignatureToken(nonce, key._mac(ZERO_MESSAGE + nonce))
 
 
@@ -210,14 +209,14 @@ class SnarkParams:
     def statement(self, count: int) -> SigCountStatement:
         return SigCountStatement(count=count, key_digest=self.key_digest)
 
-    def skip_proof(self) -> None:
-        """Take and drop the proof token the next proof would get.
+    def skip_proof(self, proofs: int) -> None:
+        """Skip the proof tokens the next `proofs` proofs would get.
 
-        A draw that never builds its answer calls this in place of the
-        answer's proof, so every later proof gets the token it gets when
-        the answer is built.
+        A draw that never builds a proof calls this in place of it, so every
+        later proof gets the token it gets when the proof is built.  The
+        skipped tokens are never made.
         """
-        self._drbg.take(TOKEN_LEN)
+        self._drbg.skip(TOKEN_LEN * proofs)
 
     # serialization of the public verification state; witnesses stay in memory
     def registry_entries(self) -> list[tuple[bytes, bytes]]:

@@ -5,7 +5,9 @@ counter-mode SHA-256 generator.  Python's stdlib RNGs would work, but a hash
 DRBG gives bit-exact streams across platforms and interpreter versions, which
 the transcript-determinism contract depends on.  A take past the buffered
 block appends exactly the whole blocks it needs, in counter order, so how a
-stream is cut into takes never changes its bytes.
+stream is cut into takes never changes its bytes.  A skip moves the position
+only: the bytes it passes over are never made, and a block it passes over
+whole is never hashed.
 """
 
 from __future__ import annotations
@@ -41,15 +43,30 @@ class HashDrbg:
             return self._buf[pos:end]
         if n <= 0:
             return b""
-        out = self._buf[pos:]
-        need, key, counter = n - len(out), self._key, self._counter  # need > 0
+        buf, key, counter = self._buf, self._key, self._counter
+        out, skipped = buf[pos:], pos - len(buf)
+        need = n - len(out)  # > 0
+        if skipped > 0:  # a skip left the position `skipped` bytes past `buf`
+            counter += skipped >> 5
+            need += skipped & 31  # made from the block, then dropped
         block = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
         while need > 32:  # whole blocks, in counter order, then the part of one
             out += block
             need, counter = need - 32, counter + 1
             block = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
         self._counter, self._buf, self._pos = counter + 1, block, need
-        return out + block[:need]
+        out += block[:need]
+        return out[skipped & 31 :] if skipped > 0 else out
+
+    def skip(self, n: int) -> None:
+        """Move past the next n bytes without making them; no-op when n <= 0.
+
+        The next take starts where ``take(n)`` would have left it, so a
+        skip equals a take whose bytes are dropped, but no block it passes
+        over whole is hashed.
+        """
+        if n > 0:
+            self._pos += n
 
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")

@@ -12,11 +12,11 @@ whose decryption key is NOT included, next to a second (identity, key) pair
 that is.  A model must answer those homomorphically; an attacker can use the
 included key pair to smuggle its own payloads through the model's circuit.
 
-A draw has three views, all run by one routine that takes the same bytes
-from every stream: ``sample_pair`` builds x and y; ``sample_input`` builds x
-alone, so no party ever holds an answer proof; ``sample_token`` builds
-nothing and returns the token of a clear draw (None for a sealed one), for
-parties that only collect tokens.
+A draw has three views, all run by one routine that moves every stream as
+far: ``sample_pair`` builds x and y; ``sample_input`` builds x alone, so no
+party ever holds an answer proof; ``sample_token`` builds nothing and
+returns the token of a clear draw (None for a sealed one), for parties that
+only collect tokens.  A view skips the bytes it does not read.
 
 Everything here is harness/instance side except the public surface agents
 use: count-proof proving, the input and answer checks that ``h`` is built
@@ -33,6 +33,7 @@ from math import isqrt
 from .crypto import (
     AEAD_NONCE_LEN,
     IDENTITY_LEN,
+    NONCE_LEN,
     CountProver,
     FheSystem,
     IdentityCipher,
@@ -118,7 +119,7 @@ class DataTaskInstance:
         self.fhe = FheSystem(rng.child("fhe"))
         pool_rng = rng.child("witness-pool")
         self._pool = tuple(
-            sig_sign_zero(self.verification_key, pool_rng)
+            sig_sign_zero(self.verification_key, pool_rng.take(NONCE_LEN))
             for _ in range(self.max_provable_level)
         )
         # checks pool tokens lazily, only as far as the counts proved need
@@ -167,39 +168,44 @@ class DataTaskInstance:
         A draw takes, in order, from `rng`: the level bits, the token nonce,
         the sealing bit, and on a sealed draw id1, id2 and the seal nonces
         of x and y; from the proof-token stream: x's proof token, then y's.
-        Every view takes all of them, so the draws and proofs after this one
-        do not depend on the view.  What it builds:
+        Every view moves both streams that far, so the draws and proofs
+        after this one do not depend on the view.  What it builds:
 
         * ``"pair"``  — x and y, proved, and sealed for id1 on a sealed draw;
         * ``"input"`` — x alone; y's proof token is skipped;
         * ``"token"`` — nothing: no proof, no key, no seal, no encoding.
+          Both proof tokens are skipped, and a sealed draw skips its ids
+          and seal nonces and makes no MAC, since its token is not read.
 
-        Returns the token a reader of the clear x sees (None on a sealed
-        draw) and the payloads built.  `level` and `sealed` fix the level
-        and the sealing bit instead of drawing them (white-box builders).
+        A skipped byte is never made (:meth:`HashDrbg.skip`).  Returns the
+        token a reader of the clear x sees (None on a sealed draw) and the
+        payloads built.  `level` and `sealed` fix the level and the sealing
+        bit instead of drawing them (white-box builders).
         """
         built = _BUILT[view]
         if level is None:
             level = self.law.sample(rng)
-        token = sig_sign_zero(self.verification_key, rng)
+        nonce = rng.take(NONCE_LEN)
+        if sealed is None:
+            sealed = bool(rng.bit())
+        if sealed and not built:
+            self.snark.skip_proof(2)
+            rng.skip(2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN)
+            return None, []
+        token = sig_sign_zero(self.verification_key, nonce)
         levels = (level, next_level(level))
         payloads: list[Payload] = [
             ClearPayload(token, n, self.prove_count(n)) for n in levels[:built]
         ]
-        for _ in levels[built:]:
-            self.snark.skip_proof()
-        if sealed is None:
-            sealed = bool(rng.bit())
+        self.snark.skip_proof(2 - built)
         if not sealed:
             return token, payloads
         id1, id2 = rng.take(IDENTITY_LEN), rng.take(IDENTITY_LEN)
         nonces = rng.take(AEAD_NONCE_LEN), rng.take(AEAD_NONCE_LEN)
-        if not payloads:
-            return None, payloads
         cipher = IdentityCipher(self.fhe.keygen(id1))
         cts = [
-            cipher.seal(encode_payload(p, self.inner_width), nonce)
-            for p, nonce in zip(payloads, nonces)
+            cipher.seal(encode_payload(p, self.inner_width), seal_nonce)
+            for p, seal_nonce in zip(payloads, nonces)
         ]
         ex = EncPayload(cts[0], id1, id2, self.fhe.keygen(id2).key)
         return None, [ex] + [EncPayload(ct, b"", b"", b"") for ct in cts[1:]]

@@ -197,13 +197,14 @@ class ChainClimbingAttacker:
         base = inst.ivc.base_proof(inst.start_state)
         state, proof = ivc_update(inst.ivc, inst.start_state, base, ctx.meter)
         cur = TimePayload(1, state, proof)
-        while True:
-            y = model(encode_payload(cur, inst.width))
+        x = encode_payload(cur, inst.width)
+        while True:  # each accepted answer's own bytes are the next query
+            y = model(x)
             self.last_query_count += 1
             yp = decode_payload(y)
             if not inst.answers(cur, yp):
                 break
-            cur = yp
+            cur, x = yp, y
         self.last_level = cur.steps
         return [encode_payload(cur, inst.width)] * ctx.params.q
 

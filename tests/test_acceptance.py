@@ -38,6 +38,7 @@ from detmit.core import (
 from detmit.crypto import (
     FheSystem,
     IdentityCipher,
+    NONCE_LEN,
     ProofToken,
     SnarkParams,
     TOKEN_LEN,
@@ -301,7 +302,7 @@ def test_crypto_contract_rates():
     rng = HashDrbg(505)
     key = sig_keygen(rng.child("kp"))
 
-    tokens = [sig_sign_zero(key, rng) for _ in range(1000)]
+    tokens = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(1000)]
     assert all(sig_verify(key, t) for t in tokens)
 
     forged_ok = 0
@@ -320,7 +321,7 @@ def test_crypto_contract_rates():
     assert guessed_ok == 0
 
     for s in range(1, 101):
-        witness = [sig_sign_zero(key, rng) for _ in range(s)]
+        witness = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(s)]
         proof = snark_prove(snark, snark.statement(s), witness)
         assert snark_extract(snark, proof) == tuple(witness)
 
@@ -338,9 +339,9 @@ def test_crypto_contract_rates():
         s = 1 + i % 20
         stmt = snark.statement(s)
         if i % 2 == 0 or s == 1:
-            witness = [sig_sign_zero(key, rng) for _ in range(s - 1)]
+            witness = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(s - 1)]
         else:
-            witness = [sig_sign_zero(key, rng) for _ in range(s - 1)]
+            witness = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(s - 1)]
             witness.append(witness[0])  # right count, duplicated entry
         try:
             snark_prove(snark, stmt, witness)

@@ -20,6 +20,7 @@ from detmit.crypto import (
     IdentityKey,
     IvcKeys,
     IvcProof,
+    NONCE_LEN,
     ProofChainError,
     ProofToken,
     SignatureToken,
@@ -59,19 +60,19 @@ def vk(rng):
 
 
 def test_sign_verify_roundtrip(rng, vk):
-    tok = sig_sign_zero(vk, rng.child("t1"))
+    tok = sig_sign_zero(vk, rng.child("t1").take(NONCE_LEN))
     assert sig_verify(vk, tok)
     assert SignatureToken.from_bytes(tok.to_bytes()) == tok
 
 
 def test_tokens_are_distinct(rng, vk):
     r = rng.child("distinct")
-    toks = {sig_sign_zero(vk, r).to_bytes() for _ in range(64)}
+    toks = {sig_sign_zero(vk, r.take(NONCE_LEN)).to_bytes() for _ in range(64)}
     assert len(toks) == 64
 
 
 def test_mutated_tokens_rejected(rng, vk):
-    tok = sig_sign_zero(vk, rng.child("t2"))
+    tok = sig_sign_zero(vk, rng.child("t2").take(NONCE_LEN))
     flipped_nonce = SignatureToken(
         bytes([tok.nonce[0] ^ 1]) + tok.nonce[1:], tok.core
     )
@@ -104,7 +105,7 @@ class _Fixed:
 @given(st.binary(min_size=32, max_size=32), st.binary(min_size=16, max_size=16))
 def test_token_core_is_hmac_sha512_of_zero_message_and_nonce(sk, nonce):
     vk = sig_keygen(_Fixed(sk))
-    tok = sig_sign_zero(vk, _Fixed(nonce))
+    tok = sig_sign_zero(vk, nonce)
     assert tok == SignatureToken(nonce, hmac.digest(sk, ZERO_MESSAGE + nonce, "sha512"))
     assert sig_verify(vk, tok)
 
@@ -154,7 +155,7 @@ def snark(rng, vk):
 @pytest.fixture(scope="module")
 def tokens(rng, vk):
     r = rng.child("pool")
-    return [sig_sign_zero(vk, r) for _ in range(24)]
+    return [sig_sign_zero(vk, r.take(NONCE_LEN)) for _ in range(24)]
 
 
 def test_prove_verify_extract(snark, tokens):

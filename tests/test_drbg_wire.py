@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detmit import drbg
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.wire import be32, be64, pack_fields, unpack_exact, unpack_fields
 
@@ -55,38 +57,75 @@ def _reference_stream(seed: bytes, n: int) -> bytes:
     return b"".join(hashlib.sha256(key + be64(i)).digest() for i in range(blocks))[:n]
 
 
+class _CountingHashlib:
+    """Stands in for `hashlib` in detmit.drbg and counts the blocks it hashes."""
+
+    def __init__(self):
+        self.blocks = 0
+
+    def sha256(self, data: bytes = b""):
+        self.blocks += 1
+        return hashlib.sha256(data)
+
+
 @given(
     st.binary(max_size=8),
     st.lists(
-        st.tuples(st.integers(min_value=-40, max_value=200), st.booleans()), max_size=40
+        st.tuples(st.integers(min_value=-40, max_value=200), st.booleans(), st.booleans()),
+        max_size=40,
     ),
 )
-@example(b"", [(5, False), (200, False), (3, True), (0, False), (129, True), (33, False)])
-def test_drbg_takes_are_slices_of_one_stream(seed, takes):
-    """Any run of take sizes reads the stream in order; sizes <= 0 read nothing.
+@example(
+    b"",
+    [(5, False, False), (200, False, False), (3, True, False), (0, False, False),
+     (129, True, False), (33, False, False)],
+)
+@example(b"", [(0, False, True), (-7, False, True), (5, False, False)])  # no-op skips
+@example(b"", [(200, False, True), (1, False, False)])  # fresh skip over six whole blocks
+@example(b"", [(64, False, True), (32, False, False), (32, False, True), (3, False, False)])
+@example(
+    b"s",
+    [(5, False, False), (59, False, True), (40, False, False), (100, True, True),
+     (100, False, True), (27, False, True), (1, True, False), (1, False, False)],
+)
+def test_drbg_takes_are_slices_of_one_stream(seed, ops):
+    """Any run of takes and skips reads the stream in order.
 
-    A take of up to 200 bytes spans up to 8 blocks.  Takes from a child
+    `(n, from_child, skip)` is `take(n)`, or `skip(n)` when `skip`; sizes
+    <= 0 are no-ops.  A take of up to 200 bytes spans up to 8 blocks, and a
+    skip of n drops exactly what `take(n)` would return.  Ops on a child
     stream, made partway through, are interleaved and move neither stream.
+    Only the blocks some take reads from are hashed, each once (plus the
+    child's key), so a block a skip passes over whole is never hashed.
     """
     rng = HashDrbg(seed)
     key = hashlib.sha256(b"drbg-key:" + seed).digest()
-    total = sum(n for n, _ in takes if n > 0) + 32
+    total = sum(n for n, _, _ in ops if n > 0) + 32
     streams = {
         False: _reference_stream(seed, total),
         True: _reference_stream(key + b"/child/c", total),
     }
     pos = {False: 0, True: 0}
-    child = None
-    for n, from_child in takes:
-        if from_child and child is None:
-            child = rng.child("c")
-        gen = child if from_child else rng
-        state = (gen._counter, gen._pos)
-        want = streams[from_child][pos[from_child] : pos[from_child] + n] if n > 0 else b""
-        assert gen.take(n) == want
-        if n <= 0:
-            assert (gen._counter, gen._pos) == state
-        pos[from_child] += len(want)
+    read_blocks: set[tuple[bool, int]] = set()
+    child, hashes = None, _CountingHashlib()
+    with patch.object(drbg, "hashlib", hashes):
+        for n, from_child, skip in ops:
+            if from_child and child is None:
+                child = rng.child("c")
+            gen = child if from_child else rng
+            state = (gen._counter, gen._buf, gen._pos)
+            at = pos[from_child]
+            if skip:
+                assert gen.skip(n) is None
+            elif n <= 0:
+                assert gen.take(n) == b""
+            else:
+                assert gen.take(n) == streams[from_child][at : at + n]
+                read_blocks.update((from_child, b) for b in range(at // 32, (at + n + 31) // 32))
+            if n <= 0:
+                assert (gen._counter, gen._buf, gen._pos) == state
+            pos[from_child] += max(n, 0)
+    assert hashes.blocks == len(read_blocks) + (child is not None)
     assert rng.take(32) == streams[False][pos[False] : pos[False] + 32]
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from detmit.classify import make_toy_instance
 from detmit.core import BudgetExceededError, HarnessFault, ResourceBudget, SampleOracle
-from detmit.crypto import Ciphertext
+from detmit.crypto import Ciphertext, VerificationKey
 from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
 from detmit.sampletask import make_data_instance
@@ -93,16 +93,28 @@ def _eval_nonce_probe(world) -> Ciphertext:
     return world.fhe.eval(handle, Ciphertext(bytes(16), bytes(40)))
 
 
-def test_ladder_token_draws_read_the_token_of_input_draws():
+def test_ladder_token_draws_read_the_token_of_input_draws(monkeypatch):
     w_tok, w_in = LADDER.world(b"trial"), LADDER.world(b"trial")
     rng_tok, rng_in = HashDrbg(b"draws"), HashDrbg(b"draws")
+    macs, mac = [0], VerificationKey._mac
+
+    def counting_mac(key, message):
+        macs[0] += 1
+        return mac(key, message)
+
+    monkeypatch.setattr(VerificationKey, "_mac", counting_mac)
     forms = {ClearPayload: 0, EncPayload: 0}
+    token_macs = 0
     for i in range(DRAWS):
+        before = macs[0]
         token = w_tok.sample_token(rng_tok)
+        token_macs += macs[0] - before
         p = decode_payload(w_in.sample_input(rng_in))
         forms[type(p)] += 1
         assert token == (p.token if isinstance(p, ClearPayload) else None), i
     assert min(forms.values()) > DRAWS // 3
+    # a token draw MACs only the token it returns: a sealed draw makes none
+    assert token_macs == forms[ClearPayload]
     # a token draw builds no proof
     assert w_tok.snark.registry_entries() == []
     # the party's stream, the proof-token stream and the eval-nonce stream are level

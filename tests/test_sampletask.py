@@ -8,6 +8,7 @@ import detmit.crypto as crypto
 from detmit.crypto import (
     IdentityCipher,
     IdentityKey,
+    NONCE_LEN,
     ProofToken,
     SignatureToken,
     WitnessError,
@@ -109,7 +110,7 @@ def test_h_wrong_answers_score_one():
     low = ClearPayload(x.token, x.level, x.proof)
     assert INST.h(xb, encode_payload(low, INST.width)) == 1
     # right level, wrong token
-    other = sig_sign_zero(INST.verification_key, rng)
+    other = sig_sign_zero(INST.verification_key, rng.take(NONCE_LEN))
     swapped = ClearPayload(other, y.level, y.proof)
     assert INST.h(xb, encode_payload(swapped, INST.width)) == 1
     # unregistered proof
