@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Literal
+from typing import Any, Callable
 
 import click
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from .classify import (
     DetectorFromMitigator,
@@ -46,7 +46,7 @@ from .core import (
     run_dbm_trial,
     soundness_violation,
 )
-from .drbg import HashDrbg, derive_trial_seed
+from .drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from .sampleagents import (
     FrequencyDetector,
     LadderTrainer,
@@ -68,6 +68,16 @@ from .timetask import (
 )
 
 DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
+
+# Caps on the knobs that set what one run costs, from measured costs (Python
+# 3.11, 2-core VM): a chain instance holds about 370 B per step and builds at
+# about 4 us per step (2**20 steps: 4.3 s, 370 MB); a run holds about 6 KB
+# per trial until it writes its summary (100,000 toy trials at q=32: about
+# 600 MB, 67 s); a ladder mitigate trial spends about 0.25 ms per input
+# (q=4096: about 1 s a trial).
+MAX_HORIZON = 2**20
+MAX_TRIALS = 100_000
+MAX_Q = 4096
 
 # Each factory takes (config, instance) and returns a fresh party.
 Factory = Callable[[Any, Any], Any]
@@ -113,29 +123,92 @@ DEFENSES: dict[tuple[str, str], dict[str, Factory]] = {
 }
 
 
-class ExperimentConfig(BaseModel):
-    """One trial batch: task, game, parties, parameters, seeds."""
+_BOUND_TEXT = {SEED_MIN: "-2**127", SEED_MAX: "2**127 - 1"}
 
-    model_config = ConfigDict(extra="forbid")
 
-    task: Literal["ladder", "chain", "toy"] = "ladder"
-    game: Literal["detect", "mitigate"] = "detect"
-    challenger: Literal["nature", "attack"] = "nature"
+def _check_int(name: str, value: object, least: int, most: int | None = None) -> None:
+    """Raise ValueError naming `name` unless `value` is an int, not a bool, in [least, most]."""
+    if type(value) is not int or value < least or (most is not None and value > most):
+        low, high = _BOUND_TEXT.get(least, least), _BOUND_TEXT.get(most, most)
+        span = f">= {low}" if most is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an int {span}, got {value!r:.40}")
+
+
+def _epsilon_ok(epsilon: float) -> bool:
+    """Whether `epsilon` lies in the open range (0, 0.5); NaN does not."""
+    return 0 < epsilon < 0.5
+
+
+# field -> the values it takes
+_CHOICES = {
+    "task": ("ladder", "chain", "toy"),
+    "game": ("detect", "mitigate"),
+    "challenger": ("nature", "attack"),
+}
+# int field -> (least, most or None for no cap); a field whose default is None
+# also takes None, meaning left out
+_INTS: dict[str, tuple[int, int | None]] = {
+    "q": (1, MAX_Q),
+    "trials": (1, MAX_TRIALS),
+    "level_target": (1, None),
+    "horizon": (4, MAX_HORIZON),
+    "attacker_samples": (0, None),
+    "instance_seed": (SEED_MIN, SEED_MAX),
+    "master_seed": (SEED_MIN, SEED_MAX),
+    "workers": (1, None),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One trial batch: task, game, parties, parameters, seeds.
+
+    Construction checks every field strictly (an int field takes no bool,
+    string or float) and raises ValueError naming the field.
+    """
+
+    task: str = "ladder"
+    game: str = "detect"
+    challenger: str = "nature"
     # None picks the first defense DEFENSES lists for (task, game)
     detector: str | None = None
     mitigator: str | None = None
-    epsilon: float = Field(default=0.05, gt=0, lt=0.5)
-    q: int | None = Field(default=None, ge=1)
-    trials: int = Field(default=64, ge=1)
-    level_target: int = Field(default=16, ge=1)
-    horizon: int = Field(default=256, ge=4)
-    attacker_samples: int | None = Field(default=None, ge=0)
+    epsilon: float = 0.05
+    q: int | None = None
+    trials: int = 64
+    # None means not given: checked against the task, then set to 16 / 256
+    level_target: int | None = None
+    horizon: int | None = None
+    attacker_samples: int | None = None
     instance_seed: int = 1
     master_seed: int = 2
-    workers: int = Field(default=1, ge=1)
+    workers: int = 1
 
-    @model_validator(mode="after")
-    def _defense_plays_game(self) -> "ExperimentConfig":
+    @classmethod
+    def model_validate(cls, data: object) -> "ExperimentConfig":
+        """Read a config from a mapping of field names, such as a parsed JSON object."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a config is a JSON object, not {type(data).__name__}")
+        unknown = [key for key in data if key not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+        return cls(**data)
+
+    def __post_init__(self) -> None:
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}")
+        for key in ("detector", "mitigator"):
+            if type(getattr(self, key)) not in (str, type(None)):
+                raise ValueError(f"{key} must be a string")
+        if type(self.epsilon) not in (int, float) or not _epsilon_ok(self.epsilon):
+            raise ValueError(f"epsilon must be a number in (0, 0.5), got {self.epsilon!r:.40}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        for key, (least, most) in _INTS.items():
+            value = getattr(self, key)
+            if value is not None or self.__dataclass_fields__[key].default is not None:
+                _check_int(key, value, least, most)
+
         role, unread = (
             ("detector", "mitigator") if self.game == "detect" else ("mitigator", "detector")
         )
@@ -143,8 +216,10 @@ class ExperimentConfig(BaseModel):
             raise ValueError(f"{unread} is not read by {self.game} games")
         if self.attacker_samples is not None and self.task != "ladder":
             raise ValueError("attacker_samples is read only by the ladder attacker")
-        for key, task in (("level_target", "ladder"), ("horizon", "chain")):
-            if key in self.model_fields_set and self.task != task:
+        for key, task, default in (("level_target", "ladder", 16), ("horizon", "chain", 256)):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+            elif self.task != task:
                 raise ValueError(f"{key} is read only by the {task} task")
         choices = DEFENSES[self.task, self.game]
         if self.defense() not in choices:
@@ -152,7 +227,6 @@ class ExperimentConfig(BaseModel):
                 f"{role} {self.defense()!r} does not play {self.task} {self.game}; "
                 f"choose one of {', '.join(choices)}"
             )
-        return self
 
     def defense(self) -> str:
         """The configured defense's name in DEFENSES."""
@@ -342,15 +416,17 @@ def main() -> None:
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        return ExperimentConfig.model_validate_json(Path(path).read_text())
-    except (OSError, ValidationError) as exc:
+        return ExperimentConfig.model_validate(json.loads(Path(path).read_text()))
+    # ValueError covers bad JSON, bad UTF-8 and every field rule; RecursionError
+    # is json.loads on too deeply nested input
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"bad config {path}: {exc}") from exc
 
 
 @main.command("gen-instance")
 @click.option("--task", type=click.Choice(["ladder", "chain"]), default="ladder")
-@click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--horizon", type=click.IntRange(min=4), default=256, show_default=True)
+@click.option("--seed", type=click.IntRange(SEED_MIN, SEED_MAX), default=1, show_default=True)
+@click.option("--horizon", type=click.IntRange(4, MAX_HORIZON), default=256, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output prefix")
 @click.option("--emit-pairs", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
@@ -408,9 +484,12 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         missing = [key for key in keys if key not in data]
         if missing:
             raise click.UsageError(f"{name} file lacks {', '.join(missing)}")
+    try:
+        _check_int("secret file's seed", sec["seed"], SEED_MIN, SEED_MAX)
+        _check_int("secret file's horizon", sec["horizon"], 4, MAX_HORIZON)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     seed, horizon = sec["seed"], sec["horizon"]
-    if type(seed) is not int or type(horizon) is not int or horizon < 4:
-        raise click.UsageError("secret file needs an int seed and an int horizon >= 4")
     entries = public_registry(task, pub)
     instance = _build_task(task, seed, horizon)
     restore_public_state(instance, pub, entries)
@@ -456,9 +535,16 @@ def cmd_run(config_path: str, transcripts: str | None, summary_path: str | None)
         sys.exit(3)
 
 
+def _report_epsilon(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not _epsilon_ok(value):
+        raise click.BadParameter(f"{value} is not in the open range (0, 0.5)")
+    return value
+
+
 @main.command("report")
 @click.option("--transcripts", type=click.Path(exists=True), required=True)
-@click.option("--epsilon", type=float, default=0.05, show_default=True)
+@click.option("--epsilon", type=float, default=0.05, show_default=True,
+              callback=_report_epsilon)
 def cmd_report(transcripts: str, epsilon: float) -> None:
     """Summarize an existing transcript stream."""
     records = []

@@ -15,6 +15,11 @@ from __future__ import annotations
 import hashlib
 
 
+# An int seed is written as 16 big-endian two's-complement bytes, so it must
+# lie in [SEED_MIN, SEED_MAX]; readers of outside input check it against these.
+SEED_MIN, SEED_MAX = -(2**127), 2**127 - 1
+
+
 def _as_seed_bytes(seed: bytes | int | str) -> bytes:
     if isinstance(seed, bytes):
         return seed

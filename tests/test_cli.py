@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detmit.cli import ExperimentConfig, main, run_batch, summarize
+import detmit
+from detmit.cli import (
+    MAX_HORIZON,
+    MAX_Q,
+    MAX_TRIALS,
+    ExperimentConfig,
+    _load_config,
+    main,
+    run_batch,
+    summarize,
+)
+from detmit.drbg import SEED_MAX, SEED_MIN
 from detmit.sampleagents import SelfIterationAttacker
 from detmit.sampletask import DataTaskInstance, make_data_instance
 
@@ -46,16 +65,202 @@ def test_config_defaults_and_q_resolution():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         ExperimentConfig.model_validate({**BASE, "epsilon": 0.9})
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         ExperimentConfig.model_validate({**BASE, "task": "nope"})
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         ExperimentConfig.model_validate({**BASE, "trials": 0})
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         ExperimentConfig.model_validate({**BASE, "leval_target": 16})  # typo
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         ExperimentConfig.model_validate({**BASE, "delta": 0.02})  # no reader
+
+
+# Every field of a config as the reader resolves it: `q` left out stays None
+# (`params()` picks the task's default), and `level_target` and `horizon` left
+# out read 16 and 256 on every task.
+DEFAULTS = {
+    "task": "ladder", "game": "detect", "challenger": "nature", "detector": None,
+    "mitigator": None, "epsilon": 0.05, "q": None, "trials": 64, "level_target": 16,
+    "horizon": 256, "attacker_samples": None, "instance_seed": 1, "master_seed": 2,
+    "workers": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "given_fields, resolved, q, defense",
+    [
+        pytest.param({}, {}, 1, "never_flag", id="empty"),
+        pytest.param(BASE, BASE, 1, "never_flag", id="base"),
+        pytest.param(
+            {"task": "chain", "game": "mitigate", "horizon": 4096, "epsilon": 0.25},
+            {"task": "chain", "game": "mitigate", "horizon": 4096, "epsilon": 0.25},
+            1, "extend", id="chain-horizon",
+        ),
+        pytest.param(
+            {"task": "toy", "game": "mitigate", "mitigator": "lazy", "trials": 500},
+            {"task": "toy", "game": "mitigate", "mitigator": "lazy", "trials": 500},
+            32, "lazy", id="toy-lazy",
+        ),
+        pytest.param(
+            {"detector": None, "mitigator": None, "q": None, "level_target": None,
+             "horizon": None, "attacker_samples": None},
+            {}, 1, "never_flag", id="null-is-left-out",
+        ),
+        pytest.param(
+            {"task": "toy", "level_target": None, "horizon": None}, {"task": "toy"},
+            32, "toy", id="toy-null-task-keys",
+        ),
+        pytest.param(
+            {"game": "mitigate", "challenger": "attack", "level_target": 400,
+             "attacker_samples": 0, "q": MAX_Q, "trials": MAX_TRIALS,
+             "instance_seed": SEED_MIN, "master_seed": SEED_MAX, "workers": 2},
+            {"game": "mitigate", "challenger": "attack", "level_target": 400,
+             "attacker_samples": 0, "q": MAX_Q, "trials": MAX_TRIALS,
+             "instance_seed": SEED_MIN, "master_seed": SEED_MAX, "workers": 2},
+            MAX_Q, "extend", id="ladder-at-every-bound",
+        ),
+        pytest.param(
+            {"task": "chain", "horizon": MAX_HORIZON, "q": 1, "instance_seed": -5},
+            {"task": "chain", "horizon": MAX_HORIZON, "q": 1, "instance_seed": -5},
+            1, "never_flag", id="chain-horizon-cap",
+        ),
+    ],
+)
+def test_accepted_configs_resolve_to_these_fields(given_fields, resolved, q, defense):
+    cfg = ExperimentConfig.model_validate(given_fields)
+    assert dataclasses.asdict(cfg) == {**DEFAULTS, **resolved}
+    assert type(cfg.epsilon) is float
+    assert cfg.params().q == q
+    assert cfg.defense() == defense
+    assert ExperimentConfig(**given_fields) == cfg
+
+
+BIG = 2**130
+CHAIN = {"task": "chain"}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # D9: seeds whose 16-byte form overflows
+        *(
+            pytest.param({key: value}, key, id=f"{key}-{label}")
+            for key in ("instance_seed", "master_seed")
+            for label, value in (("2**130", BIG), ("-2**130", -BIG), ("2**127", SEED_MAX + 1),
+                                 ("-2**127-1", SEED_MIN - 1))
+        ),
+        # no coercion: an int field takes no bool, string or float
+        *(
+            pytest.param({**extra, key: value}, key, id=f"{key}-{value!r}")
+            for key, extra in (("trials", {}), ("workers", {}), ("q", {}),
+                               ("level_target", {}), ("horizon", CHAIN),
+                               ("attacker_samples", {}), ("instance_seed", {}),
+                               ("master_seed", {}))
+            for value in (True, False, "3", 3.0, None)
+            if not (value is None and key in ("q", "level_target", "horizon",
+                                               "attacker_samples"))
+        ),
+        pytest.param({"epsilon": True}, "epsilon", id="epsilon-True"),
+        pytest.param({"epsilon": "0.05"}, "epsilon", id="epsilon-str"),
+        pytest.param({"epsilon": None}, "epsilon", id="epsilon-None"),
+        pytest.param({"task": 1}, "task", id="task-int"),
+        pytest.param({"game": None}, "game", id="game-None"),
+        pytest.param({"detector": 5}, "detector", id="detector-int"),
+        pytest.param({"detector": ["never_flag"]}, "detector", id="detector-list"),
+        # NaN and infinities fail every range check
+        *(
+            pytest.param({key: value}, key, id=f"{key}-{value}")
+            for key in ("epsilon", "trials", "q")
+            for value in (float("nan"), float("inf"), float("-inf"))
+        ),
+        # D10 caps
+        pytest.param({"trials": MAX_TRIALS + 1}, "trials", id="trials-cap"),
+        pytest.param({"q": MAX_Q + 1}, "q", id="q-cap"),
+        pytest.param({**CHAIN, "horizon": MAX_HORIZON + 1}, "horizon", id="horizon-cap"),
+    ],
+)
+def test_run_rejects_a_bad_field(runner, tmp_path, overrides, field):
+    """Each field rule exits 2 through `detmit run`, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.model_validate({**BASE, **overrides})
+    res = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, **overrides))])
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "JSON object, not list"),
+        ("3", "JSON object, not int"),
+        ("null", "JSON object, not NoneType"),
+        ("{not json", "Expecting property name"),
+        ("[" * 100_000 + "]" * 100_000, "recursion"),
+    ],
+    ids=["array", "int", "null", "non-json", "deep"],
+)
+def test_run_rejects_a_config_that_is_not_an_object(runner, tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["run", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_seeds_at_the_bounds_run(runner, tmp_path):
+    """The last seeds inside [-2**127, 2**127) run; D9 was one past them."""
+    cfg = write_config(tmp_path, task="toy", trials=2, instance_seed=SEED_MAX,
+                       master_seed=SEED_MIN)
+    res = runner.invoke(main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trials"] == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.integers(min_value=-(2**131), max_value=2**131)
+    | st.sampled_from([0, 1, 4, 0.05, MAX_Q, MAX_TRIALS, MAX_HORIZON, SEED_MAX,
+                       "ladder", "chain", "toy", "mitigate", "attack", "extend"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+CONFIG_TEXTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.tuples(st.sampled_from([*DEFAULTS, "delta"]), JSON_VALUES).map(
+        lambda kv: json.dumps({**BASE, kv[0]: kv[1]})
+    ),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=CONFIG_TEXTS)
+def test_load_config_returns_a_config_or_a_usage_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(text)
+    try:
+        cfg = _load_config(str(path))
+    except click.UsageError:
+        return
+    assert type(cfg.epsilon) is float and 0 < cfg.epsilon < 0.5
+    for key in ("trials", "level_target", "horizon", "instance_seed", "master_seed",
+                "workers"):
+        assert type(getattr(cfg, key)) is int
+    assert SEED_MIN <= cfg.instance_seed <= SEED_MAX
+
+
+def test_importing_the_cli_does_not_load_pydantic():
+    src = Path(detmit.__file__).resolve().parents[1]
+    code = "import sys, detmit.cli; print(sorted(m for m in sys.modules if 'pydantic' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_writes_transcripts_and_summary(runner, tmp_path):
@@ -310,7 +515,7 @@ LADDER_DETECTORS = "never_flag, level_threshold, frequency, well_formed"
 )
 def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, overrides, message):
     """A defense name the configured game does not play exits 2 with the choices."""
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         ExperimentConfig.model_validate({**BASE, **overrides})
     res = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, **overrides))])
     assert res.exit_code == 2
@@ -435,6 +640,37 @@ def test_gen_instance_rejects_short_horizon(runner, tmp_path):
     assert "--horizon" in res.output
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--seed", BIG),
+        ("--seed", SEED_MAX + 1),
+        ("--seed", SEED_MIN - 1),
+        ("--horizon", MAX_HORIZON + 1),
+    ],
+    ids=["seed-2**130", "seed-2**127", "seed-below", "horizon-cap"],
+)
+def test_gen_instance_rejects_an_out_of_range_value(runner, tmp_path, option, value):
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "chain", option, str(value), "--out", str(tmp_path / "i")],
+    )
+    assert res.exit_code == 2, res.output
+    assert option in res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0", "0.5", "-0.1"])
+def test_report_rejects_an_epsilon_outside_the_open_range(runner, tmp_path, epsilon):
+    cfg = write_config(tmp_path, task="toy", trials=2)
+    t_path = tmp_path / "t.jsonl"
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["report", "--transcripts", str(t_path), "--epsilon", epsilon])
+    assert res.exit_code == 2, res.output
+    assert "--epsilon" in res.output
+
+
 def test_verify_pair_rejects_task_mismatch(runner, tmp_path):
     for task in ("ladder", "chain"):
         res = runner.invoke(
@@ -477,10 +713,12 @@ def test_verify_pair_rejects_non_hex_pairs(runner, tmp_path):
                      id="secret-not-an-object"),
         *(
             pytest.param({"task": "chain", "seed": 4, "horizon": 256, key: value}, None,
-                         "secret file needs an int seed and an int horizon >= 4",
+                         f"secret file's {key} must be an int",
                          id=f"secret-{key}-{value!r}")
             for key, value in (("seed", [3]), ("seed", 3.5), ("seed", True),
-                               ("horizon", "16"), ("horizon", 3), ("horizon", None))
+                               ("horizon", "16"), ("horizon", 3), ("horizon", None),
+                               ("seed", BIG), ("seed", SEED_MIN - 1),
+                               ("horizon", MAX_HORIZON + 1))
         ),
         *(
             pytest.param({"task": task, "seed": 4, "horizon": 256}, {"task": task, key: value},
