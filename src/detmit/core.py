@@ -94,6 +94,15 @@ class TaskInstance(Protocol):
     def h(self, x: bytes, y: bytes) -> int: ...
 
 
+@runtime_checkable
+class TokenTaskInstance(TaskInstance, Protocol):
+    """A task whose inputs carry signature tokens: the ladder task."""
+
+    def sample_token(self, rng: HashDrbg) -> SignatureToken | None:
+        """The token of `sample_input(rng)` if it is clear, else None; same bytes taken."""
+        ...
+
+
 class SampleOracle:
     """Metered access to the task distribution.
 
@@ -136,8 +145,10 @@ class SampleOracle:
 
     def draw_token(self) -> SignatureToken | None:
         self.budget.charge_sample()
+        # only parties of the ladder task draw tokens; a cast would cost a call a draw
+        instance: TokenTaskInstance = self._instance  # type: ignore[assignment]
         try:
-            return self._instance.sample_token(self._rng)
+            return instance.sample_token(self._rng)
         except Exception as exc:
             raise _harness_fault("sample_token", exc) from exc
 

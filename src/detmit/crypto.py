@@ -480,16 +480,6 @@ class IvcProof:
     steps: int
     commitment: bytes
 
-    def to_bytes(self) -> bytes:
-        return pack_fields(be64(self.steps), self.commitment)
-
-    @staticmethod
-    def from_bytes(buf: bytes) -> "IvcProof | None":
-        fields = unpack_exact(buf, 2)
-        if fields is None or len(fields[0]) != 8 or len(fields[1]) != 32:
-            return None
-        return IvcProof(int.from_bytes(fields[0], "big"), fields[1])
-
 
 class IvcKeys:
     """Keys for one proof chain: a salted commitment chain plus its registry.

@@ -76,10 +76,6 @@ class HashDrbg:
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) * (2.0**-53)
-
     def bit(self) -> int:
         return self.take(1)[0] & 1
 

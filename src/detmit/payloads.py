@@ -14,6 +14,24 @@ Forms:
   be empty in answer position)
 * ``0x03`` clear chain payload    — step count, configuration, chain proof
 
+A chain payload decodes only with fixed field widths, so every one that
+decodes has the same 101-byte core, read at fixed offsets:
+
+====== ===== ==================================================
+offset bytes field
+====== ===== ==================================================
+0      1     tag ``0x03``
+1      4     ``be32(8)``
+5      8     step count, big-endian, at least 1
+13     4     ``be32(32)``
+17     32    configuration
+49     4     ``be32(48)``, the proof's length
+53     4     ``be32(8)``
+57     8     the proof's step count, big-endian
+65     4     ``be32(32)``
+69     32    the proof's commitment
+====== ===== ==================================================
+
 The reserved "no answer" marker :data:`BOTTOM` begins with tag ``0x00`` and
 therefore never decodes; models emit it (padded) when they cannot answer.
 """
@@ -23,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import IDENTITY_LEN, Ciphertext, IvcProof, ProofToken, SignatureToken
-from .wire import be32, be64, pack_fields, unpack_fields
+from .wire import be32, be64, unpack_fields
 
 TAG_CLEAR = 0x01
 TAG_ENC = 0x02
@@ -65,7 +83,11 @@ Payload = ClearPayload | EncPayload | TimePayload
 
 _CLEAR_TAG = bytes([TAG_CLEAR])
 _ENC_TAG = bytes([TAG_ENC])
-_LEVEL_LEN = be32(8)
+_TIME_TAG = bytes([TAG_TIME_CLEAR])
+_INT_LEN = be32(8)  # the prefix of a level or a step count
+_DIGEST_LEN = be32(32)  # the prefix of a chain configuration or commitment
+_PROOF_HEAD = be32(48) + _INT_LEN  # a chain proof's prefix, then its step count's
+_TIME_CORE_LEN = 101
 
 
 def pad_to(core: bytes, width: int | None) -> bytes:
@@ -81,15 +103,16 @@ def bottom(width: int | None = None) -> bytes:
 
 
 def encode_payload(payload: Payload, width: int | None = None) -> bytes:
-    # The clear and encrypted forms are the hot ones: each is written in one
-    # join of its length-prefixed fields, nested ones flattened in place.
+    # Each form is written in one join of its length-prefixed fields, nested
+    # ones flattened in place.  Attacker-built payloads may carry fields of
+    # any length, so the prefixes are computed, never assumed.
     if isinstance(payload, ClearPayload):
         nonce, sig = payload.token.nonce, payload.token.core
         token, digest = payload.proof.token, payload.proof.statement_digest
         core = b"".join((
             _CLEAR_TAG,
             be32(8 + len(nonce) + len(sig)), be32(len(nonce)), nonce, be32(len(sig)), sig,
-            _LEVEL_LEN, be64(payload.level),
+            _INT_LEN, be64(payload.level),
             be32(8 + len(token) + len(digest)), be32(len(token)), token,
             be32(len(digest)), digest,
         ))
@@ -103,9 +126,15 @@ def encode_payload(payload: Payload, width: int | None = None) -> bytes:
             be32(len(id1)), id1, be32(len(id2)), id2, be32(len(key2)), key2,
         ))
     elif isinstance(payload, TimePayload):
-        core = bytes([TAG_TIME_CLEAR]) + pack_fields(
-            be64(payload.steps), payload.config, payload.proof.to_bytes()
-        )
+        config, proof = payload.config, payload.proof
+        commitment = proof.commitment
+        core = b"".join((
+            _TIME_TAG,
+            _INT_LEN, be64(payload.steps),
+            be32(len(config)), config,
+            be32(16 + len(commitment)), _INT_LEN, be64(proof.steps),
+            be32(len(commitment)), commitment,
+        ))
     else:  # pragma: no cover - exhaustive by type
         raise TypeError(f"not a payload: {payload!r}")
     return pad_to(core, width)
@@ -133,17 +162,22 @@ def decode_payload(buf: bytes) -> Payload | None:
             return None
         return ClearPayload(token=token, level=level, proof=proof)
     if tag == TAG_TIME_CLEAR:
-        parsed = unpack_fields(buf[1:], 3)
-        if parsed is None:
+        # The fixed 101-byte core of the module docstring: the five length
+        # prefixes are compared in place, the fields sliced at their offsets.
+        if (
+            len(buf) < _TIME_CORE_LEN
+            or buf[1:5] != _INT_LEN
+            or buf[13:17] != _DIGEST_LEN
+            or buf[49:57] != _PROOF_HEAD
+            or buf[65:69] != _DIGEST_LEN
+            or not _zero_padding(buf[_TIME_CORE_LEN:])
+        ):
             return None
-        (steps_b, config_b, proof_b), rest = parsed
-        if not _zero_padding(rest) or len(steps_b) != 8 or len(config_b) != 32:
+        steps = int.from_bytes(buf[5:13], "big")
+        if steps < 1:
             return None
-        proof = IvcProof.from_bytes(proof_b)
-        steps = int.from_bytes(steps_b, "big")
-        if proof is None or steps < 1:
-            return None
-        return TimePayload(steps=steps, config=config_b, proof=proof)
+        proof = IvcProof(int.from_bytes(buf[57:65], "big"), buf[69:_TIME_CORE_LEN])
+        return TimePayload(steps=steps, config=buf[17:49], proof=proof)
     if tag == TAG_ENC:
         parsed = unpack_fields(buf[1:], 4)
         if parsed is None:

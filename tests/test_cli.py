@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -19,10 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detmit
+from detmit import cli
 from detmit.cli import (
+    MAX_ATTACKER_SAMPLES,
     MAX_HORIZON,
+    MAX_LEVEL_TARGET,
     MAX_Q,
     MAX_TRIALS,
+    MAX_WORKERS,
     ExperimentConfig,
     _load_config,
     main,
@@ -126,6 +131,13 @@ DEFAULTS = {
             {"task": "chain", "horizon": MAX_HORIZON, "q": 1, "instance_seed": -5},
             1, "never_flag", id="chain-horizon-cap",
         ),
+        pytest.param(
+            {"game": "mitigate", "level_target": MAX_LEVEL_TARGET,
+             "attacker_samples": MAX_ATTACKER_SAMPLES, "workers": MAX_WORKERS},
+            {"game": "mitigate", "level_target": MAX_LEVEL_TARGET,
+             "attacker_samples": MAX_ATTACKER_SAMPLES, "workers": MAX_WORKERS},
+            1, "extend", id="ladder-at-the-level-sample-and-worker-caps",
+        ),
     ],
 )
 def test_accepted_configs_resolve_to_these_fields(given_fields, resolved, q, defense):
@@ -191,6 +203,32 @@ def test_run_rejects_a_bad_field(runner, tmp_path, overrides, field):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        (key, value)
+        for key, cap in (("workers", MAX_WORKERS), ("level_target", MAX_LEVEL_TARGET),
+                         ("attacker_samples", MAX_ATTACKER_SAMPLES))
+        for value in (cap + 1, 10**9, BIG)
+    ],
+)
+def test_run_rejects_a_capped_key_above_its_cap_before_any_trial(
+    runner, tmp_path, monkeypatch, key, value
+):
+    """Above its cap a key exits 2 from the config reader: no trial runs, no thread starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial batch or a thread was started")
+
+    monkeypatch.setattr(cli, "run_batch", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.model_validate({**BASE, key: value})
+    res = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, **{key: value}))])
+    assert res.exit_code == 2, res.output
+    assert key in res.output
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("[1, 2]", "JSON object, not list"),
@@ -252,15 +290,26 @@ def test_load_config_returns_a_config_or_a_usage_error(tmp_path_factory, text):
     assert SEED_MIN <= cfg.instance_seed <= SEED_MAX
 
 
-def test_importing_the_cli_does_not_load_pydantic():
+def _modules_loaded_by_importing_the_cli(names: str) -> str:
+    """Which of the modules matching `names` (a Python predicate on `m`) `import detmit.cli` loads."""
     src = Path(detmit.__file__).resolve().parents[1]
-    code = "import sys, detmit.cli; print(sorted(m for m in sys.modules if 'pydantic' in m))"
+    code = f"import sys, detmit.cli; print(sorted(m for m in sys.modules if {names}))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_pydantic():
+    assert _modules_loaded_by_importing_the_cli("'pydantic' in m") == "[]"
+
+
+def test_importing_the_cli_does_not_load_the_thread_pool_or_logging():
+    # only a batch with workers > 1 imports the pool, which pulls in logging
+    names = "m in ('concurrent.futures', 'logging')"
+    assert _modules_loaded_by_importing_the_cli(names) == "[]"
 
 
 def test_run_writes_transcripts_and_summary(runner, tmp_path):

@@ -43,6 +43,7 @@ from detmit.crypto import (
     snark_verify,
 )
 from detmit.drbg import HashDrbg
+from detmit.payloads import TimePayload, decode_payload, encode_payload
 from testkit import ivc_prove, meter_run
 
 
@@ -369,7 +370,9 @@ def test_ivc_prove_verify(rng):
     assert state == ref
     assert meter.used == 10
     assert keys.steps_run == 10
-    assert IvcProof.from_bytes(proof.to_bytes()) == proof
+    # a proof travels inside a chain payload, beside the state it proves
+    payload = TimePayload(steps=10, config=state, proof=proof)
+    assert decode_payload(encode_payload(payload)) == payload
 
 
 def test_ivc_rejects_forgeries(rng):

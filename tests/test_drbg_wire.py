@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from detmit import drbg
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.wire import be32, be64, pack_fields, unpack_exact, unpack_fields
+from testkit import uniform
 
 
 def test_drbg_reproducible():
@@ -18,7 +19,7 @@ def test_drbg_reproducible():
     b = HashDrbg(1234)
     assert a.take(100) == b.take(100)
     assert a.u64() == b.u64()
-    assert a.uniform() == b.uniform()
+    assert uniform(a) == uniform(b)
 
 
 def test_drbg_seed_types_distinct():
@@ -36,7 +37,7 @@ def test_drbg_children_independent_of_parent_position():
 
 def test_drbg_uniform_and_bit_ranges():
     rng = HashDrbg(5)
-    vals = [rng.uniform() for _ in range(2000)]
+    vals = [uniform(rng) for _ in range(2000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert abs(sum(vals) / len(vals) - 0.5) < 0.05
     bits = [rng.bit() for _ in range(2000)]

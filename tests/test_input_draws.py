@@ -12,7 +12,14 @@ from __future__ import annotations
 import pytest
 
 from detmit.classify import make_toy_instance
-from detmit.core import BudgetExceededError, HarnessFault, ResourceBudget, SampleOracle
+from detmit.core import (
+    BudgetExceededError,
+    HarnessFault,
+    ResourceBudget,
+    SampleOracle,
+    TaskInstance,
+    TokenTaskInstance,
+)
 from detmit.crypto import Ciphertext, VerificationKey
 from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
@@ -163,3 +170,11 @@ def test_a_failing_token_draw_is_a_harness_fault(instance, cause):
         oracle.draw_token()
     assert isinstance(info.value.__cause__, cause)
     assert oracle.budget.samples_used == 1
+
+
+def test_only_the_ladder_task_offers_the_token_view():
+    toy, chain = make_toy_instance(31), make_time_instance(31, horizon=64)
+    assert all(isinstance(inst, TaskInstance) for inst in (LADDER, toy, chain))
+    assert isinstance(LADDER, TokenTaskInstance)
+    assert not isinstance(toy, TokenTaskInstance)
+    assert not isinstance(chain, TokenTaskInstance)

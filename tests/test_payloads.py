@@ -12,6 +12,7 @@ from detmit.payloads import (
     BOTTOM,
     TAG_CLEAR,
     TAG_ENC,
+    TAG_TIME_CLEAR,
     ClearPayload,
     EncPayload,
     PayloadTooWide,
@@ -23,7 +24,7 @@ from detmit.payloads import (
 )
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
-from detmit.wire import be64, pack_fields
+from detmit.wire import be64, pack_fields, unpack_exact, unpack_fields
 from testkit import seal_pair
 
 R = HashDrbg(b"payload-tests")
@@ -150,6 +151,14 @@ def reference_encoding(payload, width):
             + _lp(be64(payload.level))
             + _lp(pack_fields(proof.token, proof.statement_digest))
         )
+    elif isinstance(payload, TimePayload):
+        proof = payload.proof
+        core = (
+            bytes([TAG_TIME_CLEAR])
+            + _lp(be64(payload.steps))
+            + _lp(payload.config)
+            + _lp(pack_fields(be64(proof.steps), proof.commitment))
+        )
     else:
         ct = payload.ciphertext
         core = (
@@ -177,17 +186,26 @@ enc_payloads = st.builds(
     id2=field,
     key2=field,
 )
+u64 = st.integers(min_value=0, max_value=2**64 - 1)
+time_payloads = st.builds(
+    TimePayload, steps=u64, config=field, proof=st.builds(IvcProof, u64, field)
+)
 SAMPLE_CLEAR = ClearPayload(SignatureToken(b"n" * 16, b"s" * 64), 7, ProofToken(b"t" * 16, b"d" * 32))
 SAMPLE_ENC = EncPayload(Ciphertext(b"i" * 16, b"b" * 40), b"", b"j" * 16, b"k" * 32)
+SAMPLE_TIME = TimePayload(4096, b"c" * 32, IvcProof(4096, b"m" * 32))
 
 
-@given(st.one_of(clear_payloads, enc_payloads), st.none() | st.integers(0, 600))
+@given(st.one_of(clear_payloads, enc_payloads, time_payloads), st.none() | st.integers(0, 600))
 @example(SAMPLE_CLEAR, None)  # unpadded
 @example(SAMPLE_CLEAR, 256)  # padded
 @example(SAMPLE_CLEAR, 40)  # too wide
 @example(SAMPLE_ENC, None)
 @example(SAMPLE_ENC, 256)
 @example(SAMPLE_ENC, 40)
+@example(SAMPLE_TIME, None)
+@example(SAMPLE_TIME, 256)
+@example(SAMPLE_TIME, 100)  # the 101-byte core is one byte too wide
+@example(TimePayload(2**64 - 1, b"", IvcProof(0, b"x" * 70)), None)  # off-width fields
 def test_flat_encoder_matches_reference_layout(payload, width):
     try:
         want = reference_encoding(payload, width)
@@ -196,3 +214,72 @@ def test_flat_encoder_matches_reference_layout(payload, width):
             encode_payload(payload, width)
         return
     assert encode_payload(payload, width) == want
+
+
+def reference_chain_decode(buf: bytes) -> TimePayload | None:
+    """The chain form read field by field with `unpack_fields`, as nested prefixes."""
+    if buf[:1] != bytes([TAG_TIME_CLEAR]):
+        return None
+    parsed = unpack_fields(buf[1:], 3)
+    if parsed is None:
+        return None
+    (steps_b, config_b, proof_b), rest = parsed
+    if rest.count(0) != len(rest) or len(steps_b) != 8 or len(config_b) != 32:
+        return None
+    inner = unpack_exact(proof_b, 2)
+    if inner is None or len(inner[0]) != 8 or len(inner[1]) != 32:
+        return None
+    steps = int.from_bytes(steps_b, "big")
+    if steps < 1:
+        return None
+    return TimePayload(steps, config_b, IvcProof(int.from_bytes(inner[0], "big"), inner[1]))
+
+
+CHAIN_CORE = 101
+# the tag and the five length prefixes of the chain core
+CHAIN_HEADER = [0, *range(1, 5), *range(13, 17), *range(49, 57), *range(65, 69)]
+honest_chains = st.builds(
+    TimePayload,
+    steps=u64,  # 0 included: the decoders must both refuse it
+    config=st.binary(min_size=32, max_size=32),
+    proof=st.builds(IvcProof, u64, st.binary(min_size=32, max_size=32)),
+)
+
+
+@st.composite
+def mutated_chain_encodings(draw) -> bytes:
+    buf = bytearray(encode_payload(draw(honest_chains), draw(st.none() | st.integers(101, 200))))
+    kind = draw(st.sampled_from(["none", "flip", "truncate", "pad", "dirty"]))
+    if kind == "flip":
+        buf[draw(st.sampled_from(CHAIN_HEADER))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del buf[draw(st.integers(0, len(buf) - 1)):]
+    elif kind == "pad":
+        buf += bytes(draw(st.integers(1, 64)))
+    elif kind == "dirty":
+        if len(buf) == CHAIN_CORE:
+            buf += bytes(draw(st.integers(1, 64)))
+        buf[draw(st.integers(CHAIN_CORE, len(buf) - 1))] = draw(st.integers(1, 255))
+    return bytes(buf)
+
+
+@given(mutated_chain_encodings() | st.binary(max_size=200).map(lambda b: b"\x03" + b))
+@example(encode_payload(SAMPLE_TIME))
+@example(encode_payload(SAMPLE_TIME, 160)[:-1] + b"\x01")  # nonzero padding
+@example(encode_payload(TimePayload(0, b"c" * 32, IvcProof(0, b"m" * 32))))  # steps 0
+@example(encode_payload(SAMPLE_TIME)[:100])  # one byte short
+def test_chain_decode_matches_the_nested_reference(buf):
+    assert decode_payload(buf) == reference_chain_decode(buf)
+
+
+def test_chain_decode_matches_the_reference_on_every_flipped_core_byte():
+    honest = encode_payload(SAMPLE_TIME, 128)
+    assert decode_payload(honest) == SAMPLE_TIME
+    for offset in range(CHAIN_CORE):
+        for mask in (0x01, 0x80, 0xFF):
+            buf = bytearray(honest)
+            buf[offset] ^= mask
+            got = decode_payload(bytes(buf))
+            assert got == reference_chain_decode(bytes(buf)), (offset, mask)
+            if offset in CHAIN_HEADER:
+                assert got is None, (offset, mask)

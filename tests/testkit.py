@@ -20,6 +20,11 @@ from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_pay
 from detmit.sampletask import DataTaskInstance
 
 
+def uniform(rng: HashDrbg) -> float:
+    """Float in [0, 1) with 53 bits of precision, from one `u64` draw."""
+    return (rng.u64() >> 11) * (2.0**-53)
+
+
 def meter_run(meter: StepMeter, state: bytes, steps: int) -> bytes:
     """`steps` metered step-function applications, one `StepMeter.step` each."""
     for _ in range(steps):
