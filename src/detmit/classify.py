@@ -172,23 +172,20 @@ class DetectorFromMitigator:
 
     Raises the flag when the wrapped mitigator does, or when its answers
     disagree with the model's on more than a 4eps fraction of the batch.
-    Stashes the inner answers and flag so the harness can score err_y and
-    audit the implication below.
+    Notes the inner answers (`response`) and flag (`inner_flag`) so the
+    harness can score err_y and audit the implication below.
     """
 
     def __init__(self, mitigator: Any):
         self.mitigator = mitigator
         self.sample_budget: int | None = getattr(mitigator, "sample_budget", None)
-        self.last_response: list[bytes] | None = None
-        self.last_inner_flag: int | None = None
 
     def detect(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> int:
         ys, inner = self.mitigator.mitigate(ctx, model, priv, xs)
         drift = hamming(ys, [model(x) for x in xs])
-        self.last_response = ys
-        self.last_inner_flag = inner
+        ctx.notes["response"], ctx.notes["inner_flag"] = ys, inner
         return derived_flag(inner, drift, ctx.params.epsilon)
 
 

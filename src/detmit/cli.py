@@ -17,10 +17,11 @@ verification or audit fails.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import click
 
@@ -231,6 +232,9 @@ class ExperimentConfig:
                 f"{role} {self.defense()!r} does not play {self.task} {self.game}; "
                 f"choose one of {', '.join(choices)}"
             )
+        # built once: every trial reads it, and building one costs about 1 us
+        q = self.q if self.q is not None else DEFAULT_Q[self.task]
+        object.__setattr__(self, "_params", GameParams(epsilon=self.epsilon, q=q))
 
     def defense(self) -> str:
         """The configured defense's name in DEFENSES."""
@@ -238,8 +242,7 @@ class ExperimentConfig:
         return name if name is not None else next(iter(DEFENSES[self.task, self.game]))
 
     def params(self) -> GameParams:
-        q = self.q if self.q is not None else DEFAULT_Q[self.task]
-        return GameParams(epsilon=self.epsilon, q=q)
+        return self._params
 
 
 def _build_task(task: str, seed: int, horizon: int) -> Any:
@@ -262,32 +265,29 @@ def build_parties(cfg: ExperimentConfig, instance: Any) -> tuple[Any, Any, Any]:
     return trainer(cfg, instance), challenger, defense
 
 
+def run_trial(cfg: ExperimentConfig, instance: Any, i: int) -> Transcript:
+    """Trial `i` of `cfg`'s batch on `instance`: a function of `cfg`, the instance seed and `i`."""
+    seed = derive_trial_seed(cfg.master_seed, i)
+    # A ladder trial proves, registers circuits and draws eval nonces in its
+    # own world, so worker threads share no mutable state.  Chain trials share
+    # only the instance's chain registry, which the audits read after the batch.
+    world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
+    # built per trial because ladder parties bind the world; building draws nothing
+    trainer, challenger, defense = build_parties(cfg, world)
+    runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
+    return runner(world, trainer, challenger, defense, cfg.params(), seed, i)
+
+
 def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     instance = build_instance(cfg)
-    params = cfg.params()
-    runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
-
-    def one(i: int) -> Transcript:
-        seed = derive_trial_seed(cfg.master_seed, i)
-        # A ladder trial proves, registers circuits and draws eval nonces in
-        # its own world, so worker threads share no mutable state.  Each
-        # party move meters its own steps; chain trials share only the
-        # instance's chain registry, which the audits read after the batch.
-        world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
-        # Fresh party objects per trial: agents stash per-trial stats on
-        # themselves, which worker threads must not share.  Construction
-        # consumes no randomness, so this leaves transcripts unchanged.
-        trainer, challenger, defense = build_parties(cfg, world)
-        return runner(world, trainer, challenger, defense, params, seed, i)
-
     if cfg.workers > 1:
         # imported here: it pulls in logging, which a serial run never needs
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            transcripts = list(pool.map(one, range(cfg.trials)))
+            transcripts = list(pool.map(lambda i: run_trial(cfg, instance, i), range(cfg.trials)))
     else:
-        transcripts = [one(i) for i in range(cfg.trials)]
+        transcripts = [run_trial(cfg, instance, i) for i in range(cfg.trials)]
     return instance, transcripts
 
 
@@ -421,6 +421,24 @@ def main() -> None:
     """Detection-vs-mitigation game harness."""
 
 
+def _numbered_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The lines of the file at `path`, numbered from 1; a usage error if it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _output_file(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    """`value`, if its directory exists and is writable: checked before any trial runs."""
+    if value is not None:
+        parent = Path(value).parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise click.BadParameter(f"{str(parent)!r} is not a writable directory")
+    return value
+
+
 def _load_config(path: str) -> ExperimentConfig:
     try:
         return ExperimentConfig.model_validate(json.loads(Path(path).read_text()))
@@ -463,7 +481,7 @@ def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: i
 @main.command("verify-pair")
 @click.option("--instance", "prefix", type=click.Path(), required=True,
               help="prefix used with gen-instance")
-@click.option("--pairs", type=click.Path(exists=True), required=True)
+@click.option("--pairs", type=click.Path(exists=True, dir_okay=False), required=True)
 def cmd_verify_pair(prefix: str, pairs: str) -> None:
     """Recheck emitted (x, y) pairs: every y must be a correct answer."""
     base = Path(prefix)
@@ -501,16 +519,15 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
     instance = _build_task(task, seed, horizon)
     restore_public_state(instance, pub, entries)
     bad = total = 0
-    with open(pairs) as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                rec = json.loads(line)
-                x, y = bytes.fromhex(rec["x"]), bytes.fromhex(rec["y"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise click.UsageError(f"bad pair on line {lineno} of {pairs}: {exc}") from exc
-            total += 1
-            if instance.h(x, y):
-                bad += 1
+    for lineno, line in _numbered_lines(pairs):
+        try:
+            rec = json.loads(line)
+            x, y = bytes.fromhex(rec["x"]), bytes.fromhex(rec["y"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise click.UsageError(f"bad pair on line {lineno} of {pairs}: {exc}") from exc
+        total += 1
+        if instance.h(x, y):
+            bad += 1
     click.echo(f"{total - bad}/{total} pairs verified")
     if bad:
         sys.exit(3)
@@ -518,8 +535,10 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
 
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--transcripts", type=click.Path(), default=None)
-@click.option("--summary", "summary_path", type=click.Path(), default=None)
+@click.option("--transcripts", type=click.Path(dir_okay=False, writable=True), default=None,
+              callback=_output_file)
+@click.option("--summary", "summary_path", type=click.Path(dir_okay=False, writable=True),
+              default=None, callback=_output_file)
 def cmd_run(config_path: str, transcripts: str | None, summary_path: str | None) -> None:
     """Run a trial batch; write transcripts (JSONL) and a summary (JSON)."""
     cfg = _load_config(config_path)
@@ -549,25 +568,24 @@ def _report_epsilon(ctx: click.Context, param: click.Parameter, value: float) ->
 
 
 @main.command("report")
-@click.option("--transcripts", type=click.Path(exists=True), required=True)
+@click.option("--transcripts", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--epsilon", type=float, default=0.05, show_default=True,
               callback=_report_epsilon)
 def cmd_report(transcripts: str, epsilon: float) -> None:
     """Summarize an existing transcript stream."""
     records = []
-    with open(transcripts) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                Transcript.from_record(rec)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise click.UsageError(
-                    f"bad transcript on line {lineno} of {transcripts}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            records.append(rec)
+    for lineno, line in _numbered_lines(transcripts):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            Transcript.from_record(rec)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise click.UsageError(
+                f"bad transcript on line {lineno} of {transcripts}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        records.append(rec)
     if not records:
         raise click.UsageError("transcript stream is empty")
     click.echo(json.dumps(summarize(records, epsilon), indent=2))

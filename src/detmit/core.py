@@ -17,6 +17,11 @@ byte strings, answers that are not one byte string per input, a flag other
 than 0 or 1, or a model that fails while it is scored (the trainer's fault).
 An exception out of the task instance behind the sample oracle is a
 :class:`HarnessFault` and ends the batch.
+
+Parties hold no per-trial state: a move reports through ``TrialCtx.notes``.
+A challenger's ``queries`` note goes into its ledger and its notes onto the
+in-memory ``Transcript.notes``; a detector's ``response`` and ``inner_flag``
+notes become the transcript fields of those names.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class AbortTrial(Exception):
         self.reason = reason
 
 
-@dataclass
+@dataclass(frozen=True)  # the trials of a batch share one
 class GameParams:
     """Game-level constants: error tolerance and batch size."""
 
@@ -165,6 +170,7 @@ class TrialCtx:
     rng: HashDrbg
     params: GameParams
     meter: StepMeter = field(default_factory=StepMeter)
+    notes: dict[str, Any] = field(default_factory=dict)  # the move's reports
 
 
 # --- agent protocols ---------------------------------------------------------
@@ -290,6 +296,7 @@ class Transcript:
     challenge: list[bytes] = field(default_factory=list)
     response: list[bytes] | None = None
     inner_flag: int | None = None
+    notes: dict[str, Any] = field(default_factory=dict)  # the challenger's
 
     def to_json(self) -> str:
         obj = {name: getattr(self, name) for name in _TRANSCRIPT_FIELDS}
@@ -336,13 +343,14 @@ class _TrialState:
             meter=StepMeter(getattr(agent, "step_budget", None)),
         )
 
-    def close_ledger(self, role: str, ctx: TrialCtx, **extra: int) -> None:
-        self.ledgers[role] = {
+    def close_ledger(self, role: str, ctx: TrialCtx) -> None:
+        ledger = self.ledgers[role] = {
             **ctx.oracle.budget.snapshot(),
             "steps_used": ctx.meter.used,
             "steps_allowed": ctx.meter.limit,
-            **extra,
         }
+        if "queries" in ctx.notes:
+            ledger["queries"] = ctx.notes["queries"]
 
     def run_phase(self, role: str, fn: Callable[[], Any]) -> Any:
         """Run one move; return None and record the abort if the party fails.
@@ -377,14 +385,22 @@ def _byte_list(value: Any, n: int, what: str) -> list[bytes]:
     return value
 
 
-def _defense(out: tuple, xs: list[bytes]) -> tuple:
-    """A defense move's (flag, answers or None, inner flag), checked."""
-    flag, answers, _ = out
+def _defense(
+    role: str, defense: Any, ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]
+) -> tuple[int, list[bytes] | None]:
+    """The defense move's (flag, answers or None), checked.
+
+    `role` picks the move: a detector's answers are its `response` note, if any.
+    """
+    if role == "detector":
+        flag, answers = defense.detect(ctx, model, priv, xs), ctx.notes.get("response")
+    else:
+        answers, flag = defense.mitigate(ctx, model, priv, xs)
     if type(flag) is not int or flag not in (0, 1):
         raise ValueError(f"flag {flag!r} is not 0 or 1")
     if answers is not None:
         _byte_list(answers, len(xs), "answers")
-    return out
+    return flag, answers
 
 
 def _run_trial(
@@ -393,19 +409,14 @@ def _run_trial(
     challenger: Challenger,
     role: str,
     defense: Any,
-    defend: Callable[..., tuple[int, list[bytes] | None, int | None]],
     params: GameParams,
     seed: bytes | int,
     trial_id: int,
 ) -> Transcript:
-    """Train, challenge, defend, score: the body both games share.
-
-    `defend(ctx, model, priv, xs)` is the one move in which the games differ;
-    it returns (flag, answers or None, inner flag or None).
-    """
+    """Train, challenge, defend, score: the body both games share."""
     st = _TrialState(instance, params, seed)
     flag = err_fx = err_y = inner_flag = None
-    xs, response = [], None
+    xs, response, notes = [], None, {}
 
     tctx = st.ctx_for("trainer", trainer)
     trained = st.run_phase("trainer", lambda: trainer.train(tctx))
@@ -417,12 +428,11 @@ def _run_trial(
             challenger.origin,
             lambda: _byte_list(challenger.challenge(cctx, model), params.q, "batch"),
         )
-        queries = getattr(challenger, "last_query_count", None)
-        extra = {} if queries is None else {"queries": queries}
-        st.close_ledger(challenger.origin, cctx, **extra)
+        st.close_ledger(challenger.origin, cctx)
+        notes = cctx.notes
         if xs is not None:
             dctx = st.ctx_for(role, defense)
-            defended = st.run_phase(role, lambda: _defense(defend(dctx, model, priv, xs), xs))
+            defended = st.run_phase(role, lambda: _defense(role, defense, dctx, model, priv, xs))
             st.close_ledger(role, dctx)
             if defended is not None:
                 # the model is the trainer's code, so a fault while scoring it is too
@@ -431,7 +441,8 @@ def _run_trial(
                     lambda: _byte_list([model(x) for x in xs], len(xs), "model answers"),
                 )
                 if fxs is not None:
-                    flag, response, inner_flag = defended
+                    flag, response = defended
+                    inner_flag = dctx.notes.get("inner_flag")
                     err_fx = empirical_err(instance.h, xs, fxs)
                     if response is not None:
                         err_y = empirical_err(instance.h, xs, response)
@@ -449,6 +460,7 @@ def _run_trial(
         challenge=xs or [],
         response=response,
         inner_flag=inner_flag,
+        notes=notes,
     )
 
 
@@ -462,18 +474,7 @@ def run_dbd_trial(
     trial_id: int = 0,
 ) -> Transcript:
     """One detection-game trial: train, challenge, detect, score."""
-
-    def detect(ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> tuple:
-        flag = detector.detect(ctx, model, priv, xs)
-        return (
-            flag,
-            getattr(detector, "last_response", None),
-            getattr(detector, "last_inner_flag", None),
-        )
-
-    return _run_trial(
-        instance, trainer, challenger, "detector", detector, detect, params, seed, trial_id
-    )
+    return _run_trial(instance, trainer, challenger, "detector", detector, params, seed, trial_id)
 
 
 def run_dbm_trial(
@@ -486,13 +487,8 @@ def run_dbm_trial(
     trial_id: int = 0,
 ) -> Transcript:
     """One mitigation-game trial: train, challenge, answer+flag, score."""
-
-    def mitigate(ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> tuple:
-        ys, flag = mitigator.mitigate(ctx, model, priv, xs)
-        return flag, ys, None
-
     return _run_trial(
-        instance, trainer, challenger, "mitigator", mitigator, mitigate, params, seed, trial_id
+        instance, trainer, challenger, "mitigator", mitigator, params, seed, trial_id
     )
 
 

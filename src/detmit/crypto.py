@@ -55,7 +55,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .drbg import HashDrbg
-from .wire import be64, pack_fields, unpack_exact
+from .wire import be64, unpack_exact
 
 NONCE_LEN = 16
 TOKEN_LEN = 16
@@ -118,9 +118,6 @@ class SignatureToken:
     nonce: bytes
     core: bytes
 
-    def to_bytes(self) -> bytes:
-        return pack_fields(self.nonce, self.core)
-
     @staticmethod
     def from_bytes(buf: bytes) -> "SignatureToken | None":
         fields = unpack_exact(buf, 2)
@@ -171,9 +168,6 @@ def _count_digest(count: int, key_digest: bytes) -> bytes:
 class ProofToken:
     token: bytes
     statement_digest: bytes
-
-    def to_bytes(self) -> bytes:
-        return pack_fields(self.token, self.statement_digest)
 
     @staticmethod
     def from_bytes(buf: bytes) -> "ProofToken | None":
@@ -326,9 +320,6 @@ class IdentityKey:
 class Ciphertext:
     identity_tag: bytes
     body: bytes
-
-    def to_bytes(self) -> bytes:
-        return pack_fields(self.identity_tag, self.body)
 
     @staticmethod
     def from_bytes(buf: bytes) -> "Ciphertext | None":

@@ -144,6 +144,8 @@ class SelfIterationAttacker:
     output).  Iterates x -> decrypt(f(encrypt(x))) while the answer's level
     keeps growing, then emits the frontier payload re-encrypted — or, half
     the time, replays the clear draw to blend with nature's clear half.
+    Notes its `queries`, the frontier `level` and whether the output is
+    encrypted (`output_encrypted`).
     """
 
     origin = ATTACKER
@@ -159,15 +161,10 @@ class SelfIterationAttacker:
         self.instance = instance
         self.sample_budget = sample_budget
         self.draws = sample_budget if draws is None else draws
-        self.last_query_count = 0
-        self.last_level = 0
-        self.last_output_encrypted: bool | None = None
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = self.instance
-        self.last_query_count = 0
-        self.last_level = 0
-        self.last_output_encrypted = None
+        ctx.notes["queries"] = 0
 
         clear_draws: list[tuple[bytes, ClearPayload]] = []
         shipped_keys: list[IdentityKey] = []
@@ -196,19 +193,16 @@ class SelfIterationAttacker:
 
         while True:
             y = model(wrap(cur))
-            self.last_query_count += 1
+            ctx.notes["queries"] += 1
             cand = unseal(tunnel, decode_payload(y))
             if not inst.answers(cur, cand):
                 break
             cur = cand
 
-        self.last_level = cur.level
-        if ctx.rng.bit():
-            self.last_output_encrypted = True
-            out = wrap(cur)
-        else:
-            self.last_output_encrypted = False
-            out = replay_x
+        ctx.notes["level"] = cur.level
+        # the bit comes first: wrap's nonce is drawn from the same stream
+        ctx.notes["output_encrypted"] = encrypted = bool(ctx.rng.bit())
+        out = wrap(cur) if encrypted else replay_x
         return [out] * ctx.params.q
 
 

@@ -178,7 +178,10 @@ class ChainExtendingMitigator:
 
 
 class ChainClimbingAttacker:
-    """Builds a step-1 payload, then rides the model's grid to its frontier."""
+    """Builds a step-1 payload, then rides the model's grid to its frontier.
+
+    Notes its `queries` and the frontier `level`.
+    """
 
     origin = ATTACKER
     sample_budget = 0
@@ -188,24 +191,22 @@ class ChainClimbingAttacker:
         self.step_budget = (
             2 * isqrt(instance.horizon) if step_budget is None else step_budget
         )
-        self.last_query_count = 0
-        self.last_level = 0
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = self.instance
-        self.last_query_count = 0
+        ctx.notes["queries"] = 0
         base = inst.ivc.base_proof(inst.start_state)
         state, proof = ivc_update(inst.ivc, inst.start_state, base, ctx.meter)
         cur = TimePayload(1, state, proof)
         x = encode_payload(cur, inst.width)
         while True:  # each accepted answer's own bytes are the next query
             y = model(x)
-            self.last_query_count += 1
+            ctx.notes["queries"] += 1
             yp = decode_payload(y)
             if not inst.answers(cur, yp):
                 break
             cur, x = yp, y
-        self.last_level = cur.steps
+        ctx.notes["level"] = cur.steps
         return [encode_payload(cur, inst.width)] * ctx.params.q
 
 

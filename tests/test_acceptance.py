@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from hashlib import sha256
-from math import isqrt, sqrt
+from math import isqrt, log, sqrt
 
 from detmit.classify import (
     DetectorFromMitigator,
@@ -33,6 +33,7 @@ from detmit.core import (
     estimate_model_err,
     run_dbd_trial,
     run_dbm_trial,
+    soundness_violation,
     wilson_interval,
 )
 from detmit.crypto import (
@@ -212,7 +213,7 @@ def test_ladder_attack_beats_baseline_detectors():
                 inst, trainer, atk, NeverFlagDetector(), params,
                 derive_trial_seed(3000 + K, i), i,
             )
-            rows.append((t, atk.last_level, atk.last_output_encrypted,
+            rows.append((t, t.notes.get("level"), t.notes.get("output_encrypted"),
                          trainer.model, trainer.priv))
         done = [r for r in rows if r[0].aborted is None]
         assert len(done) >= 0.9 * M
@@ -408,7 +409,7 @@ def test_chain_metering_and_audits():
         assert t.ledgers["attacker"]["queries"] <= 2 * isqrt(T) + 4
         assert t.ledgers["attacker"]["steps_used"] <= 2 * isqrt(T)
         assert t.flag == 0 and t.err_y == 0.0
-    assert atk.last_query_count == 17 and atk.last_level == T
+    assert t.notes["queries"] == 17 and t.notes["level"] == T
 
     # Serving a level-t input costs the mitigator exactly isqrt(t) steps;
     # a forged proof costs nothing because verification precedes stepping.
@@ -463,6 +464,67 @@ def test_transcript_determinism():
         assert streams[0] == streams[1] == streams[2]
         digests.append(f"{base['task']}:{sha256(streams[0]).hexdigest()[:12]}")
     _report("determinism", "stable across reruns and 3 workers — " + "; ".join(digests))
+
+
+# ---------------------------------------------------------------------------
+# 9. Resource curves: mitigation costs the square root of what training does.
+# ---------------------------------------------------------------------------
+
+
+def _log_log_slope(points: list[tuple[int, float]]) -> float:
+    """Least-squares slope of log y on log x."""
+    xs = [log(x) for x, _ in points]
+    ys = [log(y) for _, y in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def test_resource_curves():
+    """The paper's "significantly less resources" claim, as a curve.
+
+    The resource is samples on the ladder (size K = level_target) and steps
+    on the chain (size T = horizon).  At each size, a batch of attack trials
+    per game: training costs 4K samples or T steps, mitigation 8*isqrt(K)
+    samples or isqrt(T) steps, so their ratio falls with slope -1/2 on a
+    log-log scale; the attacker stays within its query bound, mitigation is
+    never unsound, and the never-flag detector is fooled at a rate whose
+    Wilson lower bound clears 0.15.
+    """
+    laws = {
+        # task -> (size key, resource, sizes, trials, trainer law, mitigator law, query bound)
+        "ladder": ("level_target", "samples", (16, 64, 144, 256, 400, 484), 40,
+                   lambda k: 4 * k, lambda k: 8 * isqrt(k), lambda k: 3 * sqrt(k) + 2),
+        "chain": ("horizon", "steps", (256, 1024, 4096, 16384), 20,
+                  lambda t: t, isqrt, lambda t: 2 * sqrt(t) + 4),
+    }
+    table = ["task size trainer mitigator ratio max_queries never_flag_sv (low) mitigate_sv"]
+    for task, (key, resource, sizes, trials, train_law, mit_law, query_bound) in laws.items():
+        used, ratios = f"{resource}_used", []
+        for n in sizes:
+            base = {"task": task, "challenger": "attack", "trials": trials, key: n,
+                    "instance_seed": 11, "master_seed": 12}
+            _, detect = run_batch(ExperimentConfig(**base, game="detect", detector="never_flag"))
+            _, mitigate = run_batch(ExperimentConfig(**base, game="mitigate"))
+            batch = detect + mitigate
+
+            assert all(t.ledgers["trainer"][used] == train_law(n) for t in batch), n
+            done = [t for t in mitigate if t.aborted is None]
+            assert done and all(t.ledgers["mitigator"][used] == mit_law(n) for t in done), n
+            queries = [t.ledgers["attacker"]["queries"] for t in batch if "attacker" in t.ledgers]
+            assert max(queries) <= query_bound(n), n
+            assert sum(soundness_violation(t, EPS) for t in mitigate) == 0, n
+            fooled = sum(soundness_violation(t, EPS) for t in detect)
+            low = wilson_interval(fooled, trials)[0]
+            assert low >= 0.15, (n, fooled)
+
+            ratios.append((n, mit_law(n) / train_law(n)))
+            table.append(f"{task} {n} {train_law(n)} {mit_law(n)} {ratios[-1][1]:.4f} "
+                         f"{max(queries)} {fooled}/{trials} ({low:.2f}) 0/{trials}")
+        slope = _log_log_slope(ratios)
+        assert -0.6 <= slope <= -0.4, slope
+        table.append(f"{task}: log-log slope of mitigator/trainer {resource} = {slope:.3f}")
+    print("\n".join(table))
+    _report("resource curves", "every cost law, query bound and rate bound met")
 
 
 if __name__ == "__main__":

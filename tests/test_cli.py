@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -803,3 +804,111 @@ def test_verify_pair_rejects_hand_written_instance_files(runner, tmp_path, sec, 
     )
     assert res.exit_code == 2
     assert message in res.output
+
+
+@pytest.mark.parametrize("command", ["report", "verify-pair"])
+@pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
+def test_unreadable_input_exits_2_naming_it(runner, tmp_path, command, unreadable):
+    prefix = tmp_path / "inst"
+    res = runner.invoke(
+        main, ["gen-instance", "--task", "chain", "--seed", "4", "--out", str(prefix)]
+    )
+    assert res.exit_code == 0, res.output
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"x": "00", "y": "00"}\n' + "é".encode("latin-1") + b"\n")
+    args = (
+        ["report", "--transcripts", str(path)]
+        if command == "report"
+        else ["verify-pair", "--instance", str(prefix), "--pairs", str(path)]
+    )
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert str(path) in res.output
+    assert ("UTF-8" if unreadable == "not-utf8" else "is a directory") in res.output
+
+
+@pytest.mark.parametrize("option", ["--transcripts", "--summary"])
+@pytest.mark.parametrize("where", ["in-a-missing-directory", "at-a-directory"])
+def test_run_rejects_an_unwritable_output_path_before_any_trial(
+    runner, tmp_path, monkeypatch, option, where
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial batch was started")
+
+    monkeypatch.setattr(cli, "run_batch", refuse)
+    bad = tmp_path / "missing" / "out" if where == "in-a-missing-directory" else tmp_path
+    other, good = "--summary" if option == "--transcripts" else "--transcripts", tmp_path / "out"
+    res = runner.invoke(
+        main,
+        ["run", "--config", str(write_config(tmp_path)), option, str(bad), other, str(good)],
+    )
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert option in res.output
+    assert not good.exists()
+
+
+# Every (task, game, defense, challenger) `detmit run` plays, as a small config.
+GAMES = [
+    {
+        "task": task, "game": game, "challenger": challenger,
+        ("detector" if game == "detect" else "mitigator"): name,
+        **({"horizon": 64} if task == "chain" else {}),
+        "instance_seed": 21, "master_seed": 22,
+    }
+    for (task, game), names in cli.DEFENSES.items()
+    for name in names
+    for challenger in ("nature", "attack")
+]
+GAME_IDS = [
+    f"{g['task']}-{g['game']}-{g.get('detector') or g.get('mitigator')}-{g['challenger']}"
+    for g in GAMES
+]
+
+
+@pytest.mark.parametrize("game", GAMES, ids=GAME_IDS)
+def test_parties_hold_no_trial_state(monkeypatch, game):
+    """No party `build_parties` builds changes during its trial: moves report through the ctx."""
+    built = []
+    build = cli.build_parties
+
+    def build_and_keep(cfg, instance):
+        parties = build(cfg, instance)
+        built.extend((party, dict(vars(party))) for party in parties)
+        return parties
+
+    monkeypatch.setattr(cli, "build_parties", build_and_keep)
+    _, batch = run_batch(ExperimentConfig(**game, trials=4))
+    assert any(t.aborted is None for t in batch)  # every move ran at least once
+    assert len(built) == 3 * len(batch)
+    for party, before in built:
+        assert dict(vars(party)) == before, type(party).__name__
+
+
+ISOLATION_TRIALS = 6
+
+
+@functools.cache
+def _batch_of(game: int) -> list:
+    return run_batch(ExperimentConfig(**GAMES[game], trials=ISOLATION_TRIALS))[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=st.integers(0, len(GAMES) - 1), i=st.integers(0, ISOLATION_TRIALS - 1))
+def test_a_trial_run_alone_equals_its_batch_line(game, i):
+    """A trial is a pure function of (config, trial index).
+
+    Run alone through `run_trial` on a fresh instance, trial `i` equals its
+    batch line, in-memory fields (notes, response, inner flag) included.
+    """
+    cfg = ExperimentConfig(**GAMES[game], trials=ISOLATION_TRIALS)
+    alone, in_batch = cli.run_trial(cfg, cli.build_instance(cfg), i), _batch_of(game)[i]
+    assert alone.to_json() == in_batch.to_json()
+    assert (alone.notes, alone.response, alone.inner_flag) == (
+        in_batch.notes, in_batch.response, in_batch.inner_flag,
+    )
+    assert alone == in_batch

@@ -44,6 +44,7 @@ from detmit.crypto import (
 )
 from detmit.drbg import HashDrbg
 from detmit.payloads import TimePayload, decode_payload, encode_payload
+from detmit.wire import pack_fields
 from testkit import ivc_prove, meter_run
 
 
@@ -63,12 +64,15 @@ def vk(rng):
 def test_sign_verify_roundtrip(rng, vk):
     tok = sig_sign_zero(vk, rng.child("t1").take(NONCE_LEN))
     assert sig_verify(vk, tok)
-    assert SignatureToken.from_bytes(tok.to_bytes()) == tok
+    assert SignatureToken.from_bytes(pack_fields(tok.nonce, tok.core)) == tok
 
 
 def test_tokens_are_distinct(rng, vk):
     r = rng.child("distinct")
-    toks = {sig_sign_zero(vk, r.take(NONCE_LEN)).to_bytes() for _ in range(64)}
+    toks = {
+        pack_fields(tok.nonce, tok.core)
+        for tok in (sig_sign_zero(vk, r.take(NONCE_LEN)) for _ in range(64))
+    }
     assert len(toks) == 64
 
 
@@ -164,7 +168,7 @@ def test_prove_verify_extract(snark, tokens):
     proof = snark_prove(snark, stmt, tokens[:5])
     assert snark_verify(snark, stmt, proof)
     assert snark_extract(snark, proof) == tuple(tokens[:5])
-    assert ProofToken.from_bytes(proof.to_bytes()) == proof
+    assert ProofToken.from_bytes(pack_fields(proof.token, proof.statement_digest)) == proof
 
 
 def test_proof_bound_to_statement(snark, tokens):

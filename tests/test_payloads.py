@@ -102,7 +102,7 @@ def test_zero_level_and_steps_rejected():
     c = clear_payload()
     raw = bytearray(encode_payload(ClearPayload(c.token, 1, c.proof)))
     # level field sits after tag + length-prefixed token; force it to zero
-    token_len = 4 + len(c.token.to_bytes())
+    token_len = 4 + len(pack_fields(c.token.nonce, c.token.core))
     level_off = 1 + token_len + 4
     raw[level_off : level_off + 8] = bytes(8)
     assert decode_payload(bytes(raw)) is None

@@ -127,11 +127,11 @@ def test_attack_query_counts_frozen():
             if t.aborted:
                 continue
             seen += 1
-            assert atk.last_query_count == expected_queries
-            assert atk.last_level == K
+            assert t.notes["queries"] == expected_queries
+            assert t.notes["level"] == K
             assert t.ledgers["attacker"]["queries"] == expected_queries
             assert t.ledgers["attacker"]["samples_used"] == 8
-            if atk.last_output_encrypted:
+            if t.notes["output_encrypted"]:
                 assert t.err_fx == 1.0  # the frontier payload defeats the model
             else:
                 assert t.err_fx == 0.0  # replayed nature draw

@@ -169,8 +169,8 @@ def test_attack_numbers_frozen(inst):
     mit = ChainExtendingMitigator(inst)
     t = run_dbm_trial(inst, trainer, atk, mit, PARAMS, derive_trial_seed(81, 0), 0)
     assert t.aborted is None
-    assert atk.last_query_count == 17  # climb 1 -> 16 -> 32 -> ... -> 256, then fail
-    assert atk.last_level == 256
+    assert t.notes["queries"] == 17  # climb 1 -> 16 -> 32 -> ... -> 256, then fail
+    assert t.notes["level"] == 256
     assert t.ledgers["attacker"]["steps_used"] == 1  # one genuine step, ever
     assert t.ledgers["attacker"]["queries"] == 17
     # the mitigator survives the frontier payload: extends 256 -> 272
