@@ -74,9 +74,9 @@ DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
 # about 4 us per step (2**20 steps: 4.3 s, 370 MB); a run holds about 6 KB
 # per trial until it writes its summary (100,000 toy trials at q=32: about
 # 600 MB, 67 s); a ladder mitigate trial spends about 0.25 ms per input
-# (q=4096: about 1 s a trial), about 54 us per level of `level_target`
-# (2**14: 0.9 s and 70 MB a trial) and about 65 us per `attacker_samples`
-# draw (2**14: 1.1 s and 16 MB a trial); a pool thread takes about 0.3 ms to
+# (q=4096: about 1 s a trial), about 25 us per level of `level_target`
+# (2**14: 0.4-0.5 s and 70 MB a trial) and about 35 us per `attacker_samples`
+# draw (2**14: 0.5-0.6 s and 14 MB a trial); a pool thread takes about 0.3 ms to
 # start, 20 KB of RSS and 8 MB of stack address space (64 threads: 18 ms).
 MAX_HORIZON = 2**20
 MAX_TRIALS = 100_000
@@ -457,13 +457,20 @@ def _load_config(path: str) -> ExperimentConfig:
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
     """Build an instance; write <out>.pub.json, <out>.sec.json[, <out>.pairs.jsonl]."""
     cfg = {"task": task, "seed": seed, "horizon": horizon}
+    prefix = Path(out)
+    try:  # before the build, so an --out that cannot be written fails at once
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        pass
+    if not (prefix.parent.is_dir() and os.access(prefix.parent, os.W_OK)):
+        raise click.BadParameter(
+            f"{str(prefix.parent)!r} is not a writable directory", param_hint="'--out'"
+        )
     instance = _build_task(task, seed, horizon)
     pairs = []
     if emit_pairs:
         rng = HashDrbg(seed).child("emit-pairs")
         pairs = [instance.sample_pair(rng) for _ in range(emit_pairs)]
-    prefix = Path(out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     pub_path = prefix.with_suffix(".pub.json")
     sec_path = prefix.with_suffix(".sec.json")
     pub_path.write_text(json.dumps(instance_public_state(instance), indent=2) + "\n")

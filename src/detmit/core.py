@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -103,8 +104,13 @@ class TaskInstance(Protocol):
 class TokenTaskInstance(TaskInstance, Protocol):
     """A task whose inputs carry signature tokens: the ladder task."""
 
-    def sample_token(self, rng: HashDrbg) -> SignatureToken | None:
-        """The token of `sample_input(rng)` if it is clear, else None; same bytes taken."""
+    def sample_tokens(
+        self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken] = ()
+    ) -> list[SignatureToken]:
+        """The first `want` distinct tokens not in `known` among the clear x of `n` draws.
+
+        Takes the bytes `n` `sample_input(rng)` draws take.
+        """
         ...
 
 
@@ -112,15 +118,15 @@ class SampleOracle:
     """Metered access to the task distribution.
 
     Every draw charges exactly one sample against the budget; parties never
-    reach the instance secrets.  A draw has three views, and each moves
-    every stream as far as a pair would:
+    reach the instance secrets.  Each way to draw moves every stream as far
+    as that many pair draws would:
 
     * ``draw_pair``  — (x, y), from the task's ``sample_pair``;
     * ``draw_input`` — x alone, for parties that ignore y; it skips building
       the answer (``sample_input``, on every task);
-    * ``draw_token`` — only the signature token of a clear x, None for a
-      sealed one, for parties that only collect tokens; it builds no
-      payload at all (``sample_token``, on the ladder task).
+    * ``draw_tokens`` — a batch of draws for parties that only collect
+      signature tokens: the first tokens they ask for among its clear x,
+      with no payload built (``sample_tokens``, on the ladder task).
 
     An exception out of the instance is re-raised as :class:`HarnessFault`;
     a budget overrun is charged before the instance is called, so it stays
@@ -132,8 +138,8 @@ class SampleOracle:
         self._rng = rng
         self.budget = budget
 
-    # Three bodies, not one shared through getattr: that costs about 75 ns a
-    # draw, 2% of a toy trial (160 draws in 0.5 ms on a 2-core Xeon VM).
+    # Separate bodies, not one shared through getattr: that costs about 75 ns
+    # a draw, 2% of a toy trial (160 draws in 0.5 ms on a 2-core Xeon VM).
     def draw_pair(self) -> tuple[bytes, bytes]:
         self.budget.charge_sample()
         try:
@@ -148,14 +154,28 @@ class SampleOracle:
         except Exception as exc:
             raise _harness_fault("sample_input", exc) from exc
 
-    def draw_token(self) -> SignatureToken | None:
-        self.budget.charge_sample()
-        # only parties of the ladder task draw tokens; a cast would cost a call a draw
+    def draw_tokens(
+        self, n: int, want: int, known: Iterable[SignatureToken] = ()
+    ) -> list[SignatureToken]:
+        """The first `want` distinct tokens not in `known` among the clear x of `n` draws.
+
+        Charges `n` samples.  Past the allowance it draws what is left and
+        then raises :class:`BudgetExceededError`, as `n` single draws would.
+        """
+        budget = self.budget
+        draws = max(n, 0)
+        if budget.samples_allowed is not None:
+            draws = min(draws, max(budget.samples_allowed - budget.samples_used, 0))
+        budget.samples_used += draws
+        # only parties of the ladder task draw tokens
         instance: TokenTaskInstance = self._instance  # type: ignore[assignment]
         try:
-            return instance.sample_token(self._rng)
+            tokens = instance.sample_tokens(self._rng, draws, want, known)
         except Exception as exc:
-            raise _harness_fault("sample_token", exc) from exc
+            raise _harness_fault("sample_tokens", exc) from exc
+        if draws < n:
+            raise BudgetExceededError(f"sample budget {budget.samples_allowed} exhausted")
+        return tokens
 
 
 def _harness_fault(method: str, exc: Exception) -> HarnessFault:

@@ -7,7 +7,8 @@ the transcript-determinism contract depends on.  A take past the buffered
 block appends exactly the whole blocks it needs, in counter order, so how a
 stream is cut into takes never changes its bytes.  A skip moves the position
 only: the bytes it passes over are never made, and a block it passes over
-whole is never hashed.
+whole is never hashed.  A :class:`Cursor` reads the buffered block in place,
+for loops too hot for a call a read, and keeps both rules.
 """
 
 from __future__ import annotations
@@ -48,20 +49,29 @@ class HashDrbg:
             return self._buf[pos:end]
         if n <= 0:
             return b""
-        buf, key, counter = self._buf, self._key, self._counter
-        out, skipped = buf[pos:], pos - len(buf)
-        need = n - len(out)  # > 0
-        if skipped > 0:  # a skip left the position `skipped` bytes past `buf`
+        buf, pos = self._fill(self._buf, pos, n)
+        self._buf, self._pos = buf, pos + n
+        return buf[pos : pos + n]
+
+    def _fill(self, buf: bytes, pos: int, n: int) -> tuple[bytes, int]:
+        """A buffer and position from which the n bytes at `pos` of `buf` read.
+
+        `buf` ends where block `_counter` starts, and so does the buffer
+        returned; `pos` may lie past its end after a skip.  Only the blocks
+        that hold the n bytes are hashed, in counter order.
+        """
+        skipped = pos - len(buf)
+        counter, key = self._counter, self._key
+        if skipped > 0:
             counter += skipped >> 5
-            need += skipped & 31  # made from the block, then dropped
-        block = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-        while need > 32:  # whole blocks, in counter order, then the part of one
-            out += block
-            need, counter = need - 32, counter + 1
-            block = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-        self._counter, self._buf, self._pos = counter + 1, block, need
-        out += block[:need]
-        return out[skipped & 31 :] if skipped > 0 else out
+            buf, pos = b"", skipped & 31
+        else:
+            buf, pos = buf[pos:], 0
+        while len(buf) < pos + n:
+            buf += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+            counter += 1
+        self._counter = counter
+        return buf, pos
 
     def skip(self, n: int) -> None:
         """Move past the next n bytes without making them; no-op when n <= 0.
@@ -92,6 +102,28 @@ class HashDrbg:
     def child(self, label: bytes | int | str) -> "HashDrbg":
         """Derive an independent generator; used for per-party sub-streams."""
         return HashDrbg(self._key + b"/child/" + _as_seed_bytes(label))
+
+
+class Cursor:
+    """Reads a :class:`HashDrbg` stream in place, for loops too hot for a call a read.
+
+    A loop copies ``buf`` and ``pos`` to locals.  It reads ``buf[pos:pos + n]``
+    (n >= 1) when ``pos + n <= len(buf)``, and calls ``buf, pos =
+    cursor.fill(buf, pos, n)`` first when not; it moves past bytes with
+    ``pos += n``, and hands back with ``cursor.close(buf, pos)``.  The
+    stream then stands where takes of what the loop read and skips of what
+    it moved past leave it, and the same blocks are hashed: `fill` makes
+    only the blocks that hold its n bytes, so a block the loop moves past
+    whole is never hashed.
+    """
+
+    __slots__ = ("_rng", "buf", "pos", "fill")
+
+    def __init__(self, rng: HashDrbg):
+        self._rng, self.buf, self.pos, self.fill = rng, rng._buf, rng._pos, rng._fill
+
+    def close(self, buf: bytes, pos: int) -> None:
+        self._rng._buf, self._rng._pos = buf, pos
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> bytes:

@@ -58,20 +58,6 @@ class LadderPriv:
     is_dummy: bool = False
 
 
-def _fresh_tokens(
-    ctx: TrialCtx, draws: int, known: list[SignatureToken]
-) -> list[SignatureToken]:
-    """The distinct clear-draw tokens, not in `known`, among `draws` draws."""
-    seen = set(known)
-    fresh: list[SignatureToken] = []
-    for _ in range(draws):
-        token = ctx.oracle.draw_token()
-        if token is not None and token not in seen:
-            seen.add(token)
-            fresh.append(token)
-    return fresh
-
-
 def _grid_answer(
     levels: list[int], table: dict[int, ProofToken], p: Payload | None, width: int
 ) -> bytes:
@@ -125,11 +111,10 @@ class LadderTrainer:
 
     def train(self, ctx: TrialCtx) -> tuple[DataModel, LadderPriv]:
         inst = self.instance
-        tokens = _fresh_tokens(ctx, self.sample_budget, [])
+        tokens = ctx.oracle.draw_tokens(self.sample_budget, self.level_target)
         if len(tokens) < self.level_target:
             priv = LadderPriv(tokens=tokens, is_dummy=True)
             return DataModel(inst, priv), priv
-        tokens = tokens[: self.level_target]
         levels = grid_levels(self.level_target)
         table = dict(zip(levels, CountProver(inst.snark, tokens).prove(levels)))
         priv = LadderPriv(tokens=tokens, table=table)
@@ -232,11 +217,11 @@ class ProofExtendingMitigator:
         inst = self.instance
         if priv.is_dummy:
             raise AbortTrial("mitigator", "trainer produced a dummy model")
-        fresh = _fresh_tokens(ctx, self.sample_budget, priv.tokens)
+        fresh = ctx.oracle.draw_tokens(self.sample_budget, self.strip, priv.tokens)
         if len(fresh) < self.strip:
             raise AbortTrial("mitigator", "too few fresh tokens for the strip")
 
-        witness = priv.tokens + fresh[: self.strip]
+        witness = priv.tokens + fresh
         k = self.level_target
         levels = range(k + 1, k + self.strip + 1)
         table = dict(priv.table)

@@ -12,11 +12,12 @@ whose decryption key is NOT included, next to a second (identity, key) pair
 that is.  A model must answer those homomorphically; an attacker can use the
 included key pair to smuggle its own payloads through the model's circuit.
 
-A draw has three views, all run by one routine that moves every stream as
-far: ``sample_pair`` builds x and y; ``sample_input`` builds x alone, so no
-party ever holds an answer proof; ``sample_token`` builds nothing and
-returns the token of a clear draw (None for a sealed one), for parties that
-only collect tokens.  A view skips the bytes it does not read.
+Every draw moves every stream as far as a pair draw.  ``sample_pair``
+builds x and y, and ``sample_input`` builds x alone, so no party ever holds
+an answer proof; both run one routine, ``_draw``.  ``sample_tokens`` is a
+batch of draws for parties that only collect tokens: it builds no payload,
+and signs only the clear-draw tokens up to the last one it returns.  A draw
+skips the bytes it does not read.
 
 Everything here is harness/instance side except the public surface agents
 use: count-proof proving, the input and answer checks that ``h`` is built
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
@@ -47,7 +49,7 @@ from .crypto import (
     snark_prove,  # noqa: F401  perfbench's span tests expect this module to hold it
     snark_verify,
 )
-from .drbg import HashDrbg
+from .drbg import Cursor, HashDrbg
 from .payloads import (
     ClearPayload,
     EncPayload,
@@ -77,7 +79,9 @@ def grid_level(levels: list[int], need: int) -> int | None:
 
 
 # how many of a draw's (x, y) each view of it builds
-_BUILT = {"token": 0, "input": 1, "pair": 2}
+_BUILT = {"input": 1, "pair": 2}
+# what a sealed draw takes after its sealing byte: id1, id2 and the seal nonces
+_SEALING = 2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN
 
 
 def _round_up(n: int, block: int = 32) -> int:
@@ -162,25 +166,19 @@ class DataTaskInstance:
 
     def _draw(
         self, rng: HashDrbg, view: str, level: int | None = None, sealed: bool | None = None
-    ) -> tuple[SignatureToken | None, list[Payload]]:
+    ) -> list[Payload]:
         """One draw from the ladder distribution, built as far as `view` asks.
 
-        A draw takes, in order, from `rng`: the level bits, the token nonce,
-        the sealing bit, and on a sealed draw id1, id2 and the seal nonces
+        A draw takes, in order, from `rng`: the level bytes, the token nonce,
+        the sealing byte, and on a sealed draw id1, id2 and the seal nonces
         of x and y; from the proof-token stream: x's proof token, then y's.
-        Every view moves both streams that far, so the draws and proofs
-        after this one do not depend on the view.  What it builds:
-
-        * ``"pair"``  — x and y, proved, and sealed for id1 on a sealed draw;
-        * ``"input"`` — x alone; y's proof token is skipped;
-        * ``"token"`` — nothing: no proof, no key, no seal, no encoding.
-          Both proof tokens are skipped, and a sealed draw skips its ids
-          and seal nonces and makes no MAC, since its token is not read.
-
-        A skipped byte is never made (:meth:`HashDrbg.skip`).  Returns the
-        token a reader of the clear x sees (None on a sealed draw) and the
-        payloads built.  `level` and `sealed` fix the level and the sealing
-        bit instead of drawing them (white-box builders).
+        Both views move both streams that far, so the draws and proofs
+        after this one do not depend on the view.  ``"pair"`` builds x and
+        y, proved, and sealed for id1 on a sealed draw; ``"input"`` builds
+        x alone and skips y's proof token, which is never made
+        (:meth:`HashDrbg.skip`).  Returns the payloads built.  `level` and
+        `sealed` fix the level and the sealing bit instead of drawing them
+        (white-box builders).
         """
         built = _BUILT[view]
         if level is None:
@@ -188,10 +186,6 @@ class DataTaskInstance:
         nonce = rng.take(NONCE_LEN)
         if sealed is None:
             sealed = bool(rng.bit())
-        if sealed and not built:
-            self.snark.skip_proof(2)
-            rng.skip(2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN)
-            return None, []
         token = sig_sign_zero(self.verification_key, nonce)
         levels = (level, next_level(level))
         payloads: list[Payload] = [
@@ -199,7 +193,7 @@ class DataTaskInstance:
         ]
         self.snark.skip_proof(2 - built)
         if not sealed:
-            return token, payloads
+            return payloads
         id1, id2 = rng.take(IDENTITY_LEN), rng.take(IDENTITY_LEN)
         nonces = rng.take(AEAD_NONCE_LEN), rng.take(AEAD_NONCE_LEN)
         cipher = IdentityCipher(self.fhe.keygen(id1))
@@ -208,22 +202,55 @@ class DataTaskInstance:
             for p, seal_nonce in zip(payloads, nonces)
         ]
         ex = EncPayload(cts[0], id1, id2, self.fhe.keygen(id2).key)
-        return None, [ex] + [EncPayload(ct, b"", b"", b"") for ct in cts[1:]]
+        return [ex] + [EncPayload(ct, b"", b"", b"") for ct in cts[1:]]
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        x, y = self._draw(rng, "pair")[1]
+        x, y = self._draw(rng, "pair")
         return encode_payload(x, self.width), encode_payload(y, self.width)
 
     def sample_input(self, rng: HashDrbg) -> bytes:
         """`sample_pair(rng)[0]`, without building the answer."""
-        return encode_payload(self._draw(rng, "input")[1][0], self.width)
+        return encode_payload(self._draw(rng, "input")[0], self.width)
 
-    def sample_token(self, rng: HashDrbg) -> SignatureToken | None:
-        """The token of a clear `sample_input(rng)`, None for a sealed one.
+    def sample_tokens(
+        self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken] = ()
+    ) -> list[SignatureToken]:
+        """The first `want` distinct tokens not in `known` among the clear x of `n` draws.
 
-        Builds nothing: the draw's proofs stay unregistered.
+        Moves every stream as far as `n` `sample_input` draws, and builds no
+        payload.  A draw reads its level bytes and its sealing byte, and
+        skips the rest: both proof tokens, and on a sealed draw its ids and
+        seal nonces.  It signs its nonce only if it is clear and the tokens
+        are not all found yet, so the MACs stop at the last token returned.
         """
-        return self._draw(rng, "token")[0]
+        cur = Cursor(rng)
+        buf, pos, fill = cur.buf, cur.pos, cur.fill
+        end = len(buf)
+        sign, key = sig_sign_zero, self.verification_key
+        climb = range(self.law.cap - 1)
+        seen, fresh = set(known), []
+        for _ in range(n):
+            for _ in climb:  # the level, as LevelLaw reads it: an odd byte climbs
+                if pos >= end:
+                    buf, pos = fill(buf, pos, 1)
+                    end = len(buf)
+                pos += 1
+                if not buf[pos - 1] & 1:
+                    break
+            if pos + NONCE_LEN >= end:  # the nonce, then the sealing byte
+                buf, pos = fill(buf, pos, NONCE_LEN + 1)
+                end = len(buf)
+            at, pos = pos, pos + NONCE_LEN + 1
+            if buf[pos - 1] & 1:
+                pos += _SEALING
+            elif len(fresh) < want:
+                token = sign(key, buf[at : at + NONCE_LEN])
+                if token not in seen:
+                    seen.add(token)
+                    fresh.append(token)
+        cur.close(buf, pos)
+        self.snark.skip_proof(2 * n)
+        return fresh
 
     # -- white-box builders (harness-side probes) --
 
@@ -231,14 +258,14 @@ class DataTaskInstance:
         self, level: int, rng: HashDrbg, answer: bool = True
     ) -> tuple[ClearPayload, ClearPayload | None]:
         """The clear input at `level` and, if `answer`, its answer."""
-        payloads = self._draw(rng, "pair" if answer else "input", level, sealed=False)[1]
+        payloads = self._draw(rng, "pair" if answer else "input", level, sealed=False)
         return payloads[0], payloads[1] if answer else None  # type: ignore[return-value]
 
     def build_clear_input(self, level: int, rng: HashDrbg) -> bytes:
         return encode_payload(self.clear_pair_at(level, rng, answer=False)[0], self.width)
 
     def build_enc_input(self, level: int, rng: HashDrbg) -> bytes:
-        x = self._draw(rng, "input", level, sealed=True)[1][0]
+        x = self._draw(rng, "input", level, sealed=True)[0]
         return encode_payload(x, self.width)
 
     # -- public checks and the quality oracle --

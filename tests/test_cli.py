@@ -681,6 +681,22 @@ def test_a_ladder_batch_leaves_no_memory_behind():
     assert retained < 0.05 * 2**20
 
 
+@pytest.mark.parametrize("under", ["x", "sub/x"], ids=["in-a-file", "below-a-file"])
+def test_gen_instance_rejects_an_out_under_a_file_before_building(
+    runner, tmp_path, monkeypatch, under
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr(cli, "_build_task", lambda *a: pytest.fail("built the instance"))
+    out = afile / under
+    res = runner.invoke(main, ["gen-instance", "--task", "ladder", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--out" in res.output
+    assert f"{str(out.parent)!r} is not a writable directory" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert sorted(tmp_path.iterdir()) == [afile]
+
+
 def test_gen_instance_rejects_short_horizon(runner, tmp_path):
     res = runner.invoke(
         main,

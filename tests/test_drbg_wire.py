@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detmit import drbg
-from detmit.drbg import HashDrbg, derive_trial_seed
+from detmit.drbg import Cursor, HashDrbg, derive_trial_seed
 from detmit.wire import be32, be64, pack_fields, unpack_exact, unpack_fields
-from testkit import uniform
+from testkit import CountingHashlib, uniform
 
 
 def test_drbg_reproducible():
@@ -58,17 +58,6 @@ def _reference_stream(seed: bytes, n: int) -> bytes:
     return b"".join(hashlib.sha256(key + be64(i)).digest() for i in range(blocks))[:n]
 
 
-class _CountingHashlib:
-    """Stands in for `hashlib` in detmit.drbg and counts the blocks it hashes."""
-
-    def __init__(self):
-        self.blocks = 0
-
-    def sha256(self, data: bytes = b""):
-        self.blocks += 1
-        return hashlib.sha256(data)
-
-
 @given(
     st.binary(max_size=8),
     st.lists(
@@ -108,7 +97,7 @@ def test_drbg_takes_are_slices_of_one_stream(seed, ops):
     }
     pos = {False: 0, True: 0}
     read_blocks: set[tuple[bool, int]] = set()
-    child, hashes = None, _CountingHashlib()
+    child, hashes = None, CountingHashlib()
     with patch.object(drbg, "hashlib", hashes):
         for n, from_child, skip in ops:
             if from_child and child is None:
@@ -128,6 +117,47 @@ def test_drbg_takes_are_slices_of_one_stream(seed, ops):
             pos[from_child] += max(n, 0)
     assert hashes.blocks == len(read_blocks) + (child is not None)
     assert rng.take(32) == streams[False][pos[False] : pos[False] + 32]
+
+
+@given(
+    st.binary(max_size=8),
+    st.integers(min_value=0, max_value=100),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=120), st.booleans()), max_size=40),
+)
+@example(b"", 0, [(1, False), (56, True), (17, False), (64, True), (1, False)])
+def test_a_cursor_reads_as_takes_and_skips_do(seed, start, ops):
+    """A loop over a cursor reads the bytes takes would, and hashes the same blocks.
+
+    `(n, move)` reads n bytes in place, or moves past them when `move`, as
+    `take(n)` and `skip(n)` would.  A skip of `start` bytes comes first, so
+    the cursor may start past its buffer.  After `close` the stream goes on
+    where the takes and skips leave it.
+    """
+    rng, ref = HashDrbg(seed), HashDrbg(seed)
+    rng.skip(start)
+    ref.skip(start)
+    hashes, ref_hashes = CountingHashlib(), CountingHashlib()
+    read = []
+    with patch.object(drbg, "hashlib", hashes):
+        cursor = Cursor(rng)
+        buf, pos = cursor.buf, cursor.pos
+        for n, move in ops:
+            if not move:
+                if pos + n > len(buf):
+                    buf, pos = cursor.fill(buf, pos, n)
+                read.append(buf[pos : pos + n])
+            pos += n
+        cursor.close(buf, pos)
+    taken = []
+    with patch.object(drbg, "hashlib", ref_hashes):
+        for n, move in ops:
+            if move:
+                ref.skip(n)
+            else:
+                taken.append(ref.take(n))
+    assert read == taken
+    assert hashes.blocks == ref_hashes.blocks
+    assert rng.take(40) == ref.take(40)
 
 
 def test_trial_seed_derivation_stable():

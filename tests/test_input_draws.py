@@ -1,16 +1,22 @@
 """Partial draws move every stream alike: inputs without answers, tokens without payloads.
 
-`sample_input` is `sample_pair(...)[0]`, and the ladder's `sample_token` is
-the token of a clear `sample_input`.  Parties that never read y draw with
-`SampleOracle.draw_input`, and parties that only collect tokens with
-`draw_token`, so these tests are what lets them skip building what they
-would throw away without moving a transcript byte.
+`sample_input` is `sample_pair(...)[0]`, and the ladder's `sample_tokens` is
+the first distinct tokens of clear `sample_input` draws.  Parties that never
+read y draw with `SampleOracle.draw_input`, and parties that only collect
+tokens with `draw_tokens`, so these tests are what lets them skip building
+what they would throw away without moving a transcript byte.
 """
 
 from __future__ import annotations
 
-import pytest
+from contextlib import contextmanager
+from unittest.mock import patch
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from detmit import drbg
 from detmit.classify import make_toy_instance
 from detmit.core import (
     BudgetExceededError,
@@ -20,12 +26,12 @@ from detmit.core import (
     TaskInstance,
     TokenTaskInstance,
 )
-from detmit.crypto import Ciphertext, VerificationKey
+from detmit.crypto import Ciphertext, SignatureToken, VerificationKey
 from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
-from testkit import seal_pair
+from testkit import CountingHashlib, seal_pair, token_draws
 
 DRAWS = 2_000
 LADDER = make_data_instance(31)
@@ -100,62 +106,135 @@ def _eval_nonce_probe(world) -> Ciphertext:
     return world.fhe.eval(handle, Ciphertext(bytes(16), bytes(40)))
 
 
-def test_ladder_token_draws_read_the_token_of_input_draws(monkeypatch):
-    w_tok, w_in = LADDER.world(b"trial"), LADDER.world(b"trial")
-    rng_tok, rng_in = HashDrbg(b"draws"), HashDrbg(b"draws")
-    macs, mac = [0], VerificationKey._mac
+def _streams_ahead(world, rng) -> tuple:
+    """What the party's stream, the proof-token stream and the eval-nonce stream give next."""
+    return rng.take(32), world.prove_count(1).token, _eval_nonce_probe(world)
+
+
+@contextmanager
+def _counted_macs():
+    count, mac = [0], VerificationKey._mac
 
     def counting_mac(key, message):
-        macs[0] += 1
+        count[0] += 1
         return mac(key, message)
 
-    monkeypatch.setattr(VerificationKey, "_mac", counting_mac)
-    forms = {ClearPayload: 0, EncPayload: 0}
-    token_macs = 0
-    for i in range(DRAWS):
-        before = macs[0]
-        token = w_tok.sample_token(rng_tok)
-        token_macs += macs[0] - before
-        p = decode_payload(w_in.sample_input(rng_in))
-        forms[type(p)] += 1
-        assert token == (p.token if isinstance(p, ClearPayload) else None), i
-    assert min(forms.values()) > DRAWS // 3
-    # a token draw MACs only the token it returns: a sealed draw makes none
-    assert token_macs == forms[ClearPayload]
+    with patch.object(VerificationKey, "_mac", counting_mac):
+        yield count
+
+
+def _clear_tokens(world, rng, n: int) -> list[SignatureToken | None]:
+    """The token of each of `n` decoded input draws, None for a sealed one."""
+    payloads = [decode_payload(world.sample_input(rng)) for _ in range(n)]
+    return [p.token if isinstance(p, ClearPayload) else None for p in payloads]
+
+
+def test_ladder_token_draws_read_the_token_of_input_draws():
+    w_tok, w_in = LADDER.world(b"trial"), LADDER.world(b"trial")
+    rng_tok, rng_in = HashDrbg(b"draws"), HashDrbg(b"draws")
+    with _counted_macs() as macs:
+        tokens = w_tok.sample_tokens(rng_tok, DRAWS, DRAWS)
+    clear = [t for t in _clear_tokens(w_in, rng_in, DRAWS) if t is not None]
+    assert DRAWS // 3 < len(clear) < DRAWS - DRAWS // 3
+    assert tokens == clear
+    # a token draw MACs only the token of a clear draw: a sealed draw makes none
+    assert macs[0] == len(clear)
     # a token draw builds no proof
     assert w_tok.snark.registry_entries() == []
-    # the party's stream, the proof-token stream and the eval-nonce stream are level
-    assert rng_tok.take(32) == rng_in.take(32)
-    assert w_tok.prove_count(1).token == w_in.prove_count(1).token
-    assert _eval_nonce_probe(w_tok) == _eval_nonce_probe(w_in)
+    assert _streams_ahead(w_tok, rng_tok) == _streams_ahead(w_in, rng_in)
 
 
-def test_draw_token_charges_one_sample_and_mixes_with_other_draws():
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=120),
+    want=st.integers(min_value=0, max_value=60),
+    picks=st.lists(st.integers(min_value=0, max_value=200), max_size=6),
+    seed=st.binary(max_size=8),
+    offset=st.integers(min_value=0, max_value=100),
+    skip_first=st.booleans(),
+)
+@example(n=120, want=60, picks=[], seed=b"", offset=0, skip_first=False)
+@example(n=40, want=3, picks=[0, 2], seed=b"k", offset=31, skip_first=True)
+def test_token_batches_read_input_draws_with_fewer_macs(n, want, picks, seed, offset, skip_first):
+    """`draw_tokens` returns the first `want` distinct clear-draw tokens not in `known`.
+
+    It charges `n` samples and moves every stream as far as `n` input draws.
+    It MACs the clear draws up to the last token it returns, and no more, and
+    hashes the blocks the written-out take/skip reference hashes.  `offset`
+    bytes are taken, or skipped, from the party's stream first.
+    """
+    label = b"batch/" + seed
+    w_tok, w_in, w_ref = (LADDER.world(label) for _ in range(3))
+    rng_tok, rng_in, rng_ref = rngs = [HashDrbg(seed) for _ in range(3)]
+    for rng in rngs:
+        (rng.skip if skip_first else rng.take)(offset)
+
+    clear = [t for t in _clear_tokens(w_in, rng_in, n) if t is not None]
+    known = [clear[i % len(clear)] for i in picks] if clear else []
+    known.append(SignatureToken(bytes(16), bytes(64)))  # no draw returns it
+    fresh, macs_due = [], 0
+    for token in clear:
+        if len(fresh) == want:
+            break
+        macs_due += 1
+        if token not in known and token not in fresh:
+            fresh.append(token)
+
+    oracle = SampleOracle(w_tok, rng_tok, ResourceBudget(samples_allowed=n))
+    hashes, ref_hashes = CountingHashlib(), CountingHashlib()
+    with _counted_macs() as macs, patch.object(drbg, "hashlib", hashes):
+        tokens = oracle.draw_tokens(n, want, known)
+    with patch.object(drbg, "hashlib", ref_hashes):
+        ref_tokens = token_draws(w_ref, rng_ref, n, want, known)
+
+    assert tokens == fresh == ref_tokens
+    assert oracle.budget.samples_used == n
+    assert macs[0] == macs_due
+    assert hashes.blocks == ref_hashes.blocks
+    assert w_tok.snark.registry_entries() == []
+    ahead = _streams_ahead(w_in, rng_in)
+    assert _streams_ahead(w_tok, rng_tok) == ahead
+    assert _streams_ahead(w_ref, rng_ref) == ahead
+
+
+def test_draw_tokens_charges_its_draws_and_mixes_with_other_draws():
     allowance = 60
     w_mix, w_pair = LADDER.world(b"oracle"), LADDER.world(b"oracle")
     mixed = SampleOracle(w_mix, HashDrbg(b"party"), ResourceBudget(samples_allowed=allowance))
     pairs = SampleOracle(w_pair, HashDrbg(b"party"), ResourceBudget())
-    for i in range(allowance):
+    for size in (1, 4, 0, 9, 13, 21):
+        xs = [pairs.draw_pair()[0] for _ in range(size)]
+        clear = [p.token for p in map(decode_payload, xs) if isinstance(p, ClearPayload)]
+        want = (size + 1) // 2
+        assert mixed.draw_tokens(size, want) == clear[:want], size
         x, _ = pairs.draw_pair()
-        p = decode_payload(x)
-        if i % 3 == 0:
-            want = p.token if isinstance(p, ClearPayload) else None
-            assert mixed.draw_token() == want, i
-        elif i % 3 == 1:
-            assert mixed.draw_input() == x, i
-        else:
-            assert mixed.draw_pair()[0] == x, i
-        assert mixed.budget.samples_used == i + 1
-    with pytest.raises(BudgetExceededError):
-        mixed.draw_token()
+        assert mixed.draw_input() == x
+        x, _ = pairs.draw_pair()
+        assert mixed.draw_pair()[0] == x
     assert mixed.budget.samples_used == allowance
-    # the refused draw took nothing from the party's stream
+    with pytest.raises(BudgetExceededError):
+        mixed.draw_tokens(1, 1)
+    assert mixed.budget.samples_used == allowance
+    # the refused batch took nothing from the party's stream
     mixed.budget.samples_allowed = None
     assert mixed.draw_input() == pairs.draw_pair()[0]
 
 
+def test_a_token_batch_past_the_allowance_draws_what_is_left_then_raises():
+    allowance, n = 30, 50
+    w_tok, w_in = LADDER.world(b"oracle"), LADDER.world(b"oracle")
+    rng_tok, rng_in = HashDrbg(b"party"), HashDrbg(b"party")
+    oracle = SampleOracle(w_tok, rng_tok, ResourceBudget(samples_allowed=allowance))
+    with pytest.raises(BudgetExceededError, match=f"sample budget {allowance} exhausted"):
+        oracle.draw_tokens(n, n)
+    assert oracle.budget.samples_used == oracle.budget.samples_allowed
+    # exactly the allowance was drawn, as `n` single draws would have drawn it
+    _clear_tokens(w_in, rng_in, allowance)
+    assert _streams_ahead(w_tok, rng_tok) == _streams_ahead(w_in, rng_in)
+
+
 class _FaultyTokens:
-    def sample_token(self, rng):
+    def sample_tokens(self, rng, n, want, known=()):
         raise ValueError("broken draw")
 
 
@@ -165,11 +244,11 @@ class _FaultyTokens:
     ids=["raises", "no-token-view"],
 )
 def test_a_failing_token_draw_is_a_harness_fault(instance, cause):
-    oracle = SampleOracle(instance, HashDrbg(b"party"), ResourceBudget())
-    with pytest.raises(HarnessFault, match=f"sample_token: {cause.__name__}") as info:
-        oracle.draw_token()
+    oracle = SampleOracle(instance, HashDrbg(b"party"), ResourceBudget(samples_allowed=8))
+    with pytest.raises(HarnessFault, match=f"sample_tokens: {cause.__name__}") as info:
+        oracle.draw_tokens(5, 2)
     assert isinstance(info.value.__cause__, cause)
-    assert oracle.budget.samples_used == 1
+    assert oracle.budget.samples_used == 5
 
 
 def test_only_the_ladder_task_offers_the_token_view():

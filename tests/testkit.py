@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import hashlib
+from typing import Any, Callable, Iterable
 
 from detmit.cli import DEFENSES, ExperimentConfig
 from detmit.core import RateEstimate, Transcript
 from detmit.crypto import (
+    AEAD_NONCE_LEN,
     IDENTITY_LEN,
+    NONCE_LEN,
     IdentityCipher,
     IdentityKey,
     IvcKeys,
     IvcProof,
+    SignatureToken,
     StepMeter,
     ivc_update,
+    sig_sign_zero,
 )
 from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
@@ -65,6 +70,50 @@ def seal_pair(
     ct_y = cipher.encrypt(encode_payload(y, instance.inner_width), rng)
     key2 = instance.fhe.keygen(id2).key
     return EncPayload(ct_x, id1, id2, key2), EncPayload(ct_y, b"", b"", b"")
+
+
+def token_draws(
+    instance: DataTaskInstance,
+    rng: HashDrbg,
+    n: int,
+    want: int,
+    known: Iterable[SignatureToken] = (),
+) -> list[SignatureToken]:
+    """`DataTaskInstance.sample_tokens`, written out draw by draw with takes and skips.
+
+    A draw takes its level bytes and its sealing bit, takes its nonce while
+    tokens are still wanted and skips it after, and skips both proof tokens
+    and, on a sealed draw, its ids and seal nonces.
+    """
+    seen, fresh = set(known), []
+    for _ in range(n):
+        instance.law.sample(rng)
+        wanted = len(fresh) < want
+        if wanted:
+            nonce = rng.take(NONCE_LEN)
+        else:
+            rng.skip(NONCE_LEN)
+        sealed = rng.bit()
+        instance.snark.skip_proof(2)
+        if sealed:
+            rng.skip(2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN)
+        elif wanted:
+            token = sig_sign_zero(instance.verification_key, nonce)
+            if token not in seen:
+                seen.add(token)
+                fresh.append(token)
+    return fresh
+
+
+class CountingHashlib:
+    """Stands in for `hashlib` in detmit.drbg and counts the blocks it hashes."""
+
+    def __init__(self):
+        self.blocks = 0
+
+    def sha256(self, data: bytes = b""):
+        self.blocks += 1
+        return hashlib.sha256(data)
 
 
 class KeepTrained:
