@@ -10,6 +10,11 @@ implication checked by `implication_holds`.
 The toy task is label memorization: inputs are 4-byte indices, the correct
 label is a salted hash bit, nature draws from a fixed pool, and an attacker
 can aim outside the pool where the trained table has no entries.
+
+The nature pool is small, so an instance labels it once, when it is built:
+its nature table holds the NATURE_POOL (x, label) pairs in index order, and
+a nature draw reads the 8 bytes ``randrange(NATURE_POOL)`` would read and
+serves the table entry at that index.  Only ``h`` hashes labels per call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from .wire import be32
 
 DEFAULT_LABEL = b"\x00"
 NATURE_POOL = 16
+# A nature draw's index is the low bits of the last of the 8 bytes that
+# `HashDrbg.randrange(NATURE_POOL)` reads: a power of two divides 2**64, so
+# randrange rejects no draw, and one at most 256 lies wholly in that byte.
+assert NATURE_POOL & (NATURE_POOL - 1) == 0 and NATURE_POOL <= 256
 ATTACK_POOL = 1 << 16
 DRIFT_THRESHOLD_MULT = 4.0
 MODEL_ERR_MARGIN_MULT = 7.0
@@ -42,16 +51,25 @@ def toy_label(salt: bytes, x: bytes) -> bytes:
 
 @dataclass
 class ToyClassificationInstance:
-    """Binary labels over 4-byte indices; nature uses indices [0, NATURE_POOL)."""
+    """Binary labels over 4-byte indices; nature uses indices [0, NATURE_POOL).
+
+    `nature` is the labelled pool, ``(be32(i), toy_label(salt, be32(i)))``
+    at index i, built from `salt`.
+    """
 
     salt: bytes
+    nature: tuple[tuple[bytes, bytes], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        xs = [be32(i) for i in range(NATURE_POOL)]
+        self.nature = tuple((x, toy_label(self.salt, x)) for x in xs)
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        x = be32(rng.randrange(NATURE_POOL))
-        return x, toy_label(self.salt, x)
+        """``(x, toy_label(salt, x))`` for ``x = be32(rng.randrange(NATURE_POOL))``."""
+        return self.nature[rng.take(8)[7] % NATURE_POOL]
 
     def sample_input(self, rng: HashDrbg) -> bytes:
-        return be32(rng.randrange(NATURE_POOL))
+        return self.nature[rng.take(8)[7] % NATURE_POOL][0]
 
     def outsider_input(self, rng: HashDrbg) -> bytes:
         """A valid input outside the nature pool (support layout is public)."""

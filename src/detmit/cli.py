@@ -73,17 +73,21 @@ DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
 # 3.11, 2-core VM): a chain instance holds about 370 B per step and builds at
 # about 4 us per step (2**20 steps: 4.3 s, 370 MB); a run holds about 6 KB
 # per trial until it writes its summary (100,000 toy trials at q=32: about
-# 600 MB, 67 s); a ladder mitigate trial spends about 0.25 ms per input
+# 630 MB, 37 s); a ladder mitigate trial spends about 0.25 ms per input
 # (q=4096: about 1 s a trial), about 25 us per level of `level_target`
 # (2**14: 0.4-0.5 s and 70 MB a trial) and about 35 us per `attacker_samples`
 # draw (2**14: 0.5-0.6 s and 14 MB a trial); a pool thread takes about 0.3 ms to
-# start, 20 KB of RSS and 8 MB of stack address space (64 threads: 18 ms).
+# start, 20 KB of RSS and 8 MB of stack address space (64 threads: 18 ms);
+# `gen-instance --emit-pairs` holds every ladder pair and its two registered
+# proofs until it writes them (2**16 pairs: 4.6 s, 216 MB peak RSS, 94 MB of
+# pairs and 17 MB of pub.json).
 MAX_HORIZON = 2**20
 MAX_TRIALS = 100_000
 MAX_Q = 4096
 MAX_LEVEL_TARGET = 2**14
 MAX_ATTACKER_SAMPLES = 2**14
 MAX_WORKERS = 64
+MAX_EMIT_PAIRS = 2**16
 
 # Each factory takes (config, instance) and returns a fresh party.
 Factory = Callable[[Any, Any], Any]
@@ -453,7 +457,9 @@ def _load_config(path: str) -> ExperimentConfig:
 @click.option("--seed", type=click.IntRange(SEED_MIN, SEED_MAX), default=1, show_default=True)
 @click.option("--horizon", type=click.IntRange(4, MAX_HORIZON), default=256, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output prefix")
-@click.option("--emit-pairs", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option(
+    "--emit-pairs", type=click.IntRange(0, MAX_EMIT_PAIRS), default=0, show_default=True
+)
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
     """Build an instance; write <out>.pub.json, <out>.sec.json[, <out>.pairs.jsonl]."""
     cfg = {"task": task, "seed": seed, "horizon": horizon}

@@ -15,7 +15,8 @@ Five primitives, each behind a small, contract-shaped API:
   A :class:`CountProver` is bound to one witness and checks each of its
   tokens at most once however many proofs it registers, so a ladder world
   proving every draw's counts from the instance's witness pool checks only
-  the pool prefix its largest count needs.
+  the pool prefix its largest count needs.  :meth:`CountProver.extended`
+  carries that checked prefix onto a longer witness.
 * identity FHE      — per-identity authenticated symmetric keys derived from a
   master secret, plus a public evaluation oracle that holds the master secret
   privately and applies registered byte-circuits under the encryption.  Key
@@ -229,12 +230,14 @@ class CountProver:
     largest count asked for so far.  The proof for `count` is registered
     with the first `count` pairwise-distinct valid tokens of the witness and
     takes one token from the params' proof-token stream, so successive
-    proofs equal successive :func:`snark_prove` calls.
+    proofs equal successive :func:`snark_prove` calls.  The prover keeps
+    its own tuple of the witness, so a later edit of the caller's sequence
+    cannot leave a check standing for tokens it no longer holds.
     """
 
     def __init__(self, params: SnarkParams, witness: Sequence[SignatureToken]):
         self.params = params
-        self._witness = witness
+        self._witness = tuple(witness)
         self._checked = 0  # witness[:_checked] has been checked
         self._seen: set[SignatureToken] = set()
         self._distinct: list[SignatureToken] = []
@@ -253,6 +256,19 @@ class CountProver:
         self._checked = i
         if len(distinct) < need:
             raise WitnessError(f"need {need} distinct valid tokens, have {len(distinct)}")
+
+    def extended(self, more: Sequence[SignatureToken]) -> "CountProver":
+        """A prover on the same params over this witness followed by `more`.
+
+        It starts from what this prover has checked, so no token of the
+        shared prefix is checked again, and proves what a fresh prover over
+        the longer witness would.  This prover is left as it was.
+        """
+        prover = CountProver(self.params, self._witness + tuple(more))
+        prover._checked = self._checked
+        prover._seen = set(self._seen)
+        prover._distinct = list(self._distinct)
+        return prover
 
     def prove(self, counts: Sequence[int]) -> list[ProofToken]:
         """One proof per count, in the order given.

@@ -51,11 +51,16 @@ from .sampletask import (
 
 @dataclass
 class LadderPriv:
-    """Trainer private state: its distinct tokens and published proof grid."""
+    """Trainer private state: its distinct tokens and published proof grid.
+
+    `prover` is the count prover the grid was proved with, over `tokens`;
+    a mitigator extends it rather than checking those tokens again.
+    """
 
     tokens: list[SignatureToken] = field(default_factory=list)
     table: dict[int, ProofToken] = field(default_factory=dict)
     is_dummy: bool = False
+    prover: CountProver | None = None
 
 
 def _grid_answer(
@@ -116,8 +121,9 @@ class LadderTrainer:
             priv = LadderPriv(tokens=tokens, is_dummy=True)
             return DataModel(inst, priv), priv
         levels = grid_levels(self.level_target)
-        table = dict(zip(levels, CountProver(inst.snark, tokens).prove(levels)))
-        priv = LadderPriv(tokens=tokens, table=table)
+        prover = CountProver(inst.snark, tokens)
+        table = dict(zip(levels, prover.prove(levels)))
+        priv = LadderPriv(tokens=tokens, table=table, prover=prover)
         return DataModel(inst, priv), priv
 
 
@@ -198,7 +204,9 @@ class ProofExtendingMitigator:
     tokens, proves every level in (K, K + floor(2*sqrt(K))] exactly, and
     answers with a DataModel over the grid and the strip together: the
     smallest proved level that clears the required one, BOTTOM beyond the
-    strip.  Never flags.
+    strip.  The strip is proved on the trainer's count prover extended by
+    the fresh tokens, in the trial's world both parties share, so the
+    trainer's tokens are not checked again.  Never flags.
     """
 
     def __init__(self, instance: DataTaskInstance, level_target: int):
@@ -221,11 +229,10 @@ class ProofExtendingMitigator:
         if len(fresh) < self.strip:
             raise AbortTrial("mitigator", "too few fresh tokens for the strip")
 
-        witness = priv.tokens + fresh
         k = self.level_target
         levels = range(k + 1, k + self.strip + 1)
         table = dict(priv.table)
-        table.update(zip(levels, CountProver(inst.snark, witness).prove(levels)))
+        table.update(zip(levels, priv.prover.extended(fresh).prove(levels)))
         answer = DataModel(inst, LadderPriv(table=table))
         return [answer(x) for x in xs], 0
 

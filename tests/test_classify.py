@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detmit.classify import (
+    ATTACK_POOL,
+    NATURE_POOL,
     DetectorFromMitigator,
     LazyMitigator,
     MitigatorFromDetector,
     ToyAttacker,
+    ToyClassificationInstance,
     ToyDetector,
     ToyMitigator,
     ToyTrainer,
@@ -26,7 +29,8 @@ from detmit.core import (
     run_dbd_trial,
     run_dbm_trial,
 )
-from detmit.drbg import derive_trial_seed
+from detmit.drbg import HashDrbg, derive_trial_seed
+from detmit.wire import be32
 from testkit import KeepTrained
 
 PARAMS = GameParams(epsilon=0.05, q=32)
@@ -40,6 +44,36 @@ def test_labels_deterministic_and_binary():
     assert INST.h(x, toy_label(INST.salt, x)) == 0
     assert INST.h(x, b"\x02") == 1
     assert INST.h(b"bad", b"\x00") == 1  # malformed input is never answered right
+
+
+@given(
+    salt=st.binary(min_size=16, max_size=16),
+    seed=st.integers(0, 2**64),
+    move=st.sampled_from(["take", "skip"]),
+    offset=st.integers(0, 40),
+    draws=st.integers(1, 6),
+)
+def test_toy_draws_match_a_written_out_reference(salt, seed, move, offset, draws):
+    """Draws from the nature table equal randrange + toy_label, and move the stream as far."""
+    inst = ToyClassificationInstance(salt=salt)
+    got, want = HashDrbg(seed), HashDrbg(seed)
+    getattr(got, move)(offset)
+    getattr(want, move)(offset)
+    for _ in range(draws):
+        x = be32(want.randrange(NATURE_POOL))
+        assert inst.sample_pair(got) == (x, toy_label(salt, x))
+        assert inst.sample_input(got) == be32(want.randrange(NATURE_POOL))
+        assert inst.outsider_input(got) == be32(NATURE_POOL + want.randrange(ATTACK_POOL))
+    assert got.take(32) == want.take(32)
+
+
+def test_nature_table_is_the_labelled_pool():
+    pool = [be32(i) for i in range(NATURE_POOL)]
+    assert INST.nature == tuple((x, toy_label(INST.salt, x)) for x in pool)
+    assert ToyClassificationInstance(salt=INST.salt).nature == INST.nature
+    for x, y in INST.nature:
+        assert INST.h(x, y) == 0
+        assert INST.h(x, bytes([y[0] ^ 1])) == 1
 
 
 def test_trained_model_accurate_on_pool():

@@ -24,6 +24,7 @@ import detmit
 from detmit import cli
 from detmit.cli import (
     MAX_ATTACKER_SAMPLES,
+    MAX_EMIT_PAIRS,
     MAX_HORIZON,
     MAX_LEVEL_TARGET,
     MAX_Q,
@@ -405,6 +406,17 @@ def test_gen_instance_rejects_a_negative_pair_count(runner, tmp_path):
         main,
         ["gen-instance", "--task", "chain", "--horizon", "16", "--out", str(tmp_path / "i"),
          "--emit-pairs", "-2"],
+    )
+    assert res.exit_code == 2
+    assert "--emit-pairs" in res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_instance_rejects_a_pair_count_over_the_cap(runner, tmp_path):
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "ladder", "--out", str(tmp_path / "i"),
+         "--emit-pairs", str(MAX_EMIT_PAIRS + 1)],
     )
     assert res.exit_code == 2
     assert "--emit-pairs" in res.output

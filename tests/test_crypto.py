@@ -234,6 +234,39 @@ def test_count_prover_checks_each_witness_token_once(rng, vk, tokens, monkeypatc
     assert checked == [tokens[0], bad, *tokens[1:7]]
 
 
+def test_extended_prover_checks_only_what_is_new(rng, vk, tokens, monkeypatch):
+    bad = SignatureToken(tokens[1].nonce, b"\x00" * 64)
+    head = [tokens[0], tokens[0], bad, *tokens[1:6]]
+    more = [tokens[3], *tokens[6:12]]  # a repeat of a head token, then new ones
+    checked = []
+
+    def counting_verify(vk, tok):
+        checked.append(tok)
+        return sig_verify(vk, tok)
+
+    monkeypatch.setattr(crypto, "sig_verify", counting_verify)
+    fresh = CountProver(SnarkParams(rng.child("extended"), vk), head + more)
+    wants = [*fresh.prove([4]), *fresh.prove([9, 7])]
+    fresh_checks, checked[:] = list(checked), []
+
+    base = CountProver(SnarkParams(rng.child("extended"), vk), head)
+    got = base.prove([4])
+    base_checks, checked[:] = list(checked), []
+    head[7] = bad  # the prover holds its own witness, not the caller's list
+    extended = base.extended(more)
+    got += extended.prove([9, 7])
+    assert got == wants
+    for proof in got:
+        assert snark_extract(extended.params, proof) == snark_extract(fresh.params, proof)
+    # the extension checks exactly what a fresh prover would, less the base's checks
+    assert base_checks == [tokens[0], bad, *tokens[1:4]]
+    assert checked == fresh_checks[len(base_checks):] == [*tokens[4:6], *tokens[6:9]]
+    # the base prover is left as it was
+    checked[:] = []
+    assert snark_extract(base.params, base.prove([5])[0]) == tuple(tokens[:5])
+    assert checked == [tokens[4]]
+
+
 def test_count_prover_short_witness_registers_nothing(rng, vk, tokens):
     params = SnarkParams(rng.child("prover-short"), vk)
     prover = CountProver(params, tokens[:4])

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+import detmit.crypto as crypto
 from detmit.core import (
     ATTACKER,
     AbortTrial,
@@ -16,7 +20,7 @@ from detmit.core import (
     run_dbm_trial,
     soundness_violation,
 )
-from detmit.crypto import sig_verify, snark_verify
+from detmit.crypto import CountProver, ProofToken, sig_verify, snark_extract, snark_verify
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import (
@@ -31,7 +35,7 @@ from detmit.sampleagents import (
     WellFormedDetector,
 )
 from detmit.sampletask import grid_levels, make_data_instance, next_level
-from testkit import ladder_detectors
+from testkit import KeepTrained, ladder_detectors
 
 INST = make_data_instance(31)
 PARAMS = GameParams(q=1)
@@ -227,6 +231,51 @@ def test_mitigator_aborts_on_dummy_model():
         INST, trainer, NatureChallenger(), mit, PARAMS, derive_trial_seed(61, 0)
     )
     assert t.aborted == "mitigator"
+
+
+class UncheckedProverMitigator(ProofExtendingMitigator):
+    """Proves the strip on a prover over the trainer's tokens that has checked none."""
+
+    def mitigate(self, ctx, model, priv, xs):
+        unchecked = CountProver(priv.prover.params, priv.tokens)
+        return super().mitigate(ctx, model, dataclasses.replace(priv, prover=unchecked), xs)
+
+
+def test_mitigator_checks_each_witness_token_once_per_trial(monkeypatch):
+    checked = Counter()
+
+    def counting_verify(vk, tok):
+        checked[tok] += 1
+        return sig_verify(vk, tok)
+
+    monkeypatch.setattr(crypto, "sig_verify", counting_verify)
+    k, completed = 16, 0
+    for i in range(8):
+        seed = derive_trial_seed(63, i)
+        runs = []
+        for mitigator in (ProofExtendingMitigator, UncheckedProverMitigator):
+            world = INST.world(seed)
+            trainer = KeepTrained(LadderTrainer(world, k))
+            checked.clear()
+            t = run_dbm_trial(
+                world, trainer, SelfIterationAttacker(world), mitigator(world, k),
+                PARAMS, seed, i,
+            )
+            witnesses = {
+                (d, tok): snark_extract(world.snark, ProofToken(tok, d))
+                for d, tok in world.snark.registry_entries()
+            }
+            runs.append((t, sum(checked.values()), witnesses, trainer.priv))
+            if mitigator is ProofExtendingMitigator:
+                # every token of every witness registered in the trial was checked once
+                assert all(checked[tok] == 1 for w in witnesses.values() for tok in w)
+        (t, checks, witnesses, priv), (t0, checks0, witnesses0, _) = runs
+        assert t.to_json() == t0.to_json() and witnesses == witnesses0
+        if t.aborted is None:
+            completed += 1
+            # the trainer checked all k of its tokens; the mitigator checks none again
+            assert len(priv.tokens) == k and checks0 - checks == k
+    assert completed >= 6
 
 
 # --- baseline detectors -------------------------------------------------------
