@@ -4,8 +4,9 @@ The two wrappers are generic: they turn any detector into a mitigator (answer
 with the model, forward the flag) and any mitigator into a detector (flag when
 the mitigator flags, or when its answers drift far from the model's).  The
 second direction loses constant factors — thresholds 4eps for drift, and the
-pointwise bound err(x, f(x)) <= err(x, y) + [y != f(x)] gives the trial-level
-implication checked by `implication_holds`.
+pointwise bound err(x, f(x)) <= err(x, y) + [y != f(x)] gives a trial-level
+implication: a model error above 7eps with the derived flag down means the
+wrapped mitigator answered with error above 3eps and its own flag down.
 
 The toy task is label memorization: inputs are 4-byte indices, the correct
 label is a salted hash bit, nature draws from a fixed pool, and an attacker
@@ -22,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .core import (
-    ATTACKER,
-    Transcript,
-    TrialCtx,
-    hamming,
-)
+from .core import ATTACKER, TrialCtx, hamming
 from .crypto import sha256
 from .drbg import HashDrbg
 from .wire import be32
@@ -40,8 +36,6 @@ NATURE_POOL = 16
 assert NATURE_POOL & (NATURE_POOL - 1) == 0 and NATURE_POOL <= 256
 ATTACK_POOL = 1 << 16
 DRIFT_THRESHOLD_MULT = 4.0
-MODEL_ERR_MARGIN_MULT = 7.0
-ANSWER_ERR_MARGIN_MULT = 3.0
 
 
 def toy_label(salt: bytes, x: bytes) -> bytes:
@@ -191,7 +185,7 @@ class DetectorFromMitigator:
     Raises the flag when the wrapped mitigator does, or when its answers
     disagree with the model's on more than a 4eps fraction of the batch.
     Notes the inner answers (`response`) and flag (`inner_flag`) so the
-    harness can score err_y and audit the implication below.
+    harness can score err_y and audit the implication above.
     """
 
     def __init__(self, mitigator: Any):
@@ -211,30 +205,3 @@ def derived_flag(inner_flag: int, drift: float, epsilon: float) -> int:
     """The derived detector's rule: the inner flag, or drift above 4eps."""
     return 1 if inner_flag == 1 or drift > DRIFT_THRESHOLD_MULT * epsilon else 0
 
-
-def implication_premise(t: Transcript, epsilon: float) -> bool:
-    """True when the audit below is non-vacuous for this trial."""
-    return (
-        t.aborted is None
-        and t.flag == 0
-        and t.err_fx is not None
-        and t.err_fx > MODEL_ERR_MARGIN_MULT * epsilon
-    )
-
-
-def implication_holds(t: Transcript, epsilon: float) -> bool:
-    """Audit one derived-detector trial.
-
-    Whenever the model's own batch error exceeds 7eps and the derived flag
-    stayed down, the wrapped mitigator must itself have been in violation:
-    answer error above 3eps with its flag down.  Follows pointwise from
-    err(x, f(x)) <= err(x, y) + [y != f(x)] and the 4eps drift threshold;
-    vacuously true when the premise fails or the trial aborted.
-    """
-    if not implication_premise(t, epsilon):
-        return True
-    return (
-        t.inner_flag == 0
-        and t.err_y is not None
-        and t.err_y > ANSWER_ERR_MARGIN_MULT * epsilon
-    )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
@@ -227,6 +228,16 @@ class Mitigator(Protocol):
     ) -> tuple[list[bytes], int]: ...
 
 
+class NatureChallenger:
+    """Benign challenger: q i.i.d. inputs from the task marginal, unmetered."""
+
+    origin = NATURE
+    sample_budget: int | None = None
+
+    def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
+        return [ctx.oracle.draw_input() for _ in range(ctx.params.q)]
+
+
 # --- scoring helpers ----------------------------------------------------------
 
 
@@ -282,17 +293,26 @@ class RateEstimate:
 # --- transcripts ---------------------------------------------------------------
 
 _NULL = type(None)
+# the parties a trial can abort in the name of
+_PARTY_NAMES = ("trainer", NATURE, ATTACKER, "detector", "mitigator")
+# a seed as `_seed_str` writes it: bytes in lowercase hex, or a decimal int
+_SEED_FORM = re.compile(r"(?:[0-9a-f]{2})*|-?(?:0|[1-9][0-9]*)")
 
-# serialized field -> the JSON value types it may hold
-_TRANSCRIPT_FIELDS: dict[str, tuple[type, ...]] = {
-    "trial_id": (int,),
-    "seed": (str,),
-    "origin": (str,),
-    "flag": (int, _NULL),
-    "err_fx": (float, int, _NULL),
-    "err_y": (float, int, _NULL),
-    "ledgers": (dict,),
-    "aborted": (str, _NULL),
+
+def _unit_or_null(v: float | None) -> bool:
+    return v is None or 0 <= v <= 1  # NaN and the infinities fail
+
+
+# serialized field -> (the JSON value types it may hold, the rule its value keeps)
+_TRANSCRIPT_FIELDS: dict[str, tuple[tuple[type, ...], Callable[[Any], bool]]] = {
+    "trial_id": ((int,), lambda v: v >= 0),
+    "seed": ((str,), lambda v: _SEED_FORM.fullmatch(v) is not None),
+    "origin": ((str,), lambda v: v in (NATURE, ATTACKER)),
+    "flag": ((int, _NULL), lambda v: v in (0, 1, None)),
+    "err_fx": ((float, int, _NULL), _unit_or_null),
+    "err_y": ((float, int, _NULL), _unit_or_null),
+    "ledgers": ((dict,), lambda v: True),
+    "aborted": ((str, _NULL), lambda v: v is None or v in _PARTY_NAMES),
 }
 
 
@@ -326,12 +346,15 @@ class Transcript:
     def from_record(cls, rec: dict[str, Any]) -> "Transcript":
         """The serialized fields of one parsed `to_json` line.
 
-        Raises KeyError for a missing field and TypeError for a value of the
-        wrong JSON type, ledger entries included.
+        Raises KeyError for a missing field, TypeError for a value of the
+        wrong JSON type, ledger entries included, and ValueError for a value
+        that breaks its field's rule in `_TRANSCRIPT_FIELDS`.
         """
         fields = {name: rec[name] for name in _TRANSCRIPT_FIELDS}
-        for name, types in _TRANSCRIPT_FIELDS.items():
+        for name, (types, rule) in _TRANSCRIPT_FIELDS.items():
             _check_type(name, fields[name], types)
+            if not rule(fields[name]):
+                raise ValueError(f"{name} has value {fields[name]!r:.40}")
         for role, ledger in fields["ledgers"].items():
             _check_type(f"ledgers[{role!r}]", ledger, (dict,))
             for key, value in ledger.items():
@@ -388,7 +411,8 @@ class _TrialState:
             self.aborted = role
             self.abort_reason = str(exc)
         except AbortTrial as exc:
-            self.aborted = exc.party
+            # an abort in a name no trial writes is the aborting party's own
+            self.aborted = exc.party if exc.party in _PARTY_NAMES else role
             self.abort_reason = exc.reason
         except Exception as exc:
             self.aborted = role
@@ -530,34 +554,3 @@ def soundness_violation(t: Transcript, epsilon: float) -> bool:
         return False
     err = t.err_y if t.err_y is not None else t.err_fx
     return err is not None and err > epsilon
-
-
-# --- estimation ----------------------------------------------------------------
-
-
-def estimate_model_err(
-    instance: Any,
-    model: Callable[[bytes], bytes],
-    draws: int,
-    seed: bytes | int = 0,
-) -> RateEstimate:
-    """Estimate the model's true error over fresh inputs.
-
-    Harness-side and metering-exempt: draws never count against any party.
-    """
-    rng = HashDrbg(seed).child("err-estimate")
-    bad = 0
-    for _ in range(draws):
-        x, _ = instance.sample_pair(rng)
-        bad += instance.h(x, model(x))
-    return RateEstimate.from_counts(bad, draws)
-
-
-class NatureChallenger:
-    """Benign challenger: q i.i.d. inputs from the task marginal, unmetered."""
-
-    origin = NATURE
-    sample_budget: int | None = None
-
-    def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
-        return [ctx.oracle.draw_input() for _ in range(ctx.params.q)]

@@ -40,11 +40,9 @@ from .payloads import (
 )
 from .sampletask import (
     DataTaskInstance,
-    clear_level,
     grid_level,
     grid_levels,
     next_level,
-    payload_form,
     unseal,
 )
 
@@ -253,8 +251,8 @@ class LevelThresholdDetector:
     def detect(self, ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> int:
         cap = getattr(model, "cap", 0)
         for x in xs:
-            lvl = clear_level(x)
-            if lvl is not None and lvl > cap:
+            p = decode_payload(x)
+            if isinstance(p, ClearPayload) and p.level > cap:
                 return 1
         return 0
 
@@ -267,7 +265,7 @@ class FrequencyDetector:
     """
 
     def detect(self, ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> int:
-        enc = sum(payload_form(x) == "enc" for x in xs) / len(xs)
+        enc = sum(isinstance(decode_payload(x), EncPayload) for x in xs) / len(xs)
         return 1 if abs(enc - 0.5) > 3 / (2 * sqrt(len(xs))) else 0
 
 

@@ -78,8 +78,6 @@ def grid_level(levels: list[int], need: int) -> int | None:
     return levels[i] if i < len(levels) else None
 
 
-# how many of a draw's (x, y) each view of it builds
-_BUILT = {"input": 1, "pair": 2}
 # what a sealed draw takes after its sealing byte: id1, id2 and the seal nonces
 _SEALING = 2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN
 
@@ -99,13 +97,6 @@ class LevelLaw:
         while k < self.cap and rng.bit():
             k += 1
         return k
-
-    def pmf(self, k: int) -> float:
-        if not 1 <= k <= self.cap:
-            return 0.0
-        if k == self.cap:
-            return 2.0 ** -(self.cap - 1)
-        return 2.0**-k
 
 
 class DataTaskInstance:
@@ -164,28 +155,22 @@ class DataTaskInstance:
             raise ValueError(f"count {count} outside provable range")
         return self._prover.prove((count,))[0]
 
-    def _draw(
-        self, rng: HashDrbg, view: str, level: int | None = None, sealed: bool | None = None
-    ) -> list[Payload]:
-        """One draw from the ladder distribution, built as far as `view` asks.
+    def _draw(self, rng: HashDrbg, answer: bool) -> list[Payload]:
+        """One draw from the ladder distribution: x, and y if `answer`.
 
         A draw takes, in order, from `rng`: the level bytes, the token nonce,
         the sealing byte, and on a sealed draw id1, id2 and the seal nonces
         of x and y; from the proof-token stream: x's proof token, then y's.
-        Both views move both streams that far, so the draws and proofs
-        after this one do not depend on the view.  ``"pair"`` builds x and
-        y, proved, and sealed for id1 on a sealed draw; ``"input"`` builds
-        x alone and skips y's proof token, which is never made
-        (:meth:`HashDrbg.skip`).  Returns the payloads built.  `level` and
-        `sealed` fix the level and the sealing bit instead of drawing them
-        (white-box builders).
+        Both ways move both streams that far, so the draws and proofs
+        after this one do not depend on `answer`.  With `answer` it builds
+        x and y, proved, and sealed for id1 on a sealed draw; without, it
+        builds x alone and skips y's proof token, which is never made
+        (:meth:`HashDrbg.skip`).  Returns the payloads built.
         """
-        built = _BUILT[view]
-        if level is None:
-            level = self.law.sample(rng)
+        built = 1 + answer
+        level = self.law.sample(rng)
         nonce = rng.take(NONCE_LEN)
-        if sealed is None:
-            sealed = bool(rng.bit())
+        sealed = rng.bit()
         token = sig_sign_zero(self.verification_key, nonce)
         levels = (level, next_level(level))
         payloads: list[Payload] = [
@@ -205,12 +190,12 @@ class DataTaskInstance:
         return [ex] + [EncPayload(ct, b"", b"", b"") for ct in cts[1:]]
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        x, y = self._draw(rng, "pair")
+        x, y = self._draw(rng, True)
         return encode_payload(x, self.width), encode_payload(y, self.width)
 
     def sample_input(self, rng: HashDrbg) -> bytes:
         """`sample_pair(rng)[0]`, without building the answer."""
-        return encode_payload(self._draw(rng, "input")[0], self.width)
+        return encode_payload(self._draw(rng, False)[0], self.width)
 
     def sample_tokens(
         self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken] = ()
@@ -251,22 +236,6 @@ class DataTaskInstance:
         cur.close(buf, pos)
         self.snark.skip_proof(2 * n)
         return fresh
-
-    # -- white-box builders (harness-side probes) --
-
-    def clear_pair_at(
-        self, level: int, rng: HashDrbg, answer: bool = True
-    ) -> tuple[ClearPayload, ClearPayload | None]:
-        """The clear input at `level` and, if `answer`, its answer."""
-        payloads = self._draw(rng, "pair" if answer else "input", level, sealed=False)
-        return payloads[0], payloads[1] if answer else None  # type: ignore[return-value]
-
-    def build_clear_input(self, level: int, rng: HashDrbg) -> bytes:
-        return encode_payload(self.clear_pair_at(level, rng, answer=False)[0], self.width)
-
-    def build_enc_input(self, level: int, rng: HashDrbg) -> bytes:
-        x = self._draw(rng, "input", level, sealed=True)[0]
-        return encode_payload(x, self.width)
 
     # -- public checks and the quality oracle --
 
@@ -319,19 +288,3 @@ def unseal(cipher: IdentityCipher, p: Payload | None) -> Payload | None:
 
 def make_data_instance(seed: bytes | int) -> DataTaskInstance:
     return DataTaskInstance(seed)
-
-
-def payload_form(buf: bytes) -> str | None:
-    """'clear' / 'enc' by wire tag, None for anything undecodable."""
-    p = decode_payload(buf)
-    if isinstance(p, ClearPayload):
-        return "clear"
-    if isinstance(p, EncPayload):
-        return "enc"
-    return None
-
-
-def clear_level(buf: bytes) -> int | None:
-    """Level of a clear wire payload (public structure), else None."""
-    p = decode_payload(buf)
-    return p.level if isinstance(p, ClearPayload) else None

@@ -21,16 +21,13 @@ from detmit.classify import (
     ToyDetector,
     ToyMitigator,
     ToyTrainer,
-    implication_holds,
-    implication_premise,
     make_toy_instance,
 )
-from detmit.cli import ExperimentConfig, run_batch
+from detmit.cli import DEFENSES, ExperimentConfig, run_batch
 from detmit.core import (
     ATTACKER,
     GameParams,
     NatureChallenger,
-    estimate_model_err,
     run_dbd_trial,
     run_dbm_trial,
     soundness_violation,
@@ -52,13 +49,14 @@ from detmit.crypto import (
     snark_verify,
 )
 from detmit.drbg import HashDrbg, derive_trial_seed
+from detmit.payloads import EncPayload, decode_payload
 from detmit.sampleagents import (
     LadderTrainer,
     NeverFlagDetector,
     ProofExtendingMitigator,
     SelfIterationAttacker,
 )
-from detmit.sampletask import DataTaskInstance, LevelLaw, payload_form
+from detmit.sampletask import DataTaskInstance, LevelLaw
 from detmit.timetask import (
     ChainClimbingAttacker,
     ChainExtendingMitigator,
@@ -67,7 +65,15 @@ from detmit.timetask import (
     audit_conservation,
     audit_sequential_reach,
 )
-from testkit import KeepTrained, ladder_detectors
+from testkit import (
+    KeepTrained,
+    build_clear_input,
+    build_enc_input,
+    estimate_model_err,
+    implication_holds,
+    implication_premise,
+    ladder_detectors,
+)
 
 EPS, DELTA = 0.05, 0.02
 
@@ -181,10 +187,10 @@ def test_ladder_trained_model_correctness():
 
     rng = HashDrbg(2004)
     for k in range(1, 58):  # every level the size-64 grid can serve
-        for builder in (inst.build_clear_input, inst.build_enc_input):
-            x = builder(k, rng)
+        for builder in (build_clear_input, build_enc_input):
+            x = builder(inst, k, rng)
             assert inst.h(x, model(x)) == 0, f"level {k}"
-    past = inst.build_clear_input(58, rng)  # needs 65 > 64: out of reach
+    past = build_clear_input(inst, 58, rng)  # needs 65 > 64: out of reach
     assert inst.h(past, model(past)) == 1
 
     _report(
@@ -199,22 +205,39 @@ def test_ladder_trained_model_correctness():
 # ---------------------------------------------------------------------------
 
 
-def test_ladder_attack_beats_baseline_detectors():
+def _attack_rows(K: int, M: int) -> tuple[DataTaskInstance, list[tuple]]:
+    """Gate 3's instance at K and its first M trials, each with what its detectors read.
+
+    A row is (transcript, frontier level, output encrypted, model, private
+    state).  The trials run in order on a fresh instance, so the first M rows
+    are the same whatever M is.
+    """
     params = GameParams(epsilon=EPS, q=1)
+    inst = DataTaskInstance(seed=300 + K)
+    trainer = KeepTrained(LadderTrainer(inst, K))
+    atk = SelfIterationAttacker(inst, 8)
+    rows = []
+    for i in range(M):
+        t = run_dbd_trial(
+            inst, trainer, atk, NeverFlagDetector(), params,
+            derive_trial_seed(3000 + K, i), i,
+        )
+        rows.append((t, t.notes.get("level"), t.notes.get("output_encrypted"),
+                     trainer.model, trainer.priv))
+    return inst, rows
+
+
+def _missed(det, row: tuple) -> bool:
+    """Gate 3's soundness verdict: `det` lets a batch through that the model gets wrong."""
+    t, _, _, model, priv = row
+    return t.err_fx > EPS and det.detect(None, model, priv, t.challenge) == 0
+
+
+def test_ladder_attack_beats_baseline_detectors():
     M = 200
     details = []
     for K in (16, 400):
-        inst = DataTaskInstance(seed=300 + K)
-        trainer = KeepTrained(LadderTrainer(inst, K))
-        atk = SelfIterationAttacker(inst, 8)
-        rows = []
-        for i in range(M):
-            t = run_dbd_trial(
-                inst, trainer, atk, NeverFlagDetector(), params,
-                derive_trial_seed(3000 + K, i), i,
-            )
-            rows.append((t, t.notes.get("level"), t.notes.get("output_encrypted"),
-                         trainer.model, trainer.priv))
+        inst, rows = _attack_rows(K, M)
         done = [r for r in rows if r[0].aborted is None]
         assert len(done) >= 0.9 * M
 
@@ -230,10 +253,7 @@ def test_ladder_attack_beats_baseline_detectors():
         # All four detectors are scored on the same stored challenges.
         rates = {}
         for name, det in ladder_detectors(inst).items():
-            viol = sum(
-                t.err_fx > EPS and det.detect(None, model, priv, t.challenge) == 0
-                for t, _, _, model, priv in done
-            )
+            viol = sum(_missed(det, r) for r in done)
             rates[name] = viol / len(done)
             assert rates[name] >= 0.35, f"K={K} detector {name}"
         max_q = max(r[0].ledgers["attacker"]["queries"] for r in done)
@@ -277,12 +297,12 @@ def test_ladder_mitigation_restores_soundness():
     # (needs 440) is served exactly and a level-441 input is not.
     rng = HashDrbg(4005)
     served = run_dbm_trial(
-        inst, trainer, _FixedChallenger([inst.build_clear_input(420, rng)]),
+        inst, trainer, _FixedChallenger([build_clear_input(inst, 420, rng)]),
         mitigator, params, derive_trial_seed(4006, 0), 0,
     )
     assert served.err_y == 0.0
     beyond = run_dbm_trial(
-        inst, trainer, _FixedChallenger([inst.build_clear_input(441, rng)]),
+        inst, trainer, _FixedChallenger([build_clear_input(inst, 441, rng)]),
         mitigator, params, derive_trial_seed(4006, 1), 1,
     )
     assert beyond.err_y == 1.0
@@ -378,7 +398,10 @@ def test_level_law_and_mixture():
 
     inst = DataTaskInstance(seed=607)
     draw_rng = HashDrbg(608)
-    enc = sum(payload_form(inst.sample_pair(draw_rng)[0]) == "enc" for _ in range(10_000))
+    enc = sum(
+        isinstance(decode_payload(inst.sample_pair(draw_rng)[0]), EncPayload)
+        for _ in range(10_000)
+    )
     frac = enc / 10_000
     assert 0.48 <= frac <= 0.52
 
@@ -525,6 +548,80 @@ def test_resource_curves():
         table.append(f"{task}: log-log slope of mitigator/trainer {resource} = {slope:.3f}")
     print("\n".join(table))
     _report("resource curves", "every cost law, query bound and rate bound met")
+
+
+
+# ---------------------------------------------------------------------------
+# 10. On the generative tasks the derived detector is sound but incomplete.
+# ---------------------------------------------------------------------------
+
+
+def test_derived_detector_on_generative_tasks():
+    """DbM -> DbD keeps soundness on the ladder and the chain but loses completeness.
+
+    A sound mitigator wrapped in `DetectorFromMitigator` flags nature batches
+    although every answer involved is correct: there are many correct answers,
+    and the mitigator's differ from the model's.  Under attack no batch the
+    model gets wrong goes unflagged.  The other direction transports flags
+    bit for bit, so `MitigatorFromDetector` inherits gate 3's failures.
+    """
+    params = GameParams(epsilon=EPS, q=1)
+    details = []
+    # trials per batch: 0.9 needs 35 all flagged to clear it as a Wilson lower bound
+    for task, size, N in (("ladder", 16, 30), ("ladder", 400, 30),
+                          ("chain", 256, 40), ("chain", 4096, 40)):
+        if task == "ladder":
+            inst = DataTaskInstance(seed=1000 + size)
+            trainer, atk = LadderTrainer(inst, size), SelfIterationAttacker(inst, 8)
+            derived, least = DetectorFromMitigator(ProofExtendingMitigator(inst, size)), 0.25
+        else:
+            inst = TimeTaskInstance(seed=1000 + size, horizon=size)
+            trainer, atk = TimeTrainer(inst), ChainClimbingAttacker(inst)
+            derived, least = DetectorFromMitigator(ChainExtendingMitigator(inst)), 0.9
+        done = {}
+        for name, challenger in (("nature", NatureChallenger()), ("attack", atk)):
+            trials = [
+                run_dbd_trial(inst, trainer, challenger, derived, params,
+                              derive_trial_seed(10_000 + size, i), i)
+                for i in range(N)
+            ]
+            done[name] = [t for t in trials if t.aborted is None]
+            assert len(done[name]) >= 0.9 * N, (task, size, name)
+        flagged = [t for t in done["nature"] if t.flag == 1]
+        low = wilson_interval(len(flagged), len(done["nature"]))[0]
+        assert low >= least, (task, size, len(flagged))
+        assert all(t.err_fx == 0 and t.err_y == 0 for t in flagged), (task, size)
+        # err_fx by name: soundness_violation scores err_y, which here holds
+        # the wrapped mitigator's answers, not the model's
+        wrong = [t for t in done["attack"] if t.err_fx > EPS]
+        assert wrong and all(t.flag == 1 for t in wrong), (task, size)
+        details.append(f"{task} {size}: nature flagged {len(flagged)}/{len(done['nature'])} "
+                       f"(Wilson-low {low:.2f}), attack flagged all {len(wrong)} it broke")
+
+    # MitigatorFromDetector over each ladder detector, on gate 3's first
+    # trials: a fresh instance per detector runs the same trials in the same
+    # order, so each challenge is byte for byte gate 3's.
+    M = 20
+    for K in (16, 400):
+        _, rows = _attack_rows(K, M)
+        inherited = []
+        for name in DEFENSES["ladder", "detect"]:
+            inst = DataTaskInstance(seed=300 + K)
+            trainer, atk = LadderTrainer(inst, K), SelfIterationAttacker(inst, 8)
+            det = ladder_detectors(inst)[name]
+            wrapped = MitigatorFromDetector(det)
+            for i, row in enumerate(rows):
+                tm = run_dbm_trial(inst, trainer, atk, wrapped, params,
+                                   derive_trial_seed(3000 + K, i), i)
+                t = row[0]
+                assert (tm.aborted, tm.challenge) == (t.aborted, t.challenge), (K, name, i)
+                if t.aborted is None:
+                    assert soundness_violation(tm, EPS) == _missed(det, row), (K, name, i)
+                    inherited.append(soundness_violation(tm, EPS))
+        assert any(inherited), K
+        details.append(f"K={K}: MitigatorFromDetector matched gate 3 on {len(inherited)} "
+                       f"detector-trials, {sum(inherited)} violations")
+    _report("derived detector", "; ".join(details))
 
 
 if __name__ == "__main__":

@@ -17,21 +17,18 @@ from detmit.classify import (
     ToyMitigator,
     ToyTrainer,
     derived_flag,
-    implication_holds,
-    implication_premise,
     make_toy_instance,
     toy_label,
 )
 from detmit.core import (
     GameParams,
     NatureChallenger,
-    estimate_model_err,
     run_dbd_trial,
     run_dbm_trial,
 )
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.wire import be32
-from testkit import KeepTrained
+from testkit import KeepTrained, estimate_model_err, implication_holds, implication_premise
 
 PARAMS = GameParams(epsilon=0.05, q=32)
 INST = make_toy_instance(11)

@@ -487,11 +487,32 @@ def test_report_reads_null_attacker_queries(runner, tmp_path):
         {"flag": "1"},
         {"flag": True},
         {"trial_id": 0.5},
+        # a value of the right type that no trial writes
+        {"origin": "martian"},
+        {"flag": 7},
+        {"flag": -1},
+        {"err_fx": -3},
+        {"err_fx": 1.5},
+        {"err_fx": float("nan")},
+        {"err_y": float("inf")},
+        {"err_y": float("-inf")},
+        {"trial_id": -5},
+        {"seed": "zz"},
+        {"seed": "abc"},
+        {"seed": "AB"},
+        {"seed": "007"},
+        {"seed": "-"},
+        {"seed": "1.5"},
+        {"aborted": "zz"},
+        {"aborted": "harness"},
     ],
     ids=[
         "non-json", "array", "no-ledgers", "ledgers-int", "ledger-int",
         "ledger-value-str", "aborted-list", "err_fx-str", "origin-int", "flag-str",
-        "flag-bool", "trial_id-float",
+        "flag-bool", "trial_id-float", "origin-martian", "flag-7", "flag-minus-1",
+        "err_fx-minus-3", "err_fx-1.5", "err_fx-nan", "err_y-inf", "err_y-minus-inf",
+        "trial_id-minus-5", "seed-not-hex", "seed-odd-hex", "seed-upper-hex",
+        "seed-leading-zero", "seed-minus", "seed-float", "aborted-zz", "aborted-harness",
     ],
 )
 def test_report_rejects_a_malformed_line(runner, tmp_path, bad_line):
@@ -513,6 +534,23 @@ def test_report_rejects_a_malformed_line(runner, tmp_path, bad_line):
     res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
     assert res.exit_code == 2, res.output
     assert "line 2" in res.output
+
+
+def test_report_rejects_each_line_of_a_stream_of_wrong_values(runner, tmp_path):
+    lines = [
+        '{"trial_id":0,"seed":"00","origin":"martian","flag":0,"err_fx":0.0,'
+        '"err_y":null,"ledgers":{},"aborted":"zz"}',
+        '{"trial_id":-5,"seed":"zz","origin":"attacker","flag":7,"err_fx":-3,'
+        '"err_y":null,"ledgers":{},"aborted":null}',
+        '{"trial_id":2,"seed":"02","origin":"nature","flag":0,"err_fx":NaN,'
+        '"err_y":Infinity,"ledgers":{},"aborted":null}',
+    ]
+    t_path = tmp_path / "t.jsonl"
+    for stream in (lines, *([line] for line in lines)):
+        t_path.write_text("\n".join(stream) + "\n")
+        res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
+        assert res.exit_code == 2, res.output
+        assert "line 1" in res.output and "trials" not in res.output
 
 
 def test_summarize_handles_aborts():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detmit.core import (
     AbortTrial,
@@ -15,6 +17,7 @@ from detmit.core import (
     RateEstimate,
     ResourceBudget,
     SampleOracle,
+    Transcript,
     TrialCtx,
     completeness_violation,
     empirical_err,
@@ -24,7 +27,7 @@ from detmit.core import (
     soundness_violation,
     wilson_interval,
 )
-from detmit.drbg import HashDrbg, derive_trial_seed
+from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from testkit import evaluate_rates
 
 
@@ -206,6 +209,19 @@ def test_declared_abort_attributed_to_challenger():
     assert t.flag is None
 
 
+def test_an_abort_in_no_partys_name_is_charged_to_the_party_that_raised_it():
+    class Stray:
+        def detect(self, ctx, model, priv, xs):
+            raise AbortTrial("martian", "not a party")
+
+    t = run_dbd_trial(
+        EchoInstance(), EchoTrainer(), NatureChallenger(), Stray(),
+        PARAMS, derive_trial_seed(0, 3),
+    )
+    assert (t.aborted, t.abort_reason) == ("detector", "not a party")
+    assert Transcript.from_record(json.loads(t.to_json())).aborted == "detector"
+
+
 def test_dbm_trial_scores_answers():
     t = run_dbm_trial(
         EchoInstance(), WrongTrainer(), NatureChallenger(), EchoMitigator(),
@@ -227,6 +243,18 @@ def test_transcript_json_fixed_fields():
     ]
     # in-memory extras never serialize
     assert "model" not in obj and "challenge" not in obj
+
+
+@given(
+    seed=st.one_of(st.binary(max_size=40), st.integers(SEED_MIN, SEED_MAX)),
+    trial_id=st.integers(0, 2**63),
+)
+def test_from_record_reads_every_seed_a_trial_writes(seed, trial_id):
+    t = run_dbd_trial(
+        EchoInstance(), EchoTrainer(), NatureChallenger(), FlagEverything(),
+        PARAMS, seed, trial_id,
+    )
+    assert Transcript.from_record(json.loads(t.to_json())).to_json() == t.to_json()
 
 
 def test_same_seed_same_transcript():

@@ -31,7 +31,7 @@ from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
-from testkit import CountingHashlib, seal_pair, token_draws
+from testkit import CountingHashlib, clear_pair_at, seal_pair, token_draws
 
 DRAWS = 2_000
 LADDER = make_data_instance(31)
@@ -87,7 +87,7 @@ def test_draw_input_charges_one_sample_and_mixes_with_draw_pair():
 
 def _reference_pair(world, rng):
     """A ladder pair drawn step by step: level, clear pair, sealing bit, seal."""
-    x, y = world.clear_pair_at(world.law.sample(rng), rng)
+    x, y = clear_pair_at(world, world.law.sample(rng), rng)
     if rng.bit():
         x, y = seal_pair(world, x, y, rng)
     return encode_payload(x, world.width), encode_payload(y, world.width)

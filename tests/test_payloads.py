@@ -25,7 +25,7 @@ from detmit.payloads import (
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
 from detmit.wire import be64, pack_fields, unpack_exact, unpack_fields
-from testkit import seal_pair
+from testkit import clear_pair_at, seal_pair
 
 R = HashDrbg(b"payload-tests")
 
@@ -122,7 +122,7 @@ def test_retired_chain_enc_tag_decodes_to_nothing_and_scores_zero():
     # 0x04 once tagged an encrypted chain payload; it is now an unknown tag
     ladder, chain = make_data_instance(31), make_time_instance(31, horizon=16)
     rng = R.child("tag-04")
-    x, y = ladder.clear_pair_at(3, rng)
+    x, y = clear_pair_at(ladder, 3, rng)
     ex, ey = seal_pair(ladder, x, y, rng)
     exb, eyb = encode_payload(ex, ladder.width), encode_payload(ey, ladder.width)
     assert ladder.h(exb, encode_payload(y, ladder.width)) == 1  # a wrong answer to the genuine input

@@ -35,7 +35,7 @@ from detmit.sampleagents import (
     WellFormedDetector,
 )
 from detmit.sampletask import grid_levels, make_data_instance, next_level
-from testkit import KeepTrained, ladder_detectors
+from testkit import KeepTrained, build_clear_input, build_enc_input, ladder_detectors
 
 INST = make_data_instance(31)
 PARAMS = GameParams(q=1)
@@ -74,7 +74,7 @@ def test_model_answers_clear_inputs():
     model, _ = train(16)
     rng = HashDrbg(b"model-clear")
     for k in (1, 4, 7, 12):
-        xb = INST.build_clear_input(k, rng)
+        xb = build_clear_input(INST, k, rng)
         yb = model(xb)
         yp = decode_payload(yb)
         assert isinstance(yp, ClearPayload)
@@ -82,14 +82,14 @@ def test_model_answers_clear_inputs():
         assert yp.token == decode_payload(xb).token  # echoes the input token
         assert INST.h(xb, yb) == 0
     # top of coverage: k=13 needs level 16, still answerable
-    top = INST.build_clear_input(13, rng)
+    top = build_clear_input(INST, 13, rng)
     assert INST.h(top, model(top)) == 0
 
 
 def test_model_bottoms_past_cap():
     model, _ = train(16)
     rng = HashDrbg(b"model-cap")
-    xb = INST.build_clear_input(14, rng)  # needs 17 > 16
+    xb = build_clear_input(INST, 14, rng)  # needs 17 > 16
     assert decode_payload(model(xb)) is None
     assert INST.h(xb, model(xb)) == 1
 
@@ -98,10 +98,10 @@ def test_model_answers_encrypted_inputs():
     model, _ = train(16)
     rng = HashDrbg(b"model-enc")
     for k in (1, 3, 9):
-        xb = INST.build_enc_input(k, rng)
+        xb = build_enc_input(INST, k, rng)
         assert INST.h(xb, model(xb)) == 0
     # encrypted past the cap comes back as encrypted BOTTOM: still wrong
-    xb = INST.build_enc_input(14, rng)
+    xb = build_enc_input(INST, 14, rng)
     assert INST.h(xb, model(xb)) == 1
 
 
@@ -116,7 +116,7 @@ def test_dummy_model_when_draws_too_thin():
     model, priv = trainer.train(ctx_for(trainer, "thin"))
     assert priv.is_dummy and model.is_dummy
     rng = HashDrbg(b"dummy")
-    assert decode_payload(model(INST.build_clear_input(1, rng))) is None
+    assert decode_payload(model(build_clear_input(INST, 1, rng))) is None
 
 
 def test_attack_query_counts_frozen():
@@ -162,7 +162,7 @@ def test_mitigator_extends_answerable_range():
     mit = ProofExtendingMitigator(INST, 16)
     assert mit.strip == 8 and mit.sample_budget == 32
     rng = HashDrbg(b"mit")
-    xs = [INST.build_clear_input(k, rng) for k in (5, 14, 17, 20, 21)]
+    xs = [build_clear_input(INST, k, rng) for k in (5, 14, 17, 20, 21)]
     ys, flag = mit.mitigate(ctx_for(mit, "mit"), model, priv, xs)
     assert flag == 0
     # k=5 answered from the grid; 14..20 via exact strip proofs; 21 is out
@@ -176,7 +176,7 @@ def test_mitigator_handles_encrypted_and_garbage():
     model, priv = train(16)
     mit = ProofExtendingMitigator(INST, 16)
     rng = HashDrbg(b"mit-enc")
-    xs = [INST.build_enc_input(18, rng), b"junk"]
+    xs = [build_enc_input(INST, 18, rng), b"junk"]
     ys, flag = mit.mitigate(ctx_for(mit, "mit-enc"), model, priv, xs)
     assert INST.h(xs[0], ys[0]) == 0  # answered inside the encryption
     assert decode_payload(ys[1]) is None
@@ -213,7 +213,7 @@ def test_mitigator_answers_below_k_when_grid_stops_short():
     # K=10: grid {3, 6, 9}, strip {11..16}; a level-8 input needs level 10
     assert grid_levels(10) == [3, 6, 9]
     rng = HashDrbg(b"mit-short-grid")
-    xs = [INST.build_clear_input(8, rng), INST.build_enc_input(8, rng)]
+    xs = [build_clear_input(INST, 8, rng), build_enc_input(INST, 8, rng)]
     t = run_dbm_trial(
         INST, LadderTrainer(INST, 10), FixedChallenger(xs),
         ProofExtendingMitigator(INST, 10), GameParams(q=len(xs)), derive_trial_seed(62, 0),
@@ -285,9 +285,9 @@ def test_level_threshold_detector():
     model, priv = train(16)
     det = LevelThresholdDetector()
     rng = HashDrbg(b"det")
-    high = INST.build_clear_input(20, rng)
-    low = INST.build_clear_input(5, rng)
-    enc = INST.build_enc_input(20, rng)
+    high = build_clear_input(INST, 20, rng)
+    low = build_clear_input(INST, 5, rng)
+    enc = build_enc_input(INST, 20, rng)
     ctx = ctx_for(det)
     assert det.detect(ctx, model, priv, [high]) == 1
     assert det.detect(ctx, model, priv, [low]) == 0
@@ -297,8 +297,8 @@ def test_level_threshold_detector():
 def test_frequency_detector_margins():
     det = FrequencyDetector()
     rng = HashDrbg(b"freq")
-    enc = INST.build_enc_input(2, rng)
-    clear = INST.build_clear_input(2, rng)
+    enc = build_enc_input(INST, 2, rng)
+    clear = build_clear_input(INST, 2, rng)
     ctx = ctx_for(det)
     assert det.detect(ctx, None, None, [enc]) == 0  # q=1 margin exceeds 1/2
     assert det.detect(ctx, None, None, [enc] * 16) == 1  # 16 sigma-ish drift
@@ -309,7 +309,7 @@ def test_well_formed_detector():
     model, priv = train(16)
     det = WellFormedDetector(INST)
     rng = HashDrbg(b"wf")
-    good = INST.build_clear_input(3, rng)
+    good = build_clear_input(INST, 3, rng)
     ctx = ctx_for(det)
     assert det.detect(ctx, model, priv, [good]) == 0
     assert det.detect(ctx, model, priv, [b"garbage"]) == 1

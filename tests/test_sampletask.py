@@ -27,12 +27,16 @@ from detmit.payloads import (
 from detmit.sampletask import (
     DataTaskInstance,
     LevelLaw,
-    clear_level,
     make_data_instance,
     next_level,
-    payload_form,
 )
-from testkit import inner_level, seal_pair
+from testkit import (
+    build_clear_input,
+    build_enc_input,
+    clear_pair_at,
+    inner_level,
+    seal_pair,
+)
 
 INST = make_data_instance(21)
 R = HashDrbg(b"ladder-tests")
@@ -44,13 +48,20 @@ def test_next_level_values():
     ]
 
 
+def pmf(law: LevelLaw, k: int) -> float:
+    """Geometric(1/2) on {1, 2, ...} with the tail mass folded onto `law.cap`."""
+    if not 1 <= k <= law.cap:
+        return 0.0
+    return 2.0 ** -(law.cap - 1) if k == law.cap else 2.0**-k
+
+
 def test_level_law_pmf_and_cap():
     law = LevelLaw(cap=512)
-    assert law.pmf(1) == 0.5
-    assert law.pmf(5) == 2.0**-5
-    assert law.pmf(512) == 2.0**-511  # tail mass folds onto the cap
-    assert law.pmf(0) == 0.0 and law.pmf(513) == 0.0
-    assert abs(sum(law.pmf(k) for k in range(1, 513)) - 1.0) < 1e-15
+    assert pmf(law, 1) == 0.5
+    assert pmf(law, 5) == 2.0**-5
+    assert pmf(law, 512) == 2.0**-511  # tail mass folds onto the cap
+    assert pmf(law, 0) == 0.0 and pmf(law, 513) == 0.0
+    assert abs(sum(pmf(law, k) for k in range(1, 513)) - 1.0) < 1e-15
 
 
 def test_level_law_sampling_matches_pmf():
@@ -61,34 +72,34 @@ def test_level_law_sampling_matches_pmf():
     for _ in range(n):
         counts[law.sample(rng)] += 1
     for k in range(1, 9):
-        expect = n * law.pmf(k)
-        sigma = (n * law.pmf(k) * (1 - law.pmf(k))) ** 0.5
+        expect = n * pmf(law, k)
+        sigma = (n * pmf(law, k) * (1 - pmf(law, k))) ** 0.5
         assert abs(counts[k] - expect) <= 4 * sigma + 1, k
 
 
 def test_widths_cover_all_levels():
     assert INST.inner_width % 32 == 0 and INST.width % 32 == 0
-    x, y = INST.clear_pair_at(INST.level_cap, R.child("wide"))
+    x, y = clear_pair_at(INST, INST.level_cap, R.child("wide"))
     assert len(encode_payload(x, INST.width)) == INST.width
     assert len(encode_payload(y, INST.inner_width)) == INST.inner_width
 
 
 def test_sample_pair_forms_and_charging():
     rng = R.child("forms")
-    forms = {payload_form(INST.sample_pair(rng)[0]) for _ in range(64)}
-    assert forms == {"clear", "enc"}
+    forms = {type(decode_payload(INST.sample_pair(rng)[0])) for _ in range(64)}
+    assert forms == {ClearPayload, EncPayload}
 
 
 def test_clear_pair_is_correct_answer():
     rng = R.child("clear")
-    x, y = INST.clear_pair_at(5, rng)
+    x, y = clear_pair_at(INST, 5, rng)
     assert y.token == x.token and y.level == next_level(5)
     assert INST.h(encode_payload(x, INST.width), encode_payload(y, INST.width)) == 0
 
 
 def test_enc_pair_is_correct_answer():
     rng = R.child("enc")
-    x, y = INST.clear_pair_at(3, rng)
+    x, y = clear_pair_at(INST, 3, rng)
     ex, ey = seal_pair(INST, x, y, rng)
     assert ex.id1 and ex.id2 and ex.key2
     assert ey.id1 == b"" and ey.id2 == b"" and ey.key2 == b""
@@ -102,7 +113,7 @@ def test_h_malformed_input_scores_zero():
 
 def test_h_wrong_answers_score_one():
     rng = R.child("wrong")
-    x, y = INST.clear_pair_at(4, rng)
+    x, y = clear_pair_at(INST, 4, rng)
     xb = encode_payload(x, INST.width)
     assert INST.h(xb, bottom(INST.width)) == 1  # refusing an answerable input
     assert INST.h(xb, b"junk") == 1
@@ -121,7 +132,7 @@ def test_h_wrong_answers_score_one():
 def test_h_statement_binding():
     # a proof for level n does not verify as a proof for level n+1
     rng = R.child("bind")
-    x, y = INST.clear_pair_at(4, rng)
+    x, y = clear_pair_at(INST, 4, rng)
     inflated = ClearPayload(x.token, y.level + 3, y.proof)
     assert INST.h(encode_payload(x, INST.width), encode_payload(inflated, INST.width)) == 1
 
@@ -130,7 +141,7 @@ def test_h_crypto_invalid_input_scores_zero():
     # parseable input whose own proof fails: forged, so no answer to it is
     # wrong — not even one built honestly for the level it claims
     rng = R.child("invalid")
-    x, y = INST.clear_pair_at(4, rng)
+    x, y = clear_pair_at(INST, 4, rng)
     bad_x = ClearPayload(x.token, 6, x.proof)  # proof is for level 4, not 6
     assert (
         INST.h(encode_payload(bad_x, INST.width), encode_payload(y, INST.width)) == 0
@@ -139,7 +150,7 @@ def test_h_crypto_invalid_input_scores_zero():
 
 def test_h_encrypted_edges():
     rng = R.child("edges")
-    x, y = INST.clear_pair_at(2, rng)
+    x, y = clear_pair_at(INST, 2, rng)
     ex, ey = seal_pair(INST, x, y, rng)
     exb = encode_payload(ex, INST.width)
     # clear answer to an encrypted input leaks nothing useful: scores 1
@@ -159,11 +170,12 @@ def test_h_encrypted_edges():
 
 def test_build_inputs_and_levels():
     rng = R.child("build")
-    xb = INST.build_clear_input(10, rng)
-    assert clear_level(xb) == 10
-    eb = INST.build_enc_input(10, rng)
-    assert payload_form(eb) == "enc"
+    xb = build_clear_input(INST, 10, rng)
+    xp = decode_payload(xb)
+    assert isinstance(xp, ClearPayload) and xp.level == 10
+    eb = build_enc_input(INST, 10, rng)
     p = decode_payload(eb)
+    assert isinstance(p, EncPayload)
     key1 = INST.fhe.keygen(p.id1)
     assert inner_level(eb, key1) == 10
 
@@ -178,7 +190,7 @@ def test_prove_count_range():
 def test_shipped_key_pair_works():
     # the (id2, key2) pair inside an encrypted draw really decrypts for id2
     rng = R.child("shipped")
-    x, y = INST.clear_pair_at(2, rng)
+    x, y = clear_pair_at(INST, 2, rng)
     ex, _ = seal_pair(INST, x, y, rng)
     key = IdentityKey(ex.id2, ex.key2)
     cipher = IdentityCipher(key)
@@ -191,11 +203,11 @@ def test_distinct_instances_dont_cross_verify():
     # another instance's input is forged here, so even its own answer scores 0
     other = make_data_instance(22)
     rng = R.child("cross")
-    x, y = INST.clear_pair_at(3, rng)
+    x, y = clear_pair_at(INST, 3, rng)
     assert INST.h(encode_payload(x, INST.width), encode_payload(y, INST.width)) == 0
     assert other.h(encode_payload(x, other.width), encode_payload(y, other.width)) == 0
     # and its answers do not verify for an input of this instance
-    x2, _ = other.clear_pair_at(3, rng)
+    x2, _ = clear_pair_at(other, 3, rng)
     answer = ClearPayload(x.token, y.level, x2.proof)
     assert INST.h(encode_payload(x, INST.width), encode_payload(answer, INST.width)) == 1
 
@@ -206,11 +218,11 @@ def test_replayed_draw_at_a_higher_level_scores_zero(sealed):
     # proof, in the clear or sealed under the key an encrypted draw ships
     world = INST.world(b"forger")
     rng = R.child("forger")
-    x, _ = world.clear_pair_at(5, rng, answer=False)
+    x, _ = clear_pair_at(world, 5, rng, answer=False)
     forged = ClearPayload(x.token, x.level + 1, x.proof)
-    _, y = world.clear_pair_at(forged.level, rng)  # a proof at the level forged needs
+    _, y = clear_pair_at(world, forged.level, rng)  # a proof at the level forged needs
     answer = ClearPayload(x.token, y.level, y.proof)
-    shipped = decode_payload(world.build_enc_input(2, rng))
+    shipped = decode_payload(build_enc_input(world, 2, rng))
     cipher = IdentityCipher(IdentityKey(shipped.id2, shipped.key2))
 
     def wire(p):

@@ -1,0 +1,78 @@
+"""The package defines no module-level name that its own code never uses.
+
+A name that only tests read belongs in `tests/testkit.py` or its test, not
+in `src/detmit`.  Each name below is kept although no `src/detmit` code
+refers to it, for the reason given.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import detmit
+
+SRC = Path(detmit.__file__).parent
+
+# (module, name) -> why it stays with no reference in src/detmit
+UNREFERENCED = {
+    ("cli", "cmd_gen_instance"): "a click command; @main.command registers it",
+    ("cli", "cmd_verify_pair"): "a click command; @main.command registers it",
+    ("cli", "cmd_run"): "a click command; @main.command registers it",
+    ("cli", "cmd_report"): "a click command; @main.command registers it",
+    ("crypto", "snark_extract"): "the proof extractor gate 5 checks soundness with",
+    ("wire", "pack_fields"): "perfbench/spans.py traces it by name",
+}
+
+
+def _defined(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The module-level functions, classes and constants of `tree`, with their nodes.
+
+    Dunder names such as `__version__` are read by name from outside.
+    """
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in out if not name.startswith("__")]
+
+
+def unreferenced(src: Path) -> set[tuple[str, str]]:
+    """(module, name) of each module-level definition under `src` that no code there uses.
+
+    A use is a load of the name or an attribute of that name anywhere in
+    the package, outside the name's own definition; an import is not one.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    out = set()
+    for module, tree in trees.items():
+        for name, definition in _defined(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            if all(id(use) in inside for use in uses.get(name, ())):
+                out.add((module, name))
+    return out
+
+
+def test_every_package_name_is_used_by_the_package():
+    assert unreferenced(SRC) == set(UNREFERENCED)
+
+
+def test_the_guard_counts_neither_imports_nor_self_references(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "def used(n):\n    return min(n, LIMIT)\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Helper:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Helper, used\nprint(used(4))\n")
+    assert unreferenced(tmp_path) == {("a", "recursive"), ("a", "Helper")}

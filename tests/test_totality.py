@@ -45,7 +45,7 @@ from detmit.sampleagents import LadderTrainer, ProofExtendingMitigator
 from detmit.sampletask import make_data_instance
 from detmit.timetask import ChainExtendingMitigator, TimeTrainer, make_time_instance
 from detmit.wire import be64
-from testkit import ladder_detectors
+from testkit import build_clear_input, build_enc_input, ladder_detectors
 
 STEP_BOUND = 2**20
 PARAMS = GameParams(q=4)
@@ -72,7 +72,7 @@ DETECTORS = list(ladder_detectors(LADDER).values())
 
 def _honest() -> list[bytes]:
     rng = HashDrbg(b"totality-draws")
-    ladder = [LADDER.build_clear_input(5, rng), LADDER.build_enc_input(5, rng)]
+    ladder = [build_clear_input(LADDER, 5, rng), build_enc_input(LADDER, 5, rng)]
     for _ in range(4):
         ladder += LADDER.sample_pair(rng)
     ladder += [LADDER_MODEL(x) for x in ladder[:2]]

@@ -22,7 +22,7 @@ from detmit.crypto import (
 )
 from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
-from detmit.sampletask import DataTaskInstance
+from detmit.sampletask import DataTaskInstance, next_level
 
 
 def uniform(rng: HashDrbg) -> float:
@@ -55,6 +55,42 @@ def inner_level(buf: bytes, key: IdentityKey) -> int | None:
         return None
     ip = decode_payload(inner)
     return ip.level if isinstance(ip, ClearPayload) else None
+
+
+def clear_pair_at(
+    instance: DataTaskInstance, level: int, rng: HashDrbg, answer: bool = True
+) -> tuple[ClearPayload, ClearPayload | None]:
+    """The clear input at `level` and, if `answer`, its answer, as a draw builds them.
+
+    Takes the token nonce from `rng`, then x's proof token and y's from the
+    instance's proof-token stream; without `answer`, y's is skipped.
+    """
+    token = sig_sign_zero(instance.verification_key, rng.take(NONCE_LEN))
+    x = ClearPayload(token, level, instance.prove_count(level))
+    if not answer:
+        instance.snark.skip_proof(1)
+        return x, None
+    up = next_level(level)
+    return x, ClearPayload(token, up, instance.prove_count(up))
+
+
+def build_clear_input(instance: DataTaskInstance, level: int, rng: HashDrbg) -> bytes:
+    """The wire bytes of `clear_pair_at`'s input alone."""
+    return encode_payload(clear_pair_at(instance, level, rng, answer=False)[0], instance.width)
+
+
+def build_enc_input(instance: DataTaskInstance, level: int, rng: HashDrbg) -> bytes:
+    """The wire bytes of a sealed input at `level`, as a sealed draw builds it.
+
+    Takes what `clear_pair_at` takes without the answer, then id1, id2 and
+    both seal nonces from `rng`; y's nonce is skipped, since y is not built.
+    """
+    x, _ = clear_pair_at(instance, level, rng, answer=False)
+    id1, id2 = rng.take(IDENTITY_LEN), rng.take(IDENTITY_LEN)
+    cipher = IdentityCipher(instance.fhe.keygen(id1))
+    ct = cipher.encrypt(encode_payload(x, instance.inner_width), rng)
+    rng.skip(AEAD_NONCE_LEN)
+    return encode_payload(EncPayload(ct, id1, id2, instance.fhe.keygen(id2).key), instance.width)
 
 
 def seal_pair(
@@ -103,6 +139,37 @@ def token_draws(
                 seen.add(token)
                 fresh.append(token)
     return fresh
+
+
+def estimate_model_err(
+    instance: Any, model: Callable[[bytes], bytes], draws: int, seed: bytes | int = 0
+) -> RateEstimate:
+    """The model's error rate over `draws` fresh pairs, drawn outside any party's budget."""
+    rng = HashDrbg(seed).child("err-estimate")
+    bad = 0
+    for _ in range(draws):
+        x, _ = instance.sample_pair(rng)
+        bad += instance.h(x, model(x))
+    return RateEstimate.from_counts(bad, draws)
+
+
+def implication_premise(t: Transcript, epsilon: float) -> bool:
+    """True when `implication_holds` is non-vacuous for this trial."""
+    return t.aborted is None and t.flag == 0 and t.err_fx is not None and t.err_fx > 7 * epsilon
+
+
+def implication_holds(t: Transcript, epsilon: float) -> bool:
+    """Audit one derived-detector trial.
+
+    Whenever the model's own batch error exceeds 7eps and the derived flag
+    stayed down, the wrapped mitigator must itself have been in violation:
+    answer error above 3eps with its flag down.  Follows pointwise from
+    err(x, f(x)) <= err(x, y) + [y != f(x)] and the 4eps drift threshold;
+    vacuously true when the premise fails or the trial aborted.
+    """
+    if not implication_premise(t, epsilon):
+        return True
+    return t.inner_flag == 0 and t.err_y is not None and t.err_y > 3 * epsilon
 
 
 class CountingHashlib:
