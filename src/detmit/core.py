@@ -107,11 +107,17 @@ class TokenTaskInstance(TaskInstance, Protocol):
 
     def sample_tokens(
         self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken] = ()
-    ) -> list[SignatureToken]:
+    ) -> tuple[list[SignatureToken], int]:
         """The first `want` distinct tokens not in `known` among the clear x of `n` draws.
 
-        Takes the bytes `n` `sample_input(rng)` draws take.
+        Returns them and how many trailing draws it owes: draws after the
+        last token returned that it has not read from `rng`.  Every other
+        stream moves for all `n` draws at once.
         """
+        ...
+
+    def walk_draws(self, rng: HashDrbg, n: int) -> None:
+        """Read the `n` owed draws, so `rng` stands where `n` `sample_input` draws leave it."""
         ...
 
 
@@ -127,7 +133,12 @@ class SampleOracle:
       the answer (``sample_input``, on every task);
     * ``draw_tokens`` — a batch of draws for parties that only collect
       signature tokens: the first tokens they ask for among its clear x,
-      with no payload built (``sample_tokens``, on the ladder task).
+      with no payload built (``sample_tokens``, on the ladder task).  The
+      batch reads the party's stream only up to the draw of the last token
+      it keeps; the oracle owes the draws after it and walks them
+      (``walk_draws``) only when it draws again, before it charges that
+      sample.  The proof-token stream moves for all of the batch's draws at
+      once, since every party of the trial shares it.
 
     An exception out of the instance is re-raised as :class:`HarnessFault`;
     a budget overrun is charged before the instance is called, so it stays
@@ -138,10 +149,21 @@ class SampleOracle:
         self._instance = instance
         self._rng = rng
         self.budget = budget
+        self._owed = 0  # draws the last token batch has not read from `_rng`
+
+    def _walk_owed(self) -> None:
+        instance: TokenTaskInstance = self._instance  # type: ignore[assignment]
+        try:
+            instance.walk_draws(self._rng, self._owed)
+        except Exception as exc:
+            raise _harness_fault("walk_draws", exc) from exc
+        self._owed = 0
 
     # Separate bodies, not one shared through getattr: that costs about 75 ns
     # a draw, 2% of a toy trial (160 draws in 0.5 ms on a 2-core Xeon VM).
     def draw_pair(self) -> tuple[bytes, bytes]:
+        if self._owed:
+            self._walk_owed()
         self.budget.charge_sample()
         try:
             return self._instance.sample_pair(self._rng)
@@ -149,6 +171,8 @@ class SampleOracle:
             raise _harness_fault("sample_pair", exc) from exc
 
     def draw_input(self) -> bytes:
+        if self._owed:
+            self._walk_owed()
         self.budget.charge_sample()
         try:
             return self._instance.sample_input(self._rng)
@@ -163,6 +187,8 @@ class SampleOracle:
         Charges `n` samples.  Past the allowance it draws what is left and
         then raises :class:`BudgetExceededError`, as `n` single draws would.
         """
+        if self._owed:
+            self._walk_owed()
         budget = self.budget
         draws = max(n, 0)
         if budget.samples_allowed is not None:
@@ -171,7 +197,7 @@ class SampleOracle:
         # only parties of the ladder task draw tokens
         instance: TokenTaskInstance = self._instance  # type: ignore[assignment]
         try:
-            tokens = instance.sample_tokens(self._rng, draws, want, known)
+            tokens, self._owed = instance.sample_tokens(self._rng, draws, want, known)
         except Exception as exc:
             raise _harness_fault("sample_tokens", exc) from exc
         if draws < n:

@@ -16,8 +16,11 @@ Every draw moves every stream as far as a pair draw.  ``sample_pair``
 builds x and y, and ``sample_input`` builds x alone, so no party ever holds
 an answer proof; both run one routine, ``_draw``.  ``sample_tokens`` is a
 batch of draws for parties that only collect tokens: it builds no payload,
-and signs only the clear-draw tokens up to the last one it returns.  A draw
-skips the bytes it does not read.
+and signs only the clear-draw tokens up to the last one it returns.  It
+reads the party's stream only that far; the draws after it are owed, and
+``walk_draws`` walks them only if the party draws again.  The proof-token
+stream, which every party of a trial shares, moves for all of the batch's
+draws at once.  A draw skips the bytes it does not read.
 
 Everything here is harness/instance side except the public surface agents
 use: count-proof proving, the input and answer checks that ``h`` is built
@@ -199,22 +202,40 @@ class DataTaskInstance:
 
     def sample_tokens(
         self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken] = ()
-    ) -> list[SignatureToken]:
+    ) -> tuple[list[SignatureToken], int]:
         """The first `want` distinct tokens not in `known` among the clear x of `n` draws.
 
-        Moves every stream as far as `n` `sample_input` draws, and builds no
-        payload.  A draw reads its level bytes and its sealing byte, and
-        skips the rest: both proof tokens, and on a sealed draw its ids and
-        seal nonces.  It signs its nonce only if it is clear and the tokens
-        are not all found yet, so the MACs stop at the last token returned.
+        Returns them and how many draws it owes.  It reads `rng` only through
+        the draw of the last token returned (all `n` if fewer turn up) and
+        owes the rest to :meth:`walk_draws`; the shared proof-token stream
+        moves for all `n` at once.  A draw reads its level bytes and sealing
+        byte and skips the rest (both proof tokens; on a sealed draw its ids
+        and seal nonces); only a clear draw signs its nonce.  No payload is
+        built.
+        """
+        self.snark.skip_proof(2 * n)
+        if want <= 0:
+            return [], n
+        return self._walk(rng, n, want, known)
+
+    def walk_draws(self, rng: HashDrbg, n: int) -> None:
+        """Move `rng` past `n` draws that `sample_tokens` owes; signs nothing."""
+        self._walk(rng, n, 0, ())
+
+    def _walk(
+        self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken]
+    ) -> tuple[list[SignatureToken], int]:
+        """The tokens of up to `n` draws, stopping at the `want`-th, and the draws unread.
+
+        With `want` 0 it signs nothing and reads all `n`.
         """
         cur = Cursor(rng)
         buf, pos, fill = cur.buf, cur.pos, cur.fill
         end = len(buf)
         sign, key = sig_sign_zero, self.verification_key
         climb = range(self.law.cap - 1)
-        seen, fresh = set(known), []
-        for _ in range(n):
+        seen, fresh, left = set(known), [], 0
+        for i in range(n):
             for _ in climb:  # the level, as LevelLaw reads it: an odd byte climbs
                 if pos >= end:
                     buf, pos = fill(buf, pos, 1)
@@ -228,14 +249,16 @@ class DataTaskInstance:
             at, pos = pos, pos + NONCE_LEN + 1
             if buf[pos - 1] & 1:
                 pos += _SEALING
-            elif len(fresh) < want:
+            elif want:
                 token = sign(key, buf[at : at + NONCE_LEN])
                 if token not in seen:
                     seen.add(token)
                     fresh.append(token)
+                    if len(fresh) == want:
+                        left = n - 1 - i
+                        break
         cur.close(buf, pos)
-        self.snark.skip_proof(2 * n)
-        return fresh
+        return fresh, left
 
     # -- public checks and the quality oracle --
 

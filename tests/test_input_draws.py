@@ -4,7 +4,9 @@
 the first distinct tokens of clear `sample_input` draws.  Parties that never
 read y draw with `SampleOracle.draw_input`, and parties that only collect
 tokens with `draw_tokens`, so these tests are what lets them skip building
-what they would throw away without moving a transcript byte.
+what they would throw away without moving a transcript byte.  A token batch
+owes the draws after its last kept token; the oracle walks them only when
+it draws again, so the tests read the party's stream after that next draw.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def _clear_tokens(world, rng, n: int) -> list[SignatureToken | None]:
 def test_ladder_token_draws_read_the_token_of_input_draws():
     w_tok, w_in = LADDER.world(b"trial"), LADDER.world(b"trial")
     rng_tok, rng_in = HashDrbg(b"draws"), HashDrbg(b"draws")
+    oracle = SampleOracle(w_tok, rng_tok, ResourceBudget())
     with _counted_macs() as macs:
-        tokens = w_tok.sample_tokens(rng_tok, DRAWS, DRAWS)
+        tokens = oracle.draw_tokens(DRAWS, DRAWS)
     clear = [t for t in _clear_tokens(w_in, rng_in, DRAWS) if t is not None]
     assert DRAWS // 3 < len(clear) < DRAWS - DRAWS // 3
     assert tokens == clear
@@ -141,6 +144,8 @@ def test_ladder_token_draws_read_the_token_of_input_draws():
     assert macs[0] == len(clear)
     # a token draw builds no proof
     assert w_tok.snark.registry_entries() == []
+    # the oracle's next draw stands where the next input draw does
+    assert oracle.draw_input() == w_in.sample_input(rng_in)
     assert _streams_ahead(w_tok, rng_tok) == _streams_ahead(w_in, rng_in)
 
 
@@ -158,43 +163,136 @@ def test_ladder_token_draws_read_the_token_of_input_draws():
 def test_token_batches_read_input_draws_with_fewer_macs(n, want, picks, seed, offset, skip_first):
     """`draw_tokens` returns the first `want` distinct clear-draw tokens not in `known`.
 
-    It charges `n` samples and moves every stream as far as `n` input draws.
-    It MACs the clear draws up to the last token it returns, and no more, and
-    hashes the blocks the written-out take/skip reference hashes.  `offset`
-    bytes are taken, or skipped, from the party's stream first.
+    It charges `n` samples, and MACs the clear draws up to the last token it
+    returns, and no more.  By itself it hashes the blocks the written-out
+    take/skip reference hashes through the draw of that token; once the
+    oracle's next draw has walked the draws it owes, every stream stands
+    where `n` input draws and that draw leave it, and the blocks hashed are
+    the reference's.  `offset` bytes are taken, or skipped, from the party's
+    stream first.
     """
     label = b"batch/" + seed
-    w_tok, w_in, w_ref = (LADDER.world(label) for _ in range(3))
-    rng_tok, rng_in, rng_ref = rngs = [HashDrbg(seed) for _ in range(3)]
+    w_tok, w_in, w_ref, w_part = (LADDER.world(label) for _ in range(4))
+    rng_tok, rng_in, rng_ref, rng_part = rngs = [HashDrbg(seed) for _ in range(4)]
     for rng in rngs:
         (rng.skip if skip_first else rng.take)(offset)
 
-    clear = [t for t in _clear_tokens(w_in, rng_in, n) if t is not None]
+    draws = _clear_tokens(w_in, rng_in, n)
+    clear = [t for t in draws if t is not None]
     known = [clear[i % len(clear)] for i in picks] if clear else []
     known.append(SignatureToken(bytes(16), bytes(64)))  # no draw returns it
-    fresh, macs_due = [], 0
-    for token in clear:
-        if len(fresh) == want:
-            break
+    # `read`: the draws through the one that gives the last token kept
+    fresh, macs_due, read = [], 0, 0 if want == 0 else n
+    for i, token in enumerate(draws):
+        if token is None or len(fresh) == want:
+            continue
         macs_due += 1
         if token not in known and token not in fresh:
             fresh.append(token)
+            if len(fresh) == want:
+                read = i + 1
 
-    oracle = SampleOracle(w_tok, rng_tok, ResourceBudget(samples_allowed=n))
-    hashes, ref_hashes = CountingHashlib(), CountingHashlib()
+    oracle = SampleOracle(w_tok, rng_tok, ResourceBudget(samples_allowed=n + 1))
+    hashes, ref_hashes, part_hashes = CountingHashlib(), CountingHashlib(), CountingHashlib()
     with _counted_macs() as macs, patch.object(drbg, "hashlib", hashes):
         tokens = oracle.draw_tokens(n, want, known)
-    with patch.object(drbg, "hashlib", ref_hashes):
-        ref_tokens = token_draws(w_ref, rng_ref, n, want, known)
+    with patch.object(drbg, "hashlib", part_hashes):
+        token_draws(w_part, rng_part, read, want, known)
 
-    assert tokens == fresh == ref_tokens
+    assert tokens == fresh
     assert oracle.budget.samples_used == n
     assert macs[0] == macs_due
-    assert hashes.blocks == ref_hashes.blocks
+    assert hashes.blocks == part_hashes.blocks
     assert w_tok.snark.registry_entries() == []
+
+    with patch.object(drbg, "hashlib", hashes):
+        x = oracle.draw_input()
+    with patch.object(drbg, "hashlib", ref_hashes):
+        ref_tokens = token_draws(w_ref, rng_ref, n, want, known)
+        x_ref = w_ref.sample_input(rng_ref)
+    assert tokens == ref_tokens
+    assert x == x_ref == w_in.sample_input(rng_in)
+    assert hashes.blocks == ref_hashes.blocks
     ahead = _streams_ahead(w_in, rng_in)
     assert _streams_ahead(w_tok, rng_tok) == ahead
     assert _streams_ahead(w_ref, rng_ref) == ahead
+
+
+class _FullWalk:
+    """A ladder world whose token batches read every draw (`testkit.token_draws`)."""
+
+    def __init__(self, world):
+        self.world = world
+
+    def sample_pair(self, rng):
+        return self.world.sample_pair(rng)
+
+    def sample_input(self, rng):
+        return self.world.sample_input(rng)
+
+    def sample_tokens(self, rng, n, want, known=()):
+        return token_draws(self.world, rng, n, want, known), 0
+
+    def walk_draws(self, rng, n):
+        raise AssertionError("a full walk owes no draws")
+
+
+_DRAW = st.one_of(
+    st.tuples(
+        st.just("tokens"),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=45),
+        st.booleans(),
+    ),
+    st.tuples(st.sampled_from(["input", "pair"])),
+)
+
+
+def _call(oracle: SampleOracle, draw: tuple, kept: list) -> tuple:
+    """What `draw` gives on `oracle`: its output, or the budget overrun it raises."""
+    try:
+        if draw[0] == "input":
+            return ("x", oracle.draw_input())
+        if draw[0] == "pair":
+            return ("xy", oracle.draw_pair())
+        _, n, want, reuse = draw
+        tokens = oracle.draw_tokens(n, want, kept if reuse else ())
+        kept.extend(tokens)
+        return ("tokens", tokens)
+    except BudgetExceededError as exc:
+        return ("over", str(exc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    draws=st.lists(_DRAW, max_size=8),
+    allowance=st.one_of(st.none(), st.integers(min_value=0, max_value=80)),
+    seed=st.binary(max_size=8),
+)
+@example(
+    draws=[("tokens", 30, 0, False), ("input",), ("tokens", 20, 45, True), ("pair",)],
+    allowance=None,
+    seed=b"",
+)
+@example(draws=[("tokens", 40, 2, False), ("tokens", 40, 3, True), ("input",)], allowance=50, seed=b"o")
+def test_mixed_draws_match_a_full_walk(draws, allowance, seed):
+    """Owed draws never show: each draw gives what a full walk of every batch gives.
+
+    `want` may be 0 or above what the batch holds, and a batch may overrun
+    the allowance.  After every draw the samples charged and the world's
+    proof-token stream agree too.
+    """
+    label = b"mixed/" + seed
+    w_tok, w_ref = LADDER.world(label), LADDER.world(label)
+    oracle = SampleOracle(w_tok, HashDrbg(seed), ResourceBudget(samples_allowed=allowance))
+    twin = SampleOracle(_FullWalk(w_ref), HashDrbg(seed), ResourceBudget(samples_allowed=allowance))
+    kept, ref_kept = [], []
+    for i, draw in enumerate(draws):
+        assert _call(oracle, draw, kept) == _call(twin, draw, ref_kept), i
+        assert oracle.budget.samples_used == twin.budget.samples_used, i
+        assert w_tok.prove_count(1).token == w_ref.prove_count(1).token, i
+    oracle.budget.samples_allowed = twin.budget.samples_allowed = None
+    assert oracle.draw_input() == twin.draw_input()
 
 
 def test_draw_tokens_charges_its_draws_and_mixes_with_other_draws():
@@ -248,6 +346,34 @@ def test_a_failing_token_draw_is_a_harness_fault(instance, cause):
     with pytest.raises(HarnessFault, match=f"sample_tokens: {cause.__name__}") as info:
         oracle.draw_tokens(5, 2)
     assert isinstance(info.value.__cause__, cause)
+    assert oracle.budget.samples_used == 5
+
+
+class _FaultyWalk:
+    """Token batches that owe every draw, and a walk of them that fails."""
+
+    def sample_pair(self, rng):
+        return b"x", b"y"
+
+    def sample_input(self, rng):
+        return b"x"
+
+    def sample_tokens(self, rng, n, want, known=()):
+        return [], n
+
+    def walk_draws(self, rng, n):
+        raise ValueError("broken walk")
+
+
+@pytest.mark.parametrize("draw", ["draw_input", "draw_pair", "draw_tokens"])
+def test_a_failing_walk_of_owed_draws_is_a_harness_fault(draw):
+    oracle = SampleOracle(_FaultyWalk(), HashDrbg(b"party"), ResourceBudget(samples_allowed=8))
+    assert oracle.draw_tokens(5, 2) == []
+    args = (1, 1) if draw == "draw_tokens" else ()
+    with pytest.raises(HarnessFault, match="walk_draws: ValueError: broken walk") as info:
+        getattr(oracle, draw)(*args)
+    assert isinstance(info.value.__cause__, ValueError)
+    # the walk comes before the next draw is charged
     assert oracle.budget.samples_used == 5
 
 
