@@ -26,8 +26,9 @@ Five primitives, each behind a small, contract-shaped API:
 * chain proofs      — incrementally-verifiable computation simulated by a
   salted hash chain over (step index, state); an update advances the step
   function itself by a run of n steps (charging the caller's step meter) and
-  registers each step's commitment; verification is a registry lookup,
-  recomputing nothing.  The keys remember the chain rooted at their first
+  registers each step's commitment, and can hand back the point at each of
+  several stops on the way; verification is a registry lookup, recomputing
+  nothing.  The keys remember the chain rooted at their first
   base proof as they hash it, so a run along that known chain reads its
   points back instead of hashing them again.
 
@@ -40,6 +41,12 @@ once per step, and its reads (one ``dict.get``, atomic under the interpreter
 lock) take none.
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
 streams or a stream the object owns, so runs are reproducible.
+
+The records that payloads carry (tokens, ciphertexts, chain proofs, and the
+identity keys beside them) are named tuples: immutable, equal by value, and
+built and hashed by the tuple type.  A record also equals a plain tuple, or a
+record of another type, with the same fields, so code compares a record only
+with records of its own type.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import hmac
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence, overload
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -114,8 +121,7 @@ class VerificationKey:
         return outer.digest()
 
 
-@dataclass(frozen=True)
-class SignatureToken:
+class SignatureToken(NamedTuple):
     nonce: bytes
     core: bytes
 
@@ -165,8 +171,7 @@ def _count_digest(count: int, key_digest: bytes) -> bytes:
     return sha256(b"sig-count:" + be64(count) + key_digest)
 
 
-@dataclass(frozen=True)
-class ProofToken:
+class ProofToken(NamedTuple):
     token: bytes
     statement_digest: bytes
 
@@ -326,14 +331,12 @@ def snark_extract(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityKey:
+class IdentityKey(NamedTuple):
     tag: bytes
     key: bytes
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     identity_tag: bytes
     body: bytes
 
@@ -482,8 +485,7 @@ class StepMeter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IvcProof:
+class IvcProof(NamedTuple):
     steps: int
     commitment: bytes
 
@@ -561,52 +563,80 @@ class IvcKeys:
                     del known[t:]
 
 
+ChainPoint = tuple[bytes, IvcProof]  # (state, proof) at one step of a chain
+
+
+@overload
 def ivc_update(
     keys: IvcKeys, state: bytes, proof: IvcProof, meter: StepMeter, steps: int = 1
-) -> tuple[bytes, IvcProof]:
+) -> ChainPoint: ...
+
+
+@overload
+def ivc_update(
+    keys: IvcKeys, state: bytes, proof: IvcProof, meter: StepMeter, steps: Sequence[int]
+) -> list[ChainPoint]: ...
+
+
+def ivc_update(keys, state, proof, meter, steps=1):
     """Advance the chain `steps` steps and extend the proof.
+
+    `steps` may also be an ascending sequence of stops, each a step count
+    past `proof`: the run goes to the last stop and returns the point at
+    every stop, in order, as successive runs from stop to stop would.  An
+    int is the one-stop run and returns its one point.
 
     The input proof is checked once, and a forged one raises
     :class:`ProofChainError` before anything is charged or registered.  The
     run is charged to `meter` in one go; each granted step registers its
     commitment and counts in `keys.steps_run`, all under one acquisition of
-    the keys' lock.  When the meter grants fewer than `steps`, the granted
-    steps stay registered and :class:`StepsExhausted` is raised: the state
-    `steps` single-step updates leave.  A run of 0 steps returns its input
+    the keys' lock.  When the meter grants fewer steps than the last stop,
+    the granted steps stay registered and :class:`StepsExhausted` is raised:
+    the state single-step updates leave.  A run of 0 steps returns its input
     unchecked.
 
     A run that starts on the keys' known chain takes the points up to the
     chain's tip from it, already registered, and hashes only the steps past
     the tip, appending them; the charge, `steps_run`, the registry and the
-    returned proof are those of hashing every step.
+    returned proofs are those of hashing every step.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return state, proof
+    single = isinstance(steps, int)
+    stops = (steps,) if single else tuple(steps)
+    last = 0
+    for stop in stops:
+        if stop < last:
+            raise ValueError(f"steps must be >= 0 and ascending, got {steps}")
+        last = stop
+    if last == 0:
+        points = [(state, proof)] * len(stops)
+        return points[0] if single else points
     if keys.lookup(proof.steps, state) != proof.commitment:
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
-    granted = meter.charge(steps)
+    granted = meter.charge(last)
     t, commitment, salt, new = proof.steps, proof.commitment, keys._salt, hashlib.sha256
-    end = t + granted
+    first, end = t, t + granted
+    points = []
     with keys._lock:
         keys.steps_run += granted
         known = keys._known
         on_known = t < len(known) and known[t] == (state, commitment)
-        if on_known:
-            t = min(end, len(known) - 1)
-            state, commitment = known[t]
         registry = keys._registry
-        for t in range(t + 1, end + 1):
-            state = npl_step(state)
-            # the bytes of keys._commit(commitment, t, state)
-            commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
-            registry[(t, state)] = commitment
-            if on_known:  # past the tip: t == len(known)
-                known.append((state, commitment))
-    if granted < steps:
+        for stop in stops:
+            target = min(first + stop, end)
+            if on_known:
+                t = min(target, len(known) - 1)
+                state, commitment = known[t]
+            for t in range(t + 1, target + 1):
+                state = npl_step(state)
+                # the bytes of keys._commit(commitment, t, state)
+                commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
+                registry[(t, state)] = commitment
+                if on_known:  # past the tip: t == len(known)
+                    known.append((state, commitment))
+            points.append((state, IvcProof(t, commitment)))
+    if granted < last:
         raise meter.exhausted()
-    return state, IvcProof(steps=t, commitment=commitment)
+    return points[0] if single else points
 
 
 def ivc_verify(keys: IvcKeys, steps: int, state: bytes, proof: IvcProof) -> bool:

@@ -38,7 +38,8 @@ therefore never decodes; models emit it (padded) when they cannot answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from struct import Struct
+from typing import NamedTuple
 
 from .crypto import IDENTITY_LEN, Ciphertext, IvcProof, ProofToken, SignatureToken
 from .wire import be32, be64, unpack_fields
@@ -56,23 +57,20 @@ class PayloadTooWide(ValueError):
     """An honest payload exceeded the instance width."""
 
 
-@dataclass(frozen=True)
-class ClearPayload:
+class ClearPayload(NamedTuple):
     token: SignatureToken
     level: int
     proof: ProofToken
 
 
-@dataclass(frozen=True)
-class EncPayload:
+class EncPayload(NamedTuple):
     ciphertext: Ciphertext
     id1: bytes
     id2: bytes
     key2: bytes
 
 
-@dataclass(frozen=True)
-class TimePayload:
+class TimePayload(NamedTuple):
     steps: int
     config: bytes
     proof: IvcProof
@@ -88,6 +86,9 @@ _INT_LEN = be32(8)  # the prefix of a level or a step count
 _DIGEST_LEN = be32(32)  # the prefix of a chain configuration or commitment
 _PROOF_HEAD = be32(48) + _INT_LEN  # a chain proof's prefix, then its step count's
 _TIME_CORE_LEN = 101
+# the chain core after its tag, one item per row of the module docstring's
+# table, the two length prefixes at offset 49 read as one 8-byte item
+_TIME_CORE = Struct(">4sQ4s32s8sQ4s32s")
 
 
 def pad_to(core: bytes, width: int | None) -> bytes:
@@ -162,22 +163,21 @@ def decode_payload(buf: bytes) -> Payload | None:
             return None
         return ClearPayload(token=token, level=level, proof=proof)
     if tag == TAG_TIME_CLEAR:
-        # The fixed 101-byte core of the module docstring: the five length
-        # prefixes are compared in place, the fields sliced at their offsets.
+        # The fixed 101-byte core of the module docstring, read in one unpack:
+        # the five length prefixes are compared, the fields taken as they are.
+        if len(buf) < _TIME_CORE_LEN or not _zero_padding(buf[_TIME_CORE_LEN:]):
+            return None
+        (steps_len, steps, config_len, config,
+         proof_head, proof_steps, commitment_len, commitment) = _TIME_CORE.unpack_from(buf, 1)
         if (
-            len(buf) < _TIME_CORE_LEN
-            or buf[1:5] != _INT_LEN
-            or buf[13:17] != _DIGEST_LEN
-            or buf[49:57] != _PROOF_HEAD
-            or buf[65:69] != _DIGEST_LEN
-            or not _zero_padding(buf[_TIME_CORE_LEN:])
+            steps_len != _INT_LEN
+            or config_len != _DIGEST_LEN
+            or proof_head != _PROOF_HEAD
+            or commitment_len != _DIGEST_LEN
+            or steps < 1
         ):
             return None
-        steps = int.from_bytes(buf[5:13], "big")
-        if steps < 1:
-            return None
-        proof = IvcProof(int.from_bytes(buf[57:65], "big"), buf[69:_TIME_CORE_LEN])
-        return TimePayload(steps=steps, config=buf[17:49], proof=proof)
+        return TimePayload(steps, config, IvcProof(proof_steps, commitment))
     if tag == TAG_ENC:
         parsed = unpack_fields(buf[1:], 4)
         if parsed is None:

@@ -8,14 +8,14 @@ party move that runs it, so "work" is countable and attributable; chain
 proofs make every claimed configuration checkable in O(1) without re-running
 the chain.
 
-The trainer pays T steps once, in runs of floor(sqrt(T)) steps, and snapshots
-the chain after each run; answering from that grid is then free.  A mitigator
-instead extends each input's own chain by one run of exactly floor(sqrt(t))
-steps.  A run is one `ivc_update` call: one proof check, one meter charge and
-one registry lock for all its steps.  The attacker never pays for the ladder:
-it builds a step-1 payload (one metered step) and climbs the trainer's grid
-by repeated queries, reaching the grid's frontier with O(sqrt(T)) queries and
-O(sqrt(T)) of its own steps.
+The trainer pays T steps once, in one run that stops every floor(sqrt(T))
+steps, and snapshots the chain at each stop; answering from that grid is then
+free.  A mitigator instead extends each input's own chain by one run of
+exactly floor(sqrt(t)) steps.  A run is one `ivc_update` call: one proof
+check, one meter charge and one registry lock for all its steps and stops.
+The attacker never pays for the ladder: it builds a step-1 payload (one
+metered step) and climbs the trainer's grid by repeated queries, reaching
+the grid's frontier with O(sqrt(T)) queries and O(sqrt(T)) of its own steps.
 
 The instance builds its chain, out to `reach`, with one run from the start
 state, and that run roots the chain keys' known chain (see
@@ -34,6 +34,7 @@ from typing import Any, Callable
 
 from .core import ATTACKER, TrialCtx
 from .crypto import (
+    ChainPoint,
     IvcKeys,
     IvcProof,
     StepMeter,
@@ -49,7 +50,7 @@ from .sampletask import LevelLaw, _round_up, grid_level, grid_levels, next_level
 HORIZON = 256
 
 # step count -> (chain state, chain proof): the trainer's snapshots
-Grid = dict[int, tuple[bytes, IvcProof]]
+Grid = dict[int, ChainPoint]
 
 
 class TimeTaskInstance:
@@ -128,7 +129,7 @@ class TimeModel:
 
 
 class TimeTrainer:
-    """Runs the chain for `horizon` metered steps, snapshotting every sqrt."""
+    """Runs the chain for `horizon` metered steps in one run, snapshotting every sqrt."""
 
     sample_budget = 0
 
@@ -138,13 +139,10 @@ class TimeTrainer:
 
     def train(self, ctx: TrialCtx) -> tuple[TimeModel, Grid]:
         inst = self.instance
-        state = inst.start_state
-        proof = inst.ivc.base_proof(state)
-        table: Grid = {}
-        for level in grid_levels(inst.horizon):
-            state, proof = ivc_update(inst.ivc, state, proof, ctx.meter, level - proof.steps)
-            table[level] = (state, proof)
-        ivc_update(inst.ivc, state, proof, ctx.meter, inst.horizon - proof.steps)
+        levels = grid_levels(inst.horizon)
+        base = inst.ivc.base_proof(inst.start_state)
+        points = ivc_update(inst.ivc, inst.start_state, base, ctx.meter, [*levels, inst.horizon])
+        table: Grid = dict(zip(levels, points))
         return TimeModel(inst, table), table
 
 

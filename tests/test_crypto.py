@@ -5,6 +5,7 @@ from __future__ import annotations
 import hmac
 import sys
 import threading
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -590,24 +591,26 @@ def _reference_run(keys, state, proof, limit, n, on_known) -> tuple:
     return outcome(StepsExhausted if granted < n else (state, IvcProof(t, commitment)), granted)
 
 
-def _actual_run(keys, state, proof, limit, n) -> tuple:
+def _actual_run(keys, state, proof, limit, n, run=ivc_update) -> tuple:
+    """What `run(keys, state, proof, StepMeter(limit), n)` leaves, in `_reference_run`'s shape."""
     meter = StepMeter(limit)
     try:
-        out = ivc_update(keys, state, proof, meter, n)
+        out = run(keys, state, proof, meter, n)
     except (StepsExhausted, ProofChainError) as exc:
         out = type(exc)
     return out, meter.used, keys.steps_run, keys.registry_entries(), keys.known_length()
 
 
-def _check_run(tip, far, chain, t0, n, limit=None, tamper=None) -> None:
-    """A run of `n` steps from step `t0` equals the written-out reference.
+def _start(tip, far, chain, t0, n, tamper=None) -> tuple:
+    """Keys and a start at step `t0`: (keys, canonical chain, state, proof).
 
     The keys know the canonical chain from ROOT out to step `tip` and have
     canonical points out to `tip + far` registered (restored, so not known).
     `chain` picks the start: the canonical point at `t0`, the same point under a
     forged commitment, or step `t0` of a chain from OTHER, whose base proof
     comes after ROOT's and so roots nothing.  `tamper` restores a wrong
-    commitment for the canonical point at that step before the run.
+    commitment for the canonical point at that step.  The canonical chain is
+    written out to `tip + far + n`.
     """
     keys = IvcKeys(HashDrbg(b"ivc-reference"), b"base")
     canon = _written_out_chain(keys, ROOT, tip + far + n)
@@ -625,11 +628,16 @@ def _check_run(tip, far, chain, t0, n, limit=None, tamper=None) -> None:
             commitment = sha256(b"forged")
     if tamper is not None:
         keys.restore_entries([(tamper, canon[tamper][0], sha256(b"tampered"))])
+    return keys, canon, state, IvcProof(t0, commitment)
+
+
+def _check_run(tip, far, chain, t0, n, limit=None, tamper=None) -> None:
+    """A run of `n` steps from step `t0` (see `_start`) equals the written-out reference."""
+    keys, canon, state, proof = _start(tip, far, chain, t0, n, tamper)
     length = tip + 1 if tamper is None or tamper > tip else tamper
     assert keys.known_length() == length
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
 
-    proof = IvcProof(t0, commitment)
     on_known = chain == "canonical" and t0 < length
     expected = _reference_run(keys, state, proof, limit, n, on_known)
     assert _actual_run(keys, state, proof, limit, n) == expected
@@ -680,3 +688,74 @@ def test_ivc_runs_equal_written_out_reference(tip, far, chain, n, data):
     limit = data.draw(st.none() | st.integers(0, n + 5), label="limit")
     tamper = data.draw(st.none() | st.integers(0, tip + far), label="tamper")
     _check_run(tip, far, chain, t0, n, limit, tamper)
+
+
+# --- one run with stops against successive runs ---------------------------------------
+
+
+def _successive(keys, state, proof, meter, stops) -> list:
+    """The point at each stop, one run from stop to stop."""
+    points, at = [], 0
+    for stop in stops:
+        state, proof = ivc_update(keys, state, proof, meter, stop - at)
+        points.append((state, proof))
+        at = stop
+    return points
+
+
+def _check_stops(tip, far, chain, t0, stops, limit=None, tamper=None) -> None:
+    """One run with `stops` from step `t0` (see `_start`) equals successive runs on twin keys."""
+    n = stops[-1] if stops else 0
+    (ka, _, sa, pa), (kb, _, sb, pb) = (_start(tip, far, chain, t0, n, tamper) for _ in "ab")
+    run = _actual_run(ka, sa, pa, limit, stops)
+    assert run == _actual_run(kb, sb, pb, limit, stops, _successive)
+    granted = n if limit is None else min(n, limit)
+    if n and (chain == "forged" or chain == "canonical" and tamper == t0):
+        assert run[0] is ProofChainError and run[1] == 0
+    elif granted < n:
+        assert run[0] is StepsExhausted and run[1] == granted
+    else:
+        assert [proof.steps for _, proof in run[0]] == [t0 + stop for stop in stops]
+
+
+@pytest.mark.parametrize(
+    "chain, t0, stops, limit",
+    [
+        ("canonical", 2, [2, 7, 7, 16], None),  # on the known chain, then past its tip
+        ("canonical", 12, [1, 5, 6], None),  # off it, on restored points, then past them
+        ("canonical", 2, [3, 6, 9], 7),  # cut short by the meter after crossing the tip
+        ("canonical", 12, [4, 8], 5),  # cut short off the known chain
+        ("other", 2, [0, 3, 3, 8], None),  # another start's chain
+        ("forged", 2, [0, 4], None),  # a forged start
+        ("forged", 2, [0, 0], None),  # stops at 0 check nothing
+    ],
+)
+def test_a_run_with_stops_equals_successive_runs(chain, t0, stops, limit):
+    _check_stops(10, 6, chain, t0, stops, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tip=st.integers(0, 20),
+    far=st.integers(0, 12),
+    chain=st.sampled_from(["canonical", "other", "forged"]),
+    gaps=st.lists(st.integers(0, 12), max_size=5),
+    data=st.data(),
+)
+def test_runs_with_stops_equal_successive_runs(tip, far, chain, gaps, data):
+    stops = list(accumulate(gaps))
+    t0 = data.draw(st.integers(0, tip + far), label="t0")
+    limit = data.draw(st.none() | st.integers(0, sum(gaps) + 5), label="limit")
+    tamper = data.draw(st.none() | st.integers(0, tip + far), label="tamper")
+    _check_stops(tip, far, chain, t0, stops, limit, tamper)
+
+
+def test_stops_must_ascend():
+    keys, state, proof = _chain_at(3)
+    meter = StepMeter()
+    for stops in ([4, 2], [-1, 3], [-2]):
+        with pytest.raises(ValueError, match="ascending"):
+            ivc_update(keys, state, proof, meter, stops)
+    assert meter.used == 0 and keys.steps_run == 3
+    assert ivc_update(keys, state, proof, meter, []) == []
+    assert ivc_update(keys, state, proof, meter, [0, 0]) == [(state, proof)] * 2

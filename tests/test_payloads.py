@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from detmit.crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
+from detmit.crypto import Ciphertext, IdentityKey, IvcProof, ProofToken, SignatureToken
 from detmit.drbg import HashDrbg
 from detmit.payloads import (
     BOTTOM,
@@ -283,3 +283,53 @@ def test_chain_decode_matches_the_reference_on_every_flipped_core_byte():
             assert got == reference_chain_decode(bytes(buf)), (offset, mask)
             if offset in CHAIN_HEADER:
                 assert got is None, (offset, mask)
+
+
+# --- wire records are values ------------------------------------------------------
+
+
+def _through_the_wire(record):
+    """`record` encoded and decoded again; None for an IdentityKey, which has no wire form."""
+    if isinstance(record, (ClearPayload, EncPayload, TimePayload)):
+        return decode_payload(encode_payload(record, 256))
+    if isinstance(record, IvcProof):
+        return decode_payload(encode_payload(TimePayload(record.steps, b"c" * 32, record))).proof
+    if isinstance(record, IdentityKey):
+        return None
+    return type(record).from_bytes(pack_fields(*record))
+
+
+def _classes(record) -> tuple:
+    """The class of `record` and of every record nested in it."""
+    return (type(record), *(_classes(f) for f in record if isinstance(f, tuple)))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        SignatureToken(R.take(16), R.take(64)),
+        ProofToken(R.take(16), R.take(32)),
+        IdentityKey(R.take(16), R.take(32)),
+        Ciphertext(R.take(16), R.take(50)),
+        IvcProof(9, R.take(32)),
+        clear_payload(),
+        enc_payload(),
+        time_payload(),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_wire_records_keep_value_semantics(record):
+    decoded = _through_the_wire(record)
+    if decoded is not None:
+        assert decoded == record and decoded is not record
+        assert _classes(decoded) == _classes(record)
+    twin = decoded if decoded is not None else type(record)(**record._asdict())
+    assert hash(twin) == hash(record)
+    assert {record, twin} == {record}
+    name, value = record._fields[0], record[0]
+    other = record._replace(**{name: value + 1 if isinstance(value, int) else value[:-1]})
+    assert other != record and len({record, twin, other}) == 2
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1

@@ -16,7 +16,6 @@ proof fails here after at most a thousand steps instead of running for
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import isqrt
 
 from hypothesis import HealthCheck, given, settings
@@ -94,25 +93,25 @@ def _field_mutation(data: st.DataObject, p) -> object:
     if isinstance(p, TimePayload):
         n = data.draw(steps, label="steps")
         return data.draw(st.sampled_from([
-            replace(p, steps=n),
-            replace(p, proof=IvcProof(n, p.proof.commitment)),
-            replace(p, steps=n, proof=IvcProof(n, p.proof.commitment)),
-            replace(p, config=data.draw(blob32, label="config")),
-            replace(p, proof=IvcProof(p.steps, data.draw(blob32, label="commitment"))),
+            p._replace(steps=n),
+            p._replace(proof=IvcProof(n, p.proof.commitment)),
+            p._replace(steps=n, proof=IvcProof(n, p.proof.commitment)),
+            p._replace(config=data.draw(blob32, label="config")),
+            p._replace(proof=IvcProof(p.steps, data.draw(blob32, label="commitment"))),
         ]), label="time field")
     if isinstance(p, ClearPayload):
         return data.draw(st.sampled_from([
-            replace(p, level=data.draw(steps, label="level")),
-            replace(p, token=SignatureToken(p.token.nonce, data.draw(st.binary(max_size=80)))),
-            replace(p, proof=ProofToken(data.draw(blob16), p.proof.statement_digest)),
+            p._replace(level=data.draw(steps, label="level")),
+            p._replace(token=SignatureToken(p.token.nonce, data.draw(st.binary(max_size=80)))),
+            p._replace(proof=ProofToken(data.draw(blob16), p.proof.statement_digest)),
         ]), label="clear field")
     field_bytes = st.binary(max_size=40)
     ct = p.ciphertext
     return data.draw(st.sampled_from([
-        replace(p, id1=data.draw(field_bytes, label="id1")),
-        replace(p, id2=data.draw(field_bytes, label="id2"), key2=data.draw(field_bytes)),
-        replace(p, ciphertext=Ciphertext(data.draw(blob16), ct.body)),
-        replace(p, ciphertext=Ciphertext(ct.identity_tag, data.draw(st.binary(max_size=200)))),
+        p._replace(id1=data.draw(field_bytes, label="id1")),
+        p._replace(id2=data.draw(field_bytes, label="id2"), key2=data.draw(field_bytes)),
+        p._replace(ciphertext=Ciphertext(data.draw(blob16), ct.body)),
+        p._replace(ciphertext=Ciphertext(ct.identity_tag, data.draw(st.binary(max_size=200)))),
     ]), label="enc field")
 
 
