@@ -7,7 +7,8 @@ Subcommands:
   sample pairs.
 * ``run``          — run a batch of detection or mitigation trials from a
   JSON config; write a JSONL transcript stream and a JSON summary.
-* ``verify-pair``  — recheck emitted pairs against a reconstructed instance.
+* ``verify-pair``  — rebuild an instance from its secret file, check the
+  public file against it, and recheck emitted pairs.
 * ``report``       — summarize an existing transcript stream.
 
 Exit codes: 0 on success, 2 on configuration/usage errors, 3 when a
@@ -47,6 +48,7 @@ from .core import (
     soundness_violation,
 )
 from .drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
+from .payloads import bottom
 from .sampleagents import (
     FrequencyDetector,
     LadderTrainer,
@@ -78,9 +80,10 @@ DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
 # (2**14: 0.4-0.5 s and 70 MB a trial) and about 35 us per `attacker_samples`
 # draw (2**14: 0.5-0.6 s and 14 MB a trial); a pool thread takes about 0.3 ms to
 # start, 20 KB of RSS and 8 MB of stack address space (64 threads: 18 ms);
-# `gen-instance --emit-pairs` holds every ladder pair and its two registered
-# proofs until it writes them (2**16 pairs: 4.6 s, 216 MB peak RSS, 94 MB of
-# pairs and 17 MB of pub.json).
+# `gen-instance --emit-pairs` writes each pair as it is drawn but keeps the
+# two proofs each ladder pair registers, and `verify-pair` replays the draws
+# (2**16 ladder pairs: 6.3 s and 160 MB peak RSS to write 94 MB of pairs and
+# 17 MB of pub.json, 8.7 s and 142 MB to verify them).
 MAX_HORIZON = 2**20
 MAX_TRIALS = 100_000
 MAX_Q = 4096
@@ -126,7 +129,6 @@ DEFENSES: dict[tuple[str, str], dict[str, Factory]] = {
     },
     ("toy", "mitigate"): {
         "toy": lambda cfg, inst: ToyMitigator(),
-        "extend": lambda cfg, inst: ToyMitigator(),
         "lazy": lambda cfg, inst: LazyMitigator(),
         "from_detector": lambda cfg, inst: MitigatorFromDetector(ToyDetector()),
     },
@@ -368,53 +370,11 @@ def instance_public_state(instance: Any) -> dict:
     raise click.UsageError(f"cannot serialize instance type {type(instance).__name__}")
 
 
-# task -> the keys a public file must hold: the anchor digest
-# restore_public_state checks, then the registry public_registry reads
-PUBLIC_KEYS = {
-    "ladder": ("snark_setup", "proof_registry"),
-    "chain": ("start_state", "chain_registry"),
-}
-
-
-def public_registry(task: str, pub: dict) -> list[tuple]:
-    """The public file's registry entries, their hex fields read as bytes.
-
-    A ladder entry is `[hex, hex]` and a chain entry `[int, hex, hex]`;
-    anything else is a usage error.
-    """
-    key, ints = PUBLIC_KEYS[task][1], int(task == "chain")
-    bad = click.UsageError(
-        f"public file's {key} must list {'[int, hex, hex]' if ints else '[hex, hex]'} entries"
-    )
-    rows = pub[key]
-    if not isinstance(rows, list):
-        raise bad
-    entries = []
-    for row in rows:
-        if not (
-            isinstance(row, list)
-            and len(row) == ints + 2
-            and all(type(v) is int for v in row[:ints])
-            and all(isinstance(v, str) for v in row[ints:])
-        ):
-            raise bad
-        try:
-            entries.append((*row[:ints], *map(bytes.fromhex, row[ints:])))
-        except ValueError:
-            raise bad from None
-    return entries
-
-
-def restore_public_state(instance: Any, pub: dict, entries: list[tuple]) -> None:
-    """Check the public file's anchor digest; register the `public_registry` entries."""
-    if pub["task"] == "ladder":
-        if pub["snark_setup"] != instance.snark.setup_digest.hex():
-            raise click.UsageError("public file does not match this instance seed")
-        instance.snark.restore_entries(entries)
-    else:
-        if pub["start_state"] != instance.start_state.hex():
-            raise click.UsageError("public file does not match this instance seed")
-        instance.ivc.restore_entries(entries)
+def _emit_pairs(instance: Any, seed: int, n: int) -> Iterator[tuple[bytes, bytes]]:
+    """The `n` pairs gen-instance emits for the instance built from `seed`, one at a time."""
+    rng = HashDrbg(seed).child("emit-pairs")
+    for _ in range(n):
+        yield instance.sample_pair(rng)
 
 
 # --- commands ----------------------------------------------------------------------
@@ -462,7 +422,7 @@ def _load_config(path: str) -> ExperimentConfig:
 )
 def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
     """Build an instance; write <out>.pub.json, <out>.sec.json[, <out>.pairs.jsonl]."""
-    cfg = {"task": task, "seed": seed, "horizon": horizon}
+    cfg = {"task": task, "seed": seed, "horizon": horizon, "emit_pairs": emit_pairs}
     prefix = Path(out)
     try:  # before the build, so an --out that cannot be written fails at once
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -473,22 +433,16 @@ def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: i
             f"{str(prefix.parent)!r} is not a writable directory", param_hint="'--out'"
         )
     instance = _build_task(task, seed, horizon)
-    pairs = []
+    paths = [prefix.with_suffix(".pub.json"), prefix.with_suffix(".sec.json")]
     if emit_pairs:
-        rng = HashDrbg(seed).child("emit-pairs")
-        pairs = [instance.sample_pair(rng) for _ in range(emit_pairs)]
-    pub_path = prefix.with_suffix(".pub.json")
-    sec_path = prefix.with_suffix(".sec.json")
-    pub_path.write_text(json.dumps(instance_public_state(instance), indent=2) + "\n")
-    sec_path.write_text(json.dumps(cfg, indent=2) + "\n")
-    if pairs:
-        pairs_path = prefix.with_suffix(".pairs.jsonl")
-        with pairs_path.open("w") as fh:
-            for x, y in pairs:
+        paths.append(prefix.with_suffix(".pairs.jsonl"))
+        with paths[2].open("w") as fh:
+            for x, y in _emit_pairs(instance, seed, emit_pairs):
                 fh.write(json.dumps({"x": x.hex(), "y": y.hex()}) + "\n")
-        click.echo(f"wrote {pub_path}, {sec_path}, {pairs_path}")
-    else:
-        click.echo(f"wrote {pub_path}, {sec_path}")
+    # after the pairs: each ladder pair registers the proofs it carries
+    paths[0].write_text(json.dumps(instance_public_state(instance), indent=2) + "\n")
+    paths[1].write_text(json.dumps(cfg, indent=2) + "\n")
+    click.echo(f"wrote {', '.join(map(str, paths))}")
 
 
 @main.command("verify-pair")
@@ -496,7 +450,12 @@ def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: i
               help="prefix used with gen-instance")
 @click.option("--pairs", type=click.Path(exists=True, dir_okay=False), required=True)
 def cmd_verify_pair(prefix: str, pairs: str) -> None:
-    """Recheck emitted (x, y) pairs: every y must be a correct answer."""
+    """Recheck emitted (x, y) pairs: every x must be genuine and every y answer it.
+
+    The secret file is the whole recipe: the instance is rebuilt from it and
+    its pair emission replayed, and the public file must equal the state
+    that leaves, before any pair is scored.
+    """
     base = Path(prefix)
     try:
         sec = json.loads(base.with_suffix(".sec.json").read_text())
@@ -510,27 +469,27 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         raise click.UsageError(
             f"secret file is for task {task!r}, public file for task {pub.get('task')!r}"
         )
-    if not isinstance(task, str) or task not in PUBLIC_KEYS:
+    if task not in ("ladder", "chain"):
         raise click.UsageError(
-            f"cannot verify task {task!r}; gen-instance writes "
-            f"{' and '.join(PUBLIC_KEYS)} instances"
+            f"cannot verify task {task!r}; gen-instance writes ladder and chain instances"
         )
-    for name, data, keys in (
-        ("secret", sec, ("seed", "horizon")),
-        ("public", pub, PUBLIC_KEYS[task]),
-    ):
-        missing = [key for key in keys if key not in data]
-        if missing:
-            raise click.UsageError(f"{name} file lacks {', '.join(missing)}")
+    # (key, least, most) of each int the secret file holds
+    ints = (("seed", SEED_MIN, SEED_MAX), ("horizon", 4, MAX_HORIZON),
+            ("emit_pairs", 0, MAX_EMIT_PAIRS))
+    missing = [key for key, _, _ in ints if key not in sec]
+    if missing:
+        raise click.UsageError(f"secret file lacks {', '.join(missing)}")
     try:
-        _check_int("secret file's seed", sec["seed"], SEED_MIN, SEED_MAX)
-        _check_int("secret file's horizon", sec["horizon"], 4, MAX_HORIZON)
+        for key, least, most in ints:
+            _check_int(f"secret file's {key}", sec[key], least, most)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    seed, horizon = sec["seed"], sec["horizon"]
-    entries = public_registry(task, pub)
-    instance = _build_task(task, seed, horizon)
-    restore_public_state(instance, pub, entries)
+    instance = _build_task(task, sec["seed"], sec["horizon"])
+    for _ in _emit_pairs(instance, sec["seed"], sec["emit_pairs"]):
+        pass
+    if instance_public_state(instance) != pub:
+        raise click.UsageError("public file does not match the instance the secret file rebuilds")
+    no_answer = bottom(instance.width)
     bad = total = 0
     for lineno, line in _numbered_lines(pairs):
         try:
@@ -539,7 +498,8 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         except (ValueError, KeyError, TypeError) as exc:
             raise click.UsageError(f"bad pair on line {lineno} of {pairs}: {exc}") from exc
         total += 1
-        if instance.h(x, y):
+        # h scores a forged x 0 with any y, and a genuine one 1 with no answer
+        if instance.h(x, y) or not instance.h(x, no_answer):
             bad += 1
     click.echo(f"{total - bad}/{total} pairs verified")
     if bad:

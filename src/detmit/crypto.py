@@ -222,10 +222,6 @@ class SnarkParams:
     def registry_entries(self) -> list[tuple[bytes, bytes]]:
         return sorted(self._registry.keys())
 
-    def restore_entries(self, entries: list[tuple[bytes, bytes]]) -> None:
-        for key in entries:
-            self._registry.setdefault(key, ())
-
 
 class CountProver:
     """Proves "count distinct valid tokens" statements from one fixed witness.
@@ -505,9 +501,7 @@ class IvcKeys:
     order.  It is append-only and only the hashing loop of
     :func:`ivc_update` extends it, when a run starting on it passes its tip.
     Every known point was registered when it was hashed, so a run along the
-    known chain reads its points from it and registers nothing new.  A
-    restored registry entry that contradicts a known point cuts the known
-    chain back to before that point.
+    known chain reads its points from it and registers nothing new.
     """
 
     def __init__(self, rng: HashDrbg, base_tag: bytes):
@@ -541,10 +535,6 @@ class IvcKeys:
             raise IndexError(f"step count {t} < 0")
         return self._known[t]
 
-    def known_length(self) -> int:
-        """Points on the known chain: its tip's step count plus one, 0 before rooting."""
-        return len(self._known)
-
     def points_past_base(self) -> int:
         """Registered chain points with a step count above 0."""
         with self._lock:
@@ -553,14 +543,6 @@ class IvcKeys:
     def registry_entries(self) -> list[tuple[int, bytes, bytes]]:
         with self._lock:
             return sorted((t, s, c) for (t, s), c in self._registry.items())
-
-    def restore_entries(self, entries: list[tuple[int, bytes, bytes]]) -> None:
-        with self._lock:
-            known = self._known
-            for t, s, c in entries:
-                self._registry[(t, s)] = c
-                if 0 <= t < len(known) and known[t][0] == s and known[t][1] != c:
-                    del known[t:]
 
 
 ChainPoint = tuple[bytes, IvcProof]  # (state, proof) at one step of a chain

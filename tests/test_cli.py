@@ -36,7 +36,9 @@ from detmit.cli import (
     run_batch,
     summarize,
 )
+from detmit.crypto import ProofToken
 from detmit.drbg import SEED_MAX, SEED_MIN
+from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
 from detmit.sampletask import DataTaskInstance, make_data_instance
 
@@ -441,6 +443,58 @@ def test_verify_detects_tampering(runner, tmp_path):
     assert "3/4" in res.output
 
 
+def test_an_added_public_registry_row_cannot_vouch_for_a_forged_answer(runner, tmp_path):
+    """A forged answer whose proof only a hand-added `proof_registry` row would
+    register: the public file no longer matches the rebuilt instance, exit 2."""
+    prefix = tmp_path / "inst"
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "ladder", "--seed", "4", "--out", str(prefix),
+         "--emit-pairs", "8"],
+    )
+    assert res.exit_code == 0, res.output
+    instance = make_data_instance(4)
+    for line in prefix.with_suffix(".pairs.jsonl").read_text().splitlines():
+        x, y = (bytes.fromhex(v) for v in json.loads(line).values())
+        if isinstance(decode_payload(x), ClearPayload):
+            break
+    level = decode_payload(x).level + 50
+    proof = ProofToken(b"\x07" * 16, instance.snark.statement(level).digest())
+    forged = decode_payload(y)._replace(level=level, proof=proof)
+    pairs = tmp_path / "forged.jsonl"
+    pairs.write_text(json.dumps(
+        {"x": x.hex(), "y": encode_payload(forged, instance.width).hex()}
+    ) + "\n")
+    pub_path = prefix.with_suffix(".pub.json")
+    pub = json.loads(pub_path.read_text())
+    pub["proof_registry"].append([proof.statement_digest.hex(), proof.token.hex()])
+    pub_path.write_text(json.dumps(pub))
+    res = runner.invoke(main, ["verify-pair", "--instance", str(prefix), "--pairs", str(pairs)])
+    assert res.exit_code == 2, res.output
+    assert "public file does not match" in res.output
+
+
+@pytest.mark.parametrize("task", ["ladder", "chain"])
+def test_verify_pair_rejects_pairs_whose_input_is_forged(runner, tmp_path, task):
+    """`h` scores a forged x 0 with any y; a pair verifies only when x is genuine too."""
+    prefix = tmp_path / "inst"
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", task, "--seed", "4", "--out", str(prefix),
+         "--emit-pairs", "2"],
+    )
+    assert res.exit_code == 0, res.output
+    pairs = prefix.with_suffix(".pairs.jsonl")
+    honest = json.loads(pairs.read_text().splitlines()[0])
+    x = bytearray.fromhex(honest["x"])
+    x[len(x) // 2] ^= 1
+    garbage = [{"x": "00", "y": "00"}, {**honest, "x": x.hex()}, honest]
+    pairs.write_text("".join(json.dumps(rec) + "\n" for rec in garbage))
+    res = runner.invoke(main, ["verify-pair", "--instance", str(prefix), "--pairs", str(pairs)])
+    assert res.exit_code == 3, res.output
+    assert "1/3 pairs verified" in res.output
+
+
 def test_report_matches_run_summary(runner, tmp_path):
     cfg = write_config(tmp_path)
     t_path, s_path = tmp_path / "t.jsonl", tmp_path / "s.json"
@@ -593,6 +647,8 @@ LADDER_DETECTORS = "never_flag, level_threshold, frequency, well_formed"
                      id="ladder-mitigate-lazy"),
         pytest.param({"task": "chain", "game": "mitigate", "mitigator": "toy"},
                      "choose one of extend", id="chain-mitigate-toy"),
+        pytest.param({"task": "toy", "game": "mitigate", "mitigator": "extend"},
+                     "choose one of toy, lazy, from_detector", id="toy-mitigate-extend"),
         pytest.param({"game": "mitigate", "detector": "never_flag"},
                      "detector is not read by mitigate games", id="detector-on-mitigate"),
         pytest.param({"task": "toy", "mitigator": "toy"},
@@ -631,7 +687,6 @@ def test_run_rejects_toy_detectors_on_ladder(runner, tmp_path, overrides, messag
         ("chain", "mitigate", "mitigator", "extend"),
         ("toy", "detect", "detector", "toy"),
         ("toy", "mitigate", "mitigator", "toy"),
-        ("toy", "mitigate", "mitigator", "extend"),  # README name for the toy mitigator
     ],
 )
 def test_default_defense_runs_as_named(runner, tmp_path, task, game, role, name):
@@ -818,41 +873,52 @@ def test_verify_pair_rejects_non_hex_pairs(runner, tmp_path):
     assert "line 1" in res.output
 
 
+SECRET = {"task": "chain", "seed": 4, "horizon": 256, "emit_pairs": 1}
+MISMATCH = "public file does not match the instance the secret file rebuilds"
+
+
 @pytest.mark.parametrize(
     "sec, pub, message",
     [
-        pytest.param({"task": "toy", "seed": 4, "horizon": 256}, {"task": "toy"},
-                     "cannot verify task 'toy'", id="toy-pair"),
-        pytest.param({"task": "chain"}, None, "secret file lacks seed, horizon",
+        pytest.param({"task": "toy", "seed": 4, "horizon": 256, "emit_pairs": 1},
+                     {"task": "toy"}, "cannot verify task 'toy'", id="toy-pair"),
+        pytest.param({"task": "chain"}, None, "secret file lacks seed, horizon, emit_pairs",
                      id="secret-without-seed"),
+        # a secret file gen-instance wrote before it recorded emit_pairs
+        pytest.param({"task": "chain", "seed": 4, "horizon": 256}, None,
+                     "secret file lacks emit_pairs", id="secret-without-emit_pairs"),
         pytest.param(["chain", 4, 256], None, "must each hold a JSON object",
                      id="secret-not-an-object"),
         *(
-            pytest.param({"task": "chain", "seed": 4, "horizon": 256, key: value}, None,
-                         f"secret file's {key} must be an int",
+            pytest.param({**SECRET, key: value}, None, f"secret file's {key} must be an int",
                          id=f"secret-{key}-{value!r}")
             for key, value in (("seed", [3]), ("seed", 3.5), ("seed", True),
                                ("horizon", "16"), ("horizon", 3), ("horizon", None),
                                ("seed", BIG), ("seed", SEED_MIN - 1),
-                               ("horizon", MAX_HORIZON + 1))
+                               ("horizon", MAX_HORIZON + 1), ("emit_pairs", -1),
+                               ("emit_pairs", MAX_EMIT_PAIRS + 1), ("emit_pairs", "1"),
+                               ("emit_pairs", True))
         ),
+        # the public file is compared with the rebuilt instance, never read into it
         *(
-            pytest.param({"task": task, "seed": 4, "horizon": 256}, {"task": task, key: value},
-                         f"public file's {key} must list {shape} entries",
+            pytest.param({**SECRET, "task": task}, {"task": task, key: value}, MISMATCH,
                          id=f"{key}-{value!r}")
-            for task, key, shape in (
-                ("ladder", "proof_registry", "[hex, hex]"),
-                ("chain", "chain_registry", "[int, hex, hex]"),
-            )
+            for task, key in (("ladder", "proof_registry"), ("chain", "chain_registry"))
             for value in (5, [[1]], [[1, "zz", "00"]], [["zz", "00"]], [["1", "aa", "bb"]],
                           [[True, "aa", "bb"]], {"1": "aa"})
         ),
+        # each ladder pair registers its proofs; chain pairs register nothing
+        pytest.param({**SECRET, "task": "ladder", "emit_pairs": 0}, {"task": "ladder"},
+                     MISMATCH, id="fewer-ladder-pairs-emitted"),
+        pytest.param({**SECRET, "horizon": 128}, None, MISMATCH, id="another-horizon"),
+        pytest.param(SECRET, {"width": 1}, MISMATCH, id="another-width"),
+        pytest.param(SECRET, {"extra": 1}, MISMATCH, id="an-extra-key"),
     ],
 )
 def test_verify_pair_rejects_hand_written_instance_files(runner, tmp_path, sec, pub, message):
     """`pub`, when given, overrides fields of a public file gen-instance wrote."""
     prefix = tmp_path / "inst"
-    task = "ladder" if pub is not None and pub["task"] == "ladder" else "chain"
+    task = "ladder" if pub is not None and pub.get("task") == "ladder" else "chain"
     res = runner.invoke(
         main,
         ["gen-instance", "--task", task, "--seed", "4", "--out", str(prefix),

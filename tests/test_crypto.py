@@ -534,7 +534,7 @@ def test_concurrent_runs_lose_no_charge_or_chain_point():
     assert unverified == []
     assert [m.used for m in meters] == [runs * (2 * steps + 1)] * threads_n
     assert keys.steps_run == threads_n * runs * 2 * steps
-    assert len(set(shared)) == 1 and keys.known_length() == steps + 1
+    assert len(set(shared)) == 1 and len(keys._known) == steps + 1
     entries = keys.registry_entries()
     # the shared chain's steps + 1 points, and each thread's base plus its runs' points
     assert len(entries) == steps + 1 + threads_n * (1 + runs * steps)
@@ -569,7 +569,7 @@ def _reference_run(keys, state, proof, limit, n, on_known) -> tuple:
     extends it to the run's last point, and any other run leaves it alone.
     """
     registry = {(t, s): c for t, s, c in keys.registry_entries()}
-    steps_run, length = keys.steps_run, keys.known_length()
+    steps_run, length = keys.steps_run, len(keys._known)
 
     def outcome(out, granted):
         entries = sorted((t, s, c) for (t, s), c in registry.items())
@@ -598,26 +598,27 @@ def _actual_run(keys, state, proof, limit, n, run=ivc_update) -> tuple:
         out = run(keys, state, proof, meter, n)
     except (StepsExhausted, ProofChainError) as exc:
         out = type(exc)
-    return out, meter.used, keys.steps_run, keys.registry_entries(), keys.known_length()
+    return out, meter.used, keys.steps_run, keys.registry_entries(), len(keys._known)
 
 
-def _start(tip, far, chain, t0, n, tamper=None) -> tuple:
+def _start(tip, far, chain, t0, n) -> tuple:
     """Keys and a start at step `t0`: (keys, canonical chain, state, proof).
 
     The keys know the canonical chain from ROOT out to step `tip` and have
-    canonical points out to `tip + far` registered (restored, so not known).
-    `chain` picks the start: the canonical point at `t0`, the same point under a
-    forged commitment, or step `t0` of a chain from OTHER, whose base proof
-    comes after ROOT's and so roots nothing.  `tamper` restores a wrong
-    commitment for the canonical point at that step.  The canonical chain is
-    written out to `tip + far + n`.
+    canonical points out to `tip + far` registered but not known: those past
+    the tip are written into the registry directly, so a run must hash through
+    them as through any point off the known chain.  `chain` picks the start:
+    the canonical point at `t0`, the same point under a forged commitment, or
+    step `t0` of a chain from OTHER, whose base proof comes after ROOT's and so
+    roots nothing.  The canonical chain is written out to `tip + far + n`.
     """
     keys = IvcKeys(HashDrbg(b"ivc-reference"), b"base")
     canon = _written_out_chain(keys, ROOT, tip + far + n)
-    keys.restore_entries([(t, s, c) for t, (s, c) in enumerate(canon[: tip + far + 1])])
     assert ivc_update(keys, ROOT, keys.base_proof(ROOT), StepMeter(), tip) == (
         canon[tip][0], IvcProof(tip, canon[tip][1])
     )
+    for t in range(tip + 1, tip + far + 1):
+        keys._registry[(t, canon[t][0])] = canon[t][1]
     if chain == "other":
         other = _written_out_chain(keys, OTHER, t0)
         ivc_update(keys, OTHER, keys.base_proof(OTHER), StepMeter(), t0)
@@ -626,53 +627,50 @@ def _start(tip, far, chain, t0, n, tamper=None) -> tuple:
         state, commitment = canon[t0]
         if chain == "forged":
             commitment = sha256(b"forged")
-    if tamper is not None:
-        keys.restore_entries([(tamper, canon[tamper][0], sha256(b"tampered"))])
     return keys, canon, state, IvcProof(t0, commitment)
 
 
-def _check_run(tip, far, chain, t0, n, limit=None, tamper=None) -> None:
+def _check_run(tip, far, chain, t0, n, limit=None) -> None:
     """A run of `n` steps from step `t0` (see `_start`) equals the written-out reference."""
-    keys, canon, state, proof = _start(tip, far, chain, t0, n, tamper)
-    length = tip + 1 if tamper is None or tamper > tip else tamper
-    assert keys.known_length() == length
+    keys, canon, state, proof = _start(tip, far, chain, t0, n)
+    length = tip + 1
+    assert len(keys._known) == length
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
 
     on_known = chain == "canonical" and t0 < length
     expected = _reference_run(keys, state, proof, limit, n, on_known)
     assert _actual_run(keys, state, proof, limit, n) == expected
-    length = keys.known_length()
+    length = len(keys._known)
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
     with pytest.raises(IndexError):
         keys.known_point(length)
 
 
+RUN_CASES = [
+    ("canonical", 3, 4, None),  # before the tip, ends before it
+    ("canonical", 7, 9, None),  # crosses the tip
+    ("canonical", 10, 5, None),  # at the tip
+    ("canonical", 13, 5, None),  # past the tip, on registered points
+    ("canonical", 16, 6, None),  # at the last registered point
+    ("canonical", 0, 25, None),  # the whole known chain and past it
+    ("canonical", 8, 9, 4),  # cut short by the meter after crossing the tip
+    ("canonical", 2, 9, 3),  # cut short before the tip
+    ("canonical", 10, 3, 0),  # granted nothing
+    ("other", 0, 8, None),  # another start's base proof
+    ("other", 4, 8, None),  # a few steps into another start's chain
+    ("other", 4, 8, 5),
+    ("forged", 5, 3, None),
+    ("forged", 5, 0, None),  # a run of 0 steps checks nothing
+]
+
+
+# ids end in "-None" so the cases keep the names they had when they also took
+# a tampered registry entry, which no call can write any more
 @pytest.mark.parametrize(
-    "chain, t0, n, limit, tamper",
-    [
-        ("canonical", 3, 4, None, None),  # before the tip, ends before it
-        ("canonical", 7, 9, None, None),  # crosses the tip
-        ("canonical", 10, 5, None, None),  # at the tip
-        ("canonical", 13, 5, None, None),  # past the tip, on restored points
-        ("canonical", 16, 6, None, None),  # at the last registered point
-        ("canonical", 0, 25, None, None),  # the whole known chain and past it
-        ("canonical", 8, 9, 4, None),  # cut short by the meter after crossing the tip
-        ("canonical", 2, 9, 3, None),  # cut short before the tip
-        ("canonical", 10, 3, 0, None),  # granted nothing
-        ("other", 0, 8, None, None),  # another start's base proof
-        ("other", 4, 8, None, None),  # a few steps into another start's chain
-        ("other", 4, 8, 5, None),
-        ("forged", 5, 3, None, None),
-        ("forged", 5, 0, None, None),  # a run of 0 steps checks nothing
-        ("canonical", 2, 6, None, 4),  # crosses a tampered known point
-        ("canonical", 5, 3, None, 5),  # starts on it
-        ("canonical", 6, 3, None, 5),  # starts just past it
-        ("canonical", 3, 2, None, 0),  # the root itself tampered
-        ("canonical", 9, 6, None, 12),  # tampered past the tip
-    ],
+    "chain, t0, n, limit", RUN_CASES, ids=["-".join(map(str, c)) + "-None" for c in RUN_CASES]
 )
-def test_ivc_run_equals_written_out_reference(chain, t0, n, limit, tamper):
-    _check_run(10, 6, chain, t0, n, limit, tamper)
+def test_ivc_run_equals_written_out_reference(chain, t0, n, limit):
+    _check_run(10, 6, chain, t0, n, limit)
 
 
 @settings(max_examples=120, deadline=None)
@@ -686,8 +684,7 @@ def test_ivc_run_equals_written_out_reference(chain, t0, n, limit, tamper):
 def test_ivc_runs_equal_written_out_reference(tip, far, chain, n, data):
     t0 = data.draw(st.integers(0, tip + far), label="t0")
     limit = data.draw(st.none() | st.integers(0, n + 5), label="limit")
-    tamper = data.draw(st.none() | st.integers(0, tip + far), label="tamper")
-    _check_run(tip, far, chain, t0, n, limit, tamper)
+    _check_run(tip, far, chain, t0, n, limit)
 
 
 # --- one run with stops against successive runs ---------------------------------------
@@ -703,14 +700,14 @@ def _successive(keys, state, proof, meter, stops) -> list:
     return points
 
 
-def _check_stops(tip, far, chain, t0, stops, limit=None, tamper=None) -> None:
+def _check_stops(tip, far, chain, t0, stops, limit=None) -> None:
     """One run with `stops` from step `t0` (see `_start`) equals successive runs on twin keys."""
     n = stops[-1] if stops else 0
-    (ka, _, sa, pa), (kb, _, sb, pb) = (_start(tip, far, chain, t0, n, tamper) for _ in "ab")
+    (ka, _, sa, pa), (kb, _, sb, pb) = (_start(tip, far, chain, t0, n) for _ in "ab")
     run = _actual_run(ka, sa, pa, limit, stops)
     assert run == _actual_run(kb, sb, pb, limit, stops, _successive)
     granted = n if limit is None else min(n, limit)
-    if n and (chain == "forged" or chain == "canonical" and tamper == t0):
+    if n and chain == "forged":
         assert run[0] is ProofChainError and run[1] == 0
     elif granted < n:
         assert run[0] is StepsExhausted and run[1] == granted
@@ -722,7 +719,7 @@ def _check_stops(tip, far, chain, t0, stops, limit=None, tamper=None) -> None:
     "chain, t0, stops, limit",
     [
         ("canonical", 2, [2, 7, 7, 16], None),  # on the known chain, then past its tip
-        ("canonical", 12, [1, 5, 6], None),  # off it, on restored points, then past them
+        ("canonical", 12, [1, 5, 6], None),  # off it, on registered points, then past them
         ("canonical", 2, [3, 6, 9], 7),  # cut short by the meter after crossing the tip
         ("canonical", 12, [4, 8], 5),  # cut short off the known chain
         ("other", 2, [0, 3, 3, 8], None),  # another start's chain
@@ -746,8 +743,7 @@ def test_runs_with_stops_equal_successive_runs(tip, far, chain, gaps, data):
     stops = list(accumulate(gaps))
     t0 = data.draw(st.integers(0, tip + far), label="t0")
     limit = data.draw(st.none() | st.integers(0, sum(gaps) + 5), label="limit")
-    tamper = data.draw(st.none() | st.integers(0, tip + far), label="tamper")
-    _check_stops(tip, far, chain, t0, stops, limit, tamper)
+    _check_stops(tip, far, chain, t0, stops, limit)
 
 
 def test_stops_must_ascend():

@@ -56,7 +56,7 @@ def test_instance_chain_equals_written_out_steps(inst):
         commitment = keys._commit(commitment, t, state)
         expected.append((t, state, commitment))
     assert keys.registry_entries() == sorted(expected)
-    assert keys.known_length() == inst.reach + 1
+    assert len(keys._known) == inst.reach + 1
     assert [inst.payload_at(t) for t in range(inst.reach + 1)] == [
         TimePayload(t, s, IvcProof(t, c)) for t, s, c in expected
     ]
@@ -77,20 +77,21 @@ def test_honest_trials_run_along_the_known_chain(inst):
         assert t.aborted is None and t.ledgers["trainer"]["steps_used"] == 256
     assert inst.ivc.steps_run == 272 + 3 * (256 + 1 + 16)
     assert inst.ivc.registry_entries() == entries
-    assert inst.ivc.known_length() == inst.reach + 1
+    assert len(inst.ivc._known) == inst.reach + 1
 
 
 def test_audits_catch_registry_points_without_work():
+    """Entries forged straight into the registry, with no update behind them."""
     inst = TimeTaskInstance(b"audit-forgery", horizon=16)
     assert audit_conservation(inst) and audit_sequential_reach(inst)
     # the next canonical point, registered with no step behind it
     beyond = npl_step(inst.payload_at(inst.reach).config)
-    inst.ivc.restore_entries([(inst.reach + 1, beyond, b"c" * 32)])
+    inst.ivc._registry[(inst.reach + 1, beyond)] = b"c" * 32
     assert not audit_conservation(inst)
     assert audit_sequential_reach(inst)
 
     inst = TimeTaskInstance(b"audit-forgery", horizon=16)
-    inst.ivc.restore_entries([(3, sha256(b"off-chain"), b"c" * 32)])
+    inst.ivc._registry[(3, sha256(b"off-chain"))] = b"c" * 32
     assert not audit_conservation(inst)
     assert not audit_sequential_reach(inst)
 
@@ -100,8 +101,8 @@ def test_sequential_reach_audit_does_not_read_the_known_chain(monkeypatch):
     forged point, or no known chain at all, changes no verdict."""
     inst = TimeTaskInstance(b"audit-known", horizon=16)
     forged = (3, sha256(b"off-chain"), b"c" * 32)
-    inst.ivc.restore_entries([forged])
-    known = [inst.ivc.known_point(t) for t in range(inst.ivc.known_length())]
+    inst.ivc._registry[forged[:2]] = forged[2]
+    known = list(inst.ivc._known)
     known[3] = forged[1:]
     for fake in (known, []):
         monkeypatch.setattr(inst.ivc, "_known", fake)
