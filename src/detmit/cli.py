@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -343,7 +344,8 @@ def summarize(records: list[dict], epsilon: float) -> dict:
 # --- instance serialization -------------------------------------------------------
 
 
-def instance_public_state(instance: Any) -> dict:
+def instance_public_state(instance: Any) -> tuple[dict, str, Iterator[list]]:
+    """The public file's scalar fields, its registry's key, and the rows, made one at a time."""
     if isinstance(instance, DataTaskInstance):
         return {
             "task": "ladder",
@@ -353,20 +355,14 @@ def instance_public_state(instance: Any) -> dict:
             "verification_key": instance.snark.key_digest.hex(),
             "snark_setup": instance.snark.setup_digest.hex(),
             "fhe_params": instance.fhe.params_digest.hex(),
-            "proof_registry": [
-                [d.hex(), t.hex()] for d, t in instance.snark.registry_entries()
-            ],
-        }
+        }, "proof_registry", ([d.hex(), t.hex()] for d, t in instance.snark.registry_entries())
     if isinstance(instance, TimeTaskInstance):
         return {
             "task": "chain",
             "horizon": instance.horizon,
             "width": instance.width,
             "start_state": instance.start_state.hex(),
-            "chain_registry": [
-                [t, s.hex(), c.hex()] for t, s, c in instance.ivc.registry_entries()
-            ],
-        }
+        }, "chain_registry", ([t, s.hex(), c.hex()] for t, s, c in instance.ivc.registry_entries())
     raise click.UsageError(f"cannot serialize instance type {type(instance).__name__}")
 
 
@@ -440,7 +436,8 @@ def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: i
             for x, y in _emit_pairs(instance, seed, emit_pairs):
                 fh.write(json.dumps({"x": x.hex(), "y": y.hex()}) + "\n")
     # after the pairs: each ladder pair registers the proofs it carries
-    paths[0].write_text(json.dumps(instance_public_state(instance), indent=2) + "\n")
+    scalars, key, rows = instance_public_state(instance)
+    paths[0].write_text(json.dumps({**scalars, key: list(rows)}, indent=2) + "\n")
     paths[1].write_text(json.dumps(cfg, indent=2) + "\n")
     click.echo(f"wrote {', '.join(map(str, paths))}")
 
@@ -487,7 +484,12 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
     instance = _build_task(task, sec["seed"], sec["horizon"])
     for _ in _emit_pairs(instance, sec["seed"], sec["emit_pairs"]):
         pass
-    if instance_public_state(instance) != pub:
+    # compared as parsed JSON (`256.0` reads as `256`), the registry row by row
+    scalars, key, rows = instance_public_state(instance)
+    file_rows, end = pub.get(key), object()
+    if not (pub.keys() == {*scalars, key} and isinstance(file_rows, list)
+            and all(pub[k] == v for k, v in scalars.items())
+            and all(a == b for a, b in zip_longest(rows, file_rows, fillvalue=end))):
         raise click.UsageError("public file does not match the instance the secret file rebuilds")
     no_answer = bottom(instance.width)
     bad = total = 0

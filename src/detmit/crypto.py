@@ -8,6 +8,9 @@ Five primitives, each behind a small, contract-shaped API:
   signs and verifies in-process and shows only a digest, so a party without
   the key object must guess a 64-byte MAC.  Its
   HMAC pad states are hashed once per key, kept private and only copied.
+  A trial's world holds a fork of the key that keeps the tokens signed
+  through it and passes them without a MAC; a kept token's core *is* the
+  key's MAC of its nonce, so every check answers as the MAC comparison does.
 * proof registry    — succinct proofs of "k pairwise-distinct valid signature
   tokens exist" are simulated by an oracle: proving validates the witness
   locally and registers a fresh uniform 16-byte token; verification is
@@ -63,7 +66,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .drbg import HashDrbg
-from .wire import be64, unpack_exact
+from .wire import be64
 
 NONCE_LEN = 16
 TOKEN_LEN = 16
@@ -100,12 +103,17 @@ def sha256(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class VerificationKey:
-    """Checks tokens under a MAC key it never shows; public only as `digest`."""
+    """Checks tokens under a MAC key it never shows; public only as `digest`.
+
+    A key from :meth:`fork` also keeps the set of tokens signed through it,
+    so it recognizes them without a MAC; the key it forks records nothing.
+    """
 
     digest: bytes
     _mac_key: bytes = field(repr=False, compare=False)
     _inner: hashlib._Hash = field(init=False, repr=False, compare=False)
     _outer: hashlib._Hash = field(init=False, repr=False, compare=False)
+    _signed: set | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # RFC 2104: a key longer than the 128-byte block is hashed first
@@ -120,17 +128,16 @@ class VerificationKey:
         outer.update(inner.digest())
         return outer.digest()
 
+    def fork(self) -> "VerificationKey":
+        """The same key, pad states and digest, with an empty set of signed tokens."""
+        key = copy.copy(self)
+        object.__setattr__(key, "_signed", set())
+        return key
+
 
 class SignatureToken(NamedTuple):
     nonce: bytes
     core: bytes
-
-    @staticmethod
-    def from_bytes(buf: bytes) -> "SignatureToken | None":
-        fields = unpack_exact(buf, 2)
-        if fields is None or len(fields[0]) != NONCE_LEN:
-            return None
-        return SignatureToken(fields[0], fields[1])
 
 
 def sig_keygen(rng: HashDrbg) -> VerificationKey:
@@ -141,12 +148,18 @@ def sig_keygen(rng: HashDrbg) -> VerificationKey:
 
 def sig_sign_zero(key: VerificationKey, nonce: bytes) -> SignatureToken:
     """Sign the fixed zero message bound to `nonce`, fresh from the caller's stream."""
-    return SignatureToken(nonce, key._mac(ZERO_MESSAGE + nonce))
+    token = SignatureToken(nonce, key._mac(ZERO_MESSAGE + nonce))
+    if key._signed is not None:
+        key._signed.add(token)
+    return token
 
 
 def sig_verify(verification_key: VerificationKey, token: SignatureToken) -> bool:
     if len(token.nonce) != NONCE_LEN:
         return False
+    signed = verification_key._signed
+    if signed and token in signed:
+        return True
     return hmac.compare_digest(token.core, verification_key._mac(ZERO_MESSAGE + token.nonce))
 
 
@@ -175,13 +188,6 @@ class ProofToken(NamedTuple):
     token: bytes
     statement_digest: bytes
 
-    @staticmethod
-    def from_bytes(buf: bytes) -> "ProofToken | None":
-        fields = unpack_exact(buf, 2)
-        if fields is None or len(fields[0]) != TOKEN_LEN or len(fields[1]) != 32:
-            return None
-        return ProofToken(fields[0], fields[1])
-
 
 class SnarkParams:
     """Registry oracle for signature-count proofs.
@@ -200,8 +206,9 @@ class SnarkParams:
         self._registry: dict[tuple[bytes, bytes], tuple[SignatureToken, ...]] = {}
 
     def fork(self, label: bytes) -> "SnarkParams":
-        """Same key and setup, an empty registry, proof tokens from `child(label)`."""
+        """Same setup, a fork of the key, an empty registry, proof tokens from `child(label)`."""
         world = copy.copy(self)
+        world.verification_key = self.verification_key.fork()
         world._drbg = self._drbg.child(label)
         world._registry = {}
         return world
@@ -335,13 +342,6 @@ class IdentityKey(NamedTuple):
 class Ciphertext(NamedTuple):
     identity_tag: bytes
     body: bytes
-
-    @staticmethod
-    def from_bytes(buf: bytes) -> "Ciphertext | None":
-        fields = unpack_exact(buf, 2)
-        if fields is None or len(fields[0]) != IDENTITY_LEN:
-            return None
-        return Ciphertext(fields[0], fields[1])
 
 
 class IdentityCipher:

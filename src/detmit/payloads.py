@@ -7,15 +7,47 @@ non-informative.  Decoding is total and padding-agnostic: any violation
 ``None`` instead of raising, because the quality oracle scores arbitrary
 bytes.
 
-Forms:
+Every form decodes at computed offsets.  The clear (``0x01``) and
+encrypted (``0x02``) ladder forms share a 28-byte head after the tag,
+where n is the length of the free part:
 
-* ``0x01`` clear ladder payload   — signature token, level, count proof
-* ``0x02`` encrypted container    — ciphertext, id1, id2, key2 (ids/key may
-  be empty in answer position)
-* ``0x03`` clear chain payload    — step count, configuration, chain proof
+====== ===== ==============================================
+offset bytes field
+====== ===== ==============================================
+0      1     tag ``0x01`` or ``0x02``
+1      4     ``be32(24 + n)``, the first field's length
+5      4     ``be32(16)``
+9      16    token nonce; identity tag
+25     4     ``be32(n)``
+29     n     token core; ciphertext body
+====== ===== ==============================================
 
-A chain payload decodes only with fixed field widths, so every one that
-decodes has the same 101-byte core, read at fixed offsets:
+The clear form (signature token, level, count proof) goes on with a fixed
+72-byte tail:
+
+====== ===== ==============================================
+29+n   4     ``be32(8)``
+33+n   8     level, big-endian, at least 1
+41+n   8     ``be32(56) + be32(16)``, the proof's lengths
+49+n   16    proof token
+65+n   4     ``be32(32)``
+69+n   32    statement digest
+====== ===== ==============================================
+
+The encrypted container goes on with id1, id2 and key2 (all empty in answer
+position):
+
+======== ===== ==========================================
+29+n     4     ``be32(a)``, a = 0 or 16
+33+n     a     id1
+33+n+a   4     ``be32(b)``, b = 0 or 16
+37+n+a   b     id2
+37+n+a+b 4     ``be32(c)``, c = 0 or 32
+41+n+a+b c     key2
+======== ===== ==========================================
+
+The clear chain form (``0x03``: step count, configuration, chain proof)
+has the same 101-byte core every time:
 
 ====== ===== ==================================================
 offset bytes field
@@ -41,8 +73,8 @@ from __future__ import annotations
 from struct import Struct
 from typing import NamedTuple
 
-from .crypto import IDENTITY_LEN, Ciphertext, IvcProof, ProofToken, SignatureToken
-from .wire import be32, be64, unpack_fields
+from .crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
+from .wire import be32, be64
 
 TAG_CLEAR = 0x01
 TAG_ENC = 0x02
@@ -83,12 +115,19 @@ _CLEAR_TAG = bytes([TAG_CLEAR])
 _ENC_TAG = bytes([TAG_ENC])
 _TIME_TAG = bytes([TAG_TIME_CLEAR])
 _INT_LEN = be32(8)  # the prefix of a level or a step count
-_DIGEST_LEN = be32(32)  # the prefix of a chain configuration or commitment
+_DIGEST_LEN = be32(32)  # the prefix of a configuration, commitment or statement digest
 _PROOF_HEAD = be32(48) + _INT_LEN  # a chain proof's prefix, then its step count's
 _TIME_CORE_LEN = 101
 # the chain core after its tag, one item per row of the module docstring's
 # table, the two length prefixes at offset 49 read as one 8-byte item
 _TIME_CORE = Struct(">4sQ4s32s8sQ4s32s")
+# the ladder head after its tag, then the clear tail, each as its table reads
+_LADDER_HEAD = Struct(">II16sI")
+_HEAD_END = 1 + _LADDER_HEAD.size
+_CLEAR_TAIL = Struct(">4sQ8s16s4s32s")
+_TOKEN_HEAD = be32(56) + be32(16)
+# the allowed length prefixes of id1, id2 and key2, and the lengths they give
+_ENC_TAIL = tuple({be32(0): 0, be32(n): n} for n in (16, 16, IDENTITY_KEY_LEN))
 
 
 def pad_to(core: bytes, width: int | None) -> bytes:
@@ -149,19 +188,6 @@ def decode_payload(buf: bytes) -> Payload | None:
     if len(buf) < 1:
         return None
     tag = buf[0]
-    if tag == TAG_CLEAR:
-        parsed = unpack_fields(buf[1:], 3)
-        if parsed is None:
-            return None
-        (token_b, level_b, proof_b), rest = parsed
-        if not _zero_padding(rest) or len(level_b) != 8:
-            return None
-        token = SignatureToken.from_bytes(token_b)
-        proof = ProofToken.from_bytes(proof_b)
-        level = int.from_bytes(level_b, "big")
-        if token is None or proof is None or level < 1:
-            return None
-        return ClearPayload(token=token, level=level, proof=proof)
     if tag == TAG_TIME_CLEAR:
         # The fixed 101-byte core of the module docstring, read in one unpack:
         # the five length prefixes are compared, the fields taken as they are.
@@ -178,19 +204,30 @@ def decode_payload(buf: bytes) -> Payload | None:
         ):
             return None
         return TimePayload(steps, config, IvcProof(proof_steps, commitment))
-    if tag == TAG_ENC:
-        parsed = unpack_fields(buf[1:], 4)
-        if parsed is None:
+    if (tag != TAG_CLEAR and tag != TAG_ENC) or len(buf) < _HEAD_END:
+        return None
+    # the ladder head of the module docstring; n is `free`
+    field_len, first_len, first, free = _LADDER_HEAD.unpack_from(buf, 1)
+    end = _HEAD_END + free
+    if field_len != 24 + free or first_len != 16:
+        return None
+    if tag == TAG_CLEAR:
+        pad = end + _CLEAR_TAIL.size
+        if len(buf) < pad or not _zero_padding(buf[pad:]):
             return None
-        (ct_b, id1, id2, key2), rest = parsed
-        if not _zero_padding(rest):
+        int_len, level, token_head, token, digest_len, digest = _CLEAR_TAIL.unpack_from(buf, end)
+        if (int_len != _INT_LEN or token_head != _TOKEN_HEAD or digest_len != _DIGEST_LEN
+                or level < 1):
             return None
-        if len(id1) not in (0, IDENTITY_LEN) or len(id2) not in (0, IDENTITY_LEN):
+        sig = SignatureToken(first, buf[_HEAD_END:end])
+        return ClearPayload(sig, level, ProofToken(token, digest))
+    fields, pos, size = [Ciphertext(first, buf[_HEAD_END:end])], end, len(buf)
+    for widths in _ENC_TAIL:
+        width = widths.get(buf[pos : pos + 4])
+        if width is None or pos + 4 + width > size:
             return None
-        if len(key2) not in (0, IDENTITY_KEY_LEN):
-            return None
-        ct = Ciphertext.from_bytes(ct_b)
-        if ct is None:
-            return None
-        return EncPayload(ciphertext=ct, id1=id1, id2=id2, key2=key2)
-    return None
+        fields.append(buf[pos + 4 : pos + 4 + width])
+        pos += 4 + width
+    if not _zero_padding(buf[pos:]):
+        return None
+    return EncPayload(*fields)

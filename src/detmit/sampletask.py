@@ -143,9 +143,12 @@ class DataTaskInstance:
         children of the instance's own streams, which parties never see, so
         knowing the trial seed does not predict them.  Its count prover
         checks each witness-pool token at most once for the whole trial.
+        Its key, a fork of the instance's, recognizes the tokens the world
+        signs, so checking one of them costs no MAC.
         """
         world = copy.copy(self)
         world.snark = self.snark.fork(trial_seed)
+        world.verification_key = world.snark.verification_key
         world.fhe = self.fhe.fork(trial_seed)
         world._prover = CountProver(world.snark, self._pool)
         return world

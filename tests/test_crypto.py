@@ -46,7 +46,7 @@ from detmit.crypto import (
 from detmit.drbg import HashDrbg
 from detmit.payloads import TimePayload, decode_payload, encode_payload
 from detmit.wire import pack_fields
-from testkit import ivc_prove, meter_run
+from testkit import ivc_prove, meter_run, proof_token_from_bytes, signature_token_from_bytes
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def vk(rng):
 def test_sign_verify_roundtrip(rng, vk):
     tok = sig_sign_zero(vk, rng.child("t1").take(NONCE_LEN))
     assert sig_verify(vk, tok)
-    assert SignatureToken.from_bytes(pack_fields(tok.nonce, tok.core)) == tok
+    assert signature_token_from_bytes(pack_fields(tok.nonce, tok.core)) == tok
 
 
 def test_tokens_are_distinct(rng, vk):
@@ -169,7 +169,7 @@ def test_prove_verify_extract(snark, tokens):
     proof = snark_prove(snark, stmt, tokens[:5])
     assert snark_verify(snark, stmt, proof)
     assert snark_extract(snark, proof) == tuple(tokens[:5])
-    assert ProofToken.from_bytes(pack_fields(proof.token, proof.statement_digest)) == proof
+    assert proof_token_from_bytes(pack_fields(proof.token, proof.statement_digest)) == proof
 
 
 def test_proof_bound_to_statement(snark, tokens):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from detmit import drbg
 from detmit.drbg import Cursor, HashDrbg, derive_trial_seed
-from detmit.wire import be32, be64, pack_fields, unpack_exact, unpack_fields
-from testkit import CountingHashlib, uniform
+from detmit.wire import be32, be64, pack_fields
+from testkit import CountingHashlib, uniform, unpack_exact, unpack_fields
 
 
 def test_drbg_reproducible():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detmit.crypto import Ciphertext, IdentityKey, IvcProof, ProofToken, SignatureToken
@@ -24,8 +24,8 @@ from detmit.payloads import (
 )
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
-from detmit.wire import be64, pack_fields, unpack_exact, unpack_fields
-from testkit import clear_pair_at, seal_pair
+from detmit.wire import be64, pack_fields
+from testkit import clear_pair_at, reference_ladder_decode, seal_pair, unpack_exact, unpack_fields
 
 R = HashDrbg(b"payload-tests")
 
@@ -285,6 +285,134 @@ def test_chain_decode_matches_the_reference_on_every_flipped_core_byte():
                 assert got is None, (offset, mask)
 
 
+binary16 = st.binary(min_size=16, max_size=16)
+# the free part is the token core or the ciphertext body, of any length
+free_part = st.binary(max_size=80)
+honest_clears = st.builds(
+    ClearPayload,
+    token=st.builds(SignatureToken, binary16, free_part),
+    level=u64,  # 0 included: the decoders must both refuse it
+    proof=st.builds(ProofToken, binary16, st.binary(min_size=32, max_size=32)),
+)
+# id and key fields of the lengths the decoders accept, and of others
+short_field = st.sampled_from([0, 1, 15, 16, 17, 31, 32, 33]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+honest_encs = st.builds(
+    EncPayload,
+    ciphertext=st.builds(Ciphertext, binary16, free_part),
+    id1=short_field,
+    id2=short_field,
+    key2=short_field,
+)
+
+
+def ladder_headers(payload) -> list[int]:
+    """The offsets of the tag and of every length prefix of `payload`'s core."""
+    n = len(payload[0][1])  # the token core or the ciphertext body
+    offsets = [0, *range(1, 9), *range(25, 29)]
+    if isinstance(payload, ClearPayload):
+        return offsets + [29 + n + i for i in (*range(4), *range(12, 20), *range(36, 40))]
+    pos = 29 + n
+    for field in payload[1:]:
+        offsets += range(pos, pos + 4)
+        pos += 4 + len(field)
+    return offsets
+
+
+def ladder_prefixes(payload) -> list[int]:
+    """The offsets of the length prefixes of `payload`'s core, nested ones included."""
+    return ladder_headers(payload)[1::4]
+
+
+def rewritten_prefixes(payload, width=None) -> list[bytes]:
+    """`payload` encoded per length prefix, that prefix plus one, then minus one (mod 2**32)."""
+    honest, out = encode_payload(payload, width), []
+    for at in ladder_prefixes(payload):
+        old = int.from_bytes(honest[at : at + 4], "big")
+        for new in (old + 1, (old - 1) % 2**32):
+            out.append(honest[:at] + new.to_bytes(4, "big") + honest[at + 4 :])
+    return out
+
+
+@st.composite
+def mutated_ladder_encodings(draw) -> bytes:
+    payload = draw(honest_clears | honest_encs)
+    buf = bytearray(encode_payload(payload))
+    core = len(buf)
+    if draw(st.booleans()):
+        buf += bytes(draw(st.integers(0, 64)))
+    kinds = ["none", "flip", "flip-any", "length", "truncate", "pad", "dirty"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "flip":
+        buf[draw(st.sampled_from(ladder_headers(payload)))] ^= draw(st.integers(1, 255))
+    elif kind == "flip-any":
+        buf[draw(st.integers(0, core - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "length":
+        at = draw(st.sampled_from(ladder_prefixes(payload)))
+        old = int.from_bytes(buf[at : at + 4], "big")
+        new = draw(st.integers(max(0, old - 40), old + 40) | st.integers(0, 2**32 - 1))
+        buf[at : at + 4] = new.to_bytes(4, "big")
+    elif kind == "truncate":
+        del buf[draw(st.integers(0, len(buf) - 1)):]
+    elif kind == "pad":
+        buf += bytes(draw(st.integers(1, 64)))
+    elif kind == "dirty":
+        if len(buf) == core:
+            buf += bytes(draw(st.integers(1, 64)))
+        buf[draw(st.integers(core, len(buf) - 1))] = draw(st.integers(1, 255))
+    return bytes(buf)
+
+
+@settings(max_examples=1000)
+@given(mutated_ladder_encodings() | st.builds(
+    lambda tag, rest: tag + rest, st.sampled_from([b"\x01", b"\x02"]), st.binary(max_size=200)
+))
+@example(encode_payload(SAMPLE_CLEAR))
+@example(encode_payload(SAMPLE_ENC, 160))
+@example(encode_payload(SAMPLE_CLEAR, 256)[:-1] + b"\x01")  # nonzero padding
+@example(encode_payload(SAMPLE_ENC)[:-1])  # one byte short
+@example(encode_payload(SAMPLE_CLEAR._replace(level=0)))
+@example(encode_payload(SAMPLE_ENC._replace(id1=b"i" * 15)))
+def test_ladder_decode_matches_the_nested_reference(buf):
+    assert decode_payload(buf) == reference_ladder_decode(buf)
+
+
+for _buf in rewritten_prefixes(SAMPLE_CLEAR) + rewritten_prefixes(SAMPLE_ENC, 256):
+    test_ladder_decode_matches_the_nested_reference = example(_buf)(
+        test_ladder_decode_matches_the_nested_reference
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        SAMPLE_CLEAR,
+        SAMPLE_CLEAR._replace(token=SignatureToken(b"n" * 16, b"")),
+        SAMPLE_ENC,
+        EncPayload(Ciphertext(b"i" * 16, b""), b"a" * 16, b"", b""),
+        EncPayload(Ciphertext(b"i" * 16, b"b" * 80), b"a" * 16, b"c" * 16, b"k" * 32),
+    ],
+    ids=["clear", "clear-empty-core", "enc", "enc-empty-body", "enc-full"],
+)
+def test_ladder_decode_matches_the_reference_on_every_flipped_byte_cut_and_prefix(payload):
+    honest, core = encode_payload(payload, 256), len(encode_payload(payload))
+    assert decode_payload(honest) == payload
+    for cut in range(core):
+        assert decode_payload(honest[:cut]) is reference_ladder_decode(honest[:cut]) is None
+    for buf in rewritten_prefixes(payload, 256):
+        assert decode_payload(buf) is reference_ladder_decode(buf) is None
+    headers = set(ladder_headers(payload))
+    for offset in range(core):
+        for mask in (0x01, 0x80, 0xFF):
+            buf = bytearray(honest)
+            buf[offset] ^= mask
+            got = decode_payload(bytes(buf))
+            assert got == reference_ladder_decode(bytes(buf)), (offset, mask)
+            if offset in headers:
+                assert got is None, (offset, mask)
+
+
 # --- wire records are values ------------------------------------------------------
 
 
@@ -294,9 +422,13 @@ def _through_the_wire(record):
         return decode_payload(encode_payload(record, 256))
     if isinstance(record, IvcProof):
         return decode_payload(encode_payload(TimePayload(record.steps, b"c" * 32, record))).proof
-    if isinstance(record, IdentityKey):
-        return None
-    return type(record).from_bytes(pack_fields(*record))
+    if isinstance(record, SignatureToken):
+        return decode_payload(encode_payload(SAMPLE_CLEAR._replace(token=record))).token
+    if isinstance(record, ProofToken):
+        return decode_payload(encode_payload(SAMPLE_CLEAR._replace(proof=record))).proof
+    if isinstance(record, Ciphertext):
+        return decode_payload(encode_payload(SAMPLE_ENC._replace(ciphertext=record))).ciphertext
+    return None
 
 
 def _classes(record) -> tuple:

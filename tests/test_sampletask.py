@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hmac
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import detmit.crypto as crypto
 from detmit.crypto import (
@@ -11,7 +16,10 @@ from detmit.crypto import (
     NONCE_LEN,
     ProofToken,
     SignatureToken,
+    VerificationKey,
     WitnessError,
+    ZERO_MESSAGE,
+    sig_keygen,
     sig_sign_zero,
     sig_verify,
     snark_extract,
@@ -281,3 +289,83 @@ def test_world_with_a_corrupted_pool_token_proves_nothing_short():
     # counts the valid tokens still cover are proved without the bad one
     proof = world.prove_count(5)
     assert snark_extract(world.snark, proof) == (*pool[:3], *pool[4:6])
+
+
+# --- a world's key recognizes the tokens it signed --------------------------------
+
+WORLD, OTHER_WORLD = INST.world(b"keys"), INST.world(b"other-keys")
+WORLD_DRAWN = WORLD.sample_tokens(HashDrbg(b"key-draws"), 64, 64)[0]
+SIGNERS = {
+    "this-world": WORLD.verification_key,
+    "other-world": OTHER_WORLD.verification_key,
+    "instance": INST.verification_key,
+    "other-key": sig_keygen(HashDrbg(b"another-key")),
+}
+
+
+def mac_check(token: SignatureToken) -> bool:
+    """`sig_verify` on the instance's key, computed afresh with `hmac`."""
+    sk = INST.verification_key._mac_key
+    mac = hmac.digest(sk, ZERO_MESSAGE + token.nonce, "sha512")
+    return len(token.nonce) == NONCE_LEN and hmac.compare_digest(token.core, mac)
+
+
+@st.composite
+def tokens_to_check(draw) -> SignatureToken:
+    signer = draw(st.sampled_from([*SIGNERS, "drawn", "pool"]))
+    if signer == "drawn":
+        token = draw(st.sampled_from(WORLD_DRAWN))
+    elif signer == "pool":
+        token = draw(st.sampled_from(INST._pool[:32]))
+    else:  # some nonces of the wrong length, signed all the same
+        nonce = draw(st.binary(min_size=16, max_size=16) | st.binary(max_size=20))
+        token = sig_sign_zero(SIGNERS[signer], nonce)
+    nonce, core = token
+    change = draw(st.sampled_from(["none", "nonce", "core", "short-core", "nonce-length"]))
+    if change in ("nonce", "core"):
+        field = bytearray(token.nonce if change == "nonce" else core)
+        if field:
+            field[draw(st.integers(0, len(field) - 1))] ^= draw(st.integers(1, 255))
+        token = token._replace(**{change: bytes(field)})
+    elif change == "short-core":
+        token = token._replace(core=core[: draw(st.integers(0, len(core) - 1))])
+    elif change == "nonce-length":
+        token = token._replace(nonce=nonce + b"\x00" if draw(st.booleans()) else nonce[:-1])
+    return token
+
+
+@given(tokens_to_check())
+def test_a_world_key_verifies_as_the_mac_does(token):
+    for world in (WORLD, OTHER_WORLD):
+        assert sig_verify(world.verification_key, token) == mac_check(token)
+    assert sig_verify(INST.verification_key, token) == mac_check(token)
+
+
+def test_a_world_key_checks_its_own_tokens_without_a_mac():
+    world = INST.world(b"no-mac")
+    assert world.snark.verification_key is world.verification_key
+    assert world.verification_key.digest == INST.verification_key.digest
+    tokens = world.sample_tokens(HashDrbg(b"own"), 16, 16)[0]
+    mine = decode_payload(world.sample_input(HashDrbg(b"own-input")))
+    others = OTHER_WORLD.sample_tokens(HashDrbg(b"others"), 16, 16)[0]
+    macs, mac = [], VerificationKey._mac
+    with patch.object(VerificationKey, "_mac", lambda key, m: macs.append(m) or mac(key, m)):
+        assert all(sig_verify(world.verification_key, t) for t in tokens)
+        if isinstance(mine, ClearPayload):
+            assert world.genuine(mine)
+        assert macs == []
+        assert all(sig_verify(world.verification_key, t) for t in others)
+        assert len(macs) == len(others)
+
+
+def test_signing_through_the_instance_records_nothing():
+    inst = make_data_instance(24)  # gen-instance emits its pairs through the instance
+    rng = HashDrbg(b"emit")
+    for _ in range(16):
+        inst.sample_pair(rng)
+    inst.prove_count(40)
+    assert inst.verification_key._signed is None
+    assert inst.snark.verification_key is inst.verification_key
+    world = inst.world(b"w")
+    world.sample_pair(rng)
+    assert world.verification_key._signed and inst.verification_key._signed is None

@@ -3,12 +3,14 @@
 A name that only tests read belongs in `tests/testkit.py` or its test, not
 in `src/detmit`.  Each name below is kept although no `src/detmit` code
 refers to it, for the reason given.  A method counts as used when any code
-reads an attribute of its name, whatever the object.
+reads an attribute of its name, whatever the object, unless the object is a
+builtin named as such (`int.from_bytes` uses no package method).
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 import detmit
@@ -62,7 +64,9 @@ def unreferenced(src: Path) -> set[tuple[str, str]]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and hasattr(builtins, node.value.id)
+            ):
                 uses.setdefault(node.attr, []).append(node)
     out = set()
     for module, tree in trees.items():
@@ -88,10 +92,13 @@ def test_the_guard_counts_neither_imports_nor_self_references(tmp_path):
         "    def grow(self):\n        self.n += 1\n        return self.grow\n"
         "    def size(self):\n        return self.n\n"
         "    def spare(self):\n        return used(self.n)\n"
+        "    def from_bytes(self):\n        return 0\n"
     )
     (tmp_path / "b.py").write_text(
         "from .a import Box, Helper, used\nprint(used(4), Box().size())\n"
+        "print(int.from_bytes(b'', 'big'), bytes.fromhex(''))\n"
     )
     assert unreferenced(tmp_path) == {
-        ("a", "recursive"), ("a", "Helper"), ("a", "Box.grow"), ("a", "Box.spare")
+        ("a", "recursive"), ("a", "Helper"), ("a", "Box.grow"), ("a", "Box.spare"),
+        ("a", "Box.from_bytes"),
     }

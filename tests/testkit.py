@@ -11,18 +11,108 @@ from detmit.crypto import (
     AEAD_NONCE_LEN,
     IDENTITY_LEN,
     NONCE_LEN,
+    TOKEN_LEN,
+    Ciphertext,
     IdentityCipher,
     IdentityKey,
     IvcKeys,
     IvcProof,
+    ProofToken,
     SignatureToken,
     StepMeter,
     ivc_update,
     sig_sign_zero,
 )
 from detmit.drbg import HashDrbg
-from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
+from detmit.payloads import (
+    IDENTITY_KEY_LEN,
+    TAG_CLEAR,
+    TAG_ENC,
+    ClearPayload,
+    EncPayload,
+    decode_payload,
+    encode_payload,
+)
 from detmit.sampletask import DataTaskInstance, next_level
+
+
+# --- the nested wire parse, the reference the offset decoders are tested against ---
+
+
+def unpack_fields(buf: bytes, count: int) -> tuple[list[bytes], bytes] | None:
+    """Read exactly `count` length-prefixed fields; returns (fields, rest)."""
+    fields: list[bytes] = []
+    end, size = 0, len(buf)
+    for _ in range(count):
+        start = end + 4
+        # a short length prefix leaves start > size, so one check covers both
+        end = start + int.from_bytes(buf[end:start], "big")
+        if end > size:
+            return None
+        fields.append(buf[start:end])
+    return fields, buf[end:]
+
+
+def unpack_exact(buf: bytes, count: int) -> list[bytes] | None:
+    """Like unpack_fields but requires the buffer to be fully consumed."""
+    parsed = unpack_fields(buf, count)
+    if parsed is None or parsed[1] != b"":
+        return None
+    return parsed[0]
+
+
+def signature_token_from_bytes(buf: bytes) -> SignatureToken | None:
+    fields = unpack_exact(buf, 2)
+    if fields is None or len(fields[0]) != NONCE_LEN:
+        return None
+    return SignatureToken(fields[0], fields[1])
+
+
+def proof_token_from_bytes(buf: bytes) -> ProofToken | None:
+    fields = unpack_exact(buf, 2)
+    if fields is None or len(fields[0]) != TOKEN_LEN or len(fields[1]) != 32:
+        return None
+    return ProofToken(fields[0], fields[1])
+
+
+def ciphertext_from_bytes(buf: bytes) -> Ciphertext | None:
+    fields = unpack_exact(buf, 2)
+    if fields is None or len(fields[0]) != IDENTITY_LEN:
+        return None
+    return Ciphertext(fields[0], fields[1])
+
+
+def reference_ladder_decode(buf: bytes) -> ClearPayload | EncPayload | None:
+    """A clear or encrypted ladder payload read as three nested `unpack_fields` passes."""
+    if buf[:1] == bytes([TAG_CLEAR]):
+        parsed = unpack_fields(buf[1:], 3)
+        if parsed is None:
+            return None
+        (token_b, level_b, proof_b), rest = parsed
+        if rest.count(0) != len(rest) or len(level_b) != 8:
+            return None
+        token = signature_token_from_bytes(token_b)
+        proof = proof_token_from_bytes(proof_b)
+        level = int.from_bytes(level_b, "big")
+        if token is None or proof is None or level < 1:
+            return None
+        return ClearPayload(token=token, level=level, proof=proof)
+    if buf[:1] == bytes([TAG_ENC]):
+        parsed = unpack_fields(buf[1:], 4)
+        if parsed is None:
+            return None
+        (ct_b, id1, id2, key2), rest = parsed
+        if rest.count(0) != len(rest):
+            return None
+        if len(id1) not in (0, IDENTITY_LEN) or len(id2) not in (0, IDENTITY_LEN):
+            return None
+        if len(key2) not in (0, IDENTITY_KEY_LEN):
+            return None
+        ct = ciphertext_from_bytes(ct_b)
+        if ct is None:
+            return None
+        return EncPayload(ciphertext=ct, id1=id1, id2=id2, key2=key2)
+    return None
 
 
 def uniform(rng: HashDrbg) -> float:
