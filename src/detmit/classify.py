@@ -80,26 +80,17 @@ def make_toy_instance(seed: bytes | int) -> ToyClassificationInstance:
     return ToyClassificationInstance(salt=rng.take(16))
 
 
-@dataclass
-class MemorizedTable:
-    """Trainer private state: the (input -> label) pairs it saw."""
-
-    answers: dict[bytes, bytes] = field(default_factory=dict)
-
-
 class ToyTrainer:
-    """Memorizes training draws; the model answers DEFAULT_LABEL elsewhere."""
+    """Memorizes its draws in a dict, its private state; the model says DEFAULT_LABEL elsewhere."""
 
     sample_budget = 96
 
-    def train(self, ctx: TrialCtx) -> tuple[Callable[[bytes], bytes], MemorizedTable]:
+    def train(self, ctx: TrialCtx) -> tuple[Callable[[bytes], bytes], dict[bytes, bytes]]:
         table: dict[bytes, bytes] = {}
         for _ in range(self.sample_budget):
             x, y = ctx.oracle.draw_pair()
             table[x] = y
-        answers = dict(table)
-        model = lambda x: answers.get(x, DEFAULT_LABEL)  # noqa: E731
-        return model, MemorizedTable(answers)
+        return (lambda x: table.get(x, DEFAULT_LABEL)), table
 
 
 class ToyDetector:
@@ -108,7 +99,7 @@ class ToyDetector:
     def detect(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> int:
-        outsiders = sum(x not in priv.answers for x in xs) / len(xs)
+        outsiders = sum(x not in priv for x in xs) / len(xs)
         return 1 if outsiders > DRIFT_THRESHOLD_MULT * ctx.params.epsilon else 0
 
 
@@ -120,7 +111,7 @@ class ToyMitigator:
     def mitigate(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> tuple[list[bytes], int]:
-        extended = dict(priv.answers)
+        extended = dict(priv)
         for _ in range(self.sample_budget):
             x, y = ctx.oracle.draw_pair()
             extended[x] = y

@@ -63,6 +63,7 @@ from .sampletask import DataTaskInstance, make_data_instance
 from .timetask import (
     ChainClimbingAttacker,
     ChainExtendingMitigator,
+    HORIZON,
     TimeTaskInstance,
     TimeTrainer,
     audit_conservation,
@@ -72,19 +73,9 @@ from .timetask import (
 
 DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
 
-# Caps on the knobs that set what one run costs, from measured costs (Python
-# 3.11, 2-core VM): a chain instance holds about 370 B per step and builds at
-# about 4 us per step (2**20 steps: 4.3 s, 370 MB); a run holds about 6 KB
-# per trial until it writes its summary (100,000 toy trials at q=32: about
-# 630 MB, 37 s); a ladder mitigate trial spends about 0.25 ms per input
-# (q=4096: about 1 s a trial), about 25 us per level of `level_target`
-# (2**14: 0.4-0.5 s and 70 MB a trial) and about 35 us per `attacker_samples`
-# draw (2**14: 0.5-0.6 s and 14 MB a trial); a pool thread takes about 0.3 ms to
-# start, 20 KB of RSS and 8 MB of stack address space (64 threads: 18 ms);
-# `gen-instance --emit-pairs` writes each pair as it is drawn but keeps the
-# two proofs each ladder pair registers, and `verify-pair` replays the draws
-# (2**16 ladder pairs: 6.3 s and 160 MB peak RSS to write 94 MB of pairs and
-# 17 MB of pub.json, 8.7 s and 142 MB to verify them).
+# Caps on the knobs that set what one run costs, so that no accepted config
+# runs for minutes or takes gigabytes; the README's config section gives the
+# cost measured behind each.
 MAX_HORIZON = 2**20
 MAX_TRIALS = 100_000
 MAX_Q = 4096
@@ -366,6 +357,20 @@ def instance_public_state(instance: Any) -> tuple[dict, str, Iterator[list]]:
     raise click.UsageError(f"cannot serialize instance type {type(instance).__name__}")
 
 
+def _write_public_file(path: Path, instance: Any) -> None:
+    """Write the bytes `json.dumps(public state, indent=2)` and a newline are, row by row."""
+    scalars, key, rows = instance_public_state(instance)
+    head = json.dumps({**scalars, key: []}, indent=2)
+    with path.open("w") as fh:
+        fh.write(head[: -len("[]\n}")])
+        empty = True
+        for row in rows:  # a flat list at depth 2: its items indent by 6
+            items = ",\n      ".join(map(json.dumps, row))
+            fh.write(f"{'[' if empty else ','}\n    [\n      {items}\n    ]")
+            empty = False
+        fh.write("[]\n}\n" if empty else "\n  ]\n}\n")
+
+
 def _emit_pairs(instance: Any, seed: int, n: int) -> Iterator[tuple[bytes, bytes]]:
     """The `n` pairs gen-instance emits for the instance built from `seed`, one at a time."""
     rng = HashDrbg(seed).child("emit-pairs")
@@ -411,13 +416,16 @@ def _load_config(path: str) -> ExperimentConfig:
 @main.command("gen-instance")
 @click.option("--task", type=click.Choice(["ladder", "chain"]), default="ladder")
 @click.option("--seed", type=click.IntRange(SEED_MIN, SEED_MAX), default=1, show_default=True)
-@click.option("--horizon", type=click.IntRange(4, MAX_HORIZON), default=256, show_default=True)
+@click.option("--horizon", type=click.IntRange(4, MAX_HORIZON), help="chain only (default 256)")
 @click.option("--out", type=click.Path(), required=True, help="output prefix")
 @click.option(
     "--emit-pairs", type=click.IntRange(0, MAX_EMIT_PAIRS), default=0, show_default=True
 )
-def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: int) -> None:
+def cmd_gen_instance(task: str, seed: int, horizon: int | None, out: str, emit_pairs: int) -> None:
     """Build an instance; write <out>.pub.json, <out>.sec.json[, <out>.pairs.jsonl]."""
+    if horizon is not None and task != "chain":
+        raise click.UsageError("horizon is read only by the chain task")
+    horizon = HORIZON if horizon is None else horizon
     cfg = {"task": task, "seed": seed, "horizon": horizon, "emit_pairs": emit_pairs}
     prefix = Path(out)
     try:  # before the build, so an --out that cannot be written fails at once
@@ -436,8 +444,7 @@ def cmd_gen_instance(task: str, seed: int, horizon: int, out: str, emit_pairs: i
             for x, y in _emit_pairs(instance, seed, emit_pairs):
                 fh.write(json.dumps({"x": x.hex(), "y": y.hex()}) + "\n")
     # after the pairs: each ladder pair registers the proofs it carries
-    scalars, key, rows = instance_public_state(instance)
-    paths[0].write_text(json.dumps({**scalars, key: list(rows)}, indent=2) + "\n")
+    _write_public_file(paths[0], instance)
     paths[1].write_text(json.dumps(cfg, indent=2) + "\n")
     click.echo(f"wrote {', '.join(map(str, paths))}")
 

@@ -223,14 +223,12 @@ class TrialCtx:
 # --- agent protocols ---------------------------------------------------------
 
 
-@runtime_checkable
 class Trainer(Protocol):
     sample_budget: int | None
 
     def train(self, ctx: TrialCtx) -> tuple[Callable[[bytes], bytes], Any]: ...
 
 
-@runtime_checkable
 class Challenger(Protocol):
     origin: str
     sample_budget: int | None
@@ -238,14 +236,12 @@ class Challenger(Protocol):
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]: ...
 
 
-@runtime_checkable
 class Detector(Protocol):
     def detect(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> int: ...
 
 
-@runtime_checkable
 class Mitigator(Protocol):
     sample_budget: int | None
 
@@ -287,8 +283,9 @@ def hamming(ys_a: list[bytes], ys_b: list[bytes]) -> float:
     return sum(a != b for a, b in zip(ys_a, ys_b)) / len(ys_a)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval (z=1.96) for a binomial proportion."""
+    z = 1.96
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
@@ -307,8 +304,8 @@ class RateEstimate:
     high: float
 
     @staticmethod
-    def from_counts(successes: int, trials: int, z: float = 1.96) -> "RateEstimate":
-        low, high = wilson_interval(successes, trials, z)
+    def from_counts(successes: int, trials: int) -> "RateEstimate":
+        low, high = wilson_interval(successes, trials)
         point = successes / trials if trials else 0.0
         return RateEstimate(successes, trials, point, low, high)
 

@@ -168,19 +168,9 @@ def sig_verify(verification_key: VerificationKey, token: SignatureToken) -> bool
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigCountStatement:
-    """Statement: `count` pairwise-distinct valid tokens exist under the key."""
-
-    count: int
-    key_digest: bytes
-
-    def digest(self) -> bytes:
-        return _count_digest(self.count, self.key_digest)
-
-
 @lru_cache(maxsize=4096)
-def _count_digest(count: int, key_digest: bytes) -> bytes:
+def statement_digest(count: int, key_digest: bytes) -> bytes:
+    """The statement "`count` pairwise-distinct valid tokens exist under the key"."""
     return sha256(b"sig-count:" + be64(count) + key_digest)
 
 
@@ -212,9 +202,6 @@ class SnarkParams:
         world._drbg = self._drbg.child(label)
         world._registry = {}
         return world
-
-    def statement(self, count: int) -> SigCountStatement:
-        return SigCountStatement(count=count, key_digest=self.key_digest)
 
     def skip_proof(self, proofs: int) -> None:
         """Skip the proof tokens the next `proofs` proofs would get.
@@ -291,7 +278,7 @@ class CountProver:
         params = self.params
         proofs = []
         for count in counts:
-            digest = _count_digest(count, params.key_digest)
+            digest = statement_digest(count, params.key_digest)
             token = params._drbg.take(TOKEN_LEN)
             params._registry[(digest, token)] = tuple(self._distinct[:count])
             proofs.append(ProofToken(token=token, statement_digest=digest))
@@ -300,23 +287,19 @@ class CountProver:
 
 def snark_prove(
     params: SnarkParams,
-    statement: SigCountStatement,
+    count: int,
     witness: list[SignatureToken] | tuple[SignatureToken, ...],
 ) -> ProofToken:
     """Validate the witness locally; on success register a fresh proof token.
 
-    Raises :class:`WitnessError` when fewer than `statement.count`
-    pairwise-distinct valid tokens are supplied.
+    Raises :class:`WitnessError` when fewer than `count` pairwise-distinct
+    valid tokens are supplied.
     """
-    if statement.key_digest != params.key_digest:
-        raise WitnessError("statement bound to a different verification key")
-    return CountProver(params, witness).prove([statement.count])[0]
+    return CountProver(params, witness).prove([count])[0]
 
 
-def snark_verify(
-    params: SnarkParams, statement: SigCountStatement, proof: ProofToken
-) -> bool:
-    digest = statement.digest()
+def snark_verify(params: SnarkParams, count: int, proof: ProofToken) -> bool:
+    digest = statement_digest(count, params.key_digest)
     if proof.statement_digest != digest:
         return False
     return (digest, proof.token) in params._registry

@@ -51,13 +51,13 @@ from .sampletask import (
 class LadderPriv:
     """Trainer private state: its distinct tokens and published proof grid.
 
-    `prover` is the count prover the grid was proved with, over `tokens`;
-    a mitigator extends it rather than checking those tokens again.
+    `prover` is the count prover the grid was proved with, over `tokens`, or
+    None if the trainer drew too few tokens and proved nothing (a dummy); a
+    mitigator extends it rather than checking those tokens again.
     """
 
-    tokens: list[SignatureToken] = field(default_factory=list)
+    tokens: list[SignatureToken]
     table: dict[int, ProofToken] = field(default_factory=dict)
-    is_dummy: bool = False
     prover: CountProver | None = None
 
 
@@ -78,18 +78,17 @@ def _grid_answer(
 class DataModel:
     """Answers ladder inputs from a fixed proof grid; BOTTOM past its cap."""
 
-    def __init__(self, instance: DataTaskInstance, priv: LadderPriv):
+    def __init__(self, instance: DataTaskInstance, table: dict[int, ProofToken]):
         self.instance = instance
-        self.table = {} if priv.is_dummy else dict(priv.table)
+        self.table = dict(table)
         self.levels = sorted(self.table)
         self.cap = self.levels[-1] if self.levels else 0
-        self.is_dummy = not self.levels
         # The circuit holds the grid and the inner width, never the model:
         # the world's circuit table would otherwise reach the world again
         # through `self.instance`, a cycle, and a world must be freed by
         # reference counting as soon as its trial returns.
         levels, table, inner_width = self.levels, self.table, instance.inner_width
-        self.circuit_handle = None if self.is_dummy else instance.fhe.register_circuit(
+        self.circuit_handle = None if not levels else instance.fhe.register_circuit(
             lambda pt: _grid_answer(levels, table, decode_payload(pt), inner_width)
         )
 
@@ -105,24 +104,22 @@ class DataModel:
 class LadderTrainer:
     """Draws 4K inputs, keeps K distinct tokens, proves a sqrt(K)-spaced grid."""
 
-    def __init__(self, instance: DataTaskInstance, level_target: int, draw_factor: int = 4):
+    def __init__(self, instance: DataTaskInstance, level_target: int):
         if level_target < 1:
             raise ValueError("level_target must be >= 1")
         self.instance = instance
         self.level_target = level_target
-        self.sample_budget = draw_factor * level_target
+        self.sample_budget = 4 * level_target
 
     def train(self, ctx: TrialCtx) -> tuple[DataModel, LadderPriv]:
         inst = self.instance
         tokens = ctx.oracle.draw_tokens(self.sample_budget, self.level_target)
         if len(tokens) < self.level_target:
-            priv = LadderPriv(tokens=tokens, is_dummy=True)
-            return DataModel(inst, priv), priv
+            return DataModel(inst, {}), LadderPriv(tokens)
         levels = grid_levels(self.level_target)
         prover = CountProver(inst.snark, tokens)
         table = dict(zip(levels, prover.prove(levels)))
-        priv = LadderPriv(tokens=tokens, table=table, prover=prover)
-        return DataModel(inst, priv), priv
+        return DataModel(inst, table), LadderPriv(tokens, table, prover)
 
 
 class SelfIterationAttacker:
@@ -139,17 +136,10 @@ class SelfIterationAttacker:
 
     origin = ATTACKER
 
-    def __init__(
-        self,
-        instance: DataTaskInstance,
-        sample_budget: int = 8,
-        draws: int | None = None,
-    ):
-        if draws is not None and draws > sample_budget:
-            raise ValueError("draws cannot exceed the sample budget")
+    def __init__(self, instance: DataTaskInstance, sample_budget: int = 8):
         self.instance = instance
         self.sample_budget = sample_budget
-        self.draws = sample_budget if draws is None else draws
+        self.draws = sample_budget
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = self.instance
@@ -170,8 +160,7 @@ class SelfIterationAttacker:
         tunnel, dress = IdentityCipher(shipped_keys[0]), shipped_keys[1]
         replay_x, seed_payload = clear_draws[0]
         token = seed_payload.token
-        proof1 = snark_prove(inst.snark, inst.snark.statement(1), [token])
-        cur = ClearPayload(token, 1, proof1)
+        cur = ClearPayload(token, 1, snark_prove(inst.snark, 1, [token]))
 
         def wrap(p: ClearPayload) -> bytes:
             inner = encode_payload(p, inst.inner_width)
@@ -221,7 +210,7 @@ class ProofExtendingMitigator:
         xs: list[bytes],
     ) -> tuple[list[bytes], int]:
         inst = self.instance
-        if priv.is_dummy:
+        if priv.prover is None:
             raise AbortTrial("mitigator", "trainer produced a dummy model")
         fresh = ctx.oracle.draw_tokens(self.sample_budget, self.strip, priv.tokens)
         if len(fresh) < self.strip:
@@ -231,7 +220,7 @@ class ProofExtendingMitigator:
         levels = range(k + 1, k + self.strip + 1)
         table = dict(priv.table)
         table.update(zip(levels, priv.prover.extended(fresh).prove(levels)))
-        answer = DataModel(inst, LadderPriv(table=table))
+        answer = DataModel(inst, table)
         return [answer(x) for x in xs], 0
 
 

@@ -85,8 +85,8 @@ def grid_level(levels: list[int], need: int) -> int | None:
 _SEALING = 2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN
 
 
-def _round_up(n: int, block: int = 32) -> int:
-    return ((n + block - 1) // block) * block
+def _round_up(n: int) -> int:
+    return (n + 31) // 32 * 32
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,12 @@ class DataTaskInstance:
 
     def __init__(self, seed: bytes | int):
         rng = HashDrbg(seed).child("ladder-instance")
-        self.verification_key = sig_keygen(rng.child("sig"))
-        self.snark = SnarkParams(rng.child("proofs"), self.verification_key)
+        key = sig_keygen(rng.child("sig"))
+        self.snark = SnarkParams(rng.child("proofs"), key)
         self.fhe = FheSystem(rng.child("fhe"))
         pool_rng = rng.child("witness-pool")
         self._pool = tuple(
-            sig_sign_zero(self.verification_key, pool_rng.take(NONCE_LEN))
+            sig_sign_zero(key, pool_rng.take(NONCE_LEN))
             for _ in range(self.max_provable_level)
         )
         # checks pool tokens lazily, only as far as the counts proved need
@@ -148,7 +148,6 @@ class DataTaskInstance:
         """
         world = copy.copy(self)
         world.snark = self.snark.fork(trial_seed)
-        world.verification_key = world.snark.verification_key
         world.fhe = self.fhe.fork(trial_seed)
         world._prover = CountProver(world.snark, self._pool)
         return world
@@ -177,7 +176,7 @@ class DataTaskInstance:
         level = self.law.sample(rng)
         nonce = rng.take(NONCE_LEN)
         sealed = rng.bit()
-        token = sig_sign_zero(self.verification_key, nonce)
+        token = sig_sign_zero(self.snark.verification_key, nonce)
         levels = (level, next_level(level))
         payloads: list[Payload] = [
             ClearPayload(token, n, self.prove_count(n)) for n in levels[:built]
@@ -235,7 +234,7 @@ class DataTaskInstance:
         cur = Cursor(rng)
         buf, pos, fill = cur.buf, cur.pos, cur.fill
         end = len(buf)
-        sign, key = sig_sign_zero, self.verification_key
+        sign, key = sig_sign_zero, self.snark.verification_key
         climb = range(self.law.cap - 1)
         seen, fresh, left = set(known), [], 0
         for i in range(n):
@@ -269,8 +268,8 @@ class DataTaskInstance:
         """`p` is a clear input with a valid token and a proof of its own level."""
         return (
             isinstance(p, ClearPayload)
-            and sig_verify(self.verification_key, p.token)
-            and snark_verify(self.snark, self.snark.statement(p.level), p.proof)
+            and sig_verify(self.snark.verification_key, p.token)
+            and snark_verify(self.snark, p.level, p.proof)
         )
 
     def answers(self, xp: Payload | None, yp: Payload | None) -> bool:
@@ -280,7 +279,7 @@ class DataTaskInstance:
             and isinstance(yp, ClearPayload)
             and yp.token == xp.token
             and yp.level >= next_level(xp.level)
-            and snark_verify(self.snark, self.snark.statement(yp.level), yp.proof)
+            and snark_verify(self.snark, yp.level, yp.proof)
         )
 
     def h(self, x: bytes, y: bytes) -> int:

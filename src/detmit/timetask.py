@@ -184,11 +184,9 @@ class ChainClimbingAttacker:
     origin = ATTACKER
     sample_budget = 0
 
-    def __init__(self, instance: TimeTaskInstance, step_budget: int | None = None):
+    def __init__(self, instance: TimeTaskInstance):
         self.instance = instance
-        self.step_budget = (
-            2 * isqrt(instance.horizon) if step_budget is None else step_budget
-        )
+        self.step_budget = 2 * isqrt(instance.horizon)
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = self.instance

@@ -47,6 +47,7 @@ from detmit.crypto import (
     snark_extract,
     snark_prove,
     snark_verify,
+    statement_digest,
 )
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.payloads import EncPayload, decode_payload
@@ -275,7 +276,8 @@ def test_ladder_mitigation_restores_soundness():
     params = GameParams(epsilon=EPS, q=1)
     inst = DataTaskInstance(seed=404)
     trainer = LadderTrainer(inst, K)
-    atk = SelfIterationAttacker(inst, sample_budget=10, draws=8)
+    atk = SelfIterationAttacker(inst, 8)
+    atk.sample_budget = 10
     mitigator = ProofExtendingMitigator(inst, K)
     M = 200
 
@@ -336,14 +338,15 @@ def test_crypto_contract_rates():
     snark = SnarkParams(rng.child("snark"), key)
     guessed_ok = 0
     for i in range(10_000):
-        stmt = snark.statement(1 + i % 20)
-        fake = ProofToken(token=rng.take(TOKEN_LEN), statement_digest=stmt.digest())
-        guessed_ok += snark_verify(snark, stmt, fake)
+        count = 1 + i % 20
+        digest = statement_digest(count, snark.key_digest)
+        fake = ProofToken(token=rng.take(TOKEN_LEN), statement_digest=digest)
+        guessed_ok += snark_verify(snark, count, fake)
     assert guessed_ok == 0
 
     for s in range(1, 101):
         witness = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(s)]
-        proof = snark_prove(snark, snark.statement(s), witness)
+        proof = snark_prove(snark, s, witness)
         assert snark_extract(snark, proof) == tuple(witness)
 
     fhe = FheSystem(rng.child("fhe"))
@@ -358,14 +361,13 @@ def test_crypto_contract_rates():
     cheated = 0
     for i in range(1000):
         s = 1 + i % 20
-        stmt = snark.statement(s)
         if i % 2 == 0 or s == 1:
             witness = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(s - 1)]
         else:
             witness = [sig_sign_zero(key, rng.take(NONCE_LEN)) for _ in range(s - 1)]
             witness.append(witness[0])  # right count, duplicated entry
         try:
-            snark_prove(snark, stmt, witness)
+            snark_prove(snark, s, witness)
             cheated += 1
         except WitnessError:
             pass

@@ -36,7 +36,7 @@ from detmit.cli import (
     run_batch,
     summarize,
 )
-from detmit.crypto import ProofToken
+from detmit.crypto import ProofToken, statement_digest
 from detmit.drbg import SEED_MAX, SEED_MIN
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
@@ -400,7 +400,7 @@ def test_public_file_binds_the_count_statements_key(runner, tmp_path):
     pub = json.loads(prefix.with_suffix(".pub.json").read_text())
     instance = make_data_instance(4)
     assert pub["verification_key"] == instance.snark.key_digest.hex()
-    assert instance.snark.statement(3).key_digest == instance.verification_key.digest
+    assert instance.snark.key_digest == instance.snark.verification_key.digest
 
 
 def test_gen_instance_rejects_a_negative_pair_count(runner, tmp_path):
@@ -423,6 +423,44 @@ def test_gen_instance_rejects_a_pair_count_over_the_cap(runner, tmp_path):
     assert res.exit_code == 2
     assert "--emit-pairs" in res.output
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("horizon", ["256", "999"])
+def test_gen_instance_rejects_a_horizon_on_the_ladder(runner, tmp_path, horizon):
+    """No ladder code reads a horizon, so giving one is an error, as in `run` configs."""
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", "ladder", "--horizon", horizon, "--out", str(tmp_path / "i")],
+    )
+    assert res.exit_code == 2, res.output
+    assert "horizon is read only by the chain task" in res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_instance_records_the_default_horizon_on_both_tasks(runner, tmp_path):
+    for task in ("ladder", "chain"):
+        res = runner.invoke(main, ["gen-instance", "--task", task, "--out", str(tmp_path / task)])
+        assert res.exit_code == 0, res.output
+        sec = json.loads((tmp_path / task).with_suffix(".sec.json").read_text())
+        assert sec == {"task": task, "seed": 1, "horizon": 256, "emit_pairs": 0}
+
+
+@pytest.mark.parametrize(
+    "task, pairs", [("ladder", 0), ("ladder", 3), ("chain", 0)], ids=["ladder-0", "ladder-3", "chain"]
+)
+def test_gen_instance_writes_the_indented_dump_of_the_public_state(runner, tmp_path, task, pairs):
+    """The public file, written row by row, is the indented dump of the whole state."""
+    prefix = tmp_path / "inst"
+    args = ["gen-instance", "--task", task, "--seed", "4", "--out", str(prefix)]
+    res = runner.invoke(main, [*args, "--emit-pairs", str(pairs)])
+    assert res.exit_code == 0, res.output
+    instance = cli._build_task(task, 4, 256)
+    for _ in cli._emit_pairs(instance, 4, pairs):
+        pass
+    scalars, key, rows = cli.instance_public_state(instance)
+    obj = {**scalars, key: list(rows)}
+    assert len(obj[key]) == (2 * pairs if task == "ladder" else 256 + 16 + 1)
+    assert prefix.with_suffix(".pub.json").read_text() == json.dumps(obj, indent=2) + "\n"
 
 
 def test_verify_detects_tampering(runner, tmp_path):
@@ -459,7 +497,7 @@ def test_an_added_public_registry_row_cannot_vouch_for_a_forged_answer(runner, t
         if isinstance(decode_payload(x), ClearPayload):
             break
     level = decode_payload(x).level + 50
-    proof = ProofToken(b"\x07" * 16, instance.snark.statement(level).digest())
+    proof = ProofToken(b"\x07" * 16, statement_digest(level, instance.snark.key_digest))
     forged = decode_payload(y)._replace(level=level, proof=proof)
     pairs = tmp_path / "forged.jsonl"
     pairs.write_text(json.dumps(

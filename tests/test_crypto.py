@@ -25,7 +25,6 @@ from detmit.crypto import (
     ProofChainError,
     ProofToken,
     SignatureToken,
-    SigCountStatement,
     SnarkParams,
     StepMeter,
     StepsExhausted,
@@ -42,6 +41,7 @@ from detmit.crypto import (
     snark_extract,
     snark_prove,
     snark_verify,
+    statement_digest,
 )
 from detmit.drbg import HashDrbg
 from detmit.payloads import TimePayload, decode_payload, encode_payload
@@ -165,28 +165,27 @@ def tokens(rng, vk):
 
 
 def test_prove_verify_extract(snark, tokens):
-    stmt = snark.statement(5)
-    proof = snark_prove(snark, stmt, tokens[:5])
-    assert snark_verify(snark, stmt, proof)
+    proof = snark_prove(snark, 5, tokens[:5])
+    assert snark_verify(snark, 5, proof)
     assert snark_extract(snark, proof) == tuple(tokens[:5])
     assert proof_token_from_bytes(pack_fields(proof.token, proof.statement_digest)) == proof
 
 
 def test_proof_bound_to_statement(snark, tokens):
-    proof = snark_prove(snark, snark.statement(3), tokens[:3])
-    assert not snark_verify(snark, snark.statement(4), proof)
+    proof = snark_prove(snark, 3, tokens[:3])
+    assert not snark_verify(snark, 4, proof)
 
 
 def test_insufficient_witness_rejected(snark, tokens, vk, rng):
     with pytest.raises(WitnessError):
-        snark_prove(snark, snark.statement(5), tokens[:4])
+        snark_prove(snark, 5, tokens[:4])
     # duplicates don't count twice
     with pytest.raises(WitnessError):
-        snark_prove(snark, snark.statement(3), [tokens[0], tokens[0], tokens[1]])
+        snark_prove(snark, 3, [tokens[0], tokens[0], tokens[1]])
     # invalid tokens don't count at all
     bad = SignatureToken(tokens[0].nonce, b"\x00" * 64)
     with pytest.raises(WitnessError):
-        snark_prove(snark, snark.statement(2), [tokens[0], bad])
+        snark_prove(snark, 2, [tokens[0], bad])
 
 
 def test_prove_counts_equals_successive_single_proofs(rng, vk, tokens):
@@ -197,9 +196,9 @@ def test_prove_counts_equals_successive_single_proofs(rng, vk, tokens):
     batch = SnarkParams(rng.child("counts"), vk)
     single = SnarkParams(rng.child("counts"), vk)
     proofs = CountProver(batch, witness).prove(counts)
-    assert proofs == [snark_prove(single, single.statement(c), witness) for c in counts]
+    assert proofs == [snark_prove(single, c, witness) for c in counts]
     for count, proof in zip(counts, proofs):
-        assert snark_verify(batch, batch.statement(count), proof)
+        assert snark_verify(batch, count, proof)
         assert snark_extract(batch, proof) == tuple(valid[:count])
 
 
@@ -218,7 +217,7 @@ def test_count_prover_checks_each_witness_token_once(rng, vk, tokens, monkeypatc
     witness = (tokens[0], tokens[0], bad, *tokens[1:10])
     counts = [3, 1, 7, 2, 7, 5]
     single = SnarkParams(rng.child("once"), vk)
-    wants = [snark_prove(single, single.statement(c), list(witness)) for c in counts]
+    wants = [snark_prove(single, c, list(witness)) for c in counts]
 
     checked = []
 
@@ -280,18 +279,17 @@ def test_count_prover_short_witness_registers_nothing(rng, vk, tokens):
 
 def test_random_proof_tokens_rejected(snark):
     r = HashDrbg(b"random-proofs")
-    stmt = snark.statement(2)
-    digest = stmt.digest()
+    digest = statement_digest(2, snark.key_digest)
     assert all(
-        not snark_verify(snark, stmt, ProofToken(r.take(16), digest))
+        not snark_verify(snark, 2, ProofToken(r.take(16), digest))
         for _ in range(1000)
     )
 
 
 def test_statement_digest_binds_count_and_key():
-    a = SigCountStatement(3, sha256(b"k1"))
-    assert a.digest() != SigCountStatement(4, sha256(b"k1")).digest()
-    assert a.digest() != SigCountStatement(3, sha256(b"k2")).digest()
+    a = statement_digest(3, sha256(b"k1"))
+    assert a != statement_digest(4, sha256(b"k1"))
+    assert a != statement_digest(3, sha256(b"k2"))
 
 
 # --- identity encryption -----------------------------------------------------------

@@ -62,12 +62,12 @@ def test_grid_levels_frozen():
 
 def test_trainer_builds_grid_model():
     model, priv = train(16)
-    assert not priv.is_dummy
+    assert priv.prover is not None
     assert len(priv.tokens) == 16
     assert sorted(priv.table) == [4, 8, 12, 16]
     assert model.cap == 16
     for lvl, proof in priv.table.items():
-        assert snark_verify(INST.snark, INST.snark.statement(lvl), proof)
+        assert snark_verify(INST.snark, lvl, proof)
 
 
 def test_model_answers_clear_inputs():
@@ -112,9 +112,10 @@ def test_model_bottoms_on_garbage():
 
 
 def test_dummy_model_when_draws_too_thin():
-    trainer = LadderTrainer(INST, 100, draw_factor=1)  # 100 draws, ~50 clear
+    trainer = LadderTrainer(INST, 100)
+    trainer.sample_budget = 100  # 100 draws, ~50 clear
     model, priv = trainer.train(ctx_for(trainer, "thin"))
-    assert priv.is_dummy and model.is_dummy
+    assert priv.prover is None and not model.levels
     rng = HashDrbg(b"dummy")
     assert decode_payload(model(build_clear_input(INST, 1, rng))) is None
 
@@ -226,7 +227,8 @@ def test_mitigator_answers_below_k_when_grid_stops_short():
 
 def test_mitigator_aborts_on_dummy_model():
     mit = ProofExtendingMitigator(INST, 16)
-    trainer = LadderTrainer(INST, 100, draw_factor=1)
+    trainer = LadderTrainer(INST, 100)
+    trainer.sample_budget = 100
     t = run_dbm_trial(
         INST, trainer, NatureChallenger(), mit, PARAMS, derive_trial_seed(61, 0)
     )

@@ -129,7 +129,7 @@ def test_h_wrong_answers_score_one():
     low = ClearPayload(x.token, x.level, x.proof)
     assert INST.h(xb, encode_payload(low, INST.width)) == 1
     # right level, wrong token
-    other = sig_sign_zero(INST.verification_key, rng.take(NONCE_LEN))
+    other = sig_sign_zero(INST.snark.verification_key, rng.take(NONCE_LEN))
     swapped = ClearPayload(other, y.level, y.proof)
     assert INST.h(xb, encode_payload(swapped, INST.width)) == 1
     # unregistered proof
@@ -296,16 +296,16 @@ def test_world_with_a_corrupted_pool_token_proves_nothing_short():
 WORLD, OTHER_WORLD = INST.world(b"keys"), INST.world(b"other-keys")
 WORLD_DRAWN = WORLD.sample_tokens(HashDrbg(b"key-draws"), 64, 64)[0]
 SIGNERS = {
-    "this-world": WORLD.verification_key,
-    "other-world": OTHER_WORLD.verification_key,
-    "instance": INST.verification_key,
+    "this-world": WORLD.snark.verification_key,
+    "other-world": OTHER_WORLD.snark.verification_key,
+    "instance": INST.snark.verification_key,
     "other-key": sig_keygen(HashDrbg(b"another-key")),
 }
 
 
 def mac_check(token: SignatureToken) -> bool:
     """`sig_verify` on the instance's key, computed afresh with `hmac`."""
-    sk = INST.verification_key._mac_key
+    sk = INST.snark.verification_key._mac_key
     mac = hmac.digest(sk, ZERO_MESSAGE + token.nonce, "sha512")
     return len(token.nonce) == NONCE_LEN and hmac.compare_digest(token.core, mac)
 
@@ -337,24 +337,23 @@ def tokens_to_check(draw) -> SignatureToken:
 @given(tokens_to_check())
 def test_a_world_key_verifies_as_the_mac_does(token):
     for world in (WORLD, OTHER_WORLD):
-        assert sig_verify(world.verification_key, token) == mac_check(token)
-    assert sig_verify(INST.verification_key, token) == mac_check(token)
+        assert sig_verify(world.snark.verification_key, token) == mac_check(token)
+    assert sig_verify(INST.snark.verification_key, token) == mac_check(token)
 
 
 def test_a_world_key_checks_its_own_tokens_without_a_mac():
     world = INST.world(b"no-mac")
-    assert world.snark.verification_key is world.verification_key
-    assert world.verification_key.digest == INST.verification_key.digest
+    assert world.snark.verification_key.digest == INST.snark.verification_key.digest
     tokens = world.sample_tokens(HashDrbg(b"own"), 16, 16)[0]
     mine = decode_payload(world.sample_input(HashDrbg(b"own-input")))
     others = OTHER_WORLD.sample_tokens(HashDrbg(b"others"), 16, 16)[0]
     macs, mac = [], VerificationKey._mac
     with patch.object(VerificationKey, "_mac", lambda key, m: macs.append(m) or mac(key, m)):
-        assert all(sig_verify(world.verification_key, t) for t in tokens)
+        assert all(sig_verify(world.snark.verification_key, t) for t in tokens)
         if isinstance(mine, ClearPayload):
             assert world.genuine(mine)
         assert macs == []
-        assert all(sig_verify(world.verification_key, t) for t in others)
+        assert all(sig_verify(world.snark.verification_key, t) for t in others)
         assert len(macs) == len(others)
 
 
@@ -364,8 +363,7 @@ def test_signing_through_the_instance_records_nothing():
     for _ in range(16):
         inst.sample_pair(rng)
     inst.prove_count(40)
-    assert inst.verification_key._signed is None
-    assert inst.snark.verification_key is inst.verification_key
+    assert inst.snark.verification_key._signed is None
     world = inst.world(b"w")
     world.sample_pair(rng)
-    assert world.verification_key._signed and inst.verification_key._signed is None
+    assert world.snark.verification_key._signed and inst.snark.verification_key._signed is None

@@ -1,10 +1,16 @@
-"""The package defines no module-level name or method that its own code never uses.
+"""The package defines no name, method or parameter default that its own code never uses.
 
 A name that only tests read belongs in `tests/testkit.py` or its test, not
 in `src/detmit`.  Each name below is kept although no `src/detmit` code
 refers to it, for the reason given.  A method counts as used when any code
 reads an attribute of its name, whatever the object, unless the object is a
 builtin named as such (`int.from_bytes` uses no package method).
+
+A parameter with a default that no package call passes is a constant: only
+tests could set it.  Calls match a function by name, as uses match names: a
+call of `f`, or of any `obj.f`, passes the parameters it names by keyword and
+those its positional arguments reach (a `*args` reaches every position, a
+`**kwargs` every name); a call of a class passes its `__init__`'s.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import ast
 import builtins
 from pathlib import Path
+from typing import Iterator
 
 import detmit
 
@@ -26,6 +33,12 @@ UNREFERENCED = {
     ("crypto", "snark_extract"): "the proof extractor gate 5 checks soundness with",
     ("wire", "pack_fields"): "perfbench/spans.py traces it by name",
     ("crypto", "StepMeter.step"): "perfbench/spans.py traces it by name",
+}
+
+# (module, function, parameter) -> why its default stays with no package call passing it
+UNPASSED = {
+    ("core", "run_dbd_trial", "trial_id"): "cli.run_trial passes it through its `runner` alias",
+    ("core", "run_dbm_trial", "trial_id"): "cli.run_trial passes it through its `runner` alias",
 }
 
 
@@ -77,6 +90,62 @@ def unreferenced(src: Path) -> set[tuple[str, str]]:
     return out
 
 
+def _functions(tree: ast.Module) -> Iterator[tuple[str, str, bool, ast.FunctionDef]]:
+    """Each module-level function and method of `tree`, as (name, called, bound, node).
+
+    `called` is the name its calls use: the class's own for `__init__`.
+    `bound` is whether a call supplies its first parameter: not for a
+    function or a static method.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, False, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, not static, item
+
+
+def unpassed_defaults(src: Path) -> set[tuple[str, str, str]]:
+    """(module, function, parameter) of each default under `src` that no call there passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, index: int | None, name: str) -> bool:
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return index is not None and (
+            len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    out = set()
+    for module, tree in trees.items():
+        for qualname, called, bound, node in _functions(tree):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first_default = len(positional) - len(args.defaults)
+            offered = [
+                (i - bound, a.arg) for i, a in enumerate(positional) if i >= first_default
+            ] + [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for index, name in offered:
+                if not any(passed(call, index, name) for call in calls.get(called, ())):
+                    out.add((module, qualname, name))
+    return out
+
+
 def test_every_package_name_is_used_by_the_package():
     assert unreferenced(SRC) == set(UNREFERENCED)
 
@@ -101,4 +170,35 @@ def test_the_guard_counts_neither_imports_nor_self_references(tmp_path):
     assert unreferenced(tmp_path) == {
         ("a", "recursive"), ("a", "Helper"), ("a", "Box.grow"), ("a", "Box.spare"),
         ("a", "Box.from_bytes"),
+    }
+
+
+def test_every_parameter_default_is_passed_by_the_package():
+    assert unpassed_defaults(SRC) == set(UNPASSED)
+
+
+def test_the_default_guard_counts_calls_by_keyword_position_and_class(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+        "def g(a, b=1):\n    return a\n"
+        "def h(a=1, b=2):\n    return a\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n        self.x = x\n"
+        "    def m(self, p=1, q=2):\n        return p\n"
+        "    @staticmethod\n"
+        "    def s(p=1, q=2):\n        return p\n"
+        "    def unused(self, r=0):\n        return r\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import K, f, g, h\n"
+        "f(1, c=3)\n"  # b and d unpassed
+        "g(1, 2)\n"
+        "h(*[1, 2])\n"
+        "K(1)\n"  # y unpassed
+        "K(1).m(5)\n"  # q unpassed
+        "K.s(4, **{})\n"
+    )
+    assert unpassed_defaults(tmp_path) == {
+        ("a", "f", "b"), ("a", "f", "d"), ("a", "K.__init__", "y"), ("a", "K.m", "q"),
+        ("a", "K.unused", "r"),
     }

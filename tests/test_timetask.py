@@ -323,7 +323,8 @@ def test_mitigator_runs_out_of_steps_mid_run(inst):
 
 def test_step_budget_enforced(inst):
     trainer = TimeTrainer(inst)
-    atk = ChainClimbingAttacker(inst, step_budget=0)  # cannot even start
+    atk = ChainClimbingAttacker(inst)
+    atk.step_budget = 0  # cannot even start
     t = run_dbm_trial(
         inst, trainer, atk, ChainExtendingMitigator(inst),
         PARAMS, derive_trial_seed(83, 0), 0,

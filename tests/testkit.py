@@ -155,7 +155,7 @@ def clear_pair_at(
     Takes the token nonce from `rng`, then x's proof token and y's from the
     instance's proof-token stream; without `answer`, y's is skipped.
     """
-    token = sig_sign_zero(instance.verification_key, rng.take(NONCE_LEN))
+    token = sig_sign_zero(instance.snark.verification_key, rng.take(NONCE_LEN))
     x = ClearPayload(token, level, instance.prove_count(level))
     if not answer:
         instance.snark.skip_proof(1)
@@ -224,7 +224,7 @@ def token_draws(
         if sealed:
             rng.skip(2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN)
         elif wanted:
-            token = sig_sign_zero(instance.verification_key, nonce)
+            token = sig_sign_zero(instance.snark.verification_key, nonce)
             if token not in seen:
                 seen.add(token)
                 fresh.append(token)
