@@ -560,10 +560,10 @@ def ivc_update(keys, state, proof, meter, steps=1):
     the state single-step updates leave.  A run of 0 steps returns its input
     unchecked.
 
-    A run that starts on the keys' known chain takes the points up to the
-    chain's tip from it, already registered, and hashes only the steps past
-    the tip, appending them; the charge, `steps_run`, the registry and the
-    returned proofs are those of hashing every step.
+    A run that starts on the keys' known chain reads its stops at or below
+    the chain's tip from it in one pass, already registered, and hashes only
+    the steps past the tip, appending them; the charge, `steps_run`, the
+    registry and the returned proofs are those of hashing every step.
     """
     single = isinstance(steps, int)
     stops = (steps,) if single else tuple(steps)
@@ -579,18 +579,19 @@ def ivc_update(keys, state, proof, meter, steps=1):
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
     granted = meter.charge(last)
     t, commitment, salt, new = proof.steps, proof.commitment, keys._salt, hashlib.sha256
-    first, end = t, t + granted
+    end = t + granted
+    targets = [t + stop if stop <= granted else end for stop in stops]
     points = []
     with keys._lock:
         keys.steps_run += granted
         known = keys._known
         on_known = t < len(known) and known[t] == (state, commitment)
         registry = keys._registry
-        for stop in stops:
-            target = min(first + stop, end)
-            if on_known:
-                t = min(target, len(known) - 1)
-                state, commitment = known[t]
+        if on_known:  # read the stops at or below the tip; hash on from the tip
+            t = len(known) - 1
+            points = [(known[u][0], IvcProof(u, known[u][1])) for u in targets if u <= t]
+            state, commitment = known[t]
+        for target in targets[len(points):]:
             for t in range(t + 1, target + 1):
                 state = npl_step(state)
                 # the bytes of keys._commit(commitment, t, state)

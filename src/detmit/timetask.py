@@ -16,6 +16,11 @@ check, one meter charge and one registry lock for all its steps and stops.
 The attacker never pays for the ladder: it builds a step-1 payload (one
 metered step) and climbs the trainer's grid by repeated queries, reaching
 the grid's frontier with O(sqrt(T)) queries and O(sqrt(T)) of its own steps.
+Each query after the first is the bytes of the model's previous answer, and
+the model keeps the bytes of every non-BOTTOM answer it gave with its step
+count, so it reads such a query without decoding or checking it again.
+That is exact: an answer is a grid point the trainer registered, and the
+registry never drops one.
 
 The instance builds its chain, out to `reach`, with one run from the start
 state, and that run roots the chain keys' known chain (see
@@ -110,22 +115,36 @@ def make_time_instance(seed: bytes | int, horizon: int = HORIZON) -> TimeTaskIns
 
 
 class TimeModel:
-    """Answers from a snapshot grid; free at query time, BOTTOM past the grid."""
+    """Answers from a snapshot grid; free at query time, BOTTOM past the grid.
+
+    The model keeps the bytes of every non-BOTTOM answer it returned, with
+    that answer's step count, and answers a query equal to a kept answer
+    without `decode_payload` or `genuine`.  That is exact: the bytes decode
+    to a grid point the trainer registered, and the registry never drops an
+    entry, so the query is genuine at the kept step count.  BOTTOM is never
+    kept, since it answers many queries and decodes to nothing.
+    """
 
     def __init__(self, instance: TimeTaskInstance, table: Grid):
         self.instance = instance
         self.table = dict(table)
         self.levels = sorted(self.table)
         self.cap = self.levels[-1] if self.levels else 0
+        self._answered: dict[bytes, int] = {}  # answer bytes -> its step count
 
     def __call__(self, x: bytes) -> bytes:
         inst = self.instance
-        p = decode_payload(x)
-        lvl = grid_level(self.levels, next_level(p.steps)) if inst.genuine(p) else None
+        steps = self._answered.get(x)
+        if steps is None:
+            p = decode_payload(x)
+            steps = p.steps if inst.genuine(p) else None
+        lvl = None if steps is None else grid_level(self.levels, next_level(steps))
         if lvl is None:
             return bottom(inst.width)
         state, proof = self.table[lvl]
-        return encode_payload(TimePayload(lvl, state, proof), inst.width)
+        y = encode_payload(TimePayload(lvl, state, proof), inst.width)
+        self._answered[y] = lvl
+        return y
 
 
 class TimeTrainer:
@@ -203,7 +222,8 @@ class ChainClimbingAttacker:
                 break
             cur, x = yp, y
         ctx.notes["level"] = cur.steps
-        return [encode_payload(cur, inst.width)] * ctx.params.q
+        # the model encodes at inst.width and decoding is canonical, so x encodes cur
+        return [x] * ctx.params.q
 
 
 # --- ledger audits ---------------------------------------------------------------

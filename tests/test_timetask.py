@@ -5,18 +5,24 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detmit import timetask
 from detmit.core import (
     GameParams,
     NatureChallenger,
+    run_dbd_trial,
     run_dbm_trial,
 )
 from detmit.crypto import IvcProof, StepMeter, ivc_verify, npl_step, sha256
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.payloads import TimePayload, bottom, decode_payload, encode_payload
+from detmit.sampleagents import NeverFlagDetector
 from detmit.timetask import (
     ChainClimbingAttacker,
     ChainExtendingMitigator,
+    TimeModel,
     TimeTaskInstance,
     TimeTrainer,
     audit_conservation,
@@ -164,6 +170,44 @@ def test_model_answers_from_grid(inst):
     assert decode_payload(model(encode_payload(forged, inst.width))) is None
 
 
+RECALL = make_time_instance(b"recall", horizon=64)
+_, RECALL_TABLE = TimeTrainer(RECALL).train(SimpleNamespace(meter=StepMeter()))
+OTHER = make_time_instance(b"recall-other", horizon=64)
+OTHER_MODEL, _ = TimeTrainer(OTHER).train(SimpleNamespace(meter=StepMeter()))
+CORE = 101  # a chain payload's core; the rest of an answer is zero padding
+QUERY_KINDS = ["input", "own", "core byte", "padding byte", "other", "arbitrary"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_model_answers_like_a_memoryless_one(data):
+    """A model that keeps its answers answers every query as a fresh one would.
+
+    Queries mix honest inputs, the model's own answers (BOTTOM too), those
+    answers with a core byte changed or a padding byte made nonzero, another
+    instance's answers and arbitrary bytes.
+    """
+    model = TimeModel(RECALL, RECALL_TABLE)
+    answered: list[bytes] = []
+    for _ in range(data.draw(st.integers(1, 24), label="queries")):
+        kind = data.draw(st.sampled_from(QUERY_KINDS), label="kind")
+        if kind == "other":
+            x = OTHER_MODEL(OTHER.build_input(data.draw(st.integers(1, OTHER.horizon))))
+        elif kind == "arbitrary":
+            x = data.draw(st.binary(max_size=RECALL.width + 8), label="bytes")
+        elif kind == "input" or not answered:
+            x = RECALL.build_input(data.draw(st.integers(1, RECALL.reach), label="steps"))
+        else:
+            x = bytearray(data.draw(st.sampled_from(answered), label="answer"))
+            if kind != "own":
+                at = st.integers(0, CORE - 1) if kind == "core byte" else st.integers(CORE, len(x) - 1)
+                x[data.draw(at, label="at")] ^= data.draw(st.integers(1, 255), label="flip")
+            x = bytes(x)
+        y = model(x)
+        assert y == TimeModel(RECALL, RECALL_TABLE)(x)
+        answered.append(y)
+
+
 def test_attack_numbers_frozen(inst):
     trainer = TimeTrainer(inst)
     atk = ChainClimbingAttacker(inst)
@@ -211,6 +255,37 @@ def test_attack_defeats_the_grid_model(inst):
         inst, trainer, atk, NeverFlagDetector(), PARAMS, derive_trial_seed(81, 1), 0
     )
     assert t.err_fx == 1.0 and t.flag == 0
+
+
+def test_attack_trial_reads_each_payload_once(inst, monkeypatch):
+    """The model reads a query equal to its own answer without a decode or a
+    check, and the attacker sends the bytes of its last accepted answer.
+
+    Beyond one decode and one check per query, a trial adds the model's first
+    query and `h` on the one challenge input; every encode is the attacker's
+    step-1 payload or an answer of the model.
+    """
+    calls = {"decode": 0, "encode": 0, "verify": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(timetask, "decode_payload", counting("decode", decode_payload))
+    monkeypatch.setattr(timetask, "encode_payload", counting("encode", encode_payload))
+    monkeypatch.setattr(timetask, "ivc_verify", counting("verify", ivc_verify))
+    for i in range(3):
+        calls.update(dict.fromkeys(calls, 0))
+        t = run_dbd_trial(
+            inst, TimeTrainer(inst), ChainClimbingAttacker(inst), NeverFlagDetector(),
+            PARAMS, derive_trial_seed(81, i), i,
+        )
+        queries = t.notes["queries"]
+        assert t.aborted is None and queries == 17 and t.err_fx == 1.0
+        assert calls["decode"] <= queries + 3 and calls["verify"] <= queries + 3
+        assert calls["encode"] == queries  # 16 answers and the step-1 payload
 
 
 class _Fixed:

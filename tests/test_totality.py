@@ -4,11 +4,11 @@ The targets are both tasks' `h`, `genuine` and `answers`, `DataModel`,
 `TimeModel`, both mitigators and the four ladder detectors.  Each `h` must
 also equal its two public checks: 1 iff the input is genuine and the answer
 does not answer it (on the ladder, for inputs that are not sealed, which
-`h` decrypts first).  Inputs are honest payloads of both tasks,
-mutated byte by byte or field by field, and arbitrary bytes; every input
-goes to both tasks' targets.  The
-chain mitigator must also charge no step to an input that fails
-`ivc_verify`.  Step counts and levels the mutations draw stay below
+`h` decrypts first).  Inputs are honest payloads of both tasks and the
+chain model's answers to them, each as it is or mutated byte by byte or
+field by field, and arbitrary bytes; every input goes to both tasks'
+targets.  The chain mitigator must also charge no step to an input that
+fails `ivc_verify`.  Step counts and levels the mutations draw stay below
 STEP_BOUND, so a mitigator that pays isqrt(claimed) steps for a relabeled
 proof fails here after at most a thousand steps instead of running for
 2**30 of them.
@@ -135,6 +135,9 @@ def _input(data: st.DataObject) -> bytes:
     if kind == "arbitrary":
         return data.draw(st.binary(max_size=WIDTH + 8), label="arbitrary")
     buf = data.draw(st.sampled_from(HONEST), label="honest")
+    if data.draw(st.booleans(), label="chain answer"):
+        # the chain model keeps its answers, so a query equal to one runs its recognition path
+        buf = CHAIN_MODEL(buf)
     if kind == "bytes":
         return _byte_mutation(data, buf)
     p = decode_payload(buf)
