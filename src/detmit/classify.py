@@ -12,19 +12,21 @@ The toy task is label memorization: inputs are 4-byte indices, the correct
 label is a salted hash bit, nature draws from a fixed pool, and an attacker
 can aim outside the pool where the trained table has no entries.
 
-The nature pool is small, so an instance labels it once, when it is built:
-its nature table holds the NATURE_POOL (x, label) pairs in index order, and
-a nature draw reads the 8 bytes ``randrange(NATURE_POOL)`` would read and
-serves the table entry at that index.  Only ``h`` hashes labels per call.
+An instance keeps the SHA-256 state of ``b"toy-label:" + salt``, and its
+``label`` copies that state and hashes the input alone.  The nature pool is
+small, so an instance labels it once, when it is built: its nature table
+holds the NATURE_POOL (x, label) pairs in index order, and a nature draw
+reads the 8 bytes ``randrange(NATURE_POOL)`` would read and serves the table
+entry at that index.  Only ``h`` labels per call.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import ATTACKER, TrialCtx, hamming
-from .crypto import sha256
 from .drbg import HashDrbg
 from .wire import be32
 
@@ -36,30 +38,33 @@ NATURE_POOL = 16
 assert NATURE_POOL & (NATURE_POOL - 1) == 0 and NATURE_POOL <= 256
 ATTACK_POOL = 1 << 16
 DRIFT_THRESHOLD_MULT = 4.0
-
-
-def toy_label(salt: bytes, x: bytes) -> bytes:
-    """Ground-truth label: low bit of a salted hash of the input."""
-    return bytes([sha256(b"toy-label:" + salt + x)[0] & 1])
+LABELS = (b"\x00", b"\x01")
 
 
 @dataclass
 class ToyClassificationInstance:
     """Binary labels over 4-byte indices; nature uses indices [0, NATURE_POOL).
 
-    `nature` is the labelled pool, ``(be32(i), toy_label(salt, be32(i)))``
-    at index i, built from `salt`.
+    `nature` is the labelled pool, ``(be32(i), label(be32(i)))`` at index i,
+    built from `salt`.
     """
 
     salt: bytes
     nature: tuple[tuple[bytes, bytes], ...] = field(init=False, repr=False, compare=False)
+    _label_prefix: hashlib._Hash = field(init=False, repr=False, compare=False)  # only copied
 
     def __post_init__(self) -> None:
-        xs = [be32(i) for i in range(NATURE_POOL)]
-        self.nature = tuple((x, toy_label(self.salt, x)) for x in xs)
+        self._label_prefix = hashlib.sha256(b"toy-label:" + self.salt)
+        self.nature = tuple((x, self.label(x)) for x in map(be32, range(NATURE_POOL)))
+
+    def label(self, x: bytes) -> bytes:
+        """Ground-truth label: low bit of ``sha256(b"toy-label:" + salt + x)``."""
+        h = self._label_prefix.copy()
+        h.update(x)
+        return LABELS[h.digest()[0] & 1]
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
-        """``(x, toy_label(salt, x))`` for ``x = be32(rng.randrange(NATURE_POOL))``."""
+        """``(x, label(x))`` for ``x = be32(rng.randrange(NATURE_POOL))``."""
         return self.nature[rng.take(8)[7] % NATURE_POOL]
 
     def sample_input(self, rng: HashDrbg) -> bytes:
@@ -72,7 +77,7 @@ class ToyClassificationInstance:
     def h(self, x: bytes, y: bytes) -> int:
         if len(x) != 4:
             return 1
-        return 0 if y == toy_label(self.salt, x) else 1
+        return 0 if y == self.label(x) else 1
 
 
 def make_toy_instance(seed: bytes | int) -> ToyClassificationInstance:

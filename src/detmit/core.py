@@ -6,7 +6,8 @@ produces a batch of q inputs; the defense then either flags the batch
 (detection game) or answers it and may flag (mitigation game).  Trials are
 scored harness-side with the task's quality oracle h: ``err_fx`` is the
 empirical error of the model's own answers on the batch and ``err_y`` the
-error of the defense's answers where those exist.
+error of the defense's answers where those exist.  A defense answer equal to
+the model's takes that answer's score: h scores a pair the two share once.
 
 Party code only ever receives oracle handles (sample oracle, public
 parameters, a step meter for the move) — never instance secrets.  Budget
@@ -264,14 +265,30 @@ class NatureChallenger:
 
 
 def empirical_err(
-    h: Callable[[bytes, bytes], int], xs: list[bytes], ys: list[bytes]
+    h: Callable[[bytes, bytes], int],
+    xs: list[bytes],
+    ys: list[bytes],
+    scored: tuple[list[bytes], list[int]] | None = None,
+    scores: list[int] | None = None,
 ) -> float:
-    """Mean quality-oracle score over a batch of (x, y) pairs."""
+    """Mean quality-oracle score over a batch of (x, y) pairs.
+
+    `scored`, if given, is another answer batch to the same xs and its
+    per-pair scores: a pair whose answer equals that batch's takes its score
+    without a call to `h`, which is exact because `h` is a pure function of
+    (x, y).  `scores`, if given, receives this batch's per-pair scores.
+    """
     if len(xs) != len(ys):
         raise ValueError(f"batch length mismatch: {len(xs)} vs {len(ys)}")
     if not xs:
         raise ValueError("empty batch")
-    return sum(h(x, y) for x, y in zip(xs, ys)) / len(xs)
+    if scored is None:
+        got = [h(x, y) for x, y in zip(xs, ys)]
+    else:
+        got = [s if y == z else h(x, y) for x, y, z, s in zip(xs, ys, *scored, strict=True)]
+    if scores is not None:
+        scores += got
+    return sum(got) / len(xs)
 
 
 def hamming(ys_a: list[bytes], ys_b: list[bytes]) -> float:
@@ -510,9 +527,10 @@ def _run_trial(
                 if fxs is not None:
                     flag, response = defended
                     inner_flag = dctx.notes.get("inner_flag")
-                    err_fx = empirical_err(instance.h, xs, fxs)
+                    fx_scores: list[int] = []
+                    err_fx = empirical_err(instance.h, xs, fxs, scores=fx_scores)
                     if response is not None:
-                        err_y = empirical_err(instance.h, xs, response)
+                        err_y = empirical_err(instance.h, xs, response, scored=(fxs, fx_scores))
 
     return Transcript(
         trial_id=trial_id,

@@ -93,6 +93,8 @@ class DataModel:
         )
 
     def __call__(self, x: bytes) -> bytes:
+        if not isinstance(x, bytes):
+            raise TypeError(f"a model query is bytes, not {type(x).__name__}")
         w = self.instance.width
         p = decode_payload(x)
         if isinstance(p, EncPayload) and self.circuit_handle is not None:

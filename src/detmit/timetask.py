@@ -133,6 +133,8 @@ class TimeModel:
         self._answered: dict[bytes, int] = {}  # answer bytes -> its step count
 
     def __call__(self, x: bytes) -> bytes:
+        if not isinstance(x, bytes):
+            raise TypeError(f"a model query is bytes, not {type(x).__name__}")
         inst = self.instance
         steps = self._answered.get(x)
         if steps is None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from detmit.classify import (
     ToyTrainer,
     derived_flag,
     make_toy_instance,
-    toy_label,
 )
 from detmit.core import (
     GameParams,
@@ -28,7 +29,13 @@ from detmit.core import (
 )
 from detmit.drbg import HashDrbg, derive_trial_seed
 from detmit.wire import be32
-from testkit import KeepTrained, estimate_model_err, implication_holds, implication_premise
+from testkit import (
+    KeepTrained,
+    estimate_model_err,
+    implication_holds,
+    implication_premise,
+    toy_label,
+)
 
 PARAMS = GameParams(epsilon=0.05, q=32)
 INST = make_toy_instance(11)
@@ -62,6 +69,22 @@ def test_toy_draws_match_a_written_out_reference(salt, seed, move, offset, draws
         assert inst.sample_input(got) == be32(want.randrange(NATURE_POOL))
         assert inst.outsider_input(got) == be32(NATURE_POOL + want.randrange(ATTACK_POOL))
     assert got.take(32) == want.take(32)
+
+
+@given(
+    salt=st.binary(min_size=16, max_size=16),
+    x=st.one_of(st.binary(min_size=4, max_size=4), st.binary(max_size=12)),
+    y=st.one_of(st.sampled_from([b"\x00", b"\x01"]), st.binary(max_size=2)),
+)
+def test_labels_match_the_written_out_reference(salt, x, y):
+    """`label`, `h` and the nature table label x as ``sha256(b"toy-label:" + salt + x)[0] & 1``."""
+    inst = ToyClassificationInstance(salt=salt)
+    want = bytes([hashlib.sha256(b"toy-label:" + salt + x).digest()[0] & 1])
+    assert inst.label(x) == toy_label(salt, x) == want
+    assert inst.h(x, y) == (0 if len(x) == 4 and y == want else 1)
+    assert inst.label(x) == want  # labelling leaves the kept hash state as it was
+    pool = [be32(i) for i in range(NATURE_POOL)]
+    assert inst.nature == tuple((p, toy_label(salt, p)) for p in pool)
 
 
 def test_nature_table_is_the_labelled_pool():

@@ -37,10 +37,11 @@ from detmit.cli import (
     summarize,
 )
 from detmit.crypto import ProofToken, statement_digest
-from detmit.drbg import SEED_MAX, SEED_MIN
+from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
 from detmit.sampletask import DataTaskInstance, make_data_instance
+from testkit import build_clear_input
 
 BASE = {
     "task": "ladder",
@@ -762,6 +763,70 @@ def test_party_fault_aborts_the_trial_not_the_batch(monkeypatch):
         assert t.abort_reason == "fault: IndexError: list index out of range"
         assert t.flag is None and t.err_fx is None
         assert "abort_reason" not in json.loads(t.to_json())
+
+
+class QueriesFirst:
+    """Moves as `party` after one model query, `query(model)`."""
+
+    def __init__(self, party, query):
+        self.party, self.query = party, query
+        self.origin = getattr(party, "origin", None)
+        self.sample_budget = party.sample_budget
+        self.step_budget = getattr(party, "step_budget", None)
+
+    def challenge(self, ctx, model):
+        self.query(model)
+        return self.party.challenge(ctx, model)
+
+    def mitigate(self, ctx, model, priv, xs):
+        self.query(model)
+        return self.party.mitigate(ctx, model, priv, xs)
+
+
+@functools.cache
+def _mitigation_batch(task: str) -> tuple[ExperimentConfig, list]:
+    cfg = ExperimentConfig(
+        task=task, game="mitigate", challenger="attack", trials=3,
+        instance_seed=21, master_seed=23, **({"horizon": 64} if task == "chain" else {}),
+    )
+    return cfg, run_batch(cfg)[1]
+
+
+@pytest.mark.parametrize("role", ["attacker", "mitigator"])
+@pytest.mark.parametrize("target", ["input", "answer"])
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+@pytest.mark.parametrize("task", ["ladder", "chain"])
+def test_a_non_bytes_model_query_faults_the_querying_party(monkeypatch, task, kind, target, role):
+    """Models take bytes only.
+
+    In trial 0 the attacker or the mitigator first queries the model with
+    `kind` of a genuine input (clear, on the ladder) or of the model's answer
+    to it, queries the model answers as bytes.  That aborts the party's move
+    in its name with a fault, and the other trials equal the plain batch's.
+    """
+    cfg, want = _mitigation_batch(task)
+    assert want[0].aborted is None  # so the mitigator moves too
+    build, wrapped = cli.build_parties, []
+
+    def build_with_a_bad_query(cfg, instance):
+        parties = list(build(cfg, instance))
+        if not wrapped:
+            if task == "ladder":
+                x = build_clear_input(instance, 3, HashDrbg(b"non-bytes"))
+            else:
+                x = instance.build_input(1)
+            index = 1 if role == "attacker" else 2
+            parties[index] = QueriesFirst(
+                parties[index], lambda model: model(kind(x if target == "input" else model(x)))
+            )
+            wrapped.append(index)
+        return tuple(parties)
+
+    monkeypatch.setattr(cli, "build_parties", build_with_a_bad_query)
+    _, batch = run_batch(cfg)
+    assert batch[0].aborted == role
+    assert batch[0].abort_reason == f"fault: TypeError: a model query is bytes, not {kind.__name__}"
+    assert [t.to_json() for t in batch[1:]] == [t.to_json() for t in want[1:]]
 
 
 def _capture_worlds(monkeypatch, store):

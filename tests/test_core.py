@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from detmit.classify import DetectorFromMitigator, ToyMitigator, ToyTrainer, make_toy_instance
+from detmit.cli import ExperimentConfig, build_parties
 from detmit.core import (
     AbortTrial,
     BudgetExceededError,
@@ -28,7 +31,8 @@ from detmit.core import (
     wilson_interval,
 )
 from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
-from testkit import evaluate_rates
+from detmit.sampletask import make_data_instance
+from testkit import KeepTrained, evaluate_rates
 
 
 def test_game_params_validation():
@@ -78,6 +82,84 @@ def test_rate_estimate_dict():
     est = RateEstimate.from_counts(3, 30)
     assert est.point == pytest.approx(0.1)
     assert set(est.as_dict()) == {"successes", "trials", "point", "low", "high"}
+
+
+def _pure_h(x: bytes, y: bytes) -> int:
+    """A stand-in quality oracle: a pure function of (x, y)."""
+    return hashlib.sha256(len(x).to_bytes(4, "big") + x + y).digest()[0] & 1
+
+
+@given(
+    st.lists(
+        st.tuples(st.binary(max_size=2), st.binary(max_size=1), st.binary(max_size=1),
+                  st.booleans()),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_empirical_err_reuses_the_scores_of_equal_answers(rows):
+    """Scored beside the model's batch, a defense batch takes the model's score
+    wherever its answer equals the model's: both means equal the plain mean,
+    and `h` sees only the pairs whose answers differ."""
+    xs = [x for x, _, _, _ in rows]
+    fxs = [fx for _, fx, _, _ in rows]
+    ys = [fx if same else y for _, fx, y, same in rows]
+    calls = []
+
+    def h(x, y):
+        calls.append((x, y))
+        return _pure_h(x, y)
+
+    fx_scores: list[int] = []
+    err_fx = empirical_err(h, xs, fxs, scores=fx_scores)
+    assert fx_scores == [_pure_h(x, fx) for x, fx in zip(xs, fxs)]
+    assert err_fx == sum(fx_scores) / len(xs)
+    assert calls == list(zip(xs, fxs))
+    calls.clear()
+    err_y = empirical_err(h, xs, ys, scored=(fxs, fx_scores))
+    assert err_y == sum(_pure_h(x, y) for x, y in zip(xs, ys)) / len(xs)
+    assert calls == [(x, y) for x, y, fx in zip(xs, ys, fxs) if y != fx]
+
+
+def test_a_trial_scores_each_answer_once(monkeypatch):
+    """A trial calls `h` once per model answer and once per defense answer that differs.
+
+    A toy trial of the derived detector at q=32 makes q + #{y != f(x)} calls,
+    with a full trainer (every answer equal) and a starved one (some differ).
+    A ladder mitigation trial's err_y equals a fresh scoring of its batch.
+    """
+    params = GameParams(epsilon=0.05, q=32)
+    toy = make_toy_instance(11)
+    calls, toy_h = [], toy.h
+
+    def counted_h(x, y):
+        calls.append((x, y))
+        return toy_h(x, y)
+
+    monkeypatch.setattr(toy, "h", counted_h)
+    differ = []
+    for budget in (96, 4):
+        inner = ToyTrainer()
+        inner.sample_budget = budget
+        trainer = KeepTrained(inner)
+        calls.clear()
+        t = run_dbd_trial(
+            toy, trainer, NatureChallenger(), DetectorFromMitigator(ToyMitigator()),
+            params, derive_trial_seed(12, budget),
+        )
+        assert t.aborted is None
+        fxs = [trainer.model(x) for x in t.challenge]
+        differ.append(sum(y != fx for y, fx in zip(t.response, fxs)))
+        assert len(calls) == params.q + differ[-1]
+        assert t.err_y == sum(map(toy_h, t.challenge, t.response)) / params.q
+    assert differ[0] == 0 < differ[1] < params.q
+
+    world = make_data_instance(12).world(derive_trial_seed(13, 0))
+    cfg = ExperimentConfig(task="ladder", game="mitigate", challenger="attack", q=2)
+    trainer, attacker, mitigator = build_parties(cfg, world)
+    t = run_dbm_trial(world, trainer, attacker, mitigator, cfg.params(), derive_trial_seed(13, 0))
+    assert t.aborted is None and t.response is not None
+    assert t.err_y == empirical_err(world.h, t.challenge, t.response)
 
 
 def test_empirical_err_and_hamming():

@@ -115,6 +115,11 @@ def reference_ladder_decode(buf: bytes) -> ClearPayload | EncPayload | None:
     return None
 
 
+def toy_label(salt: bytes, x: bytes) -> bytes:
+    """The toy task's label written out: low bit of ``sha256(b"toy-label:" + salt + x)``."""
+    return bytes([hashlib.sha256(b"toy-label:" + salt + x).digest()[0] & 1])
+
+
 def uniform(rng: HashDrbg) -> float:
     """Float in [0, 1) with 53 bits of precision, from one `u64` draw."""
     return (rng.u64() >> 11) * (2.0**-53)
