@@ -95,7 +95,13 @@ class ToyTrainer:
         for _ in range(self.sample_budget):
             x, y = ctx.oracle.draw_pair()
             table[x] = y
-        return (lambda x: table.get(x, DEFAULT_LABEL)), table
+
+        def model(x: bytes) -> bytes:
+            if not isinstance(x, bytes):
+                raise TypeError(f"a model query is bytes, not {type(x).__name__}")
+            return table.get(x, DEFAULT_LABEL)
+
+        return model, table
 
 
 class ToyDetector:

@@ -185,6 +185,7 @@ class ExperimentConfig:
     attacker_samples: int | None = None
     instance_seed: int = 1
     master_seed: int = 2
+    # accepted for old configs; trials run one at a time whatever it says
     workers: int = 1
 
     @classmethod
@@ -267,8 +268,8 @@ def run_trial(cfg: ExperimentConfig, instance: Any, i: int) -> Transcript:
     """Trial `i` of `cfg`'s batch on `instance`: a function of `cfg`, the instance seed and `i`."""
     seed = derive_trial_seed(cfg.master_seed, i)
     # A ladder trial proves, registers circuits and draws eval nonces in its
-    # own world, so worker threads share no mutable state.  Chain trials share
-    # only the instance's chain registry, which the audits read after the batch.
+    # own world, which is freed when the trial returns.  Chain trials share
+    # the instance's chain registry, which the audits read after the batch.
     world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
     # built per trial because ladder parties bind the world; building draws nothing
     trainer, challenger, defense = build_parties(cfg, world)
@@ -278,15 +279,7 @@ def run_trial(cfg: ExperimentConfig, instance: Any, i: int) -> Transcript:
 
 def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     instance = build_instance(cfg)
-    if cfg.workers > 1:
-        # imported here: it pulls in logging, which a serial run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            transcripts = list(pool.map(lambda i: run_trial(cfg, instance, i), range(cfg.trials)))
-    else:
-        transcripts = [run_trial(cfg, instance, i) for i in range(cfg.trials)]
-    return instance, transcripts
+    return instance, [run_trial(cfg, instance, i) for i in range(cfg.trials)]
 
 
 def summarize(records: list[dict], epsilon: float) -> dict:

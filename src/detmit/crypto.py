@@ -35,13 +35,6 @@ Five primitives, each behind a small, contract-shaped API:
   base proof as they hash it, so a run along that known chain reads its
   points back instead of hashing them again.
 
-The proof registry and the circuit table take no lock: a ladder trial runs in
-its own world (see :meth:`SnarkParams.fork` and :meth:`FheSystem.fork`), so
-one thread at a time drives each.  A step meter belongs to one party move
-and takes no lock either.  The chain-proof registry is shared by every trial
-of a chain batch: its writes take a lock, once per run of steps rather than
-once per step, and its reads (one ``dict.get``, atomic under the interpreter
-lock) take none.
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
 streams or a stream the object owns, so runs are reproducible.
 
@@ -57,7 +50,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import hmac
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, overload
@@ -183,8 +175,8 @@ class SnarkParams:
     """Registry oracle for signature-count proofs.
 
     Proof tokens are fresh uniform 16-byte values drawn from the params' own
-    stream, so they carry no information about the witness.  One thread at a
-    time proves against one object; a trial gets its own from :meth:`fork`.
+    stream, so they carry no information about the witness.  A trial gets its
+    own from :meth:`fork`.
     """
 
     def __init__(self, rng: HashDrbg, verification_key: VerificationKey):
@@ -362,9 +354,8 @@ class FheSystem:
 
     The master secret stays on this object; parties only ever hold the
     identity keys that payloads hand them, the public `eval` entry point,
-    and the ability to encrypt under keys they hold.  One thread at a time
-    registers and evaluates on one object; a trial gets its own from
-    :meth:`fork`.
+    and the ability to encrypt under keys they hold.  A trial gets its own
+    from :meth:`fork`.
     """
 
     def __init__(self, rng: HashDrbg):
@@ -430,8 +421,7 @@ class StepMeter:
     """One party move's step allowance, as its sample budget is for draws.
 
     :meth:`charge` grants a run of steps up to the limit left; callers turn
-    a short grant into :class:`StepsExhausted`.  A meter belongs to one move
-    on one thread and takes no lock.
+    a short grant into :class:`StepsExhausted`.  A meter belongs to one move.
     """
 
     def __init__(self, limit: int | None = None) -> None:
@@ -476,8 +466,7 @@ class IvcKeys:
     lookup, so the only way to a verifying (t, state) pair is t genuine
     steps of updates from the base state — which is exactly the sequentiality
     this simulation is meant to audit.  :func:`ivc_update` writes a whole
-    run's chain points, and adds its steps to `steps_run`, under one
-    acquisition of the registry lock; :meth:`lookup` reads without it.
+    run's chain points and adds its steps to `steps_run`.
 
     The keys also keep the **known chain**: the (state, commitment) of each
     step t = 0, 1, 2, ... of the chain rooted at the first base proof, in
@@ -491,7 +480,6 @@ class IvcKeys:
         self.base_tag = base_tag
         self.steps_run = 0  # steps every update so far has been granted
         self._salt = rng.take(32)
-        self._lock = threading.Lock()
         self._registry: dict[tuple[int, bytes], bytes] = {}
         self._known: list[tuple[bytes, bytes]] = []  # step t -> (state, commitment)
 
@@ -501,15 +489,12 @@ class IvcKeys:
     def base_proof(self, start_state: bytes) -> IvcProof:
         """The step-0 proof for `start_state`; the first one roots the known chain."""
         commitment = self._commit(self.base_tag, 0, start_state)
-        with self._lock:
-            self._registry[(0, start_state)] = commitment
-            if not self._known:
-                self._known.append((start_state, commitment))
+        self._registry[(0, start_state)] = commitment
+        if not self._known:
+            self._known.append((start_state, commitment))
         return IvcProof(steps=0, commitment=commitment)
 
     def lookup(self, steps: int, state: bytes) -> bytes | None:
-        # one dict.get on an (int, bytes) key runs no Python code, so it is
-        # atomic under the interpreter lock and needs no registry lock
         return self._registry.get((steps, state))
 
     def known_point(self, t: int) -> tuple[bytes, bytes]:
@@ -520,12 +505,10 @@ class IvcKeys:
 
     def points_past_base(self) -> int:
         """Registered chain points with a step count above 0."""
-        with self._lock:
-            return sum(1 for t, _ in self._registry if t)
+        return sum(1 for t, _ in self._registry if t)
 
     def registry_entries(self) -> list[tuple[int, bytes, bytes]]:
-        with self._lock:
-            return sorted((t, s, c) for (t, s), c in self._registry.items())
+        return sorted((t, s, c) for (t, s), c in self._registry.items())
 
 
 ChainPoint = tuple[bytes, IvcProof]  # (state, proof) at one step of a chain
@@ -554,11 +537,10 @@ def ivc_update(keys, state, proof, meter, steps=1):
     The input proof is checked once, and a forged one raises
     :class:`ProofChainError` before anything is charged or registered.  The
     run is charged to `meter` in one go; each granted step registers its
-    commitment and counts in `keys.steps_run`, all under one acquisition of
-    the keys' lock.  When the meter grants fewer steps than the last stop,
-    the granted steps stay registered and :class:`StepsExhausted` is raised:
-    the state single-step updates leave.  A run of 0 steps returns its input
-    unchecked.
+    commitment and counts in `keys.steps_run`.  When the meter grants fewer
+    steps than the last stop, the granted steps stay registered and
+    :class:`StepsExhausted` is raised: the state single-step updates leave.
+    A run of 0 steps returns its input unchecked.
 
     A run that starts on the keys' known chain reads its stops at or below
     the chain's tip from it in one pass, already registered, and hashes only
@@ -582,24 +564,23 @@ def ivc_update(keys, state, proof, meter, steps=1):
     end = t + granted
     targets = [t + stop if stop <= granted else end for stop in stops]
     points = []
-    with keys._lock:
-        keys.steps_run += granted
-        known = keys._known
-        on_known = t < len(known) and known[t] == (state, commitment)
-        registry = keys._registry
-        if on_known:  # read the stops at or below the tip; hash on from the tip
-            t = len(known) - 1
-            points = [(known[u][0], IvcProof(u, known[u][1])) for u in targets if u <= t]
-            state, commitment = known[t]
-        for target in targets[len(points):]:
-            for t in range(t + 1, target + 1):
-                state = npl_step(state)
-                # the bytes of keys._commit(commitment, t, state)
-                commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
-                registry[(t, state)] = commitment
-                if on_known:  # past the tip: t == len(known)
-                    known.append((state, commitment))
-            points.append((state, IvcProof(t, commitment)))
+    keys.steps_run += granted
+    known = keys._known
+    on_known = t < len(known) and known[t] == (state, commitment)
+    registry = keys._registry
+    if on_known:  # read the stops at or below the tip; hash on from the tip
+        t = len(known) - 1
+        points = [(known[u][0], IvcProof(u, known[u][1])) for u in targets if u <= t]
+        state, commitment = known[t]
+    for target in targets[len(points):]:
+        for t in range(t + 1, target + 1):
+            state = npl_step(state)
+            # the bytes of keys._commit(commitment, t, state)
+            commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
+            registry[(t, state)] = commitment
+            if on_known:  # past the tip: t == len(known)
+                known.append((state, commitment))
+        points.append((state, IvcProof(t, commitment)))
     if granted < last:
         raise meter.exhausted()
     return points[0] if single else points

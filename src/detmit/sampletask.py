@@ -138,13 +138,13 @@ class DataTaskInstance:
     def world(self, trial_seed: bytes) -> "DataTaskInstance":
         """This instance with a proof registry and circuit table of its own.
 
-        One trial runs in one world, so trials on worker threads share no
-        mutable state.  The world's proof-token and eval-nonce streams are
-        children of the instance's own streams, which parties never see, so
-        knowing the trial seed does not predict them.  Its count prover
-        checks each witness-pool token at most once for the whole trial.
-        Its key, a fork of the instance's, recognizes the tokens the world
-        signs, so checking one of them costs no MAC.
+        One trial runs in one world, which is freed when the trial returns.
+        The world's proof-token and eval-nonce streams are children of the
+        instance's own streams, which parties never see, so knowing the
+        trial seed does not predict them.  Its count prover checks each
+        witness-pool token at most once for the whole trial.  Its key, a
+        fork of the instance's, recognizes the tokens the world signs, so
+        checking one of them costs no MAC.
         """
         world = copy.copy(self)
         world.snark = self.snark.fork(trial_seed)

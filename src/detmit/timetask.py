@@ -12,7 +12,7 @@ The trainer pays T steps once, in one run that stops every floor(sqrt(T))
 steps, and snapshots the chain at each stop; answering from that grid is then
 free.  A mitigator instead extends each input's own chain by one run of
 exactly floor(sqrt(t)) steps.  A run is one `ivc_update` call: one proof
-check, one meter charge and one registry lock for all its steps and stops.
+check and one meter charge for all its steps and stops.
 The attacker never pays for the ladder: it builds a step-1 payload (one
 metered step) and climbs the trainer's grid by repeated queries, reaching
 the grid's frontier with O(sqrt(T)) queries and O(sqrt(T)) of its own steps.

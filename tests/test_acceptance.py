@@ -25,7 +25,6 @@ from detmit.classify import (
 )
 from detmit.cli import DEFENSES, ExperimentConfig, run_batch
 from detmit.core import (
-    ATTACKER,
     GameParams,
     NatureChallenger,
     run_dbd_trial,
@@ -67,6 +66,7 @@ from detmit.timetask import (
     audit_sequential_reach,
 )
 from testkit import (
+    FixedChallenger,
     KeepTrained,
     build_clear_input,
     build_enc_input,
@@ -81,19 +81,6 @@ EPS, DELTA = 0.05, 0.02
 
 def _report(name: str, detail: str) -> None:
     print(f"[acceptance] {name}: PASS — {detail}")
-
-
-class _FixedChallenger:
-    """Plays a preassembled batch; used for white-box probes."""
-
-    origin = ATTACKER
-    sample_budget = 0
-
-    def __init__(self, xs: list[bytes]):
-        self.xs = xs
-
-    def challenge(self, ctx, model):
-        return list(self.xs)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +286,12 @@ def test_ladder_mitigation_restores_soundness():
     # (needs 440) is served exactly and a level-441 input is not.
     rng = HashDrbg(4005)
     served = run_dbm_trial(
-        inst, trainer, _FixedChallenger([build_clear_input(inst, 420, rng)]),
+        inst, trainer, FixedChallenger([build_clear_input(inst, 420, rng)]),
         mitigator, params, derive_trial_seed(4006, 0), 0,
     )
     assert served.err_y == 0.0
     beyond = run_dbm_trial(
-        inst, trainer, _FixedChallenger([build_clear_input(inst, 441, rng)]),
+        inst, trainer, FixedChallenger([build_clear_input(inst, 441, rng)]),
         mitigator, params, derive_trial_seed(4006, 1), 1,
     )
     assert beyond.err_y == 1.0
@@ -441,7 +428,7 @@ def test_chain_metering_and_audits():
     costs = []
     for level in (1, 9, 100, 255):
         t = run_dbm_trial(
-            inst, trainer, _FixedChallenger([inst.build_input(level)]),
+            inst, trainer, FixedChallenger([inst.build_input(level)]),
             mitigator, params, derive_trial_seed(7008, level), 1000 + level,
         )
         assert t.err_y == 0.0
@@ -450,7 +437,7 @@ def test_chain_metering_and_audits():
     forged = inst.build_input(31)
     forged = forged[:1] + b"\xff" * 8 + forged[9:]
     t = run_dbm_trial(
-        inst, trainer, _FixedChallenger([forged]), mitigator, params,
+        inst, trainer, FixedChallenger([forged]), mitigator, params,
         derive_trial_seed(7009, 0), 2000,
     )
     assert t.ledgers["mitigator"]["steps_used"] == 0

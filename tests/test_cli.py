@@ -312,7 +312,7 @@ def test_importing_the_cli_does_not_load_pydantic():
 
 
 def test_importing_the_cli_does_not_load_the_thread_pool_or_logging():
-    # only a batch with workers > 1 imports the pool, which pulls in logging
+    # no batch starts a thread, so nothing imports a pool or the logging it pulls in
     names = "m in ('concurrent.futures', 'logging')"
     assert _modules_loaded_by_importing_the_cli(names) == "[]"
 
@@ -365,6 +365,21 @@ def test_workers_do_not_change_transcripts(runner, tmp_path):
     res = runner.invoke(main, ["run", "--config", str(b_path), "--transcripts", str(tmp_path / "w3.jsonl")])
     assert res.exit_code == 0
     assert (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w3.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("task", ["ladder", "chain", "toy"])
+def test_a_batch_starts_no_thread_whatever_its_workers(monkeypatch, task):
+    """`workers` is accepted, but a batch runs its trials in order on the calling thread."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch started a thread")
+
+    horizon = {"horizon": 64} if task == "chain" else {}
+    base = {**BASE, "task": task, "game": "mitigate", **horizon}
+    serial = [t.to_json() for t in run_batch(ExperimentConfig.model_validate(base))[1]]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = ExperimentConfig.model_validate({**base, "workers": 4})
+    assert [t.to_json() for t in run_batch(cfg)[1]] == serial
 
 
 def test_chain_run_includes_audits(runner, tmp_path):
@@ -795,13 +810,14 @@ def _mitigation_batch(task: str) -> tuple[ExperimentConfig, list]:
 @pytest.mark.parametrize("role", ["attacker", "mitigator"])
 @pytest.mark.parametrize("target", ["input", "answer"])
 @pytest.mark.parametrize("kind", [bytearray, memoryview])
-@pytest.mark.parametrize("task", ["ladder", "chain"])
+@pytest.mark.parametrize("task", ["ladder", "chain", "toy"])
 def test_a_non_bytes_model_query_faults_the_querying_party(monkeypatch, task, kind, target, role):
     """Models take bytes only.
 
     In trial 0 the attacker or the mitigator first queries the model with
-    `kind` of a genuine input (clear, on the ladder) or of the model's answer
-    to it, queries the model answers as bytes.  That aborts the party's move
+    `kind` of a genuine input (clear, on the ladder; from the nature pool, on
+    the toy task) or of the model's answer to it, queries the model answers
+    as bytes.  That aborts the party's move
     in its name with a fault, and the other trials equal the plain batch's.
     """
     cfg, want = _mitigation_batch(task)
@@ -813,8 +829,10 @@ def test_a_non_bytes_model_query_faults_the_querying_party(monkeypatch, task, ki
         if not wrapped:
             if task == "ladder":
                 x = build_clear_input(instance, 3, HashDrbg(b"non-bytes"))
-            else:
+            elif task == "chain":
                 x = instance.build_input(1)
+            else:
+                x = instance.sample_input(HashDrbg(b"non-bytes"))
             index = 1 if role == "attacker" else 2
             parties[index] = QueriesFirst(
                 parties[index], lambda model: model(kind(x if target == "input" else model(x)))

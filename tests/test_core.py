@@ -32,7 +32,7 @@ from detmit.core import (
 )
 from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.sampletask import make_data_instance
-from testkit import KeepTrained, evaluate_rates
+from testkit import FixedChallenger, KeepTrained, evaluate_rates
 
 
 def test_game_params_validation():
@@ -356,17 +356,6 @@ def test_sample_oracle_counts_exactly():
     assert budget.samples_used == 2
 
 
-class FixedBatch:
-    origin = "attacker"
-    sample_budget = 0
-
-    def __init__(self, xs):
-        self.xs = xs
-
-    def challenge(self, ctx, model):
-        return self.xs
-
-
 class FixedAnswers:
     sample_budget = 0
 
@@ -413,13 +402,13 @@ ANSWERS_4 = "fault: TypeError: answers is not a list of 4 bytes"
 @pytest.mark.parametrize(
     "trainer, challenger, defense, party, reason",
     [
-        pytest.param(EchoTrainer(), FixedBatch([]), ShareDetector(), "attacker", BATCH_4,
+        pytest.param(EchoTrainer(), FixedChallenger([]), ShareDetector(), "attacker", BATCH_4,
                      id="empty-batch-detect"),
-        pytest.param(EchoTrainer(), FixedBatch([]), EchoMitigator(), "attacker", BATCH_4,
+        pytest.param(EchoTrainer(), FixedChallenger([]), EchoMitigator(), "attacker", BATCH_4,
                      id="empty-batch-mitigate"),
-        pytest.param(EchoTrainer(), FixedBatch([None] * 4), EchoMitigator(), "attacker",
+        pytest.param(EchoTrainer(), FixedChallenger([None] * 4), EchoMitigator(), "attacker",
                      BATCH_4, id="none-in-batch"),
-        pytest.param(EchoTrainer(), FixedBatch([b"a"] * 3), FlagEverything(), "attacker",
+        pytest.param(EchoTrainer(), FixedChallenger([b"a"] * 3), FlagEverything(), "attacker",
                      BATCH_4, id="short-batch"),
         pytest.param(EchoTrainer(), NatureChallenger(), FixedAnswers([]), "mitigator",
                      ANSWERS_4, id="no-answers"),

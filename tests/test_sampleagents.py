@@ -35,7 +35,13 @@ from detmit.sampleagents import (
     WellFormedDetector,
 )
 from detmit.sampletask import grid_levels, make_data_instance, next_level
-from testkit import KeepTrained, build_clear_input, build_enc_input, ladder_detectors
+from testkit import (
+    FixedChallenger,
+    KeepTrained,
+    build_clear_input,
+    build_enc_input,
+    ladder_detectors,
+)
 
 INST = make_data_instance(31)
 PARAMS = GameParams(q=1)
@@ -195,19 +201,6 @@ def test_mitigator_defeats_the_self_iteration_attack():
         violations += soundness_violation(t, PARAMS.epsilon)
         assert t.err_y == 0.0
     assert violations == 0
-
-
-class FixedChallenger:
-    """Hands the defense a fixed batch of inputs."""
-
-    origin = "attacker"
-    sample_budget = 0
-
-    def __init__(self, xs):
-        self.xs = xs
-
-    def challenge(self, ctx, model):
-        return self.xs
 
 
 def test_mitigator_answers_below_k_when_grid_stops_short():

@@ -29,7 +29,7 @@ from detmit.timetask import (
     audit_sequential_reach,
     make_time_instance,
 )
-from testkit import KeepTrained
+from testkit import FixedChallenger, KeepTrained
 
 PARAMS = GameParams(q=1)
 
@@ -288,23 +288,12 @@ def test_attack_trial_reads_each_payload_once(inst, monkeypatch):
         assert calls["encode"] == queries  # 16 answers and the step-1 payload
 
 
-class _Fixed:
-    origin = "attacker"
-    sample_budget = 0
-
-    def __init__(self, xb: bytes):
-        self.xb = xb
-
-    def challenge(self, ctx, model):
-        return [self.xb]
-
-
 def test_mitigator_cost_is_exactly_sqrt(inst):
     trainer = TimeTrainer(inst)
     mit = ChainExtendingMitigator(inst)
     for i, t_level in enumerate((1, 4, 100, 256)):
         tr = run_dbm_trial(
-            inst, trainer, _Fixed(inst.build_input(t_level)), mit,
+            inst, trainer, FixedChallenger([inst.build_input(t_level)]), mit,
             PARAMS, derive_trial_seed(82, i), i,
         )
         expect = int(t_level**0.5)
@@ -385,7 +374,7 @@ def test_mitigator_runs_out_of_steps_mid_run(inst):
     mit = ChainExtendingMitigator(inst)
     mit.step_budget = 2
     t = run_dbm_trial(
-        inst, TimeTrainer(inst), _Fixed(inst.build_input(36)), mit,
+        inst, TimeTrainer(inst), FixedChallenger([inst.build_input(36)]), mit,
         PARAMS, derive_trial_seed(88, 0), 0,
     )
     assert t.aborted == "mitigator"

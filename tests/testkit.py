@@ -6,7 +6,7 @@ import hashlib
 from typing import Any, Callable, Iterable
 
 from detmit.cli import DEFENSES, ExperimentConfig
-from detmit.core import RateEstimate, Transcript
+from detmit.core import ATTACKER, RateEstimate, Transcript
 from detmit.crypto import (
     AEAD_NONCE_LEN,
     IDENTITY_LEN,
@@ -276,6 +276,23 @@ class CountingHashlib:
     def sha256(self, data: bytes = b""):
         self.blocks += 1
         return hashlib.sha256(data)
+
+
+class FixedChallenger:
+    """An attacker with no sample budget that plays `xs`, as given.
+
+    It hands over even a malformed batch unchanged, so tests of the harness
+    can feed it one.
+    """
+
+    origin = ATTACKER
+    sample_budget = 0
+
+    def __init__(self, xs: Any):
+        self.xs = xs
+
+    def challenge(self, ctx: Any, model: Any) -> Any:
+        return self.xs
 
 
 class KeepTrained:
