@@ -153,11 +153,8 @@ class ToyAttacker:
     origin = ATTACKER
     sample_budget = 16
 
-    def __init__(self, instance: ToyClassificationInstance):
-        self.instance = instance
-
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
-        return [self.instance.outsider_input(ctx.rng) for _ in range(ctx.params.q)]
+        return [ctx.task.outsider_input(ctx.rng) for _ in range(ctx.params.q)]
 
 
 # --- the two reductions -------------------------------------------------------

@@ -84,45 +84,42 @@ MAX_ATTACKER_SAMPLES = 2**14
 MAX_WORKERS = 64
 MAX_EMIT_PAIRS = 2**16
 
-# Each factory takes (config, instance) and returns a fresh party.
-Factory = Callable[[Any, Any], Any]
+# Each factory takes the config and returns a fresh party, which reaches the
+# task only through its moves' `ctx.task`.
+Factory = Callable[[Any], Any]
 
 # task -> (trainer, attacker)
 PARTIES: dict[str, tuple[Factory, Factory]] = {
     "ladder": (
-        lambda cfg, inst: LadderTrainer(inst, cfg.level_target),
-        lambda cfg, inst: SelfIterationAttacker(
-            inst, 8 if cfg.attacker_samples is None else cfg.attacker_samples
+        lambda cfg: LadderTrainer(cfg.level_target),
+        lambda cfg: SelfIterationAttacker(
+            8 if cfg.attacker_samples is None else cfg.attacker_samples
         ),
     ),
-    "chain": (
-        lambda cfg, inst: TimeTrainer(inst),
-        lambda cfg, inst: ChainClimbingAttacker(inst),
-    ),
-    "toy": (lambda cfg, inst: ToyTrainer(), lambda cfg, inst: ToyAttacker(inst)),
+    # the chain is built out from cfg.horizon (build_instance)
+    "chain": (lambda cfg: TimeTrainer(cfg.horizon), lambda cfg: ChainClimbingAttacker(cfg.horizon)),
+    "toy": (lambda cfg: ToyTrainer(), lambda cfg: ToyAttacker()),
 }
 
 # (task, game) -> {defense name: factory}; the first name is the default.
 DEFENSES: dict[tuple[str, str], dict[str, Factory]] = {
     ("ladder", "detect"): {
-        "never_flag": lambda cfg, inst: NeverFlagDetector(),
-        "level_threshold": lambda cfg, inst: LevelThresholdDetector(),
-        "frequency": lambda cfg, inst: FrequencyDetector(),
-        "well_formed": lambda cfg, inst: WellFormedDetector(inst),
+        "never_flag": lambda cfg: NeverFlagDetector(),
+        "level_threshold": lambda cfg: LevelThresholdDetector(),
+        "frequency": lambda cfg: FrequencyDetector(),
+        "well_formed": lambda cfg: WellFormedDetector(),
     },
-    ("ladder", "mitigate"): {
-        "extend": lambda cfg, inst: ProofExtendingMitigator(inst, cfg.level_target),
-    },
-    ("chain", "detect"): {"never_flag": lambda cfg, inst: NeverFlagDetector()},
-    ("chain", "mitigate"): {"extend": lambda cfg, inst: ChainExtendingMitigator(inst)},
+    ("ladder", "mitigate"): {"extend": lambda cfg: ProofExtendingMitigator(cfg.level_target)},
+    ("chain", "detect"): {"never_flag": lambda cfg: NeverFlagDetector()},
+    ("chain", "mitigate"): {"extend": lambda cfg: ChainExtendingMitigator()},
     ("toy", "detect"): {
-        "toy": lambda cfg, inst: ToyDetector(),
-        "derived": lambda cfg, inst: DetectorFromMitigator(ToyMitigator()),
+        "toy": lambda cfg: ToyDetector(),
+        "derived": lambda cfg: DetectorFromMitigator(ToyMitigator()),
     },
     ("toy", "mitigate"): {
-        "toy": lambda cfg, inst: ToyMitigator(),
-        "lazy": lambda cfg, inst: LazyMitigator(),
-        "from_detector": lambda cfg, inst: MitigatorFromDetector(ToyDetector()),
+        "toy": lambda cfg: ToyMitigator(),
+        "lazy": lambda cfg: LazyMitigator(),
+        "from_detector": lambda cfg: MitigatorFromDetector(ToyDetector()),
     },
 }
 
@@ -256,12 +253,11 @@ def build_instance(cfg: ExperimentConfig) -> Any:
     return _build_task(cfg.task, cfg.instance_seed, cfg.horizon)
 
 
-def build_parties(cfg: ExperimentConfig, instance: Any) -> tuple[Any, Any, Any]:
+def build_parties(cfg: ExperimentConfig) -> tuple[Any, Any, Any]:
     """Returns (trainer, challenger, defense) for the configured game."""
     trainer, attacker = PARTIES[cfg.task]
-    challenger = attacker(cfg, instance) if cfg.challenger == "attack" else NatureChallenger()
-    defense = DEFENSES[cfg.task, cfg.game][cfg.defense()](cfg, instance)
-    return trainer(cfg, instance), challenger, defense
+    challenger = attacker(cfg) if cfg.challenger == "attack" else NatureChallenger()
+    return trainer(cfg), challenger, DEFENSES[cfg.task, cfg.game][cfg.defense()](cfg)
 
 
 def run_trial(cfg: ExperimentConfig, instance: Any, i: int) -> Transcript:
@@ -271,8 +267,8 @@ def run_trial(cfg: ExperimentConfig, instance: Any, i: int) -> Transcript:
     # own world, which is freed when the trial returns.  Chain trials share
     # the instance's chain registry, which the audits read after the batch.
     world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
-    # built per trial because ladder parties bind the world; building draws nothing
-    trainer, challenger, defense = build_parties(cfg, world)
+    # built per trial, so a trial is a function of (cfg, i); building draws nothing
+    trainer, challenger, defense = build_parties(cfg)
     runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
     return runner(world, trainer, challenger, defense, cfg.params(), seed, i)
 

@@ -9,8 +9,12 @@ empirical error of the model's own answers on the batch and ``err_y`` the
 error of the defense's answers where those exist.  A defense answer equal to
 the model's takes that answer's score: h scores a pair the two share once.
 
-Party code only ever receives oracle handles (sample oracle, public
-parameters, a step meter for the move) — never instance secrets.  Budget
+A party reaches the task only through its move's ``TrialCtx``: the sample
+oracle, the public parameters, a step meter for the move, and ``ctx.task``,
+the instance the trial runs on.  No party is built on an instance.
+``ctx.task`` is still the whole world, secrets included (ROADMAP D17): the
+shipped parties read only its public surface, and
+``tests/test_party_surface.py`` pins that.  Budget
 violations, declared agent aborts and any other exception out of a party's
 move end the trial and are attributed to the offending party in the
 transcript, and so does a malformed output: a batch that is not a list of q
@@ -212,11 +216,16 @@ def _harness_fault(method: str, exc: Exception) -> HarnessFault:
 
 @dataclass
 class TrialCtx:
-    """Everything a party is allowed to touch during its move."""
+    """Everything a party is allowed to touch during its move.
+
+    `task` is the instance the trial runs on, a ladder trial's world: a
+    party's only route to the task.  It is still the whole instance (D17).
+    """
 
     oracle: SampleOracle
     rng: HashDrbg
     params: GameParams
+    task: Any
     meter: StepMeter = field(default_factory=StepMeter)
     notes: dict[str, Any] = field(default_factory=dict)  # the move's reports
 
@@ -423,6 +432,7 @@ class _TrialState:
             oracle=SampleOracle(self.instance, self.root.child(role), budget),
             rng=self.root.child(role + "-local"),
             params=self.params,
+            task=self.instance,
             meter=StepMeter(getattr(agent, "step_budget", None)),
         )
 

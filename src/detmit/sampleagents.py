@@ -9,9 +9,9 @@ nature draws.  The mitigator spends ~2*sqrt(K) extra draws to push exact
 proofs one strip past the trainer's grid, which is enough to answer
 everything the bounded attacker can reach.
 
-All agents touch only the instance's public surface: proof proving, the
-input and answer checks that the quality oracle uses, the homomorphic eval
-oracle, and wire widths.
+All agents reach the instance only through ``ctx.task`` and touch only its
+public surface: proof proving, the input and answer checks that the quality
+oracle uses, the homomorphic eval oracle, and wire widths.
 """
 
 from __future__ import annotations
@@ -106,15 +106,14 @@ class DataModel:
 class LadderTrainer:
     """Draws 4K inputs, keeps K distinct tokens, proves a sqrt(K)-spaced grid."""
 
-    def __init__(self, instance: DataTaskInstance, level_target: int):
+    def __init__(self, level_target: int):
         if level_target < 1:
             raise ValueError("level_target must be >= 1")
-        self.instance = instance
         self.level_target = level_target
         self.sample_budget = 4 * level_target
 
     def train(self, ctx: TrialCtx) -> tuple[DataModel, LadderPriv]:
-        inst = self.instance
+        inst = ctx.task
         tokens = ctx.oracle.draw_tokens(self.sample_budget, self.level_target)
         if len(tokens) < self.level_target:
             return DataModel(inst, {}), LadderPriv(tokens)
@@ -138,18 +137,16 @@ class SelfIterationAttacker:
 
     origin = ATTACKER
 
-    def __init__(self, instance: DataTaskInstance, sample_budget: int = 8):
-        self.instance = instance
+    def __init__(self, sample_budget: int = 8):
         self.sample_budget = sample_budget
-        self.draws = sample_budget
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
-        inst = self.instance
+        inst = ctx.task
         ctx.notes["queries"] = 0
 
         clear_draws: list[tuple[bytes, ClearPayload]] = []
         shipped_keys: list[IdentityKey] = []
-        for _ in range(self.draws):
+        for _ in range(self.sample_budget):
             x = ctx.oracle.draw_input()
             p = decode_payload(x)
             if isinstance(p, ClearPayload):
@@ -198,8 +195,7 @@ class ProofExtendingMitigator:
     trainer's tokens are not checked again.  Never flags.
     """
 
-    def __init__(self, instance: DataTaskInstance, level_target: int):
-        self.instance = instance
+    def __init__(self, level_target: int):
         self.level_target = level_target
         self.strip = 2 * isqrt(level_target)
         self.sample_budget = 4 * self.strip
@@ -211,7 +207,6 @@ class ProofExtendingMitigator:
         priv: LadderPriv,
         xs: list[bytes],
     ) -> tuple[list[bytes], int]:
-        inst = self.instance
         if priv.prover is None:
             raise AbortTrial("mitigator", "trainer produced a dummy model")
         fresh = ctx.oracle.draw_tokens(self.sample_budget, self.strip, priv.tokens)
@@ -222,7 +217,7 @@ class ProofExtendingMitigator:
         levels = range(k + 1, k + self.strip + 1)
         table = dict(priv.table)
         table.update(zip(levels, priv.prover.extended(fresh).prove(levels)))
-        answer = DataModel(inst, table)
+        answer = DataModel(ctx.task, table)
         return [answer(x) for x in xs], 0
 
 
@@ -263,11 +258,8 @@ class FrequencyDetector:
 class WellFormedDetector:
     """Flags undecodable inputs and clear inputs with broken proofs."""
 
-    def __init__(self, instance: DataTaskInstance):
-        self.instance = instance
-
     def detect(self, ctx: TrialCtx, model: Any, priv: Any, xs: list[bytes]) -> int:
-        inst = self.instance
+        inst = ctx.task
         for x in xs:
             p = decode_payload(x)
             if p is None or (isinstance(p, ClearPayload) and not inst.genuine(p)):

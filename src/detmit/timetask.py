@@ -154,12 +154,11 @@ class TimeTrainer:
 
     sample_budget = 0
 
-    def __init__(self, instance: TimeTaskInstance):
-        self.instance = instance
-        self.step_budget = instance.horizon
+    def __init__(self, horizon: int):
+        self.step_budget = horizon
 
     def train(self, ctx: TrialCtx) -> tuple[TimeModel, Grid]:
-        inst = self.instance
+        inst = ctx.task
         levels = grid_levels(inst.horizon)
         base = inst.ivc.base_proof(inst.start_state)
         points = ivc_update(inst.ivc, inst.start_state, base, ctx.meter, [*levels, inst.horizon])
@@ -177,13 +176,10 @@ class ChainExtendingMitigator:
     sample_budget = 0
     step_budget: int | None = None
 
-    def __init__(self, instance: TimeTaskInstance):
-        self.instance = instance
-
     def mitigate(
         self, ctx: TrialCtx, model: Callable[[bytes], bytes], priv: Any, xs: list[bytes]
     ) -> tuple[list[bytes], int]:
-        inst = self.instance
+        inst = ctx.task
         ys: list[bytes] = []
         for x in xs:
             p = decode_payload(x)
@@ -205,12 +201,11 @@ class ChainClimbingAttacker:
     origin = ATTACKER
     sample_budget = 0
 
-    def __init__(self, instance: TimeTaskInstance):
-        self.instance = instance
-        self.step_budget = 2 * isqrt(instance.horizon)
+    def __init__(self, horizon: int):
+        self.step_budget = 2 * isqrt(horizon)
 
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
-        inst = self.instance
+        inst = ctx.task
         ctx.notes["queries"] = 0
         base = inst.ivc.base_proof(inst.start_state)
         state, proof = ivc_update(inst.ivc, inst.start_state, base, ctx.meter)

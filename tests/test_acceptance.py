@@ -27,6 +27,9 @@ from detmit.cli import DEFENSES, ExperimentConfig, run_batch
 from detmit.core import (
     GameParams,
     NatureChallenger,
+    ResourceBudget,
+    SampleOracle,
+    TrialCtx,
     run_dbd_trial,
     run_dbm_trial,
     soundness_violation,
@@ -93,7 +96,7 @@ def test_toy_reduction_bounds_and_flag_transport():
     inst = make_toy_instance(101)
     trainer = ToyTrainer()
     nature = NatureChallenger()
-    attack = ToyAttacker(inst)
+    attack = ToyAttacker()
     M = 500
 
     # Detection -> mitigation: the wrapper must forward flags bit for bit
@@ -161,7 +164,7 @@ def test_toy_reduction_bounds_and_flag_transport():
 def test_ladder_trained_model_correctness():
     inst = DataTaskInstance(seed=202)
     params = GameParams(epsilon=EPS, q=1)
-    trainer = KeepTrained(LadderTrainer(inst, 64))
+    trainer = KeepTrained(LadderTrainer(64))
     t = run_dbd_trial(
         inst, trainer, NatureChallenger(), NeverFlagDetector(),
         params, derive_trial_seed(2002, 0), 0,
@@ -202,8 +205,8 @@ def _attack_rows(K: int, M: int) -> tuple[DataTaskInstance, list[tuple]]:
     """
     params = GameParams(epsilon=EPS, q=1)
     inst = DataTaskInstance(seed=300 + K)
-    trainer = KeepTrained(LadderTrainer(inst, K))
-    atk = SelfIterationAttacker(inst, 8)
+    trainer = KeepTrained(LadderTrainer(K))
+    atk = SelfIterationAttacker()
     rows = []
     for i in range(M):
         t = run_dbd_trial(
@@ -215,10 +218,17 @@ def _attack_rows(K: int, M: int) -> tuple[DataTaskInstance, list[tuple]]:
     return inst, rows
 
 
-def _missed(det, row: tuple) -> bool:
+def _detector_ctx(inst: DataTaskInstance) -> TrialCtx:
+    """A detector's context whose `task` is `inst`, the instance gate 3's trials ran on."""
+    rng = HashDrbg(b"gate-3-detector")
+    params = GameParams(epsilon=EPS, q=1)
+    return TrialCtx(SampleOracle(inst, rng, ResourceBudget()), rng.child("local"), params, inst)
+
+
+def _missed(det, ctx: TrialCtx, row: tuple) -> bool:
     """Gate 3's soundness verdict: `det` lets a batch through that the model gets wrong."""
     t, _, _, model, priv = row
-    return t.err_fx > EPS and det.detect(None, model, priv, t.challenge) == 0
+    return t.err_fx > EPS and det.detect(ctx, model, priv, t.challenge) == 0
 
 
 def test_ladder_attack_beats_baseline_detectors():
@@ -226,6 +236,7 @@ def test_ladder_attack_beats_baseline_detectors():
     details = []
     for K in (16, 400):
         inst, rows = _attack_rows(K, M)
+        ctx = _detector_ctx(inst)
         done = [r for r in rows if r[0].aborted is None]
         assert len(done) >= 0.9 * M
 
@@ -240,8 +251,8 @@ def test_ladder_attack_beats_baseline_detectors():
 
         # All four detectors are scored on the same stored challenges.
         rates = {}
-        for name, det in ladder_detectors(inst).items():
-            viol = sum(_missed(det, r) for r in done)
+        for name, det in ladder_detectors().items():
+            viol = sum(_missed(det, ctx, r) for r in done)
             rates[name] = viol / len(done)
             assert rates[name] >= 0.35, f"K={K} detector {name}"
         max_q = max(r[0].ledgers["attacker"]["queries"] for r in done)
@@ -258,14 +269,23 @@ def test_ladder_attack_beats_baseline_detectors():
 # ---------------------------------------------------------------------------
 
 
+class _Allowance:
+    """Challenges as `party` does, under a sample allowance of `samples`."""
+
+    def __init__(self, party, samples: int):
+        self.party, self.origin, self.sample_budget = party, party.origin, samples
+
+    def challenge(self, ctx, model):
+        return self.party.challenge(ctx, model)
+
+
 def test_ladder_mitigation_restores_soundness():
     K = 400
     params = GameParams(epsilon=EPS, q=1)
     inst = DataTaskInstance(seed=404)
-    trainer = LadderTrainer(inst, K)
-    atk = SelfIterationAttacker(inst, 8)
-    atk.sample_budget = 10
-    mitigator = ProofExtendingMitigator(inst, K)
+    trainer = LadderTrainer(K)
+    atk = _Allowance(SelfIterationAttacker(8), 10)
+    mitigator = ProofExtendingMitigator(K)
     M = 200
 
     done = good = 0
@@ -410,9 +430,9 @@ def test_chain_metering_and_audits():
     T = 256
     params = GameParams(epsilon=EPS, q=1)
     inst = TimeTaskInstance(seed=707)
-    trainer = TimeTrainer(inst)
-    atk = ChainClimbingAttacker(inst)
-    mitigator = ChainExtendingMitigator(inst)
+    trainer = TimeTrainer(inst.horizon)
+    atk = ChainClimbingAttacker(inst.horizon)
+    mitigator = ChainExtendingMitigator()
 
     for i in range(3):
         t = run_dbm_trial(inst, trainer, atk, mitigator, params, derive_trial_seed(7007, i), i)
@@ -561,12 +581,12 @@ def test_derived_detector_on_generative_tasks():
                           ("chain", 256, 40), ("chain", 4096, 40)):
         if task == "ladder":
             inst = DataTaskInstance(seed=1000 + size)
-            trainer, atk = LadderTrainer(inst, size), SelfIterationAttacker(inst, 8)
-            derived, least = DetectorFromMitigator(ProofExtendingMitigator(inst, size)), 0.25
+            trainer, atk = LadderTrainer(size), SelfIterationAttacker()
+            derived, least = DetectorFromMitigator(ProofExtendingMitigator(size)), 0.25
         else:
             inst = TimeTaskInstance(seed=1000 + size, horizon=size)
-            trainer, atk = TimeTrainer(inst), ChainClimbingAttacker(inst)
-            derived, least = DetectorFromMitigator(ChainExtendingMitigator(inst)), 0.9
+            trainer, atk = TimeTrainer(inst.horizon), ChainClimbingAttacker(inst.horizon)
+            derived, least = DetectorFromMitigator(ChainExtendingMitigator()), 0.9
         done = {}
         for name, challenger in (("nature", NatureChallenger()), ("attack", atk)):
             trials = [
@@ -592,12 +612,13 @@ def test_derived_detector_on_generative_tasks():
     # order, so each challenge is byte for byte gate 3's.
     M = 20
     for K in (16, 400):
-        _, rows = _attack_rows(K, M)
+        gate3_inst, rows = _attack_rows(K, M)
+        ctx = _detector_ctx(gate3_inst)
         inherited = []
         for name in DEFENSES["ladder", "detect"]:
             inst = DataTaskInstance(seed=300 + K)
-            trainer, atk = LadderTrainer(inst, K), SelfIterationAttacker(inst, 8)
-            det = ladder_detectors(inst)[name]
+            trainer, atk = LadderTrainer(K), SelfIterationAttacker()
+            det = ladder_detectors()[name]
             wrapped = MitigatorFromDetector(det)
             for i, row in enumerate(rows):
                 tm = run_dbm_trial(inst, trainer, atk, wrapped, params,
@@ -605,7 +626,7 @@ def test_derived_detector_on_generative_tasks():
                 t = row[0]
                 assert (tm.aborted, tm.challenge) == (t.aborted, t.challenge), (K, name, i)
                 if t.aborted is None:
-                    assert soundness_violation(tm, EPS) == _missed(det, row), (K, name, i)
+                    assert soundness_violation(tm, EPS) == _missed(det, ctx, row), (K, name, i)
                     inherited.append(soundness_violation(tm, EPS))
         assert any(inherited), K
         details.append(f"K={K}: MitigatorFromDetector matched gate 3 on {len(inherited)} "

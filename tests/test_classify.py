@@ -108,7 +108,7 @@ def test_trained_model_accurate_on_pool():
 
 
 def test_attacker_batches_break_the_model():
-    atk = ToyAttacker(INST)
+    atk = ToyAttacker()
     t = run_dbm_trial(
         INST, ToyTrainer(), atk, LazyMitigator(), PARAMS, derive_trial_seed(3, 1),
     )
@@ -119,7 +119,7 @@ def test_attacker_batches_break_the_model():
 def test_detector_to_mitigator_preserves_flags():
     det = ToyDetector()
     wrapped = MitigatorFromDetector(det)
-    for origin, challenger in (("nature", NatureChallenger()), ("attacker", ToyAttacker(INST))):
+    for origin, challenger in (("nature", NatureChallenger()), ("attacker", ToyAttacker())):
         for i in range(25):
             seed = derive_trial_seed(4, i)
             td = run_dbd_trial(INST, ToyTrainer(), challenger, det, PARAMS, seed, i)
@@ -141,7 +141,7 @@ def test_mitigator_to_detector_stashes_inner_run():
 
 def test_implication_on_real_trials_including_weak_defense():
     for defense in (DetectorFromMitigator(ToyMitigator()), DetectorFromMitigator(LazyMitigator())):
-        for challenger in (NatureChallenger(), ToyAttacker(INST)):
+        for challenger in (NatureChallenger(), ToyAttacker()):
             for i in range(20):
                 t = run_dbd_trial(
                     INST, ToyTrainer(), challenger, defense, PARAMS,
@@ -155,7 +155,7 @@ def test_lazy_defense_gives_non_vacuous_cases():
     hits = sum(
         implication_premise(
             run_dbd_trial(
-                INST, ToyTrainer(), ToyAttacker(INST), dm, PARAMS,
+                INST, ToyTrainer(), ToyAttacker(), dm, PARAMS,
                 derive_trial_seed(7, i), i,
             ),
             PARAMS.epsilon,

@@ -36,8 +36,9 @@ from detmit.cli import (
     run_batch,
     summarize,
 )
+from detmit.core import run_dbd_trial, run_dbm_trial
 from detmit.crypto import ProofToken, statement_digest
-from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg
+from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
 from detmit.sampletask import DataTaskInstance, make_data_instance
@@ -781,7 +782,7 @@ def test_party_fault_aborts_the_trial_not_the_batch(monkeypatch):
 
 
 class QueriesFirst:
-    """Moves as `party` after one model query, `query(model)`."""
+    """Moves as `party` after one model query, `query(ctx.task, model)`."""
 
     def __init__(self, party, query):
         self.party, self.query = party, query
@@ -790,11 +791,11 @@ class QueriesFirst:
         self.step_budget = getattr(party, "step_budget", None)
 
     def challenge(self, ctx, model):
-        self.query(model)
+        self.query(ctx.task, model)
         return self.party.challenge(ctx, model)
 
     def mitigate(self, ctx, model, priv, xs):
-        self.query(model)
+        self.query(ctx.task, model)
         return self.party.mitigate(ctx, model, priv, xs)
 
 
@@ -815,28 +816,29 @@ def test_a_non_bytes_model_query_faults_the_querying_party(monkeypatch, task, ki
     """Models take bytes only.
 
     In trial 0 the attacker or the mitigator first queries the model with
-    `kind` of a genuine input (clear, on the ladder; from the nature pool, on
-    the toy task) or of the model's answer to it, queries the model answers
-    as bytes.  That aborts the party's move
+    `kind` of a genuine input built from its `ctx.task` (clear, on the
+    ladder; from the nature pool, on the toy task) or of the model's answer
+    to it, queries the model answers as bytes.  That aborts the party's move
     in its name with a fault, and the other trials equal the plain batch's.
     """
     cfg, want = _mitigation_batch(task)
     assert want[0].aborted is None  # so the mitigator moves too
     build, wrapped = cli.build_parties, []
 
-    def build_with_a_bad_query(cfg, instance):
-        parties = list(build(cfg, instance))
+    def bad_query(instance, model):
+        if task == "ladder":
+            x = build_clear_input(instance, 3, HashDrbg(b"non-bytes"))
+        elif task == "chain":
+            x = instance.build_input(1)
+        else:
+            x = instance.sample_input(HashDrbg(b"non-bytes"))
+        model(kind(x if target == "input" else model(x)))
+
+    def build_with_a_bad_query(cfg):
+        parties = list(build(cfg))
         if not wrapped:
-            if task == "ladder":
-                x = build_clear_input(instance, 3, HashDrbg(b"non-bytes"))
-            elif task == "chain":
-                x = instance.build_input(1)
-            else:
-                x = instance.sample_input(HashDrbg(b"non-bytes"))
             index = 1 if role == "attacker" else 2
-            parties[index] = QueriesFirst(
-                parties[index], lambda model: model(kind(x if target == "input" else model(x)))
-            )
+            parties[index] = QueriesFirst(parties[index], bad_query)
             wrapped.append(index)
         return tuple(parties)
 
@@ -1129,8 +1131,8 @@ def test_parties_hold_no_trial_state(monkeypatch, game):
     built = []
     build = cli.build_parties
 
-    def build_and_keep(cfg, instance):
-        parties = build(cfg, instance)
+    def build_and_keep(cfg):
+        parties = build(cfg)
         built.extend((party, dict(vars(party))) for party in parties)
         return parties
 
@@ -1140,6 +1142,29 @@ def test_parties_hold_no_trial_state(monkeypatch, game):
     assert len(built) == 3 * len(batch)
     for party, before in built:
         assert dict(vars(party)) == before, type(party).__name__
+
+
+@pytest.mark.parametrize("game", GAMES, ids=GAME_IDS)
+def test_parties_built_once_replay_the_batch_through_each_trials_world(game):
+    """A party reaches the task only through its move's `ctx.task`.
+
+    So one set of parties, built once, plays every trial of a batch: run on
+    the world `run_trial` gives trial `i`, it gives `run_batch`'s stream.
+    No party, and no party a bridge wraps, holds a task instance.
+    """
+    cfg = ExperimentConfig(**game, trials=4)
+    parties = cli.build_parties(cfg)
+    instance = cli.build_instance(cfg)
+    runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
+    replay = []
+    for i in range(cfg.trials):
+        seed = derive_trial_seed(cfg.master_seed, i)
+        world = instance.world(seed) if cfg.task == "ladder" else instance
+        replay.append(runner(world, *parties, cfg.params(), seed, i).to_json())
+    assert replay == [t.to_json() for t in run_batch(cfg)[1]]
+    wrapped = [vars(p)[k] for p in parties for k in ("detector", "mitigator") if k in vars(p)]
+    held = [v for party in (*parties, *wrapped) for v in vars(party).values()]
+    assert not [v for v in held if isinstance(v, type(instance))]
 
 
 ISOLATION_TRIALS = 6

@@ -156,7 +156,7 @@ def test_a_trial_scores_each_answer_once(monkeypatch):
 
     world = make_data_instance(12).world(derive_trial_seed(13, 0))
     cfg = ExperimentConfig(task="ladder", game="mitigate", challenger="attack", q=2)
-    trainer, attacker, mitigator = build_parties(cfg, world)
+    trainer, attacker, mitigator = build_parties(cfg)
     t = run_dbm_trial(world, trainer, attacker, mitigator, cfg.params(), derive_trial_seed(13, 0))
     assert t.aborted is None and t.response is not None
     assert t.err_y == empirical_err(world.h, t.challenge, t.response)

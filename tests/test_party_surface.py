@@ -6,7 +6,9 @@ them may read or call a name that only the harness or the instance may use:
 the quality oracle `h`, key generation and signing, the witness pool and its
 prover, the registries, free chain points or payloads, and the toy labels.
 Nor may one call an instance's own draw routines, which would skip the
-sample meter that `SampleOracle` keeps.
+sample meter that `SampleOracle` keeps.  A party reaches the task only
+through its move's `ctx.task`, which is still the whole instance, so the
+guard reads names, whatever route a party takes to them.
 
 A class's source counts with that of its package base classes and of each
 function of its own module that it calls by name, and so on through those.
@@ -58,7 +60,7 @@ def party_classes() -> set[type]:
                 cfg = ExperimentConfig(
                     task=task, game=game, challenger=challenger, **{role: name}, **_horizon(task)
                 )
-                for party in cli.build_parties(cfg, _instance(task)):
+                for party in cli.build_parties(cfg):
                     out.add(type(party))
                     for wrapped in ("detector", "mitigator"):
                         if hasattr(party, wrapped):
@@ -135,6 +137,11 @@ class _ScoresWithH:
         return max(self.instance.h(x, model(x)) for x in xs)
 
 
+class _ScoresWithTheTasksH:
+    def detect(self, ctx, model, priv, xs):
+        return ctx.task.h(xs[0], model(xs[0]))
+
+
 class _OpensWithKeygen:
     def __init__(self, instance):
         self.fhe = instance.fhe
@@ -155,5 +162,6 @@ class _DrawsThroughAHelper:
 
 def test_the_guard_catches_a_secret_read_a_keygen_call_and_an_unmetered_draw():
     assert secret_uses(_ScoresWithH) == {f"{__name__}._ScoresWithH: h"}
+    assert secret_uses(_ScoresWithTheTasksH) == {f"{__name__}._ScoresWithTheTasksH: h"}
     assert secret_uses(_OpensWithKeygen) == {f"{__name__}._OpensWithKeygen: keygen"}
     assert secret_uses(_DrawsThroughAHelper) == {f"{__name__}._draw_unmetered: sample_input"}

@@ -50,11 +50,11 @@ PARAMS = GameParams(q=1)
 def ctx_for(agent, label="test", seed=0):
     rng = HashDrbg(derive_trial_seed(seed, 0)).child(label)
     budget = ResourceBudget(samples_allowed=getattr(agent, "sample_budget", None))
-    return TrialCtx(SampleOracle(INST, rng, budget), rng.child("local"), PARAMS)
+    return TrialCtx(SampleOracle(INST, rng, budget), rng.child("local"), PARAMS, INST)
 
 
 def train(level_target, seed=0):
-    trainer = LadderTrainer(INST, level_target)
+    trainer = LadderTrainer(level_target)
     return trainer.train(ctx_for(trainer, "trainer", seed))
 
 
@@ -118,7 +118,7 @@ def test_model_bottoms_on_garbage():
 
 
 def test_dummy_model_when_draws_too_thin():
-    trainer = LadderTrainer(INST, 100)
+    trainer = LadderTrainer(100)
     trainer.sample_budget = 100  # 100 draws, ~50 clear
     model, priv = trainer.train(ctx_for(trainer, "thin"))
     assert priv.prover is None and not model.levels
@@ -129,8 +129,8 @@ def test_dummy_model_when_draws_too_thin():
 def test_attack_query_counts_frozen():
     """Grid climb is deterministic: 3*sqrt(K)/4 + 1-ish queries, frontier K."""
     for K, expected_queries in ((16, 5), (64, 9)):
-        trainer = LadderTrainer(INST, K)
-        atk = SelfIterationAttacker(INST)
+        trainer = LadderTrainer(K)
+        atk = SelfIterationAttacker()
         det = NeverFlagDetector()
         seen = 0
         for i in range(12):
@@ -150,8 +150,8 @@ def test_attack_query_counts_frozen():
 
 
 def test_attack_aborts_on_unlucky_mix():
-    trainer = LadderTrainer(INST, 16)
-    atk = SelfIterationAttacker(INST)
+    trainer = LadderTrainer(16)
+    atk = SelfIterationAttacker()
     det = NeverFlagDetector()
     aborted = [
         i
@@ -166,7 +166,7 @@ def test_attack_aborts_on_unlucky_mix():
 
 def test_mitigator_extends_answerable_range():
     model, priv = train(16)
-    mit = ProofExtendingMitigator(INST, 16)
+    mit = ProofExtendingMitigator(16)
     assert mit.strip == 8 and mit.sample_budget == 32
     rng = HashDrbg(b"mit")
     xs = [build_clear_input(INST, k, rng) for k in (5, 14, 17, 20, 21)]
@@ -181,7 +181,7 @@ def test_mitigator_extends_answerable_range():
 
 def test_mitigator_handles_encrypted_and_garbage():
     model, priv = train(16)
-    mit = ProofExtendingMitigator(INST, 16)
+    mit = ProofExtendingMitigator(16)
     rng = HashDrbg(b"mit-enc")
     xs = [build_enc_input(INST, 18, rng), b"junk"]
     ys, flag = mit.mitigate(ctx_for(mit, "mit-enc"), model, priv, xs)
@@ -190,9 +190,9 @@ def test_mitigator_handles_encrypted_and_garbage():
 
 
 def test_mitigator_defeats_the_self_iteration_attack():
-    trainer = LadderTrainer(INST, 16)
-    atk = SelfIterationAttacker(INST)
-    mit = ProofExtendingMitigator(INST, 16)
+    trainer = LadderTrainer(16)
+    atk = SelfIterationAttacker()
+    mit = ProofExtendingMitigator(16)
     violations = 0
     for i in range(25):
         t = run_dbm_trial(INST, trainer, atk, mit, PARAMS, derive_trial_seed(60, i), i)
@@ -209,8 +209,8 @@ def test_mitigator_answers_below_k_when_grid_stops_short():
     rng = HashDrbg(b"mit-short-grid")
     xs = [build_clear_input(INST, 8, rng), build_enc_input(INST, 8, rng)]
     t = run_dbm_trial(
-        INST, LadderTrainer(INST, 10), FixedChallenger(xs),
-        ProofExtendingMitigator(INST, 10), GameParams(q=len(xs)), derive_trial_seed(62, 0),
+        INST, LadderTrainer(10), FixedChallenger(xs),
+        ProofExtendingMitigator(10), GameParams(q=len(xs)), derive_trial_seed(62, 0),
     )
     assert t.aborted is None
     assert t.err_fx == 1.0  # the grid model alone cannot answer either input
@@ -219,8 +219,8 @@ def test_mitigator_answers_below_k_when_grid_stops_short():
 
 
 def test_mitigator_aborts_on_dummy_model():
-    mit = ProofExtendingMitigator(INST, 16)
-    trainer = LadderTrainer(INST, 100)
+    mit = ProofExtendingMitigator(16)
+    trainer = LadderTrainer(100)
     trainer.sample_budget = 100
     t = run_dbm_trial(
         INST, trainer, NatureChallenger(), mit, PARAMS, derive_trial_seed(61, 0)
@@ -250,10 +250,10 @@ def test_mitigator_checks_each_witness_token_once_per_trial(monkeypatch):
         runs = []
         for mitigator in (ProofExtendingMitigator, UncheckedProverMitigator):
             world = INST.world(seed)
-            trainer = KeepTrained(LadderTrainer(world, k))
+            trainer = KeepTrained(LadderTrainer(k))
             checked.clear()
             t = run_dbm_trial(
-                world, trainer, SelfIterationAttacker(world), mitigator(world, k),
+                world, trainer, SelfIterationAttacker(), mitigator(k),
                 PARAMS, seed, i,
             )
             witnesses = {
@@ -302,7 +302,7 @@ def test_frequency_detector_margins():
 
 def test_well_formed_detector():
     model, priv = train(16)
-    det = WellFormedDetector(INST)
+    det = WellFormedDetector()
     rng = HashDrbg(b"wf")
     good = build_clear_input(INST, 3, rng)
     ctx = ctx_for(det)
@@ -314,9 +314,9 @@ def test_well_formed_detector():
 
 
 def test_baseline_detectors_complete_on_nature():
-    dets = ladder_detectors(INST)
+    dets = ladder_detectors()
     assert set(dets) == {"never_flag", "level_threshold", "frequency", "well_formed"}
-    trainer = LadderTrainer(INST, 16)
+    trainer = LadderTrainer(16)
     for i in range(10):
         t = run_dbd_trial(
             INST, trainer, NatureChallenger(), dets["well_formed"], PARAMS,
@@ -341,7 +341,7 @@ class ReplayForger:
 
 
 def test_mitigation_sound_against_a_replay_forger():
-    trainer, mitigator = LadderTrainer(INST, 16), ProofExtendingMitigator(INST, 16)
+    trainer, mitigator = LadderTrainer(16), ProofExtendingMitigator(16)
     done = []
     for i in range(12):
         t = run_dbm_trial(

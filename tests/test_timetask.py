@@ -77,8 +77,8 @@ def test_honest_trials_run_along_the_known_chain(inst):
     entries = inst.ivc.registry_entries()
     for i in range(3):
         t = run_dbm_trial(
-            inst, TimeTrainer(inst), ChainClimbingAttacker(inst),
-            ChainExtendingMitigator(inst), PARAMS, derive_trial_seed(89, i), i,
+            inst, TimeTrainer(inst.horizon), ChainClimbingAttacker(inst.horizon),
+            ChainExtendingMitigator(), PARAMS, derive_trial_seed(89, i), i,
         )
         assert t.aborted is None and t.ledgers["trainer"]["steps_used"] == 256
     assert inst.ivc.steps_run == 272 + 3 * (256 + 1 + 16)
@@ -138,9 +138,9 @@ def test_h_rules(inst):
 
 
 def test_trainer_pays_horizon_and_snapshots_grid(inst):
-    trainer = KeepTrained(TimeTrainer(inst))
+    trainer = KeepTrained(TimeTrainer(inst.horizon))
     t = run_dbm_trial(
-        inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
+        inst, trainer, NatureChallenger(), ChainExtendingMitigator(),
         PARAMS, derive_trial_seed(80, 0), 0,
     )
     assert t.aborted is None
@@ -152,9 +152,9 @@ def test_trainer_pays_horizon_and_snapshots_grid(inst):
 
 
 def test_model_answers_from_grid(inst):
-    trainer = KeepTrained(TimeTrainer(inst))
+    trainer = KeepTrained(TimeTrainer(inst.horizon))
     t = run_dbm_trial(
-        inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
+        inst, trainer, NatureChallenger(), ChainExtendingMitigator(),
         PARAMS, derive_trial_seed(80, 1), 0,
     )
     model = trainer.model
@@ -171,9 +171,9 @@ def test_model_answers_from_grid(inst):
 
 
 RECALL = make_time_instance(b"recall", horizon=64)
-_, RECALL_TABLE = TimeTrainer(RECALL).train(SimpleNamespace(meter=StepMeter()))
+_, RECALL_TABLE = TimeTrainer(RECALL.horizon).train(SimpleNamespace(meter=StepMeter(), task=RECALL))
 OTHER = make_time_instance(b"recall-other", horizon=64)
-OTHER_MODEL, _ = TimeTrainer(OTHER).train(SimpleNamespace(meter=StepMeter()))
+OTHER_MODEL, _ = TimeTrainer(OTHER.horizon).train(SimpleNamespace(meter=StepMeter(), task=OTHER))
 CORE = 101  # a chain payload's core; the rest of an answer is zero padding
 QUERY_KINDS = ["input", "own", "core byte", "padding byte", "other", "arbitrary"]
 
@@ -209,9 +209,9 @@ def test_model_answers_like_a_memoryless_one(data):
 
 
 def test_attack_numbers_frozen(inst):
-    trainer = TimeTrainer(inst)
-    atk = ChainClimbingAttacker(inst)
-    mit = ChainExtendingMitigator(inst)
+    trainer = TimeTrainer(inst.horizon)
+    atk = ChainClimbingAttacker(inst.horizon)
+    mit = ChainExtendingMitigator()
     t = run_dbm_trial(inst, trainer, atk, mit, PARAMS, derive_trial_seed(81, 0), 0)
     assert t.aborted is None
     assert t.notes["queries"] == 17  # climb 1 -> 16 -> 32 -> ... -> 256, then fail
@@ -232,10 +232,10 @@ class _RefundingMitigator(ChainExtendingMitigator):
 
 
 def test_a_negative_step_charge_aborts_the_party_that_made_it(inst):
-    mit = _RefundingMitigator(inst)
+    mit = _RefundingMitigator()
     assert mit.step_budget is None  # no limit clamps the charge
     t = run_dbm_trial(
-        inst, TimeTrainer(inst), ChainClimbingAttacker(inst), mit,
+        inst, TimeTrainer(inst.horizon), ChainClimbingAttacker(inst.horizon), mit,
         PARAMS, derive_trial_seed(81, 0), 0,
     )
     assert t.aborted == "mitigator"
@@ -249,8 +249,8 @@ def test_attack_defeats_the_grid_model(inst):
     from detmit.sampleagents import NeverFlagDetector
     from detmit.core import run_dbd_trial
 
-    trainer = TimeTrainer(inst)
-    atk = ChainClimbingAttacker(inst)
+    trainer = TimeTrainer(inst.horizon)
+    atk = ChainClimbingAttacker(inst.horizon)
     t = run_dbd_trial(
         inst, trainer, atk, NeverFlagDetector(), PARAMS, derive_trial_seed(81, 1), 0
     )
@@ -279,8 +279,8 @@ def test_attack_trial_reads_each_payload_once(inst, monkeypatch):
     for i in range(3):
         calls.update(dict.fromkeys(calls, 0))
         t = run_dbd_trial(
-            inst, TimeTrainer(inst), ChainClimbingAttacker(inst), NeverFlagDetector(),
-            PARAMS, derive_trial_seed(81, i), i,
+            inst, TimeTrainer(inst.horizon), ChainClimbingAttacker(inst.horizon),
+            NeverFlagDetector(), PARAMS, derive_trial_seed(81, i), i,
         )
         queries = t.notes["queries"]
         assert t.aborted is None and queries == 17 and t.err_fx == 1.0
@@ -289,8 +289,8 @@ def test_attack_trial_reads_each_payload_once(inst, monkeypatch):
 
 
 def test_mitigator_cost_is_exactly_sqrt(inst):
-    trainer = TimeTrainer(inst)
-    mit = ChainExtendingMitigator(inst)
+    trainer = TimeTrainer(inst.horizon)
+    mit = ChainExtendingMitigator()
     for i, t_level in enumerate((1, 4, 100, 256)):
         tr = run_dbm_trial(
             inst, trainer, FixedChallenger([inst.build_input(t_level)]), mit,
@@ -307,7 +307,7 @@ def test_step_ledgers_count_this_trial_only():
     expected_total = inst.ivc.steps_run
     for i in range(3):
         t = run_dbm_trial(
-            inst, TimeTrainer(inst), NatureChallenger(), ChainExtendingMitigator(inst),
+            inst, TimeTrainer(inst.horizon), NatureChallenger(), ChainExtendingMitigator(),
             PARAMS, derive_trial_seed(86, i),
         )
         assert t.aborted is None
@@ -322,11 +322,11 @@ def test_step_ledgers_count_this_trial_only():
 
 
 def test_mitigator_refuses_forged_chains_for_free(inst):
-    mit = ChainExtendingMitigator(inst)
+    mit = ChainExtendingMitigator()
     forged = TimePayload(9, b"s" * 32, IvcProof(9, b"c" * 32))
     xb = encode_payload(forged, inst.width)
 
-    ctx = SimpleNamespace(meter=StepMeter())
+    ctx = SimpleNamespace(meter=StepMeter(), task=inst)
     ys, flag = mit.mitigate(ctx, lambda x: x, None, [xb])
     assert decode_payload(ys[0]) is None and flag == 0
     assert ctx.meter.used == 0  # zero steps
@@ -344,8 +344,8 @@ def test_mitigator_refuses_relabeled_chains_for_free(inst, claimed):
     xb = encode_payload(relabeled, inst.width)
     assert inst.h(xb, bottom(inst.width)) == 0
     entries = inst.ivc.registry_entries()
-    ctx = SimpleNamespace(meter=StepMeter())
-    ys, flag = ChainExtendingMitigator(inst).mitigate(ctx, lambda x: x, None, [xb])
+    ctx = SimpleNamespace(meter=StepMeter(), task=inst)
+    ys, flag = ChainExtendingMitigator().mitigate(ctx, lambda x: x, None, [xb])
     assert ys == [bottom(inst.width)] and flag == 0
     assert ctx.meter.used == 0
     assert inst.ivc.registry_entries() == entries
@@ -354,11 +354,11 @@ def test_mitigator_refuses_relabeled_chains_for_free(inst, claimed):
 def test_trainer_runs_out_of_steps_mid_run():
     """The trainer's 7th run of 8 steps is granted 2 of them, then it aborts."""
     inst = TimeTaskInstance(b"short-trainer", horizon=64)
-    trainer = TimeTrainer(inst)
+    trainer = TimeTrainer(inst.horizon)
     trainer.step_budget = 50
     for _ in range(2):  # the same trial id twice: each move has its own limit
         t = run_dbm_trial(
-            inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
+            inst, trainer, NatureChallenger(), ChainExtendingMitigator(),
             PARAMS, derive_trial_seed(87, 0), 0,
         )
         assert t.aborted == "trainer"
@@ -371,10 +371,10 @@ def test_trainer_runs_out_of_steps_mid_run():
 
 def test_mitigator_runs_out_of_steps_mid_run(inst):
     """A level-36 input needs a run of 6 steps; a budget of 2 grants 2."""
-    mit = ChainExtendingMitigator(inst)
+    mit = ChainExtendingMitigator()
     mit.step_budget = 2
     t = run_dbm_trial(
-        inst, TimeTrainer(inst), FixedChallenger([inst.build_input(36)]), mit,
+        inst, TimeTrainer(inst.horizon), FixedChallenger([inst.build_input(36)]), mit,
         PARAMS, derive_trial_seed(88, 0), 0,
     )
     assert t.aborted == "mitigator"
@@ -386,21 +386,21 @@ def test_mitigator_runs_out_of_steps_mid_run(inst):
 
 
 def test_step_budget_enforced(inst):
-    trainer = TimeTrainer(inst)
-    atk = ChainClimbingAttacker(inst)
+    trainer = TimeTrainer(inst.horizon)
+    atk = ChainClimbingAttacker(inst.horizon)
     atk.step_budget = 0  # cannot even start
     t = run_dbm_trial(
-        inst, trainer, atk, ChainExtendingMitigator(inst),
+        inst, trainer, atk, ChainExtendingMitigator(),
         PARAMS, derive_trial_seed(83, 0), 0,
     )
     assert t.aborted == "attacker"
 
 
 def test_audits_pass_on_honest_runs(inst):
-    trainer = TimeTrainer(inst)
+    trainer = TimeTrainer(inst.horizon)
     for i in range(3):
         run_dbm_trial(
-            inst, trainer, ChainClimbingAttacker(inst), ChainExtendingMitigator(inst),
+            inst, trainer, ChainClimbingAttacker(inst.horizon), ChainExtendingMitigator(),
             PARAMS, derive_trial_seed(84, i), i,
         )
     assert audit_conservation(inst)
@@ -412,9 +412,9 @@ def test_non_square_horizon_still_works():
     rng = HashDrbg(b"odd-pairs")
     x, y = inst.sample_pair(rng)
     assert inst.h(x, y) == 0
-    trainer = TimeTrainer(inst)
+    trainer = TimeTrainer(inst.horizon)
     t = run_dbm_trial(
-        inst, trainer, NatureChallenger(), ChainExtendingMitigator(inst),
+        inst, trainer, NatureChallenger(), ChainExtendingMitigator(),
         PARAMS, derive_trial_seed(85, 0), 0,
     )
     assert t.aborted is None and t.ledgers["trainer"]["steps_used"] == 200

@@ -57,16 +57,16 @@ def _ctx(instance, agent, label: bytes) -> TrialCtx:
     rng = HashDrbg(label)
     budget = ResourceBudget(getattr(agent, "sample_budget", None))
     return TrialCtx(
-        SampleOracle(instance, rng, budget), rng.child("local"), PARAMS,
+        SampleOracle(instance, rng, budget), rng.child("local"), PARAMS, instance,
         StepMeter(getattr(agent, "step_budget", None)),
     )
 
 
-_ladder_trainer = LadderTrainer(LADDER, 16)
+_ladder_trainer = LadderTrainer(16)
 LADDER_MODEL, LADDER_PRIV = _ladder_trainer.train(_ctx(LADDER, _ladder_trainer, b"lt"))
-_chain_trainer = TimeTrainer(CHAIN)
+_chain_trainer = TimeTrainer(CHAIN.horizon)
 CHAIN_MODEL, CHAIN_PRIV = _chain_trainer.train(_ctx(CHAIN, _chain_trainer, b"ct"))
-DETECTORS = list(ladder_detectors(LADDER).values())
+DETECTORS = list(ladder_detectors().values())
 
 
 def _honest() -> list[bytes]:
@@ -179,7 +179,7 @@ def test_ladder_oracle_model_and_defenses_are_total(data):
     ctx = _ctx(LADDER, None, b"detect")
     for detector in DETECTORS:
         assert detector.detect(ctx, LADDER_MODEL, LADDER_PRIV, xs) in (0, 1)
-    mitigator = ProofExtendingMitigator(LADDER, 16)
+    mitigator = ProofExtendingMitigator(16)
     ctx = _ctx(LADDER, mitigator, b"mitigate")
     answers, flag = mitigator.mitigate(ctx, LADDER_MODEL, LADDER_PRIV, xs)
     assert flag == 0 and len(answers) == len(xs)
@@ -190,7 +190,7 @@ def test_ladder_oracle_model_and_defenses_are_total(data):
 @given(st.data())
 def test_chain_oracle_model_and_mitigator_are_total(data):
     xs, ys = _batch(data), _batch(data)
-    mitigator = ChainExtendingMitigator(CHAIN)
+    mitigator = ChainExtendingMitigator()
     for x, y in zip(xs, ys):
         assert CHAIN.h(x, y) in (0, 1)
         assert isinstance(CHAIN_MODEL(x), bytes)

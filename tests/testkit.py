@@ -315,10 +315,10 @@ class KeepTrained:
         return self.model, self.priv
 
 
-def ladder_detectors(instance: DataTaskInstance) -> dict[str, Any]:
+def ladder_detectors() -> dict[str, Any]:
     """The ladder detectors by name, each built as `detmit run` builds it."""
     return {
-        name: make(ExperimentConfig(detector=name), instance)
+        name: make(ExperimentConfig(detector=name))
         for name, make in DEFENSES["ladder", "detect"].items()
     }
 
