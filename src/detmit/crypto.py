@@ -140,7 +140,7 @@ def sig_keygen(rng: HashDrbg) -> VerificationKey:
 
 def sig_sign_zero(key: VerificationKey, nonce: bytes) -> SignatureToken:
     """Sign the fixed zero message bound to `nonce`, fresh from the caller's stream."""
-    token = SignatureToken(nonce, key._mac(ZERO_MESSAGE + nonce))
+    token = tuple.__new__(SignatureToken, (nonce, key._mac(ZERO_MESSAGE + nonce)))
     if key._signed is not None:
         key._signed.add(token)
     return token
@@ -230,11 +230,11 @@ class CountProver:
         self._distinct: list[SignatureToken] = []
 
     def _extend(self, need: int) -> None:
-        distinct, seen, witness = self._distinct, self._seen, self._witness
-        vk = self.params.verification_key
+        distinct, seen, vk = self._distinct, self._seen, self.params.verification_key
         i = self._checked
-        while len(distinct) < need and i < len(witness):
-            tok = witness[i]
+        for tok in self._witness[i:]:  # one pass over the unchecked witness
+            if len(distinct) >= need:
+                break
             i += 1
             if tok not in seen:
                 seen.add(tok)
@@ -355,7 +355,8 @@ class FheSystem:
     The master secret stays on this object; parties only ever hold the
     identity keys that payloads hand them, the public `eval` entry point,
     and the ability to encrypt under keys they hold.  A trial gets its own
-    from :meth:`fork`.
+    from :meth:`fork`.  `eval` keeps the cipher of each identity it sees in
+    a table of its own, which a fork starts empty.
     """
 
     def __init__(self, rng: HashDrbg):
@@ -365,12 +366,14 @@ class FheSystem:
         self._next_circuit = 0
         self.params_digest = sha256(b"fhe-params:" + self._msk)
         self._id_key_prefix = hashlib.sha256(b"fhe-id-key:" + self._msk)  # only copied
+        self._ciphers: dict[bytes, IdentityCipher] = {}  # identity tag -> eval's cipher
 
     def fork(self, label: bytes) -> "FheSystem":
-        """Same master secret, no circuits, eval nonces from `child(label)`."""
+        """Same master secret, no circuits or ciphers, eval nonces from `child(label)`."""
         world = copy.copy(self)
         world._drbg = self._drbg.child(label)
         world._circuits = {}
+        world._ciphers = {}
         world._next_circuit = 0
         return world
 
@@ -401,7 +404,9 @@ class FheSystem:
         fn = self._circuits.get(handle)
         if fn is None:
             raise KeyError(f"unknown circuit handle {handle!r}")
-        cipher = IdentityCipher(self.keygen(ct.identity_tag))
+        cipher = self._ciphers.get(ct.identity_tag)
+        if cipher is None:
+            cipher = self._ciphers[ct.identity_tag] = IdentityCipher(self.keygen(ct.identity_tag))
         plaintext = cipher.decrypt(ct)
         result = EVAL_FAILED if plaintext is None else fn(plaintext)
         return cipher.encrypt(result, self._drbg)

@@ -8,7 +8,9 @@ block appends exactly the whole blocks it needs, in counter order, so how a
 stream is cut into takes never changes its bytes.  A skip moves the position
 only: the bytes it passes over are never made, and a block it passes over
 whole is never hashed.  A :class:`Cursor` reads the buffered block in place,
-for loops too hot for a call a read, and keeps both rules.
+for loops too hot for a call a read, and keeps both rules.  Block i is
+``sha256(key + be64(i))``, made from a copy of a SHA-256 state of the key
+that the stream hashes once, at its first block.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ def _as_seed_bytes(seed: bytes | int | str) -> bytes:
 class HashDrbg:
     """Counter-mode SHA-256 generator over a 32-byte internal key."""
 
-    __slots__ = ("_key", "_counter", "_buf", "_pos")
+    __slots__ = ("_key", "_state", "_counter", "_buf", "_pos")
 
     def __init__(self, seed: bytes | int | str):
         self._key = hashlib.sha256(b"drbg-key:" + _as_seed_bytes(seed)).digest()
+        self._state = None  # the key's SHA-256 state, made at the first block
         self._counter = 0
         self._buf = b""
         self._pos = 0
@@ -61,14 +64,18 @@ class HashDrbg:
         that hold the n bytes are hashed, in counter order.
         """
         skipped = pos - len(buf)
-        counter, key = self._counter, self._key
+        counter, state = self._counter, self._state
+        if state is None:
+            state = self._state = hashlib.sha256(self._key)
         if skipped > 0:
             counter += skipped >> 5
             buf, pos = b"", skipped & 31
         else:
             buf, pos = buf[pos:], 0
         while len(buf) < pos + n:
-            buf += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+            block = state.copy()
+            block.update(counter.to_bytes(8, "big"))
+            buf += block.digest()
             counter += 1
         self._counter = counter
         return buf, pos

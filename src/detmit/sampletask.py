@@ -96,9 +96,16 @@ class LevelLaw:
     cap: int = LEVEL_CAP
 
     def sample(self, rng: HashDrbg) -> int:
-        k = 1
-        while k < self.cap and rng.bit():
+        cur, k = Cursor(rng), 1
+        buf, pos = cur.buf, cur.pos
+        while k < self.cap:
+            if pos >= len(buf):
+                buf, pos = cur.fill(buf, pos, 1)
+            pos += 1
+            if not buf[pos - 1] & 1:
+                break
             k += 1
+        cur.close(buf, pos)
         return k
 
 
@@ -229,7 +236,10 @@ class DataTaskInstance:
     ) -> tuple[list[SignatureToken], int]:
         """The tokens of up to `n` draws, stopping at the `want`-th, and the draws unread.
 
-        With `want` 0 it signs nothing and reads all `n`.
+        With `want` 0 it signs nothing and reads all `n`.  A draw fills its
+        first 18 bytes at once: it reads the first and its sealing byte, 17 or
+        more bytes on, and skips at most a nonce, shorter than a block,
+        between, so the fill hashes no block the draw does not read.
         """
         cur = Cursor(rng)
         buf, pos, fill = cur.buf, cur.pos, cur.fill
@@ -238,6 +248,9 @@ class DataTaskInstance:
         climb = range(self.law.cap - 1)
         seen, fresh, left = set(known), [], 0
         for i in range(n):
+            if pos + NONCE_LEN + 2 > end:  # a one-byte level, the nonce, the sealing byte
+                buf, pos = fill(buf, pos, NONCE_LEN + 2)
+                end = len(buf)
             for _ in climb:  # the level, as LevelLaw reads it: an odd byte climbs
                 if pos >= end:
                     buf, pos = fill(buf, pos, 1)

@@ -335,6 +335,37 @@ def test_eval_bad_ciphertext_yields_failure_marker(fhe, rng):
     assert IdentityCipher(fhe.keygen(identity)).decrypt(out) == EVAL_FAILED
 
 
+def test_eval_keeps_one_cipher_per_identity_in_its_own_world(rng):
+    """A world's eval answers as a fresh cipher would, building one per identity it sees."""
+    r = rng.child("cipher-table")
+    fhe = FheSystem(r.child("fhe"))
+    id_a, id_b = r.take(16), r.take(16)
+    valid = IdentityCipher(fhe.keygen(id_a)).encrypt(b"abcdef", r)
+    fhe.eval(fhe.register_circuit(bytes), valid)  # the instance's own table holds id_a
+    world, sibling = fhe.fork(b"world"), fhe.fork(b"sibling")
+    assert world._ciphers == {} and sibling._ciphers == {}
+    assert world._ciphers is not sibling._ciphers
+    handle = world.register_circuit(lambda pt: pt[::-1])
+
+    nonces = fhe._drbg.child(b"world")  # the world's eval nonces, drawn apart
+    wrong_tag, undecryptable = Ciphertext(id_b, valid.body), Ciphertext(id_a, r.take(40))
+    for ct in (valid, wrong_tag, undecryptable, valid, wrong_tag):
+        fresh = IdentityCipher(fhe.keygen(ct.identity_tag))
+        plaintext = fresh.decrypt(ct)
+        expect = fresh.encrypt(EVAL_FAILED if plaintext is None else plaintext[::-1], nonces)
+        assert world.eval(handle, ct) == expect
+    assert fresh.decrypt(expect) == EVAL_FAILED  # the wrong tag's marker, sealed under id_b
+    failed = world.eval(handle, undecryptable)
+    assert failed.identity_tag == id_a
+    assert IdentityCipher(fhe.keygen(id_a)).decrypt(failed) == EVAL_FAILED
+    assert set(world._ciphers) == {id_a, id_b}
+    assert sibling._ciphers == {} and set(fhe._ciphers) == {id_a}
+
+    with pytest.raises(ValueError):
+        world.eval(handle, Ciphertext(bytes(15), valid.body))
+    assert set(world._ciphers) == {id_a, id_b}
+
+
 def test_eval_unknown_handle(fhe, rng):
     r = rng.child("eval3")
     ct = IdentityCipher(fhe.keygen(r.take(16))).encrypt(b"x", r)

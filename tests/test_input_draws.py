@@ -33,7 +33,7 @@ from detmit.drbg import HashDrbg
 from detmit.payloads import ClearPayload, EncPayload, decode_payload, encode_payload
 from detmit.sampletask import make_data_instance
 from detmit.timetask import make_time_instance
-from testkit import CountingHashlib, clear_pair_at, seal_pair, token_draws
+from testkit import CountingHashlib, CraftedDrbg, clear_pair_at, seal_pair, token_draws
 
 DRAWS = 2_000
 LADDER = make_data_instance(31)
@@ -383,3 +383,76 @@ def test_only_the_ladder_task_offers_the_token_view():
     assert isinstance(LADDER, TokenTaskInstance)
     assert not isinstance(toy, TokenTaskInstance)
     assert not isinstance(chain, TokenTaskInstance)
+
+
+# --- the walk's rare paths, on streams with chosen bytes ---
+
+_NONCE = bytes(range(100, 116))  # the crafted draw's nonce
+
+
+def _reference_walk(world, rng, n: int, want: int) -> tuple[list[SignatureToken], int, int]:
+    """`testkit.token_draws` a draw at a time.
+
+    Returns the tokens, the draws after the one that gives the `want`-th
+    token, and the blocks `rng` had made when that draw was read.
+    """
+    fresh, owed, made = [], 0, rng.hashes.blocks
+    for i in range(n):
+        before = len(fresh)
+        fresh += token_draws(world, rng, 1, want - len(fresh), fresh)
+        if before < want == len(fresh):
+            owed, made = n - 1 - i, rng.hashes.blocks
+    return fresh, owed, made
+
+
+def _walk_as_the_reference(prefix: bytes, start: int, take_start: bool) -> list[SignatureToken]:
+    """Walk 30 draws for 8 tokens after `start` bytes of a stream that starts with `prefix`.
+
+    The tokens, the owed count, the blocks made and, once the owed draws
+    are walked, the stream's position must be the reference's.
+    """
+    worlds = [LADDER.world(b"crafted") for _ in range(2)]
+    rng, ref = (CraftedDrbg(b"walk", prefix) for _ in range(2))
+    for r in (rng, ref):
+        (r.take if take_start else r.skip)(start)
+    tokens, owed = worlds[0].sample_tokens(rng, 30, 8)
+    assert (tokens, owed, rng.hashes.blocks) == _reference_walk(worlds[1], ref, 30, 8)
+    worlds[0].walk_draws(rng, owed)
+    assert rng.hashes.blocks == ref.hashes.blocks
+    assert rng.take(64) == ref.take(64)
+    return tokens
+
+
+@pytest.mark.parametrize("take_start", [True, False], ids=["taken", "skipped"])
+@pytest.mark.parametrize("sealed", [0, 1])
+@pytest.mark.parametrize("before_end", range(1, 18))
+def test_a_draw_starting_near_a_block_end_walks_as_takes_do(before_end, sealed, take_start):
+    """The draw's first 18 bytes, a one-byte level, the nonce and the sealing byte, cross a block."""
+    start = 32 - before_end
+    tokens = _walk_as_the_reference(bytes(start) + b"\0" + _NONCE + bytes([sealed]), start, take_start)
+    assert (tokens[0].nonce == _NONCE) == (not sealed)
+
+
+@pytest.mark.parametrize("take_start", [True, False], ids=["taken", "skipped"])
+@pytest.mark.parametrize("start, run", [(20, 11), (20, 12), (20, 13), (31, 1), (20, 44), (3, 200)])
+def test_a_level_run_across_a_block_end_walks_as_takes_do(start, run, take_start):
+    """`run` odd level bytes from `start` reach past a block end; the draw is clear."""
+    prefix = bytes(start) + b"\1" * run + b"\0" + _NONCE + b"\0"
+    assert _walk_as_the_reference(prefix, start, take_start)[0].nonce == _NONCE
+    rng = CraftedDrbg(b"walk", prefix)
+    rng.take(start)
+    assert decode_payload(LADDER.world(b"crafted").sample_input(rng)).level == run + 1
+
+
+@pytest.mark.parametrize("take_start", [True, False], ids=["taken", "skipped"])
+@pytest.mark.parametrize("start", [0, 7])
+@pytest.mark.parametrize("sealed", [0, 1])
+def test_the_cap_level_walks_as_takes_do(start, sealed, take_start):
+    """511 odd bytes give level 512, the cap: the byte after them is the nonce's first."""
+    prefix = bytes(start) + b"\1" * 511 + _NONCE + bytes([sealed])
+    tokens = _walk_as_the_reference(prefix, start, take_start)
+    assert (tokens[0].nonce == _NONCE) == (not sealed)
+    rng = CraftedDrbg(b"walk", prefix)
+    rng.take(start)
+    x = decode_payload(LADDER.world(b"crafted").sample_input(rng))
+    assert sealed or x.level == 512

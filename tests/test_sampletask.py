@@ -39,10 +39,12 @@ from detmit.sampletask import (
     next_level,
 )
 from testkit import (
+    CraftedDrbg,
     build_clear_input,
     build_enc_input,
     clear_pair_at,
     inner_level,
+    level_bits,
     seal_pair,
 )
 
@@ -83,6 +85,29 @@ def test_level_law_sampling_matches_pmf():
         expect = n * pmf(law, k)
         sigma = (n * pmf(law, k) * (1 - pmf(law, k))) ** 0.5
         assert abs(counts[k] - expect) <= 4 * sigma + 1, k
+
+
+@pytest.mark.parametrize("take_start", [True, False], ids=["taken", "skipped"])
+@pytest.mark.parametrize("start, run", [(0, 0), (31, 1), (20, 12), (30, 40), (5, 255), (9, 511), (2, 600)])
+@pytest.mark.parametrize("cap", [4, 256, 512])
+def test_level_law_reads_a_run_as_one_byte_takes_do(cap, start, run, take_start):
+    """A run of `run` odd bytes from `start`, across a block end when it is long enough."""
+    rng, ref = (CraftedDrbg(b"law", bytes(start) + b"\1" * run + b"\0") for _ in range(2))
+    for r in (rng, ref):
+        (r.take if take_start else r.skip)(start)
+    assert LevelLaw(cap).sample(rng) == level_bits(cap, ref) == min(run + 1, cap)
+    assert rng.hashes.blocks == ref.hashes.blocks
+    assert rng.take(40) == ref.take(40)
+
+
+@given(st.lists(st.sampled_from([0, 1, 1, 1, 3, 255]), max_size=80), st.integers(1, 40))
+def test_level_law_draws_as_one_byte_takes_do(prefix, cap):
+    """Successive levels from mostly odd bytes, each run wherever the last one ended."""
+    rng, ref = (CraftedDrbg(b"law", bytes(prefix)) for _ in range(2))
+    for _ in range(12):
+        assert LevelLaw(cap).sample(rng) == level_bits(cap, ref)
+        assert rng.hashes.blocks == ref.hashes.blocks
+    assert rng.take(40) == ref.take(40)
 
 
 def test_widths_cover_all_levels():

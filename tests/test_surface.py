@@ -11,6 +11,9 @@ tests could set it.  Calls match a function by name, as uses match names: a
 call of `f`, or of any `obj.f`, passes the parameters it names by keyword and
 those its positional arguments reach (a `*args` reaches every position, a
 `**kwargs` every name); a call of a class passes its `__init__`'s.
+
+No module but `crypto` reads what a crypto object keeps private: its MAC
+key and pad states, its master secret, salts, registries and streams.
 """
 
 from __future__ import annotations
@@ -171,6 +174,52 @@ def test_the_guard_counts_neither_imports_nor_self_references(tmp_path):
         ("a", "recursive"), ("a", "Helper"), ("a", "Box.grow"), ("a", "Box.spare"),
         ("a", "Box.from_bytes"),
     }
+
+
+# what crypto objects keep private: only `crypto` itself reads these
+CRYPTO_PRIVATE = {
+    "_mac", "_signed", "_inner", "_outer", "_mac_key", "_msk", "_salt", "_ciphers",
+    "_registry", "_known", "_drbg",
+}
+
+
+def crypto_private_reads(src: Path) -> set[tuple[str, str]]:
+    """(module, name) of each use of a `CRYPTO_PRIVATE` name outside `crypto`.
+
+    A use is an attribute of that name on any object, or the name as a
+    string, as `getattr` would take it.
+    """
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "crypto":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in CRYPTO_PRIVATE:
+                out.add((path.stem, name))
+    return out
+
+
+def test_no_module_but_crypto_reads_a_crypto_private():
+    assert crypto_private_reads(SRC) == set()
+
+
+def test_the_private_guard_reports_a_planted_read(tmp_path):
+    (tmp_path / "crypto.py").write_text(
+        "class Key:\n    def __init__(self):\n        self._mac = b''\n"
+        "def sign(key):\n    return key._mac\n"
+    )
+    (tmp_path / "task.py").write_text(
+        "from .crypto import Key, sign\n"
+        "def forge(key, fhe):\n    return key._mac, getattr(fhe, '_msk'), sign(key)\n"
+        "def fine(rng):\n    return rng._buf, '_mac and more'\n"
+    )
+    assert crypto_private_reads(tmp_path) == {("task", "_mac"), ("task", "_msk")}
 
 
 def test_every_parameter_default_is_passed_by_the_package():

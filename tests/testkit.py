@@ -203,6 +203,14 @@ def seal_pair(
     return EncPayload(ct_x, id1, id2, key2), EncPayload(ct_y, b"", b"", b"")
 
 
+def level_bits(cap: int, rng: HashDrbg) -> int:
+    """`LevelLaw(cap).sample`, written out a one-byte take per level bit."""
+    k = 1
+    while k < cap and rng.bit():
+        k += 1
+    return k
+
+
 def token_draws(
     instance: DataTaskInstance,
     rng: HashDrbg,
@@ -212,13 +220,13 @@ def token_draws(
 ) -> list[SignatureToken]:
     """`DataTaskInstance.sample_tokens`, written out draw by draw with takes and skips.
 
-    A draw takes its level bytes and its sealing bit, takes its nonce while
-    tokens are still wanted and skips it after, and skips both proof tokens
-    and, on a sealed draw, its ids and seal nonces.
+    A draw takes its level bytes (`level_bits`) and its sealing bit, takes
+    its nonce while tokens are still wanted and skips it after, and skips
+    both proof tokens and, on a sealed draw, its ids and seal nonces.
     """
     seen, fresh = set(known), []
     for _ in range(n):
-        instance.law.sample(rng)
+        level_bits(instance.law.cap, rng)
         wanted = len(fresh) < want
         if wanted:
             nonce = rng.take(NONCE_LEN)
@@ -268,14 +276,71 @@ def implication_holds(t: Transcript, epsilon: float) -> bool:
 
 
 class CountingHashlib:
-    """Stands in for `hashlib` in detmit.drbg and counts the blocks it hashes."""
+    """Stands in for `hashlib` in detmit.drbg and counts the blocks it hashes.
+
+    A block is a digest: `sha256()` returns a state that counts its digests,
+    and so do its copies, so a stream's key derivation counts one and so does
+    each block made from a copy of its kept key state.
+    """
 
     def __init__(self):
         self.blocks = 0
 
     def sha256(self, data: bytes = b""):
-        self.blocks += 1
-        return hashlib.sha256(data)
+        return _CountedSha256(self, hashlib.sha256(data))
+
+
+class _CountedSha256:
+    """A SHA-256 state that adds one to its `CountingHashlib` per digest."""
+
+    def __init__(self, counter: CountingHashlib, state: Any):
+        self.counter, self.state = counter, state
+
+    def update(self, data: bytes) -> None:
+        self.state.update(data)
+
+    def copy(self) -> "_CountedSha256":
+        return _CountedSha256(self.counter, self.state.copy())
+
+    def digest(self) -> bytes:
+        self.counter.blocks += 1
+        return self.state.digest()
+
+
+class CraftedDrbg(HashDrbg):
+    """`HashDrbg(seed)` whose stream starts with the chosen bytes `prefix`.
+
+    The blocks `prefix` reaches hold it, and the rest of their bytes and every
+    later block are the real stream's.  The kept key state is swapped for one
+    whose copies make these blocks, so the class's own `_fill` serves them;
+    `hashes.blocks` counts the blocks it has made.
+    """
+
+    def __init__(self, seed: bytes | int | str, prefix: bytes):
+        super().__init__(seed)
+        head = HashDrbg(seed).take((len(prefix) + 31) // 32 * 32)
+        head = prefix + head[len(prefix) :]
+        blocks = {i: head[32 * i : 32 * i + 32] for i in range(len(head) // 32)}
+        self.hashes = CountingHashlib()
+        self._state = _ChosenBlocks(self.hashes, hashlib.sha256(self._key), blocks)
+
+
+class _ChosenBlocks(_CountedSha256):
+    """A counted DRBG key state whose copy, fed counter i, digests to chosen block i if any."""
+
+    def __init__(self, counter: CountingHashlib, state: Any, blocks: dict[int, bytes]):
+        super().__init__(counter, state)
+        self.blocks, self.at = blocks, -1
+
+    def copy(self) -> "_ChosenBlocks":
+        return _ChosenBlocks(self.counter, self.state.copy(), self.blocks)
+
+    def update(self, data: bytes) -> None:
+        super().update(data)
+        self.at = int.from_bytes(data, "big")
+
+    def digest(self) -> bytes:
+        return self.blocks.get(self.at, super().digest())
 
 
 class FixedChallenger:
