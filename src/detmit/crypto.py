@@ -422,6 +422,21 @@ def npl_step(state: bytes) -> bytes:
     return hashlib.sha256(b"npl-step:" + state).digest()
 
 
+_NPL_PREFIX = hashlib.sha256(b"npl-step:")  # only ever copied
+
+
+def npl_chain(state: bytes, n: int) -> list[bytes]:
+    """The states 0, 1, ..., n steps from `state`: the bytes of `n` chained `npl_step` calls."""
+    chain = [state]
+    append, fresh = chain.append, _NPL_PREFIX.copy
+    for _ in range(n):
+        h = fresh()
+        h.update(state)
+        state = h.digest()
+        append(state)
+    return chain
+
+
 class StepMeter:
     """One party move's step allowance, as its sample budget is for draws.
 

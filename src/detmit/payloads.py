@@ -7,7 +7,9 @@ non-informative.  Decoding is total and padding-agnostic: any violation
 ``None`` instead of raising, because the quality oracle scores arbitrary
 bytes.
 
-Every form decodes at computed offsets.  The clear (``0x01``) and
+Both directions use one :class:`~struct.Struct` per form: the encoder packs
+each form's fixed parts with the same ``Struct`` objects the decoder reads
+them with.  The clear (``0x01``) and
 encrypted (``0x02``) ladder forms share a 28-byte head after the tag,
 where n is the length of the free part:
 
@@ -70,7 +72,7 @@ therefore never decodes; models emit it (padded) when they cannot answer.
 
 from __future__ import annotations
 
-from struct import Struct
+from struct import Struct, error as StructError
 from typing import NamedTuple
 
 from .crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
@@ -126,8 +128,12 @@ _LADDER_HEAD = Struct(">II16sI")
 _HEAD_END = 1 + _LADDER_HEAD.size
 _CLEAR_TAIL = Struct(">4sQ8s16s4s32s")
 _TOKEN_HEAD = be32(56) + be32(16)
-# the allowed length prefixes of id1, id2 and key2, and the lengths they give
+# the allowed length prefixes of id1, id2 and key2, and the lengths they give;
+# the encoder reads them the other way, length to prefix
 _ENC_TAIL = tuple({be32(0): 0, be32(n): n} for n in (16, 16, IDENTITY_KEY_LEN))
+_ENC_PREFIX = tuple({n: prefix for prefix, n in widths.items()} for widths in _ENC_TAIL)
+# the records decode_payload builds, made without their NamedTuple __new__
+_new = tuple.__new__
 
 
 def pad_to(core: bytes, width: int | None) -> bytes:
@@ -143,45 +149,74 @@ def bottom(width: int | None = None) -> bytes:
 
 
 def encode_payload(payload: Payload, width: int | None = None) -> bytes:
-    # Each form is written in one join of its length-prefixed fields, nested
-    # ones flattened in place.  Attacker-built payloads may carry fields of
-    # any length, so the prefixes are computed, never assumed.
+    # Each form packs its fixed parts with the Structs decode_payload reads.
+    # A Struct pads or cuts a field to its width and refuses an integer
+    # outside [0, 2**64), so an attacker-built payload with another width or
+    # integer is written by `_joined`, which computes every prefix from the
+    # fields (the same bytes) and raises OverflowError as `be64` does.
+    try:
+        if isinstance(payload, TimePayload):
+            steps, config, (proof_steps, commitment) = payload
+            if len(config) == 32 and len(commitment) == 32:
+                return pad_to(_TIME_TAG + _TIME_CORE.pack(
+                    _INT_LEN, steps, _DIGEST_LEN, config,
+                    _PROOF_HEAD, proof_steps, _DIGEST_LEN, commitment,
+                ), width)
+        elif isinstance(payload, ClearPayload):
+            (nonce, sig), level, (token, digest) = payload
+            if len(nonce) == 16 and len(token) == 16 and len(digest) == 32:
+                n = len(sig)
+                return pad_to(b"".join((
+                    _CLEAR_TAG, _LADDER_HEAD.pack(24 + n, 16, nonce, n), sig,
+                    _CLEAR_TAIL.pack(_INT_LEN, level, _TOKEN_HEAD, token, _DIGEST_LEN, digest),
+                )), width)
+        elif isinstance(payload, EncPayload):
+            (tag, body), id1, id2, key2 = payload
+            at1, at2, at3 = _ENC_PREFIX
+            p1, p2, p3 = at1.get(len(id1)), at2.get(len(id2)), at3.get(len(key2))
+            if len(tag) == 16 and p1 and p2 and p3:
+                n = len(body)
+                return pad_to(b"".join((
+                    _ENC_TAG, _LADDER_HEAD.pack(24 + n, 16, tag, n), body,
+                    p1, id1, p2, id2, p3, key2,
+                )), width)
+    except StructError:  # an integer outside [0, 2**64), or a field Struct refuses
+        pass
+    return pad_to(_joined(payload), width)
+
+
+def _joined(payload: Payload) -> bytes:
+    """`payload`'s core as one join of its length-prefixed fields, of any widths."""
     if isinstance(payload, ClearPayload):
         nonce, sig = payload.token.nonce, payload.token.core
         token, digest = payload.proof.token, payload.proof.statement_digest
-        core = b"".join((
+        return b"".join((
             _CLEAR_TAG,
             be32(8 + len(nonce) + len(sig)), be32(len(nonce)), nonce, be32(len(sig)), sig,
             _INT_LEN, be64(payload.level),
             be32(8 + len(token) + len(digest)), be32(len(token)), token,
             be32(len(digest)), digest,
         ))
-    elif isinstance(payload, EncPayload):
+    if isinstance(payload, EncPayload):
         ct = payload.ciphertext
         tag, body = ct.identity_tag, ct.body
         id1, id2, key2 = payload.id1, payload.id2, payload.key2
-        core = b"".join((
+        return b"".join((
             _ENC_TAG,
             be32(8 + len(tag) + len(body)), be32(len(tag)), tag, be32(len(body)), body,
             be32(len(id1)), id1, be32(len(id2)), id2, be32(len(key2)), key2,
         ))
-    elif isinstance(payload, TimePayload):
+    if isinstance(payload, TimePayload):
         config, proof = payload.config, payload.proof
         commitment = proof.commitment
-        core = b"".join((
+        return b"".join((
             _TIME_TAG,
             _INT_LEN, be64(payload.steps),
             be32(len(config)), config,
             be32(16 + len(commitment)), _INT_LEN, be64(proof.steps),
             be32(len(commitment)), commitment,
         ))
-    else:  # pragma: no cover - exhaustive by type
-        raise TypeError(f"not a payload: {payload!r}")
-    return pad_to(core, width)
-
-
-def _zero_padding(rest: bytes) -> bool:
-    return rest.count(0) == len(rest)
+    raise TypeError(f"not a payload: {payload!r}")
 
 
 def decode_payload(buf: bytes) -> Payload | None:
@@ -191,7 +226,7 @@ def decode_payload(buf: bytes) -> Payload | None:
     if tag == TAG_TIME_CLEAR:
         # The fixed 101-byte core of the module docstring, read in one unpack:
         # the five length prefixes are compared, the fields taken as they are.
-        if len(buf) < _TIME_CORE_LEN or not _zero_padding(buf[_TIME_CORE_LEN:]):
+        if len(buf) < _TIME_CORE_LEN or buf.count(0, _TIME_CORE_LEN) != len(buf) - _TIME_CORE_LEN:
             return None
         (steps_len, steps, config_len, config,
          proof_head, proof_steps, commitment_len, commitment) = _TIME_CORE.unpack_from(buf, 1)
@@ -203,7 +238,7 @@ def decode_payload(buf: bytes) -> Payload | None:
             or steps < 1
         ):
             return None
-        return TimePayload(steps, config, IvcProof(proof_steps, commitment))
+        return _new(TimePayload, (steps, config, _new(IvcProof, (proof_steps, commitment))))
     if (tag != TAG_CLEAR and tag != TAG_ENC) or len(buf) < _HEAD_END:
         return None
     # the ladder head of the module docstring; n is `free`
@@ -213,21 +248,21 @@ def decode_payload(buf: bytes) -> Payload | None:
         return None
     if tag == TAG_CLEAR:
         pad = end + _CLEAR_TAIL.size
-        if len(buf) < pad or not _zero_padding(buf[pad:]):
+        if len(buf) < pad or buf.count(0, pad) != len(buf) - pad:
             return None
         int_len, level, token_head, token, digest_len, digest = _CLEAR_TAIL.unpack_from(buf, end)
         if (int_len != _INT_LEN or token_head != _TOKEN_HEAD or digest_len != _DIGEST_LEN
                 or level < 1):
             return None
-        sig = SignatureToken(first, buf[_HEAD_END:end])
-        return ClearPayload(sig, level, ProofToken(token, digest))
-    fields, pos, size = [Ciphertext(first, buf[_HEAD_END:end])], end, len(buf)
+        sig = _new(SignatureToken, (first, buf[_HEAD_END:end]))
+        return _new(ClearPayload, (sig, level, _new(ProofToken, (token, digest))))
+    fields, pos, size = [_new(Ciphertext, (first, buf[_HEAD_END:end]))], end, len(buf)
     for widths in _ENC_TAIL:
         width = widths.get(buf[pos : pos + 4])
         if width is None or pos + 4 + width > size:
             return None
         fields.append(buf[pos + 4 : pos + 4 + width])
         pos += 4 + width
-    if not _zero_padding(buf[pos:]):
+    if buf.count(0, pos) != size - pos:
         return None
-    return EncPayload(*fields)
+    return _new(EncPayload, fields)

@@ -96,16 +96,9 @@ class LevelLaw:
     cap: int = LEVEL_CAP
 
     def sample(self, rng: HashDrbg) -> int:
-        cur, k = Cursor(rng), 1
-        buf, pos = cur.buf, cur.pos
-        while k < self.cap:
-            if pos >= len(buf):
-                buf, pos = cur.fill(buf, pos, 1)
-            pos += 1
-            if not buf[pos - 1] & 1:
-                break
+        k, cap, take = 1, self.cap, rng.take
+        while k < cap and take(1)[0] & 1:  # one byte a step, as `rng.bit()` reads it
             k += 1
-        cur.close(buf, pos)
         return k
 
 

@@ -29,7 +29,7 @@ run in a trial lies on that chain, so `ivc_update` serves it from the known
 points: the same proof check, the same meter charge, the same registry and
 the same `steps_run` as hashing each step, with only steps past the known tip
 hashed.  Neither audit reads the known chain: `audit_sequential_reach`
-recomputes the chain with `npl_step`, an independent check of it.
+recomputes the chain with `npl_chain`, an independent check of it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .crypto import (
     StepMeter,
     ivc_update,
     ivc_verify,
-    npl_step,
+    npl_chain,
     sha256,
 )
 from .drbg import HashDrbg
@@ -243,11 +243,8 @@ def audit_sequential_reach(instance: TimeTaskInstance) -> bool:
     registered step count and checks each (t, state) pair against it — a
     verifying payload at step t really is t sequential steps of work.
     """
-    entries = instance.ivc.registry_entries()
+    entries = instance.ivc.registry_entries()  # sorted, so the last has the largest t
     if not entries:
         return True
-    max_t = max(t for t, _, _ in entries)
-    chain = [instance.start_state]
-    for _ in range(max_t):
-        chain.append(npl_step(chain[-1]))
-    return all(t <= max_t and chain[t] == s for t, s, _ in entries)
+    chain = npl_chain(instance.start_state, entries[-1][0])
+    return all(chain[t] == s for t, s, _ in entries)

@@ -2,8 +2,8 @@
 
 All multi-field byte layouts in the simulator use the same convention:
 fields concatenated in declared order, each prefixed with a big-endian
-32-bit length.  The payload decoder reads them at computed offsets
-(see :mod:`detmit.payloads`).
+32-bit length.  The payload codec packs and reads them through one
+``Struct`` per form (see :mod:`detmit.payloads`).
 """
 
 from __future__ import annotations

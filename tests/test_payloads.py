@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+
+import detmit.payloads as payloads
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -214,6 +216,106 @@ def test_flat_encoder_matches_reference_layout(payload, width):
             encode_payload(payload, width)
         return
     assert encode_payload(payload, width) == want
+
+
+# each form's bytes fields, in the order its record nests them, at the widths
+# honest parties write: nonce, token core, proof token, statement digest; identity
+# tag, ciphertext body, id1, id2, key2 (each also empty in answer position);
+# configuration, commitment.  The core and the body are free parts, any width.
+HONEST_WIDTHS = {
+    ClearPayload: (16, 64, 16, 32),
+    EncPayload: (16, 300, 16, 16, 32),
+    TimePayload: (32, 32),
+}
+
+
+# (form, field index, one byte less or more): every honest width, missed by one
+OFF_WIDTHS = [
+    (form, i, d) for form, widths in HONEST_WIDTHS.items() for i in range(len(widths)) for d in (-1, 1)
+]
+
+
+@st.composite
+def wire_payloads(draw, form, off=None) -> ClearPayload | EncPayload | TimePayload:
+    """A `form` payload with every bytes field at an honest width and any u64
+    level or step counts; `off`, a field index and a delta, moves one width."""
+    widths = list(HONEST_WIDTHS[form])
+    if form is EncPayload:
+        widths[2:] = [w if off and off[0] == i else draw(st.sampled_from([0, w]))
+                      for i, w in enumerate(widths[2:], 2)]
+    if off:
+        widths[off[0]] += off[1]
+    f = [draw(st.binary(min_size=w, max_size=w)) for w in widths]
+    if form is ClearPayload:
+        return ClearPayload(SignatureToken(f[0], f[1]), draw(u64), ProofToken(f[2], f[3]))
+    if form is EncPayload:
+        return EncPayload(Ciphertext(f[0], f[1]), *f[2:])
+    return TimePayload(draw(u64), f[0], IvcProof(draw(u64), f[1]))
+
+
+def _decodable(payload) -> bool:
+    """Whether the decoder accepts `payload`'s level or step count (the ladder's
+    encrypted form has none)."""
+    return getattr(payload, "level", getattr(payload, "steps", 1)) >= 1
+
+
+@pytest.mark.parametrize("form", list(HONEST_WIDTHS), ids=lambda form: form.__name__)
+@settings(max_examples=50)
+@given(data=st.data(), width=st.none() | st.just(512))
+def test_honest_widths_encode_as_the_reference_and_round_trip(form, data, width):
+    payload = data.draw(wire_payloads(form))
+    raw = encode_payload(payload, width)
+    assert raw == reference_encoding(payload, width)
+    assert decode_payload(raw) == (payload if _decodable(payload) else None)
+
+
+@pytest.mark.parametrize(
+    "form, field, delta", OFF_WIDTHS, ids=lambda v: getattr(v, "__name__", str(v))
+)
+@settings(max_examples=15)
+@given(data=st.data(), width=st.none() | st.just(512))
+def test_off_widths_encode_as_the_reference_and_decode_as_the_reference(
+    form, field, delta, data, width
+):
+    payload = data.draw(wire_payloads(form, (field, delta)))
+    raw = encode_payload(payload, width)
+    assert raw == reference_encoding(payload, width)
+    got = decode_payload(raw)
+    reference = reference_chain_decode if form is TimePayload else reference_ladder_decode
+    assert got == reference(raw)
+    # only a free part (token core, ciphertext body) may be off and still decode
+    assert got in (payload, None)
+
+
+@pytest.mark.parametrize("count", [-1, 2**64])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: SAMPLE_CLEAR._replace(level=n),
+        lambda n: SAMPLE_TIME._replace(steps=n),
+        lambda n: SAMPLE_TIME._replace(proof=IvcProof(n, b"m" * 32)),
+    ],
+    ids=["level", "steps", "proof-steps"],
+)
+def test_counts_outside_u64_raise_overflow(build, count):
+    with pytest.raises(OverflowError):
+        encode_payload(build(count))
+
+
+def test_honest_payloads_encode_without_the_join(monkeypatch):
+    """Honest payloads of all three forms are packed through the Structs: with
+    `be32` and `be64` made to raise, they still encode as the reference."""
+    honest = [SAMPLE_CLEAR, SAMPLE_ENC, EncPayload(SAMPLE_ENC.ciphertext, b"", b"", b""), SAMPLE_TIME]
+    want = [reference_encoding(p, 512) for p in honest]
+
+    def refuse(n):
+        raise AssertionError("be32/be64 called")
+
+    monkeypatch.setattr(payloads, "be32", refuse)
+    monkeypatch.setattr(payloads, "be64", refuse)
+    assert [encode_payload(p, 512) for p in honest] == want
+    with pytest.raises(AssertionError, match="be32/be64 called"):  # an off width takes the join
+        encode_payload(SAMPLE_TIME._replace(config=b"c" * 31))
 
 
 def reference_chain_decode(buf: bytes) -> TimePayload | None:

@@ -115,6 +115,37 @@ def test_sequential_reach_audit_does_not_read_the_known_chain(monkeypatch):
         assert not audit_sequential_reach(inst)
 
 
+def test_sequential_reach_audit_checks_the_largest_step_count():
+    """A forged point at the largest registered step count fails the audit,
+    beside the genuine point there or as the only point there."""
+    genuine = TimeTaskInstance(b"audit-top", horizon=16)
+    top = genuine.ivc.registry_entries()[-1][0]
+    assert top == genuine.reach and audit_sequential_reach(genuine)
+    for t in (top, top + 1):
+        inst = TimeTaskInstance(b"audit-top", horizon=16)
+        inst.ivc._registry[(t, sha256(b"off-chain"))] = b"c" * 32
+        assert inst.ivc.registry_entries()[-1][0] == t
+        assert not audit_sequential_reach(inst)
+
+
+def test_sequential_reach_verdict_survives_a_corrupted_known_chain():
+    """After honest trials the audit passes, and still passes once every
+    known point is overwritten: it reads the registry, not the known chain."""
+    inst = TimeTaskInstance(b"audit-corrupt", horizon=64)
+    trainer = TimeTrainer(inst.horizon)
+    for i in range(2):
+        run_dbm_trial(
+            inst, trainer, ChainClimbingAttacker(inst.horizon), ChainExtendingMitigator(),
+            PARAMS, derive_trial_seed(89, i), i,
+        )
+    entries = inst.ivc.registry_entries()
+    assert audit_sequential_reach(inst)
+    known = inst.ivc._known
+    known[:] = [(sha256(b"junk" + state), commitment) for state, commitment in known]
+    assert inst.ivc.registry_entries() == entries
+    assert audit_sequential_reach(inst)
+
+
 def test_sample_pairs_verify(inst):
     rng = HashDrbg(b"pairs")
     for _ in range(16):
