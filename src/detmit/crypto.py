@@ -11,15 +11,19 @@ Five primitives, each behind a small, contract-shaped API:
   A trial's world holds a fork of the key that keeps the tokens signed
   through it and passes them without a MAC; a kept token's core *is* the
   key's MAC of its nonce, so every check answers as the MAC comparison does.
+  :meth:`VerificationKey.zero_signer` is :func:`sig_sign_zero` bound to
+  one key, its pad states' ``copy`` methods and set looked up once.
 * proof registry    — succinct proofs of "k pairwise-distinct valid signature
   tokens exist" are simulated by an oracle: proving validates the witness
   locally and registers a fresh uniform 16-byte token; verification is
-  registry membership; extraction (test-only) returns the stored witness.
+  registry membership; extraction (test-only) returns the witness used.
   A :class:`CountProver` is bound to one witness and checks each of its
   tokens at most once however many proofs it registers, so a ladder world
   proving every draw's counts from the instance's witness pool checks only
   the pool prefix its largest count needs.  :meth:`CountProver.extended`
-  carries that checked prefix onto a longer witness.
+  carries that checked prefix onto a longer witness.  The registry holds a
+  witness by reference: the prover's append-only list of distinct valid
+  tokens and the proof's count, the prefix extraction copies out.
 * identity FHE      — per-identity authenticated symmetric keys derived from a
   master secret, plus a public evaluation oracle that holds the master secret
   privately and applies registered byte-circuits under the encryption.  Key
@@ -52,7 +56,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence, overload
+from typing import Callable, KeysView, NamedTuple, Sequence, overload
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -126,6 +130,22 @@ class VerificationKey:
         object.__setattr__(key, "_signed", set())
         return key
 
+    def zero_signer(self) -> Callable[[bytes], SignatureToken]:
+        """``sig_sign_zero`` bound to this key and to the pad states it holds now."""
+        inner_copy, outer_copy, signed = self._inner.copy, self._outer.copy, self._signed
+        new = tuple.__new__
+
+        def sign(nonce: bytes) -> SignatureToken:
+            inner, outer = inner_copy(), outer_copy()
+            inner.update(ZERO_MESSAGE + nonce)
+            outer.update(inner.digest())
+            token = new(SignatureToken, (nonce, outer.digest()))
+            if signed is not None:
+                signed.add(token)
+            return token
+
+        return sign
+
 
 class SignatureToken(NamedTuple):
     nonce: bytes
@@ -184,8 +204,9 @@ class SnarkParams:
         self.key_digest = verification_key.digest
         self.setup_digest = sha256(b"snark-setup:" + rng.take(32))
         self._drbg = rng.child("proof-tokens")
-        # (statement digest, token) -> witness actually used
-        self._registry: dict[tuple[bytes, bytes], tuple[SignatureToken, ...]] = {}
+        # (statement digest, token) -> (a prover's distinct valid tokens, count):
+        # the witness used is the list's first `count` tokens
+        self._registry: dict[tuple[bytes, bytes], tuple[list[SignatureToken], int]] = {}
 
     def fork(self, label: bytes) -> "SnarkParams":
         """Same setup, a fork of the key, an empty registry, proof tokens from `child(label)`."""
@@ -220,6 +241,8 @@ class CountProver:
     proofs equal successive :func:`snark_prove` calls.  The prover keeps
     its own tuple of the witness, so a later edit of the caller's sequence
     cannot leave a check standing for tokens it no longer holds.
+    A proof registers the prover's list of distinct valid tokens, which
+    only grows at its end, and its count, not a copy of the prefix.
     """
 
     def __init__(self, params: SnarkParams, witness: Sequence[SignatureToken]):
@@ -272,7 +295,7 @@ class CountProver:
         for count in counts:
             digest = statement_digest(count, params.key_digest)
             token = params._drbg.take(TOKEN_LEN)
-            params._registry[(digest, token)] = tuple(self._distinct[:count])
+            params._registry[(digest, token)] = (self._distinct, count)
             proofs.append(ProofToken(token=token, statement_digest=digest))
         return proofs
 
@@ -301,7 +324,11 @@ def snark_extract(
     params: SnarkParams, proof: ProofToken
 ) -> tuple[SignatureToken, ...] | None:
     """Test-only: recover the witness a registered proof was built from."""
-    return params._registry.get((proof.statement_digest, proof.token))
+    entry = params._registry.get((proof.statement_digest, proof.token))
+    if entry is None:
+        return None
+    distinct, count = entry
+    return tuple(distinct[:count])
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +553,10 @@ class IvcKeys:
     def points_past_base(self) -> int:
         """Registered chain points with a step count above 0."""
         return sum(1 for t, _ in self._registry if t)
+
+    def points(self) -> KeysView[tuple[int, bytes]]:
+        """The registered (step count, state) pairs, unsorted, as a live view."""
+        return self._registry.keys()
 
     def registry_entries(self) -> list[tuple[int, bytes, bytes]]:
         return sorted((t, s, c) for (t, s), c in self._registry.items())

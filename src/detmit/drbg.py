@@ -8,9 +8,10 @@ block appends exactly the whole blocks it needs, in counter order, so how a
 stream is cut into takes never changes its bytes.  A skip moves the position
 only: the bytes it passes over are never made, and a block it passes over
 whole is never hashed.  A :class:`Cursor` reads the buffered block in place,
-for loops too hot for a call a read, and keeps both rules.  Block i is
-``sha256(key + be64(i))``, made from a copy of a SHA-256 state of the key
-that the stream hashes once, at its first block.
+for loops too hot for a call a read, and keeps both rules; it also hands
+such a loop the stream's key state and block counter, so the loop can make
+blocks itself.  Block i is ``sha256(key + be64(i))``, made from a copy of a
+SHA-256 state of the key that the stream hashes once.
 """
 
 from __future__ import annotations
@@ -114,23 +115,38 @@ class HashDrbg:
 class Cursor:
     """Reads a :class:`HashDrbg` stream in place, for loops too hot for a call a read.
 
-    A loop copies ``buf`` and ``pos`` to locals.  It reads ``buf[pos:pos + n]``
-    (n >= 1) when ``pos + n <= len(buf)``, and calls ``buf, pos =
-    cursor.fill(buf, pos, n)`` first when not; it moves past bytes with
-    ``pos += n``, and hands back with ``cursor.close(buf, pos)``.  The
-    stream then stands where takes of what the loop read and skips of what
-    it moved past leave it, and the same blocks are hashed: `fill` makes
-    only the blocks that hold its n bytes, so a block the loop moves past
-    whole is never hashed.
+    A loop copies ``buf``, ``pos`` and ``counter`` (`buf` ends where block
+    `counter` starts) to locals.  It reads ``buf[pos:pos + n]`` (n >= 1) when
+    ``pos + n <= len(buf)``, and calls ``buf, pos, counter =
+    cursor.fill(buf, pos, counter, n)`` first when not; it moves past bytes
+    with ``pos += n``, and hands back with ``cursor.close(buf, pos,
+    counter)``.  The stream then stands where takes of what the loop read
+    and skips of what it moved past leave it, and the same blocks are
+    hashed: `fill` makes only the blocks that hold its n bytes, so a block
+    the loop moves past whole is never hashed.  A loop may also fill as
+    `fill` does, inline: drop the read part of `buf` (a `pos` d bytes past
+    its end moves `counter` on ``d >> 5`` blocks and starts an empty `buf`
+    at ``pos = d & 31``), then append ``state.copy()`` updated with
+    ``counter.to_bytes(8, "big")`` and digested, adding 1 to `counter`.
     """
 
-    __slots__ = ("_rng", "buf", "pos", "fill")
+    __slots__ = ("_rng", "buf", "pos", "counter", "state")
 
     def __init__(self, rng: HashDrbg):
-        self._rng, self.buf, self.pos, self.fill = rng, rng._buf, rng._pos, rng._fill
+        if rng._state is None:
+            rng._state = hashlib.sha256(rng._key)
+        self._rng, self.buf, self.pos = rng, rng._buf, rng._pos
+        self.counter, self.state = rng._counter, rng._state
 
-    def close(self, buf: bytes, pos: int) -> None:
-        self._rng._buf, self._rng._pos = buf, pos
+    def fill(self, buf: bytes, pos: int, counter: int, n: int) -> tuple[bytes, int, int]:
+        rng = self._rng
+        rng._counter = counter
+        buf, pos = rng._fill(buf, pos, n)
+        return buf, pos, rng._counter
+
+    def close(self, buf: bytes, pos: int, counter: int) -> None:
+        rng = self._rng
+        rng._buf, rng._pos, rng._counter = buf, pos, counter
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> bytes:

@@ -37,7 +37,8 @@ The clear form (signature token, level, count proof) goes on with a fixed
 ====== ===== ==============================================
 
 The encrypted container goes on with id1, id2 and key2 (all empty in answer
-position):
+position).  The decoder reads the all-present and the all-empty tail in one
+step each, and any other tail field by field:
 
 ======== ===== ==========================================
 29+n     4     ``be32(a)``, a = 0 or 16
@@ -132,6 +133,9 @@ _TOKEN_HEAD = be32(56) + be32(16)
 # the encoder reads them the other way, length to prefix
 _ENC_TAIL = tuple({be32(0): 0, be32(n): n} for n in (16, 16, IDENTITY_KEY_LEN))
 _ENC_PREFIX = tuple({n: prefix for prefix, n in widths.items()} for widths in _ENC_TAIL)
+# the encrypted tail with id1, id2 and key2 all present, as its table reads
+_FULL_TAIL = Struct(">4s16s4s16s4s32s")
+_ID_PREFIX, _KEY_PREFIX = be32(16), be32(IDENTITY_KEY_LEN)
 # the records decode_payload builds, made without their NamedTuple __new__
 _new = tuple.__new__
 
@@ -256,7 +260,18 @@ def decode_payload(buf: bytes) -> Payload | None:
             return None
         sig = _new(SignatureToken, (first, buf[_HEAD_END:end]))
         return _new(ClearPayload, (sig, level, _new(ProofToken, (token, digest))))
-    fields, pos, size = [_new(Ciphertext, (first, buf[_HEAD_END:end]))], end, len(buf)
+    ciphertext, size = _new(Ciphertext, (first, buf[_HEAD_END:end])), len(buf)
+    # the honest tails in one read each: id1, id2 and key2 all present, or all empty
+    pad = end + _FULL_TAIL.size
+    if size >= pad:
+        p1, id1, p2, id2, p3, key2 = _FULL_TAIL.unpack_from(buf, end)
+        if p1 == p2 == _ID_PREFIX and p3 == _KEY_PREFIX:
+            if buf.count(0, pad) != size - pad:
+                return None
+            return _new(EncPayload, (ciphertext, id1, id2, key2))
+    if size - end >= 12 and buf.count(0, end) == size - end:  # three zero prefixes, padding
+        return _new(EncPayload, (ciphertext, b"", b"", b""))
+    fields, pos = [ciphertext], end  # any other tail, field by field
     for widths in _ENC_TAIL:
         width = widths.get(buf[pos : pos + 4])
         if width is None or pos + 4 + width > size:

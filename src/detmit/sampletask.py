@@ -115,10 +115,9 @@ class DataTaskInstance:
         key = sig_keygen(rng.child("sig"))
         self.snark = SnarkParams(rng.child("proofs"), key)
         self.fhe = FheSystem(rng.child("fhe"))
-        pool_rng = rng.child("witness-pool")
+        pool_rng, sign = rng.child("witness-pool"), key.zero_signer()
         self._pool = tuple(
-            sig_sign_zero(key, pool_rng.take(NONCE_LEN))
-            for _ in range(self.max_provable_level)
+            sign(pool_rng.take(NONCE_LEN)) for _ in range(self.max_provable_level)
         )
         # checks pool tokens lazily, only as far as the counts proved need
         self._prover = CountProver(self.snark, self._pool)
@@ -232,40 +231,50 @@ class DataTaskInstance:
         With `want` 0 it signs nothing and reads all `n`.  A draw fills its
         first 18 bytes at once: it reads the first and its sealing byte, 17 or
         more bytes on, and skips at most a nonce, shorter than a block,
-        between, so the fill hashes no block the draw does not read.
+        between, so the fill hashes no block the draw does not read.  That
+        fill, about one a draw, is inline (see :class:`Cursor`).
         """
         cur = Cursor(rng)
-        buf, pos, fill = cur.buf, cur.pos, cur.fill
+        buf, pos, counter, fill, state = cur.buf, cur.pos, cur.counter, cur.fill, cur.state
         end = len(buf)
-        sign, key = sig_sign_zero, self.snark.verification_key
+        sign = self.snark.verification_key.zero_signer()
         climb = range(self.law.cap - 1)
         seen, fresh, left = set(known), [], 0
         for i in range(n):
             if pos + NONCE_LEN + 2 > end:  # a one-byte level, the nonce, the sealing byte
-                buf, pos = fill(buf, pos, NONCE_LEN + 2)
+                if pos > end:  # past the buffer: blocks skipped whole are never made
+                    counter += (pos - end) >> 5
+                    buf, pos = b"", (pos - end) & 31
+                else:
+                    buf, pos = buf[pos:], 0
+                while len(buf) < pos + NONCE_LEN + 2:
+                    block = state.copy()
+                    block.update(counter.to_bytes(8, "big"))
+                    buf += block.digest()
+                    counter += 1
                 end = len(buf)
             for _ in climb:  # the level, as LevelLaw reads it: an odd byte climbs
                 if pos >= end:
-                    buf, pos = fill(buf, pos, 1)
+                    buf, pos, counter = fill(buf, pos, counter, 1)
                     end = len(buf)
                 pos += 1
                 if not buf[pos - 1] & 1:
                     break
             if pos + NONCE_LEN >= end:  # the nonce, then the sealing byte
-                buf, pos = fill(buf, pos, NONCE_LEN + 1)
+                buf, pos, counter = fill(buf, pos, counter, NONCE_LEN + 1)
                 end = len(buf)
             at, pos = pos, pos + NONCE_LEN + 1
             if buf[pos - 1] & 1:
                 pos += _SEALING
             elif want:
-                token = sign(key, buf[at : at + NONCE_LEN])
+                token = sign(buf[at : at + NONCE_LEN])
                 if token not in seen:
                     seen.add(token)
                     fresh.append(token)
                     if len(fresh) == want:
                         left = n - 1 - i
                         break
-        cur.close(buf, pos)
+        cur.close(buf, pos, counter)
         return fresh, left
 
     # -- public checks and the quality oracle --

@@ -243,8 +243,8 @@ def audit_sequential_reach(instance: TimeTaskInstance) -> bool:
     registered step count and checks each (t, state) pair against it — a
     verifying payload at step t really is t sequential steps of work.
     """
-    entries = instance.ivc.registry_entries()  # sorted, so the last has the largest t
-    if not entries:
+    points = instance.ivc.points()
+    if not points:
         return True
-    chain = npl_chain(instance.start_state, entries[-1][0])
-    return all(chain[t] == s for t, s, _ in entries)
+    chain = npl_chain(instance.start_state, max(points)[0])  # the largest step count
+    return all(chain[t] == s for t, s in points)

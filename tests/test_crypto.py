@@ -6,7 +6,7 @@ import hmac
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detmit.crypto as crypto
@@ -113,6 +113,23 @@ def test_token_core_is_hmac_sha512_of_zero_message_and_nonce(sk, nonce):
     tok = sig_sign_zero(vk, nonce)
     assert tok == SignatureToken(nonce, hmac.digest(sk, ZERO_MESSAGE + nonce, "sha512"))
     assert sig_verify(vk, tok)
+
+
+@given(st.lists(st.binary(max_size=NONCE_LEN + 4), max_size=12))
+def test_a_bound_signer_signs_as_sig_sign_zero(nonces):
+    """`zero_signer` makes `sig_sign_zero`'s token for each nonce; a fork's
+    signer records them in the fork's set, and the key it forks records none."""
+    key = sig_keygen(HashDrbg(b"bound-signer"))
+    want = [sig_sign_zero(key, nonce) for nonce in nonces]
+    sign = key.zero_signer()
+    assert [sign(nonce) for nonce in nonces] == want
+    fork = key.fork()
+    sign = fork.zero_signer()
+    assert [sign(nonce) for nonce in nonces] == want
+    assert fork._signed == set(want)
+    assert key._signed is None
+    for token in want:
+        assert sig_verify(fork, token) == sig_verify(key, token) == (len(token.nonce) == NONCE_LEN)
 
 
 @pytest.mark.parametrize(
@@ -274,6 +291,65 @@ def test_count_prover_short_witness_registers_nothing(rng, vk, tokens):
     assert params.registry_entries() == []
     fresh = SnarkParams(rng.child("prover-short"), vk)
     assert prover.prove([2]) == CountProver(fresh, tokens).prove([2])
+
+
+def _first_distinct_valid(vk, witness, count) -> tuple[SignatureToken, ...]:
+    """The first `count` pairwise-distinct valid tokens of `witness`, written out."""
+    distinct: list[SignatureToken] = []
+    for tok in witness:
+        if tok not in distinct and sig_verify(vk, tok):
+            distinct.append(tok)
+    return tuple(distinct[:count])
+
+
+# indexes into a pool of 10 valid tokens then 4 invalid ones
+_WITNESS = st.lists(st.integers(min_value=0, max_value=13), max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    head=_WITNESS,
+    more=_WITNESS,
+    ops=st.lists(
+        st.tuples(st.booleans(), st.lists(st.integers(1, 16), min_size=1, max_size=3)),
+        max_size=8,
+    ),
+    extend_at=st.integers(min_value=0, max_value=8),
+)
+@example(  # checks on, raises partway, extends, proves on from both, raises on the extension
+    head=[0, 1, 10, 1, 2], more=[3, 2, 11, 4],
+    ops=[(False, [2]), (False, [3, 5]), (True, [5, 4]), (False, [1, 3]), (True, [6]), (False, [2])],
+    extend_at=2,
+)
+def test_registered_witnesses_stay_the_prefix_their_count_names(
+    vk, tokens, head, more, ops, extend_at
+):
+    """The registry holds a proof's witness by reference: every registered proof
+    extracts to the first `count` distinct valid tokens of its prover's witness
+    after each later step, whether the same prover checks further tokens, an
+    `extended()` prover proves on, or an `_extend` raises partway through."""
+    pool = [*tokens[:10], *(SignatureToken(t.nonce, bytes(64)) for t in tokens[10:14])]
+    witness = {False: [pool[i] for i in head]}
+    witness[True] = witness[False] + [pool[i] for i in more]
+    params = SnarkParams(HashDrbg(b"by-reference"), vk)
+    provers = {False: CountProver(params, witness[False])}
+    registered: list[tuple[ProofToken, tuple[SignatureToken, ...]]] = []
+    for step, (on_extension, counts) in enumerate(ops):
+        if step == extend_at:
+            provers[True] = provers[False].extended(witness[True][len(head):])
+        which = on_extension and True in provers
+        try:
+            proofs = provers[which].prove(counts)
+        except WitnessError:
+            assert len(_first_distinct_valid(vk, witness[which], max(counts))) < max(counts)
+        else:
+            registered += [
+                (proof, _first_distinct_valid(vk, witness[which], count))
+                for proof, count in zip(proofs, counts)
+            ]
+        for proof, want in registered:
+            assert snark_extract(params, proof) == want
+    assert len(params.registry_entries()) == len(registered)
 
 
 def test_random_proof_tokens_rejected(snark):

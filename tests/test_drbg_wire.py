@@ -119,19 +119,38 @@ def test_drbg_takes_are_slices_of_one_stream(seed, ops):
     assert rng.take(32) == streams[False][pos[False] : pos[False] + 32]
 
 
+def _inline_fill(cursor: Cursor, buf: bytes, pos: int, counter: int, n: int):
+    """`cursor.fill(buf, pos, counter, n)` written out, each block made from `cursor.state`."""
+    if pos > len(buf):
+        counter += (pos - len(buf)) >> 5
+        buf, pos = b"", (pos - len(buf)) & 31
+    else:
+        buf, pos = buf[pos:], 0
+    while len(buf) < pos + n:
+        block = cursor.state.copy()
+        block.update(counter.to_bytes(8, "big"))
+        buf += block.digest()
+        counter += 1
+    return buf, pos, counter
+
+
 @given(
     st.binary(max_size=8),
     st.integers(min_value=0, max_value=100),
     st.lists(st.tuples(st.integers(min_value=1, max_value=120), st.booleans()), max_size=40),
+    st.booleans(),
 )
-@example(b"", 0, [(1, False), (56, True), (17, False), (64, True), (1, False)])
-def test_a_cursor_reads_as_takes_and_skips_do(seed, start, ops):
+@example(b"", 0, [(1, False), (56, True), (17, False), (64, True), (1, False)], False)
+@example(b"", 0, [(1, False), (56, True), (17, False), (64, True), (1, False)], True)
+def test_a_cursor_reads_as_takes_and_skips_do(seed, start, ops, inline):
     """A loop over a cursor reads the bytes takes would, and hashes the same blocks.
 
     `(n, move)` reads n bytes in place, or moves past them when `move`, as
     `take(n)` and `skip(n)` would.  A skip of `start` bytes comes first, so
-    the cursor may start past its buffer.  After `close` the stream goes on
-    where the takes and skips leave it.
+    the cursor may start past its buffer.  When `inline`, the loop makes its
+    blocks itself from the cursor's key state and counter, as the ladder's
+    token walk does.  After `close` the stream goes on where the takes and
+    skips leave it.
     """
     rng, ref = HashDrbg(seed), HashDrbg(seed)
     rng.skip(start)
@@ -140,14 +159,15 @@ def test_a_cursor_reads_as_takes_and_skips_do(seed, start, ops):
     read = []
     with patch.object(drbg, "hashlib", hashes):
         cursor = Cursor(rng)
-        buf, pos = cursor.buf, cursor.pos
+        fill = (lambda *args: _inline_fill(cursor, *args)) if inline else cursor.fill
+        buf, pos, counter = cursor.buf, cursor.pos, cursor.counter
         for n, move in ops:
             if not move:
                 if pos + n > len(buf):
-                    buf, pos = cursor.fill(buf, pos, n)
+                    buf, pos, counter = fill(buf, pos, counter, n)
                 read.append(buf[pos : pos + n])
             pos += n
-        cursor.close(buf, pos)
+        cursor.close(buf, pos, counter)
     taken = []
     with patch.object(drbg, "hashlib", ref_hashes):
         for n, move in ops:

@@ -113,16 +113,31 @@ def _streams_ahead(world, rng) -> tuple:
     return rng.take(32), world.prove_count(1).token, _eval_nonce_probe(world)
 
 
+class _CountingPad:
+    """An HMAC outer pad state that adds one to `count` per copy: one copy per MAC."""
+
+    def __init__(self, count: list[int], pad):
+        self.count, self.pad = count, pad
+
+    def copy(self):
+        self.count[0] += 1
+        return self.pad.copy()
+
+
 @contextmanager
-def _counted_macs():
-    count, mac = [0], VerificationKey._mac
+def _counted_macs(key: VerificationKey):
+    """Counts the MACs `key` makes, through `_mac` or a bound signer alike.
 
-    def counting_mac(key, message):
-        count[0] += 1
-        return mac(key, message)
-
-    with patch.object(VerificationKey, "_mac", counting_mac):
+    Every MAC copies the key's outer pad state once, so the count sits on a
+    counting outer pad state put on the key, as `CraftedDrbg` swaps a
+    stream's key state.
+    """
+    count, pad = [0], key._outer
+    object.__setattr__(key, "_outer", _CountingPad(count, pad))
+    try:
         yield count
+    finally:
+        object.__setattr__(key, "_outer", pad)
 
 
 def _clear_tokens(world, rng, n: int) -> list[SignatureToken | None]:
@@ -135,7 +150,7 @@ def test_ladder_token_draws_read_the_token_of_input_draws():
     w_tok, w_in = LADDER.world(b"trial"), LADDER.world(b"trial")
     rng_tok, rng_in = HashDrbg(b"draws"), HashDrbg(b"draws")
     oracle = SampleOracle(w_tok, rng_tok, ResourceBudget())
-    with _counted_macs() as macs:
+    with _counted_macs(w_tok.snark.verification_key) as macs:
         tokens = oracle.draw_tokens(DRAWS, DRAWS)
     clear = [t for t in _clear_tokens(w_in, rng_in, DRAWS) if t is not None]
     assert DRAWS // 3 < len(clear) < DRAWS - DRAWS // 3
@@ -194,7 +209,7 @@ def test_token_batches_read_input_draws_with_fewer_macs(n, want, picks, seed, of
 
     oracle = SampleOracle(w_tok, rng_tok, ResourceBudget(samples_allowed=n + 1))
     hashes, ref_hashes, part_hashes = CountingHashlib(), CountingHashlib(), CountingHashlib()
-    with _counted_macs() as macs, patch.object(drbg, "hashlib", hashes):
+    with _counted_macs(w_tok.snark.verification_key) as macs, patch.object(drbg, "hashlib", hashes):
         tokens = oracle.draw_tokens(n, want, known)
     with patch.object(drbg, "hashlib", part_hashes):
         token_draws(w_part, rng_part, read, want, known)

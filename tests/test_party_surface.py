@@ -33,7 +33,8 @@ from detmit.sampleagents import DataModel
 from detmit.timetask import TimeModel
 
 SECRETS = {
-    "h", "keygen", "sig_sign_zero", "sig_keygen", "prove_count", "payload_at", "known_point",
+    "h", "keygen", "sig_sign_zero", "zero_signer", "sig_keygen", "prove_count", "payload_at",
+    "known_point",
     "_pool", "_prover", "_registry", "label", "nature",
 }
 # an instance's own draws, which the metered `SampleOracle` makes for a party
@@ -118,7 +119,7 @@ def test_the_collected_parties_cover_every_role():
 
 
 def test_every_guarded_name_is_one_the_package_holds():
-    holders: list[object] = [crypto]
+    holders: list[object] = [crypto, crypto.VerificationKey]
     for task in cli.PARTIES:
         instance = _instance(task)
         holders += [instance, *(getattr(instance, a, None) for a in ("snark", "fhe", "ivc"))]
