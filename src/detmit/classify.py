@@ -57,6 +57,10 @@ class ToyClassificationInstance:
         self._label_prefix = hashlib.sha256(b"toy-label:" + self.salt)
         self.nature = tuple((x, self.label(x)) for x in map(be32, range(NATURE_POOL)))
 
+    def world(self, trial_seed: bytes) -> "ToyClassificationInstance":
+        """The instance itself: a toy trial changes nothing in its task."""
+        return self
+
     def label(self, x: bytes) -> bytes:
         """Ground-truth label: low bit of ``sha256(b"toy-label:" + salt + x)``."""
         h = self._label_prefix.copy()

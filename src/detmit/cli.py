@@ -21,9 +21,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator
 
 import click
 
@@ -59,12 +58,11 @@ from .sampleagents import (
     SelfIterationAttacker,
     WellFormedDetector,
 )
-from .sampletask import DataTaskInstance, make_data_instance
+from .sampletask import make_data_instance
 from .timetask import (
     ChainClimbingAttacker,
     ChainExtendingMitigator,
     HORIZON,
-    TimeTaskInstance,
     TimeTrainer,
     audit_conservation,
     audit_sequential_reach,
@@ -261,16 +259,13 @@ def build_parties(cfg: ExperimentConfig) -> tuple[Any, Any, Any]:
 
 
 def run_trial(cfg: ExperimentConfig, instance: Any, i: int) -> Transcript:
-    """Trial `i` of `cfg`'s batch on `instance`: a function of `cfg`, the instance seed and `i`."""
+    """Trial `i` of `cfg`'s batch, in `instance.world(seed)`: a function of `cfg`, the
+    instance seed and `i`."""
     seed = derive_trial_seed(cfg.master_seed, i)
-    # A ladder trial proves, registers circuits and draws eval nonces in its
-    # own world, which is freed when the trial returns.  Chain trials share
-    # the instance's chain registry, which the audits read after the batch.
-    world = instance.world(seed) if isinstance(instance, DataTaskInstance) else instance
     # built per trial, so a trial is a function of (cfg, i); building draws nothing
     trainer, challenger, defense = build_parties(cfg)
     runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
-    return runner(world, trainer, challenger, defense, cfg.params(), seed, i)
+    return runner(instance.world(seed), trainer, challenger, defense, cfg.params(), seed, i)
 
 
 def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
@@ -324,40 +319,26 @@ def summarize(records: list[dict], epsilon: float) -> dict:
 # --- instance serialization -------------------------------------------------------
 
 
-def instance_public_state(instance: Any) -> tuple[dict, str, Iterator[list]]:
-    """The public file's scalar fields, its registry's key, and the rows, made one at a time."""
-    if isinstance(instance, DataTaskInstance):
-        return {
-            "task": "ladder",
-            "level_cap": instance.level_cap,
-            "width": instance.width,
-            "inner_width": instance.inner_width,
-            "verification_key": instance.snark.key_digest.hex(),
-            "snark_setup": instance.snark.setup_digest.hex(),
-            "fhe_params": instance.fhe.params_digest.hex(),
-        }, "proof_registry", ([d.hex(), t.hex()] for d, t in instance.snark.registry_entries())
-    if isinstance(instance, TimeTaskInstance):
-        return {
-            "task": "chain",
-            "horizon": instance.horizon,
-            "width": instance.width,
-            "start_state": instance.start_state.hex(),
-        }, "chain_registry", ([t, s.hex(), c.hex()] for t, s, c in instance.ivc.registry_entries())
-    raise click.UsageError(f"cannot serialize instance type {type(instance).__name__}")
+def _public_file(instance: Any) -> Iterator[bytes]:
+    """The bytes of `json.dumps(instance.public_state(), indent=2)` and a newline, row by row.
 
-
-def _write_public_file(path: Path, instance: Any) -> None:
-    """Write the bytes `json.dumps(public state, indent=2)` and a newline are, row by row."""
-    scalars, key, rows = instance_public_state(instance)
+    gen-instance writes them as the public file; verify-pair compares that
+    file with them.
+    """
+    scalars, key, rows = instance.public_state()
     head = json.dumps({**scalars, key: []}, indent=2)
-    with path.open("w") as fh:
-        fh.write(head[: -len("[]\n}")])
-        empty = True
-        for row in rows:  # a flat list at depth 2: its items indent by 6
-            items = ",\n      ".join(map(json.dumps, row))
-            fh.write(f"{'[' if empty else ','}\n    [\n      {items}\n    ]")
-            empty = False
-        fh.write("[]\n}\n" if empty else "\n  ]\n}\n")
+    yield head[: -len("[]\n}")].encode()
+    dump, empty = json.JSONEncoder().encode, True  # json.dumps with its defaults, less its checks
+    for row in rows:  # a flat list at depth 2: its items indent by 6
+        items = ",\n      ".join(map(dump, row))
+        yield f"{'[' if empty else ','}\n    [\n      {items}\n    ]".encode()
+        empty = False
+    yield b"[]\n}\n" if empty else b"\n  ]\n}\n"
+
+
+def _holds(fh: BinaryIO, chunks: Iterator[bytes]) -> bool:
+    """Whether what is left of `fh` is the bytes of `chunks`, read a chunk at a time."""
+    return all(fh.read(len(chunk)) == chunk for chunk in chunks) and not fh.read(1)
 
 
 def _emit_pairs(instance: Any, seed: int, n: int) -> Iterator[tuple[bytes, bytes]]:
@@ -433,35 +414,17 @@ def cmd_gen_instance(task: str, seed: int, horizon: int | None, out: str, emit_p
             for x, y in _emit_pairs(instance, seed, emit_pairs):
                 fh.write(json.dumps({"x": x.hex(), "y": y.hex()}) + "\n")
     # after the pairs: each ladder pair registers the proofs it carries
-    _write_public_file(paths[0], instance)
+    with paths[0].open("wb") as fh:
+        fh.writelines(_public_file(instance))
     paths[1].write_text(json.dumps(cfg, indent=2) + "\n")
     click.echo(f"wrote {', '.join(map(str, paths))}")
 
 
-@main.command("verify-pair")
-@click.option("--instance", "prefix", type=click.Path(), required=True,
-              help="prefix used with gen-instance")
-@click.option("--pairs", type=click.Path(exists=True, dir_okay=False), required=True)
-def cmd_verify_pair(prefix: str, pairs: str) -> None:
-    """Recheck emitted (x, y) pairs: every x must be genuine and every y answer it.
-
-    The secret file is the whole recipe: the instance is rebuilt from it and
-    its pair emission replayed, and the public file must equal the state
-    that leaves, before any pair is scored.
-    """
-    base = Path(prefix)
-    try:
-        sec = json.loads(base.with_suffix(".sec.json").read_text())
-        pub = json.loads(base.with_suffix(".pub.json").read_text())
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot read instance files: {exc}") from exc
-    if not isinstance(sec, dict) or not isinstance(pub, dict):
-        raise click.UsageError("instance files must each hold a JSON object")
+def _rebuild(sec: object) -> Any:
+    """The instance the secret file `sec` names, with its pair emission replayed."""
+    if not isinstance(sec, dict):
+        raise click.UsageError("secret file must hold a JSON object")
     task = sec.get("task")
-    if task != pub.get("task"):
-        raise click.UsageError(
-            f"secret file is for task {task!r}, public file for task {pub.get('task')!r}"
-        )
     if task not in ("ladder", "chain"):
         raise click.UsageError(
             f"cannot verify task {task!r}; gen-instance writes ladder and chain instances"
@@ -480,13 +443,33 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
     instance = _build_task(task, sec["seed"], sec["horizon"])
     for _ in _emit_pairs(instance, sec["seed"], sec["emit_pairs"]):
         pass
-    # compared as parsed JSON (`256.0` reads as `256`), the registry row by row
-    scalars, key, rows = instance_public_state(instance)
-    file_rows, end = pub.get(key), object()
-    if not (pub.keys() == {*scalars, key} and isinstance(file_rows, list)
-            and all(pub[k] == v for k, v in scalars.items())
-            and all(a == b for a, b in zip_longest(rows, file_rows, fillvalue=end))):
-        raise click.UsageError("public file does not match the instance the secret file rebuilds")
+    return instance
+
+
+@main.command("verify-pair")
+@click.option("--instance", "prefix", type=click.Path(), required=True,
+              help="prefix used with gen-instance")
+@click.option("--pairs", type=click.Path(exists=True, dir_okay=False), required=True)
+def cmd_verify_pair(prefix: str, pairs: str) -> None:
+    """Recheck emitted (x, y) pairs: every x must be genuine and every y answer it.
+
+    The secret file is the whole recipe: the instance is rebuilt from it and
+    its pair emission replayed, and the public file must equal the state
+    that leaves, before any pair is scored.
+    """
+    base = Path(prefix)
+    try:
+        sec = json.loads(base.with_suffix(".sec.json").read_text())
+        pub = base.with_suffix(".pub.json").open("rb")
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read instance files: {exc}") from exc
+    with pub:
+        instance = _rebuild(sec)
+        if not _holds(pub, _public_file(instance)):
+            raise click.UsageError(
+                "public file does not match the instance the secret file rebuilds "
+                f"(task {sec['task']!r}, seed {sec['seed']})"
+            )
     no_answer = bottom(instance.width)
     bad = total = 0
     for lineno, line in _numbered_lines(pairs):

@@ -11,10 +11,10 @@ the model's takes that answer's score: h scores a pair the two share once.
 
 A party reaches the task only through its move's ``TrialCtx``: the sample
 oracle, the public parameters, a step meter for the move, and ``ctx.task``,
-the instance the trial runs on.  No party is built on an instance.
-``ctx.task`` is still the whole world, secrets included (ROADMAP D17): the
-shipped parties read only its public surface, and
-``tests/test_party_surface.py`` pins that.  Budget
+the trial's world, which every task makes with ``instance.world(seed)``.  No
+party is built on an instance.  ``ctx.task`` is still the whole world,
+secrets included (ROADMAP D17): the shipped parties read only its public
+surface, and ``tests/test_party_surface.py`` pins that.  Budget
 violations, declared agent aborts and any other exception out of a party's
 move end the trial and are attributed to the offending party in the
 transcript, and so does a malformed output: a batch that is not a list of q
@@ -36,7 +36,7 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol
 
 from .crypto import SignatureToken, StepMeter, StepsExhausted
 from .drbg import HashDrbg
@@ -95,43 +95,13 @@ class ResourceBudget:
         return {"samples_used": self.samples_used, "samples_allowed": self.samples_allowed}
 
 
-@runtime_checkable
-class TaskInstance(Protocol):
-    def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]: ...
-
-    def sample_input(self, rng: HashDrbg) -> bytes:
-        """`sample_pair(rng)[0]`, taking the same bytes from `rng`."""
-        ...
-
-    def h(self, x: bytes, y: bytes) -> int: ...
-
-
-@runtime_checkable
-class TokenTaskInstance(TaskInstance, Protocol):
-    """A task whose inputs carry signature tokens: the ladder task."""
-
-    def sample_tokens(
-        self, rng: HashDrbg, n: int, want: int, known: Iterable[SignatureToken] = ()
-    ) -> tuple[list[SignatureToken], int]:
-        """The first `want` distinct tokens not in `known` among the clear x of `n` draws.
-
-        Returns them and how many trailing draws it owes: draws after the
-        last token returned that it has not read from `rng`.  Every other
-        stream moves for all `n` draws at once.
-        """
-        ...
-
-    def walk_draws(self, rng: HashDrbg, n: int) -> None:
-        """Read the `n` owed draws, so `rng` stands where `n` `sample_input` draws leave it."""
-        ...
-
-
 class SampleOracle:
     """Metered access to the task distribution.
 
-    Every draw charges exactly one sample against the budget; parties never
-    reach the instance secrets.  Each way to draw moves every stream as far
-    as that many pair draws would:
+    Every draw charges exactly one sample against the budget.  The oracle
+    hands out metered draws and nothing else; it does not hide the world,
+    which a party still reaches whole as ``ctx.task`` (D17).  Each way to
+    draw moves every stream as far as that many pair draws would:
 
     * ``draw_pair``  — (x, y), from the task's ``sample_pair``;
     * ``draw_input`` — x alone, for parties that ignore y; it skips building
@@ -150,16 +120,15 @@ class SampleOracle:
     the party's.
     """
 
-    def __init__(self, instance: TaskInstance, rng: HashDrbg, budget: ResourceBudget):
+    def __init__(self, instance: Any, rng: HashDrbg, budget: ResourceBudget):
         self._instance = instance
         self._rng = rng
         self.budget = budget
         self._owed = 0  # draws the last token batch has not read from `_rng`
 
     def _walk_owed(self) -> None:
-        instance: TokenTaskInstance = self._instance  # type: ignore[assignment]
         try:
-            instance.walk_draws(self._rng, self._owed)
+            self._instance.walk_draws(self._rng, self._owed)
         except Exception as exc:
             raise _harness_fault("walk_draws", exc) from exc
         self._owed = 0
@@ -199,10 +168,8 @@ class SampleOracle:
         if budget.samples_allowed is not None:
             draws = min(draws, max(budget.samples_allowed - budget.samples_used, 0))
         budget.samples_used += draws
-        # only parties of the ladder task draw tokens
-        instance: TokenTaskInstance = self._instance  # type: ignore[assignment]
         try:
-            tokens, self._owed = instance.sample_tokens(self._rng, draws, want, known)
+            tokens, self._owed = self._instance.sample_tokens(self._rng, draws, want, known)
         except Exception as exc:
             raise _harness_fault("sample_tokens", exc) from exc
         if draws < n:
@@ -218,8 +185,8 @@ def _harness_fault(method: str, exc: Exception) -> HarnessFault:
 class TrialCtx:
     """Everything a party is allowed to touch during its move.
 
-    `task` is the instance the trial runs on, a ladder trial's world: a
-    party's only route to the task.  It is still the whole instance (D17).
+    `task` is the trial's world: a party's only route to the task.  It is
+    still the whole world, secrets included (D17).
     """
 
     oracle: SampleOracle

@@ -550,10 +550,6 @@ class IvcKeys:
             raise IndexError(f"step count {t} < 0")
         return self._known[t]
 
-    def points_past_base(self) -> int:
-        """Registered chain points with a step count above 0."""
-        return sum(1 for t, _ in self._registry if t)
-
     def points(self) -> KeysView[tuple[int, bytes]]:
         """The registered (step count, state) pairs, unsorted, as a live view."""
         return self._registry.keys()

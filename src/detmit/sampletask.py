@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -137,7 +137,8 @@ class DataTaskInstance:
     def world(self, trial_seed: bytes) -> "DataTaskInstance":
         """This instance with a proof registry and circuit table of its own.
 
-        One trial runs in one world, which is freed when the trial returns.
+        One trial runs in one world: it proves, registers circuits and draws
+        eval nonces there, and the world is freed when the trial returns.
         The world's proof-token and eval-nonce streams are children of the
         instance's own streams, which parties never see, so knowing the
         trial seed does not predict them.  Its count prover checks each
@@ -150,6 +151,18 @@ class DataTaskInstance:
         world.fhe = self.fhe.fork(trial_seed)
         world._prover = CountProver(world.snark, self._pool)
         return world
+
+    def public_state(self) -> tuple[dict, str, Iterator[list[str]]]:
+        """The public file's scalar fields, its registry's key, and the rows, made one at a time."""
+        return {
+            "task": "ladder",
+            "level_cap": self.level_cap,
+            "width": self.width,
+            "inner_width": self.inner_width,
+            "verification_key": self.snark.key_digest.hex(),
+            "snark_setup": self.snark.setup_digest.hex(),
+            "fhe_params": self.fhe.params_digest.hex(),
+        }, "proof_registry", ([d.hex(), t.hex()] for d, t in self.snark.registry_entries())
 
     # -- instance-side construction (uses the witness pool / master secret) --
 

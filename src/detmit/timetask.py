@@ -34,6 +34,7 @@ recomputes the chain with `npl_chain`, an independent check of it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import isqrt
 from typing import Any, Callable
 
@@ -72,6 +73,23 @@ class TimeTaskInstance:
         base = self.ivc.base_proof(self.start_state)  # roots the known chain
         ivc_update(self.ivc, self.start_state, base, StepMeter(), self.reach)
         self.width = _round_up(len(encode_payload(self.payload_at(self.reach))))
+
+    def world(self, trial_seed: bytes) -> "TimeTaskInstance":
+        """The instance itself: every trial of a batch shares its chain keys.
+
+        So the keys' registry and `steps_run` collect every trial's points
+        and steps, and the audits read them after the batch.
+        """
+        return self
+
+    def public_state(self) -> tuple[dict, str, Iterator[list]]:
+        """The public file's scalar fields, its registry's key, and the rows, made one at a time."""
+        return {
+            "task": "chain",
+            "horizon": self.horizon,
+            "width": self.width,
+            "start_state": self.start_state.hex(),
+        }, "chain_registry", ([t, s.hex(), c.hex()] for t, s, c in self.ivc.registry_entries())
 
     def payload_at(self, t: int) -> TimePayload:
         if not 0 <= t <= self.reach:
@@ -233,7 +251,7 @@ def audit_conservation(instance: TimeTaskInstance) -> bool:
     steps the chain's updates were granted, because registration only
     happens inside an update, for a step its meter just granted.
     """
-    return instance.ivc.points_past_base() <= instance.ivc.steps_run
+    return sum(1 for t, _ in instance.ivc.points() if t) <= instance.ivc.steps_run
 
 
 def audit_sequential_reach(instance: TimeTaskInstance) -> bool:

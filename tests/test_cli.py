@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import detmit
 from detmit import cli
+from detmit.classify import ToyClassificationInstance
 from detmit.cli import (
     MAX_ATTACKER_SAMPLES,
     MAX_EMIT_PAIRS,
@@ -42,6 +43,7 @@ from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
 from detmit.sampletask import DataTaskInstance, make_data_instance
+from detmit.timetask import TimeTaskInstance
 from testkit import build_clear_input
 
 BASE = {
@@ -474,10 +476,48 @@ def test_gen_instance_writes_the_indented_dump_of_the_public_state(runner, tmp_p
     instance = cli._build_task(task, 4, 256)
     for _ in cli._emit_pairs(instance, 4, pairs):
         pass
-    scalars, key, rows = cli.instance_public_state(instance)
+    scalars, key, rows = instance.public_state()
     obj = {**scalars, key: list(rows)}
     assert len(obj[key]) == (2 * pairs if task == "ladder" else 256 + 16 + 1)
     assert prefix.with_suffix(".pub.json").read_text() == json.dumps(obj, indent=2) + "\n"
+
+
+def _gen_instance(runner, prefix, task, pairs):
+    res = runner.invoke(
+        main,
+        ["gen-instance", "--task", task, "--seed", "4", "--out", str(prefix),
+         "--emit-pairs", str(pairs)],
+    )
+    assert res.exit_code == 0, res.output
+    return prefix.with_suffix(".pub.json"), prefix.with_suffix(".pairs.jsonl")
+
+
+@pytest.mark.parametrize("task", ["ladder", "chain"])
+def test_verify_pair_rejects_the_same_public_state_written_compact(runner, tmp_path, task):
+    """The public file is checked as bytes: the same JSON in another layout is another file."""
+    pub, pairs = _gen_instance(runner, tmp_path / "inst", task, 2)
+    pub.write_text(json.dumps(json.loads(pub.read_text())))
+    res = runner.invoke(main, ["verify-pair", "--instance", str(tmp_path / "inst"),
+                               "--pairs", str(pairs)])
+    assert res.exit_code == 2, res.output
+    assert MISMATCH in res.output
+
+
+def test_verify_pair_never_parses_the_public_file(runner, tmp_path, monkeypatch):
+    pub, pairs = _gen_instance(runner, tmp_path / "inst", "ladder", 8)
+    lengths = []
+    loads = json.loads
+
+    def recording(text, *args, **kwargs):
+        lengths.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", recording)
+    res = runner.invoke(main, ["verify-pair", "--instance", str(tmp_path / "inst"),
+                               "--pairs", str(pairs)])
+    assert res.exit_code == 0, res.output
+    assert len(lengths) == 1 + 8  # the secret file, then each pair
+    assert len(pub.read_text()) not in lengths
 
 
 def test_verify_detects_tampering(runner, tmp_path):
@@ -523,7 +563,7 @@ def test_an_added_public_registry_row_cannot_vouch_for_a_forged_answer(runner, t
     pub_path = prefix.with_suffix(".pub.json")
     pub = json.loads(pub_path.read_text())
     pub["proof_registry"].append([proof.statement_digest.hex(), proof.token.hex()])
-    pub_path.write_text(json.dumps(pub))
+    pub_path.write_text(json.dumps(pub, indent=2) + "\n")
     res = runner.invoke(main, ["verify-pair", "--instance", str(prefix), "--pairs", str(pairs)])
     assert res.exit_code == 2, res.output
     assert "public file does not match" in res.output
@@ -861,6 +901,28 @@ def _capture_worlds(monkeypatch, store):
     monkeypatch.setattr(DataTaskInstance, "world", capture)
 
 
+@pytest.mark.parametrize(
+    "task, cls",
+    [("ladder", DataTaskInstance), ("chain", TimeTaskInstance), ("toy", ToyClassificationInstance)],
+)
+def test_every_trial_runs_in_the_world_of_its_own_seed(monkeypatch, task, cls):
+    """`run_trial` asks every task for the trial's world, with no branch on the task."""
+    calls = []
+    world = cls.world
+
+    def recording(self, seed):
+        calls.append((self, seed))
+        return world(self, seed)
+
+    monkeypatch.setattr(cls, "world", recording)
+    cfg = ExperimentConfig(task=task, game="mitigate", trials=3, master_seed=17,
+                           **({"horizon": 16} if task == "chain" else {}))
+    instance, batch = run_batch(cfg)
+    seeds = [derive_trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
+    assert calls == [(instance, seed) for seed in seeds]
+    assert len(set(seeds)) == len(batch) == cfg.trials
+
+
 def test_ladder_trials_run_in_worlds_of_their_own(monkeypatch):
     worlds = []
     _capture_worlds(monkeypatch, worlds.append)
@@ -1010,7 +1072,7 @@ MISMATCH = "public file does not match the instance the secret file rebuilds"
         # a secret file gen-instance wrote before it recorded emit_pairs
         pytest.param({"task": "chain", "seed": 4, "horizon": 256}, None,
                      "secret file lacks emit_pairs", id="secret-without-emit_pairs"),
-        pytest.param(["chain", 4, 256], None, "must each hold a JSON object",
+        pytest.param(["chain", 4, 256], None, "secret file must hold a JSON object",
                      id="secret-not-an-object"),
         *(
             pytest.param({**SECRET, key: value}, None, f"secret file's {key} must be an int",
@@ -1051,7 +1113,8 @@ def test_verify_pair_rejects_hand_written_instance_files(runner, tmp_path, sec, 
     prefix.with_suffix(".sec.json").write_text(json.dumps(sec))
     if pub is not None:
         pub_path = prefix.with_suffix(".pub.json")
-        pub_path.write_text(json.dumps({**json.loads(pub_path.read_text()), **pub}))
+        edited = {**json.loads(pub_path.read_text()), **pub}
+        pub_path.write_text(json.dumps(edited, indent=2) + "\n")
     res = runner.invoke(
         main,
         ["verify-pair", "--instance", str(prefix),
@@ -1159,8 +1222,7 @@ def test_parties_built_once_replay_the_batch_through_each_trials_world(game):
     replay = []
     for i in range(cfg.trials):
         seed = derive_trial_seed(cfg.master_seed, i)
-        world = instance.world(seed) if cfg.task == "ladder" else instance
-        replay.append(runner(world, *parties, cfg.params(), seed, i).to_json())
+        replay.append(runner(instance.world(seed), *parties, cfg.params(), seed, i).to_json())
     assert replay == [t.to_json() for t in run_batch(cfg)[1]]
     wrapped = [vars(p)[k] for p in parties for k in ("detector", "mitigator") if k in vars(p)]
     held = [v for party in (*parties, *wrapped) for v in vars(party).values()]

@@ -4,7 +4,9 @@ The parties of every game the CLI plays, the parties the two bridges wrap,
 the nature challenger and the two task models are read as source.  None of
 them may read or call a name that only the harness or the instance may use:
 the quality oracle `h`, key generation and signing, the witness pool and its
-prover, the registries, free chain points or payloads, and the toy labels.
+prover, the registries, free chain points or payloads, the toy labels, and
+the harness's own calls: `world`, which forks the proof registry, and
+`public_state`, which reads it.
 Nor may one call an instance's own draw routines, which would skip the
 sample meter that `SampleOracle` keeps.  A party reaches the task only
 through its move's `ctx.task`, which is still the whole instance, so the
@@ -34,7 +36,7 @@ from detmit.timetask import TimeModel
 
 SECRETS = {
     "h", "keygen", "sig_sign_zero", "zero_signer", "sig_keygen", "prove_count", "payload_at",
-    "known_point",
+    "known_point", "world", "public_state",
     "_pool", "_prover", "_registry", "label", "nature",
 }
 # an instance's own draws, which the metered `SampleOracle` makes for a party
@@ -152,6 +154,12 @@ class _OpensWithKeygen:
         return int(any(keys))
 
 
+class _ReadsThePublicState:
+    def detect(self, ctx, model, priv, xs):
+        scalars, key, rows = ctx.task.public_state()
+        return int(len(list(rows)) > len(xs))
+
+
 def _draw_unmetered(instance, rng):
     return instance.sample_input(rng)
 
@@ -162,6 +170,9 @@ class _DrawsThroughAHelper:
 
 
 def test_the_guard_catches_a_secret_read_a_keygen_call_and_an_unmetered_draw():
+    assert secret_uses(_ReadsThePublicState) == {
+        f"{__name__}._ReadsThePublicState: public_state"
+    }
     assert secret_uses(_ScoresWithH) == {f"{__name__}._ScoresWithH: h"}
     assert secret_uses(_ScoresWithTheTasksH) == {f"{__name__}._ScoresWithTheTasksH: h"}
     assert secret_uses(_OpensWithKeygen) == {f"{__name__}._OpensWithKeygen: keygen"}

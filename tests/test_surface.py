@@ -251,3 +251,65 @@ def test_the_default_guard_counts_calls_by_keyword_position_and_class(tmp_path):
         ("a", "f", "b"), ("a", "f", "d"), ("a", "K.__init__", "y"), ("a", "K.m", "q"),
         ("a", "K.unused", "r"),
     }
+
+
+# the modules that run every task alike, through the instance's own methods
+TASK_BLIND = ("cli", "core")
+
+
+def task_classes(src: Path) -> set[str]:
+    """The classes under `src` that define `sample_pair`: the task instances."""
+    return {
+        node.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "sample_pair" for item in node.body)
+    }
+
+
+def task_class_names(path: Path, classes: set[str]) -> set[str]:
+    """The names in `classes` that the module at `path` imports, annotates with or reads.
+
+    A quoted annotation counts as the expression it holds.
+    """
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    for node in list(nodes):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                nodes += ast.walk(ast.parse(note.value, mode="eval"))
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names & classes
+
+
+def test_the_runner_and_the_cli_name_no_task_class():
+    classes = task_classes(SRC)
+    assert {"DataTaskInstance", "TimeTaskInstance", "ToyClassificationInstance"} <= classes
+    assert {m: task_class_names(SRC / f"{m}.py", classes) for m in TASK_BLIND} == {
+        m: set() for m in TASK_BLIND
+    }
+
+
+def test_the_task_class_guard_reports_an_import_an_annotation_and_a_branch(tmp_path):
+    (tmp_path / "task.py").write_text(
+        "class Ladder:\n    def sample_pair(self, rng):\n        return b'', b''\n"
+        "class Chain:\n    def sample_pair(self, rng):\n        return b'', b''\n"
+        "class Toy:\n    def sample_pair(self, rng):\n        return b'', b''\n"
+        "class Model:\n    def __call__(self, x):\n        return x\n"
+    )
+    (tmp_path / "runner.py").write_text(
+        "from . import task\nfrom .task import Ladder, Model\n"
+        "def world(instance: 'Chain', seed) -> task.Toy:\n"
+        "    return instance if isinstance(instance, Ladder) else Model()\n"
+        "def fine(instance, seed):\n    return instance.world(seed), 'Chain'\n"
+    )
+    classes = task_classes(tmp_path)
+    assert classes == {"Ladder", "Chain", "Toy"}
+    assert task_class_names(tmp_path / "runner.py", classes) == classes
