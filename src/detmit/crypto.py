@@ -31,13 +31,13 @@ Five primitives, each behind a small, contract-shaped API:
 * step meter        — the sequential step function (one SHA-256 application,
   `npl_step`) behind one party move's step allowance.
 * chain proofs      — incrementally-verifiable computation simulated by a
-  salted hash chain over (step index, state); an update advances the step
-  function itself by a run of n steps (charging the caller's step meter) and
-  registers each step's commitment, and can hand back the point at each of
-  several stops on the way; verification is a registry lookup, recomputing
-  nothing.  The keys remember the chain rooted at their first
-  base proof as they hash it, so a run along that known chain reads its
-  points back instead of hashing them again.
+  salted hash chain over (step index, state) from one start state; an update
+  advances the step function itself by a run of n steps (charging the
+  caller's step meter) and can hand back the point at each of several stops
+  on the way.  The keys store the chain once, as the list of each step's
+  (state, commitment) out to the furthest step any update reached; a run
+  reads its points at or below that tip back and hashes only the steps past
+  it.  Verification is a lookup in that list, recomputing nothing.
 
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
 streams or a stream the object owns, so runs are reproducible.
@@ -56,7 +56,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, KeysView, NamedTuple, Sequence, overload
+from typing import Callable, NamedTuple, Sequence, overload
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -507,42 +507,36 @@ class IvcProof(NamedTuple):
 
 
 class IvcKeys:
-    """Keys for one proof chain: a salted commitment chain plus its registry.
+    """Keys for one proof chain: the salted commitment chain from one start state.
 
-    The salt never leaves this object, and verification is pure registry
-    lookup, so the only way to a verifying (t, state) pair is t genuine
-    steps of updates from the base state — which is exactly the sequentiality
-    this simulation is meant to audit.  :func:`ivc_update` writes a whole
-    run's chain points and adds its steps to `steps_run`.
-
-    The keys also keep the **known chain**: the (state, commitment) of each
-    step t = 0, 1, 2, ... of the chain rooted at the first base proof, in
-    order.  It is append-only and only the hashing loop of
-    :func:`ivc_update` extends it, when a run starting on it passes its tip.
-    Every known point was registered when it was hashed, so a run along the
-    known chain reads its points from it and registers nothing new.
+    The salt never leaves this object, and the keys store the chain itself,
+    the **known chain**: the (state, commitment) of each step t = 0, 1, 2, ...
+    from `start_state`, in order.  Verification is a lookup in it, so the only
+    way to a verifying (t, state) pair is t genuine steps of updates from the
+    start state — which is exactly the sequentiality this simulation is meant
+    to audit.  The chain is append-only: only the hashing loop of
+    :func:`ivc_update` extends it, when a run passes its tip, and `steps_run`
+    counts the steps that loop hashed.
     """
 
-    def __init__(self, rng: HashDrbg, base_tag: bytes):
+    def __init__(self, rng: HashDrbg, base_tag: bytes, start_state: bytes):
         self.base_tag = base_tag
-        self.steps_run = 0  # steps every update so far has been granted
+        self.steps_run = 0  # steps every update so far has hashed past the tip
         self._salt = rng.take(32)
-        self._registry: dict[tuple[int, bytes], bytes] = {}
-        self._known: list[tuple[bytes, bytes]] = []  # step t -> (state, commitment)
+        # step t -> (state, commitment)
+        self._known = [(start_state, self._commit(base_tag, 0, start_state))]
 
     def _commit(self, prev: bytes, steps: int, state: bytes) -> bytes:
         return sha256(self._salt + prev + be64(steps) + state)
 
-    def base_proof(self, start_state: bytes) -> IvcProof:
-        """The step-0 proof for `start_state`; the first one roots the known chain."""
-        commitment = self._commit(self.base_tag, 0, start_state)
-        self._registry[(0, start_state)] = commitment
-        if not self._known:
-            self._known.append((start_state, commitment))
-        return IvcProof(steps=0, commitment=commitment)
+    def base_proof(self) -> IvcProof:
+        """The step-0 proof for the start state."""
+        return IvcProof(steps=0, commitment=self._known[0][1])
 
     def lookup(self, steps: int, state: bytes) -> bytes | None:
-        return self._registry.get((steps, state))
+        """The commitment of `state` at step `steps`, or None off the known chain."""
+        known = self._known
+        return known[steps][1] if 0 <= steps < len(known) and known[steps][0] == state else None
 
     def known_point(self, t: int) -> tuple[bytes, bytes]:
         """(state, commitment) at step `t` of the known chain; IndexError past its tip."""
@@ -550,12 +544,9 @@ class IvcKeys:
             raise IndexError(f"step count {t} < 0")
         return self._known[t]
 
-    def points(self) -> KeysView[tuple[int, bytes]]:
-        """The registered (step count, state) pairs, unsorted, as a live view."""
-        return self._registry.keys()
-
     def registry_entries(self) -> list[tuple[int, bytes, bytes]]:
-        return sorted((t, s, c) for (t, s), c in self._registry.items())
+        """(step count, state, commitment) of every known point, by step count."""
+        return [(t, s, c) for t, (s, c) in enumerate(self._known)]
 
 
 ChainPoint = tuple[bytes, IvcProof]  # (state, proof) at one step of a chain
@@ -582,17 +573,17 @@ def ivc_update(keys, state, proof, meter, steps=1):
     int is the one-stop run and returns its one point.
 
     The input proof is checked once, and a forged one raises
-    :class:`ProofChainError` before anything is charged or registered.  The
-    run is charged to `meter` in one go; each granted step registers its
-    commitment and counts in `keys.steps_run`.  When the meter grants fewer
-    steps than the last stop, the granted steps stay registered and
+    :class:`ProofChainError` before anything is charged or hashed.  The run
+    is charged to `meter` in one go.  When the meter grants fewer steps than
+    the last stop, the granted steps stay on the chain and
     :class:`StepsExhausted` is raised: the state single-step updates leave.
     A run of 0 steps returns its input unchecked.
 
-    A run that starts on the keys' known chain reads its stops at or below
-    the chain's tip from it in one pass, already registered, and hashes only
-    the steps past the tip, appending them; the charge, `steps_run`, the
-    registry and the returned proofs are those of hashing every step.
+    A verifying proof lies on the keys' known chain, so the run reads its
+    stops at or below the chain's tip from it in one pass and hashes only the
+    granted steps past the tip, appending them and counting them in
+    `keys.steps_run`; the charge and the returned proofs are those of hashing
+    every step.
     """
     single = isinstance(steps, int)
     stops = (steps,) if single else tuple(steps)
@@ -607,27 +598,20 @@ def ivc_update(keys, state, proof, meter, steps=1):
     if keys.lookup(proof.steps, state) != proof.commitment:
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
     granted = meter.charge(last)
-    t, commitment, salt, new = proof.steps, proof.commitment, keys._salt, hashlib.sha256
-    end = t + granted
-    targets = [t + stop if stop <= granted else end for stop in stops]
-    points = []
-    keys.steps_run += granted
-    known = keys._known
-    on_known = t < len(known) and known[t] == (state, commitment)
-    registry = keys._registry
-    if on_known:  # read the stops at or below the tip; hash on from the tip
-        t = len(known) - 1
-        points = [(known[u][0], IvcProof(u, known[u][1])) for u in targets if u <= t]
-        state, commitment = known[t]
-    for target in targets[len(points):]:
+    end = proof.steps + granted
+    targets = [proof.steps + stop if stop <= granted else end for stop in stops]
+    known, salt, new = keys._known, keys._salt, hashlib.sha256
+    tip = t = len(known) - 1
+    points = [(known[u][0], IvcProof(u, known[u][1])) for u in targets if u <= tip]
+    state, commitment = known[tip]
+    for target in targets[len(points):]:  # past the tip: t == len(known) - 1
         for t in range(t + 1, target + 1):
             state = npl_step(state)
             # the bytes of keys._commit(commitment, t, state)
             commitment = new(salt + commitment + t.to_bytes(8, "big") + state).digest()
-            registry[(t, state)] = commitment
-            if on_known:  # past the tip: t == len(known)
-                known.append((state, commitment))
+            known.append((state, commitment))
         points.append((state, IvcProof(t, commitment)))
+    keys.steps_run += t - tip
     if granted < last:
         raise meter.exhausted()
     return points[0] if single else points

@@ -19,17 +19,18 @@ the grid's frontier with O(sqrt(T)) queries and O(sqrt(T)) of its own steps.
 Each query after the first is the bytes of the model's previous answer, and
 the model keeps the bytes of every non-BOTTOM answer it gave with its step
 count, so it reads such a query without decoding or checking it again.
-That is exact: an answer is a grid point the trainer registered, and the
-registry never drops one.
+That is exact: an answer is a grid point on the known chain, and the known
+chain never drops one.
 
 The instance builds its chain, out to `reach`, with one run from the start
-state, and that run roots the chain keys' known chain (see
-:class:`~detmit.crypto.IvcKeys`); `payload_at` reads from it.  Every honest
-run in a trial lies on that chain, so `ivc_update` serves it from the known
-points: the same proof check, the same meter charge, the same registry and
-the same `steps_run` as hashing each step, with only steps past the known tip
-hashed.  Neither audit reads the known chain: `audit_sequential_reach`
-recomputes the chain with `npl_chain`, an independent check of it.
+state into the chain keys' known chain (see :class:`~detmit.crypto.IvcKeys`),
+the keys' only store; `payload_at` reads from it.  Every honest run in a
+trial ends on that chain at or below its tip, so `ivc_update` serves it from the
+known points: the same proof check, meter charge and returned proofs as
+hashing each step, with nothing hashed, appended or added to `steps_run`.
+Neither audit trusts the known chain: `audit_sequential_reach` recomputes
+its states with `npl_chain`, and `audit_conservation` holds its length to
+the steps the keys hashed.
 """
 
 from __future__ import annotations
@@ -69,16 +70,16 @@ class TimeTaskInstance:
         # answers to cap-level inputs sit one strip past the horizon
         self.reach = horizon + isqrt(horizon)
         self.start_state = sha256(b"chain-start:" + rng.take(32))
-        self.ivc = IvcKeys(rng.child("chain-proofs"), rng.take(32))
-        base = self.ivc.base_proof(self.start_state)  # roots the known chain
-        ivc_update(self.ivc, self.start_state, base, StepMeter(), self.reach)
+        self.ivc = IvcKeys(rng.child("chain-proofs"), rng.take(32), self.start_state)
+        ivc_update(self.ivc, self.start_state, self.ivc.base_proof(), StepMeter(), self.reach)
         self.width = _round_up(len(encode_payload(self.payload_at(self.reach))))
 
     def world(self, trial_seed: bytes) -> "TimeTaskInstance":
         """The instance itself: every trial of a batch shares its chain keys.
 
-        So the keys' registry and `steps_run` collect every trial's points
-        and steps, and the audits read them after the batch.
+        An honest trial writes nothing to them: its runs end at or below the
+        known chain's tip.  A run past the tip appends to the shared chain and
+        `steps_run`, and the audits read both after the batch.
         """
         return self
 
@@ -138,8 +139,8 @@ class TimeModel:
     The model keeps the bytes of every non-BOTTOM answer it returned, with
     that answer's step count, and answers a query equal to a kept answer
     without `decode_payload` or `genuine`.  That is exact: the bytes decode
-    to a grid point the trainer registered, and the registry never drops an
-    entry, so the query is genuine at the kept step count.  BOTTOM is never
+    to a grid point on the known chain, and the chain never drops a point,
+    so the query is genuine at the kept step count.  BOTTOM is never
     kept, since it answers many queries and decodes to nothing.
     """
 
@@ -178,7 +179,7 @@ class TimeTrainer:
     def train(self, ctx: TrialCtx) -> tuple[TimeModel, Grid]:
         inst = ctx.task
         levels = grid_levels(inst.horizon)
-        base = inst.ivc.base_proof(inst.start_state)
+        base = inst.ivc.base_proof()
         points = ivc_update(inst.ivc, inst.start_state, base, ctx.meter, [*levels, inst.horizon])
         table: Grid = dict(zip(levels, points))
         return TimeModel(inst, table), table
@@ -225,7 +226,7 @@ class ChainClimbingAttacker:
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = ctx.task
         ctx.notes["queries"] = 0
-        base = inst.ivc.base_proof(inst.start_state)
+        base = inst.ivc.base_proof()
         state, proof = ivc_update(inst.ivc, inst.start_state, base, ctx.meter)
         cur = TimePayload(1, state, proof)
         x = encode_payload(cur, inst.width)
@@ -245,24 +246,23 @@ class ChainClimbingAttacker:
 
 
 def audit_conservation(instance: TimeTaskInstance) -> bool:
-    """No chain state exists without a metered step behind it.
+    """No chain state exists without a hashed step behind it.
 
-    Distinct registered chain points (beyond the base) can never exceed the
-    steps the chain's updates were granted, because registration only
-    happens inside an update, for a step its meter just granted.
+    Chain points beyond the base can never outnumber the steps the chain's
+    updates hashed, because a point is only appended inside an update, for
+    a step it just hashed.  Honest runs hash exactly the points they append,
+    so the two counts are equal and one point added with no work fails.
     """
-    return sum(1 for t, _ in instance.ivc.points() if t) <= instance.ivc.steps_run
+    return sum(1 for t, _, _ in instance.ivc.registry_entries() if t) <= instance.ivc.steps_run
 
 
 def audit_sequential_reach(instance: TimeTaskInstance) -> bool:
-    """Every registered chain point lies on the canonical chain.
+    """Every chain point lies on the canonical chain.
 
     Recomputes the chain (harness-side, unmetered) out to the largest
-    registered step count and checks each (t, state) pair against it — a
-    verifying payload at step t really is t sequential steps of work.
+    step count and checks each (t, state) pair against it — a verifying
+    payload at step t really is t sequential steps of work.
     """
-    points = instance.ivc.points()
-    if not points:
-        return True
-    chain = npl_chain(instance.start_state, max(points)[0])  # the largest step count
-    return all(chain[t] == s for t, s in points)
+    entries = instance.ivc.registry_entries()
+    chain = npl_chain(instance.start_state, max(t for t, _, _ in entries))
+    return all(chain[t] == s for t, s, _ in entries)

@@ -510,9 +510,9 @@ def test_meter_refuses_a_negative_charge(limit):
 
 def test_ivc_prove_verify(rng):
     meter = StepMeter()
-    keys = IvcKeys(rng.child("ivc"), b"base")
     start = sha256(b"start")
-    state, proof = ivc_prove(keys, 10, start, meter)
+    keys = IvcKeys(rng.child("ivc"), b"base", start)
+    state, proof = ivc_prove(keys, 10, meter)
     assert proof.steps == 10
     assert ivc_verify(keys, 10, state, proof)
     ref = start
@@ -527,9 +527,8 @@ def test_ivc_prove_verify(rng):
 
 
 def test_ivc_rejects_forgeries(rng):
-    keys = IvcKeys(rng.child("ivc2"), b"base")
-    start = sha256(b"start2")
-    state, proof = ivc_prove(keys, 4, start)
+    keys = IvcKeys(rng.child("ivc2"), b"base", sha256(b"start2"))
+    state, proof = ivc_prove(keys, 4)
     assert not ivc_verify(keys, 5, state, proof)  # wrong step count
     assert not ivc_verify(keys, 4, sha256(b"other"), proof)  # wrong state
     fake = IvcProof(4, sha256(b"fake"))
@@ -540,9 +539,9 @@ def test_ivc_rejects_forgeries(rng):
 
 def test_ivc_update_charges_exactly_one_step(rng):
     meter = StepMeter()
-    keys = IvcKeys(rng.child("ivc3"), b"base")
     start = sha256(b"start3")
-    proof = keys.base_proof(start)
+    keys = IvcKeys(rng.child("ivc3"), b"base", start)
+    proof = keys.base_proof()
     assert meter.used == keys.steps_run == 0
     state, proof = ivc_update(keys, start, proof, meter)
     assert meter.used == keys.steps_run == 1
@@ -554,8 +553,8 @@ def test_ivc_update_charges_exactly_one_step(rng):
 
 def _chain_at(start_steps: int) -> tuple[IvcKeys, bytes, IvcProof]:
     """Fresh keys, plus a genuine proof `start_steps` steps in."""
-    keys = IvcKeys(HashDrbg(b"ivc-runs"), b"base")
-    state, proof = ivc_prove(keys, start_steps, sha256(b"run-start"))
+    keys = IvcKeys(HashDrbg(b"ivc-runs"), b"base", sha256(b"run-start"))
+    state, proof = ivc_prove(keys, start_steps)
     return keys, state, proof
 
 
@@ -605,7 +604,6 @@ def test_ivc_run_from_forged_proof_charges_and_registers_nothing():
 # --- the known chain against a written-out reference --------------------------------
 
 ROOT = sha256(b"run-start")
-OTHER = sha256(b"other-start")
 
 
 def _written_out_chain(keys: IvcKeys, start: bytes, n: int) -> list[tuple[bytes, bytes]]:
@@ -619,20 +617,20 @@ def _written_out_chain(keys: IvcKeys, start: bytes, n: int) -> list[tuple[bytes,
     return chain
 
 
-def _reference_run(keys, state, proof, limit, n, on_known) -> tuple:
+def _reference_run(keys, state, proof, limit, n) -> tuple:
     """What `ivc_update(keys, state, proof, StepMeter(limit), n)` must leave, worked
-    out step by step from the registry before the run: (result or exception type,
-    meter.used, steps_run, registry entries, known chain length).
+    out step by step from the registry entries before the run: (result or exception
+    type, meter.used, steps_run, registry entries, known chain length).
 
-    Only the length rule reads the known chain: a run that starts on it (`on_known`)
-    extends it to the run's last point, and any other run leaves it alone.
+    A run that gets past the tip extends the chain to its last point, and
+    `steps_run` counts only the steps past the tip: those the run hashed.
     """
     registry = {(t, s): c for t, s, c in keys.registry_entries()}
-    steps_run, length = keys.steps_run, len(keys._known)
+    steps_run, tip = keys.steps_run, max(t for t, _ in registry)
 
-    def outcome(out, granted):
+    def outcome(out, granted, end=tip):
         entries = sorted((t, s, c) for (t, s), c in registry.items())
-        return out, granted, steps_run + granted, entries, length
+        return out, granted, steps_run + max(0, end - tip), entries, max(tip, end) + 1
 
     if n == 0:
         return outcome((state, proof), 0)
@@ -645,9 +643,8 @@ def _reference_run(keys, state, proof, limit, n, on_known) -> tuple:
         state = npl_step(state)
         commitment = keys._commit(commitment, t, state)
         registry[(t, state)] = commitment
-    if on_known:
-        length = max(length, t + 1)
-    return outcome(StepsExhausted if granted < n else (state, IvcProof(t, commitment)), granted)
+    out = StepsExhausted if granted < n else (state, IvcProof(t, commitment))
+    return outcome(out, granted, t)
 
 
 def _actual_run(keys, state, proof, limit, n, run=ivc_update) -> tuple:
@@ -660,44 +657,34 @@ def _actual_run(keys, state, proof, limit, n, run=ivc_update) -> tuple:
     return out, meter.used, keys.steps_run, keys.registry_entries(), len(keys._known)
 
 
-def _start(tip, far, chain, t0, n) -> tuple:
+def _start(tip, chain, t0, n) -> tuple:
     """Keys and a start at step `t0`: (keys, canonical chain, state, proof).
 
-    The keys know the canonical chain from ROOT out to step `tip` and have
-    canonical points out to `tip + far` registered but not known: those past
-    the tip are written into the registry directly, so a run must hash through
-    them as through any point off the known chain.  `chain` picks the start:
-    the canonical point at `t0`, the same point under a forged commitment, or
-    step `t0` of a chain from OTHER, whose base proof comes after ROOT's and so
-    roots nothing.  The canonical chain is written out to `tip + far + n`.
+    The keys know the canonical chain from ROOT out to step `tip`.  `chain`
+    picks the start: the canonical point at `t0`, or the same point under a
+    forged commitment.  A canonical point past the tip is genuine bytes that
+    no update hashed, so it verifies no more than a forged one.  The
+    canonical chain is written out to `max(tip, t0) + n`.
     """
-    keys = IvcKeys(HashDrbg(b"ivc-reference"), b"base")
-    canon = _written_out_chain(keys, ROOT, tip + far + n)
-    assert ivc_update(keys, ROOT, keys.base_proof(ROOT), StepMeter(), tip) == (
+    keys = IvcKeys(HashDrbg(b"ivc-reference"), b"base", ROOT)
+    canon = _written_out_chain(keys, ROOT, max(tip, t0) + n)
+    assert ivc_update(keys, ROOT, keys.base_proof(), StepMeter(), tip) == (
         canon[tip][0], IvcProof(tip, canon[tip][1])
     )
-    for t in range(tip + 1, tip + far + 1):
-        keys._registry[(t, canon[t][0])] = canon[t][1]
-    if chain == "other":
-        other = _written_out_chain(keys, OTHER, t0)
-        ivc_update(keys, OTHER, keys.base_proof(OTHER), StepMeter(), t0)
-        state, commitment = other[t0]
-    else:
-        state, commitment = canon[t0]
-        if chain == "forged":
-            commitment = sha256(b"forged")
+    state, commitment = canon[t0]
+    if chain == "forged":
+        commitment = sha256(b"forged")
     return keys, canon, state, IvcProof(t0, commitment)
 
 
-def _check_run(tip, far, chain, t0, n, limit=None) -> None:
+def _check_run(tip, chain, t0, n, limit=None) -> None:
     """A run of `n` steps from step `t0` (see `_start`) equals the written-out reference."""
-    keys, canon, state, proof = _start(tip, far, chain, t0, n)
+    keys, canon, state, proof = _start(tip, chain, t0, n)
     length = tip + 1
     assert len(keys._known) == length
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
 
-    on_known = chain == "canonical" and t0 < length
-    expected = _reference_run(keys, state, proof, limit, n, on_known)
+    expected = _reference_run(keys, state, proof, limit, n)
     assert _actual_run(keys, state, proof, limit, n) == expected
     length = len(keys._known)
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
@@ -709,15 +696,12 @@ RUN_CASES = [
     ("canonical", 3, 4, None),  # before the tip, ends before it
     ("canonical", 7, 9, None),  # crosses the tip
     ("canonical", 10, 5, None),  # at the tip
-    ("canonical", 13, 5, None),  # past the tip, on registered points
-    ("canonical", 16, 6, None),  # at the last registered point
+    ("canonical", 13, 5, None),  # past the tip: genuine bytes, never hashed
+    ("canonical", 16, 6, None),  # further past the tip
     ("canonical", 0, 25, None),  # the whole known chain and past it
     ("canonical", 8, 9, 4),  # cut short by the meter after crossing the tip
     ("canonical", 2, 9, 3),  # cut short before the tip
     ("canonical", 10, 3, 0),  # granted nothing
-    ("other", 0, 8, None),  # another start's base proof
-    ("other", 4, 8, None),  # a few steps into another start's chain
-    ("other", 4, 8, 5),
     ("forged", 5, 3, None),
     ("forged", 5, 0, None),  # a run of 0 steps checks nothing
 ]
@@ -729,21 +713,20 @@ RUN_CASES = [
     "chain, t0, n, limit", RUN_CASES, ids=["-".join(map(str, c)) + "-None" for c in RUN_CASES]
 )
 def test_ivc_run_equals_written_out_reference(chain, t0, n, limit):
-    _check_run(10, 6, chain, t0, n, limit)
+    _check_run(10, chain, t0, n, limit)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     tip=st.integers(0, 20),
-    far=st.integers(0, 12),
-    chain=st.sampled_from(["canonical", "other", "forged"]),
+    chain=st.sampled_from(["canonical", "forged"]),
     n=st.integers(0, 40),
     data=st.data(),
 )
-def test_ivc_runs_equal_written_out_reference(tip, far, chain, n, data):
-    t0 = data.draw(st.integers(0, tip + far), label="t0")
+def test_ivc_runs_equal_written_out_reference(tip, chain, n, data):
+    t0 = data.draw(st.integers(0, tip + 3), label="t0")
     limit = data.draw(st.none() | st.integers(0, n + 5), label="limit")
-    _check_run(tip, far, chain, t0, n, limit)
+    _check_run(tip, chain, t0, n, limit)
 
 
 # --- one run with stops against successive runs ---------------------------------------
@@ -759,14 +742,14 @@ def _successive(keys, state, proof, meter, stops) -> list:
     return points
 
 
-def _check_stops(tip, far, chain, t0, stops, limit=None) -> None:
+def _check_stops(tip, chain, t0, stops, limit=None) -> None:
     """One run with `stops` from step `t0` (see `_start`) equals successive runs on twin keys."""
     n = stops[-1] if stops else 0
-    (ka, _, sa, pa), (kb, _, sb, pb) = (_start(tip, far, chain, t0, n) for _ in "ab")
+    (ka, _, sa, pa), (kb, _, sb, pb) = (_start(tip, chain, t0, n) for _ in "ab")
     run = _actual_run(ka, sa, pa, limit, stops)
     assert run == _actual_run(kb, sb, pb, limit, stops, _successive)
     granted = n if limit is None else min(n, limit)
-    if n and chain == "forged":
+    if n and (chain == "forged" or t0 > tip):
         assert run[0] is ProofChainError and run[1] == 0
     elif granted < n:
         assert run[0] is StepsExhausted and run[1] == granted
@@ -778,31 +761,29 @@ def _check_stops(tip, far, chain, t0, stops, limit=None) -> None:
     "chain, t0, stops, limit",
     [
         ("canonical", 2, [2, 7, 7, 16], None),  # on the known chain, then past its tip
-        ("canonical", 12, [1, 5, 6], None),  # off it, on registered points, then past them
+        ("canonical", 12, [1, 5, 6], None),  # past the tip: never hashed, so refused
         ("canonical", 2, [3, 6, 9], 7),  # cut short by the meter after crossing the tip
-        ("canonical", 12, [4, 8], 5),  # cut short off the known chain
-        ("other", 2, [0, 3, 3, 8], None),  # another start's chain
+        ("canonical", 12, [4, 8], 5),  # refused past the tip before any charge
         ("forged", 2, [0, 4], None),  # a forged start
         ("forged", 2, [0, 0], None),  # stops at 0 check nothing
     ],
 )
 def test_a_run_with_stops_equals_successive_runs(chain, t0, stops, limit):
-    _check_stops(10, 6, chain, t0, stops, limit)
+    _check_stops(10, chain, t0, stops, limit)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     tip=st.integers(0, 20),
-    far=st.integers(0, 12),
-    chain=st.sampled_from(["canonical", "other", "forged"]),
+    chain=st.sampled_from(["canonical", "forged"]),
     gaps=st.lists(st.integers(0, 12), max_size=5),
     data=st.data(),
 )
-def test_runs_with_stops_equal_successive_runs(tip, far, chain, gaps, data):
+def test_runs_with_stops_equal_successive_runs(tip, chain, gaps, data):
     stops = list(accumulate(gaps))
-    t0 = data.draw(st.integers(0, tip + far), label="t0")
+    t0 = data.draw(st.integers(0, tip + 3), label="t0")
     limit = data.draw(st.none() | st.integers(0, sum(gaps) + 5), label="limit")
-    _check_stops(tip, far, chain, t0, stops, limit)
+    _check_stops(tip, chain, t0, stops, limit)
 
 
 def test_stops_must_ascend():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmit import timetask
+from detmit.cli import ExperimentConfig, build_instance, run_batch
 from detmit.core import (
     GameParams,
     NatureChallenger,
@@ -72,8 +74,8 @@ def test_instance_chain_equals_written_out_steps(inst):
 
 
 def test_honest_trials_run_along_the_known_chain(inst):
-    """Every honest run lies on the instance's chain: trials charge and count
-    their steps but register no new point and leave the known chain as built."""
+    """Every honest run lies on the instance's chain below its tip: trials
+    charge their steps to their own meters but hash, append and count nothing."""
     entries = inst.ivc.registry_entries()
     for i in range(3):
         t = run_dbm_trial(
@@ -81,56 +83,101 @@ def test_honest_trials_run_along_the_known_chain(inst):
             ChainExtendingMitigator(), PARAMS, derive_trial_seed(89, i), i,
         )
         assert t.aborted is None and t.ledgers["trainer"]["steps_used"] == 256
-    assert inst.ivc.steps_run == 272 + 3 * (256 + 1 + 16)
+    assert inst.ivc.steps_run == 272
     assert inst.ivc.registry_entries() == entries
     assert len(inst.ivc._known) == inst.reach + 1
 
 
+@pytest.mark.parametrize("game", ["detect", "mitigate"])
+@pytest.mark.parametrize("challenger", ["nature", "attack"])
+def test_an_honest_batch_leaves_the_chain_keys_as_built(game, challenger):
+    """A batch writes nothing to the chain keys: its instance ends with the
+    chain points and `steps_run` of a freshly built one."""
+    cfg = ExperimentConfig(
+        task="chain", game=game, challenger=challenger, trials=3, horizon=256,
+        instance_seed=31, master_seed=37,
+    )
+    fresh = build_instance(cfg).ivc
+    instance, batch = run_batch(cfg)
+    assert all(t.aborted is None for t in batch)
+    assert instance.ivc.registry_entries() == fresh.registry_entries()
+    assert instance.ivc.steps_run == fresh.steps_run == instance.reach
+
+
+def test_conservation_is_tight_after_a_batch():
+    """After a batch, one canonical point appended with no step behind it
+    fails the conservation audit: the keys count only the steps they hashed,
+    not the steps honest runs read back from the known chain."""
+    cfg = ExperimentConfig(
+        task="chain", game="mitigate", challenger="attack", trials=5, horizon=256,
+        instance_seed=41, master_seed=43,
+    )
+    instance, batch = run_batch(cfg)
+    assert all(t.aborted is None for t in batch)
+    assert audit_conservation(instance) and audit_sequential_reach(instance)
+    keys = instance.ivc
+    state, commitment = keys.known_point(instance.reach)
+    beyond = npl_step(state)
+    keys._known.append((beyond, keys._commit(commitment, instance.reach + 1, beyond)))
+    assert not audit_conservation(instance)
+    assert audit_sequential_reach(instance)  # the point itself is genuine
+
+
+def test_chain_instance_stores_each_step_once():
+    """The built chain holds one (state, commitment) pair per step and
+    nothing beside it: at most 250 B per step at horizon 4096."""
+    tracemalloc.start()
+    try:
+        inst = TimeTaskInstance(b"chain-memory", 4096)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size / inst.reach <= 250
+
+
 def test_audits_catch_registry_points_without_work():
-    """Entries forged straight into the registry, with no update behind them."""
+    """Chain points forged straight into the keys, with no update behind them."""
     inst = TimeTaskInstance(b"audit-forgery", horizon=16)
     assert audit_conservation(inst) and audit_sequential_reach(inst)
-    # the next canonical point, registered with no step behind it
+    # the next canonical point, appended with no step behind it
     beyond = npl_step(inst.payload_at(inst.reach).config)
-    inst.ivc._registry[(inst.reach + 1, beyond)] = b"c" * 32
+    inst.ivc._known.append((beyond, b"c" * 32))
     assert not audit_conservation(inst)
     assert audit_sequential_reach(inst)
 
+    # an off-chain point, appended or written over a chain point
     inst = TimeTaskInstance(b"audit-forgery", horizon=16)
-    inst.ivc._registry[(3, sha256(b"off-chain"))] = b"c" * 32
+    inst.ivc._known.append((sha256(b"off-chain"), b"c" * 32))
     assert not audit_conservation(inst)
+    assert not audit_sequential_reach(inst)
+    # written over, the point verifies, but the audit recomputes the chain
+    inst = TimeTaskInstance(b"audit-forgery", horizon=16)
+    inst.ivc._known[3] = (sha256(b"off-chain"), b"c" * 32)
+    assert ivc_verify(inst.ivc, 3, sha256(b"off-chain"), IvcProof(3, b"c" * 32))
+    assert audit_conservation(inst)
     assert not audit_sequential_reach(inst)
 
 
-def test_sequential_reach_audit_does_not_read_the_known_chain(monkeypatch):
-    """The audit recomputes the chain itself: a known chain that vouches for a
-    forged point, or no known chain at all, changes no verdict."""
-    inst = TimeTaskInstance(b"audit-known", horizon=16)
-    forged = (3, sha256(b"off-chain"), b"c" * 32)
-    inst.ivc._registry[forged[:2]] = forged[2]
-    known = list(inst.ivc._known)
-    known[3] = forged[1:]
-    for fake in (known, []):
-        monkeypatch.setattr(inst.ivc, "_known", fake)
-        assert not audit_sequential_reach(inst)
-
-
 def test_sequential_reach_audit_checks_the_largest_step_count():
-    """A forged point at the largest registered step count fails the audit,
-    beside the genuine point there or as the only point there."""
+    """A forged point at the largest step count fails the audit, written over
+    the genuine point there or appended past it."""
     genuine = TimeTaskInstance(b"audit-top", horizon=16)
     top = genuine.ivc.registry_entries()[-1][0]
     assert top == genuine.reach and audit_sequential_reach(genuine)
     for t in (top, top + 1):
         inst = TimeTaskInstance(b"audit-top", horizon=16)
-        inst.ivc._registry[(t, sha256(b"off-chain"))] = b"c" * 32
-        assert inst.ivc.registry_entries()[-1][0] == t
+        point = (sha256(b"off-chain"), b"c" * 32)
+        if t == top:
+            inst.ivc._known[t] = point
+        else:
+            inst.ivc._known.append(point)
+        assert inst.ivc.registry_entries()[-1][:2] == (t, point[0])
         assert not audit_sequential_reach(inst)
 
 
-def test_sequential_reach_verdict_survives_a_corrupted_known_chain():
-    """After honest trials the audit passes, and still passes once every
-    known point is overwritten: it reads the registry, not the known chain."""
+def test_sequential_reach_fails_a_corrupted_known_chain():
+    """After honest trials the audit passes, and fails once any known point
+    is overwritten: the known chain is the keys' only store."""
     inst = TimeTaskInstance(b"audit-corrupt", horizon=64)
     trainer = TimeTrainer(inst.horizon)
     for i in range(2):
@@ -138,12 +185,14 @@ def test_sequential_reach_verdict_survives_a_corrupted_known_chain():
             inst, trainer, ChainClimbingAttacker(inst.horizon), ChainExtendingMitigator(),
             PARAMS, derive_trial_seed(89, i), i,
         )
-    entries = inst.ivc.registry_entries()
     assert audit_sequential_reach(inst)
     known = inst.ivc._known
-    known[:] = [(sha256(b"junk" + state), commitment) for state, commitment in known]
-    assert inst.ivc.registry_entries() == entries
-    assert audit_sequential_reach(inst)
+    for t in (1, len(known) // 2, len(known) - 1):
+        state, commitment = known[t]
+        known[t] = (sha256(b"junk" + state), commitment)
+        assert not audit_sequential_reach(inst)
+        known[t] = (state, commitment)
+        assert audit_sequential_reach(inst)
 
 
 def test_sample_pairs_verify(inst):
@@ -346,9 +395,8 @@ def test_step_ledgers_count_this_trial_only():
         assert trainer["steps_used"] == trainer["steps_allowed"] == 64
         level = decode_payload(t.challenge[0]).steps
         assert mitigator["steps_used"] == int(level**0.5)
-        expected_total += trainer["steps_used"] + mitigator["steps_used"]
-    # the registry counts every granted step, for the conservation audit
-    assert inst.ivc.steps_run == expected_total
+    # the keys count only the steps they hashed, and honest trials hash none
+    assert inst.ivc.steps_run == expected_total == inst.reach
     assert audit_conservation(inst)
 
 

@@ -132,12 +132,10 @@ def meter_run(meter: StepMeter, state: bytes, steps: int) -> bytes:
     return state
 
 
-def ivc_prove(
-    keys: IvcKeys, t: int, start_state: bytes, meter: StepMeter | None = None
-) -> tuple[bytes, IvcProof]:
-    """Prove t steps from the start state in one run of updates."""
+def ivc_prove(keys: IvcKeys, t: int, meter: StepMeter | None = None) -> tuple[bytes, IvcProof]:
+    """Prove t steps from the keys' start state in one run of updates."""
     meter = StepMeter() if meter is None else meter
-    return ivc_update(keys, start_state, keys.base_proof(start_state), meter, t)
+    return ivc_update(keys, keys.known_point(0)[0], keys.base_proof(), meter, t)
 
 
 def inner_level(buf: bytes, key: IdentityKey) -> int | None:
