@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import click
 
@@ -273,45 +273,41 @@ def run_batch(cfg: ExperimentConfig) -> tuple[Any, list[Transcript]]:
     return instance, [run_trial(cfg, instance, i) for i in range(cfg.trials)]
 
 
-def summarize(records: list[dict], epsilon: float) -> dict:
-    """Headline rates (with Wilson 95% intervals) from transcript records."""
-    trials = [Transcript.from_record(r) for r in records]
-    done = [t for t in trials if t.aborted is None]
-    nature = [t for t in done if t.origin == NATURE]
-    attack = [t for t in done if t.origin != NATURE]
-
-    def rate(rows: list[Transcript], pred: Any) -> dict | None:
-        if not rows:
-            return None
-        return RateEstimate.from_counts(sum(bool(pred(t)) for t in rows), len(rows)).as_dict()
-
+def summarize(records: Iterable[dict], epsilon: float) -> dict:
+    """Headline rates (with Wilson 95% intervals) from transcript records, folded one at a time."""
+    trials = done = nature = correct = incomplete = unsound = queries = asked = 0
     aborts: dict[str, int] = {}
-    for t in trials:
-        if t.aborted is not None:
-            aborts[t.aborted] = aborts.get(t.aborted, 0) + 1
-
-    queries = [
-        q for t in attack if (q := t.ledgers.get(t.origin, {}).get("queries")) is not None
-    ]
     maxima: dict[str, dict[str, int]] = {}
-    for t in trials:
+    for rec in records:
+        t = Transcript.from_record(rec)
+        trials += 1
         for role, led in t.ledgers.items():
             slot = maxima.setdefault(role, {"samples_used": 0, "steps_used": 0})
             for key in slot:
                 if led.get(key) is not None:
                     slot[key] = max(slot[key], led[key])
+        if t.aborted is not None:
+            aborts[t.aborted] = aborts.get(t.aborted, 0) + 1
+            continue
+        done += 1
+        correct += t.err_fx is not None and t.err_fx <= epsilon
+        unsound += soundness_violation(t, epsilon)
+        if t.origin == NATURE:
+            nature += 1
+            incomplete += completeness_violation(t)
+        elif (q := t.ledgers.get(t.origin, {}).get("queries")) is not None:
+            queries, asked = queries + q, asked + 1
+
+    def rate(hits: int, rows: int) -> dict | None:
+        return RateEstimate.from_counts(hits, rows).as_dict() if rows else None
 
     return {
-        "trials": len(records),
-        "correctness_rate": rate(
-            done, lambda t: t.err_fx is not None and t.err_fx <= epsilon
-        ),
-        "completeness_violation_rate": rate(nature, completeness_violation),
-        "soundness_violation_rate": rate(
-            done, lambda t: soundness_violation(t, epsilon)
-        ),
-        "abort_rates": {k: v / len(records) for k, v in sorted(aborts.items())},
-        "mean_attacker_queries": (sum(queries) / len(queries)) if queries else None,
+        "trials": trials,
+        "correctness_rate": rate(correct, done),
+        "completeness_violation_rate": rate(incomplete, nature),
+        "soundness_violation_rate": rate(unsound, done),
+        "abort_rates": {k: v / trials for k, v in sorted(aborts.items())},
+        "mean_attacker_queries": queries / asked if asked else None,
         "ledger_maxima": maxima,
     }
 
@@ -487,6 +483,29 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         sys.exit(3)
 
 
+def _written(cfg: ExperimentConfig, instance: Any, fh: TextIO) -> Iterator[dict]:
+    """Each trial's record, read back from its line once that line is written to `fh`."""
+    for i in range(cfg.trials):
+        line = run_trial(cfg, instance, i).to_json()
+        fh.write(line + "\n")
+        yield json.loads(line)
+
+
+def _read(path: str) -> Iterator[dict]:
+    """The record on each non-blank line of the transcript stream at `path`, checked."""
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            Transcript.from_record(rec)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise click.UsageError(
+                f"bad transcript on line {lineno} of {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+        yield rec
+
+
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--transcripts", type=click.Path(dir_okay=False, writable=True), default=None,
@@ -496,12 +515,9 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
 def cmd_run(config_path: str, transcripts: str | None, summary_path: str | None) -> None:
     """Run a trial batch; write transcripts (JSONL) and a summary (JSON)."""
     cfg = _load_config(config_path)
-    instance, batch = run_batch(cfg)
-    lines = [t.to_json() for t in batch]
-    if transcripts:
-        Path(transcripts).write_text("\n".join(lines) + "\n")
-    records = [json.loads(line) for line in lines]
-    out = summarize(records, cfg.epsilon)
+    instance = build_instance(cfg)
+    with open(transcripts or os.devnull, "w") as fh:
+        out = summarize(_written(cfg, instance, fh), cfg.epsilon)
     if cfg.task == "chain":
         out["audits"] = {
             "conservation": audit_conservation(instance),
@@ -527,22 +543,10 @@ def _report_epsilon(ctx: click.Context, param: click.Parameter, value: float) ->
               callback=_report_epsilon)
 def cmd_report(transcripts: str, epsilon: float) -> None:
     """Summarize an existing transcript stream."""
-    records = []
-    for lineno, line in _numbered_lines(transcripts):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            Transcript.from_record(rec)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise click.UsageError(
-                f"bad transcript on line {lineno} of {transcripts}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        records.append(rec)
-    if not records:
+    out = summarize(_read(transcripts), epsilon)
+    if not out["trials"]:
         raise click.UsageError("transcript stream is empty")
-    click.echo(json.dumps(summarize(records, epsilon), indent=2))
+    click.echo(json.dumps(out, indent=2))
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ An exception out of the task instance behind the sample oracle is a
 :class:`HarnessFault` and ends the batch.
 
 Parties hold no per-trial state: a move reports through ``TrialCtx.notes``.
-A challenger's ``queries`` note goes into its ledger and its notes onto the
-in-memory ``Transcript.notes``; a detector's ``response`` and ``inner_flag``
-notes become the transcript fields of those names.
+A challenger's ``queries`` note, an int >= 0 or its fault, goes into its
+ledger and its notes onto the in-memory ``Transcript.notes``; a detector's
+``response`` and ``inner_flag`` notes become the transcript fields of those names.
 """
 
 from __future__ import annotations
@@ -409,7 +409,7 @@ class _TrialState:
             "steps_used": ctx.meter.used,
             "steps_allowed": ctx.meter.limit,
         }
-        if "queries" in ctx.notes:
+        if _is_count(ctx.notes.get("queries")):  # `_challenge` faults a move that returns a bad one
             ledger["queries"] = ctx.notes["queries"]
 
     def run_phase(self, role: str, fn: Callable[[], Any]) -> Any:
@@ -444,6 +444,18 @@ def _byte_list(value: Any, n: int, what: str) -> list[bytes]:
     ):
         raise TypeError(f"{what} is not a list of {n} bytes")
     return value
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _challenge(challenger: Challenger, ctx: TrialCtx, model: Any, q: int) -> list[bytes]:
+    """The challenger's batch, checked, as is its `queries` note, if any: an int >= 0."""
+    xs = _byte_list(challenger.challenge(ctx, model), q, "batch")
+    if not _is_count(ctx.notes.get("queries", 0)):
+        raise TypeError(f"queries note {ctx.notes['queries']!r:.40} is not an int >= 0")
+    return xs
 
 
 def _defense(
@@ -485,10 +497,7 @@ def _run_trial(
     if trained is not None:
         model, priv = trained
         cctx = st.ctx_for(challenger.origin, challenger)
-        xs = st.run_phase(
-            challenger.origin,
-            lambda: _byte_list(challenger.challenge(cctx, model), params.q, "batch"),
-        )
+        xs = st.run_phase(challenger.origin, lambda: _challenge(challenger, cctx, model, params.q))
         st.close_ledger(challenger.origin, cctx)
         notes = cctx.notes
         if xs is not None:

@@ -37,8 +37,8 @@ from detmit.cli import (
     run_batch,
     summarize,
 )
-from detmit.core import run_dbd_trial, run_dbm_trial
-from detmit.crypto import ProofToken, statement_digest
+from detmit.core import AbortTrial, HarnessFault, run_dbd_trial, run_dbm_trial
+from detmit.crypto import ProofToken, npl_step, statement_digest
 from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
@@ -225,9 +225,10 @@ def test_run_rejects_a_capped_key_above_its_cap_before_any_trial(
     """Above its cap a key exits 2 from the config reader: no trial runs, no thread starts."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a trial batch or a thread was started")
+        raise AssertionError("an instance, a trial or a thread was started")
 
-    monkeypatch.setattr(cli, "run_batch", refuse)
+    monkeypatch.setattr(cli, "build_instance", refuse)
+    monkeypatch.setattr(cli, "run_trial", refuse)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.model_validate({**BASE, key: value})
@@ -716,6 +717,139 @@ def test_summarize_handles_aborts():
     assert out["mean_attacker_queries"] == 4.0
 
 
+def _run_lines(runner, tmp_path, name, **overrides):
+    """`detmit run` on BASE with `overrides`: its result and the lines of its transcripts."""
+    cfg, t_path = write_config(tmp_path, **overrides), tmp_path / f"{name}.jsonl"
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path)])
+    return res, t_path.read_text().splitlines() if t_path.exists() else []
+
+
+TOY_NATURE = {"task": "toy", "challenger": "nature", "q": 1}
+
+
+def test_run_and_report_memory_stays_flat_in_trials(runner, tmp_path):
+    """Peak traced memory of `run` and of `report` on its stream barely moves from
+    200 to 2,000 trials: each line is written and folded as its trial ends."""
+
+    def peaks(trials):
+        cfg, t_path = write_config(tmp_path, **TOY_NATURE, trials=trials), tmp_path / "t.jsonl"
+        out = []
+        for args in (["run", "--config", str(cfg), "--transcripts", str(t_path)],
+                     ["report", "--transcripts", str(t_path)]):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                res = runner.invoke(main, args)
+                out.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+            assert res.exit_code == 0, res.output
+        return out
+
+    peaks(20)  # imports and first-call caches, outside both measures
+    small, big = peaks(200), peaks(2000)
+    assert all(b < 1.5 * s for s, b in zip(small, big)), (small, big)
+
+
+class NotesQueries:
+    """Challenges as `party` and notes `queries`; then raises `AbortTrial` if `abort`."""
+
+    def __init__(self, party, queries, abort):
+        self.party, self.queries, self.abort = party, queries, abort
+        self.origin, self.sample_budget = party.origin, party.sample_budget
+
+    def challenge(self, ctx, model):
+        xs = self.party.challenge(ctx, model)
+        ctx.notes["queries"] = self.queries
+        if self.abort:
+            raise AbortTrial(self.origin, "gave up")
+        return xs
+
+
+@pytest.mark.parametrize("abort", [False, True], ids=["returns", "aborts"])
+@pytest.mark.parametrize(
+    "queries", ["many", 1.5, True, float("nan"), -3, None, object()],
+    ids=["str", "float", "bool", "nan", "negative", "none", "object"],
+)
+def test_a_bad_queries_note_faults_the_challenger(runner, tmp_path, monkeypatch, queries, abort):
+    """A `queries` note that is not an int >= 0 aborts its trial in the challenger's
+    name and stays out of the ledger; the batch runs on and `report` reads its stream."""
+    toy_attack = {"task": "toy", "trials": 4}
+    res, want = _run_lines(runner, tmp_path, "plain", **toy_attack)
+    assert res.exit_code == 0, res.output
+    build, wrapped = cli.build_parties, []
+
+    def build_with_a_bad_note(cfg):
+        trainer, challenger, defense = build(cfg)
+        if not wrapped:
+            challenger = NotesQueries(challenger, queries, abort)
+            wrapped.append(challenger)
+        return trainer, challenger, defense
+
+    monkeypatch.setattr(cli, "build_parties", build_with_a_bad_note)
+    res, got = _run_lines(runner, tmp_path, "noted", **toy_attack)
+    assert res.exit_code == 0, res.output
+    first = json.loads(got[0])
+    assert first["aborted"] == "attacker" and "queries" not in first["ledgers"]["attacker"]
+    assert got[1:] == want[1:]
+    res = runner.invoke(main, ["report", "--transcripts", str(tmp_path / "noted.jsonl")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["abort_rates"] == {"attacker": 0.25}
+
+    wrapped.clear()
+    cfg = ExperimentConfig.model_validate({**BASE, **toy_attack})
+    t = cli.run_trial(cfg, cli.build_instance(cfg), 0)
+    assert t.abort_reason == ("gave up" if abort else
+                              f"fault: TypeError: queries note {queries!r:.40} is not an int >= 0")
+
+
+def test_a_failed_chain_audit_exits_3_after_writing_everything(runner, tmp_path, monkeypatch):
+    """A chain point past the reach with no work behind it fails the conservation
+    audit: `run` writes the same transcripts as without it, then the summary, then exits 3."""
+    chain = {"task": "chain", "game": "mitigate", "trials": 3, "horizon": 64}
+    res, want = _run_lines(runner, tmp_path, "plain", **chain)
+    assert res.exit_code == 0, res.output
+    build = cli.build_instance
+
+    def build_forged(cfg):
+        instance = build(cfg)
+        beyond = npl_step(instance.payload_at(instance.reach).config)
+        instance.ivc._known.append((beyond, b"c" * 32))
+        return instance
+
+    monkeypatch.setattr(cli, "build_instance", build_forged)
+    cfg, t_path, s_path = write_config(tmp_path, **chain), tmp_path / "t.jsonl", tmp_path / "s.json"
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path),
+                               "--summary", str(s_path)])
+    assert res.exit_code == 3, res.output
+    audits = {"conservation": False, "sequential_reach": True}
+    assert json.loads(res.output)["audits"] == json.loads(s_path.read_text())["audits"] == audits
+    assert t_path.read_text().splitlines() == want
+
+
+def test_a_faulted_batch_leaves_the_trials_before_the_fault_on_disk(runner, tmp_path, monkeypatch):
+    """A fault in the task ends `run` with it, after every trial before it is written."""
+    res, want = _run_lines(runner, tmp_path, "plain", **TOY_NATURE, trials=20)
+    assert res.exit_code == 0, res.output
+    sample_input, calls = ToyClassificationInstance.sample_input, []
+
+    def fails_on_the_tenth_call(self, rng):
+        calls.append(rng)
+        if len(calls) == 10:
+            raise RuntimeError("the tenth draw")
+        return sample_input(self, rng)
+
+    monkeypatch.setattr(ToyClassificationInstance, "sample_input", fails_on_the_tenth_call)
+    res, got = _run_lines(runner, tmp_path, "faulted", **TOY_NATURE, trials=20)
+    assert res.exit_code != 0
+    assert isinstance(res.exception, HarnessFault)
+    assert "sample_input: RuntimeError: the tenth draw" in str(res.exception)
+    assert got == want[:9]
+    res = runner.invoke(main, ["report", "--transcripts", str(tmp_path / "faulted.jsonl")])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["trials"] == 9
+
+
 def test_run_batch_toy_derived_detector():
     cfg = ExperimentConfig.model_validate(
         {"task": "toy", "game": "detect", "challenger": "nature", "detector": "derived",
@@ -1155,9 +1289,10 @@ def test_run_rejects_an_unwritable_output_path_before_any_trial(
     runner, tmp_path, monkeypatch, option, where
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("a trial batch was started")
+        raise AssertionError("an instance or a trial was started")
 
-    monkeypatch.setattr(cli, "run_batch", refuse)
+    monkeypatch.setattr(cli, "build_instance", refuse)
+    monkeypatch.setattr(cli, "run_trial", refuse)
     bad = tmp_path / "missing" / "out" if where == "in-a-missing-directory" else tmp_path
     other, good = "--summary" if option == "--transcripts" else "--transcripts", tmp_path / "out"
     res = runner.invoke(

@@ -34,6 +34,7 @@ UNREFERENCED = {
     ("cli", "cmd_run"): "a click command; @main.command registers it",
     ("cli", "cmd_report"): "a click command; @main.command registers it",
     ("crypto", "snark_extract"): "the proof extractor gate 5 checks soundness with",
+    ("cli", "run_batch"): "perfbench/harness.py and tests run the list form",
     ("wire", "pack_fields"): "perfbench/spans.py traces it by name",
     ("crypto", "StepMeter.step"): "perfbench/spans.py traces it by name",
 }
