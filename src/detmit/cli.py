@@ -71,8 +71,10 @@ from .timetask import (
 
 DEFAULT_Q = {"ladder": 1, "chain": 1, "toy": 32}
 
-# Caps on the knobs that set what one run costs, so that no accepted config
-# runs for minutes or takes gigabytes; the README's config section gives the
+# Caps on the knobs that set what one run costs, each key alone: a trial at
+# any cap takes about a second or less and an instance at most about 365 MB,
+# and a run's memory is flat in its trials but its time is not (100,000 ladder
+# mitigate trials take about 7.5 min).  The README's config section gives the
 # cost measured behind each.
 MAX_HORIZON = 2**20
 MAX_TRIALS = 100_000
@@ -457,7 +459,7 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
     try:
         sec = json.loads(base.with_suffix(".sec.json").read_text())
         pub = base.with_suffix(".pub.json").open("rb")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"cannot read instance files: {exc}") from exc
     with pub:
         instance = _rebuild(sec)
@@ -472,7 +474,7 @@ def cmd_verify_pair(prefix: str, pairs: str) -> None:
         try:
             rec = json.loads(line)
             x, y = bytes.fromhex(rec["x"]), bytes.fromhex(rec["y"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise click.UsageError(f"bad pair on line {lineno} of {pairs}: {exc}") from exc
         total += 1
         # h scores a forged x 0 with any y, and a genuine one 1 with no answer
@@ -499,7 +501,7 @@ def _read(path: str) -> Iterator[dict]:
         try:
             rec = json.loads(line)
             Transcript.from_record(rec)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise click.UsageError(
                 f"bad transcript on line {lineno} of {path}: {type(exc).__name__}: {exc}"
             ) from exc

@@ -26,7 +26,8 @@ Five primitives, each behind a small, contract-shaped API:
   tokens and the proof's count, the prefix extraction copies out.
 * identity FHE      — per-identity authenticated symmetric keys derived from a
   master secret, plus a public evaluation oracle that holds the master secret
-  privately and applies registered byte-circuits under the encryption.  Key
+  privately and applies the byte-circuit it is handed under the encryption,
+  as IB-FHE's public Eval does; it keeps no table of circuits.  Key
   derivation copies a private SHA-256 prefix state built once per system.
 * step meter        — the sequential step function (one SHA-256 application,
   `npl_step`) behind one party move's step allowance.
@@ -381,27 +382,24 @@ class FheSystem:
 
     The master secret stays on this object; parties only ever hold the
     identity keys that payloads hand them, the public `eval` entry point,
-    and the ability to encrypt under keys they hold.  A trial gets its own
-    from :meth:`fork`.  `eval` keeps the cipher of each identity it sees in
-    a table of its own, which a fork starts empty.
+    which applies whatever byte-circuit it is handed, and the ability to
+    encrypt under keys they hold.  A trial gets its own from :meth:`fork`,
+    which holds only its eval-nonce stream and the cipher of each identity
+    its `eval` has seen, a table the fork starts empty.
     """
 
     def __init__(self, rng: HashDrbg):
         self._msk = rng.take(32)
         self._drbg = rng.child("fhe-nonces")
-        self._circuits: dict[str, Callable[[bytes], bytes]] = {}
-        self._next_circuit = 0
         self.params_digest = sha256(b"fhe-params:" + self._msk)
         self._id_key_prefix = hashlib.sha256(b"fhe-id-key:" + self._msk)  # only copied
         self._ciphers: dict[bytes, IdentityCipher] = {}  # identity tag -> eval's cipher
 
     def fork(self, label: bytes) -> "FheSystem":
-        """Same master secret, no circuits or ciphers, eval nonces from `child(label)`."""
+        """Same master secret, no ciphers, eval nonces from `child(label)`."""
         world = copy.copy(self)
         world._drbg = self._drbg.child(label)
-        world._circuits = {}
         world._ciphers = {}
-        world._next_circuit = 0
         return world
 
     # --- keys ---------------------------------------------------------------
@@ -415,22 +413,19 @@ class FheSystem:
 
     # --- evaluation oracle ----------------------------------------------------
 
-    def register_circuit(self, fn: Callable[[bytes], bytes]) -> str:
-        handle = f"circuit-{self._next_circuit}"
-        self._next_circuit += 1
-        self._circuits[handle] = fn
-        return handle
+    def register_circuit(
+        self, fn: Callable[[bytes], bytes]
+    ) -> Callable[[Ciphertext], Ciphertext]:
+        """`fn` bound to this system's `eval`: the evaluator a model answers sealed inputs with."""
+        return lambda ct: self.eval(fn, ct)
 
-    def eval(self, handle: str, ct: Ciphertext) -> Ciphertext:
-        """Apply a registered circuit under the encryption.
+    def eval(self, fn: Callable[[bytes], bytes], ct: Ciphertext) -> Ciphertext:
+        """Apply the byte-circuit `fn` under the encryption.
 
         Undecryptable input yields a fresh ciphertext of a failure marker
         under the claimed identity, so the oracle never leaks whether
         authentication succeeded through exceptions.
         """
-        fn = self._circuits.get(handle)
-        if fn is None:
-            raise KeyError(f"unknown circuit handle {handle!r}")
         cipher = self._ciphers.get(ct.identity_tag)
         if cipher is None:
             cipher = self._ciphers[ct.identity_tag] = IdentityCipher(self.keygen(ct.identity_tag))

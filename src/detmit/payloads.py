@@ -37,8 +37,9 @@ The clear form (signature token, level, count proof) goes on with a fixed
 ====== ===== ==============================================
 
 The encrypted container goes on with id1, id2 and key2 (all empty in answer
-position).  The decoder reads the all-present and the all-empty tail in one
-step each, and any other tail field by field:
+position); :func:`sealed` builds both kinds and :func:`unseal` opens one.
+The decoder reads the all-present and the all-empty tail in one step each,
+and any other tail field by field:
 
 ======== ===== ==========================================
 29+n     4     ``be32(a)``, a = 0 or 16
@@ -76,7 +77,7 @@ from __future__ import annotations
 from struct import Struct, error as StructError
 from typing import NamedTuple
 
-from .crypto import Ciphertext, IvcProof, ProofToken, SignatureToken
+from .crypto import Ciphertext, IdentityCipher, IdentityKey, IvcProof, ProofToken, SignatureToken
 from .wire import be32, be64
 
 TAG_CLEAR = 0x01
@@ -281,3 +282,18 @@ def decode_payload(buf: bytes) -> Payload | None:
     if buf.count(0, pos) != size - pos:
         return None
     return _new(EncPayload, fields)
+
+
+def sealed(ct: Ciphertext, shipped: IdentityKey | None = None) -> EncPayload:
+    """The container of `ct`: an input for `ct`'s identity shipping `shipped`; else an answer."""
+    if shipped is None:
+        return EncPayload(ct, b"", b"", b"")
+    return EncPayload(ct, ct.identity_tag, shipped.tag, shipped.key)
+
+
+def unseal(cipher: IdentityCipher, p: Payload | None) -> Payload | None:
+    """What container `p` seals under `cipher`; None if it is none or fails to open."""
+    if not isinstance(p, EncPayload):
+        return None
+    inner = cipher.decrypt(p.ciphertext)
+    return None if inner is None else decode_payload(inner)

@@ -37,14 +37,10 @@ from .payloads import (
     bottom,
     decode_payload,
     encode_payload,
-)
-from .sampletask import (
-    DataTaskInstance,
-    grid_level,
-    grid_levels,
-    next_level,
+    sealed,
     unseal,
 )
+from .sampletask import DataTaskInstance, grid_level, grid_levels, next_level
 
 
 @dataclass
@@ -84,11 +80,11 @@ class DataModel:
         self.levels = sorted(self.table)
         self.cap = self.levels[-1] if self.levels else 0
         # The circuit holds the grid and the inner width, never the model:
-        # the world's circuit table would otherwise reach the world again
-        # through `self.instance`, a cycle, and a world must be freed by
-        # reference counting as soon as its trial returns.
+        # the model holds the circuit, so a circuit that held the model would
+        # be a cycle, and a world must be freed by reference counting as soon
+        # as its trial returns.
         levels, table, inner_width = self.levels, self.table, instance.inner_width
-        self.circuit_handle = None if not levels else instance.fhe.register_circuit(
+        self.circuit = None if not levels else instance.fhe.register_circuit(
             lambda pt: _grid_answer(levels, table, decode_payload(pt), inner_width)
         )
 
@@ -97,9 +93,8 @@ class DataModel:
             raise TypeError(f"a model query is bytes, not {type(x).__name__}")
         w = self.instance.width
         p = decode_payload(x)
-        if isinstance(p, EncPayload) and self.circuit_handle is not None:
-            out = self.instance.fhe.eval(self.circuit_handle, p.ciphertext)
-            return encode_payload(EncPayload(out, b"", b"", b""), w)
+        if isinstance(p, EncPayload) and self.circuit is not None:
+            return encode_payload(sealed(self.circuit(p.ciphertext)), w)
         return _grid_answer(self.levels, self.table, p, w)
 
 
@@ -162,11 +157,8 @@ class SelfIterationAttacker:
         cur = ClearPayload(token, 1, snark_prove(inst.snark, 1, [token]))
 
         def wrap(p: ClearPayload) -> bytes:
-            inner = encode_payload(p, inst.inner_width)
-            ct = tunnel.encrypt(inner, ctx.rng)
-            return encode_payload(
-                EncPayload(ct, tunnel.tag, dress.tag, dress.key), inst.width
-            )
+            ct = tunnel.encrypt(encode_payload(p, inst.inner_width), ctx.rng)
+            return encode_payload(sealed(ct, dress), inst.width)
 
         while True:
             y = model(wrap(cur))

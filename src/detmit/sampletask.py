@@ -59,6 +59,8 @@ from .payloads import (
     Payload,
     decode_payload,
     encode_payload,
+    sealed,
+    unseal,
 )
 
 LEVEL_CAP = 512
@@ -131,14 +133,13 @@ class DataTaskInstance:
     def _probe_enc(self) -> EncPayload:
         key = IdentityKey(bytes(IDENTITY_LEN), bytes(32))
         probe_rng = HashDrbg(b"width-probe")
-        ct = IdentityCipher(key).encrypt(bytes(self.inner_width), probe_rng)
-        return EncPayload(ct, key.tag, key.tag, key.key)
+        return sealed(IdentityCipher(key).encrypt(bytes(self.inner_width), probe_rng), key)
 
     def world(self, trial_seed: bytes) -> "DataTaskInstance":
-        """This instance with a proof registry and circuit table of its own.
+        """This instance with a proof registry and an eval oracle of its own.
 
-        One trial runs in one world: it proves, registers circuits and draws
-        eval nonces there, and the world is freed when the trial returns.
+        One trial runs in one world: it proves and draws eval nonces there,
+        and the world is freed when the trial returns.
         The world's proof-token and eval-nonce streams are children of the
         instance's own streams, which parties never see, so knowing the
         trial seed does not predict them.  Its count prover checks each
@@ -187,14 +188,14 @@ class DataTaskInstance:
         built = 1 + answer
         level = self.law.sample(rng)
         nonce = rng.take(NONCE_LEN)
-        sealed = rng.bit()
+        encrypted = rng.bit()
         token = sig_sign_zero(self.snark.verification_key, nonce)
         levels = (level, next_level(level))
         payloads: list[Payload] = [
             ClearPayload(token, n, self.prove_count(n)) for n in levels[:built]
         ]
         self.snark.skip_proof(2 - built)
-        if not sealed:
+        if not encrypted:
             return payloads
         id1, id2 = rng.take(IDENTITY_LEN), rng.take(IDENTITY_LEN)
         nonces = rng.take(AEAD_NONCE_LEN), rng.take(AEAD_NONCE_LEN)
@@ -203,8 +204,7 @@ class DataTaskInstance:
             cipher.seal(encode_payload(p, self.inner_width), seal_nonce)
             for p, seal_nonce in zip(payloads, nonces)
         ]
-        ex = EncPayload(cts[0], id1, id2, self.fhe.keygen(id2).key)
-        return [ex] + [EncPayload(ct, b"", b"", b"") for ct in cts[1:]]
+        return [sealed(cts[0], self.fhe.keygen(id2))] + [sealed(ct) for ct in cts[1:]]
 
     def sample_pair(self, rng: HashDrbg) -> tuple[bytes, bytes]:
         x, y = self._draw(rng, True)
@@ -329,14 +329,6 @@ class DataTaskInstance:
         if cipher is not None:
             yp = unseal(cipher, yp)
         return 0 if self.answers(xp, yp) else 1
-
-
-def unseal(cipher: IdentityCipher, p: Payload | None) -> Payload | None:
-    """What container `p` seals under `cipher`; None if it is none or fails to open."""
-    if not isinstance(p, EncPayload):
-        return None
-    inner = cipher.decrypt(p.ciphertext)
-    return None if inner is None else decode_payload(inner)
 
 
 def make_data_instance(seed: bytes | int) -> DataTaskInstance:

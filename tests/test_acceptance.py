@@ -358,11 +358,11 @@ def test_crypto_contract_rates():
 
     fhe = FheSystem(rng.child("fhe"))
     fn = lambda data: bytes(reversed(data))  # noqa: E731
-    handle = fhe.register_circuit(fn)
+    circuit = fhe.register_circuit(fn)
     for _ in range(100):
         identity, pt = rng.take(16), rng.take(48)
         cipher = IdentityCipher(fhe.keygen(identity))
-        out = fhe.eval(handle, cipher.encrypt(pt, rng))
+        out = circuit(cipher.encrypt(pt, rng))
         assert cipher.decrypt(out) == fn(pt)
 
     cheated = 0

@@ -38,7 +38,7 @@ from detmit.cli import (
     summarize,
 )
 from detmit.core import AbortTrial, HarnessFault, run_dbd_trial, run_dbm_trial
-from detmit.crypto import ProofToken, npl_step, statement_digest
+from detmit.crypto import Ciphertext, ProofToken, npl_step, statement_digest
 from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
 from detmit.sampleagents import SelfIterationAttacker
@@ -237,6 +237,10 @@ def test_run_rejects_a_capped_key_above_its_cap_before_any_trial(
     assert key in res.output
 
 
+# JSON nested past what json.loads recurses through
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -244,7 +248,7 @@ def test_run_rejects_a_capped_key_above_its_cap_before_any_trial(
         ("3", "JSON object, not int"),
         ("null", "JSON object, not NoneType"),
         ("{not json", "Expecting property name"),
-        ("[" * 100_000 + "]" * 100_000, "recursion"),
+        (DEEP, "recursion"),
     ],
     ids=["array", "int", "null", "non-json", "deep"],
 )
@@ -254,6 +258,23 @@ def test_run_rejects_a_config_that_is_not_an_object(runner, tmp_path, text, mess
     res = runner.invoke(main, ["run", "--config", str(path)])
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+@pytest.mark.parametrize("target", ["transcripts", "secret-file", "pairs"])
+def test_a_too_deeply_nested_json_read_exits_2(runner, tmp_path, target):
+    """`report`'s lines, `verify-pair`'s secret file and its pairs exit 2, as a config does."""
+    if target == "transcripts":
+        path = tmp_path / "t.jsonl"
+        path.write_text(DEEP + "\n")
+        args = ["report", "--transcripts", str(path)]
+    else:
+        _, pairs = _gen_instance(runner, tmp_path / "inst", "ladder", 2)
+        path = tmp_path / "inst.sec.json" if target == "secret-file" else pairs
+        path.write_text(DEEP + "\n")
+        args = ["verify-pair", "--instance", str(tmp_path / "inst"), "--pairs", str(pairs)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "recursion" in res.output
 
 
 def test_seeds_at_the_bounds_run(runner, tmp_path):
@@ -1064,9 +1085,12 @@ def test_ladder_trials_run_in_worlds_of_their_own(monkeypatch):
     instance, batch = run_batch(cfg)
     assert len({id(w.snark) for w in worlds}) == len({id(w.fhe) for w in worlds}) == len(batch)
     assert all(w.snark.registry_entries() for w in worlds)
-    # the batch proved nothing and registered no circuit on the instance itself
+    # the batch proved nothing on the instance itself, and left its eval oracle
+    # as built: no cipher kept, and its eval-nonce stream where it started
     assert instance.snark.registry_entries() == []
-    assert instance.fhe.register_circuit(bytes) == "circuit-0"
+    assert instance.fhe._ciphers == {}
+    ct = Ciphertext(bytes(16), bytes(40))
+    assert instance.fhe.eval(bytes, ct) == cli.build_instance(cfg).fhe.eval(bytes, ct)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -187,6 +187,18 @@ def test_prove_verify_extract(snark, tokens):
     assert proof_token_from_bytes(pack_fields(proof.token, proof.statement_digest)) == proof
 
 
+def test_extract_finds_no_witness_for_a_proof_no_registry_holds(snark, tokens, rng):
+    """A fabricated token, and a proof registered in another world, extract to None."""
+    proof = snark_prove(snark, 5, tokens[:5])
+    fabricated = ProofToken(rng.child("fabricated").take(len(proof.token)), proof.statement_digest)
+    assert snark_extract(snark, fabricated) is None
+    world, sibling = snark.fork(b"world"), snark.fork(b"sibling")
+    elsewhere = snark_prove(world, 5, tokens[:5])
+    assert snark_extract(world, elsewhere) == tuple(tokens[:5])
+    assert snark_extract(sibling, elsewhere) is None
+    assert snark_extract(snark, elsewhere) is None
+
+
 def test_proof_bound_to_statement(snark, tokens):
     proof = snark_prove(snark, 3, tokens[:3])
     assert not snark_verify(snark, 4, proof)
@@ -395,20 +407,30 @@ def test_decrypt_wrong_identity_fails(fhe, rng):
 
 
 def test_eval_transparency(fhe, rng):
-    handle = fhe.register_circuit(lambda pt: pt[::-1])
     r = rng.child("eval")
     identity = r.take(16)
     cipher = IdentityCipher(fhe.keygen(identity))
-    out = fhe.eval(handle, cipher.encrypt(b"abcdef", r))
+    out = fhe.eval(lambda pt: pt[::-1], cipher.encrypt(b"abcdef", r))
     assert cipher.decrypt(out) == b"fedcba"
 
 
+def test_a_registered_circuit_is_eval_bound_to_it_and_stores_nothing(fhe, rng):
+    """`register_circuit` returns `eval` with the circuit bound; the system keeps no table."""
+    r = rng.child("bound")
+    ct = IdentityCipher(fhe.keygen(r.take(16))).encrypt(b"abcdef", r)
+    fn = lambda pt: pt[::-1]  # noqa: E731
+    bound, direct = fhe.fork(b"twin"), fhe.fork(b"twin")
+    state = dict(vars(bound))
+    circuit = bound.register_circuit(fn)
+    assert vars(bound) == state
+    assert [circuit(ct), circuit(ct)] == [direct.eval(fn, ct), direct.eval(fn, ct)]
+
+
 def test_eval_bad_ciphertext_yields_failure_marker(fhe, rng):
-    handle = fhe.register_circuit(lambda pt: pt)
     r = rng.child("eval2")
     identity = r.take(16)
     garbage = Ciphertext(identity, r.take(40))
-    out = fhe.eval(handle, garbage)
+    out = fhe.eval(lambda pt: pt, garbage)
     assert IdentityCipher(fhe.keygen(identity)).decrypt(out) == EVAL_FAILED
 
 
@@ -418,11 +440,11 @@ def test_eval_keeps_one_cipher_per_identity_in_its_own_world(rng):
     fhe = FheSystem(r.child("fhe"))
     id_a, id_b = r.take(16), r.take(16)
     valid = IdentityCipher(fhe.keygen(id_a)).encrypt(b"abcdef", r)
-    fhe.eval(fhe.register_circuit(bytes), valid)  # the instance's own table holds id_a
+    fhe.eval(bytes, valid)  # the instance's own table holds id_a
     world, sibling = fhe.fork(b"world"), fhe.fork(b"sibling")
     assert world._ciphers == {} and sibling._ciphers == {}
     assert world._ciphers is not sibling._ciphers
-    handle = world.register_circuit(lambda pt: pt[::-1])
+    circuit = world.register_circuit(lambda pt: pt[::-1])
 
     nonces = fhe._drbg.child(b"world")  # the world's eval nonces, drawn apart
     wrong_tag, undecryptable = Ciphertext(id_b, valid.body), Ciphertext(id_a, r.take(40))
@@ -430,24 +452,17 @@ def test_eval_keeps_one_cipher_per_identity_in_its_own_world(rng):
         fresh = IdentityCipher(fhe.keygen(ct.identity_tag))
         plaintext = fresh.decrypt(ct)
         expect = fresh.encrypt(EVAL_FAILED if plaintext is None else plaintext[::-1], nonces)
-        assert world.eval(handle, ct) == expect
+        assert circuit(ct) == expect
     assert fresh.decrypt(expect) == EVAL_FAILED  # the wrong tag's marker, sealed under id_b
-    failed = world.eval(handle, undecryptable)
+    failed = circuit(undecryptable)
     assert failed.identity_tag == id_a
     assert IdentityCipher(fhe.keygen(id_a)).decrypt(failed) == EVAL_FAILED
     assert set(world._ciphers) == {id_a, id_b}
     assert sibling._ciphers == {} and set(fhe._ciphers) == {id_a}
 
     with pytest.raises(ValueError):
-        world.eval(handle, Ciphertext(bytes(15), valid.body))
+        circuit(Ciphertext(bytes(15), valid.body))
     assert set(world._ciphers) == {id_a, id_b}
-
-
-def test_eval_unknown_handle(fhe, rng):
-    r = rng.child("eval3")
-    ct = IdentityCipher(fhe.keygen(r.take(16))).encrypt(b"x", r)
-    with pytest.raises(KeyError):
-        fhe.eval("circuit-999999", ct)
 
 
 def test_identity_keys_are_sha256_of_master_secret_and_tag(fhe, rng):

@@ -102,8 +102,7 @@ def test_ladder_pair_draws_match_a_step_by_step_reference():
 
 def _eval_nonce_probe(world) -> Ciphertext:
     """What the world's eval oracle returns next: a sealed failure marker."""
-    handle = world.fhe.register_circuit(lambda pt: pt)
-    return world.fhe.eval(handle, Ciphertext(bytes(16), bytes(40)))
+    return world.fhe.eval(lambda pt: pt, Ciphertext(bytes(16), bytes(40)))
 
 
 def _streams_ahead(world, rng) -> tuple:

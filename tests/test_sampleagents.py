@@ -228,6 +228,25 @@ def test_mitigator_aborts_on_dummy_model():
     assert t.aborted == "mitigator"
 
 
+def test_mitigator_aborts_when_its_draws_hold_too_few_fresh_tokens():
+    """K=1: a strip of 2 from 8 draws fails when at most one draw is clear, 9/256 of trials."""
+    mit = ProofExtendingMitigator(1)
+    assert mit.strip == 2 and mit.sample_budget == 8
+    trials = [
+        run_dbm_trial(INST, LadderTrainer(1), NatureChallenger(), mit, PARAMS,
+                      derive_trial_seed(64, i), i)
+        for i in range(200)
+    ]
+    short = ("mitigator", "too few fresh tokens for the strip")
+    aborts = Counter((t.aborted, t.abort_reason) for t in trials if t.aborted)
+    # the only other abort: none of the trainer's 4 draws is clear, 1/16 of trials
+    assert set(aborts) <= {short, ("mitigator", "trainer produced a dummy model")}
+    assert 1 <= aborts[short] <= 20
+    for t in trials:
+        if (t.aborted, t.abort_reason) == short:
+            assert t.ledgers["mitigator"]["samples_used"] == mit.sample_budget
+
+
 class UncheckedProverMitigator(ProofExtendingMitigator):
     """Proves the strip on a prover over the trainer's tokens that has checked none."""
 
