@@ -524,6 +524,10 @@ class IvcKeys:
     def _commit(self, prev: bytes, steps: int, state: bytes) -> bytes:
         return sha256(self._salt + prev + be64(steps) + state)
 
+    def __len__(self) -> int:
+        """The number of known points: the chain's tip step count, plus one."""
+        return len(self._known)
+
     def base_proof(self) -> IvcProof:
         """The step-0 proof for the start state."""
         return IvcProof(steps=0, commitment=self._known[0][1])

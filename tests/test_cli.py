@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -32,12 +34,11 @@ from detmit.cli import (
     MAX_TRIALS,
     MAX_WORKERS,
     ExperimentConfig,
-    _load_config,
-    main,
     run_batch,
     summarize,
 )
-from detmit.core import AbortTrial, HarnessFault, run_dbd_trial, run_dbm_trial
+from detmit.commands import _load_config, main
+from detmit.core import AbortTrial, HarnessFault, Transcript, run_dbd_trial, run_dbm_trial
 from detmit.crypto import Ciphertext, ProofToken, npl_step, statement_digest
 from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
@@ -342,6 +343,29 @@ def test_importing_the_cli_does_not_load_the_thread_pool_or_logging():
     assert _modules_loaded_by_importing_the_cli(names) == "[]"
 
 
+def test_importing_the_cli_does_not_load_click():
+    # only the `detmit` command, in detmit.commands, reads its arguments with click
+    names = "m == 'click' or m.startswith('click.')"
+    assert _modules_loaded_by_importing_the_cli(names) == "[]"
+
+
+def test_the_detmit_script_is_the_click_group_of_the_four_commands():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["detmit"]
+    module, _, name = target.partition(":")
+    group = getattr(importlib.import_module(module), name)
+    assert isinstance(group, click.Group)
+    assert set(group.commands) == {"gen-instance", "run", "verify-pair", "report"}
+    src = Path(detmit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "detmit.commands", "--help"], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all(command in proc.stdout for command in group.commands)
+
+
 def test_run_writes_transcripts_and_summary(runner, tmp_path):
     cfg = write_config(tmp_path)
     t_path, s_path = tmp_path / "t.jsonl", tmp_path / "s.json"
@@ -504,6 +528,17 @@ def test_gen_instance_writes_the_indented_dump_of_the_public_state(runner, tmp_p
     assert prefix.with_suffix(".pub.json").read_text() == json.dumps(obj, indent=2) + "\n"
 
 
+def test_the_chain_public_file_keeps_its_bytes(runner, tmp_path):
+    """The chain public file's bytes are pinned: its rows are made from the known
+    chain one point at a time, and not one byte of the file may move."""
+    prefix = tmp_path / "inst"
+    res = runner.invoke(main, ["gen-instance", "--task", "chain", "--seed", "4",
+                               "--horizon", "4096", "--out", str(prefix)])
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256(prefix.with_suffix(".pub.json").read_bytes()).hexdigest()
+    assert digest == "28bd181018306649246132870bc0895fef1f5b94f8e17d5e5f66dcb5a1e4ab93"
+
+
 def _gen_instance(runner, prefix, task, pairs):
     res = runner.invoke(
         main,
@@ -622,6 +657,25 @@ def test_report_matches_run_summary(runner, tmp_path):
     res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
     assert res.exit_code == 0
     assert json.loads(res.output) == json.loads(s_path.read_text())
+
+
+def test_report_reads_each_record_once(runner, tmp_path, monkeypatch):
+    """`report` checks a line and folds the transcript it read: one `from_record` a record."""
+    res, lines = _run_lines(runner, tmp_path, "plain", **TOY_NATURE, trials=5)
+    assert res.exit_code == 0, res.output
+    t_path = tmp_path / "plain.jsonl"
+    t_path.write_text("\n".join([lines[0], "", *lines[1:], "  "]) + "\n")
+    read, calls = Transcript.from_record, []
+
+    def counting(rec):
+        calls.append(rec)
+        return read(rec)
+
+    monkeypatch.setattr(Transcript, "from_record", staticmethod(counting))
+    res = runner.invoke(main, ["report", "--transcripts", str(t_path)])
+    assert res.exit_code == 0, res.output
+    assert calls == [json.loads(line) for line in lines]
+    assert json.loads(res.output)["trials"] == 5
 
 
 def test_report_reads_null_attacker_queries(runner, tmp_path):

@@ -14,7 +14,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from detmit.cli import main
+from detmit.commands import main
 
 # name -> (config, transcripts sha256, summary sha256)
 CASES: dict[str, tuple[dict, str, str]] = {

@@ -158,6 +158,43 @@ def test_audits_catch_registry_points_without_work():
     assert not audit_sequential_reach(inst)
 
 
+def test_conservation_holds_the_points_past_the_base_to_the_hashed_steps():
+    """The audit holds `len(keys) - 1`, the known points past the base, to the steps
+    the keys hashed: points appended past the tip with no update behind them fail,
+    and pass once as many steps are counted."""
+    inst, forged = TimeTaskInstance(b"audit-forgery", horizon=16), 3
+    keys, state = inst.ivc, inst.payload_at(inst.reach).config
+    for _ in range(forged):
+        state = npl_step(state)
+        keys._known.append((state, b"c" * 32))
+    assert len(keys) == len(keys.registry_entries()) == inst.reach + 1 + forged
+    assert keys.steps_run == inst.reach
+    assert not audit_conservation(inst)
+    keys.steps_run += forged  # as if an update had hashed them
+    assert audit_conservation(inst)
+
+
+def test_the_public_rows_are_made_one_at_a_time():
+    """Reading the public file's chain rows holds one row at a time: the traced peak
+    while they are consumed at horizon 2**14 is under twice the peak at 2**10."""
+
+    def peak(horizon):
+        inst = TimeTaskInstance(b"chain-rows", horizon)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, _, rows = inst.public_state()
+            for _ in rows:
+                pass
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # first-call caches, outside both measures
+    small, big = peak(2**10), peak(2**14)
+    assert big < 2 * small, (small, big)
+
+
 def test_sequential_reach_audit_checks_the_largest_step_count():
     """A forged point at the largest step count fails the audit, written over
     the genuine point there or appended past it."""
