@@ -22,12 +22,11 @@ entry at that index.  Only ``h`` labels per call.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import ATTACKER, TrialCtx, hamming
-from .drbg import HashDrbg
+from .drbg import HashDrbg, sha256
 from .wire import be32
 
 DEFAULT_LABEL = b"\x00"
@@ -51,10 +50,11 @@ class ToyClassificationInstance:
 
     salt: bytes
     nature: tuple[tuple[bytes, bytes], ...] = field(init=False, repr=False, compare=False)
-    _label_prefix: hashlib._Hash = field(init=False, repr=False, compare=False)  # only copied
+    # the SHA-256 state of the label prefix (a drbg.sha256 object), only copied
+    _label_prefix: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._label_prefix = hashlib.sha256(b"toy-label:" + self.salt)
+        self._label_prefix = sha256(b"toy-label:" + self.salt)
         self.nature = tuple((x, self.label(x)) for x in map(be32, range(NATURE_POOL)))
 
     def world(self, trial_seed: bytes) -> "ToyClassificationInstance":

@@ -41,7 +41,11 @@ Five primitives, each behind a small, contract-shaped API:
   it.  Verification is a lookup in that list, recomputing nothing.
 
 Everything random flows from caller-supplied :class:`~detmit.drbg.HashDrbg`
-streams or a stream the object owns, so runs are reproducible.
+streams or a stream the object owns, so runs are reproducible.  Every SHA-2
+state here is made by :mod:`detmit.drbg`'s `sha256` and `sha512`, CPython's
+built-in SHA-2 where the interpreter has it, whose objects are cheaper to
+make and copy than OpenSSL's on the short messages hashed here (a MAC's 17
+bytes past its kept pad state, a chain step's 41).
 
 The records that payloads carry (tokens, ciphertexts, chain proofs, and the
 identity keys beside them) are named tuples: immutable, equal by value, and
@@ -53,16 +57,15 @@ with records of its own type.
 from __future__ import annotations
 
 import copy
-import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence, overload
+from typing import Any, Callable, NamedTuple, Sequence, overload
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .drbg import HashDrbg
+from .drbg import HashDrbg, sha256 as _sha256, sha512 as _sha512
 from .wire import be64
 
 NONCE_LEN = 16
@@ -90,7 +93,7 @@ class StepsExhausted(Exception):
 
 
 def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +111,17 @@ class VerificationKey:
 
     digest: bytes
     _mac_key: bytes = field(repr=False, compare=False)
-    _inner: hashlib._Hash = field(init=False, repr=False, compare=False)
-    _outer: hashlib._Hash = field(init=False, repr=False, compare=False)
+    # the HMAC pads' SHA-512 states (drbg.sha512 objects), only copied
+    _inner: Any = field(init=False, repr=False, compare=False)
+    _outer: Any = field(init=False, repr=False, compare=False)
     _signed: set | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # RFC 2104: a key longer than the 128-byte block is hashed first
         key = self._mac_key
-        key = (hashlib.sha512(key).digest() if len(key) > 128 else key).ljust(128, b"\x00")
-        object.__setattr__(self, "_inner", hashlib.sha512(bytes(b ^ 0x36 for b in key)))
-        object.__setattr__(self, "_outer", hashlib.sha512(bytes(b ^ 0x5C for b in key)))
+        key = (_sha512(key).digest() if len(key) > 128 else key).ljust(128, b"\x00")
+        object.__setattr__(self, "_inner", _sha512(bytes(b ^ 0x36 for b in key)))
+        object.__setattr__(self, "_outer", _sha512(bytes(b ^ 0x5C for b in key)))
 
     def _mac(self, message: bytes) -> bytes:
         inner, outer = self._inner.copy(), self._outer.copy()
@@ -392,7 +396,7 @@ class FheSystem:
         self._msk = rng.take(32)
         self._drbg = rng.child("fhe-nonces")
         self.params_digest = sha256(b"fhe-params:" + self._msk)
-        self._id_key_prefix = hashlib.sha256(b"fhe-id-key:" + self._msk)  # only copied
+        self._id_key_prefix = _sha256(b"fhe-id-key:" + self._msk)  # only copied
         self._ciphers: dict[bytes, IdentityCipher] = {}  # identity tag -> eval's cipher
 
     def fork(self, label: bytes) -> "FheSystem":
@@ -441,22 +445,7 @@ class FheSystem:
 
 def npl_step(state: bytes) -> bytes:
     """One sequential step: a single SHA-256 application."""
-    return hashlib.sha256(b"npl-step:" + state).digest()
-
-
-_NPL_PREFIX = hashlib.sha256(b"npl-step:")  # only ever copied
-
-
-def npl_chain(state: bytes, n: int) -> list[bytes]:
-    """The states 0, 1, ..., n steps from `state`: the bytes of `n` chained `npl_step` calls."""
-    chain = [state]
-    append, fresh = chain.append, _NPL_PREFIX.copy
-    for _ in range(n):
-        h = fresh()
-        h.update(state)
-        state = h.digest()
-        append(state)
-    return chain
+    return _sha256(b"npl-step:" + state).digest()
 
 
 class StepMeter:
@@ -599,7 +588,7 @@ def ivc_update(keys, state, proof, meter, steps=1):
     granted = meter.charge(last)
     end = proof.steps + granted
     targets = [proof.steps + stop if stop <= granted else end for stop in stops]
-    known, salt, new = keys._known, keys._salt, hashlib.sha256
+    known, salt, new = keys._known, keys._salt, _sha256
     tip = t = len(known) - 1
     points = [(known[u][0], IvcProof(u, known[u][1])) for u in targets if u <= tip]
     state, commitment = known[tip]

@@ -12,6 +12,12 @@ for loops too hot for a call a read, and keeps both rules; it also hands
 such a loop the stream's key state and block counter, so the loop can make
 blocks itself.  Block i is ``sha256(key + be64(i))``, made from a copy of a
 SHA-256 state of the key that the stream hashes once.
+
+Every SHA-256 and SHA-512 object in the package is made by this module's
+`sha256` and `sha512`: CPython's built-in SHA-2 where the interpreter has it,
+since its objects are cheaper to make and copy than OpenSSL's and the inputs
+hashed here are short, else hashlib's OpenSSL constructors.  The digests are
+the same bytes either way.
 """
 
 from __future__ import annotations
@@ -22,6 +28,21 @@ import hashlib
 # An int seed is written as 16 big-endian two's-complement bytes, so it must
 # lie in [SEED_MIN, SEED_MAX]; readers of outside input check it against these.
 SEED_MIN, SEED_MAX = -(2**127), 2**127 - 1
+
+
+# CPython's built-in SHA-2 objects, not hashlib's OpenSSL ones: the inputs
+# hashed here are short (8 bytes past a kept state for a DRBG block), and on
+# those the cost of allocating and copying an OpenSSL hash object is a large
+# share of each digest; the built-in objects cost less.  An interpreter built
+# without the built-in hashes has only hashlib's.
+def _builtin_constructor(name: str):
+    try:
+        return hashlib.__get_builtin_constructor(name)
+    except (AttributeError, ValueError):
+        return getattr(hashlib, name)
+
+
+sha256, sha512 = _builtin_constructor("sha256"), _builtin_constructor("sha512")
 
 
 def _as_seed_bytes(seed: bytes | int | str) -> bytes:
@@ -38,7 +59,7 @@ class HashDrbg:
     __slots__ = ("_key", "_state", "_counter", "_buf", "_pos")
 
     def __init__(self, seed: bytes | int | str):
-        self._key = hashlib.sha256(b"drbg-key:" + _as_seed_bytes(seed)).digest()
+        self._key = sha256(b"drbg-key:" + _as_seed_bytes(seed)).digest()
         self._state = None  # the key's SHA-256 state, made at the first block
         self._counter = 0
         self._buf = b""
@@ -67,7 +88,7 @@ class HashDrbg:
         skipped = pos - len(buf)
         counter, state = self._counter, self._state
         if state is None:
-            state = self._state = hashlib.sha256(self._key)
+            state = self._state = sha256(self._key)
         if skipped > 0:
             counter += skipped >> 5
             buf, pos = b"", skipped & 31
@@ -134,7 +155,7 @@ class Cursor:
 
     def __init__(self, rng: HashDrbg):
         if rng._state is None:
-            rng._state = hashlib.sha256(rng._key)
+            rng._state = sha256(rng._key)
         self._rng, self.buf, self.pos = rng, rng._buf, rng._pos
         self.counter, self.state = rng._counter, rng._state
 
@@ -154,4 +175,4 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> bytes:
     material = master_seed.to_bytes(16, "big", signed=True) + trial_index.to_bytes(
         8, "big"
     )
-    return hashlib.sha256(b"trial-seed:" + material).digest()
+    return sha256(b"trial-seed:" + material).digest()

@@ -29,7 +29,7 @@ trial ends on that chain at or below its tip, so `ivc_update` serves it from the
 known points: the same proof check, meter charge and returned proofs as
 hashing each step, with nothing hashed, appended or added to `steps_run`.
 Neither audit trusts the known chain: `audit_sequential_reach` recomputes
-its states with `npl_chain`, and `audit_conservation` holds its length to
+its states with `npl_step`, and `audit_conservation` holds its length to
 the steps the keys hashed.
 """
 
@@ -47,7 +47,7 @@ from .crypto import (
     StepMeter,
     ivc_update,
     ivc_verify,
-    npl_chain,
+    npl_step,
     sha256,
 )
 from .drbg import HashDrbg
@@ -260,10 +260,15 @@ def audit_conservation(instance: TimeTaskInstance) -> bool:
 def audit_sequential_reach(instance: TimeTaskInstance) -> bool:
     """Every chain point lies on the canonical chain.
 
-    Recomputes the chain (harness-side, unmetered) out to the largest
-    step count and checks each (t, state) pair against it — a verifying
-    payload at step t really is t sequential steps of work.
+    Walks the known chain beside its recomputation (harness-side,
+    unmetered), one state at a time out to the largest step count, and
+    checks each point's state against it — a verifying payload at step t
+    really is t sequential steps of work.
     """
-    entries = instance.ivc.registry_entries()
-    chain = npl_chain(instance.start_state, max(t for t, _, _ in entries))
-    return all(chain[t] == s for t, s, _ in entries)
+    keys, state = instance.ivc, instance.start_state
+    for t in range(len(keys)):
+        if t:
+            state = npl_step(state)
+        if keys.known_point(t)[0] != state:
+            return False
+    return True

@@ -31,7 +31,6 @@ from detmit.crypto import (
     ZERO_MESSAGE,
     ivc_update,
     ivc_verify,
-    npl_chain,
     npl_step,
     sha256,
     sig_keygen,
@@ -500,15 +499,6 @@ def test_meter_attributes_and_limits():
     # a run is granted up to the limit left
     carol = StepMeter(4)
     assert carol.charge(3) == 3 and carol.charge(3) == 1 and carol.used == 4
-
-
-@pytest.mark.parametrize("n", [0, 1, 4160])
-def test_npl_chain_is_n_chained_steps(n):
-    start = sha256(b"chain-start")
-    want = [start]
-    for _ in range(n):
-        want.append(npl_step(want[-1]))
-    assert npl_chain(start, n) == want
 
 
 @pytest.mark.parametrize("limit", [None, 8])

@@ -206,9 +206,12 @@ def test_token_batches_read_input_draws_with_fewer_macs(n, want, picks, seed, of
 
     oracle = SampleOracle(w_tok, rng_tok, ResourceBudget(samples_allowed=n + 1))
     hashes, ref_hashes, part_hashes = CountingHashlib(), CountingHashlib(), CountingHashlib()
-    with _counted_macs(w_tok.snark.verification_key) as macs, patch.object(drbg, "hashlib", hashes):
+    with (
+        _counted_macs(w_tok.snark.verification_key) as macs,
+        patch.object(drbg, "sha256", hashes.sha256),
+    ):
         tokens = oracle.draw_tokens(n, want, known)
-    with patch.object(drbg, "hashlib", part_hashes):
+    with patch.object(drbg, "sha256", part_hashes.sha256):
         token_draws(w_part, rng_part, read, want, known)
 
     assert tokens == fresh
@@ -217,9 +220,9 @@ def test_token_batches_read_input_draws_with_fewer_macs(n, want, picks, seed, of
     assert hashes.blocks == part_hashes.blocks
     assert w_tok.snark.registry_entries() == []
 
-    with patch.object(drbg, "hashlib", hashes):
+    with patch.object(drbg, "sha256", hashes.sha256):
         x = oracle.draw_input()
-    with patch.object(drbg, "hashlib", ref_hashes):
+    with patch.object(drbg, "sha256", ref_hashes.sha256):
         ref_tokens = token_draws(w_ref, rng_ref, n, want, known)
         x_ref = w_ref.sample_input(rng_ref)
     assert tokens == ref_tokens

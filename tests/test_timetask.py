@@ -174,24 +174,37 @@ def test_conservation_holds_the_points_past_the_base_to_the_hashed_steps():
     assert audit_conservation(inst)
 
 
+def _traced_peak(horizon: int, read) -> int:
+    """Traced peak bytes while `read` runs on a chain instance of `horizon`, built first."""
+    inst = TimeTaskInstance(b"chain-rows", horizon)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        read(inst)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _consume_public_rows(inst: TimeTaskInstance) -> None:
+    _, _, rows = inst.public_state()
+    for _ in rows:
+        pass
+
+
 def test_the_public_rows_are_made_one_at_a_time():
     """Reading the public file's chain rows holds one row at a time: the traced peak
     while they are consumed at horizon 2**14 is under twice the peak at 2**10."""
+    _traced_peak(16, _consume_public_rows)  # first-call caches, outside both measures
+    small, big = (_traced_peak(h, _consume_public_rows) for h in (2**10, 2**14))
+    assert big < 2 * small, (small, big)
 
-    def peak(horizon):
-        inst = TimeTaskInstance(b"chain-rows", horizon)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _, _, rows = inst.public_state()
-            for _ in rows:
-                pass
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
 
-    peak(16)  # first-call caches, outside both measures
-    small, big = peak(2**10), peak(2**14)
+def test_the_sequential_reach_audit_holds_one_point_at_a_time():
+    """The audit walks the known chain beside its recomputation, building no list of
+    either: its traced peak at horizon 2**14 is under twice the peak at 2**10."""
+    _traced_peak(16, audit_sequential_reach)  # first-call caches, outside both measures
+    small, big = (_traced_peak(h, audit_sequential_reach) for h in (2**10, 2**14))
     assert big < 2 * small, (small, big)
 
 

@@ -274,7 +274,7 @@ def implication_holds(t: Transcript, epsilon: float) -> bool:
 
 
 class CountingHashlib:
-    """Stands in for `hashlib` in detmit.drbg and counts the blocks it hashes.
+    """Its `sha256` stands in for `detmit.drbg.sha256` and counts the blocks hashed.
 
     A block is a digest: `sha256()` returns a state that counts its digests,
     and so do its copies, so a stream's key derivation counts one and so does
