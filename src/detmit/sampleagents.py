@@ -5,7 +5,9 @@ sparse grid of levels; the model answers with the smallest grid proof that
 clears the required level and echoes the input's token.  The attacker climbs
 that grid from level 1 by feeding its own payloads through the model's
 encrypted path, using the (identity, key) pair that ships inside encrypted
-nature draws.  The mitigator spends ~2*sqrt(K) extra draws to push exact
+nature draws.  It reads its draws only until it holds a clear one and two
+shipped pairs, and charges the rest of its budget unread, so it still spends
+all of it.  The mitigator spends ~2*sqrt(K) extra draws to push exact
 proofs one strip past the trainer's grid, which is enough to answer
 everything the bounded attacker can reach.
 
@@ -123,11 +125,16 @@ class SelfIterationAttacker:
 
     Needs one clear draw (a seed token) and two encrypted draws (the shipped
     identity/key pairs: one to tunnel queries, one to dress the final
-    output).  Iterates x -> decrypt(f(encrypt(x))) while the answer's level
-    keeps growing, then emits the frontier payload re-encrypted — or, half
-    the time, replays the clear draw to blend with nature's clear half.
-    Notes its `queries`, the frontier `level` and whether the output is
-    encrypted (`output_encrypted`).
+    output).  It reads input draws only until it holds them, then charges
+    the rest of its budget unread, as one token batch that keeps no token:
+    its ledger spends the whole budget, the world's streams move as far as
+    the same input draws would move them, and its own stream is never read
+    again.  If the budget runs out first, it aborts on an unlucky draw mix.
+    Iterates x -> decrypt(f(encrypt(x))) while the answer's level keeps
+    growing, then emits the frontier payload re-encrypted — or, half the
+    time, replays the clear draw to blend with nature's clear half.  Notes
+    its `queries`, the frontier `level` and whether the output is encrypted
+    (`output_encrypted`).
     """
 
     origin = ATTACKER
@@ -139,20 +146,26 @@ class SelfIterationAttacker:
         inst = ctx.task
         ctx.notes["queries"] = 0
 
-        clear_draws: list[tuple[bytes, ClearPayload]] = []
+        clear: tuple[bytes, ClearPayload] | None = None
         shipped_keys: list[IdentityKey] = []
-        for _ in range(self.sample_budget):
+        for used in range(1, self.sample_budget + 1):
             x = ctx.oracle.draw_input()
             p = decode_payload(x)
             if isinstance(p, ClearPayload):
-                clear_draws.append((x, p))
+                if clear is None:
+                    clear = x, p
             elif isinstance(p, EncPayload) and len(p.id2) == IDENTITY_LEN:
-                shipped_keys.append(IdentityKey(p.id2, p.key2))
-        if not clear_draws or len(shipped_keys) < 2:
+                if len(shipped_keys) < 2:
+                    shipped_keys.append(IdentityKey(p.id2, p.key2))
+            if clear is not None and len(shipped_keys) == 2:
+                break
+        else:
             raise AbortTrial(ATTACKER, "unlucky draw mix")
+        # the draws it would not use: charged, and no payload built
+        ctx.oracle.draw_tokens(self.sample_budget - used, 0)
 
         tunnel, dress = IdentityCipher(shipped_keys[0]), shipped_keys[1]
-        replay_x, seed_payload = clear_draws[0]
+        replay_x, seed_payload = clear
         token = seed_payload.token
         cur = ClearPayload(token, 1, snark_prove(inst.snark, 1, [token]))
 

@@ -38,7 +38,14 @@ from detmit.cli import (
     summarize,
 )
 from detmit.commands import _load_config, main
-from detmit.core import AbortTrial, HarnessFault, Transcript, run_dbd_trial, run_dbm_trial
+from detmit.core import (
+    ATTACKER,
+    AbortTrial,
+    HarnessFault,
+    Transcript,
+    run_dbd_trial,
+    run_dbm_trial,
+)
 from detmit.crypto import Ciphertext, ProofToken, npl_step, statement_digest
 from detmit.drbg import SEED_MAX, SEED_MIN, HashDrbg, derive_trial_seed
 from detmit.payloads import ClearPayload, decode_payload, encode_payload
@@ -900,6 +907,61 @@ def test_a_failed_chain_audit_exits_3_after_writing_everything(runner, tmp_path,
     audits = {"conservation": False, "sequential_reach": True}
     assert json.loads(res.output)["audits"] == json.loads(s_path.read_text())["audits"] == audits
     assert t_path.read_text().splitlines() == want
+
+
+def _append_beyond_reach(task):
+    """The next canonical point past the chain's tip, with no step behind it."""
+    task.ivc._known.append((npl_step(task.payload_at(task.reach).config), b"c" * 32))
+
+
+def _write_over_a_point(task):
+    """An off-chain state in place of the known point at step 3."""
+    task.ivc._known[3] = (hashlib.sha256(b"off-chain").digest(), b"c" * 32)
+
+
+class _ForgeInSecondTrial:
+    """The chain attacker; in the batch's second trial it first writes `forge` into
+    `ctx.task`, the trial's world.  `played` is shared by every trial's copy."""
+
+    origin = ATTACKER
+    sample_budget = 0
+
+    def __init__(self, inner, forge, played):
+        self.inner, self.forge, self.played = inner, forge, played
+        self.step_budget = inner.step_budget
+
+    def challenge(self, ctx, model):
+        self.played.append(ctx.task)
+        if len(self.played) == 2:
+            self.forge(ctx.task)
+        return self.inner.challenge(ctx, model)
+
+
+@pytest.mark.parametrize(
+    "forge, audits",
+    [
+        (_append_beyond_reach, {"conservation": False, "sequential_reach": True}),
+        (_write_over_a_point, {"conservation": True, "sequential_reach": False}),
+    ],
+)
+def test_a_point_forged_inside_one_trial_fails_the_batch_audit(
+    runner, tmp_path, monkeypatch, forge, audits
+):
+    """A party that writes a chain point through `ctx.task` in one trial of a batch:
+    a point with no work behind it fails conservation, one written over fails
+    sequential reach, and either way `run` writes every trial and exits 3."""
+    trainer, attacker = cli.PARTIES["chain"]
+    played = []
+    monkeypatch.setitem(cli.PARTIES, "chain", (
+        trainer, lambda cfg: _ForgeInSecondTrial(attacker(cfg), forge, played)
+    ))
+    chain = {"task": "chain", "game": "mitigate", "trials": 3, "horizon": 64}
+    cfg, t_path, s_path = write_config(tmp_path, **chain), tmp_path / "t.jsonl", tmp_path / "s.json"
+    res = runner.invoke(main, ["run", "--config", str(cfg), "--transcripts", str(t_path),
+                               "--summary", str(s_path)])
+    assert res.exit_code == 3, res.output
+    assert json.loads(res.output)["audits"] == json.loads(s_path.read_text())["audits"] == audits
+    assert len(t_path.read_text().splitlines()) == len(played) == 3
 
 
 def test_a_faulted_batch_leaves_the_trials_before_the_fault_on_disk(runner, tmp_path, monkeypatch):

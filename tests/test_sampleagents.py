@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import detmit.crypto as crypto
+from detmit import cli
 from detmit.core import (
     ATTACKER,
     AbortTrial,
@@ -38,9 +40,11 @@ from detmit.sampletask import grid_levels, make_data_instance, next_level
 from testkit import (
     FixedChallenger,
     KeepTrained,
+    ReadEveryDrawAttacker,
     build_clear_input,
     build_enc_input,
     ladder_detectors,
+    needs_met_at,
 )
 
 INST = make_data_instance(31)
@@ -162,6 +166,83 @@ def test_attack_aborts_on_unlucky_mix():
     ]
     # abort probability is 10/256 ~ 3.9%; 128 trials should show a few
     assert 1 <= len(aborted) <= 20
+
+
+def _attack_trial(cfg, instance, i, attacker):
+    """Trial `i` of `cfg`'s attack batch, as `cli.run_trial` plays it, with `attacker`."""
+    seed = derive_trial_seed(cfg.master_seed, i)
+    trainer, _, defense = cli.build_parties(cfg)
+    runner = run_dbd_trial if cfg.game == "detect" else run_dbm_trial
+    return runner(instance.world(seed), trainer, attacker, defense, cfg.params(), seed, i)
+
+
+@pytest.mark.parametrize("k", [16, 400])
+@pytest.mark.parametrize("game", ["detect", "mitigate"])
+def test_attacker_reads_only_the_draws_it_uses(monkeypatch, k, game):
+    """The attacker's trials equal those of one that reads every draw of its budget.
+
+    It makes one input draw per draw up to the one that meets its needs (a clear
+    draw and a second shipped key), or its whole budget when none does, and
+    charges the rest unread: the ledgers, notes, abort reasons, batches and
+    answers stay the same.
+    """
+    calls, draw_input = [0], SampleOracle.draw_input
+
+    def counted(oracle):  # in these games only the attacker draws inputs
+        calls[0] += 1
+        return draw_input(oracle)
+
+    monkeypatch.setattr(SampleOracle, "draw_input", counted)
+    defense = {"detector": "well_formed"} if game == "detect" else {}
+    instance, outcomes = make_data_instance(17), Counter()
+    for budget in (0, 1, 2, 3, 8, 64):
+        cfg = cli.ExperimentConfig(
+            game=game, challenger="attack", level_target=k, attacker_samples=budget,
+            master_seed=budget, **defense,
+        )
+        for i in range(6):
+            ref = ReadEveryDrawAttacker(budget)
+            want = _attack_trial(cfg, instance, i, ref)
+            assert calls[0] == budget
+            calls[0] = 0
+            got = _attack_trial(cfg, instance, i, SelfIterationAttacker(budget))
+            met = needs_met_at(ref.draws)
+            assert calls[0] == (budget if met is None else met)
+            calls[0] = 0
+            assert got.to_json() == want.to_json()
+            assert got.abort_reason == want.abort_reason
+            assert (got.challenge, got.response) == (want.challenge, want.response)
+            for note in ("queries", "level", "output_encrypted"):
+                assert got.notes.get(note) == want.notes.get(note)
+            assert got.ledgers["attacker"]["samples_used"] == budget
+            outcomes[want.aborted, met is None] += 1
+    # every budget under 3 aborts; the larger ones mostly climb
+    assert outcomes[None, False] >= 12 and outcomes["attacker", True] >= 18
+
+
+def _attack_trial_peak(attacker_samples):
+    """The transcript and traced peak bytes of one K=16 attack trial."""
+    cfg = cli.ExperimentConfig(
+        challenger="attack", detector="well_formed", attacker_samples=attacker_samples
+    )
+    instance = cli.build_instance(cfg)
+    tracemalloc.start()
+    try:
+        t = cli.run_trial(cfg, instance, 0)
+        return t, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_attack_trial_costs_the_same_at_any_budget():
+    """At the largest budget the CLI takes, the attacker spends all of it, and its trial
+    peaks at under twice the traced memory of a trial at the default 8."""
+    small, small_peak = _attack_trial_peak(8)
+    big, big_peak = _attack_trial_peak(cli.MAX_ATTACKER_SAMPLES)
+    assert small.aborted is None and big.aborted is None
+    assert big.ledgers["attacker"]["samples_used"] == cli.MAX_ATTACKER_SAMPLES == 16_384
+    assert big.challenge == small.challenge
+    assert big_peak < 2 * small_peak
 
 
 def test_mitigator_extends_answerable_range():

@@ -6,7 +6,7 @@ import hashlib
 from typing import Any, Callable, Iterable
 
 from detmit.cli import DEFENSES, ExperimentConfig
-from detmit.core import ATTACKER, RateEstimate, Transcript
+from detmit.core import ATTACKER, AbortTrial, RateEstimate, Transcript
 from detmit.crypto import (
     AEAD_NONCE_LEN,
     IDENTITY_LEN,
@@ -22,6 +22,7 @@ from detmit.crypto import (
     StepMeter,
     ivc_update,
     sig_sign_zero,
+    snark_prove,
 )
 from detmit.drbg import HashDrbg
 from detmit.payloads import (
@@ -32,6 +33,8 @@ from detmit.payloads import (
     EncPayload,
     decode_payload,
     encode_payload,
+    sealed,
+    unseal,
 )
 from detmit.sampletask import DataTaskInstance, next_level
 
@@ -356,6 +359,70 @@ class FixedChallenger:
 
     def challenge(self, ctx: Any, model: Any) -> Any:
         return self.xs
+
+
+class ReadEveryDrawAttacker:
+    """`SelfIterationAttacker` with every draw of its budget read as an input draw.
+
+    It builds and decodes all `sample_budget` inputs, then climbs from the
+    first clear draw with the first two shipped keys.  `draws` keeps the
+    inputs of its last move, so a test can tell which draw met its needs.
+    """
+
+    origin = ATTACKER
+
+    def __init__(self, sample_budget: int = 8):
+        self.sample_budget = sample_budget
+        self.draws: list[bytes] = []
+
+    def challenge(self, ctx: Any, model: Callable[[bytes], bytes]) -> list[bytes]:
+        inst = ctx.task
+        ctx.notes["queries"] = 0
+        self.draws = [ctx.oracle.draw_input() for _ in range(self.sample_budget)]
+        payloads = [(x, decode_payload(x)) for x in self.draws]
+        clear_draws = [(x, p) for x, p in payloads if isinstance(p, ClearPayload)]
+        shipped_keys = [
+            IdentityKey(p.id2, p.key2)
+            for _, p in payloads
+            if isinstance(p, EncPayload) and len(p.id2) == IDENTITY_LEN
+        ]
+        if not clear_draws or len(shipped_keys) < 2:
+            raise AbortTrial(ATTACKER, "unlucky draw mix")
+
+        tunnel, dress = IdentityCipher(shipped_keys[0]), shipped_keys[1]
+        replay_x, seed_payload = clear_draws[0]
+        token = seed_payload.token
+        cur = ClearPayload(token, 1, snark_prove(inst.snark, 1, [token]))
+
+        def wrap(p: ClearPayload) -> bytes:
+            ct = tunnel.encrypt(encode_payload(p, inst.inner_width), ctx.rng)
+            return encode_payload(sealed(ct, dress), inst.width)
+
+        while True:
+            y = model(wrap(cur))
+            ctx.notes["queries"] += 1
+            cand = unseal(tunnel, decode_payload(y))
+            if not inst.answers(cur, cand):
+                break
+            cur = cand
+
+        ctx.notes["level"] = cur.level
+        ctx.notes["output_encrypted"] = encrypted = bool(ctx.rng.bit())
+        out = wrap(cur) if encrypted else replay_x
+        return [out] * ctx.params.q
+
+
+def needs_met_at(draws: list[bytes]) -> int | None:
+    """The 1-based index of the draw that gives the ladder attacker a clear draw and
+    a second shipped key; None if no draw does."""
+    clear, keys = False, 0
+    for i, x in enumerate(draws, 1):
+        p = decode_payload(x)
+        clear = clear or isinstance(p, ClearPayload)
+        keys += isinstance(p, EncPayload) and len(p.id2) == IDENTITY_LEN
+        if clear and keys >= 2:
+            return i
+    return None
 
 
 class KeepTrained:
