@@ -60,7 +60,7 @@ import copy
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple, Sequence, overload
+from typing import Any, Callable, NamedTuple, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -540,32 +540,21 @@ class IvcKeys:
 ChainPoint = tuple[bytes, IvcProof]  # (state, proof) at one step of a chain
 
 
-@overload
-def ivc_update(
-    keys: IvcKeys, state: bytes, proof: IvcProof, meter: StepMeter, steps: int = 1
-) -> ChainPoint: ...
-
-
-@overload
 def ivc_update(
     keys: IvcKeys, state: bytes, proof: IvcProof, meter: StepMeter, steps: Sequence[int]
-) -> list[ChainPoint]: ...
+) -> list[ChainPoint]:
+    """Advance the chain to the last of the ascending `steps` and extend the proof.
 
-
-def ivc_update(keys, state, proof, meter, steps=1):
-    """Advance the chain `steps` steps and extend the proof.
-
-    `steps` may also be an ascending sequence of stops, each a step count
-    past `proof`: the run goes to the last stop and returns the point at
-    every stop, in order, as successive runs from stop to stop would.  An
-    int is the one-stop run and returns its one point.
+    Each stop is a step count past `proof`: the run goes to the last stop
+    and returns the point at every stop, in order, as successive runs from
+    stop to stop would.
 
     The input proof is checked once, and a forged one raises
     :class:`ProofChainError` before anything is charged or hashed.  The run
     is charged to `meter` in one go.  When the meter grants fewer steps than
     the last stop, the granted steps stay on the chain and
     :class:`StepsExhausted` is raised: the state single-step updates leave.
-    A run of 0 steps returns its input unchecked.
+    A run to stop 0 returns its input at each stop, unchecked.
 
     A verifying proof lies on the keys' known chain, so the run reads its
     stops at or below the chain's tip from it in one pass and hashes only the
@@ -573,16 +562,14 @@ def ivc_update(keys, state, proof, meter, steps=1):
     `keys.steps_run`; the charge and the returned proofs are those of hashing
     every step.
     """
-    single = isinstance(steps, int)
-    stops = (steps,) if single else tuple(steps)
+    stops = tuple(steps)
     last = 0
     for stop in stops:
         if stop < last:
             raise ValueError(f"steps must be >= 0 and ascending, got {steps}")
         last = stop
     if last == 0:
-        points = [(state, proof)] * len(stops)
-        return points[0] if single else points
+        return [(state, proof)] * len(stops)
     if keys.lookup(proof.steps, state) != proof.commitment:
         raise ProofChainError(f"no verifiable chain at step {proof.steps}")
     granted = meter.charge(last)
@@ -602,7 +589,7 @@ def ivc_update(keys, state, proof, meter, steps=1):
     keys.steps_run += t - tip
     if granted < last:
         raise meter.exhausted()
-    return points[0] if single else points
+    return points
 
 
 def ivc_verify(keys: IvcKeys, steps: int, state: bytes, proof: IvcProof) -> bool:

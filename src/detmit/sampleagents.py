@@ -3,13 +3,13 @@
 The trainer memorizes tokens from its draws and publishes count-proofs on a
 sparse grid of levels; the model answers with the smallest grid proof that
 clears the required level and echoes the input's token.  The attacker climbs
-that grid from level 1 by feeding its own payloads through the model's
-encrypted path, using the (identity, key) pair that ships inside encrypted
-nature draws.  It reads its draws only until it holds a clear one and two
-shipped pairs, and charges the rest of its budget unread, so it still spends
-all of it.  The mitigator spends ~2*sqrt(K) extra draws to push exact
-proofs one strip past the trainer's grid, which is enough to answer
-everything the bounded attacker can reach.
+that grid from level 1 (``sampletask.climb``), sealing each answer's own
+plaintext back through the model's encrypted path under the (identity, key)
+pair that ships inside encrypted nature draws.  It reads its draws only
+until it holds a clear one and two shipped pairs, and charges the rest of
+its budget unread, so it still spends all of it.  The mitigator spends
+~2*sqrt(K) extra draws to push exact proofs one strip past the trainer's
+grid, which is enough to answer everything the bounded attacker can reach.
 
 All agents reach the instance only through ``ctx.task`` and touch only its
 public surface: proof proving, the input and answer checks that the quality
@@ -40,9 +40,8 @@ from .payloads import (
     decode_payload,
     encode_payload,
     sealed,
-    unseal,
 )
-from .sampletask import DataTaskInstance, grid_level, grid_levels, next_level
+from .sampletask import DataTaskInstance, climb, grid_level, grid_levels, next_level
 
 
 @dataclass
@@ -130,11 +129,11 @@ class SelfIterationAttacker:
     its ledger spends the whole budget, the world's streams move as far as
     the same input draws would move them, and its own stream is never read
     again.  If the budget runs out first, it aborts on an unlucky draw mix.
-    Iterates x -> decrypt(f(encrypt(x))) while the answer's level keeps
-    growing, then emits the frontier payload re-encrypted — or, half the
-    time, replays the clear draw to blend with nature's clear half.  Notes
-    its `queries`, the frontier `level` and whether the output is encrypted
-    (`output_encrypted`).
+    Climbs x -> decrypt(f(encrypt(x))) on each answer's own plaintext while
+    its level keeps growing (`climb`), then seals the frontier's plaintext —
+    or, half the time, replays the clear draw to blend with nature's clear
+    half.  Notes its `queries`, the frontier `level` and whether the output
+    is encrypted (`output_encrypted`).
     """
 
     origin = ATTACKER
@@ -146,14 +145,14 @@ class SelfIterationAttacker:
         inst = ctx.task
         ctx.notes["queries"] = 0
 
-        clear: tuple[bytes, ClearPayload] | None = None
+        clear: tuple[bytes, SignatureToken] | None = None  # a clear draw and its token
         shipped_keys: list[IdentityKey] = []
         for used in range(1, self.sample_budget + 1):
             x = ctx.oracle.draw_input()
             p = decode_payload(x)
             if isinstance(p, ClearPayload):
                 if clear is None:
-                    clear = x, p
+                    clear = x, p.token
             elif isinstance(p, EncPayload) and len(p.id2) == IDENTITY_LEN:
                 if len(shipped_keys) < 2:
                     shipped_keys.append(IdentityKey(p.id2, p.key2))
@@ -165,26 +164,21 @@ class SelfIterationAttacker:
         ctx.oracle.draw_tokens(self.sample_budget - used, 0)
 
         tunnel, dress = IdentityCipher(shipped_keys[0]), shipped_keys[1]
-        replay_x, seed_payload = clear
-        token = seed_payload.token
+        replay_x, token = clear
         cur = ClearPayload(token, 1, snark_prove(inst.snark, 1, [token]))
 
-        def wrap(p: ClearPayload) -> bytes:
-            ct = tunnel.encrypt(encode_payload(p, inst.inner_width), ctx.rng)
-            return encode_payload(sealed(ct, dress), inst.width)
+        def seal(pt: bytes) -> bytes:
+            return encode_payload(sealed(tunnel.encrypt(pt, ctx.rng), dress), inst.width)
 
-        while True:
-            y = model(wrap(cur))
-            ctx.notes["queries"] += 1
-            cand = unseal(tunnel, decode_payload(y))
-            if not inst.answers(cur, cand):
-                break
-            cur = cand
+        def ask(pt: bytes) -> bytes:  # the plaintext the answer seals; b"" if it opens none
+            p = decode_payload(model(seal(pt)))
+            return (isinstance(p, EncPayload) and tunnel.decrypt(p.ciphertext)) or b""
 
+        cur, pt = climb(ctx, ask, inst.answers, cur, encode_payload(cur, inst.inner_width))
         ctx.notes["level"] = cur.level
-        # the bit comes first: wrap's nonce is drawn from the same stream
+        # the bit comes first: seal's nonce is drawn from the same stream
         ctx.notes["output_encrypted"] = encrypted = bool(ctx.rng.bit())
-        out = wrap(cur) if encrypted else replay_x
+        out = seal(pt) if encrypted else replay_x
         return [out] * ctx.params.q
 
 

@@ -23,18 +23,19 @@ stream, which every party of a trial shares, moves for all of the batch's
 draws at once.  A draw skips the bytes it does not read.
 
 Everything here is harness/instance side except the public surface agents
-use: count-proof proving, the input and answer checks that ``h`` is built
-from, the homomorphic eval oracle, wire widths, the level-law cap and the grid.
+use: count-proof proving, the input and answer checks of ``h``, the
+homomorphic eval oracle, wire widths, the level-law cap, the grid and climb.
 """
 
 from __future__ import annotations
 
 import copy
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import isqrt
 
+from .core import TrialCtx
 from .crypto import (
     AEAD_NONCE_LEN,
     IDENTITY_LEN,
@@ -83,11 +84,26 @@ def grid_level(levels: list[int], need: int) -> int | None:
     return levels[i] if i < len(levels) else None
 
 
+def climb(
+    ctx: TrialCtx, ask: Callable[[bytes], bytes], answers: Callable, cur: Payload, x: bytes
+) -> tuple[Payload, bytes]:
+    """Asks with `x`, the bytes of `cur`, then with each answer's own bytes while its
+    payload `answers` the last; returns the last payload answered, with its bytes.
+    Each ask adds 1 to `ctx.notes["queries"]`, which the caller has set."""
+    while True:
+        y = ask(x)
+        ctx.notes["queries"] += 1
+        yp = decode_payload(y)
+        if not answers(cur, yp):
+            return cur, x
+        cur, x = yp, y
+
+
 # what a sealed draw takes after its sealing byte: id1, id2 and the seal nonces
 _SEALING = 2 * IDENTITY_LEN + 2 * AEAD_NONCE_LEN
 
 
-def _round_up(n: int) -> int:
+def round_up(n: int) -> int:
     return (n + 31) // 32 * 32
 
 
@@ -110,7 +126,7 @@ class DataTaskInstance:
     law = LevelLaw()
     level_cap = LEVEL_CAP
     # proofs must reach next_level(cap), so stock that many witness tokens
-    max_provable_level = LEVEL_CAP + isqrt(LEVEL_CAP)
+    max_provable_level = next_level(LEVEL_CAP)
 
     def __init__(self, seed: bytes | int):
         rng = HashDrbg(seed).child("ladder-instance")
@@ -123,8 +139,8 @@ class DataTaskInstance:
         )
         # checks pool tokens lazily, only as far as the counts proved need
         self._prover = CountProver(self.snark, self._pool)
-        self.inner_width = _round_up(len(encode_payload(self._probe_clear())))
-        self.width = _round_up(len(encode_payload(self._probe_enc())))
+        self.inner_width = round_up(len(encode_payload(self._probe_clear())))
+        self.width = round_up(len(encode_payload(self._probe_enc())))
 
     def _probe_clear(self) -> ClearPayload:
         filler = ProofToken(bytes(16), bytes(32))

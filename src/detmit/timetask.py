@@ -16,8 +16,8 @@ check and one meter charge for all its steps and stops.
 The attacker never pays for the ladder: it builds a step-1 payload (one
 metered step) and climbs the trainer's grid by repeated queries, reaching
 the grid's frontier with O(sqrt(T)) queries and O(sqrt(T)) of its own steps.
-Each query after the first is the bytes of the model's previous answer, and
-the model keeps the bytes of every non-BOTTOM answer it gave with its step
+Its climb (``sampletask.climb``) asks with each answer's own bytes, and the
+model keeps the bytes of every non-BOTTOM answer it gave with its step
 count, so it reads such a query without decoding or checking it again.
 That is exact: an answer is a grid point on the known chain, and the known
 chain never drops one.
@@ -52,7 +52,7 @@ from .crypto import (
 )
 from .drbg import HashDrbg
 from .payloads import Payload, TimePayload, bottom, decode_payload, encode_payload
-from .sampletask import LevelLaw, _round_up, grid_level, grid_levels, next_level
+from .sampletask import LevelLaw, climb, grid_level, grid_levels, next_level, round_up
 
 HORIZON = 256
 
@@ -68,11 +68,11 @@ class TimeTaskInstance:
         self.horizon = horizon
         self.law = LevelLaw(horizon)
         # answers to cap-level inputs sit one strip past the horizon
-        self.reach = horizon + isqrt(horizon)
+        self.reach = next_level(horizon)
         self.start_state = sha256(b"chain-start:" + rng.take(32))
         self.ivc = IvcKeys(rng.child("chain-proofs"), rng.take(32), self.start_state)
-        ivc_update(self.ivc, self.start_state, self.ivc.base_proof(), StepMeter(), self.reach)
-        self.width = _round_up(len(encode_payload(self.payload_at(self.reach))))
+        ivc_update(self.ivc, self.start_state, self.ivc.base_proof(), StepMeter(), [self.reach])
+        self.width = round_up(len(encode_payload(self.payload_at(self.reach))))
 
     def world(self, trial_seed: bytes) -> "TimeTaskInstance":
         """The instance itself: every trial of a batch shares its chain keys.
@@ -207,8 +207,8 @@ class ChainExtendingMitigator:
                 ys.append(bottom(inst.width))
                 continue
             target = next_level(p.steps)
-            state, proof = ivc_update(inst.ivc, p.config, p.proof, ctx.meter, target - p.steps)
-            ys.append(encode_payload(TimePayload(target, state, proof), inst.width))
+            [point] = ivc_update(inst.ivc, p.config, p.proof, ctx.meter, [target - p.steps])
+            ys.append(encode_payload(TimePayload(target, *point), inst.width))
         return ys, 0
 
 
@@ -227,19 +227,10 @@ class ChainClimbingAttacker:
     def challenge(self, ctx: TrialCtx, model: Callable[[bytes], bytes]) -> list[bytes]:
         inst = ctx.task
         ctx.notes["queries"] = 0
-        base = inst.ivc.base_proof()
-        state, proof = ivc_update(inst.ivc, inst.start_state, base, ctx.meter)
-        cur = TimePayload(1, state, proof)
-        x = encode_payload(cur, inst.width)
-        while True:  # each accepted answer's own bytes are the next query
-            y = model(x)
-            ctx.notes["queries"] += 1
-            yp = decode_payload(y)
-            if not inst.answers(cur, yp):
-                break
-            cur, x = yp, y
+        [point] = ivc_update(inst.ivc, inst.start_state, inst.ivc.base_proof(), ctx.meter, [1])
+        cur = TimePayload(1, *point)
+        cur, x = climb(ctx, model, inst.answers, cur, encode_payload(cur, inst.width))
         ctx.notes["level"] = cur.steps
-        # the model encodes at inst.width and decoding is canonical, so x encodes cur
         return [x] * ctx.params.q
 
 

@@ -271,6 +271,26 @@ def test_dbd_trial_err_on_wrong_model():
     assert soundness_violation(t, 0.05)
 
 
+class OneWrongMitigator:
+    """Echoes every input but the first, whose answer is off by one bit."""
+
+    sample_budget = 0
+
+    def mitigate(self, ctx, model, priv, xs):
+        return [bytes([xs[0][0] ^ 1]), *xs[1:]], 0
+
+
+def test_one_wrong_answer_in_sixteen_is_a_soundness_violation():
+    """err_y = 1/16 lies in (eps, 2 eps] at eps = 0.05: over eps, so a violation."""
+    params = GameParams(epsilon=0.05, q=16)
+    t = run_dbm_trial(
+        EchoInstance(), EchoTrainer(), NatureChallenger(), OneWrongMitigator(),
+        params, derive_trial_seed(0, 9),
+    )
+    assert t.aborted is None and t.flag == 0 and t.err_fx == 0.0 and t.err_y == 1 / 16
+    assert soundness_violation(t, params.epsilon)
+
+
 def test_budget_overrun_attributed_to_trainer():
     t = run_dbd_trial(
         EchoInstance(), GreedyTrainer(), NatureChallenger(), FlagEverything(),

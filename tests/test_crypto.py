@@ -539,7 +539,7 @@ def test_ivc_rejects_forgeries(rng):
     fake = IvcProof(4, sha256(b"fake"))
     assert not ivc_verify(keys, 4, state, fake)  # wrong commitment
     with pytest.raises(ProofChainError):
-        ivc_update(keys, state, fake, StepMeter())  # cannot extend a forged chain
+        ivc_update(keys, state, fake, StepMeter(), [1])  # cannot extend a forged chain
 
 
 def test_ivc_update_charges_exactly_one_step(rng):
@@ -548,7 +548,7 @@ def test_ivc_update_charges_exactly_one_step(rng):
     keys = IvcKeys(rng.child("ivc3"), b"base", start)
     proof = keys.base_proof()
     assert meter.used == keys.steps_run == 0
-    state, proof = ivc_update(keys, start, proof, meter)
+    [(state, proof)] = ivc_update(keys, start, proof, meter, [1])
     assert meter.used == keys.steps_run == 1
     assert ivc_verify(keys, 1, state, proof)
 
@@ -581,10 +581,10 @@ def test_ivc_run_equals_single_steps(start, n, data):
     def one_by_one():
         state, proof = sb, pb
         for _ in range(n):
-            state, proof = ivc_update(kb, state, proof, mb)
-        return state, proof
+            [(state, proof)] = ivc_update(kb, state, proof, mb, [1])
+        return [(state, proof)]
 
-    run = _after(ka, ma, lambda: ivc_update(ka, sa, pa, ma, n))
+    run = _after(ka, ma, lambda: ivc_update(ka, sa, pa, ma, [n]))
     assert run == _after(kb, mb, one_by_one)
     granted = n if limit is None else min(n, limit)
     assert run[1] == (granted < n)
@@ -599,11 +599,11 @@ def test_ivc_run_from_forged_proof_charges_and_registers_nothing():
     forged = IvcProof(3, sha256(b"forged"))
     meter = StepMeter()
     with pytest.raises(ProofChainError):
-        ivc_update(keys, state, forged, meter, 50)
+        ivc_update(keys, state, forged, meter, [50])
     assert meter.used == 0 and keys.steps_run == 3
     assert keys.registry_entries() == entries
     # a run of 0 steps checks nothing and hands its input back
-    assert ivc_update(keys, state, forged, meter, 0) == (state, forged)
+    assert ivc_update(keys, state, forged, meter, [0]) == [(state, forged)]
 
 
 # --- the known chain against a written-out reference --------------------------------
@@ -623,7 +623,7 @@ def _written_out_chain(keys: IvcKeys, start: bytes, n: int) -> list[tuple[bytes,
 
 
 def _reference_run(keys, state, proof, limit, n) -> tuple:
-    """What `ivc_update(keys, state, proof, StepMeter(limit), n)` must leave, worked
+    """What `ivc_update(keys, state, proof, StepMeter(limit), [n])` must leave, worked
     out step by step from the registry entries before the run: (result or exception
     type, meter.used, steps_run, registry entries, known chain length).
 
@@ -638,7 +638,7 @@ def _reference_run(keys, state, proof, limit, n) -> tuple:
         return out, granted, steps_run + max(0, end - tip), entries, max(tip, end) + 1
 
     if n == 0:
-        return outcome((state, proof), 0)
+        return outcome([(state, proof)], 0)
     if registry.get((proof.steps, state)) != proof.commitment:
         return outcome(ProofChainError, 0)
     granted = n if limit is None else min(n, limit)
@@ -648,15 +648,15 @@ def _reference_run(keys, state, proof, limit, n) -> tuple:
         state = npl_step(state)
         commitment = keys._commit(commitment, t, state)
         registry[(t, state)] = commitment
-    out = StepsExhausted if granted < n else (state, IvcProof(t, commitment))
+    out = StepsExhausted if granted < n else [(state, IvcProof(t, commitment))]
     return outcome(out, granted, t)
 
 
-def _actual_run(keys, state, proof, limit, n, run=ivc_update) -> tuple:
-    """What `run(keys, state, proof, StepMeter(limit), n)` leaves, in `_reference_run`'s shape."""
+def _actual_run(keys, state, proof, limit, stops, run=ivc_update) -> tuple:
+    """`run(keys, state, proof, StepMeter(limit), stops)`'s outcome, in `_reference_run`'s shape."""
     meter = StepMeter(limit)
     try:
-        out = run(keys, state, proof, meter, n)
+        out = run(keys, state, proof, meter, stops)
     except (StepsExhausted, ProofChainError) as exc:
         out = type(exc)
     return out, meter.used, keys.steps_run, keys.registry_entries(), len(keys._known)
@@ -673,9 +673,9 @@ def _start(tip, chain, t0, n) -> tuple:
     """
     keys = IvcKeys(HashDrbg(b"ivc-reference"), b"base", ROOT)
     canon = _written_out_chain(keys, ROOT, max(tip, t0) + n)
-    assert ivc_update(keys, ROOT, keys.base_proof(), StepMeter(), tip) == (
-        canon[tip][0], IvcProof(tip, canon[tip][1])
-    )
+    assert ivc_update(keys, ROOT, keys.base_proof(), StepMeter(), [tip]) == [
+        (canon[tip][0], IvcProof(tip, canon[tip][1]))
+    ]
     state, commitment = canon[t0]
     if chain == "forged":
         commitment = sha256(b"forged")
@@ -690,7 +690,7 @@ def _check_run(tip, chain, t0, n, limit=None) -> None:
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
 
     expected = _reference_run(keys, state, proof, limit, n)
-    assert _actual_run(keys, state, proof, limit, n) == expected
+    assert _actual_run(keys, state, proof, limit, [n]) == expected
     length = len(keys._known)
     assert [keys.known_point(t) for t in range(length)] == canon[:length]
     with pytest.raises(IndexError):
@@ -741,7 +741,7 @@ def _successive(keys, state, proof, meter, stops) -> list:
     """The point at each stop, one run from stop to stop."""
     points, at = [], 0
     for stop in stops:
-        state, proof = ivc_update(keys, state, proof, meter, stop - at)
+        [(state, proof)] = ivc_update(keys, state, proof, meter, [stop - at])
         points.append((state, proof))
         at = stop
     return points

@@ -13,7 +13,9 @@ through its move's `ctx.task`, which is still the whole instance, so the
 guard reads names, whatever route a party takes to them.
 
 A class's source counts with that of its package base classes and of each
-function of its own module that it calls by name, and so on through those.
+function it calls by name that is defined in its own module or in any
+`detmit.*` module, and so on through those, each name resolved in the module
+of the source that reads it.
 Python cannot stop a party from introspecting what it holds, so this pins
 the contract that the shipped parties keep; it is not a sandbox.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
 import inspect
 import sys
 import textwrap
@@ -31,8 +34,8 @@ from typing import Iterator
 from detmit import cli, crypto
 from detmit.cli import ExperimentConfig
 from detmit.core import NatureChallenger
-from detmit.sampleagents import DataModel
-from detmit.timetask import TimeModel
+from detmit.sampleagents import DataModel, SelfIterationAttacker
+from detmit.timetask import ChainClimbingAttacker, TimeModel
 
 SECRETS = {
     "h", "keygen", "sig_sign_zero", "zero_signer", "sig_keygen", "prove_count", "payload_at",
@@ -73,8 +76,8 @@ def party_classes() -> set[type]:
 
 def _sources(cls: type) -> Iterator[tuple[str, ast.AST]]:
     """(qualified name, parsed source) of `cls`, its package bases and the
-    module functions they call by name, each once."""
-    module = sys.modules[cls.__module__]
+    functions they call by name, in their own module or a `detmit.*` one,
+    each once."""
     todo: list[object] = [
         base for base in cls.__mro__
         if base.__module__ == cls.__module__ or base.__module__.startswith("detmit.")
@@ -87,10 +90,13 @@ def _sources(cls: type) -> Iterator[tuple[str, ast.AST]]:
         seen.add(id(obj))
         tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
         yield f"{obj.__module__}.{obj.__qualname__}", tree
+        module = sys.modules[obj.__module__]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 called = getattr(module, node.id, None)
-                if isinstance(called, types.FunctionType) and called.__module__ == module.__name__:
+                if isinstance(called, types.FunctionType) and (
+                    called.__module__ == module.__name__ or called.__module__.startswith("detmit.")
+                ):
                     todo.append(called)
 
 
@@ -132,6 +138,11 @@ def test_no_party_reads_a_secret_or_draws_past_the_oracle():
     assert {use for cls in party_classes() for use in secret_uses(cls)} == set()
 
 
+def test_the_guard_reads_the_climb_both_attackers_share():
+    for cls in (SelfIterationAttacker, ChainClimbingAttacker):
+        assert "detmit.sampletask.climb" in {where for where, _ in _sources(cls)}
+
+
 # --- the guard's self-test: parties that break the contract ---------------------------
 
 
@@ -167,6 +178,33 @@ def _draw_unmetered(instance, rng):
 class _DrawsThroughAHelper:
     def challenge(self, ctx, model):
         return [_draw_unmetered(self.instance, ctx.rng)]
+
+
+# a package module of its own, which a party reaches through a helper it calls
+_PLANTED = """
+def score(ctx, model, xs):
+    return _oracle(ctx)(xs[0], model(xs[0]))
+
+
+def _oracle(ctx):
+    return ctx.task.h
+"""
+
+
+class _ScoresThroughAPackageHelper:
+    def detect(self, ctx, model, priv, xs):
+        return _planted_score(ctx, model, xs)  # noqa: F821  the test binds it
+
+
+def test_the_guard_follows_a_call_into_another_package_module(tmp_path, monkeypatch):
+    path = tmp_path / "_planted.py"
+    path.write_text(_PLANTED)
+    spec = importlib.util.spec_from_file_location("detmit._planted", path)
+    planted = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "detmit._planted", planted)
+    spec.loader.exec_module(planted)
+    monkeypatch.setattr(sys.modules[__name__], "_planted_score", planted.score, raising=False)
+    assert secret_uses(_ScoresThroughAPackageHelper) == {"detmit._planted._oracle: h"}
 
 
 def test_the_guard_catches_a_secret_read_a_keygen_call_and_an_unmetered_draw():

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import detmit.crypto as crypto
-from detmit import cli
+from detmit import cli, sampleagents
 from detmit.core import (
     ATTACKER,
     AbortTrial,
@@ -131,7 +131,7 @@ def test_dummy_model_when_draws_too_thin():
 
 
 def test_attack_query_counts_frozen():
-    """Grid climb is deterministic: 3*sqrt(K)/4 + 1-ish queries, frontier K."""
+    """Grid climb is deterministic: one query per grid level and one more, frontier K."""
     for K, expected_queries in ((16, 5), (64, 9)):
         trainer = LadderTrainer(K)
         atk = SelfIterationAttacker()
@@ -151,6 +151,37 @@ def test_attack_query_counts_frozen():
             else:
                 assert t.err_fx == 0.0  # replayed nature draw
         assert seen >= 10
+
+
+@pytest.mark.parametrize("k", [16, 400])
+def test_attack_trial_encodes_no_accepted_answer_again(monkeypatch, k):
+    """The attacker sends back the plaintext each accepted answer opens to, and
+    seals the frontier's plaintext as it came, so it encodes no answer again.
+
+    The only clear payloads encoded at the inner width are then the
+    attacker's level-1 plaintext and the circuit's answers, one per grid
+    level: one per query, since the last query is answered with BOTTOM.
+    """
+    inner: list[ClearPayload] = []
+
+    def counted(p, width=None):
+        if isinstance(p, ClearPayload) and width == INST.inner_width:
+            inner.append(p)
+        return encode_payload(p, width)
+
+    monkeypatch.setattr(sampleagents, "encode_payload", counted)
+    trainer, atk, climbed = LadderTrainer(k), SelfIterationAttacker(), 0
+    for i in range(6):
+        inner.clear()
+        t = run_dbd_trial(
+            INST, trainer, atk, NeverFlagDetector(), PARAMS, derive_trial_seed(60 + k, i), i
+        )
+        if t.aborted:
+            continue
+        climbed += 1
+        assert len(inner) == t.notes["queries"] == 1 + len(grid_levels(k))
+        assert [p.level for p in inner] == [1, *grid_levels(k)]
+    assert climbed >= 4
 
 
 def test_attack_aborts_on_unlucky_mix():
@@ -383,10 +414,14 @@ def test_level_threshold_detector():
     high = build_clear_input(INST, 20, rng)
     low = build_clear_input(INST, 5, rng)
     enc = build_enc_input(INST, 20, rng)
+    at_cap, past_cap = (build_clear_input(INST, level, rng) for level in (16, 17))
     ctx = ctx_for(det)
     assert det.detect(ctx, model, priv, [high]) == 1
     assert det.detect(ctx, model, priv, [low]) == 0
     assert det.detect(ctx, model, priv, [enc]) == 0  # cannot see inside
+    # the boundary: the model's cap is 16
+    assert det.detect(ctx, model, priv, [at_cap]) == 0
+    assert det.detect(ctx, model, priv, [past_cap]) == 1
 
 
 def test_frequency_detector_margins():
@@ -398,6 +433,10 @@ def test_frequency_detector_margins():
     assert det.detect(ctx, None, None, [enc]) == 0  # q=1 margin exceeds 1/2
     assert det.detect(ctx, None, None, [enc] * 16) == 1  # 16 sigma-ish drift
     assert det.detect(ctx, None, None, [enc] * 8 + [clear] * 8) == 0
+    # at q=16 the margin is 3/8: a drift of 5/16 (which a 2-sigma margin, 1/4,
+    # would flag) stays down, and one of 7/16 flags
+    assert det.detect(ctx, None, None, [enc] * 13 + [clear] * 3) == 0
+    assert det.detect(ctx, None, None, [enc] * 15 + [clear]) == 1
 
 
 def test_well_formed_detector():

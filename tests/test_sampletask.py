@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hmac
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -13,6 +14,7 @@ import detmit.crypto as crypto
 from detmit.crypto import (
     IdentityCipher,
     IdentityKey,
+    IvcProof,
     NONCE_LEN,
     ProofToken,
     SignatureToken,
@@ -28,6 +30,7 @@ from detmit.drbg import HashDrbg
 from detmit.payloads import (
     ClearPayload,
     EncPayload,
+    TimePayload,
     bottom,
     decode_payload,
     encode_payload,
@@ -35,6 +38,7 @@ from detmit.payloads import (
 from detmit.sampletask import (
     DataTaskInstance,
     LevelLaw,
+    climb,
     make_data_instance,
     next_level,
 )
@@ -56,6 +60,28 @@ def test_next_level_values():
     assert [next_level(k) for k in (1, 2, 3, 4, 9, 16, 400, 512)] == [
         2, 3, 4, 6, 12, 20, 420, 534,
     ]
+
+
+def test_climb_sends_each_answer_back_and_stops_at_the_first_that_does_not_answer():
+    """Each query after the first is the bytes of the answer before it; the climb
+    stops at an answer that decodes but does not answer, and at one that does
+    not decode, counting the query that got it."""
+    at = [encode_payload(TimePayload(t, bytes(32), IvcProof(t, bytes(32)))) for t in range(1, 6)]
+    replies = {at[0]: at[1], at[1]: at[2], at[2]: at[4], at[3]: b""}
+    asked: list[bytes] = []
+
+    def ask(x: bytes) -> bytes:
+        asked.append(x)
+        return replies[x]
+
+    def answers(xp, yp) -> bool:  # one step on, as a stand-in for a task's rule
+        return yp is not None and yp.steps == xp.steps + 1
+
+    ctx = SimpleNamespace(notes={"queries": 0})
+    assert climb(ctx, ask, answers, decode_payload(at[0]), at[0]) == (decode_payload(at[2]), at[2])
+    assert asked == at[:3] and ctx.notes["queries"] == 3
+    assert climb(ctx, ask, answers, decode_payload(at[3]), at[3]) == (decode_payload(at[3]), at[3])
+    assert asked == at[:4] and ctx.notes["queries"] == 4
 
 
 def pmf(law: LevelLaw, k: int) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmit import timetask
+from detmit import sampletask, timetask
 from detmit.cli import ExperimentConfig, build_instance, run_batch
 from detmit.core import (
     GameParams,
@@ -403,8 +403,10 @@ def test_attack_trial_reads_each_payload_once(inst, monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(timetask, "decode_payload", counting("decode", decode_payload))
-    monkeypatch.setattr(timetask, "encode_payload", counting("encode", encode_payload))
+    decode, encode = counting("decode", decode_payload), counting("encode", encode_payload)
+    for module in (timetask, sampletask):  # the climb runs in `sampletask`
+        monkeypatch.setattr(module, "decode_payload", decode)
+        monkeypatch.setattr(module, "encode_payload", encode)
     monkeypatch.setattr(timetask, "ivc_verify", counting("verify", ivc_verify))
     for i in range(3):
         calls.update(dict.fromkeys(calls, 0))
@@ -414,7 +416,7 @@ def test_attack_trial_reads_each_payload_once(inst, monkeypatch):
         )
         queries = t.notes["queries"]
         assert t.aborted is None and queries == 17 and t.err_fx == 1.0
-        assert calls["decode"] <= queries + 3 and calls["verify"] <= queries + 3
+        assert calls["decode"] == queries + 3 and calls["verify"] <= queries + 3
         assert calls["encode"] == queries  # 16 answers and the step-1 payload
 
 

@@ -138,7 +138,7 @@ def meter_run(meter: StepMeter, state: bytes, steps: int) -> bytes:
 def ivc_prove(keys: IvcKeys, t: int, meter: StepMeter | None = None) -> tuple[bytes, IvcProof]:
     """Prove t steps from the keys' start state in one run of updates."""
     meter = StepMeter() if meter is None else meter
-    return ivc_update(keys, keys.known_point(0)[0], keys.base_proof(), meter, t)
+    return ivc_update(keys, keys.known_point(0)[0], keys.base_proof(), meter, [t])[0]
 
 
 def inner_level(buf: bytes, key: IdentityKey) -> int | None:
